@@ -340,15 +340,13 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 
-// BenchmarkVectorScan measures the vectorized scan pipeline against its
-// row-at-a-time fallback at the storage layer: the same pushdown — a
-// pruning-RESISTANT ~30% residual filter on adRevenue (random per row, so
+// BenchmarkVectorScan measures the scan pipeline at the storage layer under
+// a pruning-RESISTANT ~30% residual filter on adRevenue (random per row, so
 // zone maps skip nothing and every block pays decode + filter) plus a
-// field mask — scanned batch-at-a-time (bulk column decode, vectorized
-// residual kernels, late materialization of survivors) vs record-at-a-time.
-// Both variants materialize every surviving row through a reused record,
-// exactly as the engine consumes them; the ns/op ratio at
-// BENCH_vecscan.json is what the batch refactor buys.
+// field mask: bulk column decode, residual kernels, and late
+// materialization of every survivor through a reused record, exactly as
+// the engine consumes them. BENCH_vecscan.json holds its trajectory;
+// BenchmarkRecordFileScan is the same pipeline through the row cursor.
 func BenchmarkVectorScan(b *testing.B) {
 	dir := b.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -419,30 +417,6 @@ func BenchmarkVectorScan(b *testing.B) {
 			}
 			if sc.Err() != nil || count != want || sum == 0 {
 				b.Fatalf("batch scan: %v (%d of %d survivors)", sc.Err(), count, want)
-			}
-		}
-	})
-	b.Run("rowscan", func(b *testing.B) {
-		r, err := storage.Open(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		rev := r.Schema().IndexOf("adRevenue")
-		b.SetBytes(r.Size())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
-			if err != nil {
-				b.Fatal(err)
-			}
-			count, sum := 0, int64(0)
-			for sc.Next() {
-				sum += sc.Record().At(rev).I
-				count++
-			}
-			if sc.Err() != nil || count != want || sum == 0 {
-				b.Fatalf("row scan: %v (%d of %d survivors)", sc.Err(), count, want)
 			}
 		}
 	})

@@ -410,13 +410,6 @@ func cmdRun(args []string) error {
 		if len(ir.Plan.Applied) > 0 {
 			fmt.Printf(" %v", ir.Plan.Applied)
 		}
-		if ir.Plan.Kind != manimal.PlanBTree {
-			if ir.Plan.Vectorized {
-				fmt.Print(" scan=vectorized")
-			} else {
-				fmt.Print(" scan=rows")
-			}
-		}
 		fmt.Println()
 		if *explain {
 			for _, note := range ir.Plan.Notes {
@@ -531,7 +524,7 @@ func cmdInspect(args []string) error {
 
 	schema := r.Schema()
 	fmt.Printf("%s: format v%d, %d bytes, %d blocks, %d records\n",
-		*filePath, r.FormatVersion(), r.Size(), r.NumBlocks(), r.NumRecords())
+		*filePath, storage.FormatVersion, r.Size(), r.NumBlocks(), r.NumRecords())
 	fmt.Printf("schema: %s\n", schema)
 	fmt.Print("encodings:")
 	for _, f := range schema.Fields() {
@@ -542,10 +535,6 @@ func cmdInspect(args []string) error {
 		}
 	}
 	fmt.Println()
-	if !r.HasStats() {
-		fmt.Println("stats: none (pre-stats format; scans cannot block-skip this file)")
-		return nil
-	}
 	if *perBlock {
 		for b := 0; b < r.NumBlocks(); b++ {
 			fmt.Printf("block %4d: %d records\n", b, r.RecordsInBlocks(b, b+1))
@@ -921,15 +910,10 @@ func cmdCatalog(args []string) error {
 			fmt.Printf(" enc=%v", e.Encodings)
 		}
 		fmt.Printf(" (%d bytes)", e.SizeBytes)
-		// Record files announce their stats capability: pre-stats variants
-		// (stats=none) still scan but can never be block-skipped; rebuilding
-		// the index upgrades them.
-		if e.Kind == catalog.KindRecordFile {
-			if e.StatsVersion >= 3 {
-				fmt.Printf(" stats=v%d", e.StatsVersion)
-			} else {
-				fmt.Print(" stats=none (pre-stats build; scans cannot prune)")
-			}
+		// Variants written before the current record-file format cannot be
+		// opened any more; the optimizer skips them until a rebuild.
+		if e.Kind == catalog.KindRecordFile && e.StatsVersion != storage.FormatVersion {
+			fmt.Print(" RETIRED FORMAT (rebuild the index)")
 		}
 		// Surface staleness the way the optimizer will judge it: only
 		// fingerprinted entries can go stale.

@@ -239,90 +239,3 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 		t.Fatalf("pruned input accounting off: %d", got)
 	}
 }
-
-// TestDifferentialVectorizedScan is the batch pipeline's end-to-end gate:
-// the default (vectorized) run, the MANIMAL_ROWSCAN=1 row-at-a-time run,
-// and the -noopt baseline must produce byte-identical output — and the
-// vectorized and row paths must report IDENTICAL pruning counters (blocks
-// read/skipped, rows prefiltered), since both flush per block over the
-// same plan.
-func TestDifferentialVectorizedScan(t *testing.T) {
-	dir := t.TempDir()
-	data := filepath.Join(dir, "uservisits.rec")
-	if err := workload.NewGen(19).WriteUserVisits(data, 8000, 300); err != nil {
-		t.Fatal(err)
-	}
-	sys, err := manimal.NewSystemWith(filepath.Join(dir, "sys"), manimal.Options{DisableResultCache: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Selection with a residual-heavy range plus projection, so the batch
-	// path exercises zone-map skips, the vectorized residual filter, AND
-	// the field decode mask at once.
-	prog := mustProgram(t, "vecrange", `
-func Map(k, v *Record, ctx *Ctx) {
-	if v.Int("visitDate") >= ctx.ConfInt("lo") && v.Int("visitDate") < ctx.ConfInt("hi") {
-		ctx.Emit(v.Str("destURL"), v.Int("adRevenue"))
-	}
-}
-
-func Reduce(key Datum, values *Iter, ctx *Ctx) {
-	sum := 0
-	for values.Next() {
-		sum = sum + values.Int()
-	}
-	ctx.Emit(key, sum)
-}
-`)
-	conf := manimal.Conf{"lo": manimal.Int(1_200_030_000), "hi": manimal.Int(1_200_033_000)}
-	run := func(name string, noopt bool) ([]mapreduce.KVPair, *manimal.JobReport) {
-		spec := manimal.JobSpec{
-			Name:                name,
-			Inputs:              []manimal.InputSpec{{Path: data, Program: prog}},
-			OutputPath:          filepath.Join(dir, name+".kv"),
-			Conf:                conf,
-			DisableOptimization: noopt,
-		}
-		return submit(t, sys, spec)
-	}
-
-	noopt, _ := run("vec-noopt", true)
-	if len(noopt) == 0 {
-		t.Fatal("baseline produced no output")
-	}
-	vec, vecReport := run("vec-batch", false)
-	if !vecReport.Inputs[0].Plan.Vectorized {
-		t.Fatalf("default plan not vectorized: %+v", vecReport.Inputs[0].Plan)
-	}
-
-	t.Setenv("MANIMAL_ROWSCAN", "1")
-	rows, rowReport := run("vec-rows", false)
-	if rowReport.Inputs[0].Plan.Vectorized {
-		t.Fatalf("MANIMAL_ROWSCAN=1 plan still vectorized: %+v", rowReport.Inputs[0].Plan)
-	}
-
-	if !reflect.DeepEqual(noopt, vec) {
-		t.Fatalf("vectorized output differs from -noopt baseline: %d vs %d pairs", len(vec), len(noopt))
-	}
-	if !reflect.DeepEqual(vec, rows) {
-		t.Fatalf("vectorized output differs from MANIMAL_ROWSCAN=1: %d vs %d pairs", len(vec), len(rows))
-	}
-	for _, name := range []string{
-		mapreduce.CtrBlocksRead,
-		mapreduce.CtrBlocksSkipped,
-		mapreduce.CtrRowsFiltered,
-		"map.input.records",
-	} {
-		v := vecReport.Result.Counters.Get(name)
-		r := rowReport.Result.Counters.Get(name)
-		if v != r {
-			t.Errorf("counter %s: vectorized %d != row %d", name, v, r)
-		}
-	}
-	if vecReport.Result.Counters.Get(mapreduce.CtrBlocksSkipped) == 0 {
-		t.Fatal("vectorized run skipped no blocks")
-	}
-	if vecReport.Result.Counters.Get(mapreduce.CtrRowsFiltered) == 0 {
-		t.Fatal("vectorized run prefiltered no rows (residual never ran)")
-	}
-}

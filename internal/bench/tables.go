@@ -22,6 +22,8 @@ type Table2Row struct {
 	ManimalSecs   float64
 	Speedup       float64
 	PaperSpeedup  float64
+	// Input bytes each leg read: the machine-independent side of Speedup.
+	HadoopInputBytes, ManimalInputBytes int64
 }
 
 // RunTable2 reruns the four Pavlo benchmarks end to end, Hadoop-mode vs
@@ -55,7 +57,7 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 			Conf:    manimal.Conf{"threshold": manimal.Int(9998)}, // ~0.02%
 			MapOnly: true,
 		}
-		h, m, _, _, err := e.runBoth(spec)
+		h, m, hr, mr, err := e.runBoth(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +65,8 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 			Name: "Benchmark-1", Description: "Selection",
 			SpaceOverhead: overhead(entries, data),
 			HadoopSecs:    h, ManimalSecs: m, Speedup: h / m,
-			PaperSpeedup: 11.21,
+			PaperSpeedup:     11.21,
+			HadoopInputBytes: inputBytes(hr), ManimalInputBytes: inputBytes(mr),
 		})
 	}
 
@@ -89,7 +92,7 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 			Name:   "benchmark-2",
 			Inputs: []manimal.InputSpec{{Path: data, Program: prog}},
 		}
-		h, m, _, _, err := e.runBoth(spec)
+		h, m, hr, mr, err := e.runBoth(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +100,8 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 			Name: "Benchmark-2", Description: "Aggregation",
 			SpaceOverhead: overhead(entries, data),
 			HadoopSecs:    h, ManimalSecs: m, Speedup: h / m,
-			PaperSpeedup: 2.96,
+			PaperSpeedup:     2.96,
+			HadoopInputBytes: inputBytes(hr), ManimalInputBytes: inputBytes(mr),
 		})
 	}
 
@@ -141,7 +145,7 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 				"dateHi": manimal.Int(1_200_000_000 + window),
 			},
 		}
-		h, m, _, _, err := e.runBoth(spec)
+		h, m, hr, mr, err := e.runBoth(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +153,8 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 			Name: "Benchmark-3", Description: "Join",
 			SpaceOverhead: overhead(entries, uv),
 			HadoopSecs:    h, ManimalSecs: m, Speedup: h / m,
-			PaperSpeedup: 6.73,
+			PaperSpeedup:     6.73,
+			HadoopInputBytes: inputBytes(hr), ManimalInputBytes: inputBytes(mr),
 		})
 	}
 
@@ -160,6 +165,11 @@ func RunTable2(dir string, scale Scale) ([]Table2Row, error) {
 		PaperSpeedup: 0,
 	})
 	return rows, nil
+}
+
+// inputBytes is the input data a job's map tasks read.
+func inputBytes(r *manimal.JobReport) int64 {
+	return r.Result.Counters.Get(mapreduce.CtrInputBytesRead)
 }
 
 func overhead(entries []manimal.CatalogEntry, data string) float64 {
@@ -182,6 +192,8 @@ type Table3Row struct {
 	ManimalSecs       float64
 	Speedup           float64
 	PaperSpeedup      float64
+	// Input bytes each leg read: the machine-independent side of Speedup.
+	HadoopInputBytes, ManimalInputBytes int64
 }
 
 var table3PaperSpeedups = map[int]float64{60: 1.59, 50: 1.85, 40: 2.29, 30: 2.98, 20: 4.19, 10: 7.10}
@@ -212,7 +224,7 @@ func RunTable3(dir string, scale Scale) ([]Table3Row, error) {
 			Inputs: []manimal.InputSpec{{Path: data, Program: prog}},
 			Conf:   manimal.Conf{"threshold": manimal.Int(int64(threshold))},
 		}
-		h, m, hr, _, err := e.runBoth(spec)
+		h, m, hr, mr, err := e.runBoth(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -224,6 +236,8 @@ func RunTable3(dir string, scale Scale) ([]Table3Row, error) {
 			ManimalSecs:       m,
 			Speedup:           h / m,
 			PaperSpeedup:      table3PaperSpeedups[sel],
+			HadoopInputBytes:  inputBytes(hr),
+			ManimalInputBytes: inputBytes(mr),
 		})
 	}
 	return rows, nil
@@ -240,6 +254,8 @@ type Table4Row struct {
 	ManimalSecs   float64
 	Speedup       float64
 	PaperSpeedup  float64
+	// Input bytes each leg read: the machine-independent side of Speedup.
+	HadoopInputBytes, ManimalInputBytes int64
 }
 
 // RunTable4 reruns the projection experiment in the paper's three
@@ -284,7 +300,7 @@ func RunTable4(dir string, scale Scale) ([]Table4Row, error) {
 			Conf:    manimal.Conf{"threshold": manimal.Int(workload.RankMax / 2)},
 			MapOnly: true,
 		}
-		h, m, _, mr, err := e.runBoth(jobSpec)
+		h, m, hr, mr, err := e.runBoth(jobSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -302,6 +318,9 @@ func RunTable4(dir string, scale Scale) ([]Table4Row, error) {
 			ManimalSecs:   m,
 			Speedup:       h / m,
 			PaperSpeedup:  cfg.paper,
+
+			HadoopInputBytes:  inputBytes(hr),
+			ManimalInputBytes: inputBytes(mr),
 		})
 	}
 	return rows, nil

@@ -69,9 +69,9 @@ type Entry struct {
 	InputModTimeNanos int64 `json:"inputModTimeNanos,omitempty"`
 	// StatsVersion is the record-file format version the variant was
 	// written with (storage.FormatVersion at build time; record files
-	// only). Version >= 3 files carry per-block zone-map stats and support
-	// block-skipping scans; 0 marks entries built before stats existed —
-	// still scannable, never pruned.
+	// only). Anything older than the current version — 0 marks entries
+	// built before the field existed — names a file storage.Open now
+	// refuses with ErrUnsupportedFormat; `manimal catalog` flags it.
 	StatsVersion int `json:"statsVersion,omitempty"`
 	// State marks unusable variants: "" (healthy) or StateCorrupt, set when
 	// a scan hit a checksum/decode failure in the index file. The optimizer

@@ -83,18 +83,6 @@ func (d *DeltaDecoder) Decode(buf []byte) (serde.Datum, int, error) {
 	return serde.Int(d.prev), n, nil
 }
 
-// Skip advances past one value without materializing a datum. The chain
-// state still updates — every later value in the block is a difference off
-// this one — so field-pruned scans stay positionally correct.
-func (d *DeltaDecoder) Skip(buf []byte) (int, error) {
-	delta, n := binary.Varint(buf)
-	if n <= 0 {
-		return 0, fmt.Errorf("compress: truncated delta value")
-	}
-	d.prev += delta
-	return n, nil
-}
-
 // DecodeColumn bulk-decodes len(dst) values of one contiguous delta chain
 // into dst as RAW int64s (a prefix sum over the varint deltas), returning
 // the bytes consumed. For float64 chains the raw values are IEEE-754 bit

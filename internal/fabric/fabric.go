@@ -31,8 +31,8 @@ func (m *interpMapper) Map(k serde.Datum, rec *serde.Record, ctx *interp.Context
 }
 
 // MapBatch implements mapreduce.BatchMapper: selected rows late-materialize
-// into one reused record and run through the same compiled map path, with
-// keys identical to the row-at-a-time scan's record indices.
+// into one reused record and run through the same compiled map path, keyed
+// by whole-file record index.
 func (m *interpMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
 	return m.ex.InvokeMapBatch(b, ctx)
 }
@@ -111,9 +111,7 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 	return nil
 }
 
-// InputForPlan opens the physical input chosen by the optimizer. Record-file
-// inputs additionally carry the plan's execution strategy: Vectorized plans
-// scan batch-at-a-time (on columnar files; earlier formats serve rows).
+// InputForPlan opens the physical input chosen by the optimizer.
 func InputForPlan(plan *optimizer.Plan) (mapreduce.Input, error) {
 	return InputForPlanShared(plan, nil)
 }
@@ -130,7 +128,6 @@ func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapredu
 		if err != nil {
 			return nil, err
 		}
-		in.SetBatch(plan.Vectorized)
 		if plan.SharedScan {
 			in.SetShare(share)
 		}
@@ -140,7 +137,6 @@ func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapredu
 		if err != nil {
 			return nil, err
 		}
-		in.SetBatch(plan.Vectorized)
 		if plan.SharedScan {
 			in.SetShare(share)
 		}

@@ -396,9 +396,8 @@ func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *cat
 	if err := w.Close(); err != nil {
 		return err
 	}
-	// The variant was just written by the current Writer, so it carries
-	// this format's per-block stats; record the version so tooling can
-	// tell pruned-capable variants from stale pre-stats ones.
+	// Record the format the variant was just written in, so tooling can
+	// tell current variants from ones left behind by a retired format.
 	entry.StatsVersion = storage.FormatVersion
 	if len(spec.Encodings) > 0 {
 		entry.Encodings = encodingNames(spec.Encodings)

@@ -3,12 +3,14 @@ package indexgen
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"manimal/internal/analyzer"
 	"manimal/internal/btree"
 	"manimal/internal/catalog"
+	"manimal/internal/fabric"
 	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
 	"manimal/internal/serde"
@@ -314,6 +316,50 @@ func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("record %d differs between serial and parallel build", i)
 		}
+	}
+	// Same records in the same order through the same writer: the stitched
+	// files are byte-identical, not merely record-equal.
+	sb, err := os.ReadFile(serial.IndexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := os.ReadFile(par.IndexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb, pb) {
+		t.Fatal("serial and parallel builds wrote different bytes")
+	}
+	// The build's map job — this input opened the way BuildWith opens it,
+	// the synthesized program, the interpreter mapper — scans batch-wise
+	// and still accounts a full scan: every block read once, every record
+	// mapped once.
+	in, err := mapreduce.OpenFile(data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	prog, err := lang.Parse(spec.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mapreduce.DefaultScheduler().Run(context.Background(), &mapreduce.Job{
+		Name:   "indexgen-map",
+		Inputs: []mapreduce.MapInput{{Input: in, Mapper: fabric.MapperFactory(prog)}},
+		Output: &mapreduce.DiscardOutput{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := int64(in.Reader().NumBlocks())
+	if blocks < 2 {
+		t.Fatalf("input has %d block(s); want a multi-block input", blocks)
+	}
+	if got := res.Counters.Get(mapreduce.CtrBlocksRead); got != blocks {
+		t.Fatalf("build map job read %d blocks, input has %d", got, blocks)
+	}
+	if got := res.Counters.Get(mapreduce.CtrMapInputRecords); got != 3000 {
+		t.Fatalf("build map job mapped %d records, want 3000", got)
 	}
 	// No stray segment files may survive the stitch.
 	names, err := filepath.Glob(filepath.Join(dir, "*.seg*"))

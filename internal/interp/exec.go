@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"os"
 	"strconv"
 
 	"manimal/internal/lang"
@@ -34,17 +33,14 @@ type Executor struct {
 // New creates an executor for the program with freshly-initialized
 // package-level variables. Each function body is lowered once into a chain
 // of Go closures (see compile.go); any construct the compiler does not
-// cover falls back to the AST tree-walker with identical behavior. Setting
-// MANIMAL_TREEWALK=1 in the environment disables compilation globally, for
-// debugging.
+// cover falls back to the AST tree-walker with identical behavior.
 func New(p *lang.Program) (*Executor, error) {
-	v := os.Getenv("MANIMAL_TREEWALK")
-	return newExecutor(p, v == "" || v == "0")
+	return newExecutor(p, true)
 }
 
 // NewTreeWalker creates an executor that always evaluates by walking the
-// AST, never through compiled closures. It exists for debugging and for
-// differential testing of the compiler against the reference walker.
+// AST, never through compiled closures: the compiler's reference, for
+// debugging and for differential testing against the walker.
 func NewTreeWalker(p *lang.Program) (*Executor, error) {
 	return newExecutor(p, false)
 }

@@ -21,18 +21,17 @@
 // eval.go), which shares the same slot-addressed frame and runtime kernels,
 // so observable behavior (emissions, counters, logs, and error text) is
 // identical on both paths; differential_test.go holds them to that. To
-// force the tree-walker for debugging, set MANIMAL_TREEWALK=1 in the
-// environment or construct the executor with NewTreeWalker.
+// force the tree-walker (the compiler's reference) for debugging,
+// construct the executor with NewTreeWalker.
 //
 // # Batch entry point
 //
-// Executor.InvokeMapBatch (batch.go) is the vectorized scan pipeline's
-// door into the interpreter: it late-materializes each selected row of a
-// serde.Batch into one executor-owned record and runs the same InvokeMap
-// per row, keyed by Batch.Base()+row. It is observably identical to the
-// row-at-a-time path over the same rows — same keys, values, and emission
-// order — with MANIMAL_ROWSCAN=1 forcing the row path as the differential
-// oracle (mirroring MANIMAL_TREEWALK).
+// Executor.InvokeMapBatch (batch.go) is the scan pipeline's door into the
+// interpreter: it late-materializes each selected row of a serde.Batch
+// into one executor-owned record and runs the same InvokeMap per row,
+// keyed by Batch.Base()+row. It is observably identical to calling
+// InvokeMap over storage.Scanner's row cursor (which walks the same
+// batches the same way) — same keys, values, and emission order.
 package interp
 
 import (

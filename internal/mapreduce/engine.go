@@ -272,40 +272,36 @@ func (e *Execution) execute() (*Result, error) {
 			},
 		}
 		mapBody := func() error {
-			// Batch (vectorized) path: when both the split and the mapper
-			// support batch-at-a-time execution AND the split was planned in
-			// batch mode, whole column-vector batches flow to the mapper, with
-			// cancellation checks and counter flushes per batch instead of per
-			// record. Either capability missing falls through to the row loop;
-			// both paths count CtrMapInputRecords identically (rows the
-			// residual filter dropped never reach either).
-			if bm, ok := mapper.(BatchMapper); ok {
-				if bs, ok := spec.split.(BatchSplit); ok {
-					bit, err := bs.OpenBatch()
-					if err != nil {
+			// Batch path: when both the split and the mapper support
+			// batch-at-a-time execution, whole column-vector batches flow to
+			// the mapper, with cancellation checks and counter flushes per
+			// batch instead of per record. Either capability missing takes
+			// the row loop; both count CtrMapInputRecords identically (rows
+			// the residual filter dropped never reach either).
+			bm, _ := mapper.(BatchMapper)
+			if bs, ok := spec.split.(BatchSplit); ok && bm != nil {
+				bit, err := bs.OpenBatch()
+				if err != nil {
+					return err
+				}
+				defer bit.Close()
+				n, flushed := 0, 0
+				defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
+				for bit.NextBatch() {
+					if ctx.Err() != nil {
+						return ctx.Err()
+					}
+					b := bit.Batch()
+					n += len(b.Sel())
+					if n-flushed >= counterFlushEvery {
+						ctr.Add(CtrMapInputRecords, int64(n-flushed))
+						flushed = n
+					}
+					if err := bm.MapBatch(b, ictx); err != nil {
 						return err
 					}
-					if bit != nil {
-						defer bit.Close()
-						n, flushed := 0, 0
-						defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
-						for bit.NextBatch() {
-							if ctx.Err() != nil {
-								return ctx.Err()
-							}
-							b := bit.Batch()
-							n += len(b.Sel())
-							if n-flushed >= counterFlushEvery {
-								ctr.Add(CtrMapInputRecords, int64(n-flushed))
-								flushed = n
-							}
-							if err := bm.MapBatch(b, ictx); err != nil {
-								return err
-							}
-						}
-						return bit.Err()
-					}
 				}
+				return bit.Err()
 			}
 			it, err := spec.split.Open()
 			if err != nil {

@@ -33,10 +33,9 @@ type Split interface {
 }
 
 // BatchSplit is optionally implemented by splits that can serve decoded
-// column-vector batches instead of one record at a time. OpenBatch returns
-// (nil, nil) when the split cannot (or was not configured to) run in batch
-// mode — the engine then falls back to Open's row iterator. The two modes
-// are equivalent by contract: same records, same keys, same counters.
+// column-vector batches instead of one record at a time; the engine hands
+// them whole to mappers that implement BatchMapper. The two modes are
+// equivalent by contract: same records, same keys, same counters.
 type BatchSplit interface {
 	OpenBatch() (BatchIter, error)
 }
@@ -70,18 +69,11 @@ type RecordIter interface {
 type FileInput struct {
 	r     *storage.Reader
 	pd    *storage.Pushdown
-	batch bool
 	share *storage.ScanShare
 }
 
-// SetBatch turns batch (vectorized) scanning on or off for splits produced
-// after the call. Batch mode requires a columnar (format v4) file; on
-// earlier formats the splits transparently serve rows. The planner owns
-// the choice (optimizer.Plan.Vectorized, MANIMAL_ROWSCAN=1 forces rows).
-func (f *FileInput) SetBatch(on bool) { f.batch = on }
-
-// SetShare installs a scan-sharing registry consulted by batch-mode splits:
-// a split whose file and block range match another in-flight subscribed
+// SetShare installs a scan-sharing registry consulted by batch scans: a
+// split whose file and block range match another in-flight subscribed
 // scan (typically the same split of an identical concurrent job) rides one
 // shared physical scan instead of decoding privately (see
 // storage.ScanShare). Nil — the default — keeps every scan private.
@@ -95,8 +87,6 @@ func OpenFile(path string, directCodes bool) (*FileInput, error) {
 }
 
 // OpenFileWith is OpenFile with a scan pushdown (nil scans everything).
-// Pushdown degrades gracefully on pre-stats files: nothing is skipped at
-// the block level, while residual filtering and field pruning still apply.
 func OpenFileWith(path string, directCodes bool, pd *storage.Pushdown) (*FileInput, error) {
 	r, err := storage.Open(path)
 	if err != nil {
@@ -122,10 +112,9 @@ func (f *FileInput) ScanStats() ScanStats { return f.r.ScanStats() }
 func (f *FileInput) Close() error { return f.r.Close() }
 
 // Splits implements Input, partitioning storage blocks evenly. With a
-// pushdown filter and a stats-bearing file, fully-pruned block ranges are
-// dropped up front — they never become map-task work — and the remaining
-// blocks are balanced across splits by SURVIVING block count. Pre-stats
-// files degrade gracefully: no error, no pruning, even splits.
+// pushdown filter, fully-pruned block ranges are dropped up front — they
+// never become map-task work — and the remaining blocks are balanced
+// across splits by SURVIVING block count.
 func (f *FileInput) Splits(target int) ([]Split, error) {
 	n := f.r.NumBlocks()
 	if target < 1 {
@@ -170,7 +159,7 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 		// blocks are skipped (and counted) by the scanner itself.
 		lo, hi := chunk[0], chunk[len(chunk)-1]+1
 		covered += hi - lo
-		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, batch: f.batch, share: f.share})
+		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, share: f.share})
 	}
 	// Blocks outside every split never reach a scanner; count them here so
 	// blocks read + skipped always totals the blocks planned over.
@@ -182,7 +171,6 @@ type fileSplit struct {
 	r      *storage.Reader
 	lo, hi int
 	pd     *storage.Pushdown
-	batch  bool
 	share  *storage.ScanShare
 }
 
@@ -194,16 +182,12 @@ func (s *fileSplit) Open() (RecordIter, error) {
 	return &fileIter{sc: sc}, nil
 }
 
-// OpenBatch implements BatchSplit: a vectorized scan over the split's block
-// range, or (nil, nil) when the split is in row mode or the file predates
-// the columnar format. With a share registry installed the scan first tries
-// to subscribe to (or found) a shared physical scan of the same range;
-// subscription can be refused (e.g. an existing group too far ahead), in
-// which case the split scans privately as before.
+// OpenBatch implements BatchSplit: a batch scan over the split's block
+// range. With a share registry installed the scan first tries to subscribe
+// to (or found) a shared physical scan of the same range; subscription can
+// be refused (e.g. an existing group too far ahead), in which case the
+// split scans privately.
 func (s *fileSplit) OpenBatch() (BatchIter, error) {
-	if !s.batch || s.r.FormatVersion() < 4 {
-		return nil, nil
-	}
 	if s.share != nil {
 		if m, ok := s.share.Subscribe(s.r, s.lo, s.hi, s.pd); ok {
 			return &sharedBatchIter{m: m}, nil

@@ -125,15 +125,10 @@ func TestFileInputSplitsAllPruned(t *testing.T) {
 	}
 }
 
-// TestFileInputSplitsPreStatsGraceful: a pre-stats file with a pushdown
-// plans normally (no error, no block pruning) and the residual filter
-// still narrows the rows.
-func TestFileInputSplitsPreStatsGraceful(t *testing.T) {
-	// Build a v2 file by rewriting a v3 file's footer is fiddly here; use
-	// the storage test helper contract instead: no stats == no pruning is
-	// covered in storage's compat tests. Here we assert the planner path
-	// tolerates a filter that the stats cannot serve: a filter over a
-	// field the schema lacks.
+// TestFileInputSplitsUnresolvableFilter: the planner path tolerates a
+// filter the stats cannot serve — one over a field the schema lacks: no
+// error, no block pruning, no rows dropped.
+func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 1000)
 	filter := predicate.ZoneFilter{{predicate.FieldInterval{Field: "absent",
@@ -166,5 +161,54 @@ func TestFileInputSplitsPreStatsGraceful(t *testing.T) {
 	}
 	if st := in.ScanStats(); st.BlocksSkipped != 0 {
 		t.Fatalf("unresolvable filter skipped blocks: %+v", st)
+	}
+}
+
+// TestFileSplitOpenBatchAlwaysServes: every split of a file storage.Open
+// accepts serves batches — OpenBatch has no "not in batch mode" (nil, nil)
+// answer for the engine to fall through on — and batch iteration covers
+// exactly the rows Open's row cursor does, pushdown or not.
+func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.rec")
+	writePruneFile(t, path, 3000)
+	for name, pd := range map[string]*storage.Pushdown{
+		"plain":    nil,
+		"pushdown": {Filter: idRange(1000, 1500), Residual: true, Fields: []string{"payload"}},
+	} {
+		in, err := OpenFileWith(path, false, pd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Close()
+		splits, err := in.Splits(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(splits) < 2 {
+			t.Fatalf("%s: %d split(s); want a multi-split plan", name, len(splits))
+		}
+		for i, s := range splits {
+			bit, err := s.(BatchSplit).OpenBatch()
+			if bit == nil || err != nil {
+				t.Fatalf("%s split %d: OpenBatch = (%v, %v); want an iterator", name, i, bit, err)
+			}
+			it, err := s.Open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for bit.NextBatch() {
+				b := bit.Batch()
+				for _, row := range b.Sel() {
+					if !it.Next() || it.Key().I != b.Base()+int64(row) {
+						t.Fatalf("%s split %d: row cursor and batch disagree at key %d", name, i, b.Base()+int64(row))
+					}
+				}
+			}
+			if it.Next() || bit.Err() != nil || it.Err() != nil {
+				t.Fatalf("%s split %d: row cursor outlasted the batches (errs %v, %v)", name, i, bit.Err(), it.Err())
+			}
+			bit.Close()
+			it.Close()
+		}
 	}
 }

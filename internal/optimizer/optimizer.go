@@ -20,6 +20,7 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"os"
 
@@ -87,20 +88,10 @@ type Plan struct {
 	// scan-sharing registry: map tasks whose file and block range match
 	// another in-flight subscribed scan ride one shared physical scan, with
 	// the block-skip pushdown relaxed to the union of the subscribers'
-	// filters and each job's residual re-applied per batch. Like Vectorized
-	// it is an execution strategy with identical output; the System sets it
-	// (it owns the registry), and MANIMAL_NOSHARE=1 disables it globally.
+	// filters and each job's residual re-applied per batch. It is an
+	// execution strategy with identical output; the System sets it (it owns
+	// the registry, see manimal.Options.DisableScanSharing).
 	SharedScan bool
-	// Vectorized selects batch-at-a-time execution for record-file scans
-	// (original or re-encoded): blocks decode into column vectors, the
-	// residual filter runs as vectorized kernels, and rows materialize
-	// late. It is an execution STRATEGY, not an optimization — outputs and
-	// counters are identical to the row-at-a-time path (the pushdown's
-	// legality gates are unchanged) — so it is on for every record-file
-	// plan, including unoptimized ones, unless MANIMAL_ROWSCAN=1 forces
-	// the row path as a differential/fallback oracle (mirroring
-	// MANIMAL_TREEWALK for the interpreter).
-	Vectorized bool
 	// Applied lists the optimizations in effect, e.g. ["selection",
 	// "projection"]. Empty for original scans.
 	Applied []string
@@ -132,10 +123,7 @@ type Options struct {
 // file's schema; entries are the catalog's indexes for that input; conf
 // binds config parameters referenced by the selection formula.
 func Choose(desc *analyzer.Descriptor, inputPath string, schema *serde.Schema, entries []catalog.Entry, conf predicate.Config, opts Options) *Plan {
-	plan := &Plan{Kind: PlanOriginal, InputPath: inputPath, Vectorized: VectorizedEnabled()}
-	if !plan.Vectorized {
-		plan.notef("vectorized scan disabled (MANIMAL_ROWSCAN=1); row-at-a-time fallback")
-	}
+	plan := &Plan{Kind: PlanOriginal, InputPath: inputPath}
 	if desc == nil {
 		plan.notef("no optimization descriptor; running unmodified")
 		return plan
@@ -226,17 +214,12 @@ func applyPushdown(plan *Plan, path string, desc *analyzer.Descriptor, conf pred
 	// scanned file's footer stats (a metadata-only open).
 	r, err := storage.Open(path)
 	if err != nil {
-		// Without the footer we cannot tell a stats-bearing file from a
-		// pre-stats one, so (unlike the success path) no "block-skip" tag:
-		// the filter is installed and the scan will skip if stats exist.
+		// No "block-skip" tag without a score: the filter is installed and
+		// the scan itself will report why the file does not open.
 		plan.notef("block-skip: filter installed; could not score stats (%v)", err)
 		return
 	}
 	defer r.Close()
-	if !r.HasStats() {
-		plan.notef("block-skip: %s predates stats (format v%d); residual filter only", path, r.FormatVersion())
-		return
-	}
 	plan.Applied = append(plan.Applied, "block-skip")
 	mask, skip := r.SkippableBlocks(pd.Filter)
 	var skipRecs int64
@@ -400,6 +383,14 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 			continue
 		}
 		if best == nil || score > bestScore || (score == bestScore && e.SizeBytes < bestSize) {
+			// A variant left behind in a retired format cannot be scanned;
+			// skip it like a stale one (probing only would-be winners).
+			if r, err := storage.Open(e.IndexPath); errors.Is(err, storage.ErrUnsupportedFormat) {
+				base.notef("recordfile %s: %v; skipping", e.IndexPath, err)
+				continue
+			} else if err == nil {
+				r.Close()
+			}
 			bestScore, bestSize = score, e.SizeBytes
 			bestFields = e.Fields
 			best = &Plan{
@@ -407,7 +398,6 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 				InputPath:   base.InputPath,
 				IndexPath:   e.IndexPath,
 				DirectCodes: directCodes,
-				Vectorized:  base.Vectorized,
 				Applied:     applied,
 				Notes:       append([]string(nil), base.Notes...),
 			}
@@ -415,33 +405,6 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 		}
 	}
 	return best, bestFields
-}
-
-// VectorizedEnabled reports whether record-file scans run batch-at-a-time.
-// On by default; MANIMAL_ROWSCAN=1 forces the row-at-a-time path (the
-// differential/fallback oracle), mirroring MANIMAL_TREEWALK's treatment of
-// the interpreter's compiled closures. Checked at plan time so a plan's
-// explain output records the strategy actually used.
-func VectorizedEnabled() bool {
-	v := os.Getenv("MANIMAL_ROWSCAN")
-	return v == "" || v == "0"
-}
-
-// ScanSharingEnabled reports whether concurrent scans of the same input
-// range may share one physical scan (storage.ScanShare). On by default;
-// MANIMAL_NOSHARE=1 forces every scan private — the differential oracle
-// and the unshared benchmark baseline.
-func ScanSharingEnabled() bool {
-	v := os.Getenv("MANIMAL_NOSHARE")
-	return v == "" || v == "0"
-}
-
-// ResultCacheEnabled reports whether committed job outputs are registered
-// in (and re-submissions served from) the catalog's result cache. On by
-// default; MANIMAL_NOCACHE=1 disables both lookup and store.
-func ResultCacheEnabled() bool {
-	v := os.Getenv("MANIMAL_NOCACHE")
-	return v == "" || v == "0"
 }
 
 func containsString(xs []string, s string) bool {

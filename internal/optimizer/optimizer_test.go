@@ -213,6 +213,39 @@ func TestChooseRecordFileRanking(t *testing.T) {
 	}
 }
 
+// TestRetiredFormatVariantSkipped: a catalog variant whose file is still
+// in a retired record-file format is passed over with a plan note, like a
+// stale one, and the next-ranked variant — or the original — runs the job.
+func TestRetiredFormatVariantSkipped(t *testing.T) {
+	old := writeUVFile(t, 100)
+	raw, err := os.ReadFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(raw[len(raw)-len("MANIMAL3"):], "MANIMAL3")
+	if err := os.WriteFile(old, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d := describe(t, aggProg)
+	entries := []catalog.Entry{
+		{InputPath: "uv.rec", IndexPath: old, Kind: catalog.KindRecordFile,
+			Fields: []string{"destURL", "duration"}},
+		{InputPath: "uv.rec", IndexPath: "delta.rec", Kind: catalog.KindRecordFile,
+			Fields:    uvSchema.FieldNames(),
+			Encodings: map[string]string{"duration": "delta"}},
+	}
+	plan := Choose(d, "uv.rec", uvSchema, entries, nil, Options{})
+	if plan.IndexPath != "delta.rec" {
+		t.Fatalf("retired-format variant not passed over: %+v", plan)
+	}
+	if notes := strings.Join(plan.Notes, "\n"); !strings.Contains(notes, storage.ErrUnsupportedFormat.Error()) {
+		t.Fatalf("no retired-format note; notes = %v", plan.Notes)
+	}
+	if plan := Choose(d, "uv.rec", uvSchema, entries[:1], nil, Options{}); plan.Kind != PlanOriginal {
+		t.Fatalf("only variant is unreadable, yet plan = %+v", plan)
+	}
+}
+
 func TestDirectCodesGating(t *testing.T) {
 	d := describe(t, aggProg)
 	if d.DirectOp == nil {

@@ -10,15 +10,14 @@ import (
 // test into mask over a whole column vector, hoisting the bound extraction
 // and kind dispatch that Contains pays per row out of the loop. The column
 // must hold values of the interval's bound kind (the storage layer's
-// compiled filters guarantee this, exactly as they do for Contains on the
-// row path); element i is tested only when mask[i] is still true, so a
-// conjunct's bounds compose by successive kernel calls.
+// compiled filters guarantee this); element i is tested only when mask[i]
+// is still true, so a conjunct's bounds compose by successive kernel calls.
 //
 // Each kernel is behaviorally identical to
 //
 //	mask[i] = mask[i] && iv.Contains(columnDatum(i))
 //
-// which the equivalence tests pin against the row path.
+// which storage's scan differentials pin against ZoneFilter.MatchesRecord.
 
 // FilterInt64 ANDs containment of an int64 column into mask.
 func (iv Interval) FilterInt64(col []int64, mask []bool) {

@@ -81,9 +81,9 @@ func (f ZoneFilter) String() string {
 // missing from the record pass their bound (conservative); false means the
 // record provably fails the original formula. This is the REFERENCE
 // implementation (and test oracle) of residual row filtering — production
-// scanners evaluate an equivalent slot-index-compiled form (package
-// storage's compileFilter/matchesRow, which additionally drops bounds a
-// particular file cannot serve).
+// scanners evaluate an equivalent slot-index-compiled form over column
+// vectors (package storage's compileFilter and the Filter* kernels, which
+// additionally drop bounds a particular file cannot serve).
 func (f ZoneFilter) MatchesRecord(r *serde.Record) bool {
 	for _, c := range f {
 		all := true

@@ -221,74 +221,6 @@ func DecodeTaggedInto(buf []byte, dst *Datum) (int, error) {
 	return n + 1, err
 }
 
-// DecodeValueShared is DecodeValue without defensive copies: string and
-// bytes datums alias buf directly instead of copying out of it. The
-// returned datum is valid only while buf's contents are intact; storing it
-// beyond that window requires CloneData. Block-buffer-reusing readers
-// (storage.Scanner) use this to decode records without per-field
-// allocations; every other caller wants DecodeValue.
-func DecodeValueShared(kind Kind, buf []byte) (Datum, int, error) {
-	var d Datum
-	n, err := DecodeValueSharedInto(kind, buf, &d)
-	return d, n, err
-}
-
-// DecodeValueSharedInto is DecodeValueShared decoding into *dst in place
-// (the form record scanners use: zero copies of both the payload and the
-// 64-byte Datum itself).
-func DecodeValueSharedInto(kind Kind, buf []byte, dst *Datum) (int, error) {
-	switch kind {
-	case KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || n+int(l) > len(buf) {
-			return 0, fmt.Errorf("serde: truncated string")
-		}
-		*dst = Datum{Kind: KindString, S: unsafeString(buf[n : n+int(l)])}
-		return n + int(l), nil
-	case KindBytes:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || n+int(l) > len(buf) {
-			return 0, fmt.Errorf("serde: truncated bytes")
-		}
-		*dst = Datum{Kind: KindBytes, B: buf[n : n+int(l) : n+int(l)]}
-		return n + int(l), nil
-	default:
-		return DecodeValueInto(kind, buf, dst)
-	}
-}
-
-// SkipValue advances past one kind-implied value encoding without
-// materializing a datum, returning the bytes consumed. Field-pruned
-// record scans use it to step over fields the program never reads.
-func SkipValue(kind Kind, buf []byte) (int, error) {
-	switch kind {
-	case KindInt64:
-		_, n := binary.Varint(buf)
-		if n <= 0 {
-			return 0, fmt.Errorf("serde: truncated int64")
-		}
-		return n, nil
-	case KindFloat64:
-		if len(buf) < 8 {
-			return 0, fmt.Errorf("serde: truncated float64")
-		}
-		return 8, nil
-	case KindString, KindBytes:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || n+int(l) > len(buf) {
-			return 0, fmt.Errorf("serde: truncated %v", kind)
-		}
-		return n + int(l), nil
-	case KindBool:
-		if len(buf) < 1 {
-			return 0, fmt.Errorf("serde: truncated bool")
-		}
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("serde: skip of invalid kind %v", kind)
-	}
-}
-
 // unsafeString views b as a string without copying. Callers must guarantee
 // b is never mutated while the string is reachable.
 func unsafeString(b []byte) string {
@@ -300,7 +232,7 @@ func unsafeString(b []byte) string {
 
 // CloneData returns the datum with its variable-length payload (string or
 // bytes) copied into fresh storage, detaching it from any shared buffer a
-// DecodeValueShared produced it from.
+// shared column decode (DecodeStringColumnShared) produced it from.
 func (d Datum) CloneData() Datum {
 	switch d.Kind {
 	case KindString:

@@ -7,13 +7,13 @@
 // (Section 2.2): the schema is what lets the analyzer reason about fields.
 //
 // Alongside the row-oriented Record, the package provides the columnar
-// units of the vectorized scan path (vector.go): Vector, a flat typed
-// column, and Batch, one storage block decoded column-wise with a
-// selection vector, plus per-encoding bulk decoders. Vectors and batches
-// are producer-owned and reused — everything borrowed from them is valid
-// only until the producer's next batch (retainers copy) — and a batch
-// consumed row by row via MaterializeInto is observably identical to the
-// row-at-a-time scan of the same block.
+// units of the scan pipeline (vector.go): Vector, a flat typed column, and
+// Batch, one storage block decoded column-wise with a selection vector,
+// plus per-encoding bulk decoders. Vectors and batches are producer-owned
+// and reused — everything borrowed from them is valid only until the
+// producer's next batch (retainers copy); row-at-a-time consumers
+// (storage.Scanner) materialize a batch's selected rows one by one via
+// MaterializeInto.
 package serde
 
 import "fmt"

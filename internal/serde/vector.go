@@ -148,8 +148,8 @@ func (v *Vector) Datum(i int) Datum {
 
 // Batch is one storage block decoded column-wise: a column vector per
 // decoded field, a selection vector naming the rows that survived residual
-// filtering, and the whole-file index of the block's first row (so batch
-// consumers observe the same record keys as row-at-a-time scans).
+// filtering, and the whole-file index of the block's first row (so
+// consumers observe whole-file record keys under any pruning).
 //
 // A Batch is reused by its producer across blocks: everything borrowed from
 // it — column slices, the selection vector, datums with string/bytes
@@ -190,7 +190,7 @@ func (b *Batch) Schema() *Schema { return b.schema }
 func (b *Batch) Len() int { return b.n }
 
 // Base returns the whole-file index of the block's row 0. Row r's record
-// key is Base()+r, matching row-at-a-time RecordIndex semantics.
+// key is Base()+r (what storage.Scanner.RecordIndex reports).
 func (b *Batch) Base() int64 { return b.base }
 
 // Col returns field i's column vector (for decoding into, or for kernels
@@ -277,8 +277,7 @@ func (b *Batch) AliasColumns(src *Batch) {
 // MaterializeInto writes block-row `row` into rec (which must share the
 // batch's schema): decoded columns provide their values — string/bytes
 // fields alias vector storage, same validity window as the batch — and
-// never-decoded (masked) columns provide their kind's zero value, exactly
-// as a field-pruned row scan would.
+// never-decoded (masked) columns provide their kind's zero value.
 func (b *Batch) MaterializeInto(rec *Record, row int) {
 	for i := 0; i < b.schema.NumFields(); i++ {
 		slot := rec.Slot(i)
@@ -363,8 +362,9 @@ func DecodeBoolColumn(buf []byte, dst []bool) (int, error) {
 }
 
 // DecodeStringColumnShared bulk-decodes length-prefixed strings WITHOUT
-// copying: every element aliases buf (see DecodeValueShared). dst is valid
-// only while buf's contents are intact.
+// copying: every element aliases buf. dst is valid only while buf's
+// contents are intact; storing an element beyond that window requires
+// Datum.CloneData (or Record.Clone).
 func DecodeStringColumnShared(buf []byte, dst []string) (int, error) {
 	pos := 0
 	for i := range dst {
@@ -388,7 +388,7 @@ func DecodeStringColumnShared(buf []byte, dst []string) (int, error) {
 }
 
 // DecodeBytesColumnShared bulk-decodes length-prefixed byte strings WITHOUT
-// copying: every element aliases buf (see DecodeValueShared).
+// copying: every element aliases buf (see DecodeStringColumnShared).
 func DecodeBytesColumnShared(buf []byte, dst [][]byte) (int, error) {
 	pos := 0
 	for i := range dst {

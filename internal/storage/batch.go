@@ -8,19 +8,13 @@ import (
 	"manimal/internal/serde"
 )
 
-// BatchScanner is the batch-at-a-time counterpart of Scanner over columnar
-// (format v4) files: each call to Next loads the next surviving block,
-// bulk-decodes its unmasked fields into flat column vectors, evaluates the
-// residual filter as vectorized kernels over those vectors, and exposes the
-// result as one serde.Batch with a selection vector — rows are never
-// materialized unless the consumer asks (Batch.MaterializeInto).
-//
-// Equivalence contract: a batch scan and a row scan over the same range and
-// pushdown agree exactly — same surviving rows (selection vector ↔ rows the
-// row scanner yields), same decoded values, same whole-file record indices
-// (Batch.Base()+row ↔ Scanner.RecordIndex), and same pruning counters
-// (blocks read/skipped, rows residual-filtered), flushed per block on both
-// paths. The differential tests pin this.
+// BatchScanner is the scan pipeline: each call to Next loads the next
+// surviving block, bulk-decodes its unmasked fields into flat column
+// vectors, evaluates the residual filter as interval kernels over those
+// vectors, and exposes the result as one serde.Batch with a selection
+// vector — rows are never materialized unless the consumer asks
+// (Batch.MaterializeInto). It is the only code that decodes a block;
+// Scanner is a row cursor on top of it.
 //
 // Buffer ownership: the scanner reuses one Batch, its vectors, and the
 // underlying block buffer across blocks. Everything borrowed from the
@@ -55,13 +49,8 @@ type BatchScanner struct {
 }
 
 // ScanBatch returns a batch scanner over blocks [lo, hi) with the given
-// pushdown applied (nil scans everything). Only columnar (format v4) files
-// support batch scans; callers fall back to ScanPushdown for earlier
-// formats.
+// pushdown applied (nil scans everything).
 func (r *Reader) ScanBatch(lo, hi int, pd *Pushdown) (*BatchScanner, error) {
-	if r.version < 4 {
-		return nil, fmt.Errorf("storage: %s: batch scan requires columnar format v4, file is v%d", r.path, r.version)
-	}
 	if lo < 0 || hi > len(r.blocks) || lo > hi {
 		return nil, fmt.Errorf("storage: block range [%d,%d) out of [0,%d)", lo, hi, len(r.blocks))
 	}
@@ -94,6 +83,30 @@ func (r *Reader) ScanBatch(lo, hi int, pd *Pushdown) (*BatchScanner, error) {
 		s.decode = r.decodeMaskFor(pd, s.rowFilter)
 	}
 	return s, nil
+}
+
+// decodeMaskFor computes the per-field decode mask a pushdown implies: the
+// masked field set, widened by every field the residual filter constrains
+// (the filter reads its fields off the decoded row, so they decode
+// regardless of the mask). Nil means decode everything.
+func (r *Reader) decodeMaskFor(pd *Pushdown, rowFilter *compiledFilter) []bool {
+	if pd == nil || pd.Fields == nil {
+		return nil
+	}
+	decode := make([]bool, r.schema.NumFields())
+	for _, name := range pd.Fields {
+		if i := r.schema.IndexOf(name); i >= 0 {
+			decode[i] = true
+		}
+	}
+	if rowFilter != nil {
+		for _, c := range rowFilter.conjuncts {
+			for _, b := range c {
+				decode[b.field] = true
+			}
+		}
+	}
+	return decode
 }
 
 // Next advances to the next block with at least one surviving row,
@@ -150,7 +163,7 @@ func (s *BatchScanner) Err() error { return s.err }
 
 // loadColumns reads block bi, bulk-decodes every unmasked field into the
 // batch's column vectors, and computes the selection vector, flushing the
-// residual-drop count per block (mirroring the row scanner's flush).
+// residual-drop count per block.
 func (s *BatchScanner) loadColumns(bi int, base int64) error {
 	payload, recs, raw, err := s.r.readBlockPayload(bi, s.raw)
 	if err != nil {
@@ -269,16 +282,14 @@ func (s *BatchScanner) decodeColumn(i int, seg []byte, n int) error {
 
 // selectRows computes the selection vector for the loaded block: without a
 // residual filter every row survives; with one, each conjunct's bounds AND
-// into a per-conjunct mask via the vectorized interval kernels, conjuncts
-// OR into the row mask (DNF), and the mask compacts into the selection
-// vector. Behaviorally identical to compiledFilter.matchesRow per row.
+// into a per-conjunct mask via the interval kernels, conjuncts OR into the
+// row mask (DNF), and the mask compacts into the selection vector.
 func (s *BatchScanner) selectRows(n int) {
 	if s.rowFilter == nil {
 		s.batch.SelectAll()
 		return
 	}
 	s.mask, s.tmp = applyFilterSel(s.rowFilter, &s.batch, &s.batch, s.mask, s.tmp)
-	// Per-block counter flush, same cadence as the row scanner.
 	if dropped := int64(n - len(s.batch.Sel())); dropped > 0 {
 		s.r.rowsFiltered.Add(dropped)
 	}

@@ -1,19 +1,18 @@
 package storage
 
 import (
-	"encoding/binary"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"manimal/internal/compress"
 	"manimal/internal/predicate"
 	"manimal/internal/serde"
 )
 
-// rowScanCollect runs a row-at-a-time pushdown scan on an already-open
-// reader, returning cloned surviving records, their whole-file indexes,
-// and the reader's counters afterwards.
+// rowScanCollect runs the row cursor (Scanner) on an already-open reader,
+// returning cloned surviving records, their whole-file indexes, and the
+// reader's counters afterwards.
 func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
 	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
@@ -35,7 +34,7 @@ func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []i
 // batchScanCollect runs a batch scan on an already-open reader,
 // materializing every selected row through one reused record (late
 // materialization, as the engine does), and returns the same triple as
-// rowScanCollect so the two paths compare field for field.
+// rowScanCollect so the two compare field for field.
 func batchScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
 	sc, err := r.ScanBatch(0, r.NumBlocks(), pd)
@@ -59,11 +58,90 @@ func batchScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, [
 	return recs, idx, r.ScanStats()
 }
 
-// TestBatchRowScanDifferential is the batch path's equivalence gate:
-// across every encoding combination and pushdown shape, a batch scan
-// yields exactly the records, indexes, AND pruning counters of a
-// row-at-a-time scan over the same file — the contract the vectorized
-// execution path rests on.
+// oracleScan computes what a whole-file scan under pd must yield, from the
+// records that were handed to the Writer and never from a block payload:
+// the rows of every block the footer stats cannot rule out (the planner's
+// SkippableBlocks), minus residual-rejected rows (oracleFilter's
+// MatchesRecord), with masked fields zeroed — plus the counters those
+// decisions imply. That no matching row hides in a skipped block is the
+// caller's check (the residual result must equal oracleFilter over ALL
+// records).
+func oracleScan(r *Reader, recs []*serde.Record, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
+	skip := make([]bool, r.NumBlocks())
+	var decode map[string]bool
+	if pd != nil {
+		if pd.Filter != nil {
+			skip, _ = r.SkippableBlocks(pd.Filter)
+		}
+		if pd.Fields != nil {
+			decode = make(map[string]bool)
+			for _, f := range pd.Fields {
+				decode[f] = true
+			}
+			if pd.Residual {
+				for _, c := range pd.Filter {
+					for _, fi := range c {
+						decode[fi.Field] = true
+					}
+				}
+			}
+		}
+	}
+	var (
+		want []*serde.Record
+		idx  []int64
+		st   ScanStats
+	)
+	next := 0
+	for b := 0; b < r.NumBlocks(); b++ {
+		n := int(r.RecordsInBlocks(b, b+1))
+		lo := next
+		next += n
+		if skip[b] {
+			st.BlocksSkipped++
+			continue
+		}
+		st.BlocksRead++
+		for i := lo; i < lo+n; i++ {
+			if pd != nil && pd.Residual && !pd.Filter.MatchesRecord(recs[i]) {
+				st.RowsFiltered++
+				continue
+			}
+			rec := recs[i].Clone()
+			for f := 0; decode != nil && f < rec.Schema().NumFields(); f++ {
+				if fd := rec.Schema().Field(f); !decode[fd.Name] {
+					*rec.Slot(f) = serde.ZeroOf(fd.Kind)
+				}
+			}
+			want = append(want, rec)
+			idx = append(idx, int64(i))
+		}
+	}
+	return want, idx, st
+}
+
+// scanCollectors are the two ways to consume the scan pipeline; every
+// differential runs both.
+var scanCollectors = map[string]func(*testing.T, *Reader, *Pushdown) ([]*serde.Record, []int64, ScanStats){
+	"batch": batchScanCollect, "cursor": rowScanCollect,
+}
+
+func requireSameIndexes(t *testing.T, want, got []int64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("index count %d != %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("row %d: index %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestBatchRowScanDifferential is the scan pipeline's equivalence gate:
+// across every encoding combination and pushdown shape, the batch scanner
+// and the row cursor on top of it each yield exactly the records, indexes,
+// AND pruning counters oracleScan derives from the written records.
 func TestBatchRowScanDifferential(t *testing.T) {
 	recs := makeRecords(4000, 31)
 	encodings := map[string]WriterOptions{
@@ -89,34 +167,27 @@ func TestBatchRowScanDifferential(t *testing.T) {
 		writeFile(t, path, recs, opts)
 		for pdName, pd := range pushdowns {
 			t.Run(encName+"/"+pdName, func(t *testing.T) {
-				rr, err := Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rr.Close()
-				br, err := Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer br.Close()
-				rowRecs, rowIdx, rowStats := rowScanCollect(t, rr, pd)
-				batchRecs, batchIdx, batchStats := batchScanCollect(t, br, pd)
-				requireEqual(t, rowRecs, batchRecs)
-				if len(rowIdx) != len(batchIdx) {
-					t.Fatalf("index count %d != %d", len(batchIdx), len(rowIdx))
-				}
-				for i := range rowIdx {
-					if rowIdx[i] != batchIdx[i] {
-						t.Fatalf("row %d: batch index %d != row index %d", i, batchIdx[i], rowIdx[i])
+				for name, collect := range scanCollectors {
+					r, err := Open(path)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if rowStats != batchStats {
-					t.Fatalf("counters diverge: batch %+v != row %+v", batchStats, rowStats)
-				}
-				if pd != nil && pd.Filter != nil {
-					if batchStats.BlocksRead+batchStats.BlocksSkipped != int64(br.NumBlocks()) {
-						t.Fatalf("blocks read %d + skipped %d != total %d",
-							batchStats.BlocksRead, batchStats.BlocksSkipped, br.NumBlocks())
+					defer r.Close()
+					want, wantIdx, wantStats := oracleScan(r, recs, pd)
+					got, gotIdx, gotStats := collect(t, r, pd)
+					requireEqual(t, want, got)
+					requireSameIndexes(t, wantIdx, gotIdx)
+					if gotStats != wantStats {
+						t.Fatalf("%s counters %+v, want %+v", name, gotStats, wantStats)
+					}
+					if pd != nil && pd.Residual {
+						if all := oracleFilter(recs, pd.Filter); len(all) != len(got) {
+							t.Fatalf("%s: %d survivors, %d records match: a skipped block held a match",
+								name, len(got), len(all))
+						}
+						if gotStats.BlocksSkipped == 0 {
+							t.Fatalf("%s: 5%% range skipped no blocks: %+v", name, gotStats)
+						}
 					}
 				}
 			})
@@ -126,8 +197,8 @@ func TestBatchRowScanDifferential(t *testing.T) {
 
 // TestBatchScanSkipsBoundaryStraddlingBlocks: a range whose endpoints land
 // mid-block must skip the blocks wholly outside it, read every straddling
-// block, and still match the oracle row for row — with the counters
-// agreeing with the row path.
+// block, and still match the oracle row for row — with the row cursor's
+// counters agreeing.
 func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	recs := makeRecords(4000, 32)
 	path := filepath.Join(t.TempDir(), "straddle.rec")
@@ -173,9 +244,9 @@ func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchScanDirectCodes: under DirectCodes the batch path decodes dict
-// fields to the same injective code strings as the row path, and the
-// residual filter ignores dict-field bounds on both paths alike.
+// TestBatchScanDirectCodes: under DirectCodes a dict field decodes to the
+// injective code string of its dictionary code (batch and row cursor
+// alike), and the residual filter ignores dict-field bounds.
 func TestBatchScanDirectCodes(t *testing.T) {
 	schema := serde.MustSchema(
 		serde.Field{Name: "s", Kind: serde.KindString},
@@ -206,139 +277,32 @@ func TestBatchScanDirectCodes(t *testing.T) {
 	filter := predicate.ZoneFilter{{predicate.FieldInterval{Field: "s",
 		Iv: predicate.PointInterval(serde.String("mm"))}}}
 	pd := &Pushdown{Filter: filter, Residual: true}
-	rr, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rr.Close()
-	rr.DirectCodes = true
-	br, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer br.Close()
-	br.DirectCodes = true
-	rowRecs, _, rowStats := rowScanCollect(t, rr, pd)
-	batchRecs, _, batchStats := batchScanCollect(t, br, pd)
-	requireEqual(t, rowRecs, batchRecs)
-	if len(batchRecs) == 0 {
-		t.Fatal("residual filter dropped all rows under DirectCodes")
-	}
-	if rowStats != batchStats {
-		t.Fatalf("counters diverge: batch %+v != row %+v", batchStats, rowStats)
-	}
-	if batchStats.RowsFiltered != 0 {
-		t.Fatalf("residual filtered %d rows on code strings", batchStats.RowsFiltered)
+	for name, collect := range scanCollectors {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		r.DirectCodes = true
+		got, idx, st := collect(t, r, pd)
+		if len(got) == 0 {
+			t.Fatalf("%s: residual filter dropped all rows under DirectCodes", name)
+		}
+		for i, g := range got {
+			src := recs[idx[i]]
+			code, ok := r.Dictionary("s").Lookup(src.Get("s").S)
+			if !ok || g.Get("s").S != compress.CodeString(code) || g.Get("n").I != src.Get("n").I {
+				t.Fatalf("%s: row %d decoded as %s, want code string of %s", name, idx[i], g, src)
+			}
+		}
+		if st.BlocksSkipped == 0 || st.RowsFiltered != 0 {
+			t.Fatalf("%s: want logical block skipping and no residual drops on code strings: %+v", name, st)
+		}
 	}
 }
 
-// writeLegacyV3File writes a record file in the ROW-INTERLEAVED stats
-// format (version 3), replicating the pre-columnar Writer byte for byte:
-// plain encodings, per-block zone-map stats, MANIMAL3 footer, payloads
-// with fields interleaved row by row and no segment-length table. It
-// exists so compatibility with files written before the columnar layout
-// is pinned by construction.
-func writeLegacyV3File(t *testing.T, path string, schema *serde.Schema, recs []*serde.Record, blockSize int) {
-	t.Helper()
-	var out []byte
-	var hdr []byte
-	hdr = schema.AppendBinary(hdr)
-	for i := 0; i < schema.NumFields(); i++ {
-		hdr = append(hdr, byte(EncodePlain))
-	}
-	out = append(out, magicHeader...)
-	out = binary.AppendUvarint(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-
-	type blk struct{ offset, length, records int64 }
-	var blocks []blk
-	var stats []byte
-	curStats := make([]FieldStats, schema.NumFields())
-	var buf []byte
-	var blockRecs int64
-	flush := func() {
-		if blockRecs == 0 {
-			return
-		}
-		var bh []byte
-		bh = binary.AppendUvarint(bh, uint64(len(buf)))
-		bh = binary.AppendUvarint(bh, uint64(blockRecs))
-		blocks = append(blocks, blk{offset: int64(len(out)), length: int64(len(bh) + len(buf)), records: blockRecs})
-		out = append(out, bh...)
-		out = append(out, buf...)
-		stats = appendBlockStats(stats, curStats)
-		for i := range curStats {
-			curStats[i].reset()
-		}
-		buf = buf[:0]
-		blockRecs = 0
-	}
-	for _, r := range recs {
-		for i := 0; i < schema.NumFields(); i++ {
-			curStats[i].update(r.At(i))
-			buf = r.At(i).AppendValue(buf)
-		}
-		blockRecs++
-		if len(buf) >= blockSize {
-			flush()
-		}
-	}
-	flush()
-
-	var ftr []byte
-	ftr = binary.AppendUvarint(ftr, uint64(len(blocks)))
-	for _, b := range blocks {
-		ftr = binary.AppendUvarint(ftr, uint64(b.offset))
-		ftr = binary.AppendUvarint(ftr, uint64(b.length))
-		ftr = binary.AppendUvarint(ftr, uint64(b.records))
-	}
-	ftr = append(ftr, stats...)
-	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
-	ftr = append(ftr, magicFooterV3...)
-	out = append(out, ftr...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRowInterleavedV3Compat pins backward compatibility with the
-// row-interleaved stats format: a v3 file opens with stats, row scans
-// (plain and pruned) match the oracle exactly, and ScanBatch refuses it —
-// the engine's fallback to the row path for pre-columnar files.
-func TestRowInterleavedV3Compat(t *testing.T) {
-	recs := makeRecords(2000, 33)
-	path := filepath.Join(t.TempDir(), "legacy-v3.rec")
-	writeLegacyV3File(t, path, testSchema, recs, 2<<10)
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.HasStats() || r.FormatVersion() != 3 {
-		t.Fatalf("v3 file: HasStats=%v version=%d", r.HasStats(), r.FormatVersion())
-	}
-	requireEqual(t, recs, readBack(t, path))
-
-	// Pruned row scans still work: v3 stats drive block skipping.
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
-	filter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+50))
-	want := oracleFilter(recs, filter)
-	got, _, st := rowScanCollect(t, r, &Pushdown{Filter: filter, Residual: true})
-	requireEqual(t, want, got)
-	if st.BlocksSkipped == 0 {
-		t.Fatalf("v3 stats did not prune: %+v", st)
-	}
-
-	// Batch scans require the columnar layout.
-	if _, err := r.ScanBatch(0, r.NumBlocks(), nil); err == nil {
-		t.Fatal("ScanBatch accepted a row-interleaved v3 file")
-	}
-}
-
-// TestBatchScanRangeValidation mirrors the row scanner's block-range
-// checks.
+// TestBatchScanRangeValidation: block-range checks, and disjoint ranges
+// covering the file exactly once.
 func TestBatchScanRangeValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rng.rec")
 	writeFile(t, path, makeRecords(500, 34), WriterOptions{BlockSize: 1 << 10})
@@ -353,7 +317,7 @@ func TestBatchScanRangeValidation(t *testing.T) {
 	if _, err := r.ScanBatch(0, r.NumBlocks()+1, nil); err == nil {
 		t.Error("out-of-range block accepted")
 	}
-	// Disjoint halves cover everything exactly once, as with row scans.
+	// Disjoint halves cover everything exactly once.
 	mid := r.NumBlocks() / 2
 	total := 0
 	rec := serde.NewRecord(r.Schema())

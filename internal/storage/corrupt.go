@@ -13,6 +13,12 @@ import (
 // and re-plans on the original input.
 var ErrCorruptBlock = errors.New("corrupt block")
 
+// ErrUnsupportedFormat is wrapped by Open when the file is a well-formed
+// record file in a format this build no longer reads (the "MANIMAL2" and
+// "MANIMAL3" trailers). The message names the file's format and the
+// remedy: regenerate inputs, rebuild indexes.
+var ErrUnsupportedFormat = errors.New("unsupported record-file format")
+
 // CorruptBlockError reports that a block of a record file failed its
 // CRC32C verification or could not be decoded. It wraps ErrCorruptBlock
 // (and the underlying decode error, if any).

@@ -24,8 +24,7 @@ type Reader struct {
 	encodings []FieldEncoding
 	dicts     []*compress.Dictionary
 	blocks    []blockInfo
-	// blockStats holds per-block zone-map stats (schema field order), nil
-	// for pre-stats (version 2) files.
+	// blockStats holds per-block zone-map stats (schema field order).
 	blockStats [][]FieldStats
 	// crcs holds per-block CRC32C checksums from the footer's "CRC1"
 	// section; nil for files sealed before the section existed, which
@@ -38,7 +37,6 @@ type Reader struct {
 	// re-verifies, so injected corruption stays deterministic.
 	crcs      []uint32
 	verified  []atomic.Bool
-	version   int
 	dataStart int64
 	fileSize  int64
 	bytesRead atomic.Int64
@@ -77,7 +75,12 @@ func (r *Reader) readMeta() error {
 	}
 	r.fileSize = st.Size()
 
-	// Header.
+	// Every length and count below comes from the file, so each is bounded
+	// by the bytes the file actually has before anything is sized from it.
+	const tailLen = int64(8 + len(magicFooter))
+	if r.fileSize < int64(len(magicHeader)+1)+tailLen {
+		return fmt.Errorf("truncated record file (%d bytes)", r.fileSize)
+	}
 	hdrPrefix := make([]byte, len(magicHeader)+binary.MaxVarintLen64)
 	if _, err := io.ReadFull(r.f, hdrPrefix[:min(len(hdrPrefix), int(r.fileSize))]); err != nil {
 		return fmt.Errorf("read header: %w", err)
@@ -90,6 +93,9 @@ func (r *Reader) readMeta() error {
 		return fmt.Errorf("truncated header length")
 	}
 	hdrOff := int64(len(magicHeader) + used)
+	if avail := r.fileSize - hdrOff - tailLen; avail < 0 || hdrLen > uint64(avail) {
+		return fmt.Errorf("header length %d exceeds file size %d", hdrLen, r.fileSize)
+	}
 	hdr := make([]byte, hdrLen)
 	if _, err := r.f.ReadAt(hdr, hdrOff); err != nil {
 		return fmt.Errorf("read header body: %w", err)
@@ -108,28 +114,29 @@ func (r *Reader) readMeta() error {
 	}
 	r.dataStart = hdrOff + int64(hdrLen)
 
-	// Footer. The trailing magic selects the format version: MANIMAL3/4
-	// footers carry per-block zone-map stats between the block index and
-	// the dictionaries (v4 additionally marks columnar block payloads);
-	// MANIMAL2 (pre-stats) footers remain readable and simply leave
-	// blockStats nil, so scans cannot prune but never fail.
-	tail := make([]byte, 8+len(magicFooterV2))
-	if _, err := r.f.ReadAt(tail, r.fileSize-int64(len(tail))); err != nil {
+	// Footer, located via the fixed-size trailer. Only the current trailer
+	// is parsed; the two retired ones are recognised just far enough to say
+	// which format the file is in and how to replace it.
+	tail := make([]byte, tailLen)
+	if _, err := r.f.ReadAt(tail, r.fileSize-tailLen); err != nil {
 		return fmt.Errorf("read footer tail: %w", err)
 	}
-	switch string(tail[8:]) {
-	case magicFooterV2:
-		r.version = 2
-	case magicFooterV3:
-		r.version = 3
-	case magicFooterV4:
-		r.version = 4
+	switch magic := string(tail[8:]); magic {
+	case magicFooter:
+	case "MANIMAL2", "MANIMAL3":
+		return fmt.Errorf("%w: %s trailer (format v%c), readable formats: v%d; "+
+			"regenerate inputs with gendata and rebuild indexes with `manimal index`",
+			ErrUnsupportedFormat, magic, magic[len(magic)-1], FormatVersion)
 	default:
 		return fmt.Errorf("bad footer magic: truncated record file")
 	}
-	ftrLen := int64(binary.LittleEndian.Uint64(tail[:8]))
+	ftrLen := binary.LittleEndian.Uint64(tail[:8])
+	if ftrLen > uint64(r.fileSize-tailLen-r.dataStart) {
+		return fmt.Errorf("footer length %d exceeds file size %d", ftrLen, r.fileSize)
+	}
+	ftrStart := r.fileSize - tailLen - int64(ftrLen)
 	ftr := make([]byte, ftrLen)
-	if _, err := r.f.ReadAt(ftr, r.fileSize-int64(len(tail))-ftrLen); err != nil {
+	if _, err := r.f.ReadAt(ftr, ftrStart); err != nil {
 		return fmt.Errorf("read footer: %w", err)
 	}
 	pos := 0
@@ -138,6 +145,10 @@ func (r *Reader) readMeta() error {
 		return fmt.Errorf("truncated block index")
 	}
 	pos += used
+	// An index entry is at least three bytes, so the footer bounds the count.
+	if nb > uint64(len(ftr)-pos)/3 {
+		return fmt.Errorf("block count %d exceeds footer size %d", nb, len(ftr))
+	}
 	r.blocks = make([]blockInfo, 0, nb)
 	for i := uint64(0); i < nb; i++ {
 		var b blockInfo
@@ -149,18 +160,19 @@ func (r *Reader) readMeta() error {
 			*dst = int64(v)
 			pos += used
 		}
+		if b.length < 0 || b.offset < r.dataStart || b.offset > ftrStart || b.length > ftrStart-b.offset {
+			return fmt.Errorf("block index entry %d lies outside the data section", i)
+		}
 		r.blocks = append(r.blocks, b)
 	}
-	if r.version >= 3 {
-		r.blockStats = make([][]FieldStats, 0, nb)
-		for i := uint64(0); i < nb; i++ {
-			st, used, err := decodeBlockStats(ftr[pos:], schema)
-			if err != nil {
-				return fmt.Errorf("block %d stats: %w", i, err)
-			}
-			r.blockStats = append(r.blockStats, st)
-			pos += used
+	r.blockStats = make([][]FieldStats, 0, nb)
+	for i := uint64(0); i < nb; i++ {
+		st, used, err := decodeBlockStats(ftr[pos:], schema)
+		if err != nil {
+			return fmt.Errorf("block %d stats: %w", i, err)
 		}
+		r.blockStats = append(r.blockStats, st)
+		pos += used
 	}
 	r.dicts = make([]*compress.Dictionary, schema.NumFields())
 	for i, e := range r.encodings {
@@ -246,39 +258,24 @@ func (r *Reader) Dictionary(name string) *compress.Dictionary {
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// Scanner iterates over the records of a contiguous block range. It is not
+// Scanner iterates over the records of a contiguous block range one row at
+// a time. It is a cursor over a BatchScanner: each block decodes once into
+// column vectors, and Next walks the block's selection vector,
+// late-materializing each surviving row into one reused record. It is not
 // safe for concurrent use; create one scanner per map task.
 //
-// Buffer ownership: the scanner decodes every row into one reused record
-// whose string and bytes fields alias a reused block buffer, so a full scan
-// performs no per-record allocations. The record returned by Record is
-// therefore valid only until the next call to Next; callers that retain
-// records across iterations must call Record().Clone().
+// Buffer ownership: the record's string and bytes fields alias the batch
+// scanner's column vectors and block buffer, so a full scan performs no
+// per-record allocations. The record returned by Record is therefore valid
+// only until the next call to Next; callers that retain records across
+// iterations must call Record().Clone().
 type Scanner struct {
-	r        *Reader
-	blockLo  int    // next block to load
-	blockHi  int    // one past last block
-	curBlock int    // block currently decoding (for corruption reports)
-	raw      []byte // reused block read buffer; buf points into it
-	buf      []byte
-	recsLeft int64
-	pos      int   // v2/v3 row-interleaved payload cursor
-	fieldPos []int // v4 columnar payloads: one cursor per field segment
-	deltas   []*compress.DeltaDecoder
-	rec      *serde.Record // reused current record; see ownership note
-	valid    bool
-	err      error
-
-	// Pushdown state (see Pushdown). decode is nil when every field is
-	// decoded; blockFilter/rowFilter are compiled against this file's
-	// schema; nextIdx/curIdx track the record's position in the WHOLE file
-	// so pruned scans expose the same record keys as unpruned ones.
-	decode      []bool
-	blockFilter *compiledFilter
-	rowFilter   *compiledFilter
-	filtered    int64 // residual drops this block, flushed per block
-	nextIdx     int64
-	curIdx      int64
+	bs    *BatchScanner
+	b     *serde.Batch  // current block; nil before the first one
+	pos   int           // next entry of b's selection vector
+	rec   *serde.Record // reused current record; see ownership note
+	idx   int64
+	valid bool
 }
 
 // Scan returns a scanner over blocks [lo, hi). Passing (0, NumBlocks())
@@ -291,73 +288,11 @@ func (r *Reader) Scan(lo, hi int) (*Scanner, error) { return r.ScanPushdown(lo, 
 // surviving records: values decode identically, masked fields read as
 // their kind's zero value, and RecordIndex reflects whole-file positions.
 func (r *Reader) ScanPushdown(lo, hi int, pd *Pushdown) (*Scanner, error) {
-	if lo < 0 || hi > len(r.blocks) || lo > hi {
-		return nil, fmt.Errorf("storage: block range [%d,%d) out of [0,%d)", lo, hi, len(r.blocks))
+	bs, err := r.ScanBatch(lo, hi, pd)
+	if err != nil {
+		return nil, err
 	}
-	s := &Scanner{
-		r:       r,
-		blockLo: lo,
-		blockHi: hi,
-		deltas:  make([]*compress.DeltaDecoder, r.schema.NumFields()),
-		rec:     serde.NewRecord(r.schema),
-		nextIdx: r.RecordsInBlocks(0, lo),
-	}
-	for i, e := range r.encodings {
-		if e == EncodeDelta {
-			d, err := compress.NewDeltaDecoder(r.schema.Field(i).Kind)
-			if err != nil {
-				return nil, err
-			}
-			s.deltas[i] = d
-		}
-	}
-	if pd != nil {
-		if pd.Filter != nil {
-			bf := r.compileFilter(pd.Filter, false)
-			s.blockFilter = &bf
-			if pd.Residual {
-				rf := r.compileFilter(pd.Filter, true)
-				s.rowFilter = &rf
-			}
-		}
-		s.decode = r.decodeMaskFor(pd, s.rowFilter)
-		if s.decode != nil {
-			// Masked slots hold a deterministic zero value, not stale bytes.
-			for i := range s.decode {
-				if !s.decode[i] {
-					*s.rec.Slot(i) = serde.ZeroOf(r.schema.Field(i).Kind)
-				}
-			}
-		}
-	}
-	if r.version >= 4 {
-		s.fieldPos = make([]int, r.schema.NumFields())
-	}
-	return s, nil
-}
-
-// decodeMaskFor computes the per-field decode mask a pushdown implies: the
-// masked field set, widened by every field the residual filter constrains
-// (the filter reads its fields off the decoded row, so they decode
-// regardless of the mask). Nil means decode everything.
-func (r *Reader) decodeMaskFor(pd *Pushdown, rowFilter *compiledFilter) []bool {
-	if pd == nil || pd.Fields == nil {
-		return nil
-	}
-	decode := make([]bool, r.schema.NumFields())
-	for _, name := range pd.Fields {
-		if i := r.schema.IndexOf(name); i >= 0 {
-			decode[i] = true
-		}
-	}
-	if rowFilter != nil {
-		for _, c := range rowFilter.conjuncts {
-			for _, b := range c {
-				decode[b.field] = true
-			}
-		}
-	}
-	return decode
+	return &Scanner{bs: bs, rec: serde.NewRecord(r.schema)}, nil
 }
 
 // ScanAll returns a scanner over the entire file.
@@ -368,221 +303,48 @@ func (r *Reader) ScanAll() (*Scanner, error) { return r.Scan(0, len(r.blocks)) }
 // transparently skips blocks the zone maps rule out (without reading their
 // payload) and rows the residual filter rejects.
 func (s *Scanner) Next() bool {
-	if s.err != nil {
-		return false
-	}
-	for {
-		for s.recsLeft == 0 {
-			if s.blockLo >= s.blockHi {
-				s.flushFiltered()
-				return false
-			}
-			b := s.blockLo
-			s.blockLo++
-			if s.blockFilter != nil && s.r.blockSkippable(s.blockFilter, b) {
-				s.nextIdx += s.r.blocks[b].records
-				s.r.blocksSkipped.Add(1)
-				continue
-			}
-			if err := s.loadBlock(b); err != nil {
-				s.err = err
-				return false
-			}
-		}
-		if !s.decodeRow() {
+	for s.b == nil || s.pos >= len(s.b.Sel()) {
+		s.valid = false
+		if !s.bs.Next() {
 			return false
 		}
-		s.recsLeft--
-		s.curIdx = s.nextIdx
-		s.nextIdx++
-		if s.rowFilter != nil && !s.rowFilter.matchesRow(s.rec) {
-			s.filtered++
-			continue
-		}
-		s.valid = true
-		return true
+		s.b, s.pos = s.bs.Batch(), 0
+		// Masked slots are written once per block and stay zero while the
+		// decoded columns cycle per row.
+		s.b.ZeroUndecoded(s.rec)
 	}
-}
-
-// decodeRow decodes (or skips, per the field mask) every field of the next
-// row in the loaded block, dispatching on the block layout: columnar (v4,
-// one cursor per field segment) or row-interleaved (v2/v3, one cursor).
-func (s *Scanner) decodeRow() bool {
-	if s.r.version >= 4 {
-		return s.decodeRowColumnar()
-	}
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		var (
-			n   int
-			err error
-		)
-		if s.decode != nil && !s.decode[i] {
-			n, err = s.skipField(i)
-			if err != nil {
-				s.err = s.fieldCorrupt(i, err)
-				return false
-			}
-			s.pos += n
-			continue
-		}
-		// Fields decode in place into the reused record's slots; plain
-		// fields use the shared (aliasing) decode, whose string/bytes
-		// datums point into the block buffer. Both stay intact exactly
-		// until the next Next that crosses a block boundary, which is what
-		// the "valid until the next Next" contract buys.
-		slot := s.rec.Slot(i)
-		switch s.r.encodings[i] {
-		case EncodePlain:
-			n, err = serde.DecodeValueSharedInto(s.r.schema.Field(i).Kind, s.buf[s.pos:], slot)
-		case EncodeDelta:
-			*slot, n, err = s.deltas[i].Decode(s.buf[s.pos:])
-		case EncodeDict:
-			var code uint64
-			code, n = binary.Uvarint(s.buf[s.pos:])
-			if n <= 0 {
-				err = fmt.Errorf("truncated dict code")
-			} else if s.r.DirectCodes {
-				*slot = serde.String(compress.CodeString(code))
-			} else {
-				var term string
-				term, err = s.r.dicts[i].Decode(code)
-				*slot = serde.String(term)
-			}
-		default:
-			err = fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-		}
-		if err != nil {
-			s.err = s.fieldCorrupt(i, err)
-			return false
-		}
-		s.pos += n
-	}
+	row := int(s.b.Sel()[s.pos])
+	s.pos++
+	s.b.MaterializeDecodedInto(s.rec, row)
+	s.idx = s.b.Base() + int64(row)
+	s.valid = true
 	return true
-}
-
-// decodeRowColumnar decodes the next row of a columnar (v4) block: each
-// field advances its own segment cursor, and masked fields are not touched
-// at all — their segments are simply never visited, which is the layout's
-// point. Delta chains are per-field within a segment, so skipping a masked
-// delta field costs nothing either.
-func (s *Scanner) decodeRowColumnar() bool {
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		if s.decode != nil && !s.decode[i] {
-			continue
-		}
-		var (
-			n   int
-			err error
-		)
-		slot := s.rec.Slot(i)
-		switch s.r.encodings[i] {
-		case EncodePlain:
-			n, err = serde.DecodeValueSharedInto(s.r.schema.Field(i).Kind, s.buf[s.fieldPos[i]:], slot)
-		case EncodeDelta:
-			*slot, n, err = s.deltas[i].Decode(s.buf[s.fieldPos[i]:])
-		case EncodeDict:
-			var code uint64
-			code, n = binary.Uvarint(s.buf[s.fieldPos[i]:])
-			if n <= 0 {
-				err = fmt.Errorf("truncated dict code")
-			} else if s.r.DirectCodes {
-				*slot = serde.String(compress.CodeString(code))
-			} else {
-				var term string
-				term, err = s.r.dicts[i].Decode(code)
-				*slot = serde.String(term)
-			}
-		default:
-			err = fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-		}
-		if err != nil {
-			s.err = s.fieldCorrupt(i, err)
-			return false
-		}
-		s.fieldPos[i] += n
-	}
-	return true
-}
-
-// skipField advances past one masked field without materializing a value:
-// plain fields skip at the encoding level, delta fields advance the chain
-// state (blocks are delta chains, so the running value must stay current),
-// dict fields skip the code varint without touching the dictionary.
-func (s *Scanner) skipField(i int) (int, error) {
-	switch s.r.encodings[i] {
-	case EncodePlain:
-		return serde.SkipValue(s.r.schema.Field(i).Kind, s.buf[s.pos:])
-	case EncodeDelta:
-		return s.deltas[i].Skip(s.buf[s.pos:])
-	case EncodeDict:
-		_, n := binary.Uvarint(s.buf[s.pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("truncated dict code")
-		}
-		return n, nil
-	default:
-		return 0, fmt.Errorf("unknown encoding %d", s.r.encodings[i])
-	}
-}
-
-// fieldCorrupt reports a decode failure for field i of the current block
-// as a CorruptBlockError: the block's bytes could not be interpreted, so
-// retrying the read cannot help (the error classifies permanent).
-func (s *Scanner) fieldCorrupt(i int, err error) error {
-	return s.r.corruptBlock(s.curBlock, fmt.Errorf("field %q: %w", s.r.schema.Field(i).Name, err))
-}
-
-// flushFiltered publishes the per-block residual-drop count to the reader.
-func (s *Scanner) flushFiltered() {
-	if s.filtered > 0 {
-		s.r.rowsFiltered.Add(s.filtered)
-		s.filtered = 0
-	}
 }
 
 // RecordIndex returns the current record's position in the WHOLE file
 // (counting records in skipped blocks and residual-dropped rows), so
 // callers keying records by position see identical keys with and without
 // pruning. Valid after a successful Next.
-func (s *Scanner) RecordIndex() int64 { return s.curIdx }
+func (s *Scanner) RecordIndex() int64 { return s.idx }
 
-func (s *Scanner) loadBlock(i int) error {
-	s.flushFiltered()
-	payload, recs, raw, err := s.r.readBlockPayload(i, s.raw)
-	if err != nil {
-		return err
+// Record returns the current record after a successful Next. The returned
+// record is reused by the scanner: it is valid only until the next call to
+// Next. Callers that retain it (or datums extracted from its string/bytes
+// fields) past that point must Clone it.
+func (s *Scanner) Record() *serde.Record {
+	if !s.valid {
+		return nil
 	}
-	s.curBlock = i
-	s.raw = raw
-	s.buf = payload
-	s.pos = 0
-	s.recsLeft = recs
-	if s.r.version >= 4 {
-		segStart, err := s.r.parseSegments(i, payload, s.fieldPos)
-		if err != nil {
-			return err
-		}
-		// fieldPos currently holds segment LENGTHS; turn them into each
-		// segment's starting cursor within the payload.
-		pos := segStart
-		for f, segLen := range s.fieldPos {
-			s.fieldPos[f] = pos
-			pos += segLen
-		}
-	}
-	for _, d := range s.deltas {
-		if d != nil {
-			d.Reset()
-		}
-	}
-	return nil
+	return s.rec
 }
+
+// Err returns the first error encountered while scanning.
+func (s *Scanner) Err() error { return s.bs.Err() }
 
 // readBlockPayload reads block i into raw (grown as needed) and parses the
 // block header, returning the payload, the record count, and the (possibly
 // reallocated) raw buffer. It accounts the read in the bytes/blocks-read
-// counters; both the row scanner and the batch scanner load blocks through
-// it, so their counter behavior is identical by construction.
+// counters.
 func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, error) {
 	b := r.blocks[i]
 	// The injection key is only materialized when an injector is installed:
@@ -634,7 +396,7 @@ func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, err
 	return raw[n1+n2:], int64(recs), raw, nil
 }
 
-// parseSegments parses a columnar (v4) payload's segment-length table into
+// parseSegments parses a block payload's segment-length table into
 // segLens (one entry per schema field), returning the offset of the first
 // segment within the payload. Segment lengths must exactly tile the rest of
 // the payload.
@@ -655,20 +417,6 @@ func (r *Reader) parseSegments(i int, payload []byte, segLens []int) (int, error
 	}
 	return pos, nil
 }
-
-// Record returns the current record after a successful Next. The returned
-// record is reused by the scanner: it is valid only until the next call to
-// Next. Callers that retain it (or datums extracted from its string/bytes
-// fields) past that point must Clone it.
-func (s *Scanner) Record() *serde.Record {
-	if !s.valid {
-		return nil
-	}
-	return s.rec
-}
-
-// Err returns the first error encountered while scanning.
-func (s *Scanner) Err() error { return s.err }
 
 // ReadAll is a convenience that scans the whole file into memory.
 func ReadAll(path string) ([]*serde.Record, *serde.Schema, error) {

@@ -13,34 +13,37 @@
 //	repeated blocks: uvarint payloadLen | uvarint records | payload
 //	footer | uint64le footerLen | "MANIMAL4"
 //
-// Block payloads are COLUMNAR (format v4): one uvarint segment length per
-// schema field, then the fields' value segments concatenated in schema
-// order. Within its segment, plain fields use the kind-implied serde value
-// encoding, delta fields a zigzag-varint difference chain reset per block,
-// dict fields a uvarint dictionary code. Per-field segments are what make
-// batch scans cheap — a masked or filtered-on field is one contiguous
-// slice, bulk-decodable without stepping over its neighbors — and let row
-// scans skip masked fields entirely via the segment lengths. Files sealed
-// with the "MANIMAL3" trailer (format v3) interleave rows field by field
-// within one payload (no segment lengths) and remain fully readable by the
-// row-at-a-time scanner. The footer (located via the fixed-size trailer)
+// Block payloads are COLUMNAR: one uvarint segment length per schema field,
+// then the fields' value segments concatenated in schema order. Within its
+// segment, plain fields use the kind-implied serde value encoding, delta
+// fields a zigzag-varint difference chain reset per block, dict fields a
+// uvarint dictionary code. Per-field segments are what make scans cheap —
+// a masked or filtered-on field is one contiguous slice, bulk-decodable
+// without stepping over its neighbors, and a masked field's segment is
+// never visited at all. The footer (located via the fixed-size trailer)
 // holds:
 //
 //	uvarint numBlocks
 //	per block:  uvarint offset | uvarint length | uvarint records
-//	per block, per field (zone-map stats, format v3):
+//	per block, per field (zone-map stats):
 //	    flags byte (bit0 min present, bit1 max present)
 //	    uvarint null count
 //	    [min value] [max value]   — kind-implied encodings
 //	per dict field: term count + length-prefixed terms in code order
 //	optional trailing section: "CRC1" + one uint32le CRC32C per block
 //
-// The checksum section (a v4 footer extension) carries one CRC32C
-// (Castagnoli) checksum over each block's full on-disk bytes, verified
-// the first time a Reader reads the block — skipped blocks are never
-// hashed and re-reads through the same reader skip the hash, so pruned
-// and repeated scans pay nothing. Files sealed before the section
-// existed (and all v2/v3 files) simply lack it and verify nothing. A
+// Every length and count read back from a file is bounded by the file's
+// size before anything is allocated from it. This is the one format read
+// and written (FormatVersion): a file sealed with an earlier trailer
+// ("MANIMAL2": no stats, row-interleaved payloads; "MANIMAL3": stats,
+// row-interleaved payloads) fails Open with ErrUnsupportedFormat, which
+// names the version and the remedy — regenerate inputs, rebuild indexes.
+//
+// The checksum section carries one CRC32C (Castagnoli) checksum over each
+// block's full on-disk bytes, verified the first time a Reader reads the
+// block — skipped blocks are never hashed and re-reads through the same
+// reader skip the hash, so pruned and repeated scans pay nothing. Files
+// sealed before the section existed simply lack it and verify nothing. A
 // mismatch surfaces as a CorruptBlockError (wrapping ErrCorruptBlock),
 // which the engine classifies as permanent.
 //
@@ -53,26 +56,24 @@
 // leaves the max absent (unbounded). Pruning logic may therefore conclude
 // only "no value in this block can match", never the converse.
 //
-// Files sealed with the previous "MANIMAL2" trailer (format v2, no stats
-// section, row-interleaved payloads) remain fully readable: Reader reports
-// FormatVersion 2 and HasStats false, and every scan simply proceeds
-// unpruned.
+// # Scans
 //
-// # Batch scans
-//
-// Reader.ScanBatch is the batch-at-a-time counterpart of ScanPushdown for
-// v4 (columnar) files: each surviving block's unmasked fields bulk-decode
-// into one reused serde.Batch of flat column vectors, the residual filter
-// runs as vectorized kernels producing a selection vector, and rows are
-// only materialized (into a caller-reused record) on demand — late
-// materialization. The two paths are EQUIVALENT by contract: identical
-// surviving rows, values, record indices, and pruning counters; the
-// differential suites pin this. Everything borrowed from the batch is
-// valid only until the scanner's next batch (see serde.Vector).
+// There is one scan pipeline. Reader.ScanBatch (BatchScanner) is the only
+// code that decodes a block: each surviving block's unmasked fields
+// bulk-decode into one reused serde.Batch of flat column vectors, the
+// residual filter runs as interval kernels producing a selection vector,
+// and rows are only materialized (into a caller-reused record) on demand —
+// late materialization. The engine hands whole batches to the interpreter.
+// Reader.ScanPushdown (Scanner) is a row cursor over the same scanner for
+// callers that want one record at a time (ReadAll, index stitching, key
+// sampling): it walks each batch's selection vector and materializes each
+// row into one reused record, keyed by Batch.Base()+row. Both therefore
+// see the same surviving rows, values, record indices, and pruning
+// counters by construction.
 //
 // # Scan pushdown
 //
-// Scanner accepts a Pushdown (block-level zone-map filter, per-row
+// Both scanners accept a Pushdown (block-level zone-map filter, per-row
 // residual filter, used-field decode mask). Ownership of LEGALITY sits
 // with the planner (package optimizer): skipping blocks or rows elides
 // map() invocations — admissible exactly when the paper's selection
@@ -80,17 +81,20 @@
 // projection may drop it. This package applies a pushdown mechanically and
 // guarantees only equivalence: surviving rows decode byte-identically to
 // an unpruned scan, masked fields read as their kind's zero value, and
-// RecordIndex reports stable whole-file positions.
+// record indices report stable whole-file positions.
 //
 // # Buffer ownership
 //
-// Scanner runs allocation-free by decoding every row into one reused
-// record whose string/bytes fields alias a reused block buffer: the record
-// returned by Scanner.Record (and any datum read out of it) is valid only
-// until the next call to Next. Callers that retain records across
-// iterations — collecting into a slice, building a MemInput, buffering on
-// the reduce side — must call Record().Clone(), which deep-copies the
-// variable-length payloads. ReadAll already returns cloned records.
+// A BatchScanner reuses one Batch, its vectors, and the block buffer
+// across blocks: everything borrowed from the batch — column slices, the
+// selection vector, string/bytes values aliasing the block buffer — is
+// valid only until the scanner's next batch (see serde.Vector). The row
+// cursor inherits that window one row at a time: the record returned by
+// Scanner.Record (and any datum read out of it) is valid only until the
+// next call to Next. Callers that retain records across iterations —
+// collecting into a slice, building a MemInput, buffering on the reduce
+// side — must call Record().Clone(), which deep-copies the variable-length
+// payloads. ReadAll already returns cloned records.
 package storage
 
 import (
@@ -137,23 +141,16 @@ func (e FieldEncoding) String() string {
 
 const (
 	magicHeader = "MANIMAL1"
-	// magicFooterV2 seals pre-stats footers (format version 2): block index
-	// and dictionaries only. Still readable; scans simply cannot prune.
-	magicFooterV2 = "MANIMAL2"
-	// magicFooterV3 seals stats-bearing footers (format version 3): block
-	// index, per-block zone-map stats, then dictionaries. Block payloads
-	// are row-interleaved.
-	magicFooterV3 = "MANIMAL3"
-	// magicFooterV4 seals columnar files (format version 4): the footer
-	// layout is identical to v3, but block payloads carry per-field
-	// segment lengths followed by contiguous per-field segments.
-	magicFooterV4 = "MANIMAL4"
+	// magicFooter seals the footer: block index, per-block zone-map stats,
+	// dictionaries, checksums. Earlier trailers ("MANIMAL2", "MANIMAL3")
+	// are rejected with ErrUnsupportedFormat.
+	magicFooter = "MANIMAL4"
 	// magicChecksums introduces the optional per-block CRC32C section at
-	// the end of a v4 footer (after the dictionaries). Files without it
+	// the end of the footer (after the dictionaries). Files without it
 	// remain readable and verify nothing.
 	magicChecksums = "CRC1"
 
-	// FormatVersion is the version new writers produce.
+	// FormatVersion is the one format version written and read.
 	FormatVersion = 4
 
 	// DefaultBlockSize is the target uncompressed payload per block.
@@ -296,7 +293,7 @@ func (w *Writer) Append(r *serde.Record) error {
 		// Zone-map stats accumulate on the LOGICAL value, before any
 		// encoding, so predicates over original values can prune blocks of
 		// delta- and dict-encoded fields alike. Values append to the
-		// field's own segment (columnar v4 layout).
+		// field's own segment (columnar layout).
 		w.curStats[i].update(d)
 		was := len(w.fieldBufs[i])
 		switch w.encodings[i] {
@@ -325,7 +322,7 @@ func (w *Writer) flushBlock() error {
 	if w.blockRecs == 0 {
 		return nil
 	}
-	// v4 block: uvarint payloadLen | uvarint records | per-field uvarint
+	// Block: uvarint payloadLen | uvarint records | per-field uvarint
 	// segment lengths | field segments in schema order. The segment-length
 	// table counts toward payloadLen.
 	hdr := w.scratch[:0]
@@ -434,7 +431,7 @@ func (w *Writer) Close() error {
 		ftr = binary.LittleEndian.AppendUint32(ftr, crc)
 	}
 	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
-	ftr = append(ftr, magicFooterV4...)
+	ftr = append(ftr, magicFooter...)
 	if _, err := w.f.Write(ftr); err != nil {
 		return fail(fmt.Errorf("storage: write footer: %w", err))
 	}

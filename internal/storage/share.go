@@ -126,9 +126,9 @@ const maxCatchupFraction = 2
 
 // Subscribe attaches a scan over blocks [lo, hi) of r's file to a shared
 // group, creating the group (and its producer goroutine) when none exists.
-// It returns (nil, false) when the scan cannot share: non-columnar file,
-// a non-residual filter (the subscriber could not re-drop union-admitted
-// rows), an unfingerprintable file, or a group too far ahead to catch up.
+// It returns (nil, false) when the scan cannot share: a non-residual
+// filter (the subscriber could not re-drop union-admitted rows), an
+// unfingerprintable file, or a group too far ahead to catch up.
 // The returned scanner implements the batch iteration shape (Next, Batch,
 // Err, Close); Close detaches from the group and MUST be called on every
 // path, or the group stalls.
@@ -141,7 +141,7 @@ func (sh *ScanShare) Subscribe(r *Reader, lo, hi int, pd *Pushdown) (*SharedScan
 // private and is not counted as a shared scan of its reader, so one map
 // scan contributes at most one to the shared-scan statistic.
 func (sh *ScanShare) subscribe(r *Reader, lo, hi int, pd *Pushdown, top bool) (*SharedScanner, bool) {
-	if sh == nil || r.FormatVersion() < 4 || lo >= hi {
+	if sh == nil || lo >= hi {
 		return nil, false
 	}
 	if pd != nil && pd.Filter != nil && !pd.Residual {

@@ -197,8 +197,7 @@ func decodeBlockStats(buf []byte, schema *serde.Schema) ([]FieldStats, int, erro
 // program provably never needs; storage applies the pushdown mechanically.
 type Pushdown struct {
 	// Filter, when non-nil, enables zone-map block skipping: blocks whose
-	// stats prove no record can satisfy the filter are never read. Safe on
-	// files without stats (nothing is skipped).
+	// stats prove no record can satisfy the filter are never read.
 	Filter predicate.ZoneFilter
 	// Residual additionally evaluates Filter on each decoded row and drops
 	// provable non-matches before they reach the caller (and interpreter).
@@ -263,16 +262,9 @@ func boundKind(iv predicate.Interval) serde.Kind {
 
 // blockSkippable reports whether block bi provably contains no record
 // satisfying the filter: every conjunct must be ruled out by some bound
-// whose interval is disjoint from the block's stats envelope. Blocks
-// without stats (pre-stats files) are never skippable.
+// whose interval is disjoint from the block's stats envelope.
 func (r *Reader) blockSkippable(cf *compiledFilter, bi int) bool {
-	if r.blockStats == nil {
-		return false
-	}
 	stats := r.blockStats[bi]
-	if stats == nil {
-		return false
-	}
 	for _, bounds := range cf.conjuncts {
 		missed := false
 		for _, b := range bounds {
@@ -313,31 +305,12 @@ func envelopeMisses(s *FieldStats, iv predicate.Interval) bool {
 	return false
 }
 
-// matchesRow is the residual filter: true when some conjunct admits every
-// bounded (decoded) field value of the current row.
-func (cf *compiledFilter) matchesRow(rec *serde.Record) bool {
-	for _, bounds := range cf.conjuncts {
-		all := true
-		for _, b := range bounds {
-			if !b.iv.Contains(rec.At(b.field)) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
 // SkippableBlocks evaluates the filter against every block's stats,
-// returning the skippable mask and count. Files without stats return an
-// all-false mask. Planners use this for split pruning and selectivity
-// estimates; scanners re-check per block.
+// returning the skippable mask and count. Planners use this for split
+// pruning and selectivity estimates; scanners re-check per block.
 func (r *Reader) SkippableBlocks(f predicate.ZoneFilter) ([]bool, int) {
 	mask := make([]bool, len(r.blocks))
-	if f == nil || r.blockStats == nil {
+	if f == nil {
 		return mask, 0
 	}
 	cf := r.compileFilter(f, false)
@@ -352,23 +325,13 @@ func (r *Reader) SkippableBlocks(f predicate.ZoneFilter) ([]bool, int) {
 }
 
 // BlockStats returns block i's per-field stats in schema order, or nil for
-// files written before the stats format (or an out-of-range index).
+// an out-of-range index.
 func (r *Reader) BlockStats(i int) []FieldStats {
-	if r.blockStats == nil || i < 0 || i >= len(r.blockStats) {
+	if i < 0 || i >= len(r.blockStats) {
 		return nil
 	}
 	return r.blockStats[i]
 }
-
-// HasStats reports whether the file carries per-block zone-map stats
-// (format version >= 3).
-func (r *Reader) HasStats() bool { return r.blockStats != nil }
-
-// FormatVersion returns the on-disk format version: 2 for pre-stats files
-// (MANIMAL2 footer), 3 for row-interleaved files with per-block stats
-// (MANIMAL3 footer), 4 for columnar files (MANIMAL4 footer) whose blocks
-// additionally support batch scans.
-func (r *Reader) FormatVersion() int { return r.version }
 
 // ScanStats aggregates scan-time pruning effect across all of a reader's
 // scanners (and split planning): blocks whose payload was read, blocks

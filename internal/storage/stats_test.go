@@ -1,8 +1,7 @@
 package storage
 
 import (
-	"encoding/binary"
-	"fmt"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,9 +118,6 @@ func TestPrunedScanSkipsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if !r.HasStats() || r.FormatVersion() != FormatVersion {
-		t.Fatalf("fresh file: HasStats=%v version=%d", r.HasStats(), r.FormatVersion())
-	}
 	sc, err := r.ScanPushdown(0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
 	if err != nil {
 		t.Fatal(err)
@@ -276,137 +272,37 @@ func TestStringPrefixBounds(t *testing.T) {
 	}
 }
 
-// writeLegacyV2File writes a record file in the PRE-STATS (version 2)
-// format, replicating the old Writer byte for byte: plain encodings,
-// MANIMAL2 footer, no stats section. It exists so compatibility with files
-// written before the stats format is pinned by construction.
-func writeLegacyV2File(t *testing.T, path string, schema *serde.Schema, recs []*serde.Record, blockSize int) {
-	t.Helper()
-	var out []byte
-	var hdr []byte
-	hdr = schema.AppendBinary(hdr)
-	for i := 0; i < schema.NumFields(); i++ {
-		hdr = append(hdr, byte(EncodePlain))
+// TestRetiredFormatsRejected: record files sealed with a retired trailer —
+// the committed pre-stats fixture (bytes written by the v2 writer) and a
+// row-interleaved v3 trailer — are recognised and refused with
+// ErrUnsupportedFormat naming the version and the remedy, never
+// misparsed as the current layout.
+func TestRetiredFormatsRejected(t *testing.T) {
+	v3 := filepath.Join(t.TempDir(), "v3.rec")
+	writeFile(t, v3, makeRecords(100, 26), WriterOptions{})
+	raw, err := os.ReadFile(v3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out = append(out, magicHeader...)
-	out = binary.AppendUvarint(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-
-	type blk struct{ offset, length, records int64 }
-	var blocks []blk
-	var buf []byte
-	var blockRecs int64
-	flush := func() {
-		if blockRecs == 0 {
-			return
+	copy(raw[len(raw)-len(magicFooter):], "MANIMAL3")
+	if err := os.WriteFile(v3, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, version := range map[string]string{
+		filepath.Join("testdata", "prestats-v2.rec"): "v2",
+		v3: "v3",
+	} {
+		_, err := Open(path)
+		if !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("%s: err = %v; want ErrUnsupportedFormat", path, err)
 		}
-		var bh []byte
-		bh = binary.AppendUvarint(bh, uint64(len(buf)))
-		bh = binary.AppendUvarint(bh, uint64(blockRecs))
-		blocks = append(blocks, blk{offset: int64(len(out)), length: int64(len(bh) + len(buf)), records: blockRecs})
-		out = append(out, bh...)
-		out = append(out, buf...)
-		buf = buf[:0]
-		blockRecs = 0
-	}
-	for _, r := range recs {
-		for i := 0; i < schema.NumFields(); i++ {
-			buf = r.At(i).AppendValue(buf)
+		for _, want := range []string{version, "gendata", "manimal index"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", path, err, want)
+			}
 		}
-		blockRecs++
-		if len(buf) >= blockSize {
-			flush()
-		}
-	}
-	flush()
-
-	var ftr []byte
-	ftr = binary.AppendUvarint(ftr, uint64(len(blocks)))
-	for _, b := range blocks {
-		ftr = binary.AppendUvarint(ftr, uint64(b.offset))
-		ftr = binary.AppendUvarint(ftr, uint64(b.length))
-		ftr = binary.AppendUvarint(ftr, uint64(b.records))
-	}
-	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
-	ftr = append(ftr, magicFooterV2...)
-	out = append(out, ftr...)
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPreStatsCompat pins backward compatibility: a version-2 file (no
-// stats) opens, reports version 2 / no stats, scans identically with and
-// without a pushdown filter installed — and records zero block skips.
-func TestPreStatsCompat(t *testing.T) {
-	recs := makeRecords(2000, 26)
-	path := filepath.Join(t.TempDir(), "legacy.rec")
-	writeLegacyV2File(t, path, testSchema, recs, 2<<10)
-
-	r, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.HasStats() || r.FormatVersion() != 2 {
-		t.Fatalf("legacy file: HasStats=%v version=%d", r.HasStats(), r.FormatVersion())
-	}
-	requireEqual(t, recs, readBack(t, path))
-
-	// A pushdown filter still works (residual only) but skips nothing.
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
-	filter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+50))
-	want := oracleFilter(recs, filter)
-	got, _ := scanPushdown(t, path, &Pushdown{Filter: filter, Residual: true})
-	requireEqual(t, want, got)
-
-	r2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if _, skip := r2.SkippableBlocks(filter); skip != 0 {
-		t.Fatalf("legacy file reported %d skippable blocks", skip)
-	}
-	sc, err := r2.ScanPushdown(0, r2.NumBlocks(), &Pushdown{Filter: filter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sc.Next() {
-	}
-	if sc.Err() != nil {
-		t.Fatal(sc.Err())
-	}
-	if st := r2.ScanStats(); st.BlocksSkipped != 0 || st.BlocksRead != int64(r2.NumBlocks()) {
-		t.Fatalf("legacy scan stats = %+v", st)
-	}
-}
-
-// TestPreStatsFixturePinned reads the committed pre-stats fixture — bytes
-// written before this format existed — so compatibility is pinned against
-// a real artifact, not just the replica writer above.
-func TestPreStatsFixturePinned(t *testing.T) {
-	path := filepath.Join("testdata", "prestats-v2.rec")
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("opening pinned pre-stats fixture: %v", err)
-	}
-	defer r.Close()
-	if r.FormatVersion() != 2 || r.HasStats() {
-		t.Fatalf("fixture: version=%d HasStats=%v", r.FormatVersion(), r.HasStats())
-	}
-	recs, _, err := ReadAll(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The fixture holds 100 deterministic rows: ("row-%03d", i, float64(i)/2).
-	if len(recs) != 100 {
-		t.Fatalf("fixture has %d records, want 100", len(recs))
-	}
-	for i, r := range recs {
-		if r.Get("url").S != fmt.Sprintf("row-%03d", i) || r.Get("ts").I != int64(i) || r.Get("score").F != float64(i)/2 {
-			t.Fatalf("fixture record %d = %s", i, r)
+		if _, _, err := ReadAll(path); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("ReadAll(%s): err = %v; want ErrUnsupportedFormat", path, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -275,6 +276,75 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Open(bad); err == nil {
 		t.Fatal("truncated file accepted")
+	}
+}
+
+// TestOpenBoundsTrailerLengths: every length and count readMeta takes from
+// the file — header length, footer length, block count, block extents — is
+// bounded by the file before anything is allocated from it. Each mutation
+// of a fresh file must fail Open with an ordinary error: no panic, no
+// allocation sized by the mutated value.
+func TestOpenBoundsTrailerLengths(t *testing.T) {
+	good := filepath.Join(t.TempDir(), "good.rec")
+	writeFile(t, good, makeRecords(500, 8), WriterOptions{BlockSize: 1 << 10})
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tail = 8 + len(magicFooter)
+	ftrLen := int(binary.LittleEndian.Uint64(raw[len(raw)-tail:]))
+	ftrStart := len(raw) - tail - ftrLen // the uvarint block count lives here
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte) []byte
+	}{
+		{"footer length past file start", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[len(b)-tail:], uint64(len(b)))
+			return b
+		}},
+		{"footer length 2^63", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[len(b)-tail:], 1<<63)
+			return b
+		}},
+		{"footer length all ones", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[len(b)-tail:], ^uint64(0))
+			return b
+		}},
+		{"block count 2^62", func(b []byte) []byte {
+			// Overwrites the count and the head of the first index entry;
+			// the count alone must already be refused.
+			copy(b[ftrStart:], huge)
+			return b
+		}},
+		{"block count one more than stored", func(b []byte) []byte {
+			b[ftrStart]++
+			return b
+		}},
+		{"header length 2^62", func(b []byte) []byte {
+			return append(append(append([]byte(nil), b[:len(magicHeader)]...), huge...), b[len(magicHeader)+1:]...)
+		}},
+		{"shorter than header plus trailer", func(b []byte) []byte {
+			return append(append([]byte(nil), b[:len(magicHeader)+1]...), b[len(b)-tail+1:]...)
+		}},
+		{"block length past the data section", func(b []byte) []byte {
+			// First index entry is offset|length|records; the offset uvarint
+			// is one byte here (the header is short), the length follows.
+			copy(b[ftrStart+2:], huge)
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := filepath.Join(t.TempDir(), "bad.rec")
+			if err := os.WriteFile(bad, tc.mutate(append([]byte(nil), raw...)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Open(bad)
+			if err == nil {
+				r.Close()
+				t.Fatal("mutated trailer accepted")
+			}
+		})
 	}
 }
 

@@ -158,10 +158,10 @@ type System struct {
 	sched   *mapreduce.Scheduler
 	// share is the scan-sharing registry concurrently running jobs of this
 	// System use to ride one physical scan per input block range; nil when
-	// sharing is disabled (Options or MANIMAL_NOSHARE=1).
+	// sharing is disabled (Options.DisableScanSharing).
 	share *storage.ScanShare
-	// noCache disables the fingerprint-keyed result cache (Options or
-	// MANIMAL_NOCACHE=1).
+	// noCache disables the fingerprint-keyed result cache
+	// (Options.DisableResultCache).
 	noCache bool
 	// jnl is the durable job journal (Options.Journal): every accepted
 	// submission is recorded before admission and its terminal state after,
@@ -217,7 +217,7 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 		sched = mapreduce.NewScheduler(opts.SchedulerSlots)
 	}
 	var share *storage.ScanShare
-	if !opts.DisableScanSharing && optimizer.ScanSharingEnabled() {
+	if !opts.DisableScanSharing {
 		share = storage.NewScanShare()
 	}
 	var jnl *journal.Journal
@@ -229,7 +229,7 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 	}
 	return &System{dir: dir, workDir: workDir, cat: cat, sched: sched,
 		share:       share,
-		noCache:     opts.DisableResultCache || !optimizer.ResultCacheEnabled(),
+		noCache:     opts.DisableResultCache,
 		jnl:         jnl,
 		liveOutputs: make(map[string]string)}, nil
 }
@@ -545,14 +545,7 @@ func (s *System) submitJournaled(ctx context.Context, spec JobSpec, jid string) 
 				optimizer.Options{SortedOutput: spec.SortedOutput, SafeMode: spec.SafeMode})
 			s.markSharedScan(ir.Plan)
 		} else {
-			// Unoptimized plans still pick the batch execution strategy:
-			// vectorization is how scans run, not an optimization, so
-			// -noopt keeps it (and MANIMAL_ROWSCAN=1 disables it here too).
-			ir.Plan = &optimizer.Plan{
-				Kind:       optimizer.PlanOriginal,
-				InputPath:  ispec.Path,
-				Vectorized: optimizer.VectorizedEnabled(),
-			}
+			ir.Plan = &optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: ispec.Path}
 		}
 		report.Inputs = append(report.Inputs, ir)
 	}
@@ -772,12 +765,12 @@ func (s *System) replanAfterCorruption(ctx context.Context, spec JobSpec, report
 }
 
 // markSharedScan flags a freshly chosen plan as eligible for shared
-// physical scans. Only vectorized block-range scans can share (B+Tree
-// range reads and row-at-a-time scans keep private readers), and only
-// when the System has a sharing registry; -noopt plans are never marked,
-// so the conventional baseline stays fully conventional.
+// physical scans. Only record-file block-range scans can share (B+Tree
+// range reads keep private readers), and only when the System has a
+// sharing registry; -noopt plans are never marked, so the conventional
+// baseline stays fully conventional.
 func (s *System) markSharedScan(plan *optimizer.Plan) {
-	if s.share == nil || plan == nil || !plan.Vectorized || plan.Kind == optimizer.PlanBTree {
+	if s.share == nil || plan == nil || plan.Kind == optimizer.PlanBTree {
 		return
 	}
 	plan.SharedScan = true
