@@ -15,7 +15,6 @@ import (
 	"manimal/internal/catalog"
 	"manimal/internal/indexgen"
 	"manimal/internal/interp"
-	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
 	"manimal/internal/predicate"
 	"manimal/internal/serde"
@@ -111,52 +110,90 @@ func BenchmarkRecordFileScan(b *testing.B) {
 	}
 }
 
-// benchMapInvocation measures one selection-map invocation per op through
-// the given executor constructor. The compiled-closure path (interp.New)
-// and the AST tree-walking path (interp.NewTreeWalker) run the same
-// program, so the two benchmarks quantify what closure compilation buys on
-// the per-record hot path.
-func benchMapInvocation(b *testing.B, newExec func(p *lang.Program) (*interp.Executor, error)) {
-	prog, err := manimal.ParseProgram("bench", `
+// The selection mapper of the interpreter benchmarks, with its guard
+// written inline and moved into a helper. Both run through the one closure
+// compiler; the pair quantifies what a helper call costs on the per-record
+// hot path (a frame switch and two argument moves, no allocation).
+const (
+	inlineGuardMapper = `
 func Map(k, v *Record, ctx *Ctx) {
 	if v.Int("rank") > ctx.ConfInt("threshold") {
 		ctx.Emit(v.Str("url"), v.Int("rank"))
 	}
 }
-`)
-	if err != nil {
-		b.Fatal(err)
+`
+	helperGuardMapper = `
+func hot(r *Record, t int64) bool {
+	return r.Int("rank") > t
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	if hot(v, ctx.ConfInt("threshold")) {
+		ctx.Emit(v.Str("url"), v.Int("rank"))
 	}
-	ex, err := newExec(prog.Parsed())
+}
+`
+)
+
+// mapInvocation returns a closure running one Map invocation of src over a
+// fixed WebPages record that passes the guard, and the emission counter.
+func mapInvocation(tb testing.TB, src string) (invoke func(), emitted *int) {
+	prog, err := manimal.ParseProgram("bench", src)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	ex, err := interp.New(prog.Parsed())
+	if err != nil {
+		tb.Fatal(err)
 	}
 	rec := serde.NewRecord(workload.WebPagesSchema)
 	rec.MustSet("url", serde.String("http://example.com/x"))
 	rec.MustSet("rank", serde.Int(7000))
 	rec.MustSet("content", serde.String("body"))
-	emitted := 0
+	emitted = new(int)
 	ctx := &interp.Context{
 		Conf: manimal.Conf{"threshold": serde.Int(5000)},
-		Emit: func(serde.Datum, interp.EmitValue) error { emitted++; return nil },
+		Emit: func(serde.Datum, interp.EmitValue) error { *emitted++; return nil },
 	}
+	key := serde.Int(0)
+	return func() {
+		if err := ex.InvokeMap(key, rec, ctx); err != nil {
+			tb.Fatal(err)
+		}
+	}, emitted
+}
+
+func benchMapInvocation(b *testing.B, src string) {
+	invoke, emitted := mapInvocation(b, src)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ex.InvokeMap(serde.Int(int64(i)), rec, ctx); err != nil {
-			b.Fatal(err)
-		}
+		invoke()
 	}
-	if emitted != b.N {
-		b.Fatalf("emitted %d of %d", emitted, b.N)
+	if *emitted != b.N {
+		b.Fatalf("emitted %d of %d", *emitted, b.N)
 	}
 }
 
 func BenchmarkInterpreterMapInvocation(b *testing.B) {
-	benchMapInvocation(b, interp.New)
+	benchMapInvocation(b, inlineGuardMapper)
 }
 
-func BenchmarkInterpreterMapInvocationTreeWalk(b *testing.B) {
-	benchMapInvocation(b, interp.NewTreeWalker)
+func BenchmarkInterpreterMapInvocationHelper(b *testing.B) {
+	benchMapInvocation(b, helperGuardMapper)
+}
+
+// TestHelperCallAllocs gates the helper-guarded mapper at zero allocations
+// per record once the executor's frame and argument stacks are warm.
+func TestHelperCallAllocs(t *testing.T) {
+	invoke, emitted := mapInvocation(t, helperGuardMapper)
+	invoke()
+	if allocs := testing.AllocsPerRun(2000, invoke); allocs != 0 {
+		t.Fatalf("helper-guarded mapper allocates %.2f objects per record; want 0", allocs)
+	}
+	if *emitted == 0 {
+		t.Fatal("mapper never emitted")
+	}
 }
 
 func BenchmarkShuffleSortSpillMerge(b *testing.B) {
@@ -345,8 +382,8 @@ func Map(k, v *Record, ctx *Ctx) {
 // zone maps skip nothing and every block pays decode + filter) plus a
 // field mask: bulk column decode, residual kernels, and late
 // materialization of every survivor through a reused record, exactly as
-// the engine consumes them. BENCH_vecscan.json holds its trajectory;
-// BenchmarkRecordFileScan is the same pipeline through the row cursor.
+// the engine consumes them. BenchmarkRecordFileScan is the same pipeline
+// through the row cursor.
 func BenchmarkVectorScan(b *testing.B) {
 	dir := b.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -428,7 +465,7 @@ func BenchmarkVectorScan(b *testing.B) {
 // runs the analyzed plan — block skipping + residual filter + field-pruned
 // decode on the original file; "full" is the same job with optimization
 // disabled (every block read, every field decoded, every row through the
-// interpreter). The ratio is the benefit at BENCH_scanprune.json.
+// interpreter). The pruned/full ratio is the benefit.
 func BenchmarkSelectiveScan(b *testing.B) {
 	dir := b.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -500,7 +537,7 @@ func Map(k, v *Record, ctx *Ctx) {
 // selection since the deduplicated union filter is exactly its own —
 // while "unshared" disables sharing so every job decodes every block
 // itself. The result cache is off on both arms so all 8 jobs truly
-// execute; the ns/op ratio at BENCH_mqo.json is the fan-out benefit.
+// execute; the unshared/shared ns/op ratio is the fan-out benefit.
 func BenchmarkSharedScanFanout(b *testing.B) {
 	// The subject is 8 concurrent jobs; on a single-P runtime the
 	// scheduler serializes their startup behind the first job's hot scan

@@ -39,7 +39,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 // TestTables2Through6Smoke runs every end-to-end table at scale 1 and
 // checks the qualitative shape the paper reports — in work counters (input
 // bytes read, intermediate bytes, file sizes), which repeat exactly; the
-// seconds the same rows carry are left to the BENCH gates.
+// seconds the same rows carry are left to the benchmark (BENCHMARK.json).
 func TestTables2Through6Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end tables take a few seconds")

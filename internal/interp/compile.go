@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -11,17 +10,21 @@ import (
 	"manimal/internal/serde"
 )
 
-// This file and compile_expr.go lower mapper-language function bodies into
-// chains of Go closures, once per Executor, so that per-record execution
-// never re-walks the go/ast tree. The lowering mirrors the tree-walker in
-// exec.go/eval.go statement for statement: identifier references are
+// This file and compile_expr.go are the interpreter: they lower every
+// function body of a program — Map, Reduce, Combine and the user's helpers —
+// into chains of Go closures, once per Executor, so that per-record
+// execution never re-walks the go/ast tree. Identifier references are
 // resolved at compile time to integer frame slots (or to the executor's
-// global cells), and accessor/builtin/ctx dispatch is resolved to function
-// values instead of per-call string switches. Any construct the compiler
-// does not cover aborts compilation of that function (errUncompilable) and
-// the executor falls back to the tree-walker, so behavior — including error
-// messages — is identical on both paths; the differential test in
-// differential_test.go holds the two to the same output.
+// global cells), accessor/builtin/ctx dispatch to function values instead of
+// per-call string switches, and helper calls to the callee's compiledFunc.
+//
+// The lowering is total over everything lang.Parse accepts: a construct the
+// language admits syntactically but cannot run (a two-value assignment from
+// a call, make of a non-map type, ++ on a map element, ...) compiles to a
+// closure that fails with its runtime error when — and only when — that
+// statement or expression executes. The AST tree-walker in walker_test.go
+// defines those semantics independently; differential_test.go holds the
+// closures to it.
 
 // stmtFn is one compiled statement; it returns the control-flow outcome.
 type stmtFn func(*frame) (ctrl, error)
@@ -32,58 +35,60 @@ type exprFn func(*frame) (Value, error)
 // storeFn writes one value to a compiled assignment target.
 type storeFn func(*frame, Value) error
 
-// compiledFunc is one function body lowered to closures.
+// compiledFunc is one function lowered to closures, plus what a caller needs
+// to activate it: the frame size and the slot of each parameter (-1 for the
+// blank identifier).
 type compiledFunc struct {
-	body stmtFn
+	name   string
+	nslots int
+	params []int
+	body   stmtFn
 }
 
-// errUncompilable aborts compilation of a function; the executor then runs
-// that function through the tree-walker instead.
-var errUncompilable = errors.New("interp: construct not covered by the closure compiler")
-
-// compileProgram lowers every invokable function of the executor's program.
-// Functions that fail to compile are simply absent from the result map.
+// compileProgram lowers every function of the executor's program. The
+// compiledFuncs exist before any body is lowered, so a call site can bind
+// its callee regardless of declaration order or recursion.
 func compileProgram(ex *Executor) map[string]*compiledFunc {
-	out := make(map[string]*compiledFunc)
+	funcs := make(map[string]*compiledFunc, len(ex.prog.Funcs))
 	for name, fn := range ex.prog.Funcs {
-		switch name {
-		case lang.MapFuncName, lang.ReduceFuncName, lang.CombineFuncName:
-		default:
-			continue // never invoked; no point compiling
+		cf := &compiledFunc{name: name, nslots: fn.NumSlots(), params: make([]int, len(fn.Params))}
+		for i, p := range fn.Params {
+			cf.params[i] = -1
+			if slot, ok := fn.SlotIndex(p.Name); ok {
+				cf.params[i] = slot
+			}
 		}
-		if len(fn.Params) != 3 {
-			continue // invocation errors out before executing the body
-		}
-		c := &compiler{ex: ex, fn: fn, ctxName: fn.Params[2].Name}
-		if name != lang.MapFuncName {
-			c.iterName = fn.Params[1].Name
-		}
-		body, err := c.block(fn.Body)
-		if err != nil {
-			continue
-		}
-		out[name] = &compiledFunc{body: body}
+		funcs[name] = cf
 	}
-	return out
+	for name, fn := range ex.prog.Funcs {
+		c := &compiler{ex: ex, fn: fn, funcs: funcs}
+		// Only a well-formed stage function has a ctx (and, for Reduce and
+		// Combine, an iterator) parameter; helpers take neither.
+		if lang.IsWellKnown(name) && len(fn.Params) == 3 {
+			c.ctxName = fn.Params[2].Name
+			if name != lang.MapFuncName {
+				c.iterName = fn.Params[1].Name
+			}
+		}
+		funcs[name].body = c.block(fn.Body)
+	}
+	return funcs
 }
 
-// compiler lowers one function. ctxName/iterName mirror the frame fields the
-// tree-walker consults at runtime; here they are fixed at compile time.
+// compiler lowers one function. ctxName/iterName name the parameters whose
+// method calls are ctx and iterator operations ("" when there is none).
 type compiler struct {
 	ex       *Executor
 	fn       *lang.Function
+	funcs    map[string]*compiledFunc
 	ctxName  string
-	iterName string // "" for Map
+	iterName string
 }
 
-func (c *compiler) block(b *ast.BlockStmt) (stmtFn, error) {
+func (c *compiler) block(b *ast.BlockStmt) stmtFn {
 	fns := make([]stmtFn, len(b.List))
 	for i, s := range b.List {
-		f, err := c.stmt(s)
-		if err != nil {
-			return nil, err
-		}
-		fns[i] = f
+		fns[i] = c.stmt(s)
 	}
 	return func(fr *frame) (ctrl, error) {
 		for _, f := range fns {
@@ -93,24 +98,21 @@ func (c *compiler) block(b *ast.BlockStmt) (stmtFn, error) {
 			}
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }
 
-func (c *compiler) stmt(s ast.Stmt) (stmtFn, error) {
+func (c *compiler) stmt(s ast.Stmt) stmtFn {
 	switch st := s.(type) {
 	case *ast.AssignStmt:
 		return c.assign(st)
 	case *ast.DeclStmt:
 		return c.decl(st)
 	case *ast.ExprStmt:
-		f, err := c.expr(st.X)
-		if err != nil {
-			return nil, err
-		}
+		f := c.expr(st.X)
 		return func(fr *frame) (ctrl, error) {
 			_, err := f(fr)
 			return ctrlNone, err
-		}, nil
+		}
 	case *ast.IncDecStmt:
 		return c.incDec(st)
 	case *ast.IfStmt:
@@ -120,42 +122,46 @@ func (c *compiler) stmt(s ast.Stmt) (stmtFn, error) {
 	case *ast.RangeStmt:
 		return c.rangeStmt(st)
 	case *ast.ReturnStmt:
-		return func(*frame) (ctrl, error) { return ctrlReturn, nil }, nil
+		if len(st.Results) != 1 {
+			return func(*frame) (ctrl, error) { return ctrlReturn, nil }
+		}
+		f := c.expr(st.Results[0])
+		return func(fr *frame) (ctrl, error) {
+			v, err := f(fr)
+			if err != nil {
+				return ctrlNone, err
+			}
+			fr.ret = v
+			return ctrlReturn, nil
+		}
 	case *ast.BranchStmt:
 		if st.Tok == token.BREAK {
-			return func(*frame) (ctrl, error) { return ctrlBreak, nil }, nil
+			return func(*frame) (ctrl, error) { return ctrlBreak, nil }
 		}
-		return func(*frame) (ctrl, error) { return ctrlContinue, nil }, nil
+		return func(*frame) (ctrl, error) { return ctrlContinue, nil }
 	case *ast.BlockStmt:
 		return c.block(st)
 	default:
-		return nil, errUncompilable
+		return errStmt(fmt.Errorf("interp: unsupported statement %T", s))
 	}
 }
 
-func (c *compiler) assign(st *ast.AssignStmt) (stmtFn, error) {
+// errStmt compiles a statement whose execution always fails with err.
+func errStmt(err error) stmtFn {
+	return func(*frame) (ctrl, error) { return ctrlNone, err }
+}
+
+func (c *compiler) assign(st *ast.AssignStmt) stmtFn {
 	// Two-value form: x, ok := m[k].
 	if len(st.Lhs) == 2 {
 		ix, ok := st.Rhs[0].(*ast.IndexExpr)
 		if !ok {
-			return nil, errUncompilable
+			return errStmt(fmt.Errorf("interp: two-value assignment requires a map index"))
 		}
-		mapFn, err := c.expr(ix.X)
-		if err != nil {
-			return nil, err
-		}
-		keyFn, err := c.expr(ix.Index)
-		if err != nil {
-			return nil, err
-		}
-		store0, err := c.store(st.Lhs[0], st.Tok)
-		if err != nil {
-			return nil, err
-		}
-		store1, err := c.store(st.Lhs[1], st.Tok)
-		if err != nil {
-			return nil, err
-		}
+		mapFn := c.expr(ix.X)
+		keyFn := c.expr(ix.Index)
+		store0 := c.store(st.Lhs[0], st.Tok)
+		store1 := c.store(st.Lhs[1], st.Tok)
 		return func(fr *frame) (ctrl, error) {
 			mv, err := mapFn(fr)
 			if err != nil {
@@ -180,36 +186,24 @@ func (c *compiler) assign(st *ast.AssignStmt) (stmtFn, error) {
 				return ctrlNone, err
 			}
 			return ctrlNone, store1(fr, BoolVal(found))
-		}, nil
+		}
 	}
 
-	rhsFn, err := c.expr(st.Rhs[0])
-	if err != nil {
-		return nil, err
-	}
+	rhsFn := c.expr(st.Rhs[0])
 	if st.Tok == token.ASSIGN || st.Tok == token.DEFINE {
-		store, err := c.store(st.Lhs[0], st.Tok)
-		if err != nil {
-			return nil, err
-		}
+		store := c.store(st.Lhs[0], st.Tok)
 		return func(fr *frame) (ctrl, error) {
 			v, err := rhsFn(fr)
 			if err != nil {
 				return ctrlNone, err
 			}
 			return ctrlNone, store(fr, v)
-		}, nil
+		}
 	}
 
 	// Op-assign: read, combine, write.
-	curFn, err := c.expr(st.Lhs[0])
-	if err != nil {
-		return nil, err
-	}
-	store, err := c.store(st.Lhs[0], token.ASSIGN)
-	if err != nil {
-		return nil, err
-	}
+	curFn := c.expr(st.Lhs[0])
+	store := c.store(st.Lhs[0], token.ASSIGN)
 	var op token.Token
 	switch st.Tok {
 	case token.ADD_ASSIGN:
@@ -222,8 +216,6 @@ func (c *compiler) assign(st *ast.AssignStmt) (stmtFn, error) {
 		op = token.QUO
 	case token.REM_ASSIGN:
 		op = token.REM
-	default:
-		return nil, errUncompilable
 	}
 	return func(fr *frame) (ctrl, error) {
 		rhs, err := rhsFn(fr)
@@ -247,16 +239,16 @@ func (c *compiler) assign(st *ast.AssignStmt) (stmtFn, error) {
 			return ctrlNone, err
 		}
 		return ctrlNone, store(fr, Scalar(out))
-	}, nil
+	}
 }
 
 // store resolves an assignment target at compile time. Identifier targets
 // become slot or global-cell writes; index targets become map stores.
-func (c *compiler) store(lhs ast.Expr, tok token.Token) (storeFn, error) {
+func (c *compiler) store(lhs ast.Expr, tok token.Token) storeFn {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
-			return func(*frame, Value) error { return nil }, nil
+			return func(*frame, Value) error { return nil }
 		}
 		if i, ok := c.fn.SlotIndex(l.Name); ok {
 			// Slot writes cover both := (define) and = (assign-or-define):
@@ -265,30 +257,19 @@ func (c *compiler) store(lhs ast.Expr, tok token.Token) (storeFn, error) {
 				fr.slots[i] = v
 				fr.defined[i] = true
 				return nil
-			}, nil
-		}
-		if g, ok := c.ex.globals[l.Name]; ok {
-			if tok == token.DEFINE {
-				return nil, errUncompilable // validator rejects; stay exact via walker
 			}
+		}
+		if g, ok := c.ex.globals[l.Name]; ok && tok != token.DEFINE {
 			return func(_ *frame, v Value) error {
 				*g = v
 				return nil
-			}, nil
+			}
 		}
-		return nil, errUncompilable
+		err := errNotLocal(l.Name)
+		return func(*frame, Value) error { return err }
 	case *ast.IndexExpr:
-		if tok == token.DEFINE {
-			return nil, errUncompilable
-		}
-		mapFn, err := c.expr(l.X)
-		if err != nil {
-			return nil, err
-		}
-		keyFn, err := c.expr(l.Index)
-		if err != nil {
-			return nil, err
-		}
+		mapFn := c.expr(l.X)
+		keyFn := c.expr(l.Index)
 		return func(fr *frame, v Value) error {
 			mv, err := mapFn(fr)
 			if err != nil {
@@ -311,42 +292,25 @@ func (c *compiler) store(lhs ast.Expr, tok token.Token) (storeFn, error) {
 			}
 			mv.M[mapKey(kd)] = d
 			return nil
-		}, nil
+		}
 	default:
-		return nil, errUncompilable
+		err := fmt.Errorf("interp: unsupported assignment target %T", lhs)
+		return func(*frame, Value) error { return err }
 	}
 }
 
-func (c *compiler) decl(st *ast.DeclStmt) (stmtFn, error) {
-	gd, ok := st.Decl.(*ast.GenDecl)
-	if !ok {
-		return nil, errUncompilable
-	}
+func (c *compiler) decl(st *ast.DeclStmt) stmtFn {
 	var fns []stmtFn
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			return nil, errUncompilable
-		}
+	for _, spec := range st.Decl.(*ast.GenDecl).Specs {
+		vs := spec.(*ast.ValueSpec)
 		for i, n := range vs.Names {
 			var valFn exprFn
 			if i < len(vs.Values) {
-				var err error
-				valFn, err = c.expr(vs.Values[i])
-				if err != nil {
-					return nil, err
-				}
+				valFn = c.expr(vs.Values[i])
 			} else {
-				var err error
-				valFn, err = c.zeroFn(vs.Type)
-				if err != nil {
-					return nil, err
-				}
+				valFn = zeroFn(vs.Type)
 			}
-			store, err := c.store(n, token.DEFINE)
-			if err != nil {
-				return nil, err
-			}
+			store := c.store(n, token.DEFINE)
 			fns = append(fns, func(fr *frame) (ctrl, error) {
 				v, err := valFn(fr)
 				if err != nil {
@@ -363,31 +327,25 @@ func (c *compiler) decl(st *ast.DeclStmt) (stmtFn, error) {
 			}
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }
 
 // zeroFn compiles the zero value of a declared type. Scalar zeros are
 // computed once; map zeros must allocate a fresh map per execution.
-func (c *compiler) zeroFn(t ast.Expr) (exprFn, error) {
+func zeroFn(t ast.Expr) exprFn {
 	if _, ok := t.(*ast.MapType); ok {
-		return func(*frame) (Value, error) { return NewMapVal(), nil }, nil
+		return func(*frame) (Value, error) { return NewMapVal(), nil }
 	}
 	z, err := zeroValue(t)
-	if err != nil {
-		return nil, errUncompilable // walker reproduces the runtime error
-	}
-	return func(*frame) (Value, error) { return z, nil }, nil
+	return func(*frame) (Value, error) { return z, err }
 }
 
-func (c *compiler) incDec(st *ast.IncDecStmt) (stmtFn, error) {
+func (c *compiler) incDec(st *ast.IncDecStmt) stmtFn {
 	id, ok := st.X.(*ast.Ident)
 	if !ok {
-		return nil, errUncompilable
+		return errStmt(fmt.Errorf("interp: ++/-- target must be a variable"))
 	}
-	ref, err := c.ref(id.Name)
-	if err != nil {
-		return nil, err
-	}
+	ref := c.ref(id.Name)
 	delta := int64(1)
 	if st.Tok == token.DEC {
 		delta = -1
@@ -410,50 +368,35 @@ func (c *compiler) incDec(st *ast.IncDecStmt) (stmtFn, error) {
 			return ctrlNone, fmt.Errorf("interp: ++/-- on %v", d.Kind)
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }
 
-// ref resolves a mutable variable reference at compile time, mirroring
-// frame.lookup: the frame slot if the name has one, else the executor's
-// global cell, else the runtime undefined-variable error.
-func (c *compiler) ref(name string) (func(*frame) (*Value, error), error) {
+// ref resolves a mutable variable reference at compile time: the frame slot
+// if the name has one, else the executor's global cell, else the runtime
+// undefined-variable error.
+func (c *compiler) ref(name string) func(*frame) (*Value, error) {
 	if i, ok := c.fn.SlotIndex(name); ok {
 		return func(fr *frame) (*Value, error) {
 			if !fr.defined[i] {
 				return nil, fmt.Errorf("interp: undefined variable %q", name)
 			}
 			return &fr.slots[i], nil
-		}, nil
+		}
 	}
 	if g, ok := c.ex.globals[name]; ok {
-		return func(*frame) (*Value, error) { return g, nil }, nil
+		return func(*frame) (*Value, error) { return g, nil }
 	}
 	return func(*frame) (*Value, error) {
 		return nil, fmt.Errorf("interp: undefined variable %q", name)
-	}, nil
+	}
 }
 
-func (c *compiler) ifStmt(st *ast.IfStmt) (stmtFn, error) {
-	condFn, err := c.boolExpr(st.Cond)
-	if err != nil {
-		return nil, err
-	}
-	bodyFn, err := c.block(st.Body)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) ifStmt(st *ast.IfStmt) stmtFn {
+	condFn := c.boolExpr(st.Cond)
+	bodyFn := c.block(st.Body)
 	var elseFn stmtFn
-	switch e := st.Else.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		elseFn, err = c.block(e)
-	case *ast.IfStmt:
-		elseFn, err = c.stmt(e)
-	default:
-		return nil, errUncompilable
-	}
-	if err != nil {
-		return nil, err
+	if st.Else != nil {
+		elseFn = c.stmt(st.Else) // a block or another if
 	}
 	return func(fr *frame) (ctrl, error) {
 		cond, err := condFn(fr)
@@ -467,32 +410,22 @@ func (c *compiler) ifStmt(st *ast.IfStmt) (stmtFn, error) {
 			return elseFn(fr)
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }
 
-func (c *compiler) forStmt(st *ast.ForStmt) (stmtFn, error) {
+func (c *compiler) forStmt(st *ast.ForStmt) stmtFn {
 	var initFn, postFn stmtFn
 	var condFn func(*frame) (bool, error)
-	var err error
 	if st.Init != nil {
-		if initFn, err = c.stmt(st.Init); err != nil {
-			return nil, err
-		}
+		initFn = c.stmt(st.Init)
 	}
 	if st.Cond != nil {
-		if condFn, err = c.boolExpr(st.Cond); err != nil {
-			return nil, err
-		}
+		condFn = c.boolExpr(st.Cond)
 	}
 	if st.Post != nil {
-		if postFn, err = c.stmt(st.Post); err != nil {
-			return nil, err
-		}
+		postFn = c.stmt(st.Post)
 	}
-	bodyFn, err := c.block(st.Body)
-	if err != nil {
-		return nil, err
-	}
+	bodyFn := c.block(st.Body)
 	return func(fr *frame) (ctrl, error) {
 		if initFn != nil {
 			if _, err := initFn(fr); err != nil {
@@ -529,38 +462,32 @@ func (c *compiler) forStmt(st *ast.ForStmt) (stmtFn, error) {
 			}
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }
 
-func (c *compiler) rangeStmt(st *ast.RangeStmt) (stmtFn, error) {
-	xFn, err := c.expr(st.X)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
+	// A range variable is a frame slot; the blank identifier and non-variable
+	// targets are ignored (-1). A package-level variable cannot be one.
 	slotOf := func(e ast.Expr) (int, error) {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
-			return -1, nil // the walker silently ignores these targets too
+			return -1, nil
 		}
 		if i, ok := c.fn.SlotIndex(id.Name); ok {
 			return i, nil
 		}
-		// A global (or otherwise slotless) range variable: the walker's
-		// define-time shadowing semantics apply; leave it to the walker.
-		return -1, errUncompilable
+		return -1, errNotLocal(id.Name)
 	}
 	keySlot, err := slotOf(st.Key)
 	if err != nil {
-		return nil, err
+		return errStmt(err)
 	}
 	valSlot, err := slotOf(st.Value)
 	if err != nil {
-		return nil, err
+		return errStmt(err)
 	}
-	bodyFn, err := c.block(st.Body)
-	if err != nil {
-		return nil, err
-	}
+	xFn := c.expr(st.X)
+	bodyFn := c.block(st.Body)
 	return func(fr *frame) (ctrl, error) {
 		xv, err := xFn(fr)
 		if err != nil {
@@ -570,14 +497,8 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) (stmtFn, error) {
 			return ctrlNone, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
 		}
 		for i, d := range xv.List {
-			if keySlot >= 0 {
-				fr.slots[keySlot] = IntVal(int64(i))
-				fr.defined[keySlot] = true
-			}
-			if valSlot >= 0 {
-				fr.slots[valSlot] = Scalar(d)
-				fr.defined[valSlot] = true
-			}
+			fr.bind(keySlot, IntVal(int64(i)))
+			fr.bind(valSlot, Scalar(d))
 			ct, err := bodyFn(fr)
 			if err != nil {
 				return ctrlNone, err
@@ -590,5 +511,5 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) (stmtFn, error) {
 			}
 		}
 		return ctrlNone, nil
-	}, nil
+	}
 }

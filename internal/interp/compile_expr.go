@@ -10,19 +10,15 @@ import (
 	"manimal/internal/serde"
 )
 
-// Expression lowering. Each case mirrors the tree-walker in eval.go; the
-// difference is that all name resolution (frame slot vs. global cell) and
+// Expression lowering. All name resolution (frame slot vs. global cell) and
 // all call dispatch (record accessor vs. ctx method vs. iterator method vs.
-// builtin) happens once here instead of per evaluation.
+// helper vs. builtin) happens once here instead of per evaluation.
 
-func (c *compiler) expr(e ast.Expr) (exprFn, error) {
+func (c *compiler) expr(e ast.Expr) exprFn {
 	switch ex := e.(type) {
 	case *ast.BasicLit:
 		v, err := litValue(ex)
-		if err != nil {
-			return nil, errUncompilable // walker reproduces the runtime error
-		}
-		return func(*frame) (Value, error) { return v, nil }, nil
+		return func(*frame) (Value, error) { return v, err }
 	case *ast.Ident:
 		return c.identExpr(ex.Name)
 	case *ast.ParenExpr:
@@ -36,59 +32,49 @@ func (c *compiler) expr(e ast.Expr) (exprFn, error) {
 	case *ast.CallExpr:
 		return c.call(ex)
 	default:
-		return nil, errUncompilable
+		return errExpr(fmt.Errorf("interp: unsupported expression %T", e))
 	}
 }
 
-func (c *compiler) identExpr(name string) (exprFn, error) {
+// errExpr compiles an expression whose evaluation always fails with err.
+func errExpr(err error) exprFn {
+	return func(*frame) (Value, error) { return Value{}, err }
+}
+
+func (c *compiler) identExpr(name string) exprFn {
 	switch name {
 	case "true":
 		v := BoolVal(true)
-		return func(*frame) (Value, error) { return v, nil }, nil
+		return func(*frame) (Value, error) { return v, nil }
 	case "false":
 		v := BoolVal(false)
-		return func(*frame) (Value, error) { return v, nil }, nil
+		return func(*frame) (Value, error) { return v, nil }
 	}
-	ref, err := c.ref(name)
-	if err != nil {
-		return nil, err
-	}
+	ref := c.ref(name)
 	return func(fr *frame) (Value, error) {
 		p, err := ref(fr)
 		if err != nil {
 			return Value{}, err
 		}
 		return *p, nil
-	}, nil
+	}
 }
 
-// boolExpr compiles a condition with evalBool semantics (must be a bool
-// scalar).
-func (c *compiler) boolExpr(e ast.Expr) (func(*frame) (bool, error), error) {
-	f, err := c.expr(e)
-	if err != nil {
-		return nil, err
-	}
+// boolExpr compiles a condition: it must evaluate to a bool scalar.
+func (c *compiler) boolExpr(e ast.Expr) func(*frame) (bool, error) {
+	f := c.expr(e)
 	return func(fr *frame) (bool, error) {
 		v, err := f(fr)
 		if err != nil {
 			return false, err
 		}
 		return v.truth()
-	}, nil
+	}
 }
 
-func (c *compiler) unary(ex *ast.UnaryExpr) (exprFn, error) {
-	xFn, err := c.expr(ex.X)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) unary(ex *ast.UnaryExpr) exprFn {
+	xFn := c.expr(ex.X)
 	op := ex.Op
-	switch op {
-	case token.NOT, token.SUB, token.ADD:
-	default:
-		return nil, errUncompilable
-	}
 	return func(fr *frame) (Value, error) {
 		x, err := xFn(fr)
 		if err != nil {
@@ -112,63 +98,38 @@ func (c *compiler) unary(ex *ast.UnaryExpr) (exprFn, error) {
 				return FloatVal(-d.F), nil
 			}
 			return Value{}, fmt.Errorf("interp: - of %v", d.Kind)
-		default: // token.ADD
+		case token.ADD:
 			return x, nil
+		default:
+			return Value{}, fmt.Errorf("interp: unsupported unary %s", op)
 		}
-	}, nil
+	}
 }
 
-func (c *compiler) binary(ex *ast.BinaryExpr) (exprFn, error) {
+func (c *compiler) binary(ex *ast.BinaryExpr) exprFn {
 	// Short-circuit logical operators.
 	if ex.Op == token.LAND || ex.Op == token.LOR {
-		lFn, err := c.boolExpr(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		rFn, err := c.boolExpr(ex.Y)
-		if err != nil {
-			return nil, err
-		}
-		if ex.Op == token.LAND {
-			return func(fr *frame) (Value, error) {
-				l, err := lFn(fr)
-				if err != nil {
-					return Value{}, err
-				}
-				if !l {
-					return BoolVal(false), nil
-				}
-				r, err := rFn(fr)
-				if err != nil {
-					return Value{}, err
-				}
-				return BoolVal(r), nil
-			}, nil
-		}
+		lFn := c.boolExpr(ex.X)
+		rFn := c.boolExpr(ex.Y)
+		short := ex.Op == token.LOR // the left value that decides the result
 		return func(fr *frame) (Value, error) {
 			l, err := lFn(fr)
 			if err != nil {
 				return Value{}, err
 			}
-			if l {
-				return BoolVal(true), nil
+			if l == short {
+				return BoolVal(short), nil
 			}
 			r, err := rFn(fr)
 			if err != nil {
 				return Value{}, err
 			}
 			return BoolVal(r), nil
-		}, nil
+		}
 	}
 
-	lFn, err := c.expr(ex.X)
-	if err != nil {
-		return nil, err
-	}
-	rFn, err := c.expr(ex.Y)
-	if err != nil {
-		return nil, err
-	}
+	lFn := c.expr(ex.X)
+	rFn := c.expr(ex.Y)
 	op := ex.Op
 	return func(fr *frame) (Value, error) {
 		l, err := lFn(fr)
@@ -192,18 +153,12 @@ func (c *compiler) binary(ex *ast.BinaryExpr) (exprFn, error) {
 			return Value{}, err
 		}
 		return Scalar(out), nil
-	}, nil
+	}
 }
 
-func (c *compiler) index(ex *ast.IndexExpr) (exprFn, error) {
-	xFn, err := c.expr(ex.X)
-	if err != nil {
-		return nil, err
-	}
-	iFn, err := c.expr(ex.Index)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) index(ex *ast.IndexExpr) exprFn {
+	xFn := c.expr(ex.X)
+	iFn := c.expr(ex.Index)
 	return func(fr *frame) (Value, error) {
 		x, err := xFn(fr)
 		if err != nil {
@@ -235,17 +190,17 @@ func (c *compiler) index(ex *ast.IndexExpr) (exprFn, error) {
 		default:
 			return Value{}, fmt.Errorf("interp: cannot index a %v", x.Kind)
 		}
-	}, nil
+	}
 }
 
-// call resolves the dispatch target at compile time, in the same order the
-// tree-walker resolves it at runtime: stdlib package, ctx parameter,
-// iterator parameter, record receiver, then plain builtin.
-func (c *compiler) call(call *ast.CallExpr) (exprFn, error) {
+// call resolves the dispatch target at compile time: stdlib package, ctx
+// parameter, iterator parameter, record receiver, then user-defined helper,
+// then plain builtin.
+func (c *compiler) call(call *ast.CallExpr) exprFn {
 	if recv, method, ok := lang.MethodOn(call); ok {
 		switch {
 		case recv == "strings" || recv == "strconv" || recv == "math":
-			return c.builtin(recv+"."+method, call)
+			return c.builtin(recv+"."+method, call.Args)
 		case recv == c.ctxName:
 			return c.ctxCall(method, call.Args)
 		case recv == c.iterName:
@@ -254,55 +209,99 @@ func (c *compiler) call(call *ast.CallExpr) (exprFn, error) {
 			return c.accessor(recv, method, call.Args)
 		}
 	}
-	name, ok := lang.CallName(call)
-	if !ok {
-		return nil, errUncompilable
+	name, _ := lang.CallName(call)
+	if callee, ok := c.funcs[name]; ok && !lang.IsWellKnown(name) {
+		return c.helperCall(callee, call.Args)
 	}
-	return c.builtin(name, call)
+	return c.builtin(name, call.Args)
 }
 
-func (c *compiler) builtin(name string, call *ast.CallExpr) (exprFn, error) {
+// args compiles a call's argument list into one closure that evaluates the
+// arguments left to right onto the executor's argument stack and returns
+// where they start; the caller reads ex.stack[base:] and pops back to base.
+// The stack — not a buffer owned by the call site — is what keeps a call
+// allocation-free and re-entrant: in f(a, f(b, c)) the inner call runs
+// between the outer call's first and second push.
+func (c *compiler) args(es []ast.Expr) func(*frame) (base int, err error) {
+	fns := make([]exprFn, len(es))
+	for i, e := range es {
+		fns[i] = c.expr(e)
+	}
+	return func(fr *frame) (int, error) {
+		ex := fr.ex
+		base := len(ex.stack)
+		for _, f := range fns {
+			v, err := f(fr)
+			if err != nil {
+				return base, err
+			}
+			ex.stack = append(ex.stack, v)
+		}
+		return base, nil
+	}
+}
+
+func (c *compiler) builtin(name string, args []ast.Expr) exprFn {
 	// make(map[K]V) is special: its argument is a type, not a value.
 	if name == "make" {
-		if len(call.Args) != 1 {
-			return nil, errUncompilable // walker reproduces the runtime error
+		if len(args) != 1 {
+			return errExpr(fmt.Errorf("interp: make takes exactly one type argument"))
 		}
-		if _, ok := call.Args[0].(*ast.MapType); !ok {
-			return nil, errUncompilable
+		if _, ok := args[0].(*ast.MapType); !ok {
+			return errExpr(fmt.Errorf("interp: make supports only map types"))
 		}
-		return func(*frame) (Value, error) { return NewMapVal(), nil }, nil
+		return func(*frame) (Value, error) { return NewMapVal(), nil }
 	}
 	impl, ok := builtins[name]
 	if !ok {
-		return nil, errUncompilable // walker reports the unknown function
-	}
-	argFns, err := c.exprs(call.Args)
-	if err != nil {
-		return nil, err
-	}
-	return func(fr *frame) (Value, error) {
-		args := make([]Value, len(argFns))
-		for i, f := range argFns {
-			v, err := f(fr)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
+		// Reported after the arguments have been evaluated, like any other
+		// failure of the callee.
+		impl = func([]Value) (Value, error) {
+			return Value{}, fmt.Errorf("interp: unknown function %q", name)
 		}
-		return impl(args)
-	}, nil
+	}
+	argsFn := c.args(args)
+	return func(fr *frame) (Value, error) {
+		base, err := argsFn(fr)
+		if err != nil {
+			return Value{}, err
+		}
+		ex := fr.ex
+		v, err := impl(ex.stack[base:])
+		ex.stack = ex.stack[:base]
+		return v, err
+	}
 }
 
-func (c *compiler) exprs(es []ast.Expr) ([]exprFn, error) {
-	out := make([]exprFn, len(es))
-	for i, e := range es {
-		f, err := c.expr(e)
+// helperCall compiles a call of a user-defined helper: the arguments move
+// from the argument stack into the parameter slots of the frame one below
+// the caller's, and the callee's body runs there. The validator has checked
+// the argument count against the callee's parameters.
+func (c *compiler) helperCall(callee *compiledFunc, args []ast.Expr) exprFn {
+	argsFn := c.args(args)
+	return func(fr *frame) (Value, error) {
+		base, err := argsFn(fr)
 		if err != nil {
-			return nil, err
+			return Value{}, err
 		}
-		out[i] = f
+		if fr.depth >= maxCallDepth {
+			return Value{}, fmt.Errorf("interp: call depth exceeded %d in %s (runaway recursion?)", maxCallDepth, callee.name)
+		}
+		ex := fr.ex
+		hf := ex.enter(fr.depth+1, callee, fr.ctx)
+		for i, slot := range callee.params {
+			hf.bind(slot, ex.stack[base+i])
+		}
+		ex.stack = ex.stack[:base]
+		ct, err := callee.body(hf)
+		if err != nil {
+			return Value{}, err
+		}
+		if ct != ctrlReturn {
+			return Value{}, fmt.Errorf("interp: helper %s fell off the end without returning", callee.name)
+		}
+		return hf.ret, nil
 	}
-	return out, nil
 }
 
 // constString returns the compile-time value of a string literal argument,
@@ -346,11 +345,8 @@ func (m *fieldMemo) index(rec *serde.Record, field string) int {
 // accessor compiles recv.Method(field) where recv must hold a record at
 // runtime. Known accessors with a constant field name get the fast path:
 // precomputed kind expectation plus memoized field index.
-func (c *compiler) accessor(recv, method string, args []ast.Expr) (exprFn, error) {
-	recvFn, err := c.identExpr(recv)
-	if err != nil {
-		return nil, err
-	}
+func (c *compiler) accessor(recv, method string, args []ast.Expr) exprFn {
+	recvFn := c.identExpr(recv)
 	readRec := func(fr *frame) (*serde.Record, error) {
 		v, err := recvFn(fr)
 		if err != nil || v.Kind != ValRecord {
@@ -364,14 +360,12 @@ func (c *compiler) accessor(recv, method string, args []ast.Expr) (exprFn, error
 	}
 
 	// Slow path: wrong arity or a method name that is not a record accessor
-	// (the validator admits ctx/iter method names here; the walker reports
-	// them at runtime). Defer entirely to the shared kernel, in walker
+	// (the validator admits ctx/iter method names here; they are reported
+	// when the call executes). Defer entirely to the recordAccess kernel, in
 	// order: receiver check, arity check, argument evaluation, kernel.
 	var fieldFn exprFn
 	if len(args) == 1 {
-		if fieldFn, err = c.expr(args[0]); err != nil {
-			return nil, err
-		}
+		fieldFn = c.expr(args[0])
 	}
 	return func(fr *frame) (Value, error) {
 		rec, err := readRec(fr)
@@ -390,7 +384,7 @@ func (c *compiler) accessor(recv, method string, args []ast.Expr) (exprFn, error
 			return Value{}, err
 		}
 		return recordAccess(rec, method, field)
-	}, nil
+	}
 }
 
 // compileFieldRead lowers the field-argument handling shared by record
@@ -398,7 +392,7 @@ func (c *compiler) accessor(recv, method string, args []ast.Expr) (exprFn, error
 // at compile time, a dynamic one is evaluated per call, and both resolve
 // through one memoized schema index. getRec supplies the record (receiver
 // variable or current iterator value) and carries that path's own checks.
-func (c *compiler) compileFieldRead(getRec func(*frame) (*serde.Record, error), acc string, arg ast.Expr) (exprFn, error) {
+func (c *compiler) compileFieldRead(getRec func(*frame) (*serde.Record, error), acc string, arg ast.Expr) exprFn {
 	want, _ := accessorKind(acc)
 	isHas := acc == "Has"
 	memo := &fieldMemo{}
@@ -409,12 +403,9 @@ func (c *compiler) compileFieldRead(getRec func(*frame) (*serde.Record, error), 
 				return Value{}, err
 			}
 			return accessField(rec, memo, acc, field, want, isHas)
-		}, nil
+		}
 	}
-	fieldFn, err := c.expr(arg)
-	if err != nil {
-		return nil, err
-	}
+	fieldFn := c.expr(arg)
 	return func(fr *frame) (Value, error) {
 		rec, err := getRec(fr)
 		if err != nil {
@@ -429,7 +420,7 @@ func (c *compiler) compileFieldRead(getRec func(*frame) (*serde.Record, error), 
 			return Value{}, err
 		}
 		return accessField(rec, memo, acc, field, want, isHas)
-	}, nil
+	}
 }
 
 // accessField is the fast-path record field read shared by record-accessor
@@ -449,20 +440,14 @@ func accessField(rec *serde.Record, memo *fieldMemo, method, field string, want 
 	return Scalar(d), nil
 }
 
-func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
+func (c *compiler) ctxCall(method string, args []ast.Expr) exprFn {
 	switch method {
 	case "Emit":
 		if len(args) != 2 {
-			return errExpr(fmt.Errorf("interp: Emit takes (key, value)")), nil
+			return errExpr(fmt.Errorf("interp: Emit takes (key, value)"))
 		}
-		kFn, err := c.expr(args[0])
-		if err != nil {
-			return nil, err
-		}
-		vFn, err := c.expr(args[1])
-		if err != nil {
-			return nil, err
-		}
+		kFn := c.expr(args[0])
+		vFn := c.expr(args[1])
 		return func(fr *frame) (Value, error) {
 			kv, err := kFn(fr)
 			if err != nil {
@@ -484,21 +469,18 @@ func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
 				return Value{}, fmt.Errorf("interp: context has no emitter")
 			}
 			return Value{}, fr.ctx.Emit(kd, ev)
-		}, nil
+		}
 	case "ConfInt", "ConfFloat", "ConfStr":
 		if len(args) != 1 {
-			return errExpr(fmt.Errorf("interp: %s takes one parameter name", method)), nil
+			return errExpr(fmt.Errorf("interp: %s takes one parameter name", method))
 		}
 		want := confKind(method)
 		if name, ok := constString(args[0]); ok {
 			return func(fr *frame) (Value, error) {
 				return confLookup(fr.ctx, name, method, want)
-			}, nil
+			}
 		}
-		nameFn, err := c.expr(args[0])
-		if err != nil {
-			return nil, err
-		}
+		nameFn := c.expr(args[0])
 		return func(fr *frame) (Value, error) {
 			nv, err := nameFn(fr)
 			if err != nil {
@@ -509,15 +491,12 @@ func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
 				return Value{}, err
 			}
 			return confLookup(fr.ctx, name, method, want)
-		}, nil
+		}
 	case "Log":
 		if len(args) != 1 {
-			return errExpr(fmt.Errorf("interp: Log takes one message")), nil
+			return errExpr(fmt.Errorf("interp: Log takes one message"))
 		}
-		msgFn, err := c.expr(args[0])
-		if err != nil {
-			return nil, err
-		}
+		msgFn := c.expr(args[0])
 		return func(fr *frame) (Value, error) {
 			mv, err := msgFn(fr)
 			if err != nil {
@@ -527,10 +506,10 @@ func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
 				fr.ctx.Log(mv.D.String())
 			}
 			return Value{}, nil
-		}, nil
+		}
 	case "Counter":
 		if len(args) != 1 {
-			return errExpr(fmt.Errorf("interp: Counter takes one name")), nil
+			return errExpr(fmt.Errorf("interp: Counter takes one name"))
 		}
 		if name, ok := constString(args[0]); ok {
 			return func(fr *frame) (Value, error) {
@@ -538,12 +517,9 @@ func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
 					fr.ctx.Counter(name, 1)
 				}
 				return Value{}, nil
-			}, nil
+			}
 		}
-		nameFn, err := c.expr(args[0])
-		if err != nil {
-			return nil, err
-		}
+		nameFn := c.expr(args[0])
 		return func(fr *frame) (Value, error) {
 			nv, err := nameFn(fr)
 			if err != nil {
@@ -557,21 +533,21 @@ func (c *compiler) ctxCall(method string, args []ast.Expr) (exprFn, error) {
 				fr.ctx.Counter(name, 1)
 			}
 			return Value{}, nil
-		}, nil
+		}
 	default:
-		return errExpr(fmt.Errorf("interp: unknown ctx method %q", method)), nil
+		return errExpr(fmt.Errorf("interp: unknown ctx method %q", method))
 	}
 }
 
-func (c *compiler) iterCall(method string, args []ast.Expr) (exprFn, error) {
+func (c *compiler) iterCall(method string, args []ast.Expr) exprFn {
 	switch method {
 	case "Next":
-		return func(fr *frame) (Value, error) { return fr.iterNext(), nil }, nil
+		return func(fr *frame) (Value, error) { return fr.iterNext(), nil }
 	case "Int", "Float", "Str":
 		want := scalarKind(method)
 		return func(fr *frame) (Value, error) {
 			return fr.iterScalar(method, want)
-		}, nil
+		}
 	case "FieldInt", "FieldFloat", "FieldStr", "HasField":
 		acc := iterFieldAccessor(method)
 		if len(args) == 1 {
@@ -583,14 +559,8 @@ func (c *compiler) iterCall(method string, args []ast.Expr) (exprFn, error) {
 				return Value{}, err
 			}
 			return Value{}, fmt.Errorf("interp: %s takes exactly one field name", acc)
-		}, nil
+		}
 	default:
-		return errExpr(fmt.Errorf("interp: unknown iterator method %q", method)), nil
+		return errExpr(fmt.Errorf("interp: unknown iterator method %q", method))
 	}
-}
-
-// errExpr compiles an expression whose evaluation always fails with err
-// (used where the walker reports a shape error at runtime).
-func errExpr(err error) exprFn {
-	return func(*frame) (Value, error) { return Value{}, err }
 }

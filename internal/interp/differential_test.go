@@ -3,6 +3,8 @@ package interp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"manimal/internal/lang"
@@ -11,10 +13,11 @@ import (
 )
 
 // The differential test is the paper's "no change to program output"
-// invariant applied to our own optimization: for every benchmark program,
-// the compiled-closure executor and the reference tree-walking executor
-// must produce identical emitted key/value streams, user counters, and log
-// lines on the same generated input — through Map, Reduce, and Combine.
+// invariant applied to the interpreter itself: for every benchmark program
+// and every construct the language admits, the compiled-closure executor
+// and the reference tree-walker (walker_test.go) must produce identical
+// emitted key/value streams, user counters, log lines and error texts on
+// the same generated input — through Map, Reduce, and Combine.
 
 // diffCase is one program under differential test.
 type diffCase struct {
@@ -22,6 +25,33 @@ type diffCase struct {
 	source     string
 	schemaText string
 	conf       map[string]serde.Datum
+	// wantErr, when set, must appear in at least one invocation's error
+	// (from both engines: the error texts are compared like everything
+	// else); when empty no invocation may fail.
+	wantErr string
+}
+
+// errCase builds a program whose Map emits, then — for about half of the
+// generated records — executes one statement the language admits but the
+// runtime cannot carry out, then emits again. The emissions on either side
+// pin the error to the execution of that statement: a failure at New, or
+// at entry to Map, would lose the first emission of every record and the
+// second emission of the records that skip the statement.
+func errCase(name, decls, bad, wantErr string) diffCase {
+	return diffCase{
+		name: "error-" + name,
+		source: decls + `
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(v.Str("url"), 1)
+	if v.Int("rank") > 1500 {
+		` + bad + `
+	}
+	ctx.Emit(v.Str("url"), 2)
+}
+`,
+		schemaText: "url:string,rank:int64,content:string",
+		wantErr:    wantErr,
+	}
 }
 
 func diffCases() []diffCase {
@@ -30,21 +60,21 @@ func diffCases() []diffCase {
 		"userAgent:string,countryCode:string,languageCode:string,searchWord:string,duration:int64"
 	threshold := map[string]serde.Datum{"threshold": serde.Int(1000)}
 	return []diffCase{
-		{"benchmark1-selection", programs.Benchmark1Selection, "tuple:string", threshold},
-		{"benchmark2-aggregation", programs.Benchmark2Aggregation, userVisits, nil},
-		{"benchmark3-join-uservisits", programs.Benchmark3JoinUserVisits, userVisits,
-			map[string]serde.Datum{"dateLo": serde.Int(300), "dateHi": serde.Int(1500)}},
-		{"benchmark3-join-rankings", programs.Benchmark3JoinRankings,
-			"pageURL:string,pageRank:int64,avgDuration:int64", nil},
-		{"benchmark4-udf-aggregation", programs.Benchmark4UDFAggregation, "content:string", nil},
-		{"selection-query", programs.SelectionQuery, webPages, threshold},
-		{"projection-query", programs.ProjectionQuery, webPages, threshold},
-		{"delta-query", programs.DeltaQuery, userVisits, nil},
-		{"compression-query", programs.CompressionQuery, userVisits, nil},
+		{name: "benchmark1-selection", source: programs.Benchmark1Selection, schemaText: "tuple:string", conf: threshold},
+		{name: "benchmark2-aggregation", source: programs.Benchmark2Aggregation, schemaText: userVisits},
+		{name: "benchmark3-join-uservisits", source: programs.Benchmark3JoinUserVisits, schemaText: userVisits,
+			conf: map[string]serde.Datum{"dateLo": serde.Int(300), "dateHi": serde.Int(1500)}},
+		{name: "benchmark3-join-rankings", source: programs.Benchmark3JoinRankings,
+			schemaText: "pageURL:string,pageRank:int64,avgDuration:int64"},
+		{name: "benchmark4-udf-aggregation", source: programs.Benchmark4UDFAggregation, schemaText: "content:string"},
+		{name: "selection-query", source: programs.SelectionQuery, schemaText: webPages, conf: threshold},
+		{name: "projection-query", source: programs.ProjectionQuery, schemaText: webPages, conf: threshold},
+		{name: "delta-query", source: programs.DeltaQuery, schemaText: userVisits},
+		{name: "compression-query", source: programs.CompressionQuery, schemaText: userVisits},
 		// Non-constant accessor field names are legal (lang.IsRecordAccessor
 		// documents them defeating projection); the compiled fast path must
 		// not confuse one dynamic field with another at the same call site.
-		{"dynamic-fields", `
+		{name: "dynamic-fields", source: `
 func Map(k, v *Record, ctx *Ctx) {
 	for _, f := range strings.Split("url,content,rank", ",") {
 		if v.Has(f) {
@@ -66,11 +96,11 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 		}
 	}
 }
-`, webPages, nil},
+`, schemaText: webPages},
 		// A synthetic program covering constructs the paper benchmarks do
 		// not reach: member variables, ++/--, op-assign, maps with two-value
 		// lookup, ranges, min/max, math/strconv builtins, counters, logging.
-		{"kitchen-sink", `
+		{name: "kitchen-sink", source: `
 var calls int
 
 func Map(k, v *Record, ctx *Ctx) {
@@ -113,7 +143,196 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 		ctx.Emit(key, 0-sum)
 	}
 }
-`, webPages, nil},
+`, schemaText: webPages, wantErr: "current value is float64, values.Int wants int64"},
+
+		// Helpers. A pure guard over a *Record parameter that itself calls a
+		// helper, a blank parameter, and helpers used from all three stages.
+		{name: "helper-guard", source: `
+func above(x int64, t int64) bool {
+	return x > t
+}
+
+func hot(r *Record, _ string, t int64) bool {
+	return above(r.Int("rank"), t) && strings.HasPrefix(r.Str("url"), "http")
+}
+
+func clamp(x int64) int64 {
+	if x > 2500 {
+		return 2500
+	}
+	return x
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	if hot(v, "unused", ctx.ConfInt("threshold")) {
+		ctx.Emit(v.Str("url"), clamp(v.Int("rank")))
+	}
+}
+
+func Combine(key Datum, values *Iter, ctx *Ctx) {
+	best := 0
+	for values.Next() {
+		best = max(best, clamp(values.Int()))
+	}
+	ctx.Emit(key, best)
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	n := 0
+	for values.Next() {
+		if above(values.Int(), 2000) {
+			n++
+		}
+	}
+	ctx.Emit(key, clamp(n))
+}
+`, schemaText: webPages, conf: threshold},
+		// A helper that writes a package-level variable another helper (and
+		// Map) reads: member-variable state lives in the executor, not the
+		// frame, and survives across helper calls and across invocations.
+		{name: "helper-global-write", source: `
+var seen int
+var last string
+
+func note(url string) int {
+	seen++
+	last = url
+	return seen
+}
+
+func previous() string {
+	return last
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	prev := previous()
+	n := note(v.Str("url"))
+	ctx.Emit(prev, n)
+	if n%7 == 0 {
+		ctx.Emit(last, seen)
+	}
+}
+`, schemaText: webPages},
+		// Recursion: direct, mutual, declared after use, and a call nested in
+		// the argument list of a call to the same function — the inner
+		// activation reuses the frame depth the outer one is about to take.
+		{name: "helper-recursion", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	n := v.Int("rank") % 12
+	ctx.Emit(fib(n), add3(n, add3(1, n, add3(n, n, n)), 2))
+	if even(n) {
+		ctx.Emit(v.Str("url"), strings.ToUpper(v.Str("url")))
+	}
+}
+
+func fib(n int64) int64 {
+	if n < 2 {
+		return n
+	}
+	return fib(n-1) + fib(n-2)
+}
+
+func add3(a int64, b int64, c int64) int64 {
+	return a + b*10 + c*100
+}
+
+func even(n int64) bool {
+	if n == 0 {
+		return true
+	}
+	return odd(n - 1)
+}
+
+func odd(n int64) bool {
+	if n == 0 {
+		return false
+	}
+	return even(n - 1)
+}
+`, schemaText: webPages},
+		// Runaway recursion stops at maxCallDepth instead of the Go stack's end.
+		{name: "helper-runaway-recursion", source: `
+func down(n int64) int64 {
+	if n < 0 {
+		return n
+	}
+	return down(n + 1)
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(k, 0)
+	ctx.Emit(k, down(v.Int("rank")-1500))
+}
+`, schemaText: webPages, wantErr: "call depth exceeded 64 in down"},
+		// A helper that falls off its end — by running out of statements, or
+		// by a stray break — is an error of the call, not of New.
+		{name: "helper-falls-off", source: `
+func sign(x int64) int64 {
+	if x > 2000 {
+		return 1
+	}
+	if x < 1000 {
+		break
+	}
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(k, 0)
+	ctx.Emit(k, sign(v.Int("rank")))
+}
+`, schemaText: webPages, wantErr: "helper sign fell off the end without returning"},
+		// Stage-function-only receivers do not exist inside a helper.
+		{name: "helper-no-ctx", source: `
+func leak(ctx *Record) bool {
+	return ctx.ConfInt("rank") > 0
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(k, leak(v))
+}
+`, schemaText: webPages, wantErr: "unknown record accessor"},
+
+		// Constructs the language admits and the runtime cannot carry out:
+		// each fails when — and only when — the statement executes.
+		// A parameter named after a stdlib package: the validator sees a
+		// method on a parameter, the runtime a function that does not exist —
+		// reported after its arguments have been evaluated.
+		{name: "error-unknown-function", source: `
+var evals int
+
+func count(s string) string {
+	evals++
+	return s
+}
+
+func Map(strings, v *Record, ctx *Ctx) {
+	ctx.Emit(evals, 1)
+	if v.Int("rank") > 1500 {
+		ctx.Emit(v.Str("url"), strings.Has(count("url")))
+	}
+	ctx.Emit(evals, 2)
+}
+`, schemaText: webPages, wantErr: `unknown function "strings.Has"`},
+		errCase("make-non-map", "", `m := make([]int)
+		ctx.Emit(k, m)`, "make supports only map types"),
+		errCase("zero-value", "", `var a, b []string
+		ctx.Emit(a, b)`, "unsupported var type"),
+		errCase("range-global", "var g int", `for g = range strings.Fields(v.Str("content")) {
+			ctx.Emit(k, g)
+		}`, `cannot bind "g" as a local variable`),
+		errCase("two-value-call", "", `a, b := strings.Fields(v.Str("content"))
+		ctx.Emit(a, b)`, "two-value assignment requires a map index"),
+		errCase("incdec-map-element", "", `m := make(map[string]int)
+		m["a"]++`, "++/-- target must be a variable"),
+		errCase("literal-range", "", `ctx.Emit(k, 99999999999999999999)`, "value out of range"),
+		errCase("type-as-value", "", `x := map[string]int
+		ctx.Emit(k, x)`, "unsupported expression *ast.MapType"),
+		errCase("undefined-variable", "", `ctx.Emit(k, nowhere)`, `undefined variable "nowhere"`),
+		errCase("ctx-method-unknown", "", `ctx.Emit(k, ctx.Int("rank"))`, `unknown ctx method "Int"`),
+		errCase("ctx-method-arity", "", `ctx.Emit(k)`, "Emit takes (key, value)"),
+		errCase("accessor-unknown", "", `ctx.Emit(k, v.Next("rank"))`, `unknown record accessor "Next"`),
+		errCase("accessor-arity", "", `ctx.Emit(k, v.Int("rank", "url"))`, "Int takes exactly one field name"),
+		errCase("receiver-not-record", "", `ctx.Emit(k, k.Int("rank"))`, `"k" is not a record, ctx, or iterator`),
 	}
 }
 
@@ -246,18 +465,14 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 			if err != nil {
 				t.Fatalf("new compiled: %v", err)
 			}
-			walkEx, err := NewTreeWalker(prog)
+			walkEx, err := newTreeWalker(prog)
 			if err != nil {
 				t.Fatalf("new walker: %v", err)
 			}
-			// The invariant is only meaningful if the compiled path is
-			// actually active: no program construct may silently fall back.
+			// Every function — stage functions and helpers — is compiled.
 			for name := range prog.Funcs {
 				if !compiledEx.Compiled(name) {
-					t.Fatalf("function %s fell back to the tree-walker", name)
-				}
-				if walkEx.Compiled(name) {
-					t.Fatalf("NewTreeWalker compiled %s", name)
+					t.Fatalf("function %s was not compiled", name)
 				}
 			}
 
@@ -275,6 +490,7 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 				}
 			}
 			compareCaptures(t, "map", mapC, mapW)
+			allErrs := mapC.errs
 
 			// Reduce and Combine phases over the walker's (verified
 			// identical) map output, grouped by key in first-seen order.
@@ -286,7 +502,7 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 				var redC, redW capture
 				rctxC, rctxW := redC.context(tc.conf), redW.context(tc.conf)
 				for _, key := range order {
-					invoke := func(ex *Executor, ctx *Context, cap *capture) {
+					invoke := func(ex stageInvoker, ctx *Context, cap *capture) {
 						it := &sliceIter{vals: groups[key].vals}
 						var err error
 						if fn == lang.ReduceFuncName {
@@ -302,9 +518,23 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 					invoke(walkEx, rctxW, &redW)
 				}
 				compareCaptures(t, fn, redC, redW)
+				allErrs = append(allErrs, redC.errs...)
+			}
+			if tc.wantErr == "" && len(allErrs) > 0 {
+				t.Fatalf("unexpected error: %s", allErrs[0])
+			}
+			if tc.wantErr != "" && !slices.ContainsFunc(allErrs, func(e string) bool { return strings.Contains(e, tc.wantErr) }) {
+				t.Fatalf("no invocation failed with %q; errors: %v", tc.wantErr, allErrs)
 			}
 		})
 	}
+}
+
+// stageInvoker is what the Executor and the tree-walker have in common.
+type stageInvoker interface {
+	InvokeMap(k serde.Datum, v *serde.Record, ctx *Context) error
+	InvokeReduce(key serde.Datum, values ValueIter, ctx *Context) error
+	InvokeCombine(key serde.Datum, values ValueIter, ctx *Context) error
 }
 
 type keyGroup struct {

@@ -2,202 +2,16 @@ package interp
 
 import (
 	"fmt"
-	"go/ast"
-	"go/token"
 	"math"
 	"strconv"
 	"strings"
 
-	"manimal/internal/lang"
-	"manimal/internal/predicate"
 	"manimal/internal/serde"
 )
 
-func (fr *frame) eval(e ast.Expr) (Value, error) {
-	switch ex := e.(type) {
-	case *ast.BasicLit:
-		return litValue(ex)
-	case *ast.Ident:
-		switch ex.Name {
-		case "true":
-			return BoolVal(true), nil
-		case "false":
-			return BoolVal(false), nil
-		}
-		v, err := fr.lookup(ex.Name)
-		if err != nil {
-			return Value{}, err
-		}
-		return *v, nil
-	case *ast.ParenExpr:
-		return fr.eval(ex.X)
-	case *ast.UnaryExpr:
-		return fr.evalUnary(ex)
-	case *ast.BinaryExpr:
-		return fr.evalBinary(ex)
-	case *ast.IndexExpr:
-		return fr.evalIndex(ex)
-	case *ast.CallExpr:
-		return fr.evalCall(ex)
-	default:
-		return Value{}, fmt.Errorf("interp: unsupported expression %T", e)
-	}
-}
-
-func (fr *frame) evalUnary(ex *ast.UnaryExpr) (Value, error) {
-	x, err := fr.eval(ex.X)
-	if err != nil {
-		return Value{}, err
-	}
-	d, err := x.scalar()
-	if err != nil {
-		return Value{}, err
-	}
-	switch ex.Op {
-	case token.NOT:
-		if d.Kind != serde.KindBool {
-			return Value{}, fmt.Errorf("interp: ! of %v", d.Kind)
-		}
-		return BoolVal(!d.Bool), nil
-	case token.SUB:
-		switch d.Kind {
-		case serde.KindInt64:
-			return IntVal(-d.I), nil
-		case serde.KindFloat64:
-			return FloatVal(-d.F), nil
-		}
-		return Value{}, fmt.Errorf("interp: - of %v", d.Kind)
-	case token.ADD:
-		return x, nil
-	default:
-		return Value{}, fmt.Errorf("interp: unsupported unary %s", ex.Op)
-	}
-}
-
-func (fr *frame) evalBinary(ex *ast.BinaryExpr) (Value, error) {
-	// Short-circuit logical operators.
-	if ex.Op == token.LAND || ex.Op == token.LOR {
-		l, err := fr.evalBool(ex.X)
-		if err != nil {
-			return Value{}, err
-		}
-		if ex.Op == token.LAND && !l {
-			return BoolVal(false), nil
-		}
-		if ex.Op == token.LOR && l {
-			return BoolVal(true), nil
-		}
-		r, err := fr.evalBool(ex.Y)
-		if err != nil {
-			return Value{}, err
-		}
-		return BoolVal(r), nil
-	}
-	l, err := fr.eval(ex.X)
-	if err != nil {
-		return Value{}, err
-	}
-	r, err := fr.eval(ex.Y)
-	if err != nil {
-		return Value{}, err
-	}
-	ld, err := l.scalar()
-	if err != nil {
-		return Value{}, err
-	}
-	rd, err := r.scalar()
-	if err != nil {
-		return Value{}, err
-	}
-	out, err := predicate.EvalBinary(ex.Op, ld, rd)
-	if err != nil {
-		return Value{}, err
-	}
-	return Scalar(out), nil
-}
-
-func (fr *frame) evalIndex(ex *ast.IndexExpr) (Value, error) {
-	x, err := fr.eval(ex.X)
-	if err != nil {
-		return Value{}, err
-	}
-	i, err := fr.eval(ex.Index)
-	if err != nil {
-		return Value{}, err
-	}
-	switch x.Kind {
-	case ValList:
-		idx, err := i.integer()
-		if err != nil {
-			return Value{}, err
-		}
-		if idx < 0 || idx >= int64(len(x.List)) {
-			return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(x.List))
-		}
-		return Scalar(x.List[idx]), nil
-	case ValMap:
-		kd, err := i.scalar()
-		if err != nil {
-			return Value{}, err
-		}
-		if d, ok := x.M[mapKey(kd)]; ok {
-			return Scalar(d), nil
-		}
-		return BoolVal(false), nil // zero value for absent keys
-	default:
-		return Value{}, fmt.Errorf("interp: cannot index a %v", x.Kind)
-	}
-}
-
-func (fr *frame) evalCall(c *ast.CallExpr) (Value, error) {
-	// Method calls on parameters: record accessors, ctx methods, iterator.
-	if recv, method, ok := lang.MethodOn(c); ok {
-		switch {
-		case recv == "strings" || recv == "strconv" || recv == "math":
-			return fr.evalBuiltin(recv+"."+method, c)
-		case recv == fr.ctxParam:
-			return fr.evalCtxCall(method, c.Args)
-		case recv == fr.iterParam:
-			return fr.evalIterCall(method, c.Args)
-		default:
-			if v, err := fr.lookup(recv); err == nil && v.Kind == ValRecord {
-				return evalAccessor(v.Rec, method, fr, c.Args)
-			}
-			return Value{}, fmt.Errorf("interp: %q is not a record, ctx, or iterator", recv)
-		}
-	}
-	name, _ := lang.CallName(c)
-	if helper, ok := fr.ex.prog.Funcs[name]; ok && !lang.IsWellKnown(name) {
-		args := make([]Value, len(c.Args))
-		for i, a := range c.Args {
-			v, err := fr.eval(a)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
-		}
-		return fr.callHelper(helper, args)
-	}
-	return fr.evalBuiltin(name, c)
-}
-
-func evalAccessor(rec *serde.Record, method string, fr *frame, args []ast.Expr) (Value, error) {
-	if len(args) != 1 {
-		return Value{}, fmt.Errorf("interp: %s takes exactly one field name", method)
-	}
-	fv, err := fr.eval(args[0])
-	if err != nil {
-		return Value{}, err
-	}
-	field, err := fv.str()
-	if err != nil {
-		return Value{}, err
-	}
-	return recordAccess(rec, method, field)
-}
-
-// recordAccess is the record-accessor kernel shared by the tree-walker and
-// the compiled closures: read field from rec per accessor method semantics.
+// recordAccess is the record-accessor kernel: read field from rec per
+// accessor method semantics. Call sites with a known accessor and a single
+// argument take the memoized fast path (accessField) instead.
 func recordAccess(rec *serde.Record, method, field string) (Value, error) {
 	d, ok := rec.Lookup(field)
 	if method == "Has" {
@@ -235,96 +49,7 @@ func accessorKind(method string) (serde.Kind, bool) {
 	}
 }
 
-func (fr *frame) evalCtxCall(method string, args []ast.Expr) (Value, error) {
-	switch method {
-	case "Emit":
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("interp: Emit takes (key, value)")
-		}
-		kv, err := fr.eval(args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		kd, err := kv.scalar()
-		if err != nil {
-			return Value{}, fmt.Errorf("interp: emit key: %w", err)
-		}
-		vv, err := fr.eval(args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		ev, err := FromValue(vv)
-		if err != nil {
-			return Value{}, err
-		}
-		if fr.ctx.Emit == nil {
-			return Value{}, fmt.Errorf("interp: context has no emitter")
-		}
-		return Value{}, fr.ctx.Emit(kd, ev)
-	case "ConfInt", "ConfFloat", "ConfStr":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("interp: %s takes one parameter name", method)
-		}
-		nv, err := fr.eval(args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		name, err := nv.str()
-		if err != nil {
-			return Value{}, err
-		}
-		return confLookup(fr.ctx, name, method, confKind(method))
-	case "Log":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("interp: Log takes one message")
-		}
-		mv, err := fr.eval(args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		if fr.ctx.Log != nil {
-			fr.ctx.Log(mv.D.String())
-		}
-		return Value{}, nil
-	case "Counter":
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("interp: Counter takes one name")
-		}
-		nv, err := fr.eval(args[0])
-		if err != nil {
-			return Value{}, err
-		}
-		name, err := nv.str()
-		if err != nil {
-			return Value{}, err
-		}
-		if fr.ctx.Counter != nil {
-			fr.ctx.Counter(name, 1)
-		}
-		return Value{}, nil
-	default:
-		return Value{}, fmt.Errorf("interp: unknown ctx method %q", method)
-	}
-}
-
-func (fr *frame) evalIterCall(method string, args []ast.Expr) (Value, error) {
-	switch method {
-	case "Next":
-		return fr.iterNext(), nil
-	case "Int", "Float", "Str":
-		return fr.iterScalar(method, scalarKind(method))
-	case "FieldInt", "FieldFloat", "FieldStr", "HasField":
-		rec, err := fr.iterRecord(method)
-		if err != nil {
-			return Value{}, err
-		}
-		return evalAccessor(rec, iterFieldAccessor(method), fr, args)
-	default:
-		return Value{}, fmt.Errorf("interp: unknown iterator method %q", method)
-	}
-}
-
-// Iterator kernels shared by the tree-walker and the compiled closures.
+// Iterator kernels.
 
 // iterNext advances the reduce value iterator.
 func (fr *frame) iterNext() Value {
@@ -406,40 +131,13 @@ func scalarKind(method string) serde.Kind {
 	}
 }
 
-// evalBuiltin implements the whitelisted standard functions. The set of
-// names in the builtins table is asserted (by test) to cover exactly
-// lang.PureFuncs ∪ lang.ImpureFuncs, so the analyzer's purity knowledge and
-// the runtime agree.
-func (fr *frame) evalBuiltin(name string, c *ast.CallExpr) (Value, error) {
-	// make(map[K]V) is special: its argument is a type, not a value.
-	if name == "make" {
-		if len(c.Args) != 1 {
-			return Value{}, fmt.Errorf("interp: make takes exactly one type argument")
-		}
-		if _, ok := c.Args[0].(*ast.MapType); !ok {
-			return Value{}, fmt.Errorf("interp: make supports only map types")
-		}
-		return NewMapVal(), nil
-	}
-
-	args := make([]Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := fr.eval(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	impl, ok := builtins[name]
-	if !ok {
-		return Value{}, fmt.Errorf("interp: unknown function %q", name)
-	}
-	return impl(args)
-}
-
 // builtinImpl evaluates one whitelisted function over already-evaluated
-// arguments. The tree-walker dispatches into this table by name per call;
-// the closure compiler resolves the function value once at compile time.
+// arguments; the compiler resolves the function value once per call site.
+// args aliases the executor's argument stack and must not be retained.
+// Together with make (whose argument is a type; see compiler.builtin) the
+// builtins table is asserted by test to implement every name in
+// lang.PureFuncs ∪ lang.ImpureFuncs, so the analyzer's purity knowledge
+// and the runtime agree.
 type builtinImpl func(args []Value) (Value, error)
 
 var builtins = buildBuiltins()

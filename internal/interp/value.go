@@ -8,21 +8,24 @@
 //
 // # Execution strategy
 //
-// New lowers each function body once per Executor into a chain of Go
+// There is one interpreter. New lowers every function body — Map, Reduce,
+// Combine and the user's helpers — once per Executor into a chain of Go
 // closures (compile.go, compile_expr.go): identifiers are resolved at
-// compile time to integer frame slots (lang.Function.Slots), and record
+// compile time to integer frame slots (lang.Function.Slots), record
 // accessor / ctx method / builtin calls are dispatched through precomputed
-// function values with memoized schema field indexes. Per-record execution
+// function values with memoized schema field indexes, and helper calls bind
+// their callee's compiled body. Call arguments are evaluated onto an
+// executor-owned argument stack and a helper runs in a reused frame taken
+// from an executor-owned, depth-indexed frame stack. Per-record execution
 // therefore never re-walks the go/ast tree and allocates nothing on the
-// happy path.
+// happy path, helper calls included.
 //
-// Every program construct the closure compiler does not cover falls back —
-// whole function at a time — to the reference AST tree-walker (exec.go,
-// eval.go), which shares the same slot-addressed frame and runtime kernels,
-// so observable behavior (emissions, counters, logs, and error text) is
-// identical on both paths; differential_test.go holds them to that. To
-// force the tree-walker (the compiler's reference) for debugging,
-// construct the executor with NewTreeWalker.
+// The lowering is total over what lang.Parse accepts: constructs the
+// language admits but the runtime cannot carry out become closures that
+// return their error when executed. The semantics are pinned by a
+// test-only AST tree-walker (walker_test.go) that differential_test.go
+// compares the closures against — emissions, counters, logs and error
+// text — and FuzzCompileTotal holds the totality.
 //
 // # Batch entry point
 //

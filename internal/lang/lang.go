@@ -27,9 +27,13 @@
 // Programs may also define HELPER functions — any other top-level func.
 // A helper returns exactly one value, takes only *Record and scalar
 // (Datum, int, int64, float64, string, bool) parameters, and cannot call
-// the stage functions. Helpers run in the tree-walking interpreter with
-// call-depth-bounded recursion; the analyzer summarizes them (package
-// analyzer) so calling one does not hide an optimization.
+// the stage functions. Helpers are compiled and run exactly like the stage
+// functions (package interp), with call-depth-bounded recursion; the
+// analyzer summarizes them (package analyzer) so calling one does not hide
+// an optimization.
+//
+// Package-level variables are scalars (int, int64, float64, string, bool),
+// zero-initialized or initialized by an int, float, string or char literal.
 package lang
 
 import (
@@ -372,6 +376,9 @@ func Parse(source string) (*Program, error) {
 					}
 					if _, dup := p.Globals[g.Name]; dup {
 						return nil, fmt.Errorf("lang: duplicate global %q", g.Name)
+					}
+					if err := p.validateGlobal(g, name.Pos()); err != nil {
+						return nil, err
 					}
 					p.Globals[g.Name] = g
 				}

@@ -174,6 +174,14 @@ func TestValidatorRejects(t *testing.T) {
 		{"bitand", wrap("x := 1 & 2\nctx.Emit(k, x)"), "unsupported binary operator"},
 		{"method-decl", "func (r *Record) Map() {}", "methods are not supported"},
 		{"dup-func", wrap("") + "\n" + wrap(""), "duplicate function"},
+		// Package-level variables are literal-initialized scalars, so every
+		// accepted program can be instantiated by the interpreter.
+		{"global-type", "var seen []string\n" + wrap(""), "unsupported type"},
+		{"global-map", "var seen map[string]bool\n" + wrap(""), "unsupported type"},
+		{"global-expr-init", "var seen = 1 + 2\n" + wrap(""), "must be initialized by a literal"},
+		{"global-neg-init", "var seen = -1\n" + wrap(""), "must be initialized by a literal"},
+		{"global-overflow", "var seen = 99999999999999999999\n" + wrap(""), "out of range"},
+		{"global-imaginary", "const z = 2i\n" + wrap(""), "unsupported literal kind"},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.src)
@@ -215,6 +223,13 @@ func TestValidatorAccepts(t *testing.T) {
 			z := math.Abs(1.5)
 			if float64(0) < z { ctx.Emit(y, z) }
 		}`,
+		// Package-level variables: typed zero values and literal initializers.
+		`var n int
+		var ratio float64 = 0.5
+		var name = "x"
+		var on bool
+		const sep = ','
+		func Map(k, v *Record, ctx *Ctx) { ctx.Emit(name, n) }`,
 		// Declarations with and without initializers.
 		`func Map(k, v *Record, ctx *Ctx) {
 			var a int

@@ -4,7 +4,40 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"strconv"
 )
+
+// validateGlobal enforces the shape of a package-level variable: a scalar
+// that is either declared with its type and zero-initialized, or
+// initialized by a literal whose value is representable. With this, every
+// program Parse accepts can be instantiated by the interpreter.
+func (p *Program) validateGlobal(g *Global, pos token.Pos) error {
+	if g.Init == nil {
+		switch g.Type {
+		case "int", "int64", "float64", "string", "bool":
+			return nil
+		}
+		return fmt.Errorf("lang: %s: package-level variable %q has unsupported type %q (allowed: int, int64, float64, string, bool)", p.Pos(pos), g.Name, g.Type)
+	}
+	lit, ok := g.Init.(*ast.BasicLit)
+	if !ok {
+		return fmt.Errorf("lang: %s: package-level variable %q must be initialized by a literal", p.Pos(pos), g.Name)
+	}
+	var err error
+	switch lit.Kind {
+	case token.INT:
+		_, err = strconv.ParseInt(lit.Value, 0, 64)
+	case token.FLOAT:
+		_, err = strconv.ParseFloat(lit.Value, 64)
+	case token.STRING, token.CHAR:
+	default:
+		err = fmt.Errorf("unsupported literal kind %s", lit.Kind)
+	}
+	if err != nil {
+		return fmt.Errorf("lang: %s: package-level variable %q: %w", p.Pos(pos), g.Name, err)
+	}
+	return nil
+}
 
 // validateFunc enforces the supported statement/expression subset and the
 // no-shadowing rule. Keeping the language small is what makes the analyzer
