@@ -403,7 +403,7 @@ func BenchmarkVectorScan(b *testing.B) {
 	pctile := func(field string, pct int) int64 {
 		vals := make([]int64, len(recs))
 		for i, r := range recs {
-			vals[i] = r.Get(field).I
+			vals[i] = r.Get(field).Int()
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 		return vals[len(vals)*pct/100]
@@ -422,7 +422,7 @@ func BenchmarkVectorScan(b *testing.B) {
 	}
 	want := 0
 	for _, r := range recs {
-		if r.Get("adRevenue").I >= revLo && r.Get("duration").I >= durLo {
+		if r.Get("adRevenue").Int() >= revLo && r.Get("duration").Int() >= durLo {
 			want++
 		}
 	}
@@ -448,7 +448,7 @@ func BenchmarkVectorScan(b *testing.B) {
 				bt.ZeroUndecoded(rec)
 				for _, row := range bt.Sel() {
 					bt.MaterializeDecodedInto(rec, int(row))
-					sum += rec.At(rev).I
+					sum += rec.At(rev).Int()
 					count++
 				}
 			}
@@ -478,8 +478,8 @@ func BenchmarkSelectiveScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	minD := recs[0].Get("visitDate").I
-	maxD := recs[len(recs)-1].Get("visitDate").I
+	minD := recs[0].Get("visitDate").Int()
+	maxD := recs[len(recs)-1].Get("visitDate").Int()
 	lo := minD + (maxD-minD)*495/1000
 	hi := lo + (maxD-minD)/100
 	prog, err := manimal.ParseProgram("selscan", `

@@ -33,8 +33,8 @@ func TestDeltaIntRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("value %d: %v", i, err)
 		}
-		if d.I != want {
-			t.Fatalf("value %d = %d, want %d", i, d.I, want)
+		if d.Int() != want {
+			t.Fatalf("value %d = %d, want %d", i, d.Int(), want)
 		}
 		pos += n
 	}
@@ -62,7 +62,7 @@ func TestDeltaFloatRoundTripQuick(t *testing.T) {
 				return false
 			}
 			// Bit-exact round trip, including NaN payloads.
-			if math.Float64bits(d.F) != math.Float64bits(want) {
+			if math.Float64bits(d.Float()) != math.Float64bits(want) {
 				return false
 			}
 			pos += n
@@ -85,8 +85,8 @@ func TestDeltaResetAlignsWithBlocks(t *testing.T) {
 	d1, _, _ := dec.Decode(block1)
 	dec.Reset()
 	d2, _, _ := dec.Decode(block2)
-	if d1.I != 1000 || d2.I != 2000 {
-		t.Fatalf("got %d, %d", d1.I, d2.I)
+	if d1.Int() != 1000 || d2.Int() != 2000 {
+		t.Fatalf("got %d, %d", d1.Int(), d2.Int())
 	}
 }
 

@@ -48,9 +48,9 @@ func (e *DeltaEncoder) Append(dst []byte, d serde.Datum) ([]byte, error) {
 
 func (e *DeltaEncoder) asInt(d serde.Datum) int64 {
 	if e.kind == serde.KindFloat64 {
-		return int64(math.Float64bits(d.F))
+		return int64(math.Float64bits(d.Float()))
 	}
-	return d.I
+	return d.Int()
 }
 
 // DeltaDecoder decodes the stream produced by DeltaEncoder.

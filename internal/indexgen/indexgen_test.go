@@ -118,10 +118,10 @@ func TestBuildBTreeSortedAndComplete(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.I < prev {
+		if d.Int() < prev {
 			t.Fatal("tree keys out of order")
 		}
-		prev = d.I
+		prev = d.Int()
 		if it.Record().Schema().NumFields() != 2 {
 			t.Fatal("projection not applied to stored records")
 		}

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"testing"
+	"unsafe"
 
 	"manimal/internal/lang"
 	"manimal/internal/serde"
@@ -75,5 +76,53 @@ func Map(k, v *Record, ctx *Ctx) {
 		if allocs := mapAllocs(t, src, conf, rec); allocs != 0 {
 			t.Errorf("%s: %.2f allocs per record; want 0", name, allocs)
 		}
+	}
+
+	// Map indexing encodes its key into the executor's scratch buffer
+	// (Executor.mapKey): a read allocates nothing, a store only the key
+	// string the Go map keeps. A Map body can only get a map from make,
+	// which allocates, so the pin is on what 64 more reads or stores add to
+	// one invocation of the same program.
+	const indexing = `
+func Map(k, v *Record, ctx *Ctx) {
+	seen := make(map[string]bool)
+	seen[v.Str("url")] = true
+	hits := 0
+	for i := 0; i < ctx.ConfInt("reads"); i++ {
+		_, ok := seen[v.Str("url")]
+		if ok && seen[v.Str("url")] {
+			hits++
+		}
+	}
+	for j := 0; j < ctx.ConfInt("stores"); j++ {
+		seen[v.Str("url")] = true
+	}
+	ctx.Emit(k, hits)
+}`
+	indexAllocs := func(reads, stores int64) float64 {
+		return mapAllocs(t, indexing, map[string]serde.Datum{"reads": serde.Int(reads), "stores": serde.Int(stores)}, rec)
+	}
+	base := indexAllocs(0, 0)
+	if extra := indexAllocs(64, 0) - base; extra != 0 {
+		t.Errorf("map-read: 128 map reads add %.2f allocs per record; want 0", extra)
+	}
+	if extra := indexAllocs(0, 64) - base; extra > 64 {
+		t.Errorf("map-store: 64 map stores add %.2f allocs per record; want <= 64 (the stored key string)", extra)
+	}
+}
+
+// Every exprFn returns a Value by value and every Emit and ValueIter passes
+// an EmitValue by value. On amd64 a copy of more than 64 bytes leaves inline
+// moves for a call into runtime.duffcopy (and zeroing one for duffzero),
+// which at 120 and 80 bytes was a third of Map/Reduce CPU. These bounds —
+// with serde's 32-byte Datum gate — keep both under that line with room for
+// the error word returned beside them, so the next field someone adds fails
+// here instead of silently bringing duffcopy back.
+func TestValueSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 56 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 56", got)
+	}
+	if got := unsafe.Sizeof(EmitValue{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(EmitValue{}) = %d, want <= 48", got)
 	}
 }

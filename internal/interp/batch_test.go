@@ -23,22 +23,22 @@ func fillBatch(b *serde.Batch, recs []*serde.Record, base int64, decode func(fie
 		case serde.KindString:
 			dst := col.ResizeStrs(n)
 			for i, r := range recs {
-				dst[i] = r.At(f).S
+				dst[i] = r.At(f).Str()
 			}
 		case serde.KindInt64:
 			dst := col.ResizeInts(n)
 			for i, r := range recs {
-				dst[i] = r.At(f).I
+				dst[i] = r.At(f).Int()
 			}
 		case serde.KindFloat64:
 			dst := col.ResizeFloats(n)
 			for i, r := range recs {
-				dst[i] = r.At(f).F
+				dst[i] = r.At(f).Float()
 			}
 		case serde.KindBool:
 			dst := col.ResizeBools(n)
 			for i, r := range recs {
-				dst[i] = r.At(f).Bool
+				dst[i] = r.At(f).Flag()
 			}
 		}
 		b.SetDecoded(f)

@@ -178,7 +178,7 @@ func (c *compiler) assign(st *ast.AssignStmt) stmtFn {
 			if err != nil {
 				return ctrlNone, err
 			}
-			d, found := mv.M[mapKey(kd)]
+			d, found := mv.dict()[string(fr.ex.mapKey(kd))]
 			if !found {
 				d = serde.Bool(false) // zero value; language maps default to bool
 			}
@@ -290,7 +290,7 @@ func (c *compiler) store(lhs ast.Expr, tok token.Token) storeFn {
 			if err != nil {
 				return err
 			}
-			mv.M[mapKey(kd)] = d
+			mv.dict()[string(fr.ex.mapKey(kd))] = d
 			return nil
 		}
 	default:
@@ -361,9 +361,9 @@ func (c *compiler) incDec(st *ast.IncDecStmt) stmtFn {
 		}
 		switch d.Kind {
 		case serde.KindInt64:
-			v.D = serde.Int(d.I + delta)
+			v.D = serde.Int(d.Int() + delta)
 		case serde.KindFloat64:
-			v.D = serde.Float(d.F + float64(delta))
+			v.D = serde.Float(d.Float() + float64(delta))
 		default:
 			return ctrlNone, fmt.Errorf("interp: ++/-- on %v", d.Kind)
 		}
@@ -496,7 +496,7 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
 		if xv.Kind != ValList {
 			return ctrlNone, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
 		}
-		for i, d := range xv.List {
+		for i, d := range xv.list() {
 			fr.bind(keySlot, IntVal(int64(i)))
 			fr.bind(valSlot, Scalar(d))
 			ct, err := bodyFn(fr)

@@ -89,13 +89,13 @@ func (c *compiler) unary(ex *ast.UnaryExpr) exprFn {
 			if d.Kind != serde.KindBool {
 				return Value{}, fmt.Errorf("interp: ! of %v", d.Kind)
 			}
-			return BoolVal(!d.Bool), nil
+			return BoolVal(!d.Flag()), nil
 		case token.SUB:
 			switch d.Kind {
 			case serde.KindInt64:
-				return IntVal(-d.I), nil
+				return IntVal(-d.Int()), nil
 			case serde.KindFloat64:
-				return FloatVal(-d.F), nil
+				return FloatVal(-d.Float()), nil
 			}
 			return Value{}, fmt.Errorf("interp: - of %v", d.Kind)
 		case token.ADD:
@@ -174,16 +174,17 @@ func (c *compiler) index(ex *ast.IndexExpr) exprFn {
 			if err != nil {
 				return Value{}, err
 			}
-			if idx < 0 || idx >= int64(len(x.List)) {
-				return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(x.List))
+			l := x.list()
+			if idx < 0 || idx >= int64(len(l)) {
+				return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(l))
 			}
-			return Scalar(x.List[idx]), nil
+			return Scalar(l[idx]), nil
 		case ValMap:
 			kd, err := i.scalar()
 			if err != nil {
 				return Value{}, err
 			}
-			if d, ok := x.M[mapKey(kd)]; ok {
+			if d, ok := x.dict()[string(fr.ex.mapKey(kd))]; ok {
 				return Scalar(d), nil
 			}
 			return BoolVal(false), nil // zero value for absent keys
@@ -316,7 +317,7 @@ func constString(e ast.Expr) (string, bool) {
 	if err != nil || v.D.Kind != serde.KindString {
 		return "", false
 	}
-	return v.D.S, true
+	return v.D.Str(), true
 }
 
 // fieldMemo caches one (schema, field)→index resolution per call site.
@@ -352,7 +353,7 @@ func (c *compiler) accessor(recv, method string, args []ast.Expr) exprFn {
 		if err != nil || v.Kind != ValRecord {
 			return nil, fmt.Errorf("interp: %q is not a record, ctx, or iterator", recv)
 		}
-		return v.Rec, nil
+		return v.rec(), nil
 	}
 
 	if _, typed := accessorKind(method); (typed || method == "Has") && len(args) == 1 {

@@ -150,9 +150,9 @@ func buildBuiltins() map[string]builtinImpl {
 		}
 		switch d.Kind {
 		case serde.KindInt64:
-			return float64(d.I), nil
+			return float64(d.Int()), nil
 		case serde.KindFloat64:
-			return d.F, nil
+			return d.Float(), nil
 		default:
 			return 0, fmt.Errorf("interp: %s arg %d: expected number, got %v", name, i, d.Kind)
 		}
@@ -240,16 +240,16 @@ func buildBuiltins() map[string]builtinImpl {
 			switch args[0].Kind {
 			case ValScalar:
 				if args[0].D.Kind == serde.KindString {
-					return IntVal(int64(len(args[0].D.S))), nil
+					return IntVal(int64(len(args[0].D.Str()))), nil
 				}
 				if args[0].D.Kind == serde.KindBytes {
-					return IntVal(int64(len(args[0].D.B))), nil
+					return IntVal(int64(len(args[0].D.Raw()))), nil
 				}
 				return Value{}, fmt.Errorf("interp: len of %v", args[0].D.Kind)
 			case ValList:
-				return IntVal(int64(len(args[0].List))), nil
+				return IntVal(int64(len(args[0].list()))), nil
 			case ValMap:
-				return IntVal(int64(len(args[0].M))), nil
+				return IntVal(int64(len(args[0].dict()))), nil
 			default:
 				return Value{}, fmt.Errorf("interp: len of %v", args[0].Kind)
 			}
@@ -274,8 +274,9 @@ func buildBuiltins() map[string]builtinImpl {
 			if err != nil {
 				return Value{}, err
 			}
-			parts := make([]string, len(args[0].List))
-			for i, d := range args[0].List {
+			list := args[0].list()
+			parts := make([]string, len(list))
+			for i, d := range list {
 				parts[i] = d.String()
 			}
 			return StrVal(strings.Join(parts, sep)), nil

@@ -31,6 +31,8 @@ type Executor struct {
 	// stack holds call arguments between their evaluation and the call
 	// (see compiler.args): push n, call, pop.
 	stack []Value
+	// keyBuf is the scratch buffer map keys are encoded into (see mapKey).
+	keyBuf []byte
 	// batchRec is the reused late-materialization record of InvokeMapBatch
 	// (see batch.go), created lazily against the first batch's schema.
 	batchRec *serde.Record

@@ -66,7 +66,7 @@ func Map(k, v *Record, ctx *Ctx) {
 }
 `, map[string]serde.Datum{"t": serde.Int(5)},
 		record("a", 3, 0, false), record("b", 7, 0, false), record("c", 10, 0, false))
-	if len(out) != 2 || out[0].k.S != "b" || out[1].k.S != "c" {
+	if len(out) != 2 || out[0].k.Str() != "b" || out[1].k.Str() != "c" {
 		t.Fatalf("out = %+v", out)
 	}
 }
@@ -88,7 +88,7 @@ func Map(k, v *Record, ctx *Ctx) {
 }
 `, nil, record("", 0, 0, false))
 	// 1+2+3+4+6+7+8 = 31
-	if len(out) != 1 || out[0].v.D.I != 31 {
+	if len(out) != 1 || out[0].v.D.Int() != 31 {
 		t.Fatalf("out = %+v", out)
 	}
 }
@@ -103,7 +103,7 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 `, nil, record("site/page/part", 0, 0, false))
-	if len(out) != 2 || out[0].k.S != "PAGE" || out[0].v.D.I != 1 || out[1].k.S != "PART" {
+	if len(out) != 2 || out[0].k.Str() != "PAGE" || out[0].v.D.Int() != 1 || out[1].k.Str() != "PART" {
 		t.Fatalf("out = %+v", out)
 	}
 }
@@ -129,7 +129,7 @@ func Map(k, v *Record, ctx *Ctx) {
 	if len(out) != 4 {
 		t.Fatalf("out = %+v", out)
 	}
-	if out[3].k.S != "had-a" {
+	if out[3].k.Str() != "had-a" {
 		t.Fatalf("two-value lookup failed: %+v", out[3])
 	}
 }
@@ -146,12 +146,12 @@ func Map(k, v *Record, ctx *Ctx) {
 }
 `
 	out := runMap(t, src, nil, record("", 0, 0, false), record("", 0, 0, false), record("", 0, 0, false))
-	if out[0].v.D.I != 1 || out[1].v.D.I != 2 || out[2].v.D.I != 3 {
+	if out[0].v.D.Int() != 1 || out[1].v.D.Int() != 2 || out[2].v.D.Int() != 3 {
 		t.Fatalf("member variable did not persist: %+v", out)
 	}
 	// A fresh executor starts over.
 	out2 := runMap(t, src, nil, record("", 0, 0, false))
-	if out2[0].v.D.I != 1 {
+	if out2[0].v.D.Int() != 1 {
 		t.Fatalf("fresh executor saw stale member state: %+v", out2)
 	}
 }
@@ -188,7 +188,7 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 	if err := ex.InvokeReduce(serde.String("g"), it, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].v.D.I != 13*100+3 {
+	if len(got) != 1 || got[0].v.D.Int() != 13*100+3 {
 		t.Fatalf("got = %+v", got)
 	}
 }
@@ -232,7 +232,7 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 	if err := ex.InvokeReduce(serde.String("g"), it, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].v.D.I != 9 {
+	if len(got) != 1 || got[0].v.D.Int() != 9 {
 		t.Fatalf("got = %+v", got)
 	}
 }
@@ -387,7 +387,7 @@ func Map(k, v *Record, ctx *Ctx) {
 	ctx.Emit(strconv.Atoi("17"), strconv.Atoi("not a number"))
 }
 `, nil, record("", 0, 0, false))
-	if out[0].k.I != 17 || out[0].v.D.I != 0 {
+	if out[0].k.Int() != 17 || out[0].v.D.Int() != 0 {
 		t.Fatalf("Atoi semantics: %+v", out[0])
 	}
 }
@@ -405,7 +405,7 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 `, nil, record("a/b", 0, 0, false))
-	if out[0].v.D.I != 2 {
+	if out[0].v.D.Int() != 2 {
 		t.Fatalf("short-circuit failed: %+v", out)
 	}
 }

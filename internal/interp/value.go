@@ -59,13 +59,16 @@ const (
 	ValRecord
 )
 
-// Value is one interpreter runtime value.
+// Value is one interpreter runtime value: a scalar datum, or a reference to
+// a list, map or record. Every exprFn returns one by value, so its size is
+// gated (TestValueSizes): D is live for ValScalar, ref for the other kinds.
 type Value struct {
 	Kind ValKind
 	D    serde.Datum
-	List []serde.Datum
-	M    map[string]serde.Datum // key = tagged encoding of the key datum
-	Rec  *serde.Record
+	// ref holds, per Kind, the []serde.Datum of a ValList, the
+	// map[string]serde.Datum of a ValMap (key = tagged encoding of the key
+	// datum, see Executor.mapKey) or the *serde.Record of a ValRecord.
+	ref any
 }
 
 // Scalar wraps a datum.
@@ -78,16 +81,39 @@ func StrVal(v string) Value    { return Scalar(serde.String(v)) }
 func BoolVal(v bool) Value     { return Scalar(serde.Bool(v)) }
 
 // RecordVal wraps a record.
-func RecordVal(r *serde.Record) Value { return Value{Kind: ValRecord, Rec: r} }
+func RecordVal(r *serde.Record) Value { return Value{Kind: ValRecord, ref: r} }
 
 // ListVal wraps a datum list.
-func ListVal(ds []serde.Datum) Value { return Value{Kind: ValList, List: ds} }
+func ListVal(ds []serde.Datum) Value { return Value{Kind: ValList, ref: ds} }
 
 // NewMapVal returns an empty mutable map value.
-func NewMapVal() Value { return Value{Kind: ValMap, M: make(map[string]serde.Datum)} }
+func NewMapVal() Value { return Value{Kind: ValMap, ref: make(map[string]serde.Datum)} }
 
-// mapKey converts a datum into the internal map key representation.
-func mapKey(d serde.Datum) string { return string(d.AppendTagged(nil)) }
+// list, dict and rec read the reference of a ValList, ValMap and ValRecord;
+// each is nil for a value of any other kind.
+func (v Value) list() []serde.Datum {
+	l, _ := v.ref.([]serde.Datum)
+	return l
+}
+
+func (v Value) dict() map[string]serde.Datum {
+	m, _ := v.ref.(map[string]serde.Datum)
+	return m
+}
+
+func (v Value) rec() *serde.Record {
+	r, _ := v.ref.(*serde.Record)
+	return r
+}
+
+// mapKey encodes a datum as a map key (its tagged encoding) into the
+// executor's scratch buffer. The result is valid until the next mapKey call;
+// index with m[string(key)], which Go compiles to an allocation-free lookup
+// (a store allocates only the key string the map keeps).
+func (ex *Executor) mapKey(d serde.Datum) []byte {
+	ex.keyBuf = d.AppendTagged(ex.keyBuf[:0])
+	return ex.keyBuf
+}
 
 // scalar extracts the datum of a scalar value or errors.
 func (v Value) scalar() (serde.Datum, error) {
@@ -106,7 +132,7 @@ func (v Value) str() (string, error) {
 	if d.Kind != serde.KindString {
 		return "", fmt.Errorf("interp: expected string, got %v", d.Kind)
 	}
-	return d.S, nil
+	return d.Str(), nil
 }
 
 // integer extracts an int64 scalar.
@@ -118,7 +144,7 @@ func (v Value) integer() (int64, error) {
 	if d.Kind != serde.KindInt64 {
 		return 0, fmt.Errorf("interp: expected int, got %v", d.Kind)
 	}
-	return d.I, nil
+	return d.Int(), nil
 }
 
 // truth extracts a bool scalar.
@@ -130,7 +156,7 @@ func (v Value) truth() (bool, error) {
 	if d.Kind != serde.KindBool {
 		return false, fmt.Errorf("interp: condition is %v, not bool", d.Kind)
 	}
-	return d.Bool, nil
+	return d.Flag(), nil
 }
 
 // String renders the value kind for errors.
@@ -165,7 +191,7 @@ func FromValue(v Value) (EmitValue, error) {
 	case ValScalar:
 		return EmitValue{D: v.D}, nil
 	case ValRecord:
-		return EmitValue{Rec: v.Rec}, nil
+		return EmitValue{Rec: v.rec()}, nil
 	default:
 		return EmitValue{}, fmt.Errorf("interp: cannot emit a %v value", v.Kind)
 	}

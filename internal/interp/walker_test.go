@@ -21,6 +21,10 @@ import (
 // that generated programs (ROADMAP item 4b) have a reference to be compared
 // against.
 
+// walkerMapKey is the oracle's own map-key encoding: a fresh string per
+// access, independent of the executor's scratch buffer.
+func walkerMapKey(d serde.Datum) string { return string(d.AppendTagged(nil)) }
+
 // treeWalker runs a program's stage functions through the walker. Like an
 // Executor (whose package-level variable cells and program it borrows), it
 // is single-threaded and keeps member-variable state across invocations.
@@ -210,9 +214,9 @@ func (fr *walker) execStmt(s ast.Stmt) (ctrl, error) {
 		}
 		switch d.Kind {
 		case serde.KindInt64:
-			v.D = serde.Int(d.I + delta)
+			v.D = serde.Int(d.Int() + delta)
 		case serde.KindFloat64:
-			v.D = serde.Float(d.F + float64(delta))
+			v.D = serde.Float(d.Float() + float64(delta))
 		default:
 			return ctrlNone, fmt.Errorf("interp: ++/-- on %v", d.Kind)
 		}
@@ -286,7 +290,7 @@ func (fr *walker) execStmt(s ast.Stmt) (ctrl, error) {
 		if xv.Kind != ValList {
 			return ctrlNone, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
 		}
-		for i, d := range xv.List {
+		for i, d := range xv.list() {
 			if id, ok := st.Key.(*ast.Ident); ok {
 				fr.mustDefine(id.Name, IntVal(int64(i)))
 			}
@@ -348,7 +352,7 @@ func (fr *walker) execAssign(st *ast.AssignStmt) error {
 		if err != nil {
 			return err
 		}
-		d, found := mv.M[mapKey(kd)]
+		d, found := mv.dict()[walkerMapKey(kd)]
 		if !found {
 			d = serde.Bool(false) // zero value; language maps default to bool
 		}
@@ -435,7 +439,7 @@ func (fr *walker) assignTo(lhs ast.Expr, tok token.Token, v Value) error {
 		if err != nil {
 			return err
 		}
-		mv.M[mapKey(kd)] = d
+		mv.dict()[walkerMapKey(kd)] = d
 		return nil
 	default:
 		return fmt.Errorf("interp: unsupported assignment target %T", lhs)
@@ -495,13 +499,13 @@ func (fr *walker) evalUnary(ex *ast.UnaryExpr) (Value, error) {
 		if d.Kind != serde.KindBool {
 			return Value{}, fmt.Errorf("interp: ! of %v", d.Kind)
 		}
-		return BoolVal(!d.Bool), nil
+		return BoolVal(!d.Flag()), nil
 	case token.SUB:
 		switch d.Kind {
 		case serde.KindInt64:
-			return IntVal(-d.I), nil
+			return IntVal(-d.Int()), nil
 		case serde.KindFloat64:
-			return FloatVal(-d.F), nil
+			return FloatVal(-d.Float()), nil
 		}
 		return Value{}, fmt.Errorf("interp: - of %v", d.Kind)
 	case token.ADD:
@@ -568,16 +572,16 @@ func (fr *walker) evalIndex(ex *ast.IndexExpr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if idx < 0 || idx >= int64(len(x.List)) {
-			return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(x.List))
+		if idx < 0 || idx >= int64(len(x.list())) {
+			return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(x.list()))
 		}
-		return Scalar(x.List[idx]), nil
+		return Scalar(x.list()[idx]), nil
 	case ValMap:
 		kd, err := i.scalar()
 		if err != nil {
 			return Value{}, err
 		}
-		if d, ok := x.M[mapKey(kd)]; ok {
+		if d, ok := x.dict()[walkerMapKey(kd)]; ok {
 			return Scalar(d), nil
 		}
 		return BoolVal(false), nil // zero value for absent keys
@@ -598,7 +602,7 @@ func (fr *walker) evalCall(c *ast.CallExpr) (Value, error) {
 			return fr.evalIterCall(method, c.Args)
 		default:
 			if v, err := fr.lookup(recv); err == nil && v.Kind == ValRecord {
-				return evalAccessor(v.Rec, method, fr, c.Args)
+				return evalAccessor(v.rec(), method, fr, c.Args)
 			}
 			return Value{}, fmt.Errorf("interp: %q is not a record, ctx, or iterator", recv)
 		}

@@ -209,7 +209,7 @@ func TestSlabShuffleDifferential(t *testing.T) {
 	}
 	got := map[string]int64{}
 	for _, p := range pairs {
-		got[p.Key.S] = p.Value.D.I
+		got[p.Key.Str()] = p.Value.D.Int()
 	}
 	if len(got) != len(expected) {
 		t.Fatalf("got %d distinct words, want %d", len(got), len(expected))
@@ -250,7 +250,7 @@ func TestSlabShuffleRecordValues(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, p := range pairs {
-		got[p.Key.S] = p.Value.D.S
+		got[p.Key.Str()] = p.Value.D.Str()
 	}
 	want := map[string]string{
 		// Each word keys the sorted multiset of the lines that contain it.

@@ -103,7 +103,7 @@ func sortedCounts(t *testing.T, raw []byte, dir string) map[string]int64 {
 	}
 	got := map[string]int64{}
 	for _, p := range pairs {
-		got[p.Key.S] = p.Value.D.I
+		got[p.Key.Str()] = p.Value.D.Int()
 	}
 	return got
 }

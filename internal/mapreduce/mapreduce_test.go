@@ -53,7 +53,7 @@ type sumReducer struct{}
 func (sumReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *interp.Context) error {
 	var sum int64
 	for values.Next() {
-		sum += values.Value().D.I
+		sum += values.Value().D.Int()
 	}
 	return ctx.Emit(key, interp.EmitValue{D: serde.Int(sum)})
 }
@@ -93,7 +93,7 @@ func wordCountJob(t *testing.T, lines []string, cfg Config, combiner bool) map[s
 	}
 	got := make(map[string]int64)
 	for _, p := range pairs {
-		got[p.Key.S] = p.Value.D.I
+		got[p.Key.Str()] = p.Value.D.Int()
 	}
 	return got
 }
@@ -247,7 +247,7 @@ func TestKVFileRoundTrip(t *testing.T) {
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %d", len(pairs))
 	}
-	if pairs[0].Key.I != 1 || pairs[0].Value.D.S != "v1" {
+	if pairs[0].Key.Int() != 1 || pairs[0].Value.D.Str() != "v1" {
 		t.Errorf("pair 0 = %+v", pairs[0])
 	}
 	if !pairs[1].Value.IsRecord() || pairs[1].Value.Rec.Str("text") != "hello" {
@@ -347,8 +347,8 @@ func TestShuffleMultiSpillWithCombiner(t *testing.T) {
 		t.Fatalf("got %d words, want 5", len(pairs))
 	}
 	for _, p := range pairs {
-		if p.Value.D.I != 200 {
-			t.Errorf("%s = %d, want 200", p.Key.S, p.Value.D.I)
+		if p.Value.D.Int() != 200 {
+			t.Errorf("%s = %d, want 200", p.Key.Str(), p.Value.D.Int())
 		}
 	}
 }

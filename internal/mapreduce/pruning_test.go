@@ -75,10 +75,10 @@ func TestFileInputSplitsPruned(t *testing.T) {
 		}
 		for it.Next() {
 			k := it.Key()
-			if k.I != it.Record().Get("id").I {
-				t.Fatalf("key %d != id %d (keys must be whole-file positions)", k.I, it.Record().Get("id").I)
+			if k.Int() != it.Record().Get("id").Int() {
+				t.Fatalf("key %d != id %d (keys must be whole-file positions)", k.Int(), it.Record().Get("id").Int())
 			}
-			keys = append(keys, k.I)
+			keys = append(keys, k.Int())
 		}
 		if it.Err() != nil {
 			t.Fatal(it.Err())
@@ -199,7 +199,7 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 			for bit.NextBatch() {
 				b := bit.Batch()
 				for _, row := range b.Sel() {
-					if !it.Next() || it.Key().I != b.Base()+int64(row) {
+					if !it.Next() || it.Key().Int() != b.Base()+int64(row) {
 						t.Fatalf("%s split %d: row cursor and batch disagree at key %d", name, i, b.Base()+int64(row))
 					}
 				}

@@ -215,7 +215,7 @@ type slowEmitMapper struct{ sleep time.Duration }
 
 func (m slowEmitMapper) Map(k serde.Datum, _ *serde.Record, ctx *interp.Context) error {
 	time.Sleep(m.sleep)
-	return ctx.Emit(serde.String(fmt.Sprintf("w%d", k.I%32)), interp.EmitValue{D: serde.Int(1)})
+	return ctx.Emit(serde.String(fmt.Sprintf("w%d", k.Int()%32)), interp.EmitValue{D: serde.Int(1)})
 }
 
 // slowReducer sleeps per group, giving tests a window to cancel mid-reduce.
@@ -225,7 +225,7 @@ func (r slowReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *inter
 	time.Sleep(r.sleep)
 	var sum int64
 	for values.Next() {
-		sum += values.Value().D.I
+		sum += values.Value().D.Int()
 	}
 	return ctx.Emit(key, interp.EmitValue{D: serde.Int(sum)})
 }

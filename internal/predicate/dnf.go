@@ -32,7 +32,7 @@ func (a Atom) Eval(v *serde.Record, conf Config) (bool, error) {
 	if d.Kind != serde.KindBool {
 		return false, fmt.Errorf("predicate: atom %s is %v, not bool", a.Canon(), d.Kind)
 	}
-	return d.Bool != a.Negated, nil
+	return d.Flag() != a.Negated, nil
 }
 
 // Conjunct is a conjunction of atoms: the tests that must all hold on one

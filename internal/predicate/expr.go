@@ -100,7 +100,7 @@ type Const struct{ D serde.Datum }
 // Canon implements Expr.
 func (c Const) Canon() string {
 	if c.D.Kind == serde.KindString {
-		return strconv.Quote(c.D.S)
+		return strconv.Quote(c.D.Str())
 	}
 	return c.D.String()
 }
@@ -185,13 +185,13 @@ func (u Unary) Eval(v *serde.Record, conf Config) (serde.Datum, error) {
 		if x.Kind != serde.KindBool {
 			return serde.Datum{}, fmt.Errorf("predicate: ! of %v", x.Kind)
 		}
-		return serde.Bool(!x.Bool), nil
+		return serde.Bool(!x.Flag()), nil
 	case token.SUB:
 		switch x.Kind {
 		case serde.KindInt64:
-			return serde.Int(-x.I), nil
+			return serde.Int(-x.Int()), nil
 		case serde.KindFloat64:
-			return serde.Float(-x.F), nil
+			return serde.Float(-x.Float()), nil
 		}
 	case token.ADD:
 		return x, nil
@@ -205,10 +205,10 @@ func (u Unary) Eval(v *serde.Record, conf Config) (serde.Datum, error) {
 func EvalBinary(op token.Token, l, r serde.Datum) (serde.Datum, error) {
 	// Numeric promotion.
 	if l.Kind == serde.KindFloat64 && r.Kind == serde.KindInt64 {
-		r = serde.Float(float64(r.I))
+		r = serde.Float(float64(r.Int()))
 	}
 	if l.Kind == serde.KindInt64 && r.Kind == serde.KindFloat64 {
-		l = serde.Float(float64(l.I))
+		l = serde.Float(float64(l.Int()))
 	}
 	switch op {
 	case token.EQL:
@@ -235,44 +235,44 @@ func EvalBinary(op token.Token, l, r serde.Datum) (serde.Datum, error) {
 			return serde.Datum{}, fmt.Errorf("predicate: logical op on %v and %v", l.Kind, r.Kind)
 		}
 		if op == token.LAND {
-			return serde.Bool(l.Bool && r.Bool), nil
+			return serde.Bool(l.Flag() && r.Flag()), nil
 		}
-		return serde.Bool(l.Bool || r.Bool), nil
+		return serde.Bool(l.Flag() || r.Flag()), nil
 	}
 	// Arithmetic.
 	switch {
 	case l.Kind == serde.KindInt64 && r.Kind == serde.KindInt64:
 		switch op {
 		case token.ADD:
-			return serde.Int(l.I + r.I), nil
+			return serde.Int(l.Int() + r.Int()), nil
 		case token.SUB:
-			return serde.Int(l.I - r.I), nil
+			return serde.Int(l.Int() - r.Int()), nil
 		case token.MUL:
-			return serde.Int(l.I * r.I), nil
+			return serde.Int(l.Int() * r.Int()), nil
 		case token.QUO:
-			if r.I == 0 {
+			if r.Int() == 0 {
 				return serde.Datum{}, fmt.Errorf("predicate: integer division by zero")
 			}
-			return serde.Int(l.I / r.I), nil
+			return serde.Int(l.Int() / r.Int()), nil
 		case token.REM:
-			if r.I == 0 {
+			if r.Int() == 0 {
 				return serde.Datum{}, fmt.Errorf("predicate: integer modulo by zero")
 			}
-			return serde.Int(l.I % r.I), nil
+			return serde.Int(l.Int() % r.Int()), nil
 		}
 	case l.Kind == serde.KindFloat64 && r.Kind == serde.KindFloat64:
 		switch op {
 		case token.ADD:
-			return serde.Float(l.F + r.F), nil
+			return serde.Float(l.Float() + r.Float()), nil
 		case token.SUB:
-			return serde.Float(l.F - r.F), nil
+			return serde.Float(l.Float() - r.Float()), nil
 		case token.MUL:
-			return serde.Float(l.F * r.F), nil
+			return serde.Float(l.Float() * r.Float()), nil
 		case token.QUO:
-			return serde.Float(l.F / r.F), nil
+			return serde.Float(l.Float() / r.Float()), nil
 		}
 	case l.Kind == serde.KindString && r.Kind == serde.KindString && op == token.ADD:
-		return serde.String(l.S + r.S), nil
+		return serde.String(l.Str() + r.Str()), nil
 	}
 	return serde.Datum{}, fmt.Errorf("predicate: unsupported %v %s %v", l.Kind, op, r.Kind)
 }
@@ -304,9 +304,9 @@ func FromAST(e ast.Expr, valueParam, ctxParam string) (Expr, error) {
 		if c, ok := x.(Const); ok && ex.Op == token.SUB {
 			switch c.D.Kind {
 			case serde.KindInt64:
-				return Const{serde.Int(-c.D.I)}, nil
+				return Const{serde.Int(-c.D.Int())}, nil
 			case serde.KindFloat64:
-				return Const{serde.Float(-c.D.F)}, nil
+				return Const{serde.Float(-c.D.Float())}, nil
 			}
 		}
 		return Unary{Op: ex.Op, X: x}, nil

@@ -98,14 +98,14 @@ func TestToDNFSemanticsProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q dnf eval: %v", src, err)
 			}
-			if got != want.Bool {
-				t.Fatalf("%q on %s: dnf %v, expr %v", src, rec, got, want.Bool)
+			if got != want.Flag() {
+				t.Fatalf("%q on %s: dnf %v, expr %v", src, rec, got, want.Flag())
 			}
 			gotNeg, err := neg.Eval(rec, conf)
 			if err != nil {
 				t.Fatalf("%q neg eval: %v", src, err)
 			}
-			if gotNeg != !want.Bool {
+			if gotNeg != !want.Flag() {
 				t.Fatalf("%q negated on %s: %v", src, rec, gotNeg)
 			}
 		}
@@ -269,7 +269,7 @@ func TestIntervalIntersect(t *testing.T) {
 
 func TestEvalBinaryPromotion(t *testing.T) {
 	got, err := EvalBinary(token.ADD, serde.Int(1), serde.Float(0.5))
-	if err != nil || got.Kind != serde.KindFloat64 || got.F != 1.5 {
+	if err != nil || got.Kind != serde.KindFloat64 || got.Float() != 1.5 {
 		t.Fatalf("1 + 0.5 = %v (%v)", got, err)
 	}
 	if _, err := EvalBinary(token.QUO, serde.Int(1), serde.Int(0)); err == nil {
@@ -279,7 +279,7 @@ func TestEvalBinaryPromotion(t *testing.T) {
 		t.Error("cross-kind ordered comparison accepted")
 	}
 	cat, err := EvalBinary(token.ADD, serde.String("a"), serde.String("b"))
-	if err != nil || cat.S != "ab" {
+	if err != nil || cat.Str() != "ab" {
 		t.Fatalf("string concat = %v (%v)", cat, err)
 	}
 }

@@ -26,7 +26,7 @@ func (iv Interval) FilterInt64(col []int64, mask []bool) {
 		return
 	}
 	if iv.Lo.IsValid() {
-		lo := iv.Lo.I
+		lo := iv.Lo.Int()
 		if iv.LoInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v >= lo
@@ -38,7 +38,7 @@ func (iv Interval) FilterInt64(col []int64, mask []bool) {
 		}
 	}
 	if iv.Hi.IsValid() {
-		hi := iv.Hi.I
+		hi := iv.Hi.Int()
 		if iv.HiInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v <= hi
@@ -58,7 +58,7 @@ func (iv Interval) FilterFloat64(col []float64, mask []bool) {
 		return
 	}
 	if iv.Lo.IsValid() {
-		lo := iv.Lo.F
+		lo := iv.Lo.Float()
 		if iv.LoInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v >= lo
@@ -70,7 +70,7 @@ func (iv Interval) FilterFloat64(col []float64, mask []bool) {
 		}
 	}
 	if iv.Hi.IsValid() {
-		hi := iv.Hi.F
+		hi := iv.Hi.Float()
 		if iv.HiInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v <= hi
@@ -90,7 +90,7 @@ func (iv Interval) FilterString(col []string, mask []bool) {
 		return
 	}
 	if iv.Lo.IsValid() {
-		lo := iv.Lo.S
+		lo := iv.Lo.Str()
 		if iv.LoInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v >= lo
@@ -102,7 +102,7 @@ func (iv Interval) FilterString(col []string, mask []bool) {
 		}
 	}
 	if iv.Hi.IsValid() {
-		hi := iv.Hi.S
+		hi := iv.Hi.Str()
 		if iv.HiInc {
 			for i, v := range col {
 				mask[i] = mask[i] && v <= hi
@@ -122,7 +122,7 @@ func (iv Interval) FilterBytes(col [][]byte, mask []bool) {
 		return
 	}
 	if iv.Lo.IsValid() {
-		lo := iv.Lo.B
+		lo := iv.Lo.Raw()
 		for i, v := range col {
 			if !mask[i] {
 				continue
@@ -132,7 +132,7 @@ func (iv Interval) FilterBytes(col [][]byte, mask []bool) {
 		}
 	}
 	if iv.Hi.IsValid() {
-		hi := iv.Hi.B
+		hi := iv.Hi.Raw()
 		for i, v := range col {
 			if !mask[i] {
 				continue

@@ -143,7 +143,7 @@ func (d DNF) Zones(conf Config) (f ZoneFilter, ok bool, err error) {
 				return nil, false, fmt.Errorf("predicate: binding %s: %w", a.Canon(), berr)
 			}
 			if want == serde.KindFloat64 && val.Kind == serde.KindInt64 {
-				val = serde.Float(float64(val.I))
+				val = serde.Float(float64(val.Int()))
 			}
 			if val.Kind != want {
 				continue // type-mismatched comparison: leave to the program

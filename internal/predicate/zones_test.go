@@ -28,7 +28,7 @@ func TestZonesSimpleRange(t *testing.T) {
 		t.Fatalf("filter = %s", f)
 	}
 	iv := f[0][0].Iv
-	if iv.Lo.I != 10 || iv.LoInc || iv.Hi.I != 100 || !iv.HiInc {
+	if iv.Lo.Int() != 10 || iv.LoInc || iv.Hi.Int() != 100 || !iv.HiInc {
 		t.Fatalf("interval = %s", iv)
 	}
 	rec := mustRecord(t, "rank:int64", serde.Int(50))
@@ -48,7 +48,7 @@ func TestZonesConfBindingAndPromotion(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Zones: ok=%v err=%v", ok, err)
 	}
-	if got := f[0][0].Iv.Lo; got.Kind != serde.KindFloat64 || got.F != 5 {
+	if got := f[0][0].Iv.Lo; got.Kind != serde.KindFloat64 || got.Float() != 5 {
 		t.Fatalf("lo bound = %v", got)
 	}
 }

@@ -12,21 +12,79 @@ import (
 
 // Datum is a single scalar runtime value: the unit of map keys, map values
 // within records, and interpreter computation. The zero Datum is invalid.
+//
+// It is 32 bytes (TestDatumSize): w holds the int64, the float64's IEEE bits
+// or the bool, and s the string payload or — viewed as bytes — the bytes
+// payload. Only the payload of the datum's own Kind is live, so each typed
+// accessor (Int, Float, Str, Raw, Flag) answers for exactly one kind and
+// returns its type's zero value for any other; see "Value representation"
+// in the package documentation. Datums are built only through Int, Float,
+// String, Bytes and Bool.
 type Datum struct {
 	Kind Kind
-	I    int64
-	F    float64
-	S    string
-	B    []byte
-	Bool bool
+	w    uint64
+	s    string
 }
 
 // Constructors for each kind.
-func Int(v int64) Datum     { return Datum{Kind: KindInt64, I: v} }
-func Float(v float64) Datum { return Datum{Kind: KindFloat64, F: v} }
-func String(v string) Datum { return Datum{Kind: KindString, S: v} }
-func Bytes(v []byte) Datum  { return Datum{Kind: KindBytes, B: v} }
-func Bool(v bool) Datum     { return Datum{Kind: KindBool, Bool: v} }
+func Int(v int64) Datum     { return Datum{Kind: KindInt64, w: uint64(v)} }
+func Float(v float64) Datum { return Datum{Kind: KindFloat64, w: math.Float64bits(v)} }
+func String(v string) Datum { return Datum{Kind: KindString, s: v} }
+
+// Bytes wraps v without copying: the datum aliases v's storage, so the
+// caller must not mutate v while the datum, or any copy of it, is in use.
+func Bytes(v []byte) Datum { return Datum{Kind: KindBytes, s: unsafeString(v)} }
+
+func Bool(v bool) Datum {
+	if v {
+		return Datum{Kind: KindBool, w: 1}
+	}
+	return Datum{Kind: KindBool}
+}
+
+// Int returns the payload of a KindInt64 datum, and 0 for any other kind.
+func (d Datum) Int() int64 {
+	if d.Kind != KindInt64 {
+		return 0
+	}
+	return int64(d.w)
+}
+
+// Float returns the payload of a KindFloat64 datum, and 0 for any other kind.
+func (d Datum) Float() float64 {
+	if d.Kind != KindFloat64 {
+		return 0
+	}
+	return math.Float64frombits(d.w)
+}
+
+// Str returns the payload of a KindString datum, and "" for any other kind.
+func (d Datum) Str() string {
+	if d.Kind != KindString {
+		return ""
+	}
+	return d.s
+}
+
+// Raw returns the payload of a KindBytes datum, and nil for any other kind.
+// Nil and empty bytes are one value: an empty payload has length 0 and may
+// come back as either.
+//
+// The result is a read-only borrow: it views the datum's storage, which may
+// be a shared decode buffer (same lifetime as Vector.Strs) and which other
+// copies of the datum share. Writing through it is a bug; copy first.
+func (d Datum) Raw() []byte {
+	if d.Kind != KindBytes {
+		return nil
+	}
+	return d.view()
+}
+
+// Flag returns the payload of a KindBool datum, and false for any other kind.
+func (d Datum) Flag() bool { return d.Kind == KindBool && d.w != 0 }
+
+// view is the string-or-bytes payload as bytes, uncopied.
+func (d Datum) view() []byte { return unsafe.Slice(unsafe.StringData(d.s), len(d.s)) }
 
 // IsValid reports whether the datum carries a value.
 func (d Datum) IsValid() bool { return d.Kind != KindInvalid }
@@ -37,16 +95,12 @@ func (d Datum) Equal(o Datum) bool {
 		return false
 	}
 	switch d.Kind {
-	case KindInt64:
-		return d.I == o.I
+	case KindInt64, KindBool:
+		return d.w == o.w
 	case KindFloat64:
-		return d.F == o.F
-	case KindString:
-		return d.S == o.S
-	case KindBytes:
-		return bytes.Equal(d.B, o.B)
-	case KindBool:
-		return d.Bool == o.Bool
+		return math.Float64frombits(d.w) == math.Float64frombits(o.w)
+	case KindString, KindBytes:
+		return d.s == o.s
 	default:
 		return true
 	}
@@ -63,21 +117,19 @@ func (d Datum) Compare(o Datum) int {
 	}
 	switch d.Kind {
 	case KindInt64:
-		return cmpOrdered(d.I, o.I)
+		return cmpOrdered(int64(d.w), int64(o.w))
 	case KindFloat64:
-		return cmpOrdered(d.F, o.F)
-	case KindString:
-		return bytes.Compare([]byte(d.S), []byte(o.S))
-	case KindBytes:
-		return bytes.Compare(d.B, o.B)
+		return cmpOrdered(math.Float64frombits(d.w), math.Float64frombits(o.w))
+	case KindString, KindBytes:
+		return bytes.Compare(d.view(), o.view())
 	case KindBool:
-		return cmpBool(d.Bool, o.Bool)
+		return cmpOrdered(d.w, o.w)
 	default:
 		return 0
 	}
 }
 
-func cmpOrdered[T int64 | float64](a, b T) int {
+func cmpOrdered[T int64 | uint64 | float64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
@@ -88,30 +140,19 @@ func cmpOrdered[T int64 | float64](a, b T) int {
 	}
 }
 
-func cmpBool(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case !a:
-		return -1
-	default:
-		return 1
-	}
-}
-
 // String renders the datum for debugging and table output.
 func (d Datum) String() string {
 	switch d.Kind {
 	case KindInt64:
-		return strconv.FormatInt(d.I, 10)
+		return strconv.FormatInt(int64(d.w), 10)
 	case KindFloat64:
-		return strconv.FormatFloat(d.F, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(d.w), 'g', -1, 64)
 	case KindString:
-		return d.S
+		return d.s
 	case KindBytes:
-		return fmt.Sprintf("0x%x", d.B)
+		return fmt.Sprintf("0x%x", d.s)
 	case KindBool:
-		return strconv.FormatBool(d.Bool)
+		return strconv.FormatBool(d.w != 0)
 	default:
 		return "<invalid>"
 	}
@@ -123,64 +164,29 @@ func (d Datum) String() string {
 func (d Datum) AppendValue(dst []byte) []byte {
 	switch d.Kind {
 	case KindInt64:
-		return binary.AppendVarint(dst, d.I)
+		return binary.AppendVarint(dst, int64(d.w))
 	case KindFloat64:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(d.F))
-	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(d.S)))
-		return append(dst, d.S...)
-	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(d.B)))
-		return append(dst, d.B...)
+		return binary.LittleEndian.AppendUint64(dst, d.w)
+	case KindString, KindBytes:
+		dst = binary.AppendUvarint(dst, uint64(len(d.s)))
+		return append(dst, d.s...)
 	case KindBool:
-		if d.Bool {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
+		return append(dst, byte(d.w))
 	default:
 		panic("serde: AppendValue on invalid datum")
 	}
 }
 
 // DecodeValue decodes a datum of the given kind from buf, returning the
-// datum and bytes consumed.
+// datum and bytes consumed. String and bytes payloads are copied out of buf.
 func DecodeValue(kind Kind, buf []byte) (Datum, int, error) {
-	switch kind {
-	case KindInt64:
-		v, n := binary.Varint(buf)
-		if n <= 0 {
-			return Datum{}, 0, fmt.Errorf("serde: truncated int64")
-		}
-		return Int(v), n, nil
-	case KindFloat64:
-		if len(buf) < 8 {
-			return Datum{}, 0, fmt.Errorf("serde: truncated float64")
-		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(buf))), 8, nil
-	case KindString:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || n+int(l) > len(buf) {
-			return Datum{}, 0, fmt.Errorf("serde: truncated string")
-		}
-		return String(string(buf[n : n+int(l)])), n + int(l), nil
-	case KindBytes:
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || n+int(l) > len(buf) {
-			return Datum{}, 0, fmt.Errorf("serde: truncated bytes")
-		}
-		return Bytes(append([]byte(nil), buf[n:n+int(l)]...)), n + int(l), nil
-	case KindBool:
-		if len(buf) < 1 {
-			return Datum{}, 0, fmt.Errorf("serde: truncated bool")
-		}
-		return Bool(buf[0] != 0), 1, nil
-	default:
-		return Datum{}, 0, fmt.Errorf("serde: decode of invalid kind %v", kind)
-	}
+	var d Datum
+	n, err := DecodeValueInto(kind, buf, &d)
+	return d, n, err
 }
 
 // DecodeValueInto is DecodeValue decoding into *dst in place, sparing the
-// caller a 64-byte Datum copy per field on record-decode hot paths.
+// caller a Datum copy per field on record-decode hot paths.
 func DecodeValueInto(kind Kind, buf []byte, dst *Datum) (int, error) {
 	switch kind {
 	case KindInt64:
@@ -188,27 +194,29 @@ func DecodeValueInto(kind Kind, buf []byte, dst *Datum) (int, error) {
 		if n <= 0 {
 			return 0, fmt.Errorf("serde: truncated int64")
 		}
-		*dst = Datum{Kind: KindInt64, I: v}
+		*dst = Datum{Kind: KindInt64, w: uint64(v)}
 		return n, nil
 	case KindFloat64:
 		if len(buf) < 8 {
 			return 0, fmt.Errorf("serde: truncated float64")
 		}
-		*dst = Datum{Kind: KindFloat64, F: math.Float64frombits(binary.LittleEndian.Uint64(buf))}
+		*dst = Datum{Kind: KindFloat64, w: binary.LittleEndian.Uint64(buf)}
 		return 8, nil
+	case KindString, KindBytes:
+		l, n := binary.Uvarint(buf)
+		if n <= 0 || l > uint64(len(buf)-n) {
+			return 0, fmt.Errorf("serde: truncated %v", kind)
+		}
+		*dst = Datum{Kind: kind, s: string(buf[n : n+int(l)])}
+		return n + int(l), nil
 	case KindBool:
 		if len(buf) < 1 {
 			return 0, fmt.Errorf("serde: truncated bool")
 		}
-		*dst = Datum{Kind: KindBool, Bool: buf[0] != 0}
+		*dst = Bool(buf[0] != 0)
 		return 1, nil
 	default:
-		d, n, err := DecodeValue(kind, buf)
-		if err != nil {
-			return 0, err
-		}
-		*dst = d
-		return n, nil
+		return 0, fmt.Errorf("serde: decode of invalid kind %v", kind)
 	}
 }
 
@@ -234,11 +242,8 @@ func unsafeString(b []byte) string {
 // bytes) copied into fresh storage, detaching it from any shared buffer a
 // shared column decode (DecodeStringColumnShared) produced it from.
 func (d Datum) CloneData() Datum {
-	switch d.Kind {
-	case KindString:
-		d.S = strings.Clone(d.S)
-	case KindBytes:
-		d.B = append([]byte(nil), d.B...)
+	if d.Kind == KindString || d.Kind == KindBytes {
+		d.s = strings.Clone(d.s)
 	}
 	return d
 }

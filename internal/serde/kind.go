@@ -14,6 +14,23 @@
 // producer's next batch (retainers copy); row-at-a-time consumers
 // (storage.Scanner) materialize a batch's selected rows one by one via
 // MaterializeInto.
+//
+// # Value representation
+//
+// A Datum is 32 bytes: the Kind tag, one 64-bit word (the int64, the
+// float64's IEEE bits, or the bool) and one string (the string payload, or
+// the bytes payload viewed as a string). Datums are copied by value
+// everywhere — out of records and vectors, through every interpreter
+// closure — and on amd64 a copy above 64 bytes stops being inline moves, so
+// the size is a test (TestDatumSize). Datums are built only with Int,
+// Float, String, Bytes and Bool, and read through the accessor of their
+// Kind — Int() for KindInt64, Float() for KindFloat64, Str() for
+// KindString, Raw() for KindBytes, Flag() for KindBool; an accessor called
+// on a datum of any other kind returns its type's zero value. Bytes(b)
+// aliases b, and Raw() is a read-only borrow of the datum's storage with
+// the same lifetime as Vector.Strs(): valid until the producer's next
+// batch, shared with every copy of the datum, never written through.
+// CloneData detaches a string or bytes datum from that storage.
 package serde
 
 import "fmt"

@@ -76,19 +76,19 @@ func (r *Record) MustSet(name string, d Datum) {
 // Typed accessors used by the mapper language: v.Int("rank") etc.
 
 // Int returns the named int64 field.
-func (r *Record) Int(name string) int64 { return r.get(name, KindInt64).I }
+func (r *Record) Int(name string) int64 { return r.get(name, KindInt64).Int() }
 
 // Float returns the named float64 field.
-func (r *Record) Float(name string) float64 { return r.get(name, KindFloat64).F }
+func (r *Record) Float(name string) float64 { return r.get(name, KindFloat64).Float() }
 
 // Str returns the named string field.
-func (r *Record) Str(name string) string { return r.get(name, KindString).S }
+func (r *Record) Str(name string) string { return r.get(name, KindString).Str() }
 
 // Raw returns the named bytes field.
-func (r *Record) Raw(name string) []byte { return r.get(name, KindBytes).B }
+func (r *Record) Raw(name string) []byte { return r.get(name, KindBytes).Raw() }
 
 // Flag returns the named bool field.
-func (r *Record) Flag(name string) bool { return r.get(name, KindBool).Bool }
+func (r *Record) Flag(name string) bool { return r.get(name, KindBool).Flag() }
 
 func (r *Record) get(name string, want Kind) Datum {
 	d := r.Get(name)

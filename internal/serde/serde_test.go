@@ -107,8 +107,8 @@ func TestSortKeyNulEscaping(t *testing.T) {
 			}
 		}
 		got, _, err := DecodeSortKey(String(a).SortKey())
-		if err != nil || got.S != a {
-			t.Errorf("round trip %q -> %q (%v)", a, got.S, err)
+		if err != nil || got.Str() != a {
+			t.Errorf("round trip %q -> %q (%v)", a, got.Str(), err)
 		}
 	}
 }
@@ -250,10 +250,14 @@ func TestRecordKindChecks(t *testing.T) {
 func TestRecordCloneIsDeep(t *testing.T) {
 	s := MustSchema(Field{Name: "b", Kind: KindBytes})
 	r := NewRecord(s)
-	r.MustSet("b", Bytes([]byte{1, 2, 3}))
+	src := []byte{1, 2, 3}
+	r.MustSet("b", Bytes(src))
 	c := r.Clone()
-	c.Raw("b")[0] = 99
-	if r.Raw("b")[0] == 99 {
+	src[0] = 99 // Raw() is a read-only borrow: mutate the source, not the view
+	if r.Raw("b")[0] != 99 {
+		t.Error("record does not borrow the bytes it was set from")
+	}
+	if c.Raw("b")[0] == 99 {
 		t.Error("clone shares byte storage")
 	}
 }

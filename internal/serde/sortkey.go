@@ -27,24 +27,19 @@ func (d Datum) AppendSortKey(dst []byte) []byte {
 	dst = append(dst, byte(d.Kind))
 	switch d.Kind {
 	case KindInt64:
-		return binary.BigEndian.AppendUint64(dst, uint64(d.I)^(1<<63))
+		return binary.BigEndian.AppendUint64(dst, d.w^(1<<63))
 	case KindFloat64:
-		bits := math.Float64bits(d.F)
+		bits := d.w
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative: flip all bits
 		} else {
 			bits |= 1 << 63 // positive: flip sign bit
 		}
 		return binary.BigEndian.AppendUint64(dst, bits)
-	case KindString:
-		return appendEscaped(dst, []byte(d.S))
-	case KindBytes:
-		return appendEscaped(dst, d.B)
+	case KindString, KindBytes:
+		return appendEscaped(dst, d.s)
 	case KindBool:
-		if d.Bool {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
+		return append(dst, byte(d.w))
 	default:
 		panic("serde: AppendSortKey on invalid datum")
 	}
@@ -53,8 +48,9 @@ func (d Datum) AppendSortKey(dst []byte) []byte {
 // SortKey returns the order-preserving encoding of d as a fresh slice.
 func (d Datum) SortKey() []byte { return d.AppendSortKey(nil) }
 
-func appendEscaped(dst, raw []byte) []byte {
-	for _, b := range raw {
+func appendEscaped(dst []byte, raw string) []byte {
+	for i := 0; i < len(raw); i++ {
+		b := raw[i]
 		if b == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
@@ -94,10 +90,7 @@ func DecodeSortKey(buf []byte) (Datum, int, error) {
 		if err != nil {
 			return Datum{}, 0, err
 		}
-		if kind == KindString {
-			return String(string(raw)), n + 1, nil
-		}
-		return Bytes(raw), n + 1, nil
+		return Datum{Kind: kind, s: unsafeString(raw)}, n + 1, nil
 	case KindBool:
 		if len(rest) < 1 {
 			return Datum{}, 0, fmt.Errorf("serde: truncated bool sort key")

@@ -132,15 +132,15 @@ func (v *Vector) Bools() []bool { return v.bools }
 func (v *Vector) Datum(i int) Datum {
 	switch v.kind {
 	case KindInt64:
-		return Datum{Kind: KindInt64, I: v.ints[i]}
+		return Int(v.ints[i])
 	case KindFloat64:
-		return Datum{Kind: KindFloat64, F: v.floats[i]}
+		return Float(v.floats[i])
 	case KindString:
-		return Datum{Kind: KindString, S: v.strs[i]}
+		return String(v.strs[i])
 	case KindBytes:
-		return Datum{Kind: KindBytes, B: v.raws[i]}
+		return Bytes(v.raws[i])
 	case KindBool:
-		return Datum{Kind: KindBool, Bool: v.bools[i]}
+		return Bool(v.bools[i])
 	default:
 		return Datum{}
 	}

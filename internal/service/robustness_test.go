@@ -32,6 +32,34 @@ func newRobustService(t *testing.T, opts manimal.Options, cfg ServerConfig) (*Cl
 		t.Fatal(err)
 	}
 	srv := NewWith(sys, cfg)
+	// Registered after t.TempDir(), so it runs before the directory is
+	// removed: a job the test canceled or abandoned may still be writing
+	// its journal end segment or scrubbing its scratch directory. The test
+	// is over, so the drain deadline has already passed — stragglers are
+	// canceled at once — and Done is observable only after those writes.
+	t.Cleanup(func() {
+		over, cancel := context.WithCancel(context.Background())
+		cancel()
+		srv.Drain(over)
+		// Drain gives up after its cancel grace, or at once when a test's
+		// drain fault point is still armed; every job must be terminal.
+		srv.mu.Lock()
+		jobs := make([]*tracked, 0, len(srv.jobs))
+		for _, j := range srv.jobs {
+			jobs = append(jobs, j)
+		}
+		srv.mu.Unlock()
+		deadline := time.After(30 * time.Second)
+		for _, j := range jobs {
+			j.handle.Cancel()
+			select {
+			case <-j.handle.Done():
+			case <-deadline:
+				t.Errorf("job %s still running 30s after the test ended", j.id)
+				return
+			}
+		}
+	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL), srv, sys, data, ts.URL

@@ -546,24 +546,24 @@ func ConfToJSON(conf manimal.Conf) map[string]any {
 	for k, d := range conf {
 		switch d.Kind {
 		case serde.KindInt64:
-			out[k] = d.I
+			out[k] = d.Int()
 		case serde.KindFloat64:
-			if math.IsInf(d.F, 0) || math.IsNaN(d.F) {
-				out[k] = d.F // json.Marshal rejects it, as for any JSON payload
+			if math.IsInf(d.Float(), 0) || math.IsNaN(d.Float()) {
+				out[k] = d.Float() // json.Marshal rejects it, as for any JSON payload
 				continue
 			}
 			// Keep a decimal marker on integral floats: a bare "2" would
 			// come back from confFromJSON as Int and flip the datum's
 			// kind across the wire (ConfFloat programs would then fail).
-			num := strconv.FormatFloat(d.F, 'g', -1, 64)
+			num := strconv.FormatFloat(d.Float(), 'g', -1, 64)
 			if !strings.ContainsAny(num, ".eE") {
 				num += ".0"
 			}
 			out[k] = json.Number(num)
 		case serde.KindBool:
-			out[k] = d.Bool
+			out[k] = d.Flag()
 		default:
-			out[k] = d.S
+			out[k] = d.Str()
 		}
 	}
 	return out

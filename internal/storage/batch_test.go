@@ -152,8 +152,8 @@ func TestBatchRowScanDifferential(t *testing.T) {
 		"mixed": {BlockSize: 2 << 10, Encodings: map[string]FieldEncoding{
 			"ts": EncodeDelta, "url": EncodeDict}},
 	}
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I // ts is non-decreasing
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int() // ts is non-decreasing
 	midFilter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+(maxTS-minTS)/20))
 	pushdowns := map[string]*Pushdown{
 		"nil":      nil,
@@ -203,8 +203,8 @@ func TestBatchScanSkipsBoundaryStraddlingBlocks(t *testing.T) {
 	recs := makeRecords(4000, 32)
 	path := filepath.Join(t.TempDir(), "straddle.rec")
 	writeFile(t, path, recs, WriterOptions{BlockSize: 2 << 10})
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int()
 	// Endpoints offset by +7 from the file minimum so they straddle block
 	// boundaries rather than aligning with them.
 	filter := tsFilter(serde.Int(minTS+7), serde.Int(minTS+7+(maxTS-minTS)/3))
@@ -290,8 +290,8 @@ func TestBatchScanDirectCodes(t *testing.T) {
 		}
 		for i, g := range got {
 			src := recs[idx[i]]
-			code, ok := r.Dictionary("s").Lookup(src.Get("s").S)
-			if !ok || g.Get("s").S != compress.CodeString(code) || g.Get("n").I != src.Get("n").I {
+			code, ok := r.Dictionary("s").Lookup(src.Get("s").Str())
+			if !ok || g.Get("s").Str() != compress.CodeString(code) || g.Get("n").Int() != src.Get("n").Int() {
 				t.Fatalf("%s: row %d decoded as %s, want code string of %s", name, idx[i], g, src)
 			}
 		}
@@ -357,8 +357,8 @@ func TestBatchScanAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int()
 	// Half-selectivity residual so the filter kernels run on every block.
 	pd := &Pushdown{Filter: tsFilter(serde.Int((minTS+maxTS)/2), serde.Datum{}), Residual: true}
 	sc, err := r.ScanBatch(0, r.NumBlocks(), pd)

@@ -306,7 +306,7 @@ func (w *Writer) Append(r *serde.Record) error {
 				return err
 			}
 		case EncodeDict:
-			w.fieldBufs[i] = binary.AppendUvarint(w.fieldBufs[i], w.dicts[i].Encode(d.S))
+			w.fieldBufs[i] = binary.AppendUvarint(w.fieldBufs[i], w.dicts[i].Encode(d.Str()))
 		}
 		w.fieldLen += len(w.fieldBufs[i]) - was
 	}

@@ -73,13 +73,13 @@ func (s *FieldStats) reset() { *s = FieldStats{} }
 // a prefix of a string/bytes value is always <= the full value.
 func prefixLowerBound(d serde.Datum) serde.Datum {
 	if d.Kind == serde.KindString {
-		v := d.S
+		v := d.Str()
 		if len(v) > statsPrefixLen {
 			v = v[:statsPrefixLen]
 		}
 		return serde.String(strings.Clone(v))
 	}
-	v := d.B
+	v := d.Raw()
 	if len(v) > statsPrefixLen {
 		v = v[:statsPrefixLen]
 	}
@@ -94,9 +94,9 @@ func prefixLowerBound(d serde.Datum) serde.Datum {
 func prefixUpperBound(d serde.Datum) serde.Datum {
 	var v []byte
 	if d.Kind == serde.KindString {
-		v = []byte(d.S)
+		v = []byte(d.Str())
 	} else {
-		v = d.B
+		v = d.Raw()
 	}
 	if len(v) <= statsPrefixLen {
 		out := append([]byte(nil), v...)

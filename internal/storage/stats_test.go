@@ -69,8 +69,8 @@ func TestPrunedScanDifferential(t *testing.T) {
 		"mixed": {BlockSize: 2 << 10, Encodings: map[string]FieldEncoding{
 			"ts": EncodeDelta, "url": EncodeDict}},
 	}
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I // ts is non-decreasing
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int() // ts is non-decreasing
 	filters := map[string]predicate.ZoneFilter{
 		"mid-1pct":   tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+(maxTS-minTS)/100)),
 		"straddle":   tsFilter(serde.Int(minTS+7), serde.Int(minTS+7+(maxTS-minTS)/3)),
@@ -109,8 +109,8 @@ func TestPrunedScanSkipsBlocks(t *testing.T) {
 	recs := makeRecords(4000, 22)
 	path := filepath.Join(t.TempDir(), "skip.rec")
 	writeFile(t, path, recs, WriterOptions{BlockSize: 2 << 10})
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int()
 	filter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+(maxTS-minTS)/100))
 
 	r, err := Open(path)
@@ -157,7 +157,7 @@ func TestFieldPruning(t *testing.T) {
 				if !g.Get("ts").Equal(recs[i].Get("ts")) {
 					t.Fatalf("record %d: ts = %v, want %v", i, g.Get("ts"), recs[i].Get("ts"))
 				}
-				if g.Get("url").S != "" || g.Get("score").F != 0 {
+				if g.Get("url").Str() != "" || g.Get("score").Float() != 0 {
 					t.Fatalf("record %d: masked fields leaked values: %s", i, g)
 				}
 				if idx[i] != int64(i) {
@@ -175,8 +175,8 @@ func TestResidualWithMaskDecodesFilterFields(t *testing.T) {
 	recs := makeRecords(2000, 24)
 	path := filepath.Join(t.TempDir(), "both.rec")
 	writeFile(t, path, recs, WriterOptions{BlockSize: 2 << 10})
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int()
 	filter := tsFilter(serde.Int(minTS+(maxTS-minTS)/3), serde.Int(minTS+(maxTS-minTS)/2))
 	got, _ := scanPushdown(t, path, &Pushdown{Filter: filter, Residual: true, Fields: []string{"url"}})
 	want := oracleFilter(recs, filter)
@@ -184,10 +184,10 @@ func TestResidualWithMaskDecodesFilterFields(t *testing.T) {
 		t.Fatalf("got %d records, want %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i].Get("url").S != want[i].Get("url").S || got[i].Get("ts").I != want[i].Get("ts").I {
+		if got[i].Get("url").Str() != want[i].Get("url").Str() || got[i].Get("ts").Int() != want[i].Get("ts").Int() {
 			t.Fatalf("record %d: %s != %s", i, got[i], want[i])
 		}
-		if got[i].Get("score").F != 0 {
+		if got[i].Get("score").Float() != 0 {
 			t.Fatalf("record %d: masked score leaked: %s", i, got[i])
 		}
 	}
@@ -200,8 +200,8 @@ func TestRecordIndexAcrossPruning(t *testing.T) {
 	recs := makeRecords(3000, 25)
 	path := filepath.Join(t.TempDir(), "idx.rec")
 	writeFile(t, path, recs, WriterOptions{BlockSize: 2 << 10})
-	minTS := recs[0].Get("ts").I
-	maxTS := recs[len(recs)-1].Get("ts").I
+	minTS := recs[0].Get("ts").Int()
+	maxTS := recs[len(recs)-1].Get("ts").Int()
 	filter := tsFilter(serde.Int((minTS+maxTS)/2), serde.Int((minTS+maxTS)/2+(maxTS-minTS)/50))
 
 	// Reference: full scan, recording positions of matching records.

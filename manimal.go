@@ -78,7 +78,8 @@ import (
 )
 
 // Datum re-exports the scalar value type used for keys, config parameters,
-// and record fields.
+// and record fields. Read one through the accessor of its Kind — Int(),
+// Float(), Str(), Raw(), Flag() — see the serde package documentation.
 type Datum = serde.Datum
 
 // Record re-exports the typed tuple programs consume.
