@@ -30,9 +30,10 @@ func (m *interpMapper) Map(k serde.Datum, rec *serde.Record, ctx *interp.Context
 	return m.ex.InvokeMap(k, rec, ctx)
 }
 
-// MapBatch implements mapreduce.BatchMapper: selected rows late-materialize
-// into one reused record and run through the same compiled map path, keyed
-// by whole-file record index.
+// MapBatch implements mapreduce.BatchMapper: the compiled Map runs once per
+// selected row, keyed by whole-file record index, reading its fields from
+// the batch's column vectors (rows late-materialize into one reused record
+// only for programs that use the record opaquely).
 func (m *interpMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
 	return m.ex.InvokeMapBatch(b, ctx)
 }

@@ -17,7 +17,9 @@ import (
 // and every construct the language admits, the compiled-closure executor
 // and the reference tree-walker (walker_test.go) must produce identical
 // emitted key/value streams, user counters, log lines and error texts on
-// the same generated input — through Map, Reduce, and Combine.
+// the same generated input — through Map (both of the executor's doors:
+// InvokeMap per record and InvokeMapBatch over column vectors), Reduce, and
+// Combine.
 
 // diffCase is one program under differential test.
 type diffCase struct {
@@ -29,6 +31,9 @@ type diffCase struct {
 	// (from both engines: the error texts are compared like everything
 	// else); when empty no invocation may fail.
 	wantErr string
+	// masked names fields the batch leaves undecoded (field-pruned); they
+	// read as their kind's zero, which is what the records hold for them.
+	masked []string
 }
 
 // errCase builds a program whose Map emits, then — for about half of the
@@ -333,17 +338,201 @@ func Map(strings, v *Record, ctx *Ctx) {
 		errCase("accessor-unknown", "", `ctx.Emit(k, v.Next("rank"))`, `unknown record accessor "Next"`),
 		errCase("accessor-arity", "", `ctx.Emit(k, v.Int("rank", "url"))`, "Int takes exactly one field name"),
 		errCase("receiver-not-record", "", `ctx.Emit(k, k.Int("rank"))`, `"k" is not a record, ctx, or iterator`),
+
+		// The typed/dynamic boundary. A slot every definition of which agrees
+		// on a kind lives unboxed and is computed on by typed closures; these
+		// cases sit on the edges of that rule.
+		// One name, two kinds: the slot stays dynamic and the program runs.
+		{name: "typed-two-kinds", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	x := v.Int("rank")
+	if x > 1500 {
+		x = v.Str("url")
+	}
+	ctx.Emit(x, x)
+	y := 1
+	y = y + 0.5
+	y += 2
+	ctx.Emit(v.Str("url"), y*2)
+}
+`, schemaText: webPages},
+		// A typed slot read before it is defined: in a branch not taken, and
+		// textually before its only definition inside a loop.
+		{name: "typed-read-before-def", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	first := true
+	for _, w := range strings.Fields(v.Str("content")) {
+		if !first {
+			ctx.Emit(prev, w)
+		}
+		prev = w
+		first = false
+	}
+	if v.Int("rank") > 1500 {
+		n = v.Int("rank") / 2
+	}
+	ctx.Emit(k, n+1)
+}
+`, schemaText: webPages, wantErr: `undefined variable "n"`},
+		// Accessor and field disagree: the same error from a record and from
+		// a column, raised when the site executes.
+		errCase("accessor-kind", "", `ctx.Emit(k, v.Int("url")+1)`, `field "url" is string, accessor Int wants int64`),
+		errCase("accessor-missing", "", `ctx.Emit(k, v.Str("nowhere"))`, `record has no field "nowhere"`),
+		// Masked (field-pruned) columns read as zero values through every
+		// accessor, bound or record-backed, and through an escaping record.
+		{name: "masked-fields", source: `
+func size(r *Record) int64 {
+	return len(r.Str("content")) + r.Int("rank")
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(v.Str("content")+v.Str("url"), v.Int("rank")+len(v.Str("content")))
+	ctx.Emit(size(v), v.Has("content") && !v.Has("absent"))
+	for _, f := range strings.Split("content,rank", ",") {
+		if f == "rank" {
+			ctx.Emit(f, v.Int(f))
+		} else {
+			ctx.Emit(f, v.Str(f))
+		}
+	}
+	ctx.Emit(k, v)
+}
+`, schemaText: webPages, masked: []string{"content", "rank"}},
+		errCase("typed-div-zero", "", `z := v.Int("rank") - v.Int("rank")
+		ctx.Emit(k, 7/z)`, "predicate: integer division by zero"),
+		errCase("typed-mod-zero", "", `z := v.Int("rank") - v.Int("rank")
+		q := 7
+		q %= z
+		ctx.Emit(k, q)`, "predicate: integer modulo by zero"),
+		{name: "typed-int-overflow", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	lo := -9223372036854775807 - 1
+	m := v.Int("rank") - v.Int("rank") - 1
+	ctx.Emit(lo/m, lo%m)
+	ctx.Emit(lo-1, lo*m)
+	lo /= m
+	ctx.Emit(k, -lo)
+}
+`, schemaText: webPages},
+		// NaN orders as equal to everything under serde.Datum.Compare, so
+		// nan <= x and nan >= x hold while nan == nan does not.
+		{name: "typed-float-nan", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	nan := math.Sqrt(0.0 - 1.0)
+	x := v.Int("rank") / 7.0
+	ctx.Emit(nan+x, nan < x)
+	ctx.Emit(nan <= x, nan >= x)
+	ctx.Emit(nan == nan, nan != nan)
+	ctx.Emit(nan > v.Int("rank"), v.Int("rank") <= nan)
+	ctx.Emit(x-0.5 < x, -x*2.0 >= x/3)
+	x -= nan
+	ctx.Emit(k, x)
+}
+`, schemaText: webPages},
+		{name: "typed-strings", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	s := v.Str("url")
+	t := s + "/" + v.Str("content")
+	s += "#"
+	ctx.Emit(t, s < t)
+	ctx.Emit(s == t, s >= "http")
+	ctx.Emit(strings.ToUpper(s)+strconv.Itoa(len(t)), strings.Index(t, "42"))
+	ctx.Emit(true == (s != t), false != true)
+}
+`, schemaText: webPages},
+		// Kinds that conflict statically keep the dynamic lowering: the
+		// walker-defined error, and only when the expression executes.
+		errCase("static-compare", "", `ctx.Emit(k, 1 < "a")`, "ordered comparison of int64 and string"),
+		errCase("static-not", "", `ctx.Emit(k, !5)`, "! of int64"),
+		errCase("static-neg", "", `ctx.Emit(k, -"a")`, "- of string"),
+		errCase("static-arith", "", `ctx.Emit(1 == "a", "a"-"b")`, "unsupported string - string"),
+		errCase("static-float-mod", "", `ctx.Emit(k, 1.5%2.0)`, "unsupported float64 % float64"),
+		errCase("static-cond", "", `if v.Int("rank") {
+			ctx.Emit(k, 3)
+		}`, "condition is int64, not bool"),
+		errCase("static-builtin-arg", "", `ctx.Emit(k, strings.HasPrefix(1, "a"))`, "expected string, got int64"),
+		errCase("static-incdec", "", `s := v.Str("url")
+		s++`, "++/-- on string"),
+		// A package-level variable is dynamic whatever its declaration says.
+		{name: "global-any-kind", source: `
+var g int
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(k, g)
+	m := make(map[string]string)
+	m["u"] = v.Str("url")
+	g = m["u"]
+	ctx.Emit(g, g+"!")
+	g = m["absent"]
+	ctx.Emit(k, g)
+	g = v.Int("rank")
+	g++
+}
+`, schemaText: webPages},
+		// Range variables are an int and a string; here they feed typed
+		// operators and builtins, survive a second string definition, and —
+		// n — fall back to dynamic under an int one.
+		{name: "typed-range", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	for i, w := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(w, "http://") && i > 0 {
+			ctx.Emit(w, i*len(w))
+		}
+	}
+	w = "tail"
+	ctx.Emit(w, strings.HasSuffix(w, "il"))
+	for _, n := range strings.Split(v.Str("url"), "/") {
+		ctx.Emit(n, min(len(n), 3, 9))
+	}
+	n = 7
+	ctx.Emit(k, n+1)
+	for k = range strings.Fields(v.Str("content")) {
+		ctx.Emit(k, max(k, 2))
+	}
+}
+`, schemaText: webPages},
+		// The record parameter escapes — to a helper and into Emit — while
+		// other reads of it stay bound to columns; and a Map that rebinds the
+		// parameter loses the binding altogether.
+		{name: "record-escapes", source: `
+func rank(r *Record) int64 {
+	return r.Int("rank")
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	if rank(v) > 1000 && v.Int("rank") == rank(v) {
+		ctx.Emit(v.Str("url"), v)
+	}
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	for values.Next() {
+		ctx.Emit(values.FieldInt("rank"), values.FieldStr("url")+key)
+	}
+}
+`, schemaText: webPages},
+		{name: "record-rebound", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(v.Str("url"), v.Int("rank"))
+	if v.Int("rank") > 1500 {
+		v = v.Int("rank")
+		ctx.Emit(k, v)
+		ctx.Emit(k, v.Int("rank"))
+	}
+}
+`, schemaText: webPages, wantErr: `"v" is not a record, ctx, or iterator`},
 	}
 }
 
 // genRecords builds count deterministic records for the schema, with field
 // contents slanted so that the benchmark programs take all their branches
-// (pipe-separated tuples, URL-bearing content, colliding keys).
-func genRecords(t *testing.T, schemaText string, count int) []*serde.Record {
-	t.Helper()
+// (pipe-separated tuples, URL-bearing content, colliding keys). Fields named
+// in masked hold their kind's zero value.
+func genRecords(tb testing.TB, schemaText string, count int, masked ...string) []*serde.Record {
+	tb.Helper()
 	schema, err := serde.ParseSchema(schemaText)
 	if err != nil {
-		t.Fatalf("schema: %v", err)
+		tb.Fatalf("schema: %v", err)
 	}
 	rng := rand.New(rand.NewSource(7))
 	vocab := []string{"alpha", "beta", "http://a.example/x", "http://b.example/y", "42", "gamma"}
@@ -374,7 +563,10 @@ func genRecords(t *testing.T, schemaText string, count int) []*serde.Record {
 			case field.Kind == serde.KindBool:
 				d = serde.Bool(rng.Intn(2) == 0)
 			default:
-				t.Fatalf("unsupported field kind %v", field.Kind)
+				tb.Fatalf("unsupported field kind %v", field.Kind)
+			}
+			if slices.Contains(masked, field.Name) {
+				d = serde.ZeroOf(field.Kind)
 			}
 			rec.MustSet(field.Name, d)
 		}
@@ -391,12 +583,18 @@ type capture struct {
 	errs     []string
 }
 
+// context returns a Context recording into c. Emitted records are cloned,
+// as the Emit contract demands of anything that retains them: the batch
+// door emits one reused record.
 func (c *capture) context(conf map[string]serde.Datum) *Context {
 	c.counters = make(map[string]int64)
 	return &Context{
 		Conf: conf,
 		Emit: func(k serde.Datum, v EmitValue) error {
-			c.emits = append(c.emits, emitted{k, v})
+			if v.IsRecord() {
+				v.Rec = v.Rec.Clone()
+			}
+			c.emits = append(c.emits, emitted{k.CloneData(), EmitValue{D: v.D.CloneData(), Rec: v.Rec}})
 			return nil
 		},
 		Log:     func(m string) { c.logs = append(c.logs, m) },
@@ -404,7 +602,20 @@ func (c *capture) context(conf map[string]serde.Datum) *Context {
 	}
 }
 
-func emitKey(d serde.Datum) string { return string(d.AppendTagged(nil)) }
+func (c *capture) note(err error) {
+	if err != nil {
+		c.errs = append(c.errs, err.Error())
+	}
+}
+
+// emitKey is a datum's identity for comparison and grouping. A program can
+// emit the invalid datum (its ctx or iterator parameter, read as a value).
+func emitKey(d serde.Datum) string {
+	if !d.IsValid() {
+		return "<invalid>"
+	}
+	return string(d.AppendTagged(nil))
+}
 
 func compareCaptures(t *testing.T, phase string, a, b capture) {
 	t.Helper()
@@ -429,8 +640,8 @@ func compareCaptures(t *testing.T, phase string, a, b capture) {
 			t.Fatalf("%s: emission %d value shape differs", phase, i)
 		}
 		if va.IsRecord() {
-			if va.Rec != vb.Rec {
-				t.Fatalf("%s: emission %d record differs", phase, i)
+			if !va.Rec.Equal(vb.Rec) {
+				t.Fatalf("%s: emission %d record differs: compiled %v vs walker %v", phase, i, va.Rec, vb.Rec)
 			}
 		} else if emitKey(va.D) != emitKey(vb.D) {
 			t.Fatalf("%s: emission %d value differs: compiled %v vs walker %v", phase, i, va.D, vb.D)
@@ -454,6 +665,120 @@ func compareCaptures(t *testing.T, phase string, a, b capture) {
 	}
 }
 
+// fillBatch packs records into a Batch the way the batch scanner does:
+// every field decode admits (nil: all) decoded into its column vector, base
+// as the whole-file index of row 0, every row selected.
+func fillBatch(b *serde.Batch, schema *serde.Schema, recs []*serde.Record, base int64, decode func(field int) bool) {
+	n := len(recs)
+	b.Reset(schema, n, base)
+	for f := 0; f < schema.NumFields(); f++ {
+		if decode != nil && !decode(f) {
+			continue
+		}
+		col := b.Col(f)
+		switch schema.Field(f).Kind {
+		case serde.KindString:
+			dst := col.ResizeStrs(n)
+			for i, r := range recs {
+				dst[i] = r.At(f).Str()
+			}
+		case serde.KindInt64:
+			dst := col.ResizeInts(n)
+			for i, r := range recs {
+				dst[i] = r.At(f).Int()
+			}
+		case serde.KindFloat64:
+			dst := col.ResizeFloats(n)
+			for i, r := range recs {
+				dst[i] = r.At(f).Float()
+			}
+		case serde.KindBool:
+			dst := col.ResizeBools(n)
+			for i, r := range recs {
+				dst[i] = r.At(f).Flag()
+			}
+		}
+		b.SetDecoded(f)
+	}
+	b.SelectAll()
+}
+
+// diffLimits lets the fuzzer bound what an arbitrary program may run.
+type diffLimits struct{ maxLoop, maxDepth int }
+
+// runDifferential runs prog through the compiled executor and the
+// tree-walker over identical input and fails t on any observable
+// difference: Map over recs — compiled twice, by InvokeMap per record and
+// by InvokeMapBatch over the same rows as columns (masked fields left
+// undecoded), one row per call so that a failing row costs both engines
+// that row only — then Reduce and Combine over the walker's (verified
+// identical) map output, grouped by key in first-seen order. It returns
+// every error text the compiled executor raised.
+func runDifferential(t *testing.T, prog *lang.Program, recs []*serde.Record, conf map[string]serde.Datum, masked []string, lim *diffLimits) []string {
+	t.Helper()
+	newEx := func() *Executor {
+		ex, err := New(prog)
+		if err != nil {
+			t.Fatalf("lang.Parse accepted a program interp.New rejects: %v\n%s", err, prog.Source)
+		}
+		// Every function — stage functions and helpers — is compiled.
+		for name := range prog.Funcs {
+			if !ex.Compiled(name) {
+				t.Fatalf("function %s was not compiled\n%s", name, prog.Source)
+			}
+		}
+		if lim != nil {
+			ex.maxLoop, ex.maxDepth = lim.maxLoop, lim.maxDepth
+		}
+		return ex
+	}
+	rowEx, batchEx, walkEx := newEx(), newEx(), &treeWalker{ex: newEx()}
+
+	var mapC, mapB, mapW capture
+	ctxC, ctxB, ctxW := mapC.context(conf), mapB.context(conf), mapW.context(conf)
+	const batchRows = 64
+	var b serde.Batch
+	for i, r := range recs {
+		mapC.note(rowEx.InvokeMap(serde.Int(int64(i)), r, ctxC))
+		mapW.note(walkEx.InvokeMap(serde.Int(int64(i)), r, ctxW))
+		if i%batchRows == 0 {
+			schema := r.Schema()
+			fillBatch(&b, schema, recs[i:min(i+batchRows, len(recs))], int64(i), func(f int) bool {
+				return !slices.Contains(masked, schema.Field(f).Name)
+			})
+		}
+		b.SetSel([]int32{int32(i % batchRows)})
+		mapB.note(batchEx.InvokeMapBatch(&b, ctxB))
+	}
+	compareCaptures(t, "map", mapC, mapW)
+	compareCaptures(t, "map-batch", mapB, mapW)
+	allErrs := mapC.errs
+
+	for _, fn := range []string{lang.ReduceFuncName, lang.CombineFuncName} {
+		if prog.Funcs[fn] == nil {
+			continue
+		}
+		groups, order := groupByKey(mapW.emits)
+		var redC, redW capture
+		rctxC, rctxW := redC.context(conf), redW.context(conf)
+		for _, key := range order {
+			invoke := func(ex stageInvoker, ctx *Context, cap *capture) {
+				it := &sliceIter{vals: groups[key].vals}
+				if fn == lang.ReduceFuncName {
+					cap.note(ex.InvokeReduce(groups[key].key, it, ctx))
+				} else {
+					cap.note(ex.InvokeCombine(groups[key].key, it, ctx))
+				}
+			}
+			invoke(rowEx, rctxC, &redC)
+			invoke(walkEx, rctxW, &redW)
+		}
+		compareCaptures(t, fn, redC, redW)
+		allErrs = append(allErrs, redC.errs...)
+	}
+	return allErrs
+}
+
 func TestCompiledMatchesTreeWalker(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -461,65 +786,8 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			compiledEx, err := New(prog)
-			if err != nil {
-				t.Fatalf("new compiled: %v", err)
-			}
-			walkEx, err := newTreeWalker(prog)
-			if err != nil {
-				t.Fatalf("new walker: %v", err)
-			}
-			// Every function — stage functions and helpers — is compiled.
-			for name := range prog.Funcs {
-				if !compiledEx.Compiled(name) {
-					t.Fatalf("function %s was not compiled", name)
-				}
-			}
-
-			recs := genRecords(t, tc.schemaText, 200)
-
-			// Map phase, both executors over identical input.
-			var mapC, mapW capture
-			ctxC, ctxW := mapC.context(tc.conf), mapW.context(tc.conf)
-			for i, r := range recs {
-				if err := compiledEx.InvokeMap(serde.Int(int64(i)), r, ctxC); err != nil {
-					mapC.errs = append(mapC.errs, err.Error())
-				}
-				if err := walkEx.InvokeMap(serde.Int(int64(i)), r, ctxW); err != nil {
-					mapW.errs = append(mapW.errs, err.Error())
-				}
-			}
-			compareCaptures(t, "map", mapC, mapW)
-			allErrs := mapC.errs
-
-			// Reduce and Combine phases over the walker's (verified
-			// identical) map output, grouped by key in first-seen order.
-			for _, fn := range []string{lang.ReduceFuncName, lang.CombineFuncName} {
-				if prog.Funcs[fn] == nil {
-					continue
-				}
-				groups, order := groupByKey(mapW.emits)
-				var redC, redW capture
-				rctxC, rctxW := redC.context(tc.conf), redW.context(tc.conf)
-				for _, key := range order {
-					invoke := func(ex stageInvoker, ctx *Context, cap *capture) {
-						it := &sliceIter{vals: groups[key].vals}
-						var err error
-						if fn == lang.ReduceFuncName {
-							err = ex.InvokeReduce(groups[key].key, it, ctx)
-						} else {
-							err = ex.InvokeCombine(groups[key].key, it, ctx)
-						}
-						if err != nil {
-							cap.errs = append(cap.errs, err.Error())
-						}
-					}
-					invoke(compiledEx, rctxC, &redC)
-					invoke(walkEx, rctxW, &redW)
-				}
-				compareCaptures(t, fn, redC, redW)
-				allErrs = append(allErrs, redC.errs...)
-			}
+			recs := genRecords(t, tc.schemaText, 200, tc.masked...)
+			allErrs := runDifferential(t, prog, recs, tc.conf, tc.masked, nil)
 			if tc.wantErr == "" && len(allErrs) > 0 {
 				t.Fatalf("unexpected error: %s", allErrs[0])
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"manimal/internal/lang"
+	"manimal/internal/serde"
 )
 
 // seedFiles are the Go files whose string literals seed FuzzCompileTotal:
@@ -54,13 +55,25 @@ func programLiterals(tb testing.TB, patterns []string) []string {
 	return out
 }
 
-// FuzzCompileTotal asserts the closure compiler is total: every source the
-// language front end accepts can be instantiated, and every function it
-// defines — stage functions and helpers — is compiled. There is no second
-// engine for a construct to fall back to, so a gap here would be a program
-// that validates and then cannot run. Sources that fail lang.Parse are
-// skipped: rejecting them is the front end's job. Under plain `go test` the
-// seeds run as an ordinary test.
+// fuzzSchema is the record kit's schema: every field the paper programs,
+// the examples and the differential cases read, so that most of what the
+// fuzzer derives from them still finds its fields (a missing one is an
+// error both engines must word identically).
+const fuzzSchema = "url:string,rank:int64,content:string,tuple:string,score:float64,ok:bool," +
+	"sourceIP:string,destURL:string,visitDate:int64,adRevenue:int64,duration:int64," +
+	"pageURL:string,pageRank:int64"
+
+// FuzzCompileTotal asserts the closure compiler is total and faithful:
+// every source the language front end accepts can be instantiated, every
+// function it defines — stage functions and helpers — is compiled, and
+// running it over a fixed kit of records (through both Map doors) and the
+// value groups its own Map emits (through Reduce and Combine) produces the
+// emissions, counters, logs and error texts the tree-walker produces. There
+// is no second engine for a construct to fall back to, so a gap here would
+// be a program that validates and then cannot run, or runs differently from
+// what the language defines. Sources that fail lang.Parse are skipped:
+// rejecting them is the front end's job. Under plain `go test` the seeds
+// run as an ordinary test.
 func FuzzCompileTotal(f *testing.F) {
 	seeds := programLiterals(f, seedFiles)
 	if len(seeds) < 15 {
@@ -72,19 +85,19 @@ func FuzzCompileTotal(f *testing.F) {
 	for _, src := range seeds {
 		f.Add(src)
 	}
+	recs := genRecords(f, fuzzSchema, 12)
+	conf := map[string]serde.Datum{
+		"threshold": serde.Int(1000), "t": serde.Int(1000),
+		"dateLo": serde.Int(300), "dateHi": serde.Int(1500),
+	}
+	// A generated program runs whatever it says: keep loops and recursion
+	// short enough that the slow engine finishes every one of them.
+	limits := &diffLimits{maxLoop: 64, maxDepth: 6}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := lang.Parse(src)
 		if err != nil {
 			return
 		}
-		ex, err := New(p)
-		if err != nil {
-			t.Fatalf("lang.Parse accepted a program interp.New rejects: %v\n%s", err, src)
-		}
-		for name := range p.Funcs {
-			if !ex.Compiled(name) {
-				t.Fatalf("function %s was not compiled\n%s", name, src)
-			}
-		}
+		runDifferential(t, p, recs, conf, nil, limits)
 	})
 }

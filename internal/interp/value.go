@@ -14,27 +14,47 @@
 // compile time to integer frame slots (lang.Function.Slots), record
 // accessor / ctx method / builtin calls are dispatched through precomputed
 // function values with memoized schema field indexes, and helper calls bind
-// their callee's compiled body. Call arguments are evaluated onto an
-// executor-owned argument stack and a helper runs in a reused frame taken
-// from an executor-owned, depth-indexed frame stack. Per-record execution
-// therefore never re-walks the go/ast tree and allocates nothing on the
-// happy path, helper calls included.
+// their callee's compiled body. Per-record execution therefore never
+// re-walks the go/ast tree and allocates nothing on the happy path, helper
+// calls included.
+//
+// The compiler is typed. A flow-insensitive pass (kinds.go) first gives
+// every expression and frame slot a static kind — int, float, string, bool,
+// or dynamic; a slot is typed iff every definition of it agrees. A
+// statically-kinded expression lowers to a typed closure returning the Go
+// value itself, a typed slot lives unboxed in the frame, and arithmetic,
+// comparisons, conditions, builtins with a typed signature and ctx.Emit take
+// typed operands directly. Only what the language makes dynamic — maps and
+// lists and what is read out of them, helper parameters and results,
+// package-level variables — travels as a boxed 56-byte Value, and the boxed
+// form of a typed node is derived from its typed closure, not lowered a
+// second time: one compiler, two return conventions. Arguments of helper
+// calls and of builtin calls with a dynamic operand are evaluated onto an
+// executor-owned argument stack, and a helper runs in a reused frame taken
+// from an executor-owned, depth-indexed frame stack. Executor.BoxedSites
+// reports, per function, which expressions still box.
 //
 // The lowering is total over what lang.Parse accepts: constructs the
-// language admits but the runtime cannot carry out become closures that
-// return their error when executed. The semantics are pinned by a
-// test-only AST tree-walker (walker_test.go) that differential_test.go
-// compares the closures against — emissions, counters, logs and error
-// text — and FuzzCompileTotal holds the totality.
+// language admits but the runtime cannot carry out, and operations whose
+// operand kinds conflict statically, become closures that return their
+// error when executed. The semantics are pinned by a test-only AST
+// tree-walker (walker_test.go) that differential_test.go compares the
+// closures against — emissions, counters, logs and error text — and that
+// FuzzCompileTotal compares them against for every program it generates.
 //
 // # Batch entry point
 //
 // Executor.InvokeMapBatch (batch.go) is the scan pipeline's door into the
-// interpreter: it late-materializes each selected row of a serde.Batch
-// into one executor-owned record and runs the same InvokeMap per row,
-// keyed by Batch.Base()+row. It is observably identical to calling
-// InvokeMap over storage.Scanner's row cursor (which walks the same
-// batches the same way) — same keys, values, and emission order.
+// interpreter. It sets the frame up once per batch and binds Map's
+// constant-field reads of its record parameter (v.Int("rank"), ...) to the
+// batch's column vectors, so such a read is Col(i).Ints()[row]; the binding
+// is made per batch and is valid exactly as long as the batch's vectors
+// are. Rows are assembled into a record only for programs that use the
+// parameter opaquely (ctx.Emit(k, v), a helper argument), late and into one
+// executor-owned record. InvokeMap(k, rec) — B+Tree range scans — runs the
+// same closures over a record. The two are observably identical over the
+// same rows, keyed by Batch.Base()+row: same keys, values, errors, and
+// emission order.
 package interp
 
 import (
@@ -59,9 +79,10 @@ const (
 	ValRecord
 )
 
-// Value is one interpreter runtime value: a scalar datum, or a reference to
-// a list, map or record. Every exprFn returns one by value, so its size is
-// gated (TestValueSizes): D is live for ValScalar, ref for the other kinds.
+// Value is one interpreter runtime value in the boxed convention: a scalar
+// datum, or a reference to a list, map or record. Every boxed closure
+// returns one by value, so its size is gated (TestValueSizes): D is live for
+// ValScalar, ref for the other kinds.
 type Value struct {
 	Kind ValKind
 	D    serde.Datum

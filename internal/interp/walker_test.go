@@ -32,14 +32,6 @@ type treeWalker struct {
 	ex *Executor
 }
 
-func newTreeWalker(p *lang.Program) (*treeWalker, error) {
-	ex, err := New(p)
-	if err != nil {
-		return nil, err
-	}
-	return &treeWalker{ex: ex}, nil
-}
-
 // walker is one function activation under the tree-walker: a frame plus the
 // names the walker resolves per access.
 type walker struct {
@@ -102,8 +94,8 @@ func (tw *treeWalker) invokeReduceLike(name string, key serde.Datum, values Valu
 
 // callHelper invokes a user-defined helper function in a fresh activation.
 func (fr *walker) callHelper(fn *lang.Function, args []Value) (Value, error) {
-	if fr.depth >= maxCallDepth {
-		return Value{}, fmt.Errorf("interp: call depth exceeded %d in %s (runaway recursion?)", maxCallDepth, fn.Name)
+	if fr.depth >= fr.ex.maxDepth {
+		return Value{}, fmt.Errorf("interp: call depth exceeded %d in %s (runaway recursion?)", fr.ex.maxDepth, fn.Name)
 	}
 	hf := newWalker(fr.ex, fn, fr.ctx, fr.depth+1)
 	for i, p := range fn.Params {
@@ -245,8 +237,8 @@ func (fr *walker) execStmt(s ast.Stmt) (ctrl, error) {
 			}
 		}
 		for iter := 0; ; iter++ {
-			if iter >= maxLoopIterations {
-				return ctrlNone, fmt.Errorf("interp: loop exceeded %d iterations", maxLoopIterations)
+			if iter >= fr.ex.maxLoop {
+				return ctrlNone, fmt.Errorf("interp: loop exceeded %d iterations", fr.ex.maxLoop)
 			}
 			if st.Cond != nil {
 				cond, err := fr.evalBool(st.Cond)
@@ -675,7 +667,8 @@ func (fr *walker) evalCtxCall(method string, args []ast.Expr) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		return confLookup(fr.ctx, name, method, confKind(method))
+		d, err := confLookup(fr.ctx, name, method, confKind(method))
+		return Scalar(d), err
 	case "Log":
 		if len(args) != 1 {
 			return Value{}, fmt.Errorf("interp: Log takes one message")
@@ -712,9 +705,10 @@ func (fr *walker) evalCtxCall(method string, args []ast.Expr) (Value, error) {
 func (fr *walker) evalIterCall(method string, args []ast.Expr) (Value, error) {
 	switch method {
 	case "Next":
-		return fr.iterNext(), nil
+		return BoolVal(fr.iterNext()), nil
 	case "Int", "Float", "Str":
-		return fr.iterScalar(method, scalarKind(method))
+		d, err := fr.iterScalar(method, scalarKind(method))
+		return Scalar(d), err
 	case "FieldInt", "FieldFloat", "FieldStr", "HasField":
 		rec, err := fr.iterRecord(method)
 		if err != nil {
@@ -747,9 +741,9 @@ func (fr *walker) evalBuiltin(name string, c *ast.CallExpr) (Value, error) {
 		}
 		args[i] = v
 	}
-	impl, ok := builtins[name]
+	b, ok := builtins[name]
 	if !ok {
 		return Value{}, fmt.Errorf("interp: unknown function %q", name)
 	}
-	return impl(args)
+	return b.impl(args)
 }

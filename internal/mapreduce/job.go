@@ -115,7 +115,10 @@ type Reducer interface {
 // MapperFactory builds one mapper instance per map task.
 type MapperFactory func() (Mapper, error)
 
-// ReducerFactory builds one reducer instance per reduce task.
+// ReducerFactory builds one reducer instance per reduce task — and, as
+// Job.Combiner, one combiner instance per map task that spills (built at
+// its first spill), so Combine has the same one-instance-per-task
+// member-variable state Map and Reduce have.
 type ReducerFactory func() (Reducer, error)
 
 // MapInput pairs an input source with the mapper that consumes it,

@@ -353,6 +353,47 @@ func TestShuffleMultiSpillWithCombiner(t *testing.T) {
 	}
 }
 
+// TestCombinerBuiltOncePerEmitter: a map task builds its combiner at its
+// first spill and reuses it for every partition of every spill. With an
+// interpreted combiner the factory is a whole program compile, which used
+// to run once per non-empty partition per spill.
+func TestCombinerBuiltOncePerEmitter(t *testing.T) {
+	built := 0
+	combiner := func() (Reducer, error) {
+		built++
+		return sumReducer{}, nil
+	}
+	se := newShuffleEmitter(0, 0, 3, t.TempDir(), 1<<30, combiner, NewCounters(), nil, HashPartitioner{})
+	defer se.discard()
+	for spill := 0; spill < 3; spill++ {
+		for i := 0; i < 64; i++ {
+			if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := se.spill(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(se.files) != 3 {
+		t.Fatalf("%d spill files, want 3", len(se.files))
+	}
+	for i, sf := range se.files {
+		filled := 0
+		for _, sp := range sf.parts {
+			if sp.n > 0 {
+				filled++
+			}
+		}
+		if filled < 2 {
+			t.Fatalf("spill %d filled %d partitions; the keys did not spread over at least 2", i, filled)
+		}
+	}
+	if built != 1 {
+		t.Fatalf("combiner factory called %d times over 3 spills of several partitions, want 1", built)
+	}
+}
+
 // TestWorkDirCleanedAfterRun: spill segments must be deleted once the
 // reduce phase consumed them, so a long-lived WorkDir does not grow.
 func TestWorkDirCleanedAfterRun(t *testing.T) {

@@ -283,6 +283,7 @@ type shuffleEmitter struct {
 	bytes     int
 	threshold int
 	combiner  ReducerFactory
+	combInst  Reducer // the task's one combiner instance, built at the first spill
 	counters  counterAdder
 	conf      map[string]serde.Datum
 	part      Partitioner
@@ -427,12 +428,21 @@ func (se *shuffleEmitter) spill() error {
 
 // combine runs the combiner over each key group of a sorted partition
 // buffer, collecting its output into the reused combiner buffer and
-// re-sorting it (Hadoop-style map-side pre-aggregation).
+// re-sorting it (Hadoop-style map-side pre-aggregation). The combiner is
+// built once per emitter, at the task's first spill, and serves every
+// partition of every spill: compiling the program per partition per spill
+// cost more than combining did. Like a task's Mapper and Reducer it
+// therefore carries its member-variable state across all the groups the
+// task combines.
 func (se *shuffleEmitter) combine(pb *partBuf) (*partBuf, error) {
-	c, err := se.combiner()
-	if err != nil {
-		return nil, err
+	if se.combInst == nil {
+		c, err := se.combiner()
+		if err != nil {
+			return nil, err
+		}
+		se.combInst = c
 	}
+	c := se.combInst
 	out := &se.comb
 	out.reset()
 	emit := func(key serde.Datum, value interp.EmitValue) error {
