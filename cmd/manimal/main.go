@@ -341,6 +341,7 @@ func cmdIndex(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	prog, err := loadProgram(*progPath)
 	if err != nil {
 		return err
@@ -383,6 +384,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	prog, err := loadProgram(*progPath)
 	if err != nil {
 		return err
@@ -610,6 +612,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	srv := service.NewWith(sys, service.ServerConfig{
 		MaxActiveJobs: *maxJobs,
 		TenantSlots:   *tenantSlots,
@@ -766,6 +769,7 @@ func journalJobs(sysDir string) error {
 	if err != nil {
 		return err
 	}
+	defer jnl.Close()
 	entries, err := jnl.Replay()
 	if err != nil {
 		return err
@@ -787,12 +791,9 @@ func journalJobs(sysDir string) error {
 		}
 		fmt.Println()
 	}
-	st, err := jnl.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("journal: %d jobs (%d incomplete), %d segments, %d bytes\n",
-		st.Jobs, st.Incomplete, st.Segments, st.Bytes)
+	st := jnl.Stats()
+	fmt.Printf("journal: %d jobs (%d incomplete), %d records, %d bytes\n",
+		st.Jobs, st.Incomplete, st.Records, st.Bytes)
 	return nil
 }
 
@@ -889,16 +890,14 @@ func cmdCatalog(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	entries := sys.Catalog().All()
-	if len(entries) == 0 {
+	cached := sys.Catalog().CacheEntries()
+	if len(entries) == 0 && len(cached) == 0 {
 		fmt.Println("catalog is empty")
 		return nil
 	}
 	for _, e := range entries {
-		if e.Kind == catalog.KindResultCache {
-			printCacheEntry(e)
-			continue
-		}
 		fmt.Printf("%-12s %s -> %s fields=%v", e.Kind, e.InputPath, e.IndexPath, e.Fields)
 		if e.KeyExpr != "" {
 			fmt.Printf(" key=%s", e.KeyExpr)
@@ -929,15 +928,26 @@ func cmdCatalog(args []string) error {
 		}
 		fmt.Println()
 	}
+	if len(cached) > 0 {
+		var size int64
+		for _, e := range cached {
+			size += e.SizeBytes
+		}
+		fmt.Printf("result cache: %d entries, %d bytes (`manimal cache` lists them)\n", len(cached), size)
+	}
 	return nil
 }
 
 // printCacheEntry renders one result-cache entry: the key it serves
 // under, how often it was hit, and whether it can still be hit at all.
-func printCacheEntry(e catalog.Entry) {
-	fmt.Printf("%-12s %s -> %s key=%.12s… hits=%d records=%d (%d bytes)",
-		e.Kind, e.InputPath, e.IndexPath, e.CacheKey, e.Hits, e.OutputRecords, e.SizeBytes)
-	if !e.CacheFresh() {
+func printCacheEntry(e catalog.CacheEntry) {
+	input := ""
+	if len(e.Inputs) > 0 {
+		input = e.Inputs[0].Path
+	}
+	fmt.Printf("result-cache %s -> %s key=%.12s… hits=%d records=%d (%d bytes)",
+		input, e.Path, e.Key, e.Hits, e.OutputRecords, e.SizeBytes)
+	if !e.Fresh() {
 		fmt.Print(" STALE (input rewritten; `manimal cache -evict -stale` reclaims it)")
 	}
 	if e.State != "" {
@@ -958,25 +968,22 @@ func cmdCache(args []string) error {
 	if err != nil {
 		return err
 	}
+	defer sys.Close()
 	if *evict {
 		evicted, err := sys.EvictResultCache(*stale)
 		for _, e := range evicted {
-			fmt.Printf("evicted %.12s… -> %s (%d hits)\n", e.CacheKey, e.IndexPath, e.Hits)
+			fmt.Printf("evicted %.12s… -> %s (%d hits)\n", e.Key, e.Path, e.Hits)
 		}
 		if len(evicted) == 0 {
 			fmt.Println("nothing to evict")
 		}
 		return err
 	}
-	n := 0
-	for _, e := range sys.Catalog().All() {
-		if e.Kind != catalog.KindResultCache {
-			continue
-		}
+	entries := sys.Catalog().CacheEntries()
+	for _, e := range entries {
 		printCacheEntry(e)
-		n++
 	}
-	if n == 0 {
+	if len(entries) == 0 {
 		fmt.Println("result cache is empty")
 	}
 	return nil

@@ -2,7 +2,13 @@
 // it records, for each input file, the index files that index-generation
 // programs have produced, so the optimizer can choose an execution plan.
 // Entries are stored as a JSON file in the catalog directory, mirroring the
-// "filesystem catalog" of the paper.
+// "filesystem catalog" of the paper. That snapshot is rewritten, fsynced
+// and renamed into place whenever an index is built, removed or
+// quarantined — rare, administrator-paced events.
+//
+// The catalog also owns the result cache's index (cache.go): a key → entry
+// map persisted as appends to <dir>/cache/index.log, so the per-submission
+// traffic of stores and hits never touches the snapshot.
 package catalog
 
 import (
@@ -13,6 +19,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"manimal/internal/durable"
 )
 
 // Index kinds.
@@ -23,19 +31,6 @@ const (
 	// shard manifest (ordered shard files plus key boundaries) that package
 	// btree opens as one logical tree.
 	KindBTreeSharded = "btree-shards"
-	// KindResultCache is a committed job output registered for reuse:
-	// IndexPath is the cached KV artifact, CacheKey the identity under
-	// which a re-submitted job is served from it without executing. The
-	// key covers everything that determines a job's output — the hash of
-	// each input program's canonicalized AST, each input file's
-	// fingerprint (path, size, mtime), the job conf, output-shape knobs
-	// (map-only, sorted output, reducer count), and the storage format
-	// version — and nothing that doesn't (job name, output path,
-	// parallelism, startup delay). A rewritten input changes the
-	// fingerprint and thus the key, so stale entries are simply never hit
-	// again (and show as STALE until evicted); a damaged artifact is
-	// quarantined through the same CORRUPT path as index variants.
-	KindResultCache = "result-cache"
 )
 
 // Entry describes one index built over an input file.
@@ -82,23 +77,6 @@ type Entry struct {
 	// StateReason records why the state was set (e.g. the corrupt-block
 	// error text), for `manimal catalog` display.
 	StateReason string `json:"stateReason,omitempty"`
-	// Result-cache fields (KindResultCache only): the cache key the entry
-	// is served under, the fingerprints of every input at commit time
-	// (multi-input jobs record all of them; InputSizeBytes/InputModTimeNanos
-	// above carry the first for the shared staleness display), the number
-	// of times a submission was served from this entry, and the cached
-	// output's record count (replayed into the served job's counters).
-	CacheKey      string       `json:"cacheKey,omitempty"`
-	CacheInputs   []CacheInput `json:"cacheInputs,omitempty"`
-	Hits          int64        `json:"hits,omitempty"`
-	OutputRecords int64        `json:"outputRecords,omitempty"`
-}
-
-// CacheInput fingerprints one input file of a cached job result.
-type CacheInput struct {
-	Path         string `json:"path"`
-	SizeBytes    int64  `json:"sizeBytes"`
-	ModTimeNanos int64  `json:"modTimeNanos"`
 }
 
 // StateCorrupt marks an entry quarantined after a corruption detection.
@@ -142,28 +120,51 @@ type Catalog struct {
 	mu      sync.Mutex
 	path    string
 	entries []Entry
+
+	cache resultCache
 }
 
 const fileName = "manimal-catalog.json"
 
-// Open loads (or initializes) the catalog in the given directory.
+// legacyKindResultCache marks the result-cache rows older catalogs kept in
+// the snapshot. Open drops them — the next snapshot write is without them —
+// and their artifacts, unknown to the cache index, are swept as orphans.
+const legacyKindResultCache = "result-cache"
+
+// Open loads (or initializes) the catalog in the given directory, and the
+// result-cache index beside it.
 func Open(dir string) (*Catalog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	c := &Catalog{path: filepath.Join(dir, fileName)}
 	raw, err := os.ReadFile(c.path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
+	switch {
+	case os.IsNotExist(err):
+	case err != nil:
 		return nil, fmt.Errorf("catalog: %w", err)
+	default:
+		if err := json.Unmarshal(raw, &c.entries); err != nil {
+			return nil, fmt.Errorf("catalog: corrupt %s: %w", c.path, err)
+		}
+		kept := c.entries[:0]
+		for _, e := range c.entries {
+			if e.Kind != legacyKindResultCache {
+				kept = append(kept, e)
+			}
+		}
+		c.entries = kept
 	}
-	if err := json.Unmarshal(raw, &c.entries); err != nil {
-		return nil, fmt.Errorf("catalog: corrupt %s: %w", c.path, err)
+	if err := c.cache.open(filepath.Join(dir, "cache")); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
+
+// Close flushes the result cache's hit counts and releases its index file.
+// The index snapshot needs no closing: every change to it is already on
+// disk.
+func (c *Catalog) Close() error { return c.cache.close() }
 
 // Add registers an entry and persists the catalog. A prior entry with the
 // same IndexPath is replaced.
@@ -215,8 +216,8 @@ func (c *Catalog) Quarantine(indexPath, reason string) error {
 	return c.save()
 }
 
-// ForInput returns the entries built over the given input file, most
-// recent first.
+// ForInput returns the index variants built over the given input file,
+// most recent first.
 func (c *Catalog) ForInput(inputPath string) []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,75 +231,11 @@ func (c *Catalog) ForInput(inputPath string) []Entry {
 	return out
 }
 
-// All returns every entry.
+// All returns every index entry.
 func (c *Catalog) All() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Entry(nil), c.entries...)
-}
-
-// CacheFresh reports whether every input fingerprint recorded on a
-// result-cache entry still matches the file on disk. A false result means
-// the entry can never be hit again (the key embeds the fingerprints) and
-// only awaits eviction.
-func (e *Entry) CacheFresh() bool {
-	for _, in := range e.CacheInputs {
-		st, err := os.Stat(in.Path)
-		if err != nil || st.Size() != in.SizeBytes || st.ModTime().UnixNano() != in.ModTimeNanos {
-			return false
-		}
-	}
-	return true
-}
-
-// FindCache returns the usable result-cache entry registered under key.
-func (c *Catalog) FindCache(key string) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := len(c.entries) - 1; i >= 0; i-- {
-		e := c.entries[i]
-		if e.Kind == KindResultCache && e.CacheKey == key && e.Usable() {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// TouchCache increments the hit count of the entry registered under key
-// and persists the catalog.
-func (c *Catalog) TouchCache(key string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.entries {
-		if c.entries[i].Kind == KindResultCache && c.entries[i].CacheKey == key {
-			c.entries[i].Hits++
-			return c.save()
-		}
-	}
-	return nil
-}
-
-// EvictCache removes result-cache entries — all of them, or with staleOnly
-// just those whose input fingerprints no longer match (plus quarantined
-// ones) — and returns the removed entries so the caller can delete their
-// artifact files.
-func (c *Catalog) EvictCache(staleOnly bool) ([]Entry, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var evicted []Entry
-	kept := c.entries[:0]
-	for _, e := range c.entries {
-		if e.Kind == KindResultCache && (!staleOnly || !e.Usable() || !e.CacheFresh()) {
-			evicted = append(evicted, e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	c.entries = kept
-	if len(evicted) == 0 {
-		return nil, nil
-	}
-	return evicted, c.save()
 }
 
 // save persists atomically: temp file, fsync, rename, parent-dir fsync —
@@ -319,7 +256,7 @@ func (c *Catalog) save() error {
 		os.Remove(f.Name())
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := durable.SyncFile(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return fmt.Errorf("catalog: %w", err)
@@ -332,9 +269,6 @@ func (c *Catalog) save() error {
 		os.Remove(f.Name())
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	durable.SyncDir(dir) // best effort, as before: the rename itself succeeded
 	return nil
 }

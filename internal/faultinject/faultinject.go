@@ -34,12 +34,14 @@
 //	corrupt=1.0@.idx0      every read of a path containing ".idx0" is
 //	                       bit-flipped (caught by block checksums)
 //	crash=0.5              50% of atomic commits fail before their rename
-//	journal=1.0            every job-journal segment write fails (the
+//	journal=1.0            every job-journal record write fails (the
 //	                       submission being recorded must be refused)
 //	drain=1.0              a graceful drain aborts mid-way (crash-mid-drain)
 //	kill=1.0@map           the PROCESS exits (status KillExitCode) the
 //	                       moment a map-task attempt starts — a real crash
-//	                       for recovery tests' subprocess helpers
+//	                       for recovery tests' subprocess helpers;
+//	                       @journal:j00000003.end kills between the append
+//	                       and the sync of that journal record instead
 //
 // ";seed=N" fixes the hash seed (default 1). Rules with @pathsub apply
 // only to keys containing that substring.
@@ -84,7 +86,7 @@ const (
 	// written but before the rename — modeling a crash mid-commit; the
 	// final path must be left untouched.
 	PointCrashRename Point = "crash"
-	// PointJournal fails a job-journal segment write before it touches
+	// PointJournal fails a job-journal record write before it touches
 	// disk — modeling a full coordinator disk or a crash at journal write;
 	// the submission it was recording must be refused.
 	PointJournal Point = "journal"

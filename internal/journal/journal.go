@@ -7,28 +7,33 @@
 //
 // # Layout and durability
 //
-// The journal lives in <sysdir>/journal as one small JSON segment file per
-// record, named <seq>.<kind>.json:
+// The journal is ONE file, <sysdir>/journal/journal.log: a durable.Log of
+// CRC32C-framed records, each an 8-byte job sequence number followed by
+// JSON:
 //
-//	00000001.submit.json   the accepted submission (program source, conf,
-//	                       inputs, output path, tenant) — written BEFORE
-//	                       the job is handed to the scheduler
-//	00000001.end.json      the terminal state (done/failed/canceled) and
-//	                       output record count — written after commit
-//	00000001.mark.json     a recovery annotation (e.g. "interrupted"),
-//	                       written when a replay finds the job incomplete
+//	submit   the accepted submission (program source, conf, inputs, output
+//	         path, tenant) — durable BEFORE the job is handed to the
+//	         scheduler
+//	end      the terminal state (done/failed/canceled) and output record
+//	         count — durable before the job's Done is observable
+//	mark     a recovery annotation (e.g. "interrupted"), appended when a
+//	         replay finds the job incomplete
 //
-// Every segment is written with the same atomic-commit idiom as the
-// catalog and the engine's output files: temp file in the same directory,
-// fsync, rename into place, fsync the directory. A crash at any instant
-// leaves either no segment or a complete one — never a torn record. A
-// submission whose journal write fails is REFUSED, so an accepted job is
-// always recoverable.
+// A write is one append plus a group commit: concurrent Begin/End calls
+// append under the journal's lock and share fdatasyncs (see durable.Log),
+// and each returns only once its own record is durable. A crash leaves a
+// prefix of whole records — a torn final frame is ignored at Open — and a
+// submission whose record cannot be made durable is REFUSED, so an accepted
+// job is always recoverable. A later end or mark for the same job simply
+// follows the earlier one in the log; the last wins.
+//
+// Open keeps one (sequence → frame offsets) entry per job in memory, so
+// Lookup reads three frames and Stats reads none.
 //
 // # Recovery contract
 //
 // Replay returns one Entry per submission, in sequence order. An entry
-// with no end segment is INCOMPLETE: the coordinator died while the job
+// with no end record is INCOMPLETE: the coordinator died while the job
 // was queued or running. Re-executing an incomplete entry is safe because
 // execution is idempotent at both ends — the result cache serves identical
 // re-submissions from committed output, and the engine's atomic per-task
@@ -38,16 +43,19 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 )
 
@@ -82,7 +90,7 @@ type ConfValue struct {
 // original submission's launch latency, not the job's identity) is
 // deliberately absent.
 type Submission struct {
-	ID                  string               `json:"id"`
+	ID                  string               `json:"id,omitempty"` // set from the record's sequence number on replay
 	Name                string               `json:"name"`
 	Inputs              []Input              `json:"inputs"`
 	OutputPath          string               `json:"output_path"`
@@ -99,7 +107,7 @@ type Submission struct {
 
 // End records a job's terminal state.
 type End struct {
-	ID            string    `json:"id"`
+	ID            string    `json:"id,omitempty"`
 	State         string    `json:"state"` // done | failed | canceled
 	Error         string    `json:"error,omitempty"`
 	OutputRecords int64     `json:"output_records,omitempty"`
@@ -108,7 +116,7 @@ type End struct {
 
 // Mark is a recovery annotation on a job (latest one wins).
 type Mark struct {
-	ID   string    `json:"id"`
+	ID   string    `json:"id,omitempty"`
 	Note string    `json:"note"`
 	At   time.Time `json:"at"`
 }
@@ -137,221 +145,331 @@ type Stats struct {
 	Dir        string `json:"dir"`
 	Jobs       int    `json:"jobs"`
 	Incomplete int    `json:"incomplete"`
-	Segments   int    `json:"segments"`
+	Records    int    `json:"records"`
 	Bytes      int64  `json:"bytes"`
 }
 
-// Journal is one system's job log. Safe for concurrent use; every write
-// is individually atomic and fsynced before the call returns.
-type Journal struct {
-	dir string
+// ErrLegacyLayout is returned by Open for a journal directory written by
+// the retired file-per-record format (<seq>.submit.json and friends). This
+// binary has no reader for it.
+var ErrLegacyLayout = errors.New("journal: file-per-record layout is no longer supported")
 
-	mu  sync.Mutex
-	seq uint64 // highest sequence number assigned so far
+// Record kinds in the log.
+const (
+	kindSubmit byte = 1
+	kindEnd    byte = 2
+	kindMark   byte = 3
+)
+
+var kindNames = map[byte]string{kindSubmit: "submit", kindEnd: "end", kindMark: "mark"}
+
+const logName = "journal.log"
+
+// jobRef locates one job's records in the log: the frame offset of its
+// submission and of its latest end and mark (-1 when it has none).
+type jobRef struct {
+	sub, end, mark int64
 }
 
-// Open opens (or initializes) the journal directory, resuming the
-// sequence counter from the highest existing segment. Leftover temp files
-// from a crash mid-write are removed — by construction they were never
-// acknowledged.
+// Journal is one system's job log. Safe for concurrent use; every write
+// is durable before the call returns.
+type Journal struct {
+	dir string
+	log *durable.Log
+
+	mu         sync.Mutex
+	seq        uint64 // highest sequence number assigned so far
+	jobs       map[uint64]*jobRef
+	incomplete int
+	records    int
+}
+
+// Open opens (or initializes) the journal in dir and indexes its records.
+// A torn final record — a crash between append and sync; by construction
+// never acknowledged — is ignored. A directory holding the retired
+// file-per-record layout is refused with ErrLegacyLayout.
 func Open(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	created := true
 	for _, de := range des {
 		name := de.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(filepath.Join(dir, name))
-			continue
+		if name == logName {
+			created = false
 		}
-		seq, _, ok := parseSegmentName(name)
-		if ok && seq > j.seq {
-			j.seq = seq
+		for _, kind := range kindNames {
+			if strings.HasSuffix(name, "."+kind+".json") {
+				return nil, fmt.Errorf("%w: %s holds %s; drain it with the previous binary "+
+					"(`manimal serve -recover` until `manimal jobs -sys` lists no incomplete job), then remove the directory",
+					ErrLegacyLayout, dir, name)
+			}
+		}
+	}
+	j := &Journal{dir: dir, jobs: make(map[uint64]*jobRef)}
+	j.log, err = durable.Open(filepath.Join(dir, logName), func(off int64, kind byte, payload []byte) error {
+		seq, _, err := splitRecord(kind, payload)
+		if err != nil {
+			return fmt.Errorf("journal: %s: record at offset %d: %w", dir, off, err)
+		}
+		j.index(seq, kind, off)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if created {
+		// The file's records are made durable by the syncs that follow
+		// them; its name needs the directory synced once.
+		if err := durable.SyncDir(dir); err != nil {
+			j.log.Close()
+			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
 	return j, nil
 }
 
+// Close releases the journal's file.
+func (j *Journal) Close() error { return j.log.Close() }
+
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
+// splitRecord separates a record's sequence number from its JSON body.
+func splitRecord(kind byte, payload []byte) (uint64, []byte, error) {
+	if _, known := kindNames[kind]; !known {
+		return 0, nil, fmt.Errorf("unknown record kind %d", kind)
+	}
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("%d-byte record has no sequence number", len(payload))
+	}
+	seq := binary.LittleEndian.Uint64(payload)
+	if seq == 0 || seq > maxSeq {
+		return 0, nil, fmt.Errorf("sequence number %d out of range", seq)
+	}
+	return seq, payload[8:], nil
+}
+
+// index notes one record in the in-memory job table. Callers hold j.mu
+// (or, in Open, own the journal). An end or mark whose submission never
+// made it is impossible by construction (the submission is durable first)
+// and ignored.
+func (j *Journal) index(seq uint64, kind byte, off int64) {
+	j.records++
+	ref := j.jobs[seq]
+	switch {
+	case kind == kindSubmit:
+		if ref == nil {
+			j.jobs[seq] = &jobRef{sub: off, end: -1, mark: -1}
+			j.incomplete++
+		}
+		if seq > j.seq {
+			j.seq = seq
+		}
+	case ref == nil:
+	case kind == kindEnd:
+		if ref.end < 0 {
+			j.incomplete--
+		}
+		ref.end = off
+	case kind == kindMark:
+		ref.mark = off
+	}
+}
+
+// write appends one record for job seq and makes it durable; seq == 0 asks
+// for the next sequence number (Begin), and the one used is returned. The
+// kill point between append and sync models the crash that leaves an
+// unacknowledged, possibly torn, tail.
+func (j *Journal) write(seq uint64, kind byte, v any) (uint64, error) {
+	buf := bytes.NewBuffer(make([]byte, 8, 1024)) // room for the sequence number
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
+	}
+	seq, off, err := j.append(seq, kind, buf.Bytes())
+	if err != nil {
+		return 0, err
+	}
+	faultinject.Kill("journal:" + recordKey(seq, kind))
+	if err := j.log.Sync(off); err != nil {
+		return 0, fmt.Errorf("journal: %w", err)
+	}
+	return seq, nil
+}
+
+// append assigns the sequence number, writes the record and indexes it, all
+// under the journal's lock so records land in sequence order. The journal
+// fault point fires BEFORE anything touches disk, modeling a full write
+// failure: nothing is appended and no sequence number is consumed.
+func (j *Journal) append(seq uint64, kind byte, payload []byte) (uint64, int64, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq == 0 {
+		seq = j.seq + 1
+	}
+	if seq > maxSeq {
+		return 0, 0, errors.New("journal: job IDs exhausted")
+	}
+	if kind != kindSubmit && j.jobs[seq] == nil {
+		return 0, 0, fmt.Errorf("journal: no submission %s to record a %s for", idFor(seq), kindNames[kind])
+	}
+	if err := faultinject.Fail(faultinject.PointJournal, recordKey(seq, kind)); err != nil {
+		return 0, 0, fmt.Errorf("journal: writing %s: %w", recordKey(seq, kind), err)
+	}
+	binary.LittleEndian.PutUint64(payload, seq)
+	off, err := j.log.Append(kind, payload)
+	if err != nil {
+		return 0, 0, fmt.Errorf("journal: %w", err)
+	}
+	j.index(seq, kind, off)
+	return seq, off, nil
+}
+
+// recordKey names a record for the fault-injection points, e.g.
+// "j00000003.end".
+func recordKey(seq uint64, kind byte) string { return idFor(seq) + "." + kindNames[kind] }
+
 // Begin journals an accepted submission and returns its assigned job ID
-// ("j" + 8-digit sequence). The segment is durable when Begin returns; on
+// ("j" + 8-digit sequence). The record is durable when Begin returns; on
 // error nothing was accepted and the caller must refuse the submission.
 func (j *Journal) Begin(sub Submission) (string, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	seq := j.seq + 1
-	sub.ID = idFor(seq)
+	sub.ID = "" // the record's sequence number is the ID
 	if sub.SubmittedAt.IsZero() {
 		sub.SubmittedAt = time.Now()
 	}
-	if err := j.writeSegment(segmentName(seq, "submit"), sub); err != nil {
+	seq, err := j.write(0, kindSubmit, sub)
+	if err != nil {
 		return "", err
 	}
-	j.seq = seq
-	return sub.ID, nil
+	return idFor(seq), nil
 }
 
-// BeginAs journals a submission under a caller-chosen existing ID — used
-// only by recovery tests and tools that need to reconstruct a journal; the
-// normal path is Begin.
-func (j *Journal) BeginAs(id string, sub Submission) error {
-	seq, err := ParseID(id)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	sub.ID = id
-	if sub.SubmittedAt.IsZero() {
-		sub.SubmittedAt = time.Now()
-	}
-	if err := j.writeSegment(segmentName(seq, "submit"), sub); err != nil {
-		return err
-	}
-	if seq > j.seq {
-		j.seq = seq
-	}
-	return nil
-}
-
-// End journals a job's terminal state. Ending the same job again
-// overwrites the previous end segment (recovery re-runs a job under its
-// original ID, so its final End wins).
+// End journals a job's terminal state. Ending the same job again appends a
+// later record, which wins (recovery re-runs a job under its original ID,
+// so its final End is the one replayed).
 func (j *Journal) End(id, state, errText string, outputRecords int64) error {
 	seq, err := ParseID(id)
 	if err != nil {
 		return err
 	}
-	rec := End{ID: id, State: state, Error: errText, OutputRecords: outputRecords, FinishedAt: time.Now()}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeSegment(segmentName(seq, "end"), rec)
+	_, err = j.write(seq, kindEnd, End{State: state, Error: errText, OutputRecords: outputRecords, FinishedAt: time.Now()})
+	return err
 }
 
-// Mark annotates a job (e.g. "interrupted; resubmitted by recovery"). One
-// mark per job is kept; a later mark overwrites an earlier one.
+// Mark annotates a job (e.g. "interrupted; resubmitted by recovery"). The
+// latest mark is the one replayed.
 func (j *Journal) Mark(id, note string) error {
 	seq, err := ParseID(id)
 	if err != nil {
 		return err
 	}
-	rec := Mark{ID: id, Note: note, At: time.Now()}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.writeSegment(segmentName(seq, "mark"), rec)
+	_, err = j.write(seq, kindMark, Mark{Note: note, At: time.Now()})
+	return err
 }
 
-// Replay reads the whole journal and returns one entry per submission in
-// sequence order. End/mark segments without a surviving submission are
-// impossible by construction (the submit segment is durable first) and
-// are ignored if found.
+// decodeInto fills e from one record's JSON body; the job ID comes from the
+// record's sequence number, not the body.
+func decodeInto(e *Entry, seq uint64, kind byte, body []byte) error {
+	id := idFor(seq)
+	var err error
+	switch kind {
+	case kindSubmit:
+		err = json.Unmarshal(body, &e.Sub)
+		e.Sub.ID = id
+	case kindEnd:
+		e.End = &End{}
+		err = json.Unmarshal(body, e.End)
+		e.End.ID = id
+	case kindMark:
+		e.Mark = &Mark{}
+		err = json.Unmarshal(body, e.Mark)
+		e.Mark.ID = id
+	}
+	return err
+}
+
+// Replay reads the whole journal in one pass and returns one entry per
+// submission, each with its latest end and mark. Sequence numbers are
+// assigned under the lock records are appended under, so log order is
+// sequence order.
 func (j *Journal) Replay() ([]Entry, error) {
-	des, err := os.ReadDir(j.dir)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	bys := make(map[uint64]*Entry)
-	var order []uint64
-	// Submissions first, so ends and marks always find their entry
-	// regardless of directory order.
-	for pass := 0; pass < 2; pass++ {
-		for _, de := range des {
-			seq, kind, ok := parseSegmentName(de.Name())
-			if !ok || (pass == 0) != (kind == "submit") {
-				continue
+	var out []Entry
+	at := make(map[uint64]int) // sequence number -> index in out
+	err := j.log.Scan(func(off int64, kind byte, payload []byte) error {
+		seq, body, err := splitRecord(kind, payload)
+		if err == nil {
+			i, seen := at[seq]
+			if seen == (kind == kindSubmit) {
+				return nil // an end or mark without its submission, or a repeated one: impossible by construction
 			}
-			path := filepath.Join(j.dir, de.Name())
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				return nil, fmt.Errorf("journal: %w", err)
+			if !seen {
+				i = len(out)
+				at[seq] = i
+				out = append(out, Entry{})
 			}
-			switch kind {
-			case "submit":
-				var sub Submission
-				if err := json.Unmarshal(raw, &sub); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				bys[seq] = &Entry{Sub: sub}
-				order = append(order, seq)
-			case "end":
-				var end End
-				if err := json.Unmarshal(raw, &end); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				if e := bys[seq]; e != nil {
-					e.End = &end
-				}
-			case "mark":
-				var mark Mark
-				if err := json.Unmarshal(raw, &mark); err != nil {
-					return nil, fmt.Errorf("journal: %s: %w", path, err)
-				}
-				if e := bys[seq]; e != nil {
-					e.Mark = &mark
-				}
-			}
+			err = decodeInto(&out[i], seq, kind, body)
 		}
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	out := make([]Entry, 0, len(order))
-	for _, seq := range order {
-		out = append(out, *bys[seq])
+		if err != nil {
+			return fmt.Errorf("journal: %s: record at offset %d: %w", j.dir, off, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Lookup returns one job's journal entry by ID.
+// Lookup returns one job's journal entry by ID, reading only that job's
+// records.
 func (j *Journal) Lookup(id string) (Entry, bool, error) {
-	if _, err := ParseID(id); err != nil {
+	seq, err := ParseID(id)
+	if err != nil {
 		return Entry{}, false, nil
 	}
-	entries, err := j.Replay()
-	if err != nil {
-		return Entry{}, false, err
+	j.mu.Lock()
+	ref := j.jobs[seq]
+	var at jobRef
+	if ref != nil {
+		at = *ref
 	}
-	for i := range entries {
-		if entries[i].Sub.ID == id {
-			return entries[i], true, nil
-		}
+	j.mu.Unlock()
+	if ref == nil {
+		return Entry{}, false, nil
 	}
-	return Entry{}, false, nil
-}
-
-// Stats scans the journal directory and summarizes it.
-func (j *Journal) Stats() (Stats, error) {
-	st := Stats{Dir: j.dir}
-	entries, err := j.Replay()
-	if err != nil {
-		return st, err
-	}
-	st.Jobs = len(entries)
-	for i := range entries {
-		if !entries[i].Complete() {
-			st.Incomplete++
-		}
-	}
-	des, err := os.ReadDir(j.dir)
-	if err != nil {
-		return st, fmt.Errorf("journal: %w", err)
-	}
-	for _, de := range des {
-		if _, _, ok := parseSegmentName(de.Name()); !ok {
+	var e Entry
+	for _, off := range []int64{at.sub, at.end, at.mark} {
+		if off < 0 {
 			continue
 		}
-		st.Segments++
-		if info, err := de.Info(); err == nil {
-			st.Bytes += info.Size()
+		kind, payload, err := j.log.ReadAt(off)
+		if err == nil {
+			var body []byte
+			if _, body, err = splitRecord(kind, payload); err == nil {
+				err = decodeInto(&e, seq, kind, body)
+			}
+		}
+		if err != nil {
+			return Entry{}, false, fmt.Errorf("journal: %s: %w", id, err)
 		}
 	}
-	return st, nil
+	return e, true, nil
 }
+
+// Stats summarizes the journal from its in-memory index.
+func (j *Journal) Stats() Stats {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return Stats{Dir: j.dir, Jobs: len(j.jobs), Incomplete: j.incomplete,
+		Records: j.records, Bytes: j.log.Size()}
+}
+
+// maxSeq is the largest sequence number an 8-digit job ID can carry.
+const maxSeq = 99999999
 
 // idFor formats a sequence number as a job ID.
 func idFor(seq uint64) string { return fmt.Sprintf("j%08d", seq) }
@@ -367,71 +485,4 @@ func ParseID(id string) (uint64, error) {
 		return 0, fmt.Errorf("journal: malformed job id %q", id)
 	}
 	return seq, nil
-}
-
-func segmentName(seq uint64, kind string) string {
-	return fmt.Sprintf("%08d.%s.json", seq, kind)
-}
-
-// parseSegmentName splits "<seq>.<kind>.json" (kind ∈ submit|end|mark);
-// ok is false for anything else (temp files, strays).
-func parseSegmentName(name string) (uint64, string, bool) {
-	parts := strings.Split(name, ".")
-	if len(parts) != 3 || parts[2] != "json" {
-		return 0, "", false
-	}
-	switch parts[1] {
-	case "submit", "end", "mark":
-	default:
-		return 0, "", false
-	}
-	if len(parts[0]) != 8 {
-		return 0, "", false
-	}
-	seq, err := strconv.ParseUint(parts[0], 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	return seq, parts[1], true
-}
-
-// writeSegment commits one record with the atomic idiom shared by the
-// catalog and the engine's outputs: temp + fsync + rename + dir fsync.
-// The faultinject journal point fires BEFORE anything touches disk,
-// modeling a full write failure. Callers hold j.mu.
-func (j *Journal) writeSegment(name string, v any) error {
-	if err := faultinject.Fail(faultinject.PointJournal, name); err != nil {
-		return fmt.Errorf("journal: writing %s: %w", name, err)
-	}
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	tmp, err := os.CreateTemp(j.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.Write(raw); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	final := filepath.Join(j.dir, name)
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: %w", err)
-	}
-	if d, err := os.Open(j.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

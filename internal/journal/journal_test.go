@@ -1,12 +1,18 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 )
 
@@ -72,17 +78,29 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("Lookup of unknown id = %v, %v", ok, err)
 	}
 
-	st, err := j.Stats()
+	if st := j.Stats(); st.Jobs != 2 || st.Incomplete != 1 || st.Records != 4 || st.Bytes <= 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	// A reopened journal rebuilds the same index from the log.
+	j2, err := Open(j.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Jobs != 2 || st.Incomplete != 1 || st.Segments != 4 || st.Bytes <= 0 {
-		t.Fatalf("stats = %+v", st)
+	if got, want := j2.Stats(), j.Stats(); got != want {
+		t.Fatalf("reopened stats = %+v, want %+v", got, want)
+	}
+	if e, ok, err := j2.Lookup(id2); err != nil || !ok || e.Mark == nil || e.Complete() {
+		t.Fatalf("reopened Lookup(%s) = %+v, %v, %v", id2, e, ok, err)
+	}
+	if err := j2.End("j00000099", StateDone, "", 0); err == nil {
+		t.Error("End of a job that was never begun succeeded")
 	}
 }
 
 // TestReopenResumesSequence: a journal reopened after a crash must not
-// reuse IDs it already handed out.
+// reuse IDs it already handed out, and the torn record the crash left
+// behind its last durable one is neither replayed nor in the way.
 func TestReopenResumesSequence(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir)
@@ -96,10 +114,13 @@ func TestReopenResumesSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash: drop the handle, leave a temp file behind.
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-123"), []byte("junk"), 0o644); err != nil {
+	// Simulate a crash mid-append: drop the handle, leave half a frame.
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	f.Write([]byte{200, 0, 0, 0, 1, 2, 3, 4, kindSubmit, 'j', 'u', 'n', 'k'})
+	f.Close()
 	j2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +132,9 @@ func TestReopenResumesSequence(t *testing.T) {
 	if id3 == id2 || id3 != "j00000003" {
 		t.Fatalf("reopened journal assigned %s after %s", id3, id2)
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".tmp-123")); !os.IsNotExist(err) {
-		t.Errorf("crash-orphaned temp file survived reopen (stat err = %v)", err)
+	entries, err := j2.Replay()
+	if err != nil || len(entries) != 3 || entries[2].Sub.Name != "c" {
+		t.Fatalf("replay after a torn tail = %d entries, %v", len(entries), err)
 	}
 }
 
@@ -144,7 +166,7 @@ func TestEndIdempotent(t *testing.T) {
 }
 
 // TestCrashAtJournalWrite: with the journal fault point armed, Begin must
-// refuse the submission (error, no segment, no ID burned into replay).
+// refuse the submission (error, no record, no ID burned into replay).
 func TestCrashAtJournalWrite(t *testing.T) {
 	faultinject.Set(faultinject.MustParse("journal=1.0;seed=3"))
 	defer faultinject.Reset()
@@ -186,34 +208,180 @@ func TestParseID(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsCorruptSegment: a torn or hand-edited segment must be a
-// loud error, not silently skipped jobs.
-func TestReplayRejectsCorruptSegment(t *testing.T) {
-	dir := t.TempDir()
+// buildLog journals n jobs (each begun, every other one ended) and returns
+// the log's bytes, the offset of its last frame, and what an undamaged
+// replay yields.
+func buildLog(t testing.TB, dir string, n int) (raw []byte, lastFrame int, want []Entry) {
+	t.Helper()
 	j, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Begin(sub("a")); err != nil {
-		t.Fatal(err)
-	}
-	des, err := os.ReadDir(dir)
-	if err != nil || len(des) == 0 {
-		t.Fatalf("readdir: %v (%d entries)", err, len(des))
-	}
-	var seg string
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".submit.json") {
-			seg = filepath.Join(dir, de.Name())
+	defer j.Close()
+	for i := 0; i < n; i++ {
+		lastFrame = int(j.Stats().Bytes)
+		id, err := j.Begin(sub(fmt.Sprintf("job-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			lastFrame = int(j.Stats().Bytes)
+			if err := j.End(id, StateDone, "", int64(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if seg == "" {
-		t.Fatal("no submit segment written")
-	}
-	if err := os.WriteFile(seg, []byte("{truncated"), 0o644); err != nil {
+	if want, err = j.Replay(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Replay(); err == nil {
-		t.Fatal("Replay accepted a corrupt segment")
+	if raw, err = os.ReadFile(filepath.Join(dir, logName)); err != nil {
+		t.Fatal(err)
+	}
+	return raw, lastFrame, want
+}
+
+// checkDamaged opens a journal whose log is the given damaged bytes.
+// Whatever the damage, Open and Replay must not panic, and must yield
+// either a typed corruption error or a prefix of the undamaged replay:
+// entries in order, none invented, each either as journaled or — when its
+// end record was lost with the tail — incomplete.
+func checkDamaged(t *testing.T, damaged []byte, want []Entry) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, logName), damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(dir)
+	if err != nil {
+		var ce *durable.CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("Open of a damaged log: untyped error %v", err)
+		}
+		return
+	}
+	defer j.Close()
+	got, err := j.Replay()
+	if err != nil {
+		t.Fatalf("Replay after a successful Open: %v", err)
+	}
+	if len(got) > len(want) {
+		t.Fatalf("replayed %d entries from a damaged log of %d", len(got), len(want))
+	}
+	for i, e := range got {
+		w := want[i]
+		if e.Sub.ID != w.Sub.ID || e.Sub.Name != w.Sub.Name {
+			t.Fatalf("entry %d = %s %q, want %s %q", i, e.Sub.ID, e.Sub.Name, w.Sub.ID, w.Sub.Name)
+		}
+		if e.End != nil && (w.End == nil || *e.End != *w.End) {
+			t.Fatalf("entry %d end = %+v, want %+v", i, e.End, w.End)
+		}
+	}
+	// The survivor must still be writable: the torn tail is dropped, not
+	// appended behind.
+	id, err := j.Begin(sub("after"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok, err := j.Lookup(id); err != nil || !ok || e.Sub.Name != "after" {
+		t.Fatalf("Lookup(%s) after the damage = %+v, %v, %v", id, e.Sub, ok, err)
+	}
+}
+
+// TestJournalLogDamage is the exhaustive half of the decoder's adversary:
+// the log truncated at every byte offset of its last frame, and one byte
+// flipped at every offset of every frame.
+func TestJournalLogDamage(t *testing.T) {
+	raw, lastFrame, want := buildLog(t, t.TempDir(), 4)
+	if len(want) != 4 || !want[2].Complete() || want[3].Complete() {
+		t.Fatalf("undamaged replay = %+v", want)
+	}
+	for cut := lastFrame; cut < len(raw); cut++ {
+		checkDamaged(t, raw[:cut], want)
+	}
+	for pos := range raw {
+		damaged := bytes.Clone(raw)
+		damaged[pos] ^= 0x81
+		checkDamaged(t, damaged, want)
+	}
+}
+
+// FuzzJournalLog is the other half: arbitrary truncation plus an arbitrary
+// overwrite anywhere in the log (length fields included), under the same
+// contract as TestJournalLogDamage.
+func FuzzJournalLog(f *testing.F) {
+	raw, _, want := buildLog(f, f.TempDir(), 4)
+	f.Add(uint(len(raw)), uint(0), []byte{})
+	f.Add(uint(len(raw)-3), uint(8), []byte{0xff, 0xff, 0xff, 0x7f})
+	f.Add(uint(len(raw)), uint(len(raw)/2), []byte{0})
+	f.Add(uint(4), uint(0), []byte("MNML"))
+	f.Fuzz(func(t *testing.T, keep, at uint, patch []byte) {
+		damaged := bytes.Clone(raw[:keep%uint(len(raw)+1)])
+		if len(damaged) > 0 {
+			copy(damaged[at%uint(len(damaged)):], patch)
+		}
+		checkDamaged(t, damaged, want)
+	})
+}
+
+// TestLegacyLayoutRefused: a directory written by the file-per-record
+// journal is refused with the typed error, not half-read or overwritten.
+func TestLegacyLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "00000001.submit.json")
+	if err := os.WriteFile(legacy, []byte(`{"id":"j00000001"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir)
+	if !errors.Is(err, ErrLegacyLayout) || !strings.Contains(err.Error(), "previous binary") {
+		t.Fatalf("Open of a legacy journal = %v, want ErrLegacyLayout naming the remedy", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName)); !os.IsNotExist(err) {
+		t.Errorf("refused Open still created %s (stat err = %v)", logName, err)
+	}
+}
+
+// TestJournalGroupCommit: eight concurrent Begins with the first sync held
+// open until the other seven have appended. The second sync covers all
+// seven, so the eight complete in exactly two, and all eight replay.
+func TestJournalGroupCommit(t *testing.T) {
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var syncs atomic.Int32
+	started := make(chan struct{})
+	release := make(chan struct{})
+	defer durable.OnSync(func(string) {
+		if syncs.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+	})()
+
+	var wg sync.WaitGroup
+	begin := func(i int) {
+		defer wg.Done()
+		if _, err := j.Begin(sub(fmt.Sprintf("w%d", i))); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go begin(0)
+	<-started
+	wg.Add(7)
+	for i := 1; i < 8; i++ {
+		go begin(i)
+	}
+	for j.Stats().Records < 8 {
+		runtime.Gosched() // appends do not wait for the held sync
+	}
+	close(release)
+	wg.Wait()
+	if n := syncs.Load(); n != 2 {
+		t.Fatalf("8 concurrent Begins took %d syncs, want 2", n)
+	}
+	entries, err := j.Replay()
+	if err != nil || len(entries) != 8 {
+		t.Fatalf("replayed %d entries (err %v), want 8", len(entries), err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"manimal/internal/btree"
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
@@ -103,7 +104,7 @@ func (o *KVFileOutput) Close() error {
 	if err := o.w.Flush(); err != nil {
 		return fail(err)
 	}
-	if err := o.f.Sync(); err != nil {
+	if err := durable.SyncFile(o.f); err != nil {
 		return fail(err)
 	}
 	tmp := o.f.Name()
@@ -119,10 +120,7 @@ func (o *KVFileOutput) Close() error {
 		os.Remove(tmp)
 		return fmt.Errorf("mapreduce: commit output %s: %w", o.path, err)
 	}
-	if d, err := os.Open(filepath.Dir(o.path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	durable.SyncDir(filepath.Dir(o.path)) // best effort: the rename itself succeeded
 	return nil
 }
 

@@ -387,11 +387,7 @@ func TestJournalFaultRefusesSubmission(t *testing.T) {
 	if jobs, err := c.Jobs(); err != nil || len(jobs) != 0 {
 		t.Fatalf("refused submission left tracked jobs: %+v, %v", jobs, err)
 	}
-	st, err := sys.Journal().Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Jobs != 0 {
+	if st := sys.Journal().Stats(); st.Jobs != 0 {
 		t.Fatalf("refused submission left %d journal entries", st.Jobs)
 	}
 

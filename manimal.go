@@ -56,6 +56,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -66,6 +67,7 @@ import (
 
 	"manimal/internal/analyzer"
 	"manimal/internal/catalog"
+	"manimal/internal/durable"
 	"manimal/internal/fabric"
 	"manimal/internal/indexgen"
 	"manimal/internal/interp"
@@ -150,6 +152,9 @@ type BuildConfig = indexgen.BuildConfig
 // CatalogEntry re-exports a catalog index record.
 type CatalogEntry = catalog.Entry
 
+// CacheEntry re-exports a result-cache record.
+type CacheEntry = catalog.CacheEntry
+
 // System owns a catalog directory and a scratch area, and runs jobs and
 // index builds on a shared task-slot scheduler.
 type System struct {
@@ -173,6 +178,10 @@ type System struct {
 
 	mu          sync.Mutex
 	liveOutputs map[string]string // normalized output path -> job name
+
+	// storeMu serializes storeCache, so identical jobs finishing together
+	// cannot interleave placing the artifact and recording its mtime.
+	storeMu sync.Mutex
 }
 
 // Options tunes a System beyond its directory.
@@ -238,6 +247,18 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 // Journal exposes the durable job journal, or nil when Options.Journal
 // was not set.
 func (s *System) Journal() *journal.Journal { return s.jnl }
+
+// Close flushes what the System keeps in memory between restarts — the
+// result cache's hit counts — and releases the cache index and journal
+// files. Call it once no job is in flight; jobs and their outputs are
+// durable without it.
+func (s *System) Close() error {
+	err := s.cat.Close()
+	if s.jnl != nil {
+		err = errors.Join(err, s.jnl.Close())
+	}
+	return err
+}
 
 // SetTenantQuota caps how many scheduler slots the tenant's task attempts
 // may hold at once across all of that tenant's jobs (maxSlots <= 0
@@ -821,33 +842,34 @@ func (s *System) cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 }
 
 // serveCached serves a submission from the result cache when a usable
-// entry exists under key: the cached artifact is copied to the output
-// path and a terminal handle is returned, with no scheduler involvement.
-// A damaged artifact (missing file or size mismatch) is quarantined
-// through the catalog's CORRUPT path and nil is returned, so the caller
-// falls through to normal execution (which re-populates the cache on
-// commit). Nil is also returned on a plain miss.
+// entry exists under key: the cached artifact is placed at the output path
+// (a hardlink where the filesystem allows, see placeFile) and a terminal
+// handle is returned, with no scheduler involvement and nothing written to
+// the catalog. A damaged artifact — missing, or not the size and mtime it
+// was registered with, which also catches an in-place edit through a
+// served output sharing its inode — is quarantined and nil is returned, so
+// the caller falls through to normal execution (which re-populates the
+// cache on commit). Nil is also returned on a plain miss.
 func (s *System) serveCached(key string, spec JobSpec, report *JobReport, outputKey string) *JobHandle {
 	entry, ok := s.cat.FindCache(key)
 	if !ok {
 		return nil
 	}
-	if st, err := os.Stat(entry.IndexPath); err != nil || st.Size() != entry.SizeBytes {
-		reason := "cached artifact size mismatch"
+	if st, err := os.Stat(entry.Path); err != nil || st.Size() != entry.SizeBytes || st.ModTime().UnixNano() != entry.ModTimeNanos {
+		reason := "cached artifact size or mtime mismatch"
 		if err != nil {
 			reason = err.Error()
 		}
-		s.cat.Quarantine(entry.IndexPath, reason)
+		s.cat.QuarantineCache(key, reason)
 		return nil
 	}
-	// A copy failure is not evidence against the artifact (the output path
-	// may be unwritable) — fall through to normal execution, which surfaces
-	// the real error.
-	if err := copyFile(entry.IndexPath, spec.OutputPath); err != nil {
+	// A placement failure is not evidence against the artifact (the output
+	// path may be unwritable) — fall through to normal execution, which
+	// surfaces the real error.
+	if err := placeFile(entry.Path, spec.OutputPath); err != nil {
 		return nil
 	}
-	s.cat.TouchCache(key)
-	entry.Hits++ // reflect this hit in the notes below
+	hits := s.cat.HitCache(key)
 	counters := mapreduce.NewCounters()
 	counters.Add(mapreduce.CtrCacheHits, 1)
 	counters.Add(mapreduce.CtrOutputRecords, entry.OutputRecords)
@@ -858,7 +880,7 @@ func (s *System) serveCached(key string, spec JobSpec, report *JobReport, output
 			Applied:   []string{"result-cache"},
 			Notes: []string{
 				fmt.Sprintf("result cache hit: key %.12s…, served %d time(s) from %s",
-					key, entry.Hits, entry.IndexPath),
+					key, hits, entry.Path),
 			},
 		}
 	}
@@ -870,14 +892,15 @@ func (s *System) serveCached(key string, spec JobSpec, report *JobReport, output
 }
 
 // storeCache registers a just-committed job output in the result cache:
-// the output KV file is copied into the catalog directory's cache area
-// (temp file + rename, so a crash never leaves a torn artifact behind)
-// and a result-cache entry is added under the submission's key. Inputs
-// rewritten while the job ran are detected by re-checking the fingerprints
-// captured at submission — a mismatch skips the store, since the key
-// would promise a result the current file contents never produced.
-// Failures here are silently dropped: caching is an optimization, never a
-// correctness dependency of the job that just succeeded.
+// the output KV file — already fsynced by its commit — is placed in the
+// catalog directory's cache area (a hardlink where possible) and an entry
+// is appended to the cache index under the submission's key, with the
+// artifact's size and mtime for serveCached to verify. Inputs rewritten
+// while the job ran are detected by re-checking the fingerprints captured
+// at submission — a mismatch skips the store, since the key would promise
+// a result the current file contents never produced. Failures here are
+// silently dropped: caching is an optimization, never a correctness
+// dependency of the job that just succeeded.
 func (s *System) storeCache(key string, fps []catalog.CacheInput, spec JobSpec, res *mapreduce.Result) {
 	for _, fp := range fps {
 		st, err := os.Stat(fp.Path)
@@ -885,51 +908,69 @@ func (s *System) storeCache(key string, fps []catalog.CacheInput, spec JobSpec, 
 			return
 		}
 	}
-	cacheDir := filepath.Join(s.dir, "cache")
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	if _, ok := s.cat.FindCache(key); ok {
+		return // an identical job that finished first already registered this result
+	}
+	dst := s.cat.CachePath(key)
+	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return
 	}
-	dst := filepath.Join(cacheDir, key+".kv")
-	if err := copyFile(spec.OutputPath, dst); err != nil {
+	if err := placeFile(spec.OutputPath, dst); err != nil {
 		return
 	}
 	st, err := os.Stat(dst)
 	if err != nil {
 		return
 	}
-	entry := catalog.Entry{
-		InputPath:     spec.Inputs[0].Path,
-		IndexPath:     dst,
-		Kind:          catalog.KindResultCache,
-		Fields:        nil,
+	s.cat.StoreCache(catalog.CacheEntry{
+		Key:           key,
 		SizeBytes:     st.Size(),
-		BuildDuration: res.Duration,
-		CreatedAt:     time.Now(),
-		CacheKey:      key,
-		CacheInputs:   fps,
+		ModTimeNanos:  st.ModTime().UnixNano(),
+		Inputs:        fps,
 		OutputRecords: res.Counters.Get(mapreduce.CtrOutputRecords),
-	}
-	if len(fps) > 0 {
-		entry.InputSizeBytes = fps[0].SizeBytes
-		entry.InputModTimeNanos = fps[0].ModTimeNanos
-	}
-	s.cat.Add(entry)
+		CreatedAt:     time.Now(),
+	})
 }
 
 // EvictResultCache removes result-cache entries — every entry, or with
 // staleOnly just those whose recorded input fingerprints no longer match
 // the files on disk (plus quarantined ones) — and deletes their artifact
 // files. It returns the evicted entries.
-func (s *System) EvictResultCache(staleOnly bool) ([]CatalogEntry, error) {
+func (s *System) EvictResultCache(staleOnly bool) ([]CacheEntry, error) {
 	evicted, err := s.cat.EvictCache(staleOnly)
 	for _, e := range evicted {
-		os.Remove(e.IndexPath)
+		os.Remove(e.Path)
 	}
 	return evicted, err
 }
 
-// copyFile copies src over dst through a temp file in dst's directory,
-// renamed into place so readers never observe a partial copy.
+// linkFile is os.Link, replaceable by tests to stand in for a filesystem
+// that refuses hardlinks.
+var linkFile = os.Link
+
+// placeFile makes dst a file with src's contents, atomically: readers see
+// the old dst or the whole new one. Where the filesystem allows it
+// hardlinks src under a temp name and renames that over dst — src is
+// already durable, so this costs no copy and no fsync. Any link error
+// (cross-device, permissions, a filesystem without links) falls back to
+// copyFile. After a link the two names share an inode: whoever relies on
+// src staying as it was must check it (see serveCached).
+func placeFile(src, dst string) error {
+	tmp := fmt.Sprintf("%s.tmp-%x", dst, rand.Uint64())
+	if err := linkFile(src, tmp); err != nil {
+		return copyFile(src, dst)
+	}
+	err := os.Rename(tmp, dst)
+	// Renaming one link of an inode over another is a successful no-op
+	// that leaves both names, so the temp name may still be there.
+	os.Remove(tmp)
+	return err
+}
+
+// copyFile copies src over dst through a synced temp file in dst's
+// directory, renamed into place so readers never observe a partial copy.
 func copyFile(src, dst string) error {
 	in, err := os.Open(src)
 	if err != nil {
@@ -945,7 +986,7 @@ func copyFile(src, dst string) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := durable.SyncFile(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return err

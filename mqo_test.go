@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"manimal"
-	"manimal/internal/catalog"
 	"manimal/internal/mapreduce"
 	"manimal/internal/workload"
 )
@@ -279,18 +278,24 @@ func TestResultCacheHitResubmission(t *testing.T) {
 	}
 
 	// The catalog lists the entry with its accumulated hit count.
-	var entry *catalog.Entry
-	for _, e := range sys.Catalog().All() {
-		if e.Kind == catalog.KindResultCache {
-			e := e
-			entry = &e
-		}
+	entries := sys.Catalog().CacheEntries()
+	if len(entries) != 1 {
+		t.Fatalf("result-cache entries = %d, want 1", len(entries))
 	}
-	if entry == nil {
-		t.Fatal("no result-cache entry in the catalog")
+	if entries[0].Hits != 1 {
+		t.Errorf("cache entry hits = %d, want 1", entries[0].Hits)
 	}
-	if entry.Hits < 1 {
-		t.Errorf("catalog entry hits = %d, want >= 1", entry.Hits)
+	// Hit counts live in memory and reach the index on Close (sys2 was
+	// never closed, so its hit is not in it).
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sys3, err := manimal.NewSystem(sysDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries := sys3.Catalog().CacheEntries(); len(entries) != 1 || entries[0].Hits != 1 {
+		t.Errorf("cache entries after restart = %+v, want one with the flushed hit count", entries)
 	}
 }
 
@@ -380,22 +385,14 @@ func TestResultCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cacheEntries := func() []catalog.Entry {
-		var out []catalog.Entry
-		for _, e := range sys.Catalog().All() {
-			if e.Kind == catalog.KindResultCache {
-				out = append(out, e)
-			}
-		}
-		return out
-	}
+	cacheEntries := sys.Catalog().CacheEntries
 
 	run("seed")
 	entries := cacheEntries()
 	if len(entries) != 1 {
 		t.Fatalf("cache entries after first run = %d, want 1", len(entries))
 	}
-	artifact := entries[0].IndexPath
+	artifact := entries[0].Path
 	if _, err := os.Stat(artifact); err != nil {
 		t.Fatalf("cache artifact missing: %v", err)
 	}

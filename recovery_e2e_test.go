@@ -96,8 +96,15 @@ func crashHelperMain() {
 // interrupted jobs re-run to byte-identical outputs, the canceled job
 // stays canceled, and no orphaned scratch or partial-output files remain.
 //
-// MANIMAL_CRASH_FAULTS overrides the child's fault regime (CI runs both
-// the mid-map and mid-reduce kills).
+// The torn-tail regime kills the coordinator between the append and the
+// sync of the running job's END record: the job's output is committed and
+// cached, but its terminal state was never acknowledged. The parent then
+// cuts the journal mid-frame — what a power loss leaves of an unsynced
+// append — so recovery must ignore the torn record, re-run the job (served
+// from the result cache), and journal exactly one terminal state for it.
+//
+// MANIMAL_CRASH_FAULTS overrides the child's fault regime (CI runs the
+// mid-map, mid-reduce and torn-tail kills).
 func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if os.Getenv("MANIMAL_CRASH_HELPER") == "1" {
 		crashHelperMain()
@@ -105,7 +112,19 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if os.Getenv("MANIMAL_FAULTS") != "" {
 		t.Skip("needs a fault-free parent process (the kill regime is for the subprocess only)")
 	}
+	regimes := []string{"kill=1.0@map;seed=7", tornTailRegime}
+	if r := os.Getenv("MANIMAL_CRASH_FAULTS"); r != "" {
+		regimes = []string{r}
+	}
+	for _, regime := range regimes {
+		regime := regime
+		t.Run(regime, func(t *testing.T) { crashAndRecover(t, regime) })
+	}
+}
 
+const tornTailRegime = "kill=1.0@journal:j00000003.end;seed=7"
+
+func crashAndRecover(t *testing.T, regime string) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
 	if err := workload.NewGen(21).WriteWebPages(data, 3000, 64); err != nil {
@@ -128,10 +147,6 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	// The crash: re-run this test in a subprocess under a kill regime.
-	regime := os.Getenv("MANIMAL_CRASH_FAULTS")
-	if regime == "" {
-		regime = "kill=1.0@map;seed=7"
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestCrashRecoveryEndToEnd$")
@@ -149,8 +164,19 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 			err, faultinject.KillExitCode, stderr.String())
 	}
 
-	// Recovery: a fresh coordinator over the same system directory.
 	sysDir := filepath.Join(dir, "sys")
+	if regime == tornTailRegime {
+		log := filepath.Join(sysDir, "journal", "journal.log")
+		st, err := os.Stat(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(log, st.Size()-5); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Recovery: a fresh coordinator over the same system directory.
 	sys, err := manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +196,9 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		if _, err := r.Handle.Wait(); err != nil {
 			t.Fatalf("recovered job %s: %v", r.ID, err)
 		}
+	}
+	if kind := recovered[1].Handle.Inputs()[0].Plan.Kind; regime == tornTailRegime && kind != manimal.PlanCached {
+		t.Errorf("job whose output had committed before the crash re-ran with plan %s, want the result cache", kind)
 	}
 
 	// Byte-identical outputs, no orphans, a quiesced journal, and the
@@ -196,12 +225,12 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 		}
 		t.Errorf("orphaned scratch space: %v (err %v)", names, err)
 	}
-	st, err := sys.Journal().Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Jobs != 3 || st.Incomplete != 0 {
-		t.Fatalf("journal after recovery = %+v, want 3 jobs / 0 incomplete", st)
+	// Eight records: the canceled job's submit and end; submit, mark and
+	// end for each recovered job. A ninth would be a duplicate terminal
+	// state.
+	st := sys.Journal().Stats()
+	if st.Jobs != 3 || st.Incomplete != 0 || st.Records != 8 {
+		t.Fatalf("journal after recovery = %+v, want 3 jobs / 0 incomplete / 8 records", st)
 	}
 	if e, ok, err := sys.Journal().Lookup("j00000001"); err != nil || !ok || e.State() != journal.StateCanceled {
 		t.Fatalf("canceled job journal state = %s (ok %v, err %v), want canceled", e.State(), ok, err)
