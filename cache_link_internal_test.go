@@ -7,6 +7,7 @@ import (
 	"syscall"
 	"testing"
 
+	"manimal/internal/durable"
 	"manimal/internal/workload"
 )
 
@@ -15,8 +16,8 @@ import (
 // a link call that always fails EXDEV), storing and serving fall back to
 // copying and the cache works as before.
 func TestResultCacheAcrossDevices(t *testing.T) {
-	linkFile = func(string, string) error { return syscall.EXDEV }
-	defer func() { linkFile = os.Link }()
+	durable.Link = func(string, string) error { return syscall.EXDEV }
+	defer func() { durable.Link = os.Link }()
 
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")

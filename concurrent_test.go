@@ -183,6 +183,16 @@ func TestOutputPathExclusive(t *testing.T) {
 	if _, err := h.Wait(); err == nil {
 		t.Fatal("canceled holder reported success")
 	}
+	// A spec with no program is refused like one with no inputs — with an
+	// error, not a nil dereference, and without keeping the path.
+	noProgram := dup
+	noProgram.Inputs = []manimal.InputSpec{{Path: data}}
+	if _, err := sys.SubmitAsync(context.Background(), noProgram); err == nil {
+		t.Fatal("submission without a program accepted")
+	}
+	if _, err := sys.BuildBestIndexes(nil, data); err == nil {
+		t.Fatal("index build without a program accepted")
+	}
 	// Released on completion: the path is reusable now.
 	if _, err := sys.Submit(dup); err != nil {
 		t.Fatalf("resubmission after release failed: %v", err)

@@ -30,10 +30,8 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
 
-	"manimal/internal/faultinject"
+	"manimal/internal/durable"
 	"manimal/internal/serde"
 )
 
@@ -57,9 +55,7 @@ type BuilderOptions struct {
 
 // Builder bulk-loads a B+Tree. Keys must be added in non-decreasing order.
 type Builder struct {
-	f        *os.File
-	path     string // final destination; the temp file renames onto it in Close
-	tmp      string // temp file actually being written
+	f        *durable.File
 	schema   *serde.Schema
 	keyExpr  string
 	pageSize int
@@ -80,8 +76,7 @@ type Builder struct {
 	// First-key + offset of every written page at the current level.
 	level []levelEntry
 
-	closed   bool
-	finished bool // Close completed; Abort must not remove the file
+	closed bool
 }
 
 type levelEntry struct {
@@ -89,15 +84,14 @@ type levelEntry struct {
 	offset int64
 }
 
-// NewBuilder creates a B+Tree file destined for path, writing into a
-// uniquely-named temp file in path's directory until Close fsyncs and
-// renames it into place (index paths are catalog-visible, so a partial
-// file must never appear at one). schema describes the stored records and
-// keyExpr is the canonical string form of the pure expression that
-// produced the keys (matched by the optimizer against the program's
-// selection descriptor).
+// NewBuilder creates a B+Tree file destined for path, written through an
+// atomic replacement (durable.File) that Close commits: index paths are
+// catalog-visible, so a partial file must never appear at one. schema
+// describes the stored records and keyExpr is the canonical string form of
+// the pure expression that produced the keys (matched by the optimizer
+// against the program's selection descriptor).
 func NewBuilder(path string, schema *serde.Schema, keyExpr string, opts BuilderOptions) (*Builder, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("btree: create %s: %w", path, err)
 	}
@@ -107,12 +101,11 @@ func NewBuilder(path string, schema *serde.Schema, keyExpr string, opts BuilderO
 	}
 	// A leading magic keeps every page at a positive offset, so offset 0
 	// can serve as the "no next leaf" sentinel.
-	if _, err := f.WriteString(magicFooter); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	if _, err := f.Write([]byte(magicFooter)); err != nil {
+		f.Abort()
 		return nil, fmt.Errorf("btree: write header: %w", err)
 	}
-	return &Builder{f: f, path: path, tmp: f.Name(), schema: schema, keyExpr: keyExpr, pageSize: ps, offset: int64(len(magicFooter))}, nil
+	return &Builder{f: f, schema: schema, keyExpr: keyExpr, pageSize: ps, offset: int64(len(magicFooter))}, nil
 }
 
 // Add appends one (key, record) entry. Keys must arrive in non-decreasing
@@ -198,19 +191,20 @@ func (b *Builder) writePage(page, firstKey []byte, nextLeaf int64) error {
 	return nil
 }
 
-// Close finishes all levels, writes the footer, and closes the file.
+// Close finishes all levels, writes the footer, and commits the file. Any
+// failure removes the temp file and leaves the final path untouched.
 func (b *Builder) Close() error {
 	if b.closed {
 		return nil
 	}
 	b.closed = true
 	if err := b.finishLeaf(); err != nil {
-		b.f.Close()
+		b.f.Abort()
 		return err
 	}
 	if b.pendingLeaf != nil {
 		if err := b.writePage(b.pendingLeaf, b.pendingKey0, 0); err != nil {
-			b.f.Close()
+			b.f.Abort()
 			return err
 		}
 		b.pendingLeaf = nil
@@ -220,7 +214,7 @@ func (b *Builder) Close() error {
 	// Handle the empty tree: a single empty leaf.
 	if len(b.level) == 0 {
 		if err := b.writePage(buildLeafPayload(0, nil), nil, 0); err != nil {
-			b.f.Close()
+			b.f.Abort()
 			return err
 		}
 	}
@@ -251,7 +245,7 @@ func (b *Builder) Close() error {
 			page = append(page, kidOffsets...)
 			page = append(page, keys...)
 			if err := b.writePage(page, children[start].key, 0); err != nil {
-				b.f.Close()
+				b.f.Abort()
 				return err
 			}
 			start += n
@@ -270,52 +264,21 @@ func (b *Builder) Close() error {
 	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
 	ftr = append(ftr, magicFooter...)
 	if _, err := b.f.Write(ftr); err != nil {
-		b.f.Close()
+		b.f.Abort()
 		return fmt.Errorf("btree: write footer: %w", err)
 	}
-	if err := b.f.Sync(); err != nil {
-		b.f.Close()
-		return fmt.Errorf("btree: sync: %w", err)
+	if err := b.f.Commit(); err != nil {
+		return fmt.Errorf("btree: commit: %w", err)
 	}
-	if err := b.f.Close(); err != nil {
-		return err
-	}
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(b.path)); err != nil {
-		os.Remove(b.tmp)
-		return err
-	}
-	if err := os.Rename(b.tmp, b.path); err != nil {
-		os.Remove(b.tmp)
-		return fmt.Errorf("btree: commit %s: %w", b.path, err)
-	}
-	syncDir(filepath.Dir(b.path))
-	b.finished = true
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // Abort closes the builder and removes the partial temp file; used when
-// the producing job — or a Close that failed midway — must be discarded.
-// The final path is never touched. A no-op after a successful Close, and
-// tolerant of the temp file already being gone.
+// the producing job must be discarded. The final path is never touched. A
+// no-op after Close, which commits the file or removes it.
 func (b *Builder) Abort() error {
-	if b.finished {
-		return nil
-	}
 	b.closed = true
-	b.f.Close()
-	if err := os.Remove(b.tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return b.f.Abort()
 }
 
 func compareBytes(a, b []byte) int {

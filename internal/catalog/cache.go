@@ -55,11 +55,34 @@ type CacheEntry struct {
 	flushedHits int64 // Hits as last written to the index
 }
 
-// CacheInput fingerprints one input file of a cached job result.
+// CacheInput fingerprints one file — an input of a cached job result, or
+// the cached artifact itself — by path, size and mtime.
 type CacheInput struct {
 	Path         string `json:"path"`
 	SizeBytes    int64  `json:"sizeBytes"`
 	ModTimeNanos int64  `json:"modTimeNanos"`
+}
+
+// Fingerprint takes the fingerprint of the file at path as it is now.
+func Fingerprint(path string) (CacheInput, error) {
+	st, err := os.Stat(path)
+	if err != nil {
+		return CacheInput{}, err
+	}
+	return CacheInput{Path: path, SizeBytes: st.Size(), ModTimeNanos: st.ModTime().UnixNano()}, nil
+}
+
+// Verify reports how the file on disk differs from the fingerprint: nil
+// when it is still there with the same size and mtime.
+func (in CacheInput) Verify() error {
+	now, err := Fingerprint(in.Path)
+	if err != nil {
+		return err
+	}
+	if now != in {
+		return fmt.Errorf("%s: size or mtime changed", in.Path)
+	}
+	return nil
 }
 
 // Usable reports whether a submission may be served from this entry.
@@ -70,8 +93,7 @@ func (e *CacheEntry) Usable() bool { return e.State == "" }
 // be hit again (the key embeds the fingerprints) and only awaits eviction.
 func (e *CacheEntry) Fresh() bool {
 	for _, in := range e.Inputs {
-		st, err := os.Stat(in.Path)
-		if err != nil || st.Size() != in.SizeBytes || st.ModTime().UnixNano() != in.ModTimeNanos {
+		if in.Verify() != nil {
 			return false
 		}
 	}
@@ -104,6 +126,10 @@ type cacheNote struct {
 type resultCache struct {
 	dir string
 
+	// storeMu serializes StoreCache, so identical jobs finishing together
+	// cannot interleave placing the artifact and recording its mtime.
+	storeMu sync.Mutex
+
 	mu      sync.Mutex
 	entries map[string]*CacheEntry
 	log     *durable.Log // nil until something is stored in a system that never cached
@@ -135,7 +161,7 @@ func (rc *resultCache) open(dir string) error {
 		if isArtifact && rc.entries[key] != nil {
 			continue
 		}
-		if isArtifact || strings.Contains(name, ".kv.tmp-") {
+		if _, isTemp := durable.IsTemp(name); isArtifact || isTemp {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -225,14 +251,8 @@ func (rc *resultCache) close() error {
 	return errors.Join(err, rc.log.Close())
 }
 
-// CachePath is where the artifact of the entry registered under key lives.
-// The directory exists once something was stored; StoreCache's caller
-// creates it before placing the artifact.
-func (c *Catalog) CachePath(key string) string { return c.cache.path(key) }
-
-// FindCache returns the usable result-cache entry registered under key.
-func (c *Catalog) FindCache(key string) (CacheEntry, bool) {
-	rc := &c.cache
+// find returns the usable entry registered under key.
+func (rc *resultCache) find(key string) (CacheEntry, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if e := rc.entries[key]; e != nil && e.Usable() {
@@ -241,26 +261,81 @@ func (c *Catalog) FindCache(key string) (CacheEntry, bool) {
 	return CacheEntry{}, false
 }
 
-// HitCache counts one submission served from the entry under key and
-// returns the new total. Nothing is written: counts reach the index when
-// the catalog is closed or the cache evicted.
-func (c *Catalog) HitCache(key string) int64 {
+// ServeCache places the artifact of the usable entry under key at dst (a
+// hardlink where the filesystem allows, see durable.Place) and returns the
+// entry, hit counted. Nothing is written: hit counts reach the index when
+// the catalog is closed or the cache evicted. A damaged artifact — missing,
+// or not the size and mtime it was registered with, which also catches an
+// in-place edit through a served output sharing its inode — is quarantined
+// and reported as a miss, so the caller executes the job (re-populating the
+// cache on commit). A placement failure is a miss too: it is no evidence
+// against the artifact, and executing surfaces the real error.
+func (c *Catalog) ServeCache(key, dst string) (CacheEntry, bool) {
 	rc := &c.cache
+	e, ok := rc.find(key)
+	if !ok {
+		return CacheEntry{}, false
+	}
+	artifact := CacheInput{Path: e.Path, SizeBytes: e.SizeBytes, ModTimeNanos: e.ModTimeNanos}
+	if err := artifact.Verify(); err != nil {
+		rc.quarantine(key, "cached artifact "+err.Error())
+		return CacheEntry{}, false
+	}
+	if durable.Place(e.Path, dst) != nil {
+		return CacheEntry{}, false
+	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	e := rc.entries[key]
-	if e == nil {
-		return 0
+	if live := rc.entries[key]; live != nil {
+		live.Hits++
+		e.Hits = live.Hits
 	}
-	e.Hits++
-	return e.Hits
+	return e, true
 }
 
-// StoreCache registers e under e.Key — one append to the index — replacing
-// (and un-quarantining) any entry already there. The artifact must already
-// be in place at CachePath(e.Key).
-func (c *Catalog) StoreCache(e CacheEntry) error {
+// StoreCache registers a just-committed job output under key: src —
+// already fsynced by its commit — is placed in the cache directory and an
+// entry with the artifact's fingerprint is appended to the index. The store
+// is skipped when an input no longer matches the fingerprint captured at
+// submission (the key would promise a result the current file contents
+// never produced) or an identical job that finished first registered key.
+func (c *Catalog) StoreCache(key, src string, inputs []CacheInput, outputRecords int64) error {
 	rc := &c.cache
+	for _, in := range inputs {
+		if in.Verify() != nil {
+			return nil
+		}
+	}
+	rc.storeMu.Lock()
+	defer rc.storeMu.Unlock()
+	if _, ok := rc.find(key); ok {
+		return nil
+	}
+	err := os.MkdirAll(rc.dir, 0o755)
+	if err == nil {
+		err = durable.Place(src, rc.path(key))
+	}
+	var artifact CacheInput
+	if err == nil {
+		artifact, err = Fingerprint(rc.path(key))
+	}
+	if err != nil {
+		return fmt.Errorf("catalog: result-cache artifact: %w", err)
+	}
+	return rc.put(CacheEntry{
+		Key:           key,
+		SizeBytes:     artifact.SizeBytes,
+		ModTimeNanos:  artifact.ModTimeNanos,
+		Inputs:        inputs,
+		OutputRecords: outputRecords,
+		CreatedAt:     time.Now(),
+	})
+}
+
+// put registers e under e.Key — one append to the index — replacing (and
+// un-quarantining) any entry already there. The artifact must already be
+// in place.
+func (rc *resultCache) put(e CacheEntry) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	e.Path = rc.path(e.Key)
@@ -272,11 +347,10 @@ func (c *Catalog) StoreCache(e CacheEntry) error {
 	return nil
 }
 
-// QuarantineCache marks the entry under key CORRUPT (with a reason) so no
-// later submission is served from it; the next store under the key
-// replaces it. The artifact is left on disk for inspection until then.
-func (c *Catalog) QuarantineCache(key, reason string) error {
-	rc := &c.cache
+// quarantine marks the entry under key CORRUPT (with a reason) so no later
+// submission is served from it; the next store under the key replaces it.
+// The artifact is left on disk for inspection until then.
+func (rc *resultCache) quarantine(key, reason string) error {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	e := rc.entries[key]
@@ -307,9 +381,9 @@ func (c *Catalog) CacheEntries() []CacheEntry {
 
 // EvictCache removes result-cache entries — all of them, or with staleOnly
 // just those whose input fingerprints no longer match (plus quarantined
-// ones) — and returns the removed entries so the caller can delete their
-// artifact files. The index is rewritten as one put per survivor, hit
-// counts included: eviction is also the log's compaction.
+// ones) — deletes their artifacts and returns them. The index is rewritten
+// as one put per survivor, hit counts included: eviction is also the log's
+// compaction.
 func (c *Catalog) EvictCache(staleOnly bool) ([]CacheEntry, error) {
 	rc := &c.cache
 	rc.mu.Lock()
@@ -319,6 +393,7 @@ func (c *Catalog) EvictCache(staleOnly bool) ([]CacheEntry, error) {
 		if !staleOnly || !e.Usable() || !e.Fresh() {
 			evicted = append(evicted, *e)
 			delete(rc.entries, key)
+			os.Remove(e.Path)
 		}
 	}
 	if len(evicted) == 0 {
@@ -332,27 +407,31 @@ func (c *Catalog) EvictCache(staleOnly bool) ([]CacheEntry, error) {
 // losing the rename leaves the old log, whose evicted entries fail their
 // artifact check at the next hit.
 func (rc *resultCache) rewrite() error {
-	path := filepath.Join(rc.dir, cacheIndexName)
-	tmp := path + ".tmp"
-	os.Remove(tmp)
-	old := rc.log
-	var err error
-	if rc.log, err = durable.Open(tmp, nil); err != nil {
-		rc.log = old
+	w, err := durable.Create(filepath.Join(rc.dir, cacheIndexName))
+	if err != nil {
 		return fmt.Errorf("catalog: result-cache index: %w", err)
 	}
+	fresh, err := durable.Open(w.TempName(), nil)
+	if err != nil {
+		w.Abort()
+		return fmt.Errorf("catalog: result-cache index: %w", err)
+	}
+	old := rc.log
+	rc.log = fresh
 	if old != nil {
 		old.Close()
 	}
 	for _, e := range rc.entries {
 		if err := rc.append(cachePut, e); err != nil {
+			w.Abort()
 			return err
 		}
 		e.flushedHits = e.Hits
 	}
-	// The open handle follows the file through the rename.
-	if err := os.Rename(tmp, path); err != nil {
+	// The log's own handle follows the file through the rename.
+	f, err := w.Rename()
+	if err != nil {
 		return fmt.Errorf("catalog: result-cache index: %w", err)
 	}
-	return nil
+	return f.Close()
 }

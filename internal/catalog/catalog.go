@@ -171,28 +171,26 @@ func (c *Catalog) Close() error { return c.cache.close() }
 func (c *Catalog) Add(e Entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.entries[:0]
-	for _, old := range c.entries {
-		if old.IndexPath != e.IndexPath {
-			kept = append(kept, old)
-		}
-	}
-	c.entries = append(kept, e)
-	return c.save()
+	return c.commit(append(c.without(e.IndexPath), e))
 }
 
 // Remove drops the entry with the given index path, if present.
 func (c *Catalog) Remove(indexPath string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	kept := c.entries[:0]
+	return c.commit(c.without(indexPath))
+}
+
+// without copies the entries, leaving out the one with the given index
+// path. Mutations build a copy so that a failed commit changes nothing.
+func (c *Catalog) without(indexPath string) []Entry {
+	kept := make([]Entry, 0, len(c.entries)+1)
 	for _, old := range c.entries {
 		if old.IndexPath != indexPath {
 			kept = append(kept, old)
 		}
 	}
-	c.entries = kept
-	return c.save()
+	return kept
 }
 
 // Quarantine marks the entry with the given index path as CORRUPT (with a
@@ -202,18 +200,19 @@ func (c *Catalog) Remove(indexPath string) error {
 func (c *Catalog) Quarantine(indexPath, reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	entries := append([]Entry(nil), c.entries...)
 	changed := false
-	for i := range c.entries {
-		if c.entries[i].IndexPath == indexPath && c.entries[i].State != StateCorrupt {
-			c.entries[i].State = StateCorrupt
-			c.entries[i].StateReason = reason
+	for i := range entries {
+		if entries[i].IndexPath == indexPath && entries[i].State != StateCorrupt {
+			entries[i].State = StateCorrupt
+			entries[i].StateReason = reason
 			changed = true
 		}
 	}
 	if !changed {
 		return nil
 	}
-	return c.save()
+	return c.commit(entries)
 }
 
 // ForInput returns the index variants built over the given input file,
@@ -238,37 +237,18 @@ func (c *Catalog) All() []Entry {
 	return append([]Entry(nil), c.entries...)
 }
 
-// save persists atomically: temp file, fsync, rename, parent-dir fsync —
-// a crash mid-save leaves either the old catalog or the new one, never a
-// torn JSON file.
-func (c *Catalog) save() error {
-	raw, err := json.MarshalIndent(c.entries, "", "  ")
+// commit persists entries as the new snapshot — atomically (temp file,
+// fsync, rename, parent-dir fsync: a crash mid-save leaves the old catalog
+// or the new one, never a torn JSON file) — and only then makes them the
+// catalog, so memory never holds an entry the disk did not get.
+func (c *Catalog) commit(entries []Entry) error {
+	raw, err := json.MarshalIndent(entries, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(c.path, raw)
+	}
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	dir := filepath.Dir(c.path)
-	f, err := os.CreateTemp(dir, fileName+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := durable.SyncFile(f); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := os.Rename(f.Name(), c.path); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("catalog: %w", err)
-	}
-	durable.SyncDir(dir) // best effort, as before: the rename itself succeeded
+	c.entries = entries
 	return nil
 }

@@ -110,14 +110,18 @@ func TestCoversFields(t *testing.T) {
 // that registers it.
 func artifact(t testing.TB, c *Catalog, key string) CacheEntry {
 	t.Helper()
-	path := c.CachePath(key)
+	path := c.cache.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, []byte("kv:"+key), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return CacheEntry{Key: key, SizeBytes: int64(3 + len(key)), OutputRecords: 7,
+	fp, err := Fingerprint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CacheEntry{Key: key, SizeBytes: fp.SizeBytes, ModTimeNanos: fp.ModTimeNanos, OutputRecords: 7,
 		Inputs:    []CacheInput{{Path: "data.rec", SizeBytes: 10, ModTimeNanos: 20}},
 		CreatedAt: time.Now()}
 }
@@ -132,24 +136,28 @@ func TestCacheIndexLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"aa", "bb", "cc"} {
-		if err := c.StoreCache(artifact(t, c, key)); err != nil {
+		if err := c.cache.put(artifact(t, c, key)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e, ok := c.FindCache("bb"); !ok || e.Path != c.CachePath("bb") || e.OutputRecords != 7 {
-		t.Fatalf("FindCache(bb) = %+v, %v", e, ok)
+	if e, ok := c.cache.find("bb"); !ok || e.Path != c.cache.path("bb") || e.OutputRecords != 7 {
+		t.Fatalf("find(bb) = %+v, %v", e, ok)
 	}
-	if _, ok := c.FindCache("zz"); ok {
-		t.Fatal("FindCache of an unknown key hit")
+	if _, ok := c.cache.find("zz"); ok {
+		t.Fatal("find of an unknown key hit")
 	}
-	c.HitCache("bb")
-	if n := c.HitCache("bb"); n != 2 {
-		t.Fatalf("second hit counted %d", n)
+	served := filepath.Join(dir, "served.kv")
+	c.ServeCache("bb", served)
+	if e, ok := c.ServeCache("bb", served); !ok || e.Hits != 2 {
+		t.Fatalf("second hit = %+v, %v", e, ok)
 	}
-	if err := c.QuarantineCache("cc", "size mismatch"); err != nil {
+	if raw, _ := os.ReadFile(served); string(raw) != "kv:bb" {
+		t.Fatalf("served output = %q", raw)
+	}
+	if err := c.cache.quarantine("cc", "size mismatch"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.FindCache("cc"); ok {
+	if _, ok := c.cache.find("cc"); ok {
 		t.Fatal("quarantined entry still served")
 	}
 	if err := c.Close(); err != nil {
@@ -165,10 +173,10 @@ func TestCacheIndexLifecycle(t *testing.T) {
 		t.Fatalf("entries after restart = %+v", got)
 	}
 	// A store under a quarantined key replaces the entry.
-	if err := c.StoreCache(artifact(t, c, "cc")); err != nil {
+	if err := c.cache.put(artifact(t, c, "cc")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.FindCache("cc"); !ok {
+	if _, ok := c.cache.find("cc"); !ok {
 		t.Fatal("re-stored entry not served")
 	}
 
@@ -181,7 +189,7 @@ func TestCacheIndexLifecycle(t *testing.T) {
 	if st, err := os.Stat(filepath.Join(dir, "cache", cacheIndexName)); err != nil || st.Size() > 16 {
 		t.Fatalf("index after full eviction: %v bytes, %v", st.Size(), err)
 	}
-	if err := c.StoreCache(artifact(t, c, "dd")); err != nil {
+	if err := c.cache.put(artifact(t, c, "dd")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -203,13 +211,13 @@ func TestCacheIndexCrashShapes(t *testing.T) {
 	index := filepath.Join(dir, "cache", cacheIndexName)
 	var ends []int64
 	for _, key := range []string{"aa", "bb", "cc"} {
-		if err := c.StoreCache(artifact(t, c, key)); err != nil {
+		if err := c.cache.put(artifact(t, c, key)); err != nil {
 			t.Fatal(err)
 		}
 		st, _ := os.Stat(index)
 		ends = append(ends, st.Size())
 	}
-	debris := c.CachePath("bb") + ".tmp-1234"
+	debris := c.cache.path("bb") + ".tmp-1234"
 	os.WriteFile(debris, []byte("x"), 0o644)
 
 	// Torn tail: the last put loses its final bytes.
@@ -223,7 +231,7 @@ func TestCacheIndexCrashShapes(t *testing.T) {
 	if got := c.CacheEntries(); len(got) != 2 || got[1].Key != "bb" {
 		t.Fatalf("entries after a torn tail = %+v", got)
 	}
-	for path, want := range map[string]bool{c.CachePath("aa"): true, c.CachePath("bb"): true, c.CachePath("cc"): false, debris: false} {
+	for path, want := range map[string]bool{c.cache.path("aa"): true, c.cache.path("bb"): true, c.cache.path("cc"): false, debris: false} {
 		if _, err := os.Stat(path); (err == nil) != want {
 			t.Errorf("%s: present = %v, want %v", filepath.Base(path), err == nil, want)
 		}
@@ -240,7 +248,7 @@ func TestCacheIndexCrashShapes(t *testing.T) {
 	if got := c.CacheEntries(); len(got) != 0 {
 		t.Fatalf("entries behind the damage survived: %+v", got)
 	}
-	if err := c.StoreCache(artifact(t, c, "ee")); err != nil {
+	if err := c.cache.put(artifact(t, c, "ee")); err != nil {
 		t.Fatal(err)
 	}
 	if c, err = Open(dir); err != nil || len(c.CacheEntries()) != 1 {
@@ -300,7 +308,7 @@ func TestForInputIgnoresCacheSize(t *testing.T) {
 	e := artifact(t, c, "k")
 	for i := 0; i < 5000; i++ {
 		e.Key = fmt.Sprintf("key-%04d", i)
-		if err := c.StoreCache(e); err != nil {
+		if err := c.cache.put(e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +341,7 @@ func TestCacheTrafficLeavesSnapshotAlone(t *testing.T) {
 	store := func(i int) int64 {
 		e.Key = fmt.Sprintf("key-%04d", i)
 		before, _ := os.Stat(index)
-		if err := c.StoreCache(e); err != nil {
+		if err := c.cache.put(e); err != nil {
 			t.Fatal(err)
 		}
 		after, err := os.Stat(index)
@@ -354,7 +362,14 @@ func TestCacheTrafficLeavesSnapshotAlone(t *testing.T) {
 			at2000 = n
 		}
 		if i < 200 {
-			c.HitCache(e.Key)
+			// A link of the one artifact stands in for this key's: same
+			// inode, so the fingerprint on e verifies.
+			if err := os.Link(c.cache.path("k"), c.cache.path(e.Key)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.ServeCache(e.Key, filepath.Join(dir, "served.kv")); !ok {
+				t.Fatalf("hit %d missed", i)
+			}
 		}
 	}
 	if at10 == 0 || at10 != at2000 {

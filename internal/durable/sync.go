@@ -1,10 +1,18 @@
-// Package durable holds the two primitives Manimal's metadata stores are
-// made crash-safe with: counted file and directory syncs, and Log, an
-// append-only CRC32C-framed record log with group commit (log.go). The job
-// journal (package journal) and the result-cache index (package catalog)
-// are both a Log; the engine's output commit and the catalog snapshot sync
-// through SyncFile/SyncDir, so one hook sees every fsync a submission
-// pays.
+// Package durable is how Manimal puts bytes on disk so that a crash leaves
+// them whole. It holds the only os.Rename, os.CreateTemp and fsync calls in
+// the repository (CI checks), in three primitives:
+//
+//   - File (atomic.go): the atomic replacement every file a reader may find
+//     is written through — record files, KV outputs, B+Trees, shard
+//     manifests, the catalog snapshot (WriteFile) and result-cache
+//     artifacts (Place: link, else copy). Commit is temp → fsync → rename →
+//     directory fsync and carries the crash and kill injection points;
+//     Rename is the same staging without a sync, for files a crash may take
+//     (shuffle spills, the cache index).
+//   - Log (log.go): an append-only CRC32C-framed record log with group
+//     commit: the job journal and the result-cache index.
+//   - SyncFile/SyncDir: the counted syncs under both, so one hook (OnSync)
+//     sees every fsync a submission pays.
 package durable
 
 import (

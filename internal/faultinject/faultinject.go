@@ -33,7 +33,10 @@
 //	straggle=0.1:200ms     10% of task attempts sleep 200ms first
 //	corrupt=1.0@.idx0      every read of a path containing ".idx0" is
 //	                       bit-flipped (caught by block checksums)
-//	crash=0.5              50% of atomic commits fail before their rename
+//	crash=0.5              50% of synced atomic commits (package durable:
+//	                       index and output files, the catalog snapshot,
+//	                       cache artifacts) fail before their rename; keyed
+//	                       by base name, e.g. crash=1@manimal-catalog.json
 //	journal=1.0            every job-journal record write fails (the
 //	                       submission being recorded must be refused)
 //	drain=1.0              a graceful drain aborts mid-way (crash-mid-drain)
@@ -41,7 +44,8 @@
 //	                       moment a map-task attempt starts — a real crash
 //	                       for recovery tests' subprocess helpers;
 //	                       @journal:j00000003.end kills between the append
-//	                       and the sync of that journal record instead
+//	                       and the sync of that journal record instead,
+//	                       @commit:k.kv at the crash point of k.kv's commit
 //
 // ";seed=N" fixes the hash seed (default 1). Rules with @pathsub apply
 // only to keys containing that substring.
@@ -83,8 +87,8 @@ const (
 	// CRC32C block checksums and classified permanent).
 	PointCorrupt Point = "corrupt"
 	// PointCrashRename fails an atomic commit after the temp file is fully
-	// written but before the rename — modeling a crash mid-commit; the
-	// final path must be left untouched.
+	// written and synced but before the rename (package durable) — modeling
+	// a crash mid-commit; the final path must be left untouched.
 	PointCrashRename Point = "crash"
 	// PointJournal fails a job-journal record write before it touches
 	// disk — modeling a full coordinator disk or a crash at journal write;

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"manimal/internal/btree"
 	"manimal/internal/durable"
-	"manimal/internal/faultinject"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 	"manimal/internal/storage"
@@ -37,13 +35,12 @@ func abortOutput(o Output) {
 }
 
 // KVFileOutput writes the job's (key, value) pairs to a simple streaming
-// container: the default final-output format. Pairs stream into a temp
-// file that Close fsyncs and renames onto the final path, so a crashed
-// or canceled job never leaves a partial output where the caller's path
-// points.
+// container: the default final-output format. Pairs stream into an atomic
+// replacement of the final path (durable.File) that Close commits, so a
+// crashed or canceled job never leaves a partial output where the caller's
+// path points.
 type KVFileOutput struct {
-	f     *os.File
-	path  string // final destination; the temp file renames onto it in Close
+	f     *durable.File
 	w     *bufio.Writer
 	count uint64
 	buf   []byte // reused per-write encoding buffer
@@ -53,17 +50,16 @@ type KVFileOutput struct {
 // NewKVFileOutput creates a KV output file destined for path (committed
 // by Close).
 func NewKVFileOutput(path string) (*KVFileOutput, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: create output %s: %w", path, err)
 	}
 	w := bufio.NewWriterSize(f, 256<<10)
 	if _, err := w.WriteString(kvMagic); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		return nil, err
 	}
-	return &KVFileOutput{f: f, path: path, w: w}, nil
+	return &KVFileOutput{f: f, w: w}, nil
 }
 
 // Write implements Output. The key and value are fully serialized before
@@ -85,55 +81,25 @@ func (o *KVFileOutput) Write(k serde.Datum, v interp.EmitValue) error {
 	return nil
 }
 
-// Close writes the trailer, then commits: fsync, rename onto the final
-// path, fsync the parent directory.
+// Close writes the trailer, then commits the file.
 func (o *KVFileOutput) Close() error {
-	fail := func(err error) error {
-		o.f.Close()
-		os.Remove(o.f.Name())
-		return err
-	}
 	var tr [8]byte
 	binary.LittleEndian.PutUint64(tr[:], o.count)
-	if _, err := o.w.Write(tr[:]); err != nil {
-		return fail(err)
-	}
-	if _, err := o.w.WriteString(kvMagic); err != nil {
-		return fail(err)
-	}
+	o.w.Write(tr[:]) // a bufio.Writer's first error sticks: Flush reports it
+	o.w.WriteString(kvMagic)
 	if err := o.w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := durable.SyncFile(o.f); err != nil {
-		return fail(err)
-	}
-	tmp := o.f.Name()
-	if err := o.f.Close(); err != nil {
-		os.Remove(tmp)
+		o.f.Abort()
 		return err
 	}
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(o.path)); err != nil {
-		os.Remove(tmp)
-		return err
+	if err := o.f.Commit(); err != nil {
+		return fmt.Errorf("mapreduce: commit output: %w", err)
 	}
-	if err := os.Rename(tmp, o.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("mapreduce: commit output %s: %w", o.path, err)
-	}
-	durable.SyncDir(filepath.Dir(o.path)) // best effort: the rename itself succeeded
 	return nil
 }
 
 // Abort implements Abortable: the partial temp file is removed; the final
 // path is never touched.
-func (o *KVFileOutput) Abort() error {
-	tmp := o.f.Name()
-	o.f.Close()
-	if err := os.Remove(tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
+func (o *KVFileOutput) Abort() error { return o.f.Abort() }
 
 // KVPair is one read-back output pair.
 type KVPair struct {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
@@ -505,28 +506,24 @@ func (it *slabValueIter) Value() interp.EmitValue { return it.cur }
 
 // writeSpillFile writes a serialized spill image into a temp file renamed
 // onto path once complete, and returns the open handle for the reduce
-// phase to read through (os.CreateTemp opens read-write, so no reopen is
-// needed; the handle survives the rename). No fsync: spills are transient
-// intermediate state whose loss just fails the attempt, and syncing every
-// spill would tax the shuffle benchmarks for no durability the job needs.
-// On any error the partial temp file is closed and removed so a failed
-// task never leaks spill files into WorkDir.
+// phase to read through (it survives the rename, so no reopen is needed).
+// No fsync: spills are transient intermediate state whose loss just fails
+// the attempt, and syncing every spill would tax the shuffle benchmarks
+// for no durability the job needs. A failed write leaves no file behind.
 func writeSpillFile(path string, image []byte, spans []span) (*spillFile, error) {
 	if err := faultinject.Fail(faultinject.PointSpill, filepath.Base(path)); err != nil {
 		return nil, err
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	w, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: create spill file: %w", err)
 	}
-	if _, err := f.Write(image); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	if _, err := w.Write(image); err != nil {
+		w.Abort()
 		return nil, err
 	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		f.Close()
-		os.Remove(f.Name())
+	f, err := w.Rename()
+	if err != nil {
 		return nil, fmt.Errorf("mapreduce: commit spill file: %w", err)
 	}
 	sf := &spillFile{f: f, path: path, parts: spans}

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"manimal/internal/faultinject"
 )
 
 // TestOnDiskBitFlipDetected: flipping one byte inside a block on disk must
@@ -109,39 +107,6 @@ func TestChecksumCoversEveryBlock(t *testing.T) {
 			t.Errorf("block %d: flip not detected (err = %v)", i, sc.Err())
 		}
 		rr.Close()
-	}
-}
-
-// TestCrashBeforeRenameLeavesNoFinalFile: a simulated crash between the
-// temp file's fsync and the rename must leave the final path untouched
-// and no temp debris behind.
-func TestCrashBeforeRenameLeavesNoFinalFile(t *testing.T) {
-	faultinject.Set(faultinject.MustParse("crash=1@crash.rec;seed=1"))
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crash.rec")
-	w, err := NewWriter(path, testSchema, WriterOptions{BlockSize: 4 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range makeRecords(100, 3) {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = w.Close()
-	if !errors.Is(err, faultinject.ErrInjected) {
-		t.Fatalf("Close err = %v; want the injected crash", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("final path exists after crash-before-rename (stat err = %v)", err)
-	}
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range left {
-		t.Errorf("debris left after crashed commit: %s", e.Name())
 	}
 }
 

@@ -101,10 +101,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"manimal/internal/compress"
+	"manimal/internal/durable"
 	"manimal/internal/faultinject"
 	"manimal/internal/serde"
 )
@@ -172,16 +172,14 @@ type WriterOptions struct {
 	BlockSize int
 }
 
-// Writer writes a record file. The writer streams into a uniquely-named
-// temp file next to the destination and COMMITS it — fsync, rename onto
-// the final path, fsync the parent directory — only in Close: a crash (or
-// abort) mid-write can never leave a partial file at a path the catalog
+// Writer writes a record file through an atomic replacement of the
+// destination (durable.File), committed only in Close: a crash (or abort)
+// mid-write can never leave a partial file at a path the catalog
 // fingerprints as valid, and concurrent task attempts writing the same
-// destination never collide (the first Close wins the rename).
+// destination never collide (the last Close wins the rename).
 type Writer struct {
-	f         *os.File
-	path      string // final destination; the temp file renames onto it in Close
-	tmp       string // temp file actually being written
+	f         *durable.File
+	path      string // final destination, replaced in Close
 	schema    *serde.Schema
 	encodings []FieldEncoding
 	deltas    []*compress.DeltaEncoder // per field, nil unless delta
@@ -198,27 +196,23 @@ type Writer struct {
 	crcs      []uint32     // per-block CRC32C over the full on-disk block bytes
 	records   int64
 	closed    bool
-	finished  bool // Close committed the file; Abort must not remove it
 }
 
-// NewWriter creates a record file destined for path, writing into a
-// uniquely-named temp file in path's directory until Close renames it
-// into place. Any file already at path is untouched until then.
-// Construction errors remove only the temp file.
+// NewWriter creates a record file destined for path. Any file already at
+// path is untouched until Close; construction errors remove only the temp
+// file.
 func NewWriter(path string, schema *serde.Schema, opts WriterOptions) (*Writer, error) {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
 	fail := func(err error) (*Writer, error) {
-		f.Close()
-		os.Remove(f.Name())
+		f.Abort()
 		return nil, err
 	}
 	w := &Writer{
 		f:         f,
 		path:      path,
-		tmp:       f.Name(),
 		schema:    schema,
 		encodings: make([]FieldEncoding, schema.NumFields()),
 		deltas:    make([]*compress.DeltaEncoder, schema.NumFields()),
@@ -394,24 +388,16 @@ func uvarintLen(v uint64) int {
 func (w *Writer) NumRecords() int64 { return w.records }
 
 // Close flushes the final block, writes the stats-bearing footer (with
-// the per-block checksum section), then COMMITS: fsync the temp file,
-// rename it onto the final path, fsync the parent directory. Any failure
-// before the rename — block flush, footer write, sync — removes the temp
-// file and leaves the final path untouched, so a crash mid-commit can
-// never present a partial record file where a reader (or the catalog's
-// fingerprinting) expects a complete one.
+// the per-block checksum section), then commits (durable.File.Commit). Any
+// failure removes the temp file and leaves the final path untouched.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	fail := func(err error) error {
-		w.f.Close()
-		os.Remove(w.tmp)
-		return err
-	}
 	if err := w.flushBlock(); err != nil {
-		return fail(err)
+		w.f.Abort()
+		return err
 	}
 	var ftr []byte
 	ftr = binary.AppendUvarint(ftr, uint64(len(w.blocks)))
@@ -433,55 +419,21 @@ func (w *Writer) Close() error {
 	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
 	ftr = append(ftr, magicFooter...)
 	if _, err := w.f.Write(ftr); err != nil {
-		return fail(fmt.Errorf("storage: write footer: %w", err))
+		w.f.Abort()
+		return fmt.Errorf("storage: write footer: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		return fail(fmt.Errorf("storage: sync: %w", err))
-	}
-	if err := w.f.Close(); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	// Crash-before-rename injection point: the temp file is complete and
-	// durable, but the commit has not happened. The contract under test is
-	// that the final path is untouched.
-	if err := faultinject.Fail(faultinject.PointCrashRename, filepath.Base(w.path)); err != nil {
-		os.Remove(w.tmp)
-		return err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
+	if err := w.f.Commit(); err != nil {
 		return fmt.Errorf("storage: commit %s: %w", w.path, err)
 	}
-	syncDir(filepath.Dir(w.path))
-	w.finished = true
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash.
-// Best-effort on filesystems that reject directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // Abort closes the writer and removes the partial temp file; used when
 // the producing job (or a losing task attempt) must be discarded. The
-// final path is never touched. A no-op after a successful Close, and
-// tolerant of the temp file already being gone (a failed Close removes
-// it).
+// final path is never touched. A no-op after Close.
 func (w *Writer) Abort() error {
-	if w.finished {
-		return nil
-	}
 	w.closed = true
-	w.f.Close()
-	if err := os.Remove(w.tmp); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return w.f.Abort()
 }
 
 // Schema returns the writer's file schema.

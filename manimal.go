@@ -9,9 +9,9 @@
 // The three components of paper Figure 1 map to this API as follows:
 //
 //   - the analyzer:   System.Analyze (package internal/analyzer)
-//   - the optimizer:  plan selection inside System.Submit
-//     (package internal/optimizer, reading the index catalog kept by
-//     package internal/catalog)
+//   - the optimizer:  the plan stage of a submission (package
+//     internal/optimizer, reading the index catalog kept by package
+//     internal/catalog)
 //   - execution fabric: package internal/fabric, which adapts programs to
 //     the MapReduce engine (package internal/mapreduce) and opens the
 //     physical input the chosen plan calls for; programs themselves run in
@@ -47,6 +47,15 @@
 // Status (phase, task progress, counter snapshot). Submit is the thin
 // synchronous wrapper. The manimal CLI exposes the same service over HTTP
 // (`manimal serve`, package internal/service).
+//
+// Every submission passes through the same stages (submitJournaled):
+// resolve (validate, claim the output path, read input footers) → plan
+// (Figure 1's analyze and optimize) → record (journal it) → probe (result
+// cache) → admit (scratch space, scheduler) → run (Figure 1's execute; a
+// corrupt index variant is quarantined and the job goes back to plan) →
+// finish, the single exit for a refusal at any stage, a cache hit and a
+// completed execution alike: only it journals the terminal state, releases
+// the output claim, removes scratch space and closes Done.
 package manimal
 
 import (
@@ -55,8 +64,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -178,10 +185,6 @@ type System struct {
 
 	mu          sync.Mutex
 	liveOutputs map[string]string // normalized output path -> job name
-
-	// storeMu serializes storeCache, so identical jobs finishing together
-	// cannot interleave placing the artifact and recording its mtime.
-	storeMu sync.Mutex
 }
 
 // Options tunes a System beyond its directory.
@@ -304,7 +307,7 @@ func (s *System) PoolStats() PoolStats { return s.sched.Stats() }
 // Analyze runs the static analyzer against the program for an input file's
 // schema.
 func (s *System) Analyze(p *Program, inputPath string) (*Descriptor, error) {
-	schema, err := schemaOf(inputPath)
+	schema, _, err := inputInfo(inputPath)
 	if err != nil {
 		return nil, err
 	}
@@ -320,11 +323,6 @@ func AnalyzeSchema(p *Program, schema *Schema) (*Descriptor, error) {
 // tooling: nil unless both maps re-key on a plain field of their own input.
 func DetectJoin(left *Program, leftSchema *Schema, right *Program, rightSchema *Schema) *JoinDescriptor {
 	return analyzer.DetectJoin(left.parsed, leftSchema, right.parsed, rightSchema)
-}
-
-func schemaOf(path string) (*serde.Schema, error) {
-	s, _, err := inputInfo(path)
-	return s, err
 }
 
 // inputInfo reads an input file's footer metadata: its schema and record
@@ -414,7 +412,6 @@ type JobStatus = mapreduce.Status
 type JobHandle struct {
 	name      string
 	journalID string
-	inputs    []InputReport
 	report    *JobReport
 	err       error
 	done      chan struct{}
@@ -455,7 +452,7 @@ func (h *JobHandle) JournalID() string { return h.journalID }
 
 // Inputs returns the per-input analysis and planning reports, available
 // as soon as SubmitAsync returns.
-func (h *JobHandle) Inputs() []InputReport { return h.inputs }
+func (h *JobHandle) Inputs() []InputReport { return h.report.Inputs }
 
 // Join returns the detected join shape (nil if none), available as soon as
 // SubmitAsync returns.
@@ -518,58 +515,112 @@ func (s *System) SubmitAsync(ctx context.Context, spec JobSpec) (*JobHandle, err
 	return s.submitJournaled(ctx, spec, "")
 }
 
-// submitJournaled is SubmitAsync's body. jid names an existing journal
-// entry when the submission is a recovery replay (Recover resubmits under
-// the original ID, so the journal never forks); "" means a fresh
-// submission that gets its own Begin record.
+// submission is one job on its way through the stages of submitJournaled:
+// each stage reads what earlier ones left here and adds its own.
+type submission struct {
+	spec JobSpec
+	h    *JobHandle // carries the journal ID, the report and the live execution
+
+	outputKey string          // resolve: the claim on the output path
+	schemas   []*serde.Schema // resolve: per input, from the file footers
+	counts    []int64         // resolve: per-input record counts
+
+	cacheKey    string               // probe: "" = uncacheable or cache off
+	cacheInputs []catalog.CacheInput // probe: input fingerprints under cacheKey
+
+	work string // admit: scratch directory
+}
+
+// submitJournaled is SubmitAsync's body: resolve → plan → record → probe →
+// admit → run → finish, leaving through finish whichever stage ends it — a
+// refusal (a stage up to admit returns an error), a result-cache hit
+// (probe), or the execution's end (run, on the job's own goroutine). jid
+// names an existing journal entry when the submission is a recovery replay
+// (Recover resubmits under the original ID, so the journal never forks);
+// "" means a fresh submission that gets its own Begin record.
 func (s *System) submitJournaled(ctx context.Context, spec JobSpec, jid string) (*JobHandle, error) {
-	if len(spec.Inputs) == 0 {
-		return nil, fmt.Errorf("manimal: job %q has no inputs", spec.Name)
+	sub := &submission{spec: spec, h: &JobHandle{
+		name: spec.Name, journalID: jid, report: &JobReport{}, done: make(chan struct{}),
+	}}
+	err := s.resolve(sub)
+	if err == nil {
+		err = s.plan(sub, "")
 	}
-	if spec.OutputPath == "" {
-		return nil, fmt.Errorf("manimal: job %q has no output path", spec.Name)
+	if err == nil {
+		err = s.record(sub)
 	}
-	outputKey, err := s.claimOutput(spec.OutputPath, spec.Name)
+	if err == nil && !s.probe(sub) {
+		err = s.admit(ctx, sub)
+	}
+	if sub.h.current() != nil {
+		go func() { s.finish(sub, s.run(ctx, sub)) }()
+		return sub.h, nil
+	}
+	// Refused, or served from the result cache: terminal at submission.
+	s.finish(sub, err)
 	if err != nil {
 		return nil, err
 	}
+	return sub.h, nil
+}
 
-	report := &JobReport{}
-	// fail undoes what a refused submission reserved. Inputs are opened
-	// lazily by the execution's plan phase, so before Submit succeeds the
-	// only reservation is the output claim.
-	fail := func() {
-		s.releaseOutput(outputKey)
+// resolve validates the spec, claims the output path and reads every
+// input's footer. Inputs are only opened for real by the execution's plan
+// phase (lazyInput), so the claim is all a submission holds before admit.
+func (s *System) resolve(sub *submission) error {
+	spec := sub.spec
+	if len(spec.Inputs) == 0 {
+		return fmt.Errorf("manimal: job %q has no inputs", spec.Name)
 	}
-
-	var (
-		schemas []*serde.Schema
-		counts  []int64
-	)
+	if spec.OutputPath == "" {
+		return fmt.Errorf("manimal: job %q has no output path", spec.Name)
+	}
+	var err error
+	if sub.outputKey, err = s.claimOutput(spec.OutputPath, spec.Name); err != nil {
+		return err
+	}
 	for _, ispec := range spec.Inputs {
+		if ispec.Program == nil {
+			return fmt.Errorf("manimal: job %q has no program for input %s", spec.Name, ispec.Path)
+		}
 		schema, records, err := inputInfo(ispec.Path)
 		if err != nil {
-			fail()
-			return nil, err
+			return err
 		}
-		schemas = append(schemas, schema)
-		counts = append(counts, records)
-		ir := InputReport{Path: ispec.Path}
-		if !spec.DisableOptimization {
-			desc, err := analyzer.Analyze(ispec.Program.parsed, schema)
+		sub.schemas = append(sub.schemas, schema)
+		sub.counts = append(sub.counts, records)
+		sub.h.report.Inputs = append(sub.h.report.Inputs, InputReport{Path: ispec.Path})
+	}
+	return nil
+}
+
+// plan chooses an execution plan for every input against the catalog as
+// it is now (paper Figure 1: analyze, then optimize). It runs at
+// submission and again whenever run has quarantined a corrupt index
+// variant: the optimizer then skips that entry for the next variant or the
+// original file, and note says why on each new plan. The analysis is kept.
+func (s *System) plan(sub *submission, note string) error {
+	spec, report := sub.spec, sub.h.report
+	for i, ispec := range spec.Inputs {
+		ir := &report.Inputs[i]
+		if spec.DisableOptimization {
+			ir.Plan = &optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: ir.Path}
+			continue
+		}
+		if ir.Descriptor == nil {
+			desc, err := analyzer.Analyze(ispec.Program.parsed, sub.schemas[i])
 			if err != nil {
-				fail()
-				return nil, fmt.Errorf("manimal: analyzing %s for %s: %w", ispec.Program.Name, ispec.Path, err)
+				return fmt.Errorf("manimal: analyzing %s for %s: %w", ispec.Program.Name, ir.Path, err)
 			}
 			ir.Descriptor = desc
-			ir.IndexPrograms = indexgen.Synthesize(desc, schema)
-			ir.Plan = optimizer.Choose(desc, ispec.Path, schema, s.cat.ForInput(ispec.Path), spec.Conf,
-				optimizer.Options{SortedOutput: spec.SortedOutput, SafeMode: spec.SafeMode})
-			s.markSharedScan(ir.Plan)
-		} else {
-			ir.Plan = &optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: ispec.Path}
+			ir.IndexPrograms = indexgen.Synthesize(desc, sub.schemas[i])
 		}
-		report.Inputs = append(report.Inputs, ir)
+		ir.Plan = optimizer.Choose(ir.Descriptor, ir.Path, sub.schemas[i], s.cat.ForInput(ir.Path), spec.Conf,
+			optimizer.Options{SortedOutput: spec.SortedOutput, SafeMode: spec.SafeMode})
+		s.markSharedScan(ir.Plan)
+		if note != "" {
+			ir.Plan.Notes = append(ir.Plan.Notes, note)
+		}
 	}
 
 	// Two-input jobs are checked for the repartition-join shape (paper
@@ -577,105 +628,191 @@ func (s *System) submitJournaled(ctx context.Context, spec JobSpec, jid string) 
 	// their own input. The detection is reported on the job and noted on
 	// each side's plan for explain output.
 	if len(spec.Inputs) == 2 && !spec.DisableOptimization {
-		if j := analyzer.DetectJoin(spec.Inputs[0].Program.parsed, schemas[0], spec.Inputs[1].Program.parsed, schemas[1]); j != nil {
-			j.Left.Records, j.Right.Records = counts[0], counts[1]
-			report.Join = j
+		if report.Join == nil {
+			report.Join = analyzer.DetectJoin(spec.Inputs[0].Program.parsed, sub.schemas[0], spec.Inputs[1].Program.parsed, sub.schemas[1])
+		}
+		if j := report.Join; j != nil {
+			j.Left.Records, j.Right.Records = sub.counts[0], sub.counts[1]
 			note := fmt.Sprintf("join detected: %s (left %d records, right %d records)", j, j.Left.Records, j.Right.Records)
 			for i := range report.Inputs {
-				if report.Inputs[i].Plan != nil {
-					report.Inputs[i].Plan.Notes = append(report.Inputs[i].Plan.Notes, note)
-				}
+				report.Inputs[i].Plan.Notes = append(report.Inputs[i].Plan.Notes, note)
 			}
 		}
 	}
+	return nil
+}
 
-	// Durable journal: the accepted submission is recorded BEFORE any
-	// admission decision (result-cache check included), so a coordinator
-	// crash from here on leaves a replayable record. A failed journal write
-	// refuses the submission — an accepted job must always be recoverable.
-	if s.jnl != nil && jid == "" {
-		var jerr error
-		if jid, jerr = s.jnl.Begin(journalSubmission(spec)); jerr != nil {
-			fail()
-			return nil, jerr
+// record journals the accepted submission BEFORE any admission decision
+// (the result-cache probe included), so a coordinator crash from here on
+// leaves a replayable record. A failed journal write refuses the
+// submission — an accepted job must always be recoverable. A recovery
+// replay already has its record.
+func (s *System) record(sub *submission) (err error) {
+	if s.jnl != nil && sub.h.journalID == "" {
+		sub.h.journalID, err = s.jnl.Begin(journalSubmission(sub.spec))
+	}
+	return err
+}
+
+// probe consults the result cache (multi-query optimization): an optimized
+// submission whose identity (see cacheKey) matches a committed prior output
+// has the cached artifact placed at its output path and is done, without
+// occupying a scheduler slot or writing to the catalog. -noopt and SafeMode
+// submissions never consult (or feed) the cache: they must execute
+// conventionally.
+func (s *System) probe(sub *submission) (served bool) {
+	spec, report := sub.spec, sub.h.report
+	if spec.DisableOptimization || spec.SafeMode || s.noCache {
+		return false
+	}
+	sub.cacheKey, sub.cacheInputs = cacheKey(spec)
+	if sub.cacheKey == "" {
+		return false
+	}
+	entry, ok := s.cat.ServeCache(sub.cacheKey, spec.OutputPath)
+	if !ok {
+		return false
+	}
+	counters := mapreduce.NewCounters()
+	counters.Add(mapreduce.CtrCacheHits, 1)
+	counters.Add(mapreduce.CtrOutputRecords, entry.OutputRecords)
+	for i := range report.Inputs {
+		report.Inputs[i].Plan = &optimizer.Plan{
+			Kind:      optimizer.PlanCached,
+			InputPath: report.Inputs[i].Path,
+			Applied:   []string{"result-cache"},
+			Notes: []string{
+				fmt.Sprintf("result cache hit: key %.12s…, served %d time(s) from %s",
+					sub.cacheKey, entry.Hits, entry.Path),
+			},
 		}
 	}
+	report.Result = &mapreduce.Result{Counters: counters}
+	return true
+}
 
-	// Result cache (multi-query optimization): an optimized submission whose
-	// identity — canonicalized programs, input fingerprints, conf, output
-	// shape — matches a committed prior output is served from the cached
-	// artifact without occupying any scheduler slot. -noopt and SafeMode
-	// submissions never consult (or feed) the cache: they must execute
-	// conventionally.
-	var cacheK string
-	var cacheInputs []catalog.CacheInput
-	if !spec.DisableOptimization && !spec.SafeMode && !s.noCache {
-		cacheK, cacheInputs = s.cacheKey(spec)
-		if cacheK != "" {
-			if h := s.serveCached(cacheK, spec, report, outputKey); h != nil {
-				h.journalID = jid
-				s.journalEnd(jid, h, report)
-				return h, nil
+// admit hands the planned job to the scheduler, where from then on the
+// execution owns the inputs and the output on every path. The first
+// admission creates the job's scratch directory; a re-admission after a
+// corruption replan reuses it and carries the failed round's
+// fault-tolerance counters, so the final report covers the whole job.
+func (s *System) admit(ctx context.Context, sub *submission) error {
+	if sub.work == "" {
+		work, err := os.MkdirTemp(s.workDir, "job-*")
+		if err != nil {
+			return fmt.Errorf("manimal: %w", err)
+		}
+		sub.work = work
+	}
+	exec, err := s.sched.Submit(ctx, buildJob(sub.spec, sub.h.report, sub.work, s.share))
+	if err != nil {
+		return err
+	}
+	if failed := sub.h.current(); failed != nil {
+		for _, name := range []string{
+			mapreduce.CtrTasksRetried, mapreduce.CtrTasksSpeculative, mapreduce.CtrCorruptBlocks,
+		} {
+			if n := failed.Counters().Get(name); n != 0 {
+				exec.Counters().Add(name, n)
 			}
 		}
-	}
-
-	jobWork, err := os.MkdirTemp(s.workDir, "job-*")
-	if err != nil {
-		fail()
-		return nil, fmt.Errorf("manimal: %w", err)
-	}
-
-	// From here the execution owns the inputs and output on every path.
-	exec, err := s.sched.Submit(ctx, buildJob(spec, report, jobWork, s.share))
-	if err != nil {
-		fail()
-		os.RemoveAll(jobWork)
-		return nil, err
-	}
-	if cacheK != "" {
+	} else if sub.cacheKey != "" {
 		exec.Counters().Add(mapreduce.CtrCacheMisses, 1)
 	}
-	h := &JobHandle{name: spec.Name, journalID: jid, inputs: report.Inputs, exec: exec, report: report, done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		defer s.releaseOutput(outputKey)
-		defer os.RemoveAll(jobWork)
-		// Declared last so it runs FIRST: the terminal state is durable in
-		// the journal before Done is observable.
-		defer s.journalEnd(jid, h, report)
-		cur := exec
-		for replans := 0; ; replans++ {
-			res, err := cur.Wait()
-			if err == nil {
-				report.Result = res
-				report.Duration = res.Duration
-				if cacheK != "" {
-					s.storeCache(cacheK, cacheInputs, spec, res)
-				}
-				return
+	if !sub.h.swap(exec) { // canceled while the replan was resubmitting
+		exec.Cancel()
+		exec.Wait()
+		return context.Canceled
+	}
+	return nil
+}
+
+// maxCorruptReplans bounds quarantine-and-replan rounds per job. Every
+// round must quarantine a distinct variant (the catalog skips CORRUPT
+// entries on the next planning pass), and a plan reads at most one variant
+// per input, so a small bound is plenty.
+const maxCorruptReplans = 4
+
+// run waits for the admitted execution and returns the job's error. A
+// checksum failure inside a planned index variant is recoverable:
+// quarantine the variant and go back through plan and admit. When that is
+// not possible — another kind of error, corruption in an original input
+// (no healthy replacement), replan budget exhausted, or the re-admission
+// itself failed — the job fails with the error it hit.
+func (s *System) run(ctx context.Context, sub *submission) error {
+	report := sub.h.report
+	for replans := 0; ; replans++ {
+		res, err := sub.h.current().Wait()
+		if err == nil {
+			report.Result = res
+			report.Duration = res.Duration
+			if sub.cacheKey != "" {
+				// Not storing costs the next identical submission a miss,
+				// never this job its result.
+				_ = s.cat.StoreCache(sub.cacheKey, sub.spec.OutputPath, sub.cacheInputs,
+					res.Counters.Get(mapreduce.CtrOutputRecords))
 			}
-			// A checksum failure inside a planned index variant is
-			// recoverable: quarantine the variant in the catalog and replan
-			// — the optimizer now skips it and falls back to the next
-			// variant or the original file, whose fingerprint was checked
-			// at planning time. Corruption in the original input itself has
-			// no healthy replacement and fails the job.
-			next := s.replanAfterCorruption(ctx, spec, report, cur, err, jobWork, replans)
-			if next == nil {
-				h.err = err
-				return
-			}
-			if !h.swap(next) { // canceled while the replan was resubmitting
-				next.Cancel()
-				next.Wait()
-				h.err = err
-				return
-			}
-			cur = next
+			return nil
 		}
-	}()
-	return h, nil
+		var cbe *storage.CorruptBlockError
+		if replans >= maxCorruptReplans || !errors.As(err, &cbe) {
+			return err
+		}
+		target := corruptVariant(report, cbe)
+		if target == "" || s.cat.Quarantine(target, cbe.Error()) != nil {
+			return err
+		}
+		note := fmt.Sprintf("replanned (round %d): quarantined corrupt variant %s (%v)", replans+1, target, cbe)
+		if s.plan(sub, note) != nil || s.admit(ctx, sub) != nil {
+			return err
+		}
+	}
+}
+
+// corruptVariant names the index variant, read by some input's plan, that
+// the corrupt block belongs to ("" if none: an original input is damaged).
+// Sharded indexes report the shard file's path, not the manifest the plan
+// names, so a manifest-path prefix matches too.
+func corruptVariant(report *JobReport, cbe *storage.CorruptBlockError) string {
+	for i := range report.Inputs {
+		p := report.Inputs[i].Plan
+		if p.Kind != optimizer.PlanOriginal && p.IndexPath != "" && strings.HasPrefix(cbe.Path, p.IndexPath) {
+			return p.IndexPath
+		}
+	}
+	return ""
+}
+
+// finish is the single exit of every submission: it journals the terminal
+// state of a recorded job — before Done is observable, so a caller is never
+// told "refused" or "finished" while the journal says "accepted" — removes
+// the scratch directory, releases the output claim and closes Done. Journal
+// errors are dropped: the job itself already finished, and an entry left
+// incomplete merely means the next Recover re-runs it — which the result
+// cache and atomic per-task commit make harmless.
+func (s *System) finish(sub *submission, err error) {
+	h := sub.h
+	h.err = err
+	if s.jnl != nil && h.journalID != "" {
+		state, errText := journal.StateDone, ""
+		var recs int64
+		if err != nil {
+			state, errText = journal.StateFailed, err.Error()
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				state = journal.StateCanceled
+			}
+		} else if res := h.report.Result; res != nil && res.Counters != nil {
+			recs = res.Counters.Get(mapreduce.CtrOutputRecords)
+		}
+		s.jnl.End(h.journalID, state, errText, recs)
+	}
+	if sub.work != "" {
+		os.RemoveAll(sub.work)
+	}
+	if sub.outputKey != "" {
+		s.releaseOutput(sub.outputKey)
+	}
+	close(h.done)
 }
 
 // buildJob assembles the engine job from the spec and the current plans.
@@ -711,81 +848,6 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 	return job
 }
 
-// maxCorruptReplans bounds quarantine-and-replan rounds per job. Every
-// round must quarantine a distinct variant (the catalog skips CORRUPT
-// entries on the next planning pass), and a plan reads at most one variant
-// per input, so a small bound is plenty.
-const maxCorruptReplans = 4
-
-// replanAfterCorruption handles a job failure caused by a detected
-// corruption in a derived index variant: it quarantines the variant,
-// re-runs the optimizer for every input against the updated catalog, and
-// resubmits the job with fresh plans. It returns nil when the failure is
-// not a recoverable corruption — wrong error type, corruption in an
-// original input, optimization disabled, replan budget exhausted, or the
-// resubmission itself failed — and the caller reports the original error.
-func (s *System) replanAfterCorruption(ctx context.Context, spec JobSpec, report *JobReport,
-	failed *mapreduce.Execution, jobErr error, jobWork string, replans int) *mapreduce.Execution {
-	if replans >= maxCorruptReplans || spec.DisableOptimization {
-		return nil
-	}
-	var cbe *storage.CorruptBlockError
-	if !errors.As(jobErr, &cbe) {
-		return nil
-	}
-	// The corrupt file must be a derived variant some input's plan reads.
-	// Sharded indexes report the shard file's path, not the manifest the
-	// plan names, so match by manifest-path prefix too.
-	target := ""
-	for i := range report.Inputs {
-		p := report.Inputs[i].Plan
-		if p == nil || p.Kind == optimizer.PlanOriginal || p.IndexPath == "" {
-			continue
-		}
-		if cbe.Path == p.IndexPath || strings.HasPrefix(cbe.Path, p.IndexPath) {
-			target = p.IndexPath
-			break
-		}
-	}
-	if target == "" {
-		return nil
-	}
-	if err := s.cat.Quarantine(target, cbe.Error()); err != nil {
-		return nil
-	}
-	for i := range report.Inputs {
-		ir := &report.Inputs[i]
-		if ir.Descriptor == nil {
-			continue
-		}
-		schema, _, err := inputInfo(ir.Path)
-		if err != nil {
-			return nil
-		}
-		plan := optimizer.Choose(ir.Descriptor, ir.Path, schema, s.cat.ForInput(ir.Path), spec.Conf,
-			optimizer.Options{SortedOutput: spec.SortedOutput, SafeMode: spec.SafeMode})
-		s.markSharedScan(plan)
-		plan.Notes = append(plan.Notes, fmt.Sprintf(
-			"replanned (round %d): quarantined corrupt variant %s (%v)", replans+1, target, cbe))
-		ir.Plan = plan
-	}
-	next, err := s.sched.Submit(ctx, buildJob(spec, report, jobWork, s.share))
-	if err != nil {
-		return nil
-	}
-	// Fault-tolerance counters carry across the replan so the final report
-	// covers the whole job, failed round included.
-	prev := failed.Counters()
-	for _, name := range []string{
-		mapreduce.CtrTasksRetried, mapreduce.CtrTasksSpeculative, mapreduce.CtrCorruptBlocks,
-	} {
-		if n := prev.Get(name); n != 0 {
-			next.Counters().Add(name, n)
-		}
-	}
-	return next
-}
-
 // markSharedScan flags a freshly chosen plan as eligible for shared
 // physical scans. Only record-file block-range scans can share (B+Tree
 // range reads keep private readers), and only when the System has a
@@ -800,23 +862,20 @@ func (s *System) markSharedScan(plan *optimizer.Plan) {
 		"scan sharing: map tasks may ride one physical scan with concurrent jobs over the same file")
 }
 
-// cacheKey derives the result-cache identity of a submission (the contract
-// is documented on catalog.KindResultCache). It covers exactly what
-// determines the job's output — storage format version, output shape
-// (map-only, sorted, reducer count), each input's fingerprint (path, size,
-// mtime) paired with the sha256 of its program's canonicalized AST, and
-// the conf in sorted key order — and excludes what doesn't (job name,
-// output path, parallelism, startup delay). An empty key marks the
-// submission uncacheable (an input could not be fingerprinted or a
-// program not canonicalized).
-func (s *System) cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
+// cacheKey derives the result-cache identity of a submission, and the
+// input fingerprints it embeds. What the key covers — exactly what
+// determines the job's output — and what it leaves out is the contract
+// documented on catalog.CacheEntry. An empty key marks the submission
+// uncacheable (an input could not be fingerprinted or a program not
+// canonicalized).
+func cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 	h := sha256.New()
 	fmt.Fprintf(h, "manimal-result-cache-v1\n")
 	fmt.Fprintf(h, "format=%d\n", storage.FormatVersion)
 	fmt.Fprintf(h, "maponly=%t sorted=%t reducers=%d\n", spec.MapOnly, spec.SortedOutput, spec.NumReducers)
 	var fps []catalog.CacheInput
 	for _, ispec := range spec.Inputs {
-		st, err := os.Stat(ispec.Path)
+		fp, err := catalog.Fingerprint(ispec.Path)
 		if err != nil {
 			return "", nil
 		}
@@ -825,7 +884,6 @@ func (s *System) cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 			return "", nil
 		}
 		progHash := sha256.Sum256([]byte(canon))
-		fp := catalog.CacheInput{Path: ispec.Path, SizeBytes: st.Size(), ModTimeNanos: st.ModTime().UnixNano()}
 		fps = append(fps, fp)
 		fmt.Fprintf(h, "input=%s|%d|%d|%x\n", fp.Path, fp.SizeBytes, fp.ModTimeNanos, progHash)
 	}
@@ -841,165 +899,12 @@ func (s *System) cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 	return hex.EncodeToString(h.Sum(nil)), fps
 }
 
-// serveCached serves a submission from the result cache when a usable
-// entry exists under key: the cached artifact is placed at the output path
-// (a hardlink where the filesystem allows, see placeFile) and a terminal
-// handle is returned, with no scheduler involvement and nothing written to
-// the catalog. A damaged artifact — missing, or not the size and mtime it
-// was registered with, which also catches an in-place edit through a
-// served output sharing its inode — is quarantined and nil is returned, so
-// the caller falls through to normal execution (which re-populates the
-// cache on commit). Nil is also returned on a plain miss.
-func (s *System) serveCached(key string, spec JobSpec, report *JobReport, outputKey string) *JobHandle {
-	entry, ok := s.cat.FindCache(key)
-	if !ok {
-		return nil
-	}
-	if st, err := os.Stat(entry.Path); err != nil || st.Size() != entry.SizeBytes || st.ModTime().UnixNano() != entry.ModTimeNanos {
-		reason := "cached artifact size or mtime mismatch"
-		if err != nil {
-			reason = err.Error()
-		}
-		s.cat.QuarantineCache(key, reason)
-		return nil
-	}
-	// A placement failure is not evidence against the artifact (the output
-	// path may be unwritable) — fall through to normal execution, which
-	// surfaces the real error.
-	if err := placeFile(entry.Path, spec.OutputPath); err != nil {
-		return nil
-	}
-	hits := s.cat.HitCache(key)
-	counters := mapreduce.NewCounters()
-	counters.Add(mapreduce.CtrCacheHits, 1)
-	counters.Add(mapreduce.CtrOutputRecords, entry.OutputRecords)
-	for i := range report.Inputs {
-		report.Inputs[i].Plan = &optimizer.Plan{
-			Kind:      optimizer.PlanCached,
-			InputPath: report.Inputs[i].Path,
-			Applied:   []string{"result-cache"},
-			Notes: []string{
-				fmt.Sprintf("result cache hit: key %.12s…, served %d time(s) from %s",
-					key, hits, entry.Path),
-			},
-		}
-	}
-	report.Result = &mapreduce.Result{Counters: counters}
-	h := &JobHandle{name: spec.Name, inputs: report.Inputs, report: report, done: make(chan struct{})}
-	close(h.done)
-	s.releaseOutput(outputKey)
-	return h
-}
-
-// storeCache registers a just-committed job output in the result cache:
-// the output KV file — already fsynced by its commit — is placed in the
-// catalog directory's cache area (a hardlink where possible) and an entry
-// is appended to the cache index under the submission's key, with the
-// artifact's size and mtime for serveCached to verify. Inputs rewritten
-// while the job ran are detected by re-checking the fingerprints captured
-// at submission — a mismatch skips the store, since the key would promise
-// a result the current file contents never produced. Failures here are
-// silently dropped: caching is an optimization, never a correctness
-// dependency of the job that just succeeded.
-func (s *System) storeCache(key string, fps []catalog.CacheInput, spec JobSpec, res *mapreduce.Result) {
-	for _, fp := range fps {
-		st, err := os.Stat(fp.Path)
-		if err != nil || st.Size() != fp.SizeBytes || st.ModTime().UnixNano() != fp.ModTimeNanos {
-			return
-		}
-	}
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	if _, ok := s.cat.FindCache(key); ok {
-		return // an identical job that finished first already registered this result
-	}
-	dst := s.cat.CachePath(key)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return
-	}
-	if err := placeFile(spec.OutputPath, dst); err != nil {
-		return
-	}
-	st, err := os.Stat(dst)
-	if err != nil {
-		return
-	}
-	s.cat.StoreCache(catalog.CacheEntry{
-		Key:           key,
-		SizeBytes:     st.Size(),
-		ModTimeNanos:  st.ModTime().UnixNano(),
-		Inputs:        fps,
-		OutputRecords: res.Counters.Get(mapreduce.CtrOutputRecords),
-		CreatedAt:     time.Now(),
-	})
-}
-
 // EvictResultCache removes result-cache entries — every entry, or with
 // staleOnly just those whose recorded input fingerprints no longer match
-// the files on disk (plus quarantined ones) — and deletes their artifact
-// files. It returns the evicted entries.
+// the files on disk (plus quarantined ones) — and their artifact files. It
+// returns the evicted entries.
 func (s *System) EvictResultCache(staleOnly bool) ([]CacheEntry, error) {
-	evicted, err := s.cat.EvictCache(staleOnly)
-	for _, e := range evicted {
-		os.Remove(e.Path)
-	}
-	return evicted, err
-}
-
-// linkFile is os.Link, replaceable by tests to stand in for a filesystem
-// that refuses hardlinks.
-var linkFile = os.Link
-
-// placeFile makes dst a file with src's contents, atomically: readers see
-// the old dst or the whole new one. Where the filesystem allows it
-// hardlinks src under a temp name and renames that over dst — src is
-// already durable, so this costs no copy and no fsync. Any link error
-// (cross-device, permissions, a filesystem without links) falls back to
-// copyFile. After a link the two names share an inode: whoever relies on
-// src staying as it was must check it (see serveCached).
-func placeFile(src, dst string) error {
-	tmp := fmt.Sprintf("%s.tmp-%x", dst, rand.Uint64())
-	if err := linkFile(src, tmp); err != nil {
-		return copyFile(src, dst)
-	}
-	err := os.Rename(tmp, dst)
-	// Renaming one link of an inode over another is a successful no-op
-	// that leaves both names, so the temp name may still be there.
-	os.Remove(tmp)
-	return err
-}
-
-// copyFile copies src over dst through a synced temp file in dst's
-// directory, renamed into place so readers never observe a partial copy.
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(tmp, in); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := durable.SyncFile(tmp); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return s.cat.EvictCache(staleOnly)
 }
 
 // Submit analyzes, optimizes, and executes a job to completion: the thin
@@ -1010,27 +915,6 @@ func (s *System) Submit(spec JobSpec) (*JobReport, error) {
 		return nil, err
 	}
 	return h.Wait()
-}
-
-// journalEnd records a job's terminal state in the journal. Errors are
-// dropped: the job itself already finished, and an entry left incomplete
-// merely means the next Recover re-runs it — which the result cache and
-// atomic per-task commit make harmless.
-func (s *System) journalEnd(jid string, h *JobHandle, report *JobReport) {
-	if s.jnl == nil || jid == "" {
-		return
-	}
-	state, errText := journal.StateDone, ""
-	var recs int64
-	if h.err != nil {
-		state, errText = journal.StateFailed, h.err.Error()
-		if errors.Is(h.err, context.Canceled) || errors.Is(h.err, context.DeadlineExceeded) {
-			state = journal.StateCanceled
-		}
-	} else if report.Result != nil && report.Result.Counters != nil {
-		recs = report.Result.Counters.Get(mapreduce.CtrOutputRecords)
-	}
-	s.jnl.End(jid, state, errText, recs)
 }
 
 // journalSubmission converts a JobSpec into its durable journal form. The
@@ -1183,31 +1067,20 @@ func (s *System) Recover(ctx context.Context) ([]RecoveredJob, error) {
 		}
 		rec := RecoveredJob{ID: e.Sub.ID, Name: e.Sub.Name, OutputPath: e.Sub.OutputPath}
 		s.jnl.Mark(e.Sub.ID, "interrupted: coordinator died mid-flight; resubmitted by recovery")
-		removeOutputDebris(e.Sub.OutputPath)
-		spec, serr := specFromJournal(e.Sub)
-		if serr == nil {
-			rec.Handle, serr = s.submitJournaled(ctx, spec, e.Sub.ID)
+		durable.RemoveTemps(e.Sub.OutputPath)
+		spec, err := specFromJournal(e.Sub)
+		if err != nil {
+			// An unparseable program can never run: journal the failure so
+			// the next recovery does not retry it forever. (A submission
+			// refused later is journaled by its own finish.)
+			s.jnl.End(e.Sub.ID, journal.StateFailed, err.Error(), 0)
+		} else {
+			rec.Handle, err = s.submitJournaled(ctx, spec, e.Sub.ID)
 		}
-		if serr != nil {
-			// The job can never run again (unparseable program, vanished
-			// input): journal a terminal failure so the next recovery does
-			// not retry it forever.
-			rec.Err = serr
-			s.jnl.End(e.Sub.ID, journal.StateFailed, serr.Error(), 0)
-		}
+		rec.Err = err
 		out = append(out, rec)
 	}
 	return out, nil
-}
-
-// removeOutputDebris deletes orphaned atomic-commit temp files next to an
-// interrupted job's output path — the "<base>.tmp-*" staging files
-// KVFileOutput and the cache copier rename through.
-func removeOutputDebris(outputPath string) {
-	matches, _ := filepath.Glob(filepath.Join(filepath.Dir(outputPath), filepath.Base(outputPath)+".tmp-*"))
-	for _, m := range matches {
-		os.Remove(m)
-	}
 }
 
 // BuildIndex runs an index-generation program over inputPath, writes the
@@ -1253,7 +1126,10 @@ func (s *System) BuildBestIndexes(p *Program, inputPath string) ([]CatalogEntry,
 
 // BuildBestIndexesWith is BuildBestIndexes with explicit build tuning.
 func (s *System) BuildBestIndexesWith(p *Program, inputPath string, cfg BuildConfig) ([]CatalogEntry, error) {
-	schema, err := schemaOf(inputPath)
+	if p == nil {
+		return nil, fmt.Errorf("manimal: no program to build indexes of %s for", inputPath)
+	}
+	schema, _, err := inputInfo(inputPath)
 	if err != nil {
 		return nil, err
 	}

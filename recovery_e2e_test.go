@@ -103,8 +103,12 @@ func crashHelperMain() {
 // append — so recovery must ignore the torn record, re-run the job (served
 // from the result cache), and journal exactly one terminal state for it.
 //
+// The commit regime kills it inside the running job's output commit,
+// between the temp file's fsync and the rename: k.kv.tmp-* exists, complete
+// and durable, when the coordinator dies, and recovery must sweep it.
+//
 // MANIMAL_CRASH_FAULTS overrides the child's fault regime (CI runs the
-// mid-map, mid-reduce and torn-tail kills).
+// mid-map, mid-reduce, torn-tail and mid-commit kills).
 func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if os.Getenv("MANIMAL_CRASH_HELPER") == "1" {
 		crashHelperMain()
@@ -112,7 +116,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if os.Getenv("MANIMAL_FAULTS") != "" {
 		t.Skip("needs a fault-free parent process (the kill regime is for the subprocess only)")
 	}
-	regimes := []string{"kill=1.0@map;seed=7", tornTailRegime}
+	regimes := []string{"kill=1.0@map;seed=7", tornTailRegime, "kill=1.0@commit:k.kv;seed=7"}
 	if r := os.Getenv("MANIMAL_CRASH_FAULTS"); r != "" {
 		regimes = []string{r}
 	}
@@ -243,5 +247,103 @@ func crashAndRecover(t *testing.T, regime string) {
 		if e.Mark == nil {
 			t.Errorf("recovered job %s has no interruption mark", id)
 		}
+	}
+}
+
+// TestRefusedSubmissionIsNotReplayed: a submission refused AFTER its
+// journal record was written (here admission cannot create the scratch
+// directory) is journaled as failed — the caller was told "refused", so
+// no later recovery may run the job behind its back.
+func TestRefusedSubmissionIsNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(22).WriteWebPages(data, 200, 32); err != nil {
+		t.Fatal(err)
+	}
+	sysDir := filepath.Join(dir, "sys")
+	sys, err := manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := filepath.Join(sysDir, "work")
+	if err := errors.Join(os.Remove(work), os.WriteFile(work, nil, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+	spec := crashSpec("refused", data, filepath.Join(dir, "out.kv"), 0)
+	if _, err := sys.SubmitAsync(context.Background(), spec); err == nil {
+		t.Fatal("submission accepted with an unusable scratch directory")
+	}
+	if st := sys.Journal().Stats(); st.Jobs != 1 || st.Incomplete != 0 {
+		t.Fatalf("journal after the refusal = %+v, want the one job terminal", st)
+	}
+	if e, ok, err := sys.Journal().Lookup("j00000001"); err != nil || !ok || e.State() != journal.StateFailed {
+		t.Fatalf("refused job's journal state = %s (ok %v, err %v), want failed", e.State(), ok, err)
+	}
+	if err := errors.Join(sys.Close(), os.Remove(work)); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if recovered, err := sys.Recover(context.Background()); err != nil || len(recovered) != 0 {
+		t.Fatalf("recovery resubmitted a refused job: %+v, %v", recovered, err)
+	}
+	// The refusal released its claim on the output path.
+	if _, err := sys.Submit(spec); err != nil {
+		t.Fatalf("the same submission on a healthy system: %v", err)
+	}
+}
+
+// TestRecoverySweepsOutputDebrisLiterally: the output path of an
+// interrupted job is a name, not a glob pattern — recovery removes the temp
+// file a commit to "out[1].kv" left, and not the one "out1.kv" owns.
+func TestRecoverySweepsOutputDebrisLiterally(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(23).WriteWebPages(data, 200, 32); err != nil {
+		t.Fatal(err)
+	}
+	sysDir := filepath.Join(dir, "sys")
+	out := filepath.Join(dir, "out[1].kv")
+	// What a coordinator that died inside the output commit leaves: an
+	// accepted job with no terminal record, and the commit's temp file.
+	jnl, err := journal.Open(filepath.Join(sysDir, "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = jnl.Begin(journal.Submission{Name: "interrupted", OutputPath: out, NumReducers: 1,
+		Inputs: []journal.Input{{Path: data, ProgramName: "count.go", Program: crashCountProgram}},
+		Conf:   map[string]journal.ConfValue{"threshold": {Kind: "int", Value: "5000"}}})
+	if err := errors.Join(err, jnl.Close()); err != nil {
+		t.Fatal(err)
+	}
+	debris, bystander := out+".tmp-123", filepath.Join(dir, "out1.kv.tmp-7")
+	if err := errors.Join(os.WriteFile(debris, []byte("partial"), 0o644), os.WriteFile(bystander, nil, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err := manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	recovered, err := sys.Recover(context.Background())
+	if err != nil || len(recovered) != 1 || recovered[0].Err != nil {
+		t.Fatalf("Recover = %+v, %v", recovered, err)
+	}
+	if _, err := recovered[0].Handle.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(debris); !os.IsNotExist(err) {
+		t.Errorf("the interrupted commit's temp file survived recovery (stat err = %v)", err)
+	}
+	if _, err := os.Stat(bystander); err != nil {
+		t.Errorf("recovery removed another output's temp file: %v", err)
+	}
+	if pairs, err := manimal.ReadOutput(out); err != nil || len(pairs) == 0 {
+		t.Errorf("recovered output: %d pairs, %v", len(pairs), err)
 	}
 }
