@@ -46,6 +46,7 @@ import (
 	"manimal/internal/cfg"
 	"manimal/internal/dataflow"
 	"manimal/internal/journal"
+	"manimal/internal/mapreduce"
 	"manimal/internal/service"
 	"manimal/internal/storage"
 )
@@ -680,7 +681,7 @@ func cmdSubmit(args []string) error {
 	name := fs.String("name", "", "job name (default: program file name)")
 	noopt := fs.Bool("noopt", false, "disable optimization (conventional MapReduce)")
 	mapOnly := fs.Bool("maponly", false, "skip the reduce phase")
-	wait := fs.Bool("wait", false, "poll until the job is terminal and print the outcome")
+	wait := fs.Bool("wait", false, "wait until the job is terminal and print the outcome")
 	retries := fs.Int("retries", 0, "retry a 429-rejected submission up to N times, honoring Retry-After (0 = fail fast)")
 	tenant := fs.String("tenant", "", "tenant name for the server's pool-share quota ("+service.TenantHeader+" header)")
 	var conf confFlag
@@ -698,7 +699,13 @@ func cmdSubmit(args []string) error {
 	c := service.NewClientTimeout(*addr, *timeout)
 	c.SetRetry(*retries, 0)
 	c.SetTenant(*tenant)
-	info, err := c.Submit(service.SubmitRequest{
+	// Without -wait the answer comes at once; with it the server holds the
+	// answer until a short job is done, and only a longer one is polled.
+	submit := c.SubmitAsync
+	if *wait {
+		submit = c.Submit
+	}
+	info, err := submit(service.SubmitRequest{
 		Name:                jobName,
 		Inputs:              []service.SubmitInput{{Path: *inputPath, Program: string(src), ProgramName: *progPath}},
 		OutputPath:          *outPath,
@@ -709,14 +716,13 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
-	printJobInfo(info, false)
-	if *wait {
-		info, err = c.WaitJob(info.ID, 0, 200*time.Millisecond)
-		if err != nil {
+	if *wait && !mapreduce.Phase(info.Phase).Terminal() {
+		printJobInfo(info, false)
+		if info, err = c.WaitJob(info.ID, 0, 200*time.Millisecond); err != nil {
 			return err
 		}
-		printJobInfo(info, true)
 	}
+	printJobInfo(info, *wait)
 	return nil
 }
 

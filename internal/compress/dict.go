@@ -82,7 +82,7 @@ func DecodeDictionary(buf []byte) (*Dictionary, int, error) {
 			return nil, 0, fmt.Errorf("compress: truncated dictionary term %d", i)
 		}
 		pos += used
-		if pos+int(l) > len(buf) {
+		if l > uint64(len(buf)-pos) {
 			return nil, 0, fmt.Errorf("compress: truncated dictionary term body %d", i)
 		}
 		d.Encode(string(buf[pos : pos+int(l)]))

@@ -1,10 +1,10 @@
 // Package faultinject is Manimal's deterministic fault-injection harness:
 // named injection points wrapped around storage reads and writes, spill
-// I/O, task bodies, atomic-rename commits, job-journal writes, and the
-// coordinator's drain and crash paths, so the engine's fault tolerance
-// (retries, speculation, checksum quarantine) and the coordinator's crash
-// recovery can be exercised reproducibly in tests and CI without flaky
-// sleeps or real disk errors.
+// I/O, task bodies, atomic-rename commits, job-journal writes, submission
+// admission, and the coordinator's drain and crash paths, so the engine's
+// fault tolerance (retries, speculation, checksum quarantine) and the
+// coordinator's crash recovery can be exercised reproducibly in tests and
+// CI without flaky sleeps or real disk errors.
 //
 // # Addressing and determinism
 //
@@ -28,7 +28,8 @@
 //
 //	read=0.05              5% of storage block reads fail (transient)
 //	write=0.02             2% of record-file block writes fail
-//	spill=0.05             5% of spill writes/cursor opens fail
+//	spill=0.05             5% of spills (in memory or on disk) and merge
+//	                       cursor opens fail
 //	task=0.01              1% of task attempts fail at start
 //	straggle=0.1:200ms     10% of task attempts sleep 200ms first
 //	corrupt=1.0@.idx0      every read of a path containing ".idx0" is
@@ -39,6 +40,8 @@
 //	                       by base name, e.g. crash=1@manimal-catalog.json
 //	journal=1.0            every job-journal record write fails (the
 //	                       submission being recorded must be refused)
+//	admit=1.0@nightly      admission of a recorded submission named
+//	                       "nightly…" fails (it must be journaled failed)
 //	drain=1.0              a graceful drain aborts mid-way (crash-mid-drain)
 //	kill=1.0@map           the PROCESS exits (status KillExitCode) the
 //	                       moment a map-task attempt starts — a real crash
@@ -77,7 +80,8 @@ const (
 	PointStorageRead Point = "read"
 	// PointStorageWrite fails record-file block/footer writes.
 	PointStorageWrite Point = "write"
-	// PointSpill fails shuffle spill writes and reduce-side cursor opens.
+	// PointSpill fails shuffle spills — in-memory images and files alike —
+	// and reduce-side cursor opens, keyed by the spill's name.
 	PointSpill Point = "spill"
 	// PointTask fails a task attempt at its start (transient).
 	PointTask Point = "task"
@@ -94,6 +98,10 @@ const (
 	// disk — modeling a full coordinator disk or a crash at journal write;
 	// the submission it was recording must be refused.
 	PointJournal Point = "journal"
+	// PointAdmit fails a submission's admission, after its journal record
+	// was written — the refusal must reach the journal as a terminal state
+	// so no recovery replays the job. Keyed by job name.
+	PointAdmit Point = "admit"
 	// PointDrain aborts a graceful drain in progress — modeling a
 	// coordinator crash mid-drain, after admission stopped but before
 	// running jobs finished.
@@ -215,7 +223,7 @@ func parseRule(text string) (Rule, error) {
 	switch p := Point(name); p {
 	case PointStorageRead, PointStorageWrite, PointSpill, PointTask,
 		PointStraggle, PointCorrupt, PointCrashRename,
-		PointJournal, PointDrain, PointKill:
+		PointJournal, PointAdmit, PointDrain, PointKill:
 		r.Point = p
 	default:
 		return r, fmt.Errorf("faultinject: rule %q: unknown point %q", text, name)

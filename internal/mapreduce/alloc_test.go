@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"manimal/internal/interp"
@@ -89,13 +90,15 @@ func TestMergeValueAllocsScalar(t *testing.T) {
 
 // TestSpillFdBudgetAndReopen forces a task past its open-handle budget and
 // checks that budget-closed spill files are transparently reopened by the
-// merge, and that per-partition consumption deletes every file.
+// merge, and that per-partition consumption deletes every file. Every value
+// is larger than memSpillMax, so every spill goes to disk.
 func TestSpillFdBudgetAndReopen(t *testing.T) {
 	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1, nil, NewCounters(), nil, HashPartitioner{})
 	defer se.release()
+	big := interp.EmitValue{D: serde.String(strings.Repeat("x", memSpillMax))}
 	total := spillKeepOpenPerTask + 8 // threshold 1 → one spill file per emit
 	for i := 0; i < total; i++ {
-		if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(int64(i))}); err != nil {
+		if err := se.emit(serde.Int(int64(i)), big); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@
 // wrapper on the shared DefaultScheduler. Cancellation is context-based
 // end-to-end: canceling the submission context (or the handle) halts
 // dispatch, stops in-flight tasks at their next check, and releases every
-// partial output and spill file.
+// partial output and spill.
 //
 // # Fault tolerance
 //
@@ -78,9 +78,10 @@
 //     and value before returning, so mappers and reducers may emit the
 //     reused record an iterator handed them.
 //   - The shuffle buffers pairs in per-partition byte slabs, spills each
-//     sorted run into one spill file per spill, and merges through reused
-//     cursor buffers. Values decoded for reducers are freshly allocated —
-//     a reducer may buffer them across Next() calls.
+//     sorted run into one spill image per spill (kept in memory up to 1 MiB,
+//     a file in WorkDir beyond), and merges through reused cursor buffers.
+//     Values decoded for reducers are freshly allocated — a reducer may
+//     buffer them across Next() calls.
 package mapreduce
 
 import (
@@ -146,8 +147,9 @@ type Config struct {
 	// (the pool is the Scheduler's); 0 means DefaultMaxParallelTasks. It
 	// also sets the job's task-count target (about 2× this many splits).
 	MaxParallelTasks int
-	// WorkDir holds shuffle spill segments; required for jobs with a
-	// reduce phase.
+	// WorkDir holds shuffle spill files; required for jobs with a reduce
+	// phase. It is created by the job's first spill too large to stay in
+	// memory, so it may not exist when the job starts, or ever.
 	WorkDir string
 	// SpillBufferBytes is the per-task in-memory shuffle buffer before a
 	// sorted spill; 0 means DefaultSpillBufferBytes.

@@ -1,15 +1,18 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"manimal/internal/faultinject"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 )
@@ -394,43 +397,143 @@ func TestCombinerBuiltOncePerEmitter(t *testing.T) {
 	}
 }
 
-// TestWorkDirCleanedAfterRun: spill segments must be deleted once the
-// reduce phase consumed them, so a long-lived WorkDir does not grow.
+// paddedWordMapper emits every word of the line with a pad-byte string
+// value: a pad of memSpillMax makes every spill a file.
+type paddedWordMapper struct{ pad int }
+
+func (m paddedWordMapper) Map(_ serde.Datum, rec *serde.Record, ctx *interp.Context) error {
+	val := interp.EmitValue{D: serde.String(strings.Repeat("x", m.pad))}
+	for _, w := range strings.Fields(rec.Str("text")) {
+		if err := ctx.Emit(serde.String(w), val); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestWorkDirCleanedAfterRun: spill files must be deleted once the reduce
+// phase consumed them, so a long-lived WorkDir does not grow; and a job
+// whose spills all stay in memory never creates its WorkDir at all.
 func TestWorkDirCleanedAfterRun(t *testing.T) {
-	in, err := NewMemInput(wordSchema, textRecords("a b c", "a b", "c c c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	work := t.TempDir()
-	out := filepath.Join(t.TempDir(), "out.kv")
-	kv, err := NewKVFileOutput(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := &Job{
-		Name:    "cleanup",
-		Inputs:  []MapInput{{Input: in, Mapper: func() (Mapper, error) { return wordCountMapper{}, nil }}},
-		Reducer: func() (Reducer, error) { return sumReducer{}, nil },
-		Output:  kv,
-		Config:  Config{WorkDir: work, NumReducers: 3, SpillBufferBytes: 16},
-	}
-	if _, err := Run(job); err != nil {
-		t.Fatal(err)
-	}
-	left, err := os.ReadDir(work)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("WorkDir still holds %d files after a successful run", len(left))
+	for _, tc := range []struct {
+		name string
+		pad  int
+		disk bool
+	}{
+		{"in-memory spills", 8, false},
+		{"disk spills", memSpillMax, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in, err := NewMemInput(wordSchema, textRecords("a b c", "a b", "c c c"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			work := filepath.Join(t.TempDir(), "work")
+			kv, err := NewKVFileOutput(filepath.Join(t.TempDir(), "out.kv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := &Job{
+				Name:    "cleanup",
+				Inputs:  []MapInput{{Input: in, Mapper: func() (Mapper, error) { return paddedWordMapper{tc.pad}, nil }}},
+				Reducer: func() (Reducer, error) { return firstOnlyReducer{}, nil },
+				Output:  kv,
+				Config:  Config{WorkDir: work, NumReducers: 3, SpillBufferBytes: 16},
+			}
+			res, err := Run(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.Counters.Get(CtrSpills); n < 2 {
+				t.Fatalf("spills = %d; the tiny buffer did not force several", n)
+			}
+			left, err := os.ReadDir(work)
+			switch {
+			case !tc.disk && !os.IsNotExist(err):
+				t.Fatalf("a job whose spills fit in memory created its WorkDir (%d entries, err %v)", len(left), err)
+			case tc.disk && (err != nil || len(left) != 0):
+				t.Fatalf("WorkDir holds %d files after a successful run (err %v)", len(left), err)
+			}
+		})
 	}
 }
 
-// emitThenFailMapper spills some shuffle data, then fails, exercising the
-// error-path cleanup.
+// TestInMemorySpillFaultsAndRelease: an image that stays in memory still
+// passes the spill fault point under its spill name, and both ways an
+// image stops being needed — a failed or losing attempt's discard, the
+// last partition's consumption — drop it.
+func TestInMemorySpillFaultsAndRelease(t *testing.T) {
+	in, err := NewMemInput(wordSchema, textRecords("a b", "b c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Set(faultinject.MustParse("spill=1.0;seed=2"))
+	_, err = Run(&Job{
+		Name:    "spill-faults",
+		Inputs:  []MapInput{{Input: in, Mapper: func() (Mapper, error) { return wordCountMapper{}, nil }}},
+		Reducer: func() (Reducer, error) { return sumReducer{}, nil },
+		Output:  &DiscardOutput{},
+		Config:  Config{WorkDir: t.TempDir(), RetryBackoff: time.Millisecond},
+	})
+	faultinject.Reset()
+	var ie *faultinject.InjectedError
+	if !errors.As(err, &ie) || !strings.HasSuffix(ie.Key, ".spill") {
+		t.Fatalf("word count under spill=1.0: err = %v; want the injected spill fault", err)
+	}
+
+	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1<<30, nil, NewCounters(), nil, HashPartitioner{})
+	for i := 0; i < 100; i++ {
+		if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := se.spill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.emit(serde.Int(7), interp.EmitValue{D: serde.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.spill(); err != nil {
+		t.Fatal(err)
+	}
+	kept, lost := se.files[0], se.files[1]
+	if kept.mem.Load() == nil || kept.f != nil || lost.mem.Load() == nil {
+		t.Fatal("small spills were not kept in memory")
+	}
+	// A failing or losing attempt discards its spills...
+	se.files = se.files[1:]
+	se.discard()
+	if lost.mem.Load() != nil {
+		t.Fatal("discard kept the attempt's in-memory image")
+	}
+	// ...a committed one is dropped once every partition merged it.
+	for p := range kept.parts {
+		m, err := newMergeIter([]*spillFile{kept}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m.nextGroup() {
+			m.drainGroup()
+		}
+		m.closeAll()
+		if m.err != nil {
+			t.Fatal(m.err)
+		}
+		kept.consumed(p)
+	}
+	if kept.mem.Load() != nil {
+		t.Fatal("a fully consumed in-memory image was not released")
+	}
+}
+
+// emitThenFailMapper spills some shuffle data — one spill large enough for
+// a file, then small ones — and fails, exercising the error-path cleanup.
 type emitThenFailMapper struct{}
 
 func (emitThenFailMapper) Map(_ serde.Datum, _ *serde.Record, ctx *interp.Context) error {
+	if err := ctx.Emit(serde.String("big"), interp.EmitValue{D: serde.String(strings.Repeat("x", memSpillMax))}); err != nil {
+		return err
+	}
 	for i := 0; i < 64; i++ {
 		if err := ctx.Emit(serde.String(fmt.Sprintf("w%03d", i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
 			return err

@@ -198,24 +198,35 @@ func (pb *partBuf) sort() {
 	})
 }
 
-// spillFile is one map-task spill on disk: every partition's sorted run
-// concatenated into a single file, located by per-partition byte spans.
-// The map task keeps the file open after writing (up to a per-task budget;
-// see spillKeepOpenPerTask), so reduce tasks usually read their partition's
+// spillFile is one map-task spill: every partition's sorted run
+// concatenated into a single image, located by per-partition byte spans.
+// An image of at most memSpillMax bytes stays in memory (mem) and never
+// touches the file system. A larger one is written to a file the map task
+// keeps open after writing (up to a per-task budget; see
+// spillKeepOpenPerTask), so reduce tasks usually read their partition's
 // span through positioned reads on the shared handle — one file create per
 // spill and zero reopens. refs counts the partitions holding data in this
-// file; each reduce task drops its reference once it has merged its span,
-// and the last reference deletes the file, so WorkDir shrinks while the
-// reduce phase is still running.
+// spill; each reduce task drops its reference once it has merged its span,
+// and the last reference releases the image or deletes the file, so memory
+// and WorkDir shrink while the reduce phase is still running.
 type spillFile struct {
-	f     *os.File // nil once closed under the fd budget; cursors then reopen path
-	path  string
+	// mem is the in-memory image; nil for a disk spill and once released
+	// (a losing reduce attempt may still be opening cursors then).
+	mem   atomic.Pointer[[]byte]
+	f     *os.File // disk spills: nil once closed under the fd budget; cursors then reopen path
+	path  string   // the file of a disk spill; for every spill, its base name is the fault-injection key
 	parts []span
 	refs  atomic.Int32
 	done  sync.Once
 }
 
-// span locates one partition's section inside a spill file; n == 0 means
+// memSpillMax caps the spill images kept in memory. Mid-task spills
+// trigger at Config.SpillBufferBytes (32 MiB by default), so by default
+// only a task's final spill — the whole shuffle of a small job — is this
+// small, and such a job makes no file-system call for its shuffle.
+const memSpillMax = 1 << 20
+
+// span locates one partition's section inside a spill image; n == 0 means
 // the partition was empty in this spill.
 type span struct {
 	off int64
@@ -228,12 +239,15 @@ type span struct {
 // job-wide fd usage cannot grow with shuffle volume.
 const spillKeepOpenPerTask = 16
 
-// release closes the spill file (if still open) and deletes it from
-// WorkDir. Safe to call more than once: the reduce phase releases files as
-// their last partition is consumed and the engine sweeps whatever is left
-// on job exit.
+// release drops an in-memory image, or closes the spill file (if still
+// open) and deletes it from WorkDir. Safe to call more than once: the
+// reduce phase releases spills as their last partition is consumed and the
+// engine sweeps whatever is left on job exit.
 func (sf *spillFile) release() {
 	sf.done.Do(func() {
+		if sf.mem.Swap(nil) != nil {
+			return
+		}
 		if sf.f != nil {
 			sf.f.Close()
 		}
@@ -370,8 +384,8 @@ func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	return nil
 }
 
-// spill sorts every non-empty partition buffer and writes one spill file
-// holding all partitions' sorted runs.
+// spill sorts every non-empty partition buffer and publishes one spill
+// image holding all partitions' sorted runs.
 func (se *shuffleEmitter) spill() error {
 	if se.pendRecords > 0 {
 		se.counters.Add(CtrMapOutputRecords, se.pendRecords)
@@ -414,11 +428,11 @@ func (se *shuffleEmitter) spill() error {
 		return nil
 	}
 	path := filepath.Join(se.workDir, fmt.Sprintf("map%06d_a%02d_s%03d.spill", se.taskID, se.attempt, len(se.files)))
-	sf, err := writeSpillFile(path, buf, spans)
+	sf, err := newSpill(path, buf, spans)
 	if err != nil {
 		return err
 	}
-	if len(se.files) >= spillKeepOpenPerTask {
+	if sf.f != nil && len(se.files) >= spillKeepOpenPerTask {
 		sf.f.Close()
 		sf.f = nil
 	}
@@ -504,15 +518,32 @@ func (it *slabValueIter) Next() bool {
 
 func (it *slabValueIter) Value() interp.EmitValue { return it.cur }
 
-// writeSpillFile writes a serialized spill image into a temp file renamed
-// onto path once complete, and returns the open handle for the reduce
-// phase to read through (it survives the rename, so no reopen is needed).
-// No fsync: spills are transient intermediate state whose loss just fails
-// the attempt, and syncing every spill would tax the shuffle benchmarks
-// for no durability the job needs. A failed write leaves no file behind.
-func writeSpillFile(path string, image []byte, spans []span) (*spillFile, error) {
+// newSpill publishes a serialized spill image: a copy of an image of at
+// most memSpillMax bytes stays in memory (image is the emitter's reused
+// scratch); a larger one is written into a temp file renamed onto path once
+// complete, whose open handle the reduce phase reads through (it survives
+// the rename, so no reopen is needed). The first disk spill of a job
+// creates its WorkDir. No fsync: spills are transient intermediate state
+// whose loss just fails the attempt, and syncing every spill would tax the
+// shuffle benchmarks for no durability the job needs. A failed write
+// leaves no file behind.
+func newSpill(path string, image []byte, spans []span) (*spillFile, error) {
 	if err := faultinject.Fail(faultinject.PointSpill, filepath.Base(path)); err != nil {
 		return nil, err
+	}
+	sf := &spillFile{path: path, parts: spans}
+	for _, sp := range spans {
+		if sp.n > 0 {
+			sf.refs.Add(1)
+		}
+	}
+	if len(image) <= memSpillMax {
+		mem := append([]byte(nil), image...)
+		sf.mem.Store(&mem)
+		return sf, nil
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, fmt.Errorf("mapreduce: create spill directory: %w", err)
 	}
 	w, err := durable.Create(path)
 	if err != nil {
@@ -522,15 +553,8 @@ func writeSpillFile(path string, image []byte, spans []span) (*spillFile, error)
 		w.Abort()
 		return nil, err
 	}
-	f, err := w.Rename()
-	if err != nil {
+	if sf.f, err = w.Rename(); err != nil {
 		return nil, fmt.Errorf("mapreduce: commit spill file: %w", err)
-	}
-	sf := &spillFile{f: f, path: path, parts: spans}
-	for _, sp := range spans {
-		if sp.n > 0 {
-			sf.refs.Add(1)
-		}
 	}
 	return sf, nil
 }
@@ -542,21 +566,26 @@ var segReaders = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 256<<10) },
 }
 
-// segCursor streams one partition's sorted run out of one spill file during
-// the merge, through a positioned section reader on the spill's shared
-// handle (reduce tasks never reopen spill files). Keys and values are read
-// into cursor-owned buffers, double-buffered: the k/v slices exposed before
-// an advance stay intact through the advance (and the heap re-sift it
+// segCursor streams one partition's sorted run out of one spill during the
+// merge: straight out of an in-memory image, or through a buffered,
+// positioned section reader on a spill file's shared handle (reduce tasks
+// never reopen spill files they can share). Keys and values are read into
+// cursor-owned buffers, double-buffered: the k/v slices exposed before an
+// advance stay intact through the advance (and the heap re-sift it
 // triggers), so no caller can observe a half-overwritten pair.
 type segCursor struct {
-	r     *bufio.Reader
-	owned *os.File // non-nil when the cursor had to reopen a budget-closed spill
-	k     []byte
-	v     []byte
-	bufs  [2][]byte // alternating backing buffers for one k+v pair
-	flip  int
-	err   error
-	eof   bool
+	r interface {
+		io.Reader
+		io.ByteReader
+	}
+	pooled *bufio.Reader // r when it came from segReaders, returned at close
+	owned  *os.File      // non-nil when the cursor had to reopen a budget-closed spill
+	k      []byte
+	v      []byte
+	bufs   [2][]byte // alternating backing buffers for one k+v pair
+	flip   int
+	err    error
+	eof    bool
 }
 
 func newSegCursor(sf *spillFile, sp span) (*segCursor, error) {
@@ -564,6 +593,10 @@ func newSegCursor(sf *spillFile, sp span) (*segCursor, error) {
 		return nil, err
 	}
 	c := &segCursor{}
+	if mem := sf.mem.Load(); mem != nil {
+		c.r = bytes.NewReader((*mem)[sp.off : sp.off+sp.n])
+		return c, nil
+	}
 	ra := io.ReaderAt(sf.f)
 	if sf.f == nil {
 		// The map task closed this handle under its fd budget; reopen it
@@ -574,8 +607,9 @@ func newSegCursor(sf *spillFile, sp span) (*segCursor, error) {
 		}
 		c.owned, ra = f, f
 	}
-	c.r = segReaders.Get().(*bufio.Reader)
-	c.r.Reset(io.NewSectionReader(ra, sp.off, sp.n))
+	c.pooled = segReaders.Get().(*bufio.Reader)
+	c.pooled.Reset(io.NewSectionReader(ra, sp.off, sp.n))
+	c.r = c.pooled
 	return c, nil
 }
 
@@ -612,10 +646,11 @@ func (c *segCursor) advance() bool {
 }
 
 func (c *segCursor) close() {
-	if c.r != nil {
-		c.r.Reset(nil)
-		segReaders.Put(c.r)
-		c.r = nil
+	c.r = nil
+	if c.pooled != nil {
+		c.pooled.Reset(nil)
+		segReaders.Put(c.pooled)
+		c.pooled = nil
 	}
 	if c.owned != nil {
 		c.owned.Close()
@@ -652,7 +687,7 @@ type mergeIter struct {
 	groupEnded bool
 }
 
-// newMergeIter opens one cursor per spill file that holds data for
+// newMergeIter opens one cursor per spill that holds data for
 // partition p.
 func newMergeIter(files []*spillFile, p int) (*mergeIter, error) {
 	m := &mergeIter{}

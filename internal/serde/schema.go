@@ -172,6 +172,10 @@ func DecodeSchema(buf []byte) (*Schema, int, error) {
 		return nil, 0, fmt.Errorf("serde: truncated schema header")
 	}
 	pos := used
+	// A field takes at least a name length and a kind byte.
+	if n > uint64(len(buf)-pos)/2 {
+		return nil, 0, fmt.Errorf("serde: schema of %d fields in %d bytes", n, len(buf))
+	}
 	fields := make([]Field, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, used := binary.Uvarint(buf[pos:])
@@ -179,7 +183,7 @@ func DecodeSchema(buf []byte) (*Schema, int, error) {
 			return nil, 0, fmt.Errorf("serde: truncated schema field %d", i)
 		}
 		pos += used
-		if pos+int(l)+1 > len(buf) {
+		if l >= uint64(len(buf)-pos) {
 			return nil, 0, fmt.Errorf("serde: truncated schema field name %d", i)
 		}
 		name := string(buf[pos : pos+int(l)])

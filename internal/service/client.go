@@ -66,17 +66,28 @@ func (c *Client) SetRetry(retries int, backoff time.Duration) {
 // quota on the server.
 func (c *Client) SetTenant(tenant string) { c.tenant = tenant }
 
-// Submit posts a job and returns its service-side record.
+// Submit posts a job and returns its service-side record. The server
+// answers on completion: a job that finishes within its short hold window
+// comes back terminal, with its outcome; a longer one comes back live, to
+// be polled with Job or WaitJob.
 func (c *Client) Submit(req SubmitRequest) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(http.MethodPost, "/v1/jobs", req, &out)
+	err := c.do(http.MethodPost, "/v1/jobs", nil, req, &out)
+	return out, err
+}
+
+// SubmitAsync is Submit answered at once ("Prefer: respond-async"): the
+// record usually comes back live, whatever the job's size.
+func (c *Client) SubmitAsync(req SubmitRequest) (JobInfo, error) {
+	var out JobInfo
+	err := c.do(http.MethodPost, "/v1/jobs", http.Header{"Prefer": {"respond-async"}}, req, &out)
 	return out, err
 }
 
 // Health fetches the service's liveness and draining state.
 func (c *Client) Health() (HealthInfo, error) {
 	var out HealthInfo
-	err := c.do(http.MethodGet, "/v1/health", nil, &out)
+	err := c.do(http.MethodGet, "/v1/health", nil, nil, &out)
 	return out, err
 }
 
@@ -84,42 +95,42 @@ func (c *Client) Health() (HealthInfo, error) {
 // journal totals, aggregated fault-tolerance counters).
 func (c *Client) Stats() (StatsInfo, error) {
 	var out StatsInfo
-	err := c.do(http.MethodGet, "/v1/stats", nil, &out)
+	err := c.do(http.MethodGet, "/v1/stats", nil, nil, &out)
 	return out, err
 }
 
 // Jobs lists every job the service knows, oldest first.
 func (c *Client) Jobs() ([]JobInfo, error) {
 	var out []JobInfo
-	err := c.do(http.MethodGet, "/v1/jobs", nil, &out)
+	err := c.do(http.MethodGet, "/v1/jobs", nil, nil, &out)
 	return out, err
 }
 
 // Job fetches one job's live status.
 func (c *Client) Job(id string) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(http.MethodGet, "/v1/jobs/"+id, nil, &out)
+	err := c.do(http.MethodGet, "/v1/jobs/"+id, nil, nil, &out)
 	return out, err
 }
 
 // Cancel asks the service to stop a job and returns its status.
 func (c *Client) Cancel(id string) (JobInfo, error) {
 	var out JobInfo
-	err := c.do(http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, &out)
+	err := c.do(http.MethodPost, "/v1/jobs/"+id+"/cancel", nil, nil, &out)
 	return out, err
 }
 
 // Catalog fetches the service's index catalog.
 func (c *Client) Catalog() ([]catalog.Entry, error) {
 	var out []catalog.Entry
-	err := c.do(http.MethodGet, "/v1/catalog", nil, &out)
+	err := c.do(http.MethodGet, "/v1/catalog", nil, nil, &out)
 	return out, err
 }
 
 // Pool fetches the scheduler pool stats.
 func (c *Client) Pool() (mapreduce.PoolStats, error) {
 	var out mapreduce.PoolStats
-	err := c.do(http.MethodGet, "/v1/pool", nil, &out)
+	err := c.do(http.MethodGet, "/v1/pool", nil, nil, &out)
 	return out, err
 }
 
@@ -158,11 +169,11 @@ const maxClientBackoff = 5 * time.Second
 // least the server's Retry-After hint). Everything else fails fast — a
 // cancel must never be replayed blindly, and a 4xx will not improve by
 // repetition.
-func (c *Client) do(method, path string, in, out any) error {
+func (c *Client) do(method, path string, header http.Header, in, out any) error {
 	submit := method == http.MethodPost && path == "/v1/jobs"
 	idempotent := method == http.MethodGet
 	for attempt := 0; ; attempt++ {
-		status, retryAfter, err := c.doOnce(method, path, in, out)
+		status, retryAfter, err := c.doOnce(method, path, header, in, out)
 		if err == nil {
 			return nil
 		}
@@ -193,7 +204,7 @@ func (c *Client) do(method, path string, in, out any) error {
 
 // doOnce is one attempt of do: status is the HTTP status (0 when the
 // request never got an answer), retryAfter the parsed Retry-After hint.
-func (c *Client) doOnce(method, path string, in, out any) (status int, retryAfter time.Duration, _ error) {
+func (c *Client) doOnce(method, path string, header http.Header, in, out any) (status int, retryAfter time.Duration, _ error) {
 	var body io.Reader
 	if in != nil {
 		raw, err := json.Marshal(in)
@@ -208,6 +219,9 @@ func (c *Client) doOnce(method, path string, in, out any) (status int, retryAfte
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range header {
+		req.Header[k] = v
 	}
 	if c.tenant != "" && method == http.MethodPost {
 		req.Header.Set(TenantHeader, c.tenant)

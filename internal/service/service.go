@@ -7,7 +7,10 @@
 //
 // Endpoints (all JSON):
 //
-//	POST /v1/jobs             submit a job        (SubmitRequest → JobInfo)
+//	POST /v1/jobs             submit a job        (SubmitRequest → JobInfo:
+//	                          200 terminal if the job finished within
+//	                          100 ms, else 202 live; "Prefer:
+//	                          respond-async" gets the 202 at once)
 //	GET  /v1/jobs             list known jobs     ([]JobInfo)
 //	GET  /v1/jobs/{id}        one job's status    (JobInfo)
 //	POST /v1/jobs/{id}/cancel cancel a job        (JobInfo)
@@ -15,6 +18,19 @@
 //	GET  /v1/pool             scheduler pool stats (mapreduce.PoolStats)
 //	GET  /v1/health           liveness + draining state (HealthInfo)
 //	GET  /v1/stats            pool, queue, journal, FT counters (StatsInfo)
+//
+// # Answering a submission
+//
+// A service job is usually small, so POST /v1/jobs answers on completion:
+// it holds the answer until the job is terminal, for at most submitHold
+// (100 ms), and then answers 200 with the finished JobInfo — counters,
+// plans, attempts, error — exactly what a GET would return; a cache hit is
+// terminal at once. A job still running when the window closes is answered
+// 202 with its live state, to be polled or canceled by ID as before. The
+// wait ends early, with a 202 written to nobody, when the client goes
+// away; either way the job runs on under the server's lifetime, not the
+// request's. A client that wants the 202 at once sends the RFC 7240
+// preference "Prefer: respond-async" (Client.SubmitAsync does).
 //
 // # Overload protection and resilience
 //
@@ -419,8 +435,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.sys.SetTenantQuota(tenant, s.cfg.TenantSlots)
 	}
 	// The job outlives this request, so it runs under the server's
-	// lifetime (context.Background), not the HTTP request context;
-	// clients stop it through the cancel endpoint.
+	// lifetime (context.Background), not the HTTP request context, even
+	// while the answer waits for it; clients stop it through the cancel
+	// endpoint.
 	h, err := s.sys.SubmitAsync(context.Background(), spec)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -444,7 +461,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.pruneLocked()
 	s.mu.Unlock()
 	s.watchTerminal(t)
-	writeJSON(w, http.StatusAccepted, t.info())
+	code := http.StatusAccepted
+	if preferAsync(r) {
+		w.Header().Set("Preference-Applied", "respond-async")
+	} else if awaitDone(r.Context(), h.Done(), submitHold) {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, t.info())
+}
+
+// submitHold is how long a submission's answer waits for its job to
+// finish (see "Answering a submission" in the package doc).
+const submitHold = 100 * time.Millisecond
+
+// awaitDone waits up to hold for done to close, or for ctx (the request)
+// to end, and reports whether done closed.
+func awaitDone(ctx context.Context, done <-chan struct{}, hold time.Duration) bool {
+	t := time.NewTimer(hold)
+	defer t.Stop()
+	select {
+	case <-done:
+		return true
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return false
+}
+
+// preferAsync reports whether the request carries the RFC 7240
+// "Prefer: respond-async" preference: the client wants the 202 at once.
+func preferAsync(r *http.Request) bool {
+	for _, h := range r.Header.Values("Prefer") {
+		for _, pref := range strings.Split(h, ",") {
+			token, _, _ := strings.Cut(pref, ";")
+			if strings.EqualFold(strings.TrimSpace(token), "respond-async") {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // activeLocked counts tracked jobs that are not yet terminal — the

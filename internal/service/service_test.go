@@ -2,14 +2,19 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"manimal"
+	"manimal/internal/mapreduce"
 	"manimal/internal/workload"
 )
 
@@ -107,6 +112,141 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 	if pool.Slots != 2 {
 		t.Fatalf("pool slots = %d, want 2", pool.Slots)
+	}
+}
+
+// TestSubmitAnswersOnCompletion: a tiny job's submission is answered 200
+// with its terminal state — the same counters, plans and attempts the
+// next GET reports — so the client needs no status poll. Each try is a
+// distinct job (its own threshold), so no answer comes from the result
+// cache; five tiny jobs all outliving the hold window fails the test.
+func TestSubmitAnswersOnCompletion(t *testing.T) {
+	c, _, _, data, url := newRobustService(t, manimal.Options{}, ServerConfig{})
+	var info JobInfo
+	for try := 0; ; try++ {
+		req := submitReq(data, filepath.Join(filepath.Dir(data), fmt.Sprintf("tiny%d.kv", try)), 0)
+		req.Conf["threshold"] = 5000 + try
+		resp := rawSubmit(t, url, req, "")
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusAccepted || try == 4 {
+			t.Fatalf("tiny submission %d answered HTTP %d, phase %s", try, resp.StatusCode, info.Phase)
+		}
+	}
+	if info.Phase != "done" || info.Counters["output.records"] == 0 || len(info.Plans) != 1 || len(info.Attempts) == 0 {
+		t.Fatalf("200 answer is not the finished job: %+v", info)
+	}
+	got, err := c.Job(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Counters, info.Counters) || !reflect.DeepEqual(got.Plans, info.Plans) ||
+		!reflect.DeepEqual(got.Attempts, info.Attempts) {
+		t.Fatalf("submit answer and status disagree:\nsubmit %+v\nstatus %+v", info, got)
+	}
+}
+
+// TestSubmitPreferRespondAsync: "Prefer: respond-async" gets the 202 at
+// once, even for a job the server would otherwise have answered finished.
+func TestSubmitPreferRespondAsync(t *testing.T) {
+	c, _, _, data, url := newRobustService(t, manimal.Options{}, ServerConfig{})
+	dir := filepath.Dir(data)
+	body, err := json.Marshal(submitReq(data, filepath.Join(dir, "async.kv"), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest(http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Prefer", "wait=5, Respond-Async")
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Preference-Applied") != "respond-async" {
+		t.Fatalf("respond-async submission answered HTTP %d, Preference-Applied %q",
+			resp.StatusCode, resp.Header.Get("Preference-Applied"))
+	}
+
+	held := submitReq(data, filepath.Join(dir, "held.kv"), 60_000)
+	held.Conf["threshold"] = 6000 // not a cache hit on the first job
+	info, err := c.SubmitAsync(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mapreduce.Phase(info.Phase).Terminal() {
+		t.Fatalf("SubmitAsync of a held job answered terminal: %+v", info)
+	}
+}
+
+// TestSubmitHoldIsBounded: a job that cannot finish soon (a minute of
+// modeled launch latency) is answered 202, live, well within the HTTP
+// timeout — the hold window is short and fixed.
+func TestSubmitHoldIsBounded(t *testing.T) {
+	c, _, _, data, url := newRobustService(t, manimal.Options{}, ServerConfig{})
+	start := time.Now()
+	resp := rawSubmit(t, url, submitReq(data, filepath.Join(filepath.Dir(data), "slow.kv"), 60_000), "")
+	if took := time.Since(start); took > 20*time.Second {
+		t.Fatalf("submission of a long job took %s to answer", took)
+	}
+	var info JobInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted || mapreduce.Phase(info.Phase).Terminal() {
+		t.Fatalf("long job answered HTTP %d, phase %s", resp.StatusCode, info.Phase)
+	}
+	if _, err := c.Cancel(info.ID); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitClientGoneMidHold: a client that gives up while its answer is
+// held does not take the job with it — the job runs to completion.
+func TestSubmitClientGoneMidHold(t *testing.T) {
+	c, _, _, data, url := newRobustService(t, manimal.Options{}, ServerConfig{})
+	body, err := json.Marshal(submitReq(data, filepath.Join(filepath.Dir(data), "orphan.kv"), 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	// Hang up as soon as the server has accepted the job.
+	var jobs []JobInfo
+	for deadline := time.Now().Add(10 * time.Second); len(jobs) == 0; {
+		if jobs, err = c.Jobs(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the submission never registered a job")
+		}
+	}
+	cancel()
+	<-sent
+	final, err := c.WaitJob(jobs[0].ID, 30*time.Second, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Phase != "done" {
+		t.Fatalf("job whose client hung up ended %s (%s)", final.Phase, final.Error)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Scanner is a row cursor on top of it.
 //
 // Buffer ownership: the scanner reuses one Batch, its vectors, and the
-// underlying block buffer across blocks. Everything borrowed from the
+// segment buffer they alias across blocks. Everything borrowed from the
 // batch — column slices, the selection vector, string/bytes values — is
 // valid only until the next call to Next; retainers must copy.
 type BatchScanner struct {
@@ -31,10 +31,10 @@ type BatchScanner struct {
 	decode      []bool // per-field decode mask; nil decodes everything
 	blockFilter *compiledFilter
 	rowFilter   *compiledFilter
-	segLens     []int   // per-field segment lengths of the loaded block
-	mask        []bool  // reused residual-filter row mask
-	tmp         []bool  // reused per-conjunct mask
-	raws        []int64 // reused delta/dict raw value scratch
+	segs        [][]byte // the loaded block's decoded segments, aliasing raw
+	mask        []bool   // reused residual-filter row mask
+	tmp         []bool   // reused per-conjunct mask
+	raws        []int64  // reused delta/dict raw value scratch
 	nextIdx     int64
 	blockIdx    int
 	valid       bool
@@ -59,7 +59,7 @@ func (r *Reader) ScanBatch(lo, hi int, pd *Pushdown) (*BatchScanner, error) {
 		blockLo: lo,
 		blockHi: hi,
 		deltas:  make([]*compress.DeltaDecoder, r.schema.NumFields()),
-		segLens: make([]int, r.schema.NumFields()),
+		segs:    make([][]byte, r.schema.NumFields()),
 		nextIdx: r.RecordsInBlocks(0, lo),
 	}
 	for i, e := range r.encodings {
@@ -161,25 +161,18 @@ func (s *BatchScanner) BlockIndex() int { return s.blockIdx }
 // Err returns the first error encountered while scanning.
 func (s *BatchScanner) Err() error { return s.err }
 
-// loadColumns reads block bi, bulk-decodes every unmasked field into the
-// batch's column vectors, and computes the selection vector, flushing the
-// residual-drop count per block.
+// loadColumns reads the segments of block bi's unmasked fields,
+// bulk-decodes them into the batch's column vectors, and computes the
+// selection vector, flushing the residual-drop count per block.
 func (s *BatchScanner) loadColumns(bi int, base int64) error {
-	payload, recs, raw, err := s.r.readBlockPayload(bi, s.raw)
-	if err != nil {
-		return err
-	}
+	raw, err := s.r.readSegments(bi, s.decode, s.raw, s.segs)
 	s.raw = raw
-	segStart, err := s.r.parseSegments(bi, payload, s.segLens)
 	if err != nil {
 		return err
 	}
-	n := int(recs)
+	n := int(s.r.blocks[bi].records)
 	s.batch.Reset(s.r.schema, n, base)
-	pos := segStart
-	for i := 0; i < s.r.schema.NumFields(); i++ {
-		seg := payload[pos : pos+s.segLens[i]]
-		pos += s.segLens[i]
+	for i, seg := range s.segs {
 		if s.decode != nil && !s.decode[i] {
 			continue
 		}

@@ -14,13 +14,23 @@ import (
 var ErrCorruptBlock = errors.New("corrupt block")
 
 // ErrUnsupportedFormat is wrapped by Open when the file is a well-formed
-// record file in a format this build no longer reads (the "MANIMAL2" and
-// "MANIMAL3" trailers). The message names the file's format and the
-// remedy: regenerate inputs, rebuild indexes.
+// record file in a format this build no longer reads (the "MANIMAL2",
+// "MANIMAL3" and "MANIMAL4" trailers). The message names the file's format
+// and the remedy: regenerate inputs, rebuild indexes.
 var ErrUnsupportedFormat = errors.New("unsupported record-file format")
 
-// CorruptBlockError reports that a block of a record file failed its
-// CRC32C verification or could not be decoded. It wraps ErrCorruptBlock
+// ErrMalformedFile is wrapped by Open when the header, trailer or footer do
+// not parse as the current format: not a record file, truncated, or
+// damaged where no checksum covers it.
+var ErrMalformedFile = errors.New("malformed record file")
+
+// malformed is a readMeta error wrapping ErrMalformedFile.
+func malformed(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrMalformedFile, fmt.Sprintf(format, args...))
+}
+
+// CorruptBlockError reports that a segment of a record file's block failed
+// its CRC32C verification or could not be decoded. It wraps ErrCorruptBlock
 // (and the underlying decode error, if any).
 type CorruptBlockError struct {
 	// Path is the record file.

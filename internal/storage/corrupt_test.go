@@ -75,8 +75,12 @@ func TestChecksumCoversEveryBlock(t *testing.T) {
 	nblocks := r.NumBlocks()
 	type span struct{ off, len int64 }
 	spans := make([]span, nblocks)
+	nf := r.schema.NumFields()
 	for i := range spans {
-		spans[i] = span{r.blocks[i].offset, r.blocks[i].length}
+		spans[i].off = r.blocks[i].offset
+		for _, sg := range r.segs[i*nf : (i+1)*nf] {
+			spans[i].len += sg.length
+		}
 	}
 	r.Close()
 	if nblocks < 3 {
@@ -107,6 +111,114 @@ func TestChecksumCoversEveryBlock(t *testing.T) {
 			t.Errorf("block %d: flip not detected (err = %v)", i, sc.Err())
 		}
 		rr.Close()
+	}
+}
+
+// drainScan runs a pushdown scan over every block of the file at path and
+// returns the records it kept, the reader's BytesRead, and the scan error.
+func drainScan(t *testing.T, path string, pd *Pushdown) (int, int64, error) {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for sc.Next() {
+		n++
+	}
+	return n, r.BytesRead(), sc.Err()
+}
+
+// TestPrunedScanReadsOnlyDecodedSegments: a field-pruned scan reads exactly
+// the bytes of the segments it decodes — adjacent or not — and a full scan
+// reads every segment, which together tile the data section.
+func TestPrunedScanReadsOnlyDecodedSegments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pruned.rec")
+	writeFile(t, path, makeRecords(3000, 31), WriterOptions{BlockSize: 4 << 10})
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf := r.schema.NumFields()
+	segBytes := make([]int64, nf)
+	var dataBytes int64 // the segments tile the data section
+	for k, sg := range r.segs {
+		segBytes[k%nf] += sg.length
+		dataBytes += sg.length
+	}
+	r.Close()
+	if r.NumBlocks() < 3 {
+		t.Fatalf("want several blocks, got %d", r.NumBlocks())
+	}
+
+	for _, tc := range []struct {
+		name   string
+		fields []string // nil: full scan
+		want   int64
+	}{
+		{"full", nil, dataBytes},
+		{"one field", []string{"ts"}, segBytes[1]},
+		{"adjacent pair", []string{"url", "ts"}, segBytes[0] + segBytes[1]},
+		{"non-adjacent pair", []string{"url", "score"}, segBytes[0] + segBytes[2]},
+		{"no field", []string{}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pd *Pushdown
+			if tc.fields != nil {
+				pd = &Pushdown{Fields: tc.fields}
+			}
+			n, read, err := drainScan(t, path, pd)
+			if err != nil || n != 3000 {
+				t.Fatalf("scan kept %d of 3000 records, err %v", n, err)
+			}
+			if read != tc.want {
+				t.Errorf("BytesRead = %d, want the decoded segments' %d", read, tc.want)
+			}
+		})
+	}
+}
+
+// TestCorruptUnreadSegment: a flipped byte inside one field's segment fails
+// every scan that decodes that field with a CorruptBlockError naming the
+// block, and no scan that leaves the field masked.
+func TestCorruptUnreadSegment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.rec")
+	writeFile(t, path, makeRecords(2000, 32), WriterOptions{BlockSize: 4 << 10})
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nf := r.schema.NumFields()
+	const block, field = 1, 2 // "score" of the second block
+	sg := r.segs[block*nf+field]
+	r.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[sg.offset+sg.length/2] ^= 0x04
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if n, _, err := drainScan(t, path, &Pushdown{Fields: []string{"url", "ts"}}); err != nil || n != 2000 {
+		t.Fatalf("scan that never reads the damaged segment: %d records, err %v", n, err)
+	}
+	for name, pd := range map[string]*Pushdown{
+		"full scan":     nil,
+		"pruned to it":  {Fields: []string{"score"}},
+		"pruned around": {Fields: []string{"ts", "score"}},
+	} {
+		_, _, err := drainScan(t, path, pd)
+		var cbe *CorruptBlockError
+		if !errors.As(err, &cbe) || !errors.Is(err, ErrCorruptBlock) || cbe.Block != block {
+			t.Errorf("%s: err = %v; want a CorruptBlockError for block %d", name, err, block)
+		}
 	}
 }
 

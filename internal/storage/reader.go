@@ -24,18 +24,18 @@ type Reader struct {
 	encodings []FieldEncoding
 	dicts     []*compress.Dictionary
 	blocks    []blockInfo
+	// segs locates every block's field segments: block b, field f is
+	// segs[b*NumFields+f].
+	segs []segment
 	// blockStats holds per-block zone-map stats (schema field order).
 	blockStats [][]FieldStats
-	// crcs holds per-block CRC32C checksums from the footer's "CRC1"
-	// section; nil for files sealed before the section existed, which
-	// verify nothing. Checksums are verified only when a block is READ —
-	// skipped blocks are never hashed — and only the FIRST time this
-	// reader reads the block (verified[i] below): the integrity check is
-	// against on-disk corruption, which is caught when the bytes first
-	// enter the process; re-reads through the same open reader come from
-	// the page cache. When a fault injector is installed every read
-	// re-verifies, so injected corruption stays deterministic.
-	crcs      []uint32
+	// verified[k] records that segs[k] passed its checksum. A segment is
+	// verified only when it is READ — skipped blocks and unread fields are
+	// never hashed — and only the FIRST time this reader reads it: the
+	// integrity check is against on-disk corruption, which is caught when
+	// the bytes first enter the process; re-reads through the same open
+	// reader come from the page cache. When a fault injector is installed
+	// every read re-verifies, so injected corruption stays deterministic.
 	verified  []atomic.Bool
 	dataStart int64
 	fileSize  int64
@@ -79,22 +79,22 @@ func (r *Reader) readMeta() error {
 	// by the bytes the file actually has before anything is sized from it.
 	const tailLen = int64(8 + len(magicFooter))
 	if r.fileSize < int64(len(magicHeader)+1)+tailLen {
-		return fmt.Errorf("truncated record file (%d bytes)", r.fileSize)
+		return malformed("truncated record file (%d bytes)", r.fileSize)
 	}
 	hdrPrefix := make([]byte, len(magicHeader)+binary.MaxVarintLen64)
 	if _, err := io.ReadFull(r.f, hdrPrefix[:min(len(hdrPrefix), int(r.fileSize))]); err != nil {
 		return fmt.Errorf("read header: %w", err)
 	}
 	if string(hdrPrefix[:len(magicHeader)]) != magicHeader {
-		return fmt.Errorf("bad magic: not a Manimal record file")
+		return malformed("bad magic: not a Manimal record file")
 	}
 	hdrLen, used := binary.Uvarint(hdrPrefix[len(magicHeader):])
 	if used <= 0 {
-		return fmt.Errorf("truncated header length")
+		return malformed("truncated header length")
 	}
 	hdrOff := int64(len(magicHeader) + used)
 	if avail := r.fileSize - hdrOff - tailLen; avail < 0 || hdrLen > uint64(avail) {
-		return fmt.Errorf("header length %d exceeds file size %d", hdrLen, r.fileSize)
+		return malformed("header length %d exceeds file size %d", hdrLen, r.fileSize)
 	}
 	hdr := make([]byte, hdrLen)
 	if _, err := r.f.ReadAt(hdr, hdrOff); err != nil {
@@ -102,20 +102,28 @@ func (r *Reader) readMeta() error {
 	}
 	schema, n, err := serde.DecodeSchema(hdr)
 	if err != nil {
-		return err
+		return malformed("%v", err)
 	}
 	r.schema = schema
-	if len(hdr[n:]) < schema.NumFields() {
-		return fmt.Errorf("truncated encoding tags")
+	nf := schema.NumFields()
+	if nf == 0 {
+		return malformed("schema has no fields")
 	}
-	r.encodings = make([]FieldEncoding, schema.NumFields())
+	if len(hdr[n:]) < nf {
+		return malformed("truncated encoding tags")
+	}
+	r.encodings = make([]FieldEncoding, nf)
 	for i := range r.encodings {
-		r.encodings[i] = FieldEncoding(hdr[n+i])
+		e, kind := FieldEncoding(hdr[n+i]), schema.Field(i).Kind
+		if e > EncodeDict || (e == EncodeDelta && !kind.Numeric()) || (e == EncodeDict && kind != serde.KindString) {
+			return malformed("field %q: %v encoding of a %v field", schema.Field(i).Name, e, kind)
+		}
+		r.encodings[i] = e
 	}
 	r.dataStart = hdrOff + int64(hdrLen)
 
 	// Footer, located via the fixed-size trailer. Only the current trailer
-	// is parsed; the two retired ones are recognised just far enough to say
+	// is parsed; the retired ones are recognised just far enough to say
 	// which format the file is in and how to replace it.
 	tail := make([]byte, tailLen)
 	if _, err := r.f.ReadAt(tail, r.fileSize-tailLen); err != nil {
@@ -123,83 +131,99 @@ func (r *Reader) readMeta() error {
 	}
 	switch magic := string(tail[8:]); magic {
 	case magicFooter:
-	case "MANIMAL2", "MANIMAL3":
+	case "MANIMAL2", "MANIMAL3", "MANIMAL4":
 		return fmt.Errorf("%w: %s trailer (format v%c), readable formats: v%d; "+
 			"regenerate inputs with gendata and rebuild indexes with `manimal index`",
 			ErrUnsupportedFormat, magic, magic[len(magic)-1], FormatVersion)
 	default:
-		return fmt.Errorf("bad footer magic: truncated record file")
+		return malformed("bad footer magic: truncated record file")
 	}
 	ftrLen := binary.LittleEndian.Uint64(tail[:8])
 	if ftrLen > uint64(r.fileSize-tailLen-r.dataStart) {
-		return fmt.Errorf("footer length %d exceeds file size %d", ftrLen, r.fileSize)
+		return malformed("footer length %d exceeds file size %d", ftrLen, r.fileSize)
 	}
 	ftrStart := r.fileSize - tailLen - int64(ftrLen)
 	ftr := make([]byte, ftrLen)
 	if _, err := r.f.ReadAt(ftr, ftrStart); err != nil {
 		return fmt.Errorf("read footer: %w", err)
 	}
+	return r.parseFooter(ftr, ftrStart)
+}
+
+// parseFooter decodes the footer bytes ftr, which start at file offset
+// ftrStart, into the block index, zone-map stats and dictionaries. The
+// footer must parse exactly: its blocks tile the data section, every
+// block's record count fits in each of its segments, and no byte is left
+// over.
+func (r *Reader) parseFooter(ftr []byte, ftrStart int64) error {
+	nf := r.schema.NumFields()
 	pos := 0
-	nb, used := binary.Uvarint(ftr[pos:])
+	nb, used := binary.Uvarint(ftr)
 	if used <= 0 {
-		return fmt.Errorf("truncated block index")
+		return malformed("truncated block index")
 	}
 	pos += used
-	// An index entry is at least three bytes, so the footer bounds the count.
-	if nb > uint64(len(ftr)-pos)/3 {
-		return fmt.Errorf("block count %d exceeds footer size %d", nb, len(ftr))
+	// An index entry is a record count plus, per field, a length and a
+	// 4-byte checksum: the footer bounds the count before anything is sized
+	// from it.
+	if nb > uint64(len(ftr)-pos)/uint64(1+5*nf) {
+		return malformed("block count %d exceeds footer size %d", nb, len(ftr))
 	}
-	r.blocks = make([]blockInfo, 0, nb)
-	for i := uint64(0); i < nb; i++ {
-		var b blockInfo
-		for _, dst := range []*int64{&b.offset, &b.length, &b.records} {
-			v, used := binary.Uvarint(ftr[pos:])
-			if used <= 0 {
-				return fmt.Errorf("truncated block index entry %d", i)
+	r.blocks = make([]blockInfo, nb)
+	r.segs = make([]segment, int(nb)*nf)
+	r.verified = make([]atomic.Bool, len(r.segs))
+	off := r.dataStart
+	for b := range r.blocks {
+		recs, used := binary.Uvarint(ftr[pos:])
+		if used <= 0 {
+			return malformed("truncated block index entry %d", b)
+		}
+		pos += used
+		start := off
+		for f := 0; f < nf; f++ {
+			l, used := binary.Uvarint(ftr[pos:])
+			if used <= 0 || len(ftr)-pos-used < 4 {
+				return malformed("truncated block index entry %d", b)
 			}
-			*dst = int64(v)
 			pos += used
+			if l > uint64(ftrStart-off) {
+				return malformed("block %d segment %d lies outside the data section", b, f)
+			}
+			if recs > l {
+				return malformed("block %d: %d records in a %d-byte segment", b, recs, l)
+			}
+			r.segs[b*nf+f] = segment{offset: off, length: int64(l), crc: binary.LittleEndian.Uint32(ftr[pos:])}
+			pos += 4
+			off += int64(l)
 		}
-		if b.length < 0 || b.offset < r.dataStart || b.offset > ftrStart || b.length > ftrStart-b.offset {
-			return fmt.Errorf("block index entry %d lies outside the data section", i)
-		}
-		r.blocks = append(r.blocks, b)
+		r.blocks[b] = blockInfo{offset: start, records: int64(recs)}
 	}
-	r.blockStats = make([][]FieldStats, 0, nb)
-	for i := uint64(0); i < nb; i++ {
-		st, used, err := decodeBlockStats(ftr[pos:], schema)
+	if off != ftrStart {
+		return malformed("block index covers %d data bytes, the file holds %d", off-r.dataStart, ftrStart-r.dataStart)
+	}
+	r.blockStats = make([][]FieldStats, nb)
+	for b := range r.blockStats {
+		st, used, err := decodeBlockStats(ftr[pos:], r.schema)
 		if err != nil {
-			return fmt.Errorf("block %d stats: %w", i, err)
+			return malformed("block %d stats: %v", b, err)
 		}
-		r.blockStats = append(r.blockStats, st)
+		r.blockStats[b] = st
 		pos += used
 	}
-	r.dicts = make([]*compress.Dictionary, schema.NumFields())
+	r.dicts = make([]*compress.Dictionary, nf)
 	for i, e := range r.encodings {
 		if e != EncodeDict {
 			continue
 		}
 		d, used, err := compress.DecodeDictionary(ftr[pos:])
 		if err != nil {
-			return fmt.Errorf("field %q dictionary: %w", schema.Field(i).Name, err)
+			return malformed("field %q dictionary: %v", r.schema.Field(i).Name, err)
 		}
 		r.dicts[i] = d
 		pos += used
 	}
-	// Optional per-block checksum section ("CRC1" + one uint32le per
-	// block). Files sealed before the section existed end here; their
-	// blocks verify nothing.
-	if pos+len(magicChecksums) <= len(ftr) && string(ftr[pos:pos+len(magicChecksums)]) == magicChecksums {
-		pos += len(magicChecksums)
-		if len(ftr)-pos < 4*len(r.blocks) {
-			return fmt.Errorf("truncated checksum section")
-		}
-		r.crcs = make([]uint32, len(r.blocks))
-		r.verified = make([]atomic.Bool, len(r.blocks))
-		for i := range r.crcs {
-			r.crcs[i] = binary.LittleEndian.Uint32(ftr[pos:])
-			pos += 4
-		}
+	if pos != len(ftr) {
+		return malformed("%d bytes left over after the footer", len(ftr)-pos)
 	}
 	return nil
 }
@@ -341,12 +365,18 @@ func (s *Scanner) Record() *serde.Record {
 // Err returns the first error encountered while scanning.
 func (s *Scanner) Err() error { return s.bs.Err() }
 
-// readBlockPayload reads block i into raw (grown as needed) and parses the
-// block header, returning the payload, the record count, and the (possibly
-// reallocated) raw buffer. It accounts the read in the bytes/blocks-read
-// counters.
-func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, error) {
-	b := r.blocks[i]
+// readSegments reads the segments of block i whose fields decode selects
+// (nil selects all) into raw, grown as needed and returned: one positioned
+// read per run of adjacent selected segments, so a full scan reads the
+// block in one. segs[f] is set to field f's bytes for every selected f.
+// Each selected segment is checksummed the first time this reader reads it
+// (see the verified field doc) — or on every read while a fault injector is
+// installed, since any read may then have been corrupted in flight. The
+// bytes read, and the block, count toward the reader's counters.
+func (r *Reader) readSegments(i int, decode []bool, raw []byte, segs [][]byte) ([]byte, error) {
+	nf := len(segs)
+	bsegs := r.segs[i*nf : (i+1)*nf]
+	selected := func(f int) bool { return decode == nil || decode[f] }
 	// The injection key is only materialized when an injector is installed:
 	// this runs once per block read, and a disabled hook must stay at one
 	// atomic load with no formatting or allocation.
@@ -354,68 +384,52 @@ func (r *Reader) readBlockPayload(i int, raw []byte) ([]byte, int64, []byte, err
 	if faultinject.Enabled() {
 		blockKey = fmt.Sprintf("%s#%d", filepath.Base(r.path), i)
 		if err := faultinject.Fail(faultinject.PointStorageRead, blockKey); err != nil {
-			return nil, 0, raw, fmt.Errorf("storage: read block %d: %w", i, err)
+			return raw, fmt.Errorf("storage: read block %d: %w", i, err)
 		}
 	}
-	if int64(cap(raw)) < b.length {
-		raw = make([]byte, b.length)
+	var total int64
+	for f, sg := range bsegs {
+		if selected(f) {
+			total += sg.length
+		}
 	}
-	raw = raw[:b.length]
-	if _, err := r.f.ReadAt(raw, b.offset); err != nil {
-		return nil, 0, raw, fmt.Errorf("storage: read block %d: %w", i, err)
+	if int64(cap(raw)) < total {
+		raw = make([]byte, total)
+	}
+	raw = raw[:total]
+	var pos int64
+	for f := 0; f < nf; f++ {
+		if !selected(f) {
+			continue
+		}
+		start, off := pos, bsegs[f].offset
+		for ; f < nf && selected(f); f++ {
+			segs[f] = raw[pos : pos+bsegs[f].length]
+			pos += bsegs[f].length
+		}
+		if _, err := r.f.ReadAt(raw[start:pos], off); err != nil {
+			return raw, fmt.Errorf("storage: read block %d: %w", i, err)
+		}
 	}
 	if blockKey != "" {
 		faultinject.CorruptBytes(blockKey, raw)
 	}
-	r.bytesRead.Add(b.length)
+	r.bytesRead.Add(total)
 	r.blocksRead.Add(1)
-	// Verify before parsing anything out of the block: a checksum mismatch
-	// is a definitive corruption signal (classified permanent), whereas a
-	// parse failure downstream of a passing checksum is a reader bug.
-	// Once a block has verified clean it is not re-hashed on later reads
-	// through this reader (see the verified field doc) — unless a fault
-	// injector is installed (blockKey != ""), where every read may have
-	// been corrupted in flight and must be re-checked.
-	if r.crcs != nil && (blockKey != "" || !r.verified[i].Load()) {
-		if crc32.Checksum(raw, castagnoli) != r.crcs[i] {
-			return nil, 0, raw, r.corruptBlock(i, nil)
+	// Verify before decoding anything: a checksum mismatch is a definitive
+	// corruption signal (classified permanent), whereas a decode failure
+	// downstream of a passing checksum is a reader bug.
+	for f := range bsegs {
+		k := i*nf + f
+		if !selected(f) || (blockKey == "" && r.verified[k].Load()) {
+			continue
 		}
-		r.verified[i].Store(true)
-	}
-	payloadLen, n1 := binary.Uvarint(raw)
-	if n1 <= 0 {
-		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("truncated payload length"))
-	}
-	recs, n2 := binary.Uvarint(raw[n1:])
-	if n2 <= 0 {
-		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("truncated record count"))
-	}
-	if int64(n1+n2)+int64(payloadLen) != b.length {
-		return nil, 0, raw, r.corruptBlock(i, fmt.Errorf("block length mismatch"))
-	}
-	return raw[n1+n2:], int64(recs), raw, nil
-}
-
-// parseSegments parses a block payload's segment-length table into
-// segLens (one entry per schema field), returning the offset of the first
-// segment within the payload. Segment lengths must exactly tile the rest of
-// the payload.
-func (r *Reader) parseSegments(i int, payload []byte, segLens []int) (int, error) {
-	pos := 0
-	total := 0
-	for f := range segLens {
-		v, n := binary.Uvarint(payload[pos:])
-		if n <= 0 {
-			return 0, r.corruptBlock(i, fmt.Errorf("truncated segment table"))
+		if crc32.Checksum(segs[f], castagnoli) != bsegs[f].crc {
+			return raw, r.corruptBlock(i, nil)
 		}
-		segLens[f] = int(v)
-		total += int(v)
-		pos += n
+		r.verified[k].Store(true)
 	}
-	if pos+total != len(payload) {
-		return 0, r.corruptBlock(i, fmt.Errorf("segment lengths do not tile payload"))
-	}
-	return pos, nil
+	return raw, nil
 }
 
 // ReadAll is a convenience that scans the whole file into memory.

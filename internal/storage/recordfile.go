@@ -10,42 +10,46 @@
 // A record file is header, blocks, footer:
 //
 //	"MANIMAL1" | uvarint hdrLen | schema wire form | one encoding byte per field
-//	repeated blocks: uvarint payloadLen | uvarint records | payload
-//	footer | uint64le footerLen | "MANIMAL4"
+//	repeated blocks: one value segment per schema field, in schema order
+//	footer | uint64le footerLen | "MANIMAL5"
 //
-// Block payloads are COLUMNAR: one uvarint segment length per schema field,
-// then the fields' value segments concatenated in schema order. Within its
-// segment, plain fields use the kind-implied serde value encoding, delta
-// fields a zigzag-varint difference chain reset per block, dict fields a
-// uvarint dictionary code. Per-field segments are what make scans cheap —
-// a masked or filtered-on field is one contiguous slice, bulk-decodable
-// without stepping over its neighbors, and a masked field's segment is
-// never visited at all. The footer (located via the fixed-size trailer)
-// holds:
+// Blocks are COLUMNAR and carry nothing but their fields' value segments:
+// plain fields use the kind-implied serde value encoding, delta fields a
+// zigzag-varint difference chain reset per block, dict fields a uvarint
+// dictionary code. Every value takes at least one byte, so a block's record
+// count never exceeds any of its segments' lengths. Per-field segments are
+// what make scans cheap — a scan reads, checksums and decodes exactly the
+// segments of the fields it decodes, one positioned read per run of
+// adjacent ones, and a masked field's bytes never leave the disk. The
+// footer (located via the fixed-size trailer) holds:
 //
 //	uvarint numBlocks
-//	per block:  uvarint offset | uvarint length | uvarint records
+//	per block (the block index; blocks tile the data section in order):
+//	    uvarint records
+//	    per field: uvarint segment length | uint32le CRC32C of the segment
 //	per block, per field (zone-map stats):
 //	    flags byte (bit0 min present, bit1 max present)
 //	    uvarint null count
 //	    [min value] [max value]   — kind-implied encodings
 //	per dict field: term count + length-prefixed terms in code order
-//	optional trailing section: "CRC1" + one uint32le CRC32C per block
 //
 // Every length and count read back from a file is bounded by the file's
-// size before anything is allocated from it. This is the one format read
-// and written (FormatVersion): a file sealed with an earlier trailer
+// size before anything is allocated from it, and a footer that does not
+// parse exactly fails Open with ErrMalformedFile. This is the one format
+// read and written (FormatVersion): a file sealed with an earlier trailer
 // ("MANIMAL2": no stats, row-interleaved payloads; "MANIMAL3": stats,
-// row-interleaved payloads) fails Open with ErrUnsupportedFormat, which
-// names the version and the remedy — regenerate inputs, rebuild indexes.
+// row-interleaved payloads; "MANIMAL4": one checksum per whole block, a
+// segment table inside each block) fails Open with ErrUnsupportedFormat,
+// which names the version and the remedy — regenerate inputs, rebuild
+// indexes.
 //
-// The checksum section carries one CRC32C (Castagnoli) checksum over each
-// block's full on-disk bytes, verified the first time a Reader reads the
-// block — skipped blocks are never hashed and re-reads through the same
-// reader skip the hash, so pruned and repeated scans pay nothing. Files
-// sealed before the section existed simply lack it and verify nothing. A
-// mismatch surfaces as a CorruptBlockError (wrapping ErrCorruptBlock),
-// which the engine classifies as permanent.
+// Each segment's CRC32C (Castagnoli) checksum is verified the first time a
+// Reader reads that segment — skipped blocks and unread fields are never
+// hashed, and re-reads through the same reader skip the hash, so pruned and
+// repeated scans pay nothing for it. A mismatch surfaces as a
+// CorruptBlockError (wrapping ErrCorruptBlock), which the engine classifies
+// as permanent; corruption in a segment a scan does not read cannot fail
+// that scan.
 //
 // Stats are computed on LOGICAL values before encoding, so predicates over
 // original values prune delta- and dict-encoded blocks too. Numeric and
@@ -85,9 +89,9 @@
 //
 // # Buffer ownership
 //
-// A BatchScanner reuses one Batch, its vectors, and the block buffer
+// A BatchScanner reuses one Batch, its vectors, and the segment buffer
 // across blocks: everything borrowed from the batch — column slices, the
-// selection vector, string/bytes values aliasing the block buffer — is
+// selection vector, string/bytes values aliasing the segment buffer — is
 // valid only until the scanner's next batch (see serde.Vector). The row
 // cursor inherits that window one row at a time: the record returned by
 // Scanner.Record (and any datum read out of it) is valid only until the
@@ -141,17 +145,14 @@ func (e FieldEncoding) String() string {
 
 const (
 	magicHeader = "MANIMAL1"
-	// magicFooter seals the footer: block index, per-block zone-map stats,
-	// dictionaries, checksums. Earlier trailers ("MANIMAL2", "MANIMAL3")
-	// are rejected with ErrUnsupportedFormat.
-	magicFooter = "MANIMAL4"
-	// magicChecksums introduces the optional per-block CRC32C section at
-	// the end of the footer (after the dictionaries). Files without it
-	// remain readable and verify nothing.
-	magicChecksums = "CRC1"
+	// magicFooter seals the footer: block index with per-segment lengths
+	// and checksums, per-block zone-map stats, dictionaries. Earlier
+	// trailers ("MANIMAL2" to "MANIMAL4") are rejected with
+	// ErrUnsupportedFormat.
+	magicFooter = "MANIMAL5"
 
 	// FormatVersion is the one format version written and read.
-	FormatVersion = 4
+	FormatVersion = 5
 
 	// DefaultBlockSize is the target uncompressed payload per block.
 	DefaultBlockSize = 256 << 10
@@ -160,8 +161,15 @@ const (
 // blockInfo locates one block inside the file.
 type blockInfo struct {
 	offset  int64
-	length  int64
 	records int64
+}
+
+// segment locates one field's value segment of one block, with the
+// segment's CRC32C.
+type segment struct {
+	offset int64
+	length int64
+	crc    uint32
 }
 
 // WriterOptions configures a record file writer.
@@ -187,13 +195,11 @@ type Writer struct {
 	blockSize int
 	fieldBufs [][]byte // current block's per-field value segments
 	fieldLen  int      // total bytes across fieldBufs
-	scratch   []byte   // reused block header assembly buffer
 	blockRecs int64
-	offset    int64
-	blocks    []blockInfo
+	blocks    int          // blocks flushed so far
+	index     []byte       // encoded block index entries, appended per flush
 	curStats  []FieldStats // zone-map accumulator for the open block
 	stats     []byte       // encoded per-block stats, appended per flush
-	crcs      []uint32     // per-block CRC32C over the full on-disk block bytes
 	records   int64
 	closed    bool
 }
@@ -202,6 +208,11 @@ type Writer struct {
 // path is untouched until Close; construction errors remove only the temp
 // file.
 func NewWriter(path string, schema *serde.Schema, opts WriterOptions) (*Writer, error) {
+	// Readers bound a block's record count by its segment lengths, which a
+	// file without fields does not have.
+	if schema.NumFields() == 0 {
+		return nil, fmt.Errorf("storage: %s: schema has no fields", path)
+	}
 	f, err := durable.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
@@ -263,9 +274,7 @@ func (w *Writer) writeHeader() error {
 	out := []byte(magicHeader)
 	out = binary.AppendUvarint(out, uint64(len(hdr)))
 	out = append(out, hdr...)
-	n, err := w.f.Write(out)
-	w.offset = int64(n)
-	if err != nil {
+	if _, err := w.f.Write(out); err != nil {
 		return fmt.Errorf("storage: write header: %w", err)
 	}
 	return nil
@@ -316,51 +325,29 @@ func (w *Writer) flushBlock() error {
 	if w.blockRecs == 0 {
 		return nil
 	}
-	// Block: uvarint payloadLen | uvarint records | per-field uvarint
-	// segment lengths | field segments in schema order. The segment-length
-	// table counts toward payloadLen.
-	hdr := w.scratch[:0]
-	segTab := 0
-	for _, fb := range w.fieldBufs {
-		segTab += uvarintLen(uint64(len(fb)))
-	}
-	hdr = binary.AppendUvarint(hdr, uint64(segTab+w.fieldLen))
-	hdr = binary.AppendUvarint(hdr, uint64(w.blockRecs))
-	for _, fb := range w.fieldBufs {
-		hdr = binary.AppendUvarint(hdr, uint64(len(fb)))
-	}
-	w.scratch = hdr
 	// Key materialized only when an injector is installed: this is the
 	// per-block write path, and a disabled hook must cost one atomic load.
 	if faultinject.Enabled() {
 		if err := faultinject.Fail(faultinject.PointStorageWrite,
-			fmt.Sprintf("%s#%d", filepath.Base(w.path), len(w.blocks))); err != nil {
+			fmt.Sprintf("%s#%d", filepath.Base(w.path), w.blocks)); err != nil {
 			return err
 		}
 	}
-	if _, err := w.f.Write(hdr); err != nil {
-		return fmt.Errorf("storage: write block header: %w", err)
-	}
-	written := len(hdr)
-	crc := crc32.Update(0, castagnoli, hdr)
+	// The block is its segments back to back; what locates and checks them
+	// goes to the footer's index entry.
+	w.index = binary.AppendUvarint(w.index, uint64(w.blockRecs))
 	for _, fb := range w.fieldBufs {
 		if _, err := w.f.Write(fb); err != nil {
 			return fmt.Errorf("storage: write block: %w", err)
 		}
-		written += len(fb)
-		crc = crc32.Update(crc, castagnoli, fb)
+		w.index = binary.AppendUvarint(w.index, uint64(len(fb)))
+		w.index = binary.LittleEndian.AppendUint32(w.index, crc32.Checksum(fb, castagnoli))
 	}
-	w.crcs = append(w.crcs, crc)
-	w.blocks = append(w.blocks, blockInfo{
-		offset:  w.offset,
-		length:  int64(written),
-		records: w.blockRecs,
-	})
+	w.blocks++
 	w.stats = appendBlockStats(w.stats, w.curStats)
 	for i := range w.curStats {
 		w.curStats[i].reset()
 	}
-	w.offset += int64(written)
 	for i := range w.fieldBufs {
 		w.fieldBufs[i] = w.fieldBufs[i][:0]
 	}
@@ -374,22 +361,12 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // NumRecords returns the number of records appended so far.
 func (w *Writer) NumRecords() int64 { return w.records }
 
-// Close flushes the final block, writes the stats-bearing footer (with
-// the per-block checksum section), then commits (durable.File.Commit). Any
-// failure removes the temp file and leaves the final path untouched.
+// Close flushes the final block, writes the footer (block index, stats,
+// dictionaries), then commits (durable.File.Commit). Any failure removes
+// the temp file and leaves the final path untouched.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
@@ -399,22 +376,13 @@ func (w *Writer) Close() error {
 		w.f.Abort()
 		return err
 	}
-	var ftr []byte
-	ftr = binary.AppendUvarint(ftr, uint64(len(w.blocks)))
-	for _, b := range w.blocks {
-		ftr = binary.AppendUvarint(ftr, uint64(b.offset))
-		ftr = binary.AppendUvarint(ftr, uint64(b.length))
-		ftr = binary.AppendUvarint(ftr, uint64(b.records))
-	}
+	ftr := binary.AppendUvarint(nil, uint64(w.blocks))
+	ftr = append(ftr, w.index...)
 	ftr = append(ftr, w.stats...)
 	for i, d := range w.dicts {
 		if w.encodings[i] == EncodeDict {
 			ftr = d.AppendBinary(ftr)
 		}
-	}
-	ftr = append(ftr, magicChecksums...)
-	for _, crc := range w.crcs {
-		ftr = binary.LittleEndian.AppendUint32(ftr, crc)
 	}
 	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
 	ftr = append(ftr, magicFooter...)

@@ -273,25 +273,26 @@ func TestStringPrefixBounds(t *testing.T) {
 }
 
 // TestRetiredFormatsRejected: record files sealed with a retired trailer —
-// the committed pre-stats fixture (bytes written by the v2 writer) and a
-// row-interleaved v3 trailer — are recognised and refused with
-// ErrUnsupportedFormat naming the version and the remedy, never
-// misparsed as the current layout.
+// the committed pre-stats fixture (bytes written by the v2 writer), a
+// row-interleaved v3 trailer and a whole-block-checksum v4 trailer — are
+// recognised and refused with ErrUnsupportedFormat naming the version and
+// the remedy, never misparsed as the current layout.
 func TestRetiredFormatsRejected(t *testing.T) {
-	v3 := filepath.Join(t.TempDir(), "v3.rec")
-	writeFile(t, v3, makeRecords(100, 26), WriterOptions{})
-	raw, err := os.ReadFile(v3)
-	if err != nil {
-		t.Fatal(err)
+	files := map[string]string{filepath.Join("testdata", "prestats-v2.rec"): "v2"}
+	for _, magic := range []string{"MANIMAL3", "MANIMAL4"} {
+		path := filepath.Join(t.TempDir(), magic+".rec")
+		writeFile(t, path, makeRecords(100, 26), WriterOptions{})
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(raw[len(raw)-len(magicFooter):], magic)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		files[path] = "v" + magic[len(magic)-1:]
 	}
-	copy(raw[len(raw)-len(magicFooter):], "MANIMAL3")
-	if err := os.WriteFile(v3, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for path, version := range map[string]string{
-		filepath.Join("testdata", "prestats-v2.rec"): "v2",
-		v3: "v3",
-	} {
+	for path, version := range files {
 		_, err := Open(path)
 		if !errors.Is(err, ErrUnsupportedFormat) {
 			t.Fatalf("%s: err = %v; want ErrUnsupportedFormat", path, err)
@@ -322,6 +323,10 @@ func TestWriterAbortAndCloseCleanup(t *testing.T) {
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Fatalf("failed NewWriter left %s behind (stat err %v)", bad, err)
+	}
+	// A schema without fields has no segments to bound a block's records.
+	if _, err := NewWriter(bad, serde.MustSchema(), WriterOptions{}); err == nil {
+		t.Fatal("expected error for a schema without fields")
 	}
 
 	// Abort removes the partial file; double-abort is fine.

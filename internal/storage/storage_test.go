@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -280,10 +281,10 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 // TestOpenBoundsTrailerLengths: every length and count readMeta takes from
-// the file — header length, footer length, block count, block extents — is
-// bounded by the file before anything is allocated from it. Each mutation
-// of a fresh file must fail Open with an ordinary error: no panic, no
-// allocation sized by the mutated value.
+// the file — header length, footer length, block count, segment lengths —
+// is bounded by the file before anything is allocated from it. Each
+// mutation of a fresh file must fail Open with ErrMalformedFile: no panic,
+// no allocation sized by the mutated value.
 func TestOpenBoundsTrailerLengths(t *testing.T) {
 	good := filepath.Join(t.TempDir(), "good.rec")
 	writeFile(t, good, makeRecords(500, 8), WriterOptions{BlockSize: 1 << 10})
@@ -328,8 +329,9 @@ func TestOpenBoundsTrailerLengths(t *testing.T) {
 			return append(append([]byte(nil), b[:len(magicHeader)+1]...), b[len(b)-tail+1:]...)
 		}},
 		{"block length past the data section", func(b []byte) []byte {
-			// First index entry is offset|length|records; the offset uvarint
-			// is one byte here (the header is short), the length follows.
+			// First index entry is records|length|crc|length|crc...; the
+			// record count uvarint is one byte here (small blocks), the first
+			// segment length follows.
 			copy(b[ftrStart+2:], huge)
 			return b
 		}},
@@ -343,6 +345,9 @@ func TestOpenBoundsTrailerLengths(t *testing.T) {
 			if err == nil {
 				r.Close()
 				t.Fatal("mutated trailer accepted")
+			}
+			if !errors.Is(err, ErrMalformedFile) {
+				t.Fatalf("err = %v; want ErrMalformedFile", err)
 			}
 		})
 	}

@@ -51,8 +51,9 @@
 // Every submission passes through the same stages (submitJournaled):
 // resolve (validate, claim the output path, read input footers) → plan
 // (Figure 1's analyze and optimize) → record (journal it) → probe (result
-// cache) → admit (scratch space, scheduler) → run (Figure 1's execute; a
-// corrupt index variant is quarantined and the job goes back to plan) →
+// cache) → admit (name the scratch space, scheduler) → run (Figure 1's
+// execute; a corrupt index variant is quarantined and the job goes back to
+// plan) →
 // finish, the single exit for a refusal at any stage, a cache hit and a
 // completed execution alike: only it journals the terminal state, releases
 // the output claim, removes scratch space and closes Done.
@@ -70,12 +71,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manimal/internal/analyzer"
 	"manimal/internal/catalog"
 	"manimal/internal/durable"
 	"manimal/internal/fabric"
+	"manimal/internal/faultinject"
 	"manimal/internal/indexgen"
 	"manimal/internal/interp"
 	"manimal/internal/journal"
@@ -292,6 +295,17 @@ func (s *System) releaseOutput(key string) {
 	s.mu.Lock()
 	delete(s.liveOutputs, key)
 	s.mu.Unlock()
+}
+
+// scratchSeq numbers the scratch directories this process names.
+var scratchSeq atomic.Int64
+
+// scratchDir names a fresh scratch directory under the work directory
+// without creating it: the engine creates it at the job's first disk
+// spill. The process ID keeps the name unique among live processes, the
+// sequence among this process's jobs.
+func (s *System) scratchDir(kind string) string {
+	return filepath.Join(s.workDir, fmt.Sprintf("%s-%d-%d", kind, os.Getpid(), scratchSeq.Add(1)))
 }
 
 // Catalog exposes the index catalog.
@@ -693,16 +707,17 @@ func (s *System) probe(sub *submission) (served bool) {
 
 // admit hands the planned job to the scheduler, where from then on the
 // execution owns the inputs and the output on every path. The first
-// admission creates the job's scratch directory; a re-admission after a
-// corruption replan reuses it and carries the failed round's
-// fault-tolerance counters, so the final report covers the whole job.
+// admission names the job's scratch directory — the engine creates it at
+// the job's first spill too large to keep in memory, which a small job
+// never has; a re-admission after a corruption replan reuses it and
+// carries the failed round's fault-tolerance counters, so the final report
+// covers the whole job.
 func (s *System) admit(ctx context.Context, sub *submission) error {
+	if err := faultinject.Fail(faultinject.PointAdmit, sub.spec.Name); err != nil {
+		return err
+	}
 	if sub.work == "" {
-		work, err := os.MkdirTemp(s.workDir, "job-*")
-		if err != nil {
-			return fmt.Errorf("manimal: %w", err)
-		}
-		sub.work = work
+		sub.work = s.scratchDir("job")
 	}
 	exec, err := s.sched.Submit(ctx, buildJob(sub.spec, sub.h.report, sub.work, s.share))
 	if err != nil {
@@ -786,7 +801,8 @@ func corruptVariant(report *JobReport, cbe *storage.CorruptBlockError) string {
 // finish is the single exit of every submission: it journals the terminal
 // state of a recorded job — before Done is observable, so a caller is never
 // told "refused" or "finished" while the journal says "accepted" — removes
-// the scratch directory, releases the output claim and closes Done. Journal
+// the scratch directory (if a spill ever created it), releases the output
+// claim and closes Done. Journal
 // errors are dropped: the job itself already finished, and an entry left
 // incomplete merely means the next Recover re-runs it — which the result
 // cache and atomic per-task commit make harmless.
@@ -1101,10 +1117,7 @@ func (s *System) BuildIndexWith(spec IndexSpec, inputPath, indexPath string, cfg
 // BuildIndexCtx is BuildIndexWith with a cancellation context: canceling
 // ctx aborts the build and removes its partial index files.
 func (s *System) BuildIndexCtx(ctx context.Context, spec IndexSpec, inputPath, indexPath string, cfg BuildConfig) (CatalogEntry, error) {
-	jobWork, err := os.MkdirTemp(s.workDir, "idx-*")
-	if err != nil {
-		return CatalogEntry{}, fmt.Errorf("manimal: %w", err)
-	}
+	jobWork := s.scratchDir("idx")
 	defer os.RemoveAll(jobWork)
 	entry, err := indexgen.BuildWith(ctx, s.sched, spec, inputPath, indexPath, jobWork, cfg)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,9 +252,9 @@ func crashAndRecover(t *testing.T, regime string) {
 }
 
 // TestRefusedSubmissionIsNotReplayed: a submission refused AFTER its
-// journal record was written (here admission cannot create the scratch
-// directory) is journaled as failed — the caller was told "refused", so
-// no later recovery may run the job behind its back.
+// journal record was written (here its admission fails) is journaled as
+// failed — the caller was told "refused", so no later recovery may run the
+// job behind its back.
 func TestRefusedSubmissionIsNotReplayed(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
@@ -265,13 +266,12 @@ func TestRefusedSubmissionIsNotReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	work := filepath.Join(sysDir, "work")
-	if err := errors.Join(os.Remove(work), os.WriteFile(work, nil, 0o644)); err != nil {
-		t.Fatal(err)
-	}
 	spec := crashSpec("refused", data, filepath.Join(dir, "out.kv"), 0)
-	if _, err := sys.SubmitAsync(context.Background(), spec); err == nil {
-		t.Fatal("submission accepted with an unusable scratch directory")
+	faultinject.Set(faultinject.MustParse("admit=1.0@refused;seed=1"))
+	_, err = sys.SubmitAsync(context.Background(), spec)
+	faultinject.Reset()
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("submission whose admission fails: err = %v; want the injected refusal", err)
 	}
 	if st := sys.Journal().Stats(); st.Jobs != 1 || st.Incomplete != 0 {
 		t.Fatalf("journal after the refusal = %+v, want the one job terminal", st)
@@ -279,7 +279,7 @@ func TestRefusedSubmissionIsNotReplayed(t *testing.T) {
 	if e, ok, err := sys.Journal().Lookup("j00000001"); err != nil || !ok || e.State() != journal.StateFailed {
 		t.Fatalf("refused job's journal state = %s (ok %v, err %v), want failed", e.State(), ok, err)
 	}
-	if err := errors.Join(sys.Close(), os.Remove(work)); err != nil {
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -294,6 +294,80 @@ func TestRefusedSubmissionIsNotReplayed(t *testing.T) {
 	// The refusal released its claim on the output path.
 	if _, err := sys.Submit(spec); err != nil {
 		t.Fatalf("the same submission on a healthy system: %v", err)
+	}
+}
+
+// pairsProgram shuffles every page's content: a map task over a megabyte
+// of pages spills more than stays in memory.
+const pairsProgram = `
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(v.Str("url"), v.Str("content"))
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	n := 0
+	for values.Next() {
+		n = n + 1
+	}
+	ctx.Emit(key, n)
+}
+`
+
+// TestUnusableWorkDirFailsAtFirstDiskSpill: admission no longer touches
+// the scratch space, so with an unusable work directory a job whose
+// shuffle stays in memory still runs, and one that needs a spill file is
+// accepted and fails at that spill — journaled failed, so recovery
+// replays nothing.
+func TestUnusableWorkDirFailsAtFirstDiskSpill(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(24).WriteWebPages(data, 3000, 1024); err != nil {
+		t.Fatal(err)
+	}
+	sysDir := filepath.Join(dir, "sys")
+	sys, err := manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := filepath.Join(sysDir, "work")
+	if err := errors.Join(os.Remove(work), os.WriteFile(work, nil, 0o644)); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := sys.Submit(crashSpec("tiny", data, filepath.Join(dir, "tiny.kv"), 0)); err != nil {
+		t.Fatalf("a job whose shuffle fits in memory needed the scratch space: %v", err)
+	}
+
+	prog, err := manimal.ParseProgram("pairs.go", pairsProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.SubmitAsync(context.Background(), manimal.JobSpec{
+		Name:             "spills",
+		Inputs:           []manimal.InputSpec{{Path: data, Program: prog}},
+		OutputPath:       filepath.Join(dir, "spills.kv"),
+		MaxParallelTasks: 1, // two map tasks of about 1.5 MB each
+	})
+	if err != nil {
+		t.Fatalf("admission touched the scratch space: %v", err)
+	}
+	if _, err := h.Wait(); err == nil || !strings.Contains(err.Error(), "spill directory") {
+		t.Fatalf("job spilling into an unusable work directory: err = %v; want the spill-directory failure", err)
+	}
+	if e, ok, err := sys.Journal().Lookup(h.JournalID()); err != nil || !ok || e.State() != journal.StateFailed {
+		t.Fatalf("failed job's journal state = %s (ok %v, err %v), want failed", e.State(), ok, err)
+	}
+	if err := errors.Join(sys.Close(), os.Remove(work)); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, err = manimal.NewSystemWith(sysDir, manimal.Options{Journal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if recovered, err := sys.Recover(context.Background()); err != nil || len(recovered) != 0 {
+		t.Fatalf("recovery resubmitted terminal jobs: %+v, %v", recovered, err)
 	}
 }
 
