@@ -334,3 +334,34 @@ func TestShardSetAsLogicalTree(t *testing.T) {
 		t.Fatalf("tree file opened as %T", lone)
 	}
 }
+
+// TestBuilderAddAllocs gates the bulk loader's steady state: Add encodes
+// the key and the record into reused buffers and reuses the leaf and page
+// buffers across leaves, so the only allocations left are the one key
+// copy per leaf and the level bookkeeping — well under 0.1 per Add.
+func TestBuilderAddAllocs(t *testing.T) {
+	const n = 10000
+	b, err := NewBuilder(filepath.Join(t.TempDir(), "t.idx"), kvSchema, `v.Int("id")`, BuilderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Abort()
+	recs := make([]*serde.Record, n)
+	for i := range recs {
+		recs[i] = serde.NewRecord(kvSchema)
+		recs[i].MustSet("id", serde.Int(int64(i)))
+		recs[i].MustSet("payload", serde.String(fmt.Sprintf("row-%06d", i)))
+	}
+	next := int64(0) // keys keep rising across AllocsPerRun's warm-up and measured run
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, rec := range recs {
+			if err := b.Add(serde.Int(next), rec); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	})
+	if perAdd := allocs / n; perAdd >= 0.1 {
+		t.Fatalf("Add allocates %.3f objects per record over %d records; want < 0.1", perAdd, n)
+	}
+}

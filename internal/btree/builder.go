@@ -63,13 +63,18 @@ type Builder struct {
 	offset  int64
 	seq     uint64
 	lastKey []byte
+	// keyBuf and recBuf are Add's reused encoding buffers: the new key is
+	// built in keyBuf, which then trades places with lastKey.
+	keyBuf []byte
+	recBuf []byte
 
-	// Current leaf being filled.
+	// Current leaf being filled; leafBuf is truncated, not dropped, per leaf.
 	leafBuf  []byte
 	leafN    uint64
-	leafKey0 []byte // first key of current leaf
+	leafKey0 []byte // first key of current leaf: the one key copy per leaf
 
-	// Previous completed leaf, deferred so its next-pointer can be set.
+	// Previous completed leaf, deferred so its next-pointer can be set. Its
+	// buffer is reused once it is written.
 	pendingLeaf []byte
 	pendingKey0 []byte
 
@@ -117,22 +122,25 @@ func (b *Builder) Add(key serde.Datum, rec *serde.Record) error {
 	if !rec.Schema().Equal(b.schema) {
 		return fmt.Errorf("btree: record schema %s != tree schema %s", rec.Schema(), b.schema)
 	}
-	kb := key.AppendSortKey(nil)
+	kb := key.AppendSortKey(b.keyBuf[:0])
 	kb = binary.BigEndian.AppendUint64(kb, b.seq)
-	b.seq++
-	if b.lastKey != nil && compareBytes(kb, b.lastKey) < 0 {
+	if b.seq > 0 && compareBytes(kb, b.lastKey) < 0 {
 		return fmt.Errorf("btree: keys out of order: %v after larger key", key)
 	}
-	b.lastKey = kb
+	b.seq++
+	b.keyBuf, b.lastKey = b.lastKey, kb
 
 	if b.leafN == 0 {
-		b.leafKey0 = kb
+		if b.leafBuf == nil {
+			b.leafBuf = make([]byte, 0, b.pageSize+b.pageSize/4)
+		}
+		b.leafKey0 = append([]byte(nil), kb...)
 	}
 	b.leafBuf = binary.AppendUvarint(b.leafBuf, uint64(len(kb)))
 	b.leafBuf = append(b.leafBuf, kb...)
-	payload := rec.AppendBinary(nil)
-	b.leafBuf = binary.AppendUvarint(b.leafBuf, uint64(len(payload)))
-	b.leafBuf = append(b.leafBuf, payload...)
+	b.recBuf = rec.AppendBinary(b.recBuf[:0])
+	b.leafBuf = binary.AppendUvarint(b.leafBuf, uint64(len(b.recBuf)))
+	b.leafBuf = append(b.leafBuf, b.recBuf...)
 	b.leafN++
 
 	if len(b.leafBuf) >= b.pageSize {
@@ -147,12 +155,6 @@ func (b *Builder) finishLeaf() error {
 	if b.leafN == 0 {
 		return nil
 	}
-	leaf := buildLeafPayload(b.leafN, b.leafBuf)
-	key0 := b.leafKey0
-	b.leafBuf = nil
-	b.leafN = 0
-	b.leafKey0 = nil
-
 	if b.pendingLeaf != nil {
 		// The pending leaf's successor starts right after it.
 		next := b.offset + int64(4+len(b.pendingLeaf))
@@ -160,18 +162,22 @@ func (b *Builder) finishLeaf() error {
 			return err
 		}
 	}
-	b.pendingLeaf = leaf
-	b.pendingKey0 = key0
+	b.pendingLeaf = appendLeafPage(b.pendingLeaf[:0], b.leafN, b.leafBuf)
+	b.pendingKey0 = b.leafKey0
+	b.leafBuf = b.leafBuf[:0]
+	b.leafN = 0
+	b.leafKey0 = nil
 	return nil
 }
 
-// buildLeafPayload assembles a leaf page minus the next-pointer (which is
+// appendLeafPage appends a leaf page minus the next-pointer (which is
 // patched into the reserved first 8 bytes after the type byte at write time).
-func buildLeafPayload(n uint64, entries []byte) []byte {
-	page := []byte{pageLeaf}
-	page = append(page, make([]byte, 8)...) // next-pointer placeholder
-	page = binary.AppendUvarint(page, n)
-	return append(page, entries...)
+func appendLeafPage(dst []byte, n uint64, entries []byte) []byte {
+	var next [8]byte // next-pointer placeholder
+	dst = append(dst, pageLeaf)
+	dst = append(dst, next[:]...)
+	dst = binary.AppendUvarint(dst, n)
+	return append(dst, entries...)
 }
 
 func (b *Builder) writePage(page, firstKey []byte, nextLeaf int64) error {
@@ -213,7 +219,7 @@ func (b *Builder) Close() error {
 
 	// Handle the empty tree: a single empty leaf.
 	if len(b.level) == 0 {
-		if err := b.writePage(buildLeafPayload(0, nil), nil, 0); err != nil {
+		if err := b.writePage(appendLeafPage(nil, 0, nil), nil, 0); err != nil {
 			b.f.Abort()
 			return err
 		}

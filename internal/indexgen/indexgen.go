@@ -14,10 +14,19 @@
 // bulk-loads one shard file, and a manifest (ordered shard list plus the
 // partitioner's key boundaries) ties the shards into one logical tree
 // registered as catalog.KindBTreeSharded. Record-file builds run their
-// map-only scan with full task parallelism, each task writing one plain
-// ordered segment, which Build stitches — in split order, preserving the
-// original record order delta-compression relies on — into the final
-// encoded file.
+// map-only scan with full task parallelism, each task writing one part
+// file already in the index's encodings; storage.Concat then joins the
+// parts — in split order, preserving the original record order
+// delta-compression relies on — by copying their blocks, rewriting only
+// dictionary codes onto one dictionary, so every record is encoded once.
+//
+// # Field-pruned scans
+//
+// An index generator reads only what its index stores: the build input
+// is opened with a decode mask of the spec's stored fields plus the fields
+// the key expression reads (as the analyzer finds them), and the key
+// sample scans through the same mask. A B+Tree on one small field of a
+// wide input therefore never reads, shuffles or sorts the other columns.
 //
 // Builds are ordinary MapReduce jobs: BuildWith submits them to a
 // mapreduce.Scheduler, so index generation shares the process-wide slot
@@ -222,55 +231,130 @@ func BuildWith(ctx context.Context, sched *mapreduce.Scheduler, spec Spec, input
 	if err != nil {
 		return catalog.Entry{}, err
 	}
-	in, err := mapreduce.OpenFile(inputPath, false)
+	in, pd, err := openInput(inputPath, spec)
 	if err != nil {
 		return catalog.Entry{}, err
 	}
 	defer in.Close()
-	schema := in.Schema()
-
-	fields := spec.Fields
-	if len(fields) == 0 {
-		fields = schema.FieldNames()
-	}
-	stored, err := schema.Project(fields...)
-	if err != nil {
-		return catalog.Entry{}, fmt.Errorf("indexgen: %w", err)
-	}
-
-	prog, err := lang.Parse(spec.Source())
-	if err != nil {
-		return catalog.Entry{}, fmt.Errorf("indexgen: synthesized program: %w", err)
-	}
-
 	entry := catalog.Entry{
 		InputPath:         inputPath,
-		IndexPath:         indexPath,
-		Kind:              spec.Kind,
-		KeyExpr:           spec.KeyExpr,
-		Fields:            fields,
-		CreatedAt:         time.Now(),
 		InputSizeBytes:    fp.Size(),
 		InputModTimeNanos: fp.ModTime().UnixNano(),
 	}
-
-	switch spec.Kind {
-	case catalog.KindBTree:
-		err = buildBTree(ctx, sched, &entry, spec, prog, in, stored, indexPath, workDir, cfg)
-	case catalog.KindRecordFile:
-		err = buildRecordFile(ctx, sched, &entry, spec, prog, in, stored, indexPath, cfg)
-	default:
-		return catalog.Entry{}, fmt.Errorf("indexgen: unknown index kind %q", spec.Kind)
-	}
-	if err != nil {
+	if err := build(ctx, sched, &entry, spec, in, pd, indexPath, workDir, cfg); err != nil {
 		return catalog.Entry{}, fmt.Errorf("indexgen: %w", err)
 	}
 	entry.BuildDuration = time.Since(start)
 	return entry, nil
 }
 
+// openInput opens the build's input decoding only the fields the index
+// stores and its key reads, with the pushdown that masks the rest (nil
+// when nothing can be masked). A masked field reads as its kind's zero
+// value: its segments never leave the disk, and it costs about a byte per
+// record in the shuffle. That is legal because the index stores exactly
+// spec.Fields (the output projects every record down to them) and the key
+// reads only its own fields.
+func openInput(inputPath string, spec Spec) (*mapreduce.FileInput, *storage.Pushdown, error) {
+	in, err := mapreduce.OpenFile(inputPath, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	decode := decodeFields(spec, in.Schema())
+	if decode == nil {
+		return in, nil, nil
+	}
+	in.Close()
+	pd := &storage.Pushdown{Fields: decode}
+	in, err = mapreduce.OpenFileWith(inputPath, false, pd)
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, pd, nil
+}
+
+// decodeFields returns, in schema order, the fields a build of spec over
+// an input with this schema must decode: the stored fields plus the fields
+// the key expression reads. It returns nil — decode everything — when the
+// key's fields cannot be bounded or the set is the whole schema.
+func decodeFields(spec Spec, schema *serde.Schema) []string {
+	if len(spec.Fields) == 0 {
+		return nil
+	}
+	need := make(map[string]bool, schema.NumFields())
+	for _, f := range spec.Fields {
+		need[f] = true
+	}
+	if spec.Kind == catalog.KindBTree {
+		keyFields, ok := keyFields(spec.KeyExpr, schema)
+		if !ok {
+			return nil
+		}
+		for _, f := range keyFields {
+			need[f] = true
+		}
+	}
+	var decode []string
+	for _, f := range schema.FieldNames() {
+		if need[f] {
+			decode = append(decode, f)
+		}
+	}
+	if len(decode) == schema.NumFields() {
+		return nil
+	}
+	return decode
+}
+
+// keyFields returns the input fields keyExpr reads: the analyzer's used
+// fields for a program that emits only the key. ok is false when the
+// analyzer cannot bound them (an opaque use of the record, or every field
+// used).
+func keyFields(keyExpr string, schema *serde.Schema) (fields []string, ok bool) {
+	prog, err := lang.Parse(fmt.Sprintf("func Map(k, v *Record, ctx *Ctx) {\n\tctx.Emit(%s, 0)\n}\n", keyExpr))
+	if err != nil {
+		return nil, false
+	}
+	desc, err := analyzer.Analyze(prog, schema)
+	if err != nil || desc.Project == nil {
+		return nil, false
+	}
+	return desc.Project.UsedFields, true
+}
+
+// build runs the index-generation job for spec over in, whose scans apply
+// pd (nil for none), and fills in the entry's index fields.
+func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, in *mapreduce.FileInput, pd *storage.Pushdown, indexPath, workDir string, cfg BuildConfig) error {
+	schema := in.Schema()
+	fields := spec.Fields
+	if len(fields) == 0 {
+		fields = schema.FieldNames()
+	}
+	stored, err := schema.Project(fields...)
+	if err != nil {
+		return err
+	}
+	prog, err := lang.Parse(spec.Source())
+	if err != nil {
+		return fmt.Errorf("synthesized program: %w", err)
+	}
+	entry.IndexPath = indexPath
+	entry.Kind = spec.Kind
+	entry.KeyExpr = spec.KeyExpr
+	entry.Fields = fields
+	entry.CreatedAt = time.Now()
+	switch spec.Kind {
+	case catalog.KindBTree:
+		return buildBTree(ctx, sched, entry, spec, prog, in, pd, stored, indexPath, workDir, cfg)
+	case catalog.KindRecordFile:
+		return buildRecordFile(ctx, sched, entry, spec, prog, in, stored, indexPath, cfg)
+	default:
+		return fmt.Errorf("unknown index kind %q", spec.Kind)
+	}
+}
+
 // buildBTree runs the sharded (or single-file) B+Tree build.
-func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, stored *serde.Schema, indexPath, workDir string, cfg BuildConfig) error {
+func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, pd *storage.Pushdown, stored *serde.Schema, indexPath, workDir string, cfg BuildConfig) error {
 	// A rebuild at the same path can produce fewer (or zero) shards than
 	// its predecessor — the shard count is data- and host-dependent — so
 	// drop the old shard files up front lest the survivors orphan. The
@@ -282,8 +366,10 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 	shards := cfg.numShards()
 	var bounds [][]byte
 	if shards > 1 {
-		var err error
-		bounds, err = sampleKeyBounds(ctx, in, prog, shards, cfg.sampleSize())
+		err := retryTransient(func() (err error) {
+			bounds, err = sampleKeyBounds(ctx, in, pd, prog, shards, cfg.sampleSize())
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -350,50 +436,45 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 }
 
 // buildRecordFile runs the parallel record-file build: a map-only job
-// whose tasks each write one plain ordered segment (Job.OutputFor), then a
-// stitch pass streaming the segments — in split order, i.e. original
-// record order — into the final encoded file.
+// whose tasks each write one part file, already in the spec's encodings
+// (Job.OutputFor), then storage.Concat joins the parts — in split order,
+// i.e. original record order — into the final file without re-encoding a
+// record.
 func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, stored *serde.Schema, indexPath string, cfg BuildConfig) error {
+	opts := storage.WriterOptions{Encodings: spec.Encodings}
 	var mu sync.Mutex
-	segs := make(map[int]string)
+	parts := make(map[int]string)
 	job := &mapreduce.Job{
 		Name:   "indexgen:" + indexPath,
 		Inputs: []mapreduce.MapInput{{Input: in, Mapper: fabric.MapperFactory(prog)}},
 		OutputFor: func(task int) (mapreduce.Output, error) {
 			path := fmt.Sprintf("%s.seg%06d", indexPath, task)
 			mu.Lock()
-			segs[task] = path
+			parts[task] = path
 			mu.Unlock()
-			return mapreduce.NewRecordFileOutput(path, stored, storage.WriterOptions{})
+			return mapreduce.NewRecordFileOutput(path, stored, opts)
 		},
 		Config: mapreduce.Config{MaxParallelTasks: cfg.MaxParallelTasks},
 	}
-	cleanup := func() {
-		for _, p := range segs {
+	defer func() {
+		for _, p := range parts {
 			os.Remove(p)
 		}
-	}
-	defer cleanup()
+	}()
 	if _, err := sched.Run(ctx, job); err != nil {
 		return err
 	}
 
-	order := make([]int, 0, len(segs))
-	for task := range segs {
+	order := make([]int, 0, len(parts))
+	for task := range parts {
 		order = append(order, task)
 	}
 	sort.Ints(order)
-	w, err := storage.NewWriter(indexPath, stored, storage.WriterOptions{Encodings: spec.Encodings})
-	if err != nil {
-		return err
+	paths := make([]string, len(order))
+	for i, task := range order {
+		paths[i] = parts[task]
 	}
-	for _, task := range order {
-		if err := appendSegment(ctx, w, segs[task]); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
+	if err := retryTransient(func() error { return concat(ctx, indexPath, stored, opts, paths) }); err != nil {
 		return err
 	}
 	// Record the format the variant was just written in, so tooling can
@@ -410,40 +491,39 @@ func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *cat
 	return nil
 }
 
-// appendSegment streams one plain segment's records into the final writer,
-// polling ctx between batches so a canceled build stops stitching.
-func appendSegment(ctx context.Context, w *storage.Writer, path string) error {
-	r, err := storage.Open(path)
+// concat joins the build's part files into indexPath. An input without
+// blocks runs no map task and leaves no part: the index is then the empty
+// file a writer with the build's schema and encodings seals.
+func concat(ctx context.Context, indexPath string, stored *serde.Schema, opts storage.WriterOptions, parts []string) error {
+	if len(parts) > 0 {
+		return storage.Concat(ctx, indexPath, parts)
+	}
+	w, err := storage.NewWriter(indexPath, stored, opts)
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-	sc, err := r.ScanAll()
-	if err != nil {
-		return err
-	}
-	n := 0
-	for sc.Next() {
-		if n%stitchCancelEvery == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		n++
-		if err := w.Append(sc.Record()); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return w.Close()
 }
 
-// stitchCancelEvery throttles context polls on the stitch and sample scan
-// loops (they run outside the engine's task loops, which poll themselves).
-const stitchCancelEvery = 1024
+// retryTransient runs fn, one of the reads a build makes outside the
+// engine's task loop (the key sample, the concat of the parts), and runs
+// it again after a transient failure, as the engine relaunches a failed
+// task: at most mapreduce.DefaultMaxTaskRetries more times. Both are
+// all-or-nothing, so a retry starts from scratch.
+func retryTransient(fn func() error) error {
+	err := fn()
+	for retry := 0; retry < mapreduce.DefaultMaxTaskRetries && err != nil && mapreduce.IsTransient(err); retry++ {
+		err = fn()
+	}
+	return err
+}
 
-// sampleKeyBounds scans a block-spread sample of the input, evaluates the
-// synthesized key expression on each record through the interpreter, and
-// returns up to shards-1 interior quantile cut keys (sort-key encoded,
-// deduplicated — heavy duplicates merge adjacent shards).
-func sampleKeyBounds(ctx context.Context, in *mapreduce.FileInput, prog *lang.Program, shards, sample int) ([][]byte, error) {
+// sampleKeyBounds scans a block-spread sample of the input through the
+// build's pushdown pd, evaluates the synthesized key expression on each
+// record through the interpreter, and returns up to shards-1 interior
+// quantile cut keys (sort-key encoded, deduplicated — heavy duplicates
+// merge adjacent shards).
+func sampleKeyBounds(ctx context.Context, in *mapreduce.FileInput, pd *storage.Pushdown, prog *lang.Program, shards, sample int) ([][]byte, error) {
 	ex, err := interp.New(prog)
 	if err != nil {
 		return nil, err
@@ -470,7 +550,7 @@ func sampleKeyBounds(ctx context.Context, in *mapreduce.FileInput, prog *lang.Pr
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc, err := r.Scan(i*nb/blocks, i*nb/blocks+1)
+		sc, err := r.ScanPushdown(i*nb/blocks, i*nb/blocks+1, pd)
 		if err != nil {
 			return nil, err
 		}

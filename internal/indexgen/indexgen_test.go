@@ -3,13 +3,19 @@ package indexgen
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"manimal/internal/analyzer"
 	"manimal/internal/btree"
 	"manimal/internal/catalog"
+	"manimal/internal/durable"
 	"manimal/internal/fabric"
 	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
@@ -279,9 +285,13 @@ func TestIndexedInputSplitsHonorTarget(t *testing.T) {
 	}
 }
 
-// TestParallelRecordFileBuildPreservesOrder: the per-task segment build
-// must stitch back to exactly the serial build's record order (which
-// delta-compression depends on).
+// TestParallelRecordFileBuildPreservesOrder: the per-task part build must
+// concatenate back to exactly the serial build's record order (which
+// delta-compression depends on) and dictionary. Block boundaries follow
+// task boundaries, so builds with different task counts are record- and
+// dictionary-equal, not byte-equal; two builds with the same BuildConfig
+// are byte-identical. That is the record-file half of ROADMAP item 4(d):
+// a record-file build is a pure function of its input and configuration.
 func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "uservisits.rec")
@@ -289,18 +299,23 @@ func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := Spec{
-		Kind:      catalog.KindRecordFile,
-		Fields:    []string{"sourceIP", "adRevenue"},
-		Encodings: map[string]storage.FieldEncoding{"adRevenue": storage.EncodeDelta},
+		Kind:   catalog.KindRecordFile,
+		Fields: []string{"sourceIP", "adRevenue"},
+		Encodings: map[string]storage.FieldEncoding{
+			"sourceIP": storage.EncodeDict, "adRevenue": storage.EncodeDelta,
+		},
 	}
-	serial, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data, filepath.Join(dir, "serial.rec"), dir, BuildConfig{MaxParallelTasks: 1})
-	if err != nil {
-		t.Fatal(err)
+	build := func(name string, cfg BuildConfig) catalog.Entry {
+		t.Helper()
+		e, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data, filepath.Join(dir, name), dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
-	par, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data, filepath.Join(dir, "par.rec"), dir, BuildConfig{MaxParallelTasks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := build("serial.rec", BuildConfig{MaxParallelTasks: 1})
+	par := build("par.rec", BuildConfig{MaxParallelTasks: 8})
+	again := build("again.rec", BuildConfig{MaxParallelTasks: 8})
 	a, _, err := storage.ReadAll(serial.IndexPath)
 	if err != nil {
 		t.Fatal(err)
@@ -317,24 +332,25 @@ func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 			t.Fatalf("record %d differs between serial and parallel build", i)
 		}
 	}
-	// Same records in the same order through the same writer: the stitched
-	// files are byte-identical, not merely record-equal.
-	sb, err := os.ReadFile(serial.IndexPath)
-	if err != nil {
-		t.Fatal(err)
+	if sd, pd := dictTerms(t, serial.IndexPath, "sourceIP"), dictTerms(t, par.IndexPath, "sourceIP"); !slices.Equal(sd, pd) {
+		t.Fatalf("serial and parallel builds wrote different dictionaries (%d vs %d terms)", len(sd), len(pd))
 	}
 	pb, err := os.ReadFile(par.IndexPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(sb, pb) {
-		t.Fatal("serial and parallel builds wrote different bytes")
+	ab, err := os.ReadFile(again.IndexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pb, ab) {
+		t.Fatal("two builds with the same BuildConfig wrote different bytes")
 	}
 	// The build's map job — this input opened the way BuildWith opens it,
 	// the synthesized program, the interpreter mapper — scans batch-wise
 	// and still accounts a full scan: every block read once, every record
 	// mapped once.
-	in, err := mapreduce.OpenFile(data, false)
+	in, _, err := openInput(data, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +377,7 @@ func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 	if got := res.Counters.Get(mapreduce.CtrMapInputRecords); got != 3000 {
 		t.Fatalf("build map job mapped %d records, want 3000", got)
 	}
-	// No stray segment files may survive the stitch.
+	// No stray part files may survive the concat.
 	names, err := filepath.Glob(filepath.Join(dir, "*.seg*"))
 	if err != nil {
 		t.Fatal(err)
@@ -369,4 +385,211 @@ func TestParallelRecordFileBuildPreservesOrder(t *testing.T) {
 	if len(names) != 0 {
 		t.Fatalf("leftover segment files: %v", names)
 	}
+}
+
+// dictTerms returns the terms of a record file's dictionary for field, in
+// code order.
+func dictTerms(t *testing.T, path, field string) []string {
+	t.Helper()
+	r, err := storage.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	d := r.Dictionary(field)
+	if d == nil {
+		t.Fatalf("%s: no dictionary for %s", path, field)
+	}
+	terms := make([]string, d.Len())
+	for c := range terms {
+		terms[c], _ = d.Decode(uint64(c))
+	}
+	return terms
+}
+
+// requireNoLeftovers fails if a part file or an uncommitted temp file is
+// left in dir.
+func requireNoLeftovers(t *testing.T, dir string) {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range des {
+		if _, temp := durable.IsTemp(de.Name()); temp || strings.Contains(de.Name(), ".seg") {
+			t.Errorf("leftover file %s", de.Name())
+		}
+	}
+}
+
+// TestFieldPrunedBuildReadsOnlyStoredAndKeyFields: a B+Tree on rank
+// storing only rank reads exactly the rank segments of the input — once
+// for the map scan and, when sharded, once more for the key sample over
+// an input of at most sampleMaxBlocks blocks — and never content or url.
+func TestFieldPrunedBuildReadsOnlyStoredAndKeyFields(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(10).WriteWebPages(data, 6000, 256); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: catalog.KindBTree, KeyExpr: `v.Int("rank")`, Fields: []string{"rank"}}
+	if got := decodeFields(spec, workload.WebPagesSchema); !slices.Equal(got, []string{"rank"}) {
+		t.Fatalf("decode set = %v, want [rank]", got)
+	}
+
+	// The bytes of every rank segment, as a masked scan of the input reads them.
+	r, err := storage.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := r.ScanPushdown(0, r.NumBlocks(), &storage.Pushdown{Fields: []string{"rank"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sc.Next() {
+	}
+	if sc.Err() != nil {
+		t.Fatal(sc.Err())
+	}
+	rankBytes, blocks := r.BytesRead(), r.NumBlocks()
+	r.Close()
+	if blocks < 2 || blocks > sampleMaxBlocks {
+		t.Fatalf("input has %d blocks; the test needs 2..%d", blocks, sampleMaxBlocks)
+	}
+
+	for _, c := range []struct {
+		shards int
+		want   int64
+	}{{1, rankBytes}, {4, 2 * rankBytes}} {
+		in, pd, err := openInput(data, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e catalog.Entry
+		idx := filepath.Join(dir, fmt.Sprintf("rank%d.idx", c.shards))
+		err = build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, idx, dir, BuildConfig{NumShards: c.shards})
+		got := in.BytesRead()
+		in.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("%d-shard build read %d bytes, want %d (the rank segments only)", c.shards, got, c.want)
+		}
+	}
+}
+
+// TestMaskedBuildStoresSameRecords: a field-pruned build stores exactly
+// the records an unmasked build of the same spec stores, for a B+Tree and
+// for a projected record file.
+func TestMaskedBuildStoresSameRecords(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(11).WriteWebPages(data, 3000, 128); err != nil {
+		t.Fatal(err)
+	}
+	buildBoth := func(spec Spec, name string) (masked, full string) {
+		t.Helper()
+		in, pd, err := openInput(data, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Close()
+		if pd == nil {
+			t.Fatalf("%s: no mask for %s", name, spec.Describe())
+		}
+		plain, err := mapreduce.OpenFile(data, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		masked, full = filepath.Join(dir, name+".masked"), filepath.Join(dir, name+".full")
+		cfg := BuildConfig{NumShards: 1}
+		var e catalog.Entry
+		if err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, masked, dir, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, plain, nil, full, dir, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return masked, full
+	}
+
+	masked, full := buildBoth(Spec{Kind: catalog.KindBTree, KeyExpr: `v.Str("url")`, Fields: []string{"rank"}}, "tree")
+	mi, err := btree.OpenIndex(masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mi.Close()
+	fi, err := btree.OpenIndex(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fi.Close()
+	a, b := scanPairs(t, mi), scanPairs(t, fi)
+	if len(a) != len(b) || len(a) != 3000 {
+		t.Fatalf("entries: masked %d, unmasked %d", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i][0], b[i][0]) || !bytes.Equal(a[i][1], b[i][1]) {
+			t.Fatalf("entry %d differs between masked and unmasked builds", i)
+		}
+	}
+
+	masked, full = buildBoth(Spec{Kind: catalog.KindRecordFile, Fields: []string{"url", "rank"}}, "proj")
+	mb, err := os.ReadFile(masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mb, fb) {
+		t.Fatal("masked and unmasked record-file builds wrote different bytes")
+	}
+}
+
+// cancelOnParts is a context that reports itself canceled once a committed
+// part file exists beside index: the build's map job has then written its
+// parts, and the concat's per-block poll is what sees the cancellation.
+type cancelOnParts struct {
+	context.Context
+	index string
+	once  sync.Once
+	done  chan struct{}
+}
+
+func (c *cancelOnParts) Done() <-chan struct{} { return c.done }
+
+func (c *cancelOnParts) Err() error {
+	if names, _ := filepath.Glob(c.index + ".seg*"); len(names) == 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// TestCanceledRecordFileBuildLeavesNothing: a record-file build canceled
+// after its parts are written leaves neither an index nor part files.
+func TestCanceledRecordFileBuildLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "uservisits.rec")
+	if err := workload.NewGen(12).WriteUserVisits(data, 3000, 200); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{
+		Kind:      catalog.KindRecordFile,
+		Fields:    workload.UserVisitsSchema.FieldNames(),
+		Encodings: map[string]storage.FieldEncoding{"destURL": storage.EncodeDict},
+	}
+	out := filepath.Join(dir, "uv.dict")
+	ctx := &cancelOnParts{Context: context.Background(), index: out, done: make(chan struct{})}
+	if _, err := BuildWith(ctx, mapreduce.DefaultScheduler(), spec, data, out, dir, BuildConfig{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v; want context.Canceled", err)
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("canceled build left an index at %s (stat: %v)", out, err)
+	}
+	requireNoLeftovers(t, dir)
 }

@@ -505,12 +505,12 @@ func (e *Execution) admit() error {
 	}
 }
 
-// isTransient classifies an attempt error: transient errors may succeed
+// IsTransient classifies an attempt error: transient errors may succeed
 // on relaunch, permanent ones cannot. Cancellation is permanent (the job
 // is going away) and so is storage corruption — re-reading flipped bits
 // yields the same flipped bits; the corrupt-input recovery path is the
 // catalog quarantine + replan above the engine, not a task retry.
-func isTransient(err error) bool {
+func IsTransient(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
@@ -776,7 +776,7 @@ func (s *Scheduler) runAttempt(e *Execution, ph *phaseRun, ta *TaskAttempt) {
 	case ph.halted:
 		// The phase is already failing or canceled; don't reclassify.
 		rec.Outcome = AttemptFailed
-	case !isTransient(err) || (slot.done && slot.winner == ta):
+	case !IsTransient(err) || (slot.done && slot.winner == ta):
 		// Permanent failure — including an error AFTER this attempt's own
 		// successful commit, which must fail the job rather than strand
 		// the phase between committed and failed.

@@ -125,6 +125,11 @@ func (s *Schema) Project(names ...string) (*Schema, error) {
 
 // Equal reports whether the two schemas have identical fields in order.
 func (s *Schema) Equal(o *Schema) bool {
+	// One schema value is shared by every record of a file or job, so the
+	// per-record write paths almost always compare a schema with itself.
+	if s == o {
+		return true
+	}
 	if s == nil || o == nil {
 		return s == o
 	}

@@ -165,6 +165,38 @@ func TestSchemaBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSchemaEqual: the pointer-equality fast path answers exactly what the
+// field-by-field comparison answers.
+func TestSchemaEqual(t *testing.T) {
+	a := MustSchema(Field{Name: "a", Kind: KindInt64}, Field{Name: "b", Kind: KindString})
+	same := MustSchema(Field{Name: "a", Kind: KindInt64}, Field{Name: "b", Kind: KindString})
+	renamed := MustSchema(Field{Name: "a", Kind: KindInt64}, Field{Name: "c", Kind: KindString})
+	retyped := MustSchema(Field{Name: "a", Kind: KindInt64}, Field{Name: "b", Kind: KindBytes})
+	shorter := MustSchema(Field{Name: "a", Kind: KindInt64})
+	var none *Schema
+	for _, c := range []struct {
+		name string
+		x, y *Schema
+		want bool
+	}{
+		{"itself", a, a, true},
+		{"equal copy", a, same, true},
+		{"renamed field", a, renamed, false},
+		{"retyped field", a, retyped, false},
+		{"fewer fields", a, shorter, false},
+		{"nil and nil", none, none, true},
+		{"schema and nil", a, none, false},
+		{"nil and schema", none, a, false},
+	} {
+		if got := c.x.Equal(c.y); got != c.want {
+			t.Errorf("%s: Equal = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.y.Equal(c.x); got != c.want {
+			t.Errorf("%s (swapped): Equal = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestSchemaErrors(t *testing.T) {
 	if _, err := NewSchema(Field{Name: "a", Kind: KindInt64}, Field{Name: "a", Kind: KindString}); err == nil {
 		t.Error("duplicate field accepted")

@@ -69,11 +69,20 @@
 // and rows are only materialized (into a caller-reused record) on demand —
 // late materialization. The engine hands whole batches to the interpreter.
 // Reader.ScanPushdown (Scanner) is a row cursor over the same scanner for
-// callers that want one record at a time (ReadAll, index stitching, key
-// sampling): it walks each batch's selection vector and materializes each
-// row into one reused record, keyed by Batch.Base()+row. Both therefore
+// callers that want one record at a time (ReadAll, key sampling): it
+// walks each batch's selection vector and materializes each row into one
+// reused record, keyed by Batch.Base()+row. Both therefore
 // see the same surviving rows, values, record indices, and pruning
 // counters by construction.
+//
+// # Concatenation
+//
+// Concat joins record files with one schema and encoding set into one
+// file by copying their blocks: every segment's checksum is verified as it
+// is read, block index entries and zone-map stats carry over, and only
+// dictionary segments are rewritten, their codes remapped onto one merged
+// dictionary in the order a single Writer would have assigned. Parallel
+// index builds use it to assemble per-task parts without decoding a row.
 //
 // # Scan pushdown
 //
@@ -259,25 +268,51 @@ func NewWriter(path string, schema *serde.Schema, opts WriterOptions) (*Writer, 
 		}
 		w.encodings[i] = enc
 	}
-	if err := w.writeHeader(); err != nil {
-		return fail(err)
+	if _, err := f.Write(appendHeader(nil, schema, w.encodings)); err != nil {
+		return fail(fmt.Errorf("storage: write header: %w", err))
 	}
 	return w, nil
 }
 
-func (w *Writer) writeHeader() error {
+// appendHeader appends a record file's header: magic, then the
+// length-prefixed schema wire form and one encoding byte per field.
+func appendHeader(dst []byte, schema *serde.Schema, encodings []FieldEncoding) []byte {
 	var hdr []byte
-	hdr = w.schema.AppendBinary(hdr)
-	for _, e := range w.encodings {
+	hdr = schema.AppendBinary(hdr)
+	for _, e := range encodings {
 		hdr = append(hdr, byte(e))
 	}
-	out := []byte(magicHeader)
-	out = binary.AppendUvarint(out, uint64(len(hdr)))
-	out = append(out, hdr...)
-	if _, err := w.f.Write(out); err != nil {
-		return fmt.Errorf("storage: write header: %w", err)
+	dst = append(dst, magicHeader...)
+	dst = binary.AppendUvarint(dst, uint64(len(hdr)))
+	return append(dst, hdr...)
+}
+
+// appendFooter appends a record file's footer and trailer: the block
+// count, the encoded block index entries and per-block stats, the
+// dictionary of every dict-encoded field, the footer length and the magic.
+func appendFooter(dst []byte, blocks int, index, stats []byte, encodings []FieldEncoding, dicts []*compress.Dictionary) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(blocks))
+	dst = append(dst, index...)
+	dst = append(dst, stats...)
+	for i, d := range dicts {
+		if encodings[i] == EncodeDict {
+			dst = d.AppendBinary(dst)
+		}
 	}
-	return nil
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(dst)-start))
+	return append(dst, magicFooter...)
+}
+
+// writeFault fires the write injection point for block i of the file
+// destined for path. The key is materialized only when an injector is
+// installed: this is the per-block write path, and a disabled hook must
+// cost one atomic load.
+func writeFault(path string, i int) error {
+	if !faultinject.Enabled() {
+		return nil
+	}
+	return faultinject.Fail(faultinject.PointStorageWrite, fmt.Sprintf("%s#%d", filepath.Base(path), i))
 }
 
 // Append adds one record, which must match the writer's schema.
@@ -325,13 +360,8 @@ func (w *Writer) flushBlock() error {
 	if w.blockRecs == 0 {
 		return nil
 	}
-	// Key materialized only when an injector is installed: this is the
-	// per-block write path, and a disabled hook must cost one atomic load.
-	if faultinject.Enabled() {
-		if err := faultinject.Fail(faultinject.PointStorageWrite,
-			fmt.Sprintf("%s#%d", filepath.Base(w.path), w.blocks)); err != nil {
-			return err
-		}
+	if err := writeFault(w.path, w.blocks); err != nil {
+		return err
 	}
 	// The block is its segments back to back; what locates and checks them
 	// goes to the footer's index entry.
@@ -376,16 +406,7 @@ func (w *Writer) Close() error {
 		w.f.Abort()
 		return err
 	}
-	ftr := binary.AppendUvarint(nil, uint64(w.blocks))
-	ftr = append(ftr, w.index...)
-	ftr = append(ftr, w.stats...)
-	for i, d := range w.dicts {
-		if w.encodings[i] == EncodeDict {
-			ftr = d.AppendBinary(ftr)
-		}
-	}
-	ftr = binary.LittleEndian.AppendUint64(ftr, uint64(len(ftr)))
-	ftr = append(ftr, magicFooter...)
+	ftr := appendFooter(nil, w.blocks, w.index, w.stats, w.encodings, w.dicts)
 	if _, err := w.f.Write(ftr); err != nil {
 		w.f.Abort()
 		return fmt.Errorf("storage: write footer: %w", err)
