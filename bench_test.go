@@ -3,9 +3,7 @@ package manimal_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -521,108 +519,6 @@ func Map(k, v *Record, ctx *Ctx) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkSharedScanFanout measures multi-query scan sharing on its
-// target workload: 8 identical concurrent scan-heavy jobs over the same
-// UserVisits file. The program touches all nine columns, so every block
-// pays the full bulk-decode cost; the adRevenue filter field is random
-// per row, so zone maps prune nothing; and the highly selective
-// threshold (~0.2% of rows) keeps per-job map work small next to the
-// scan, which is what makes the workload scan-bound. "shared" lets the
-// jobs' map tasks ride one physical scan per split range — block reads
-// and column decode paid once, every job adopting the producer's
-// selection since the deduplicated union filter is exactly its own —
-// while "unshared" disables sharing so every job decodes every block
-// itself. The result cache is off on both arms so all 8 jobs truly
-// execute; the unshared/shared ns/op ratio is the fan-out benefit.
-func BenchmarkSharedScanFanout(b *testing.B) {
-	// The subject is 8 concurrent jobs; on a single-P runtime the
-	// scheduler serializes their startup behind the first job's hot scan
-	// loop, measuring goroutine scheduling rather than scan sharing.
-	// Benchmark at ≥4 Ps, the shape of the multi-core runners this models.
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	data := filepath.Join(b.TempDir(), "uservisits.rec")
-	if err := workload.NewGen(17).WriteUserVisits(data, 1600000, 500); err != nil {
-		b.Fatal(err)
-	}
-	// Force the freshly generated file's writeback now: left async, the
-	// flush of ~250MB of dirty pages bleeds into whichever arm runs first.
-	if f, err := os.OpenFile(data, os.O_RDWR, 0); err == nil {
-		f.Sync()
-		f.Close()
-	}
-	prog, err := manimal.ParseProgram("fanout", `
-func Map(k, v *Record, ctx *Ctx) {
-	if v.Int("adRevenue") >= ctx.ConfInt("threshold") {
-		ctx.Emit(v.Int("duration"), len(v.Str("sourceIP"))+len(v.Str("destURL"))+len(v.Str("userAgent"))+len(v.Str("countryCode"))+len(v.Str("languageCode"))+len(v.Str("searchWord"))+v.Int("visitDate"))
-	}
-}
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const jobs = 8
-	for _, mode := range []string{"shared", "unshared"} {
-		b.Run(mode, func(b *testing.B) {
-			dir := b.TempDir()
-			sys, err := manimal.NewSystemWith(filepath.Join(dir, "sys"), manimal.Options{
-				SchedulerSlots:     jobs,
-				DisableResultCache: true,
-				DisableScanSharing: mode == "unshared",
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			burst := func(tag string) int64 {
-				handles := make([]*manimal.JobHandle, jobs)
-				for j := 0; j < jobs; j++ {
-					spec := manimal.JobSpec{
-						Name:             fmt.Sprintf("fan%d", j),
-						Inputs:           []manimal.InputSpec{{Path: data, Program: prog}},
-						OutputPath:       filepath.Join(dir, fmt.Sprintf("out-%s-%d.kv", tag, j)),
-						Conf:             manimal.Conf{"threshold": manimal.Int(998)},
-						MapOnly:          true,
-						MaxParallelTasks: 1,
-						// Hold jobs in admission (no slot held) until all 8
-						// are submitted, so their map scans truly overlap.
-						StartupDelay: 20 * time.Millisecond,
-					}
-					h, err := sys.SubmitAsync(context.Background(), spec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					handles[j] = h
-				}
-				var shared int64
-				for _, h := range handles {
-					r, err := h.Wait()
-					if err != nil {
-						b.Fatal(err)
-					}
-					shared += r.Result.Counters.Get(mapreduce.CtrScansShared)
-				}
-				return shared
-			}
-			// One untimed warm-up burst per arm absorbs first-touch costs
-			// so the timed bursts measure steady state.
-			burst("warm")
-			b.ResetTimer()
-			var totalShared int64
-			for i := 0; i < b.N; i++ {
-				shared := burst(fmt.Sprint(i))
-				if mode == "shared" && shared == 0 {
-					b.Fatal("no map scans shared in shared mode")
-				}
-				totalShared += shared
-			}
-			// 16/op (both splits of all 8 jobs) means every map scan shared.
-			b.ReportMetric(float64(totalShared)/float64(b.N), "sharedscans/op")
 		})
 	}
 }

@@ -112,34 +112,20 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 	return nil
 }
 
-// InputForPlan opens the physical input chosen by the optimizer.
-func InputForPlan(plan *optimizer.Plan) (mapreduce.Input, error) {
-	return InputForPlanShared(plan, nil)
-}
-
-// InputForPlanShared is InputForPlan with a scan-sharing registry: plans
-// marked SharedScan get it installed on their record-file input, so the
-// execution's batch scans can ride shared physical scans with other
-// in-flight jobs of the same System. A nil registry (or an unmarked plan)
-// scans privately.
-func InputForPlanShared(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
+// InputForPlan opens the physical input chosen by the optimizer. A
+// record-file scan subscribes its splits to share, the scan-sharing
+// registry of the jobs in flight, so identical scans run once; B+Tree
+// range reads and a nil registry scan privately.
+func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
 	switch plan.Kind {
-	case optimizer.PlanOriginal:
-		in, err := mapreduce.OpenFileWith(plan.InputPath, false, plan.Pushdown)
+	case optimizer.PlanOriginal, optimizer.PlanRecordFile:
+		path, direct := plan.InputPath, false
+		if plan.Kind == optimizer.PlanRecordFile {
+			path, direct = plan.IndexPath, plan.DirectCodes
+		}
+		in, err := mapreduce.OpenFileWith(path, direct, plan.Pushdown, share)
 		if err != nil {
-			return nil, err
-		}
-		if plan.SharedScan {
-			in.SetShare(share)
-		}
-		return in, nil
-	case optimizer.PlanRecordFile:
-		in, err := mapreduce.OpenFileWith(plan.IndexPath, plan.DirectCodes, plan.Pushdown)
-		if err != nil {
-			return nil, err
-		}
-		if plan.SharedScan {
-			in.SetShare(share)
+			return nil, err // not a typed nil: callers test the Input against nil
 		}
 		return in, nil
 	case optimizer.PlanBTree:

@@ -266,7 +266,7 @@ func openInput(inputPath string, spec Spec) (*mapreduce.FileInput, *storage.Push
 	}
 	in.Close()
 	pd := &storage.Pushdown{Fields: decode}
-	in, err = mapreduce.OpenFileWith(inputPath, false, pd)
+	in, err = mapreduce.OpenFileWith(inputPath, false, pd, nil)
 	if err != nil {
 		return nil, nil, err
 	}

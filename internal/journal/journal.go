@@ -78,9 +78,11 @@ type Input struct {
 
 // ConfValue is one conf parameter in kind-tagged string form. JSON cannot
 // round-trip the engine's datum types faithfully (every number decodes as
-// float64), so the journal stores the kind explicitly.
+// float64), so the journal stores the kind explicitly. Every datum kind
+// round-trips: ints in decimal, floats in shortest exact form, bools as
+// true/false, strings verbatim, bytes in lowercase hex.
 type ConfValue struct {
-	Kind  string `json:"kind"` // "int" | "float" | "string" | "bool"
+	Kind  string `json:"kind"` // "int" | "float" | "string" | "bytes" | "bool"
 	Value string `json:"value"`
 }
 

@@ -67,33 +67,30 @@ type RecordIter interface {
 // optionally with a scan pushdown (zone-map block skipping, residual row
 // filtering, field-pruned decoding) chosen by the optimizer.
 type FileInput struct {
-	r     *storage.Reader
-	pd    *storage.Pushdown
-	share *storage.ScanShare
+	r         *storage.Reader
+	pd        *storage.Pushdown
+	subscribe func(lo, hi int) (*storage.SharedScanner, bool) // see storage.ScanShare.For
 }
-
-// SetShare installs a scan-sharing registry consulted by batch scans: a
-// split whose file and block range match another in-flight subscribed
-// scan (typically the same split of an identical concurrent job) rides one
-// shared physical scan instead of decoding privately (see
-// storage.ScanShare). Nil — the default — keeps every scan private.
-func (f *FileInput) SetShare(sh *storage.ScanShare) { f.share = sh }
 
 // OpenFile opens a record file as an input. directCodes enables
 // direct-operation mode on dictionary-compressed fields: codes are passed
 // to map() without decompression.
 func OpenFile(path string, directCodes bool) (*FileInput, error) {
-	return OpenFileWith(path, directCodes, nil)
+	return OpenFileWith(path, directCodes, nil, nil)
 }
 
-// OpenFileWith is OpenFile with a scan pushdown (nil scans everything).
-func OpenFileWith(path string, directCodes bool, pd *storage.Pushdown) (*FileInput, error) {
+// OpenFileWith is OpenFile with a scan pushdown (nil scans everything) and
+// a scan-sharing registry: a batch scan identical to one another job is
+// running over the same split rides that scan instead of decoding
+// privately (see storage.ScanShare). A nil registry keeps every scan
+// private.
+func OpenFileWith(path string, directCodes bool, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
 	r, err := storage.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	r.DirectCodes = directCodes
-	return &FileInput{r: r, pd: pd}, nil
+	return &FileInput{r: r, pd: pd, subscribe: share.For(r, pd)}, nil
 }
 
 // Reader exposes the underlying storage reader (for size statistics).
@@ -159,7 +156,7 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 		// blocks are skipped (and counted) by the scanner itself.
 		lo, hi := chunk[0], chunk[len(chunk)-1]+1
 		covered += hi - lo
-		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, share: f.share})
+		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, subscribe: f.subscribe})
 	}
 	// Blocks outside every split never reach a scanner; count them here so
 	// blocks read + skipped always totals the blocks planned over.
@@ -168,10 +165,10 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 }
 
 type fileSplit struct {
-	r      *storage.Reader
-	lo, hi int
-	pd     *storage.Pushdown
-	share  *storage.ScanShare
+	r         *storage.Reader
+	lo, hi    int
+	pd        *storage.Pushdown
+	subscribe func(lo, hi int) (*storage.SharedScanner, bool)
 }
 
 func (s *fileSplit) Open() (RecordIter, error) {
@@ -183,15 +180,12 @@ func (s *fileSplit) Open() (RecordIter, error) {
 }
 
 // OpenBatch implements BatchSplit: a batch scan over the split's block
-// range. With a share registry installed the scan first tries to subscribe
-// to (or found) a shared physical scan of the same range; subscription can
-// be refused (e.g. an existing group too far ahead), in which case the
-// split scans privately.
+// range. With a share registry the scan first subscribes to the group of
+// identical scans (leading it if none is running); a declined subscription
+// (e.g. a leader too far ahead) scans privately.
 func (s *fileSplit) OpenBatch() (BatchIter, error) {
-	if s.share != nil {
-		if m, ok := s.share.Subscribe(s.r, s.lo, s.hi, s.pd); ok {
-			return &sharedBatchIter{m: m}, nil
-		}
+	if m, ok := s.subscribe(s.lo, s.hi); ok {
+		return &sharedBatchIter{m: m}, nil
 	}
 	sc, err := s.r.ScanBatch(s.lo, s.hi, s.pd)
 	if err != nil {

@@ -51,14 +51,12 @@
 // # Multi-query optimization
 //
 // Map tasks of concurrently running jobs that scan the same record-file
-// block range can ride ONE shared physical scan (storage.ScanShare,
-// installed on a FileInput via SetShare): a single producer reads and
-// decodes each block once under the union of all subscribers' pushdowns,
-// and every subscriber re-applies its own residual filter to each
-// delivered batch — so per-task output is identical to a private scan,
-// while I/O and decode cost are paid once per block instead of once per
-// job. The manimal.scans.shared counter reports map-task scans that
-// actually shared with at least one concurrent subscriber;
+// block range under the same pushdown can ride ONE physical scan
+// (storage.ScanShare, passed to OpenFileWith): the first task reads and
+// decodes each block, and the others read its batches — so per-task
+// output is identical to a private scan, while I/O and decode cost are
+// paid once per block instead of once per job. The manimal.scans.shared
+// counter reports map-task scans whose group had company;
 // manimal.cache.hits / manimal.cache.misses report the System-level
 // result cache (package manimal), which serves identical re-submissions
 // from committed output without consuming any task slot here.

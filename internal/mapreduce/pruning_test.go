@@ -55,7 +55,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: idRange(2000, 2040), Residual: true})
+	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: idRange(2000, 2040), Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 func TestFileInputSplitsAllPruned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 2000)
-	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: idRange(1<<40, 1<<40+1), Residual: true})
+	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: idRange(1<<40, 1<<40+1), Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 	writePruneFile(t, path, 1000)
 	filter := predicate.ZoneFilter{{predicate.FieldInterval{Field: "absent",
 		Iv: predicate.Interval{Lo: serde.Int(5), LoInc: true}}}}
-	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: filter, Residual: true})
+	in, err := OpenFileWith(path, false, &storage.Pushdown{Filter: filter, Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 		"plain":    nil,
 		"pushdown": {Filter: idRange(1000, 1500), Residual: true, Fields: []string{"payload"}},
 	} {
-		in, err := OpenFileWith(path, false, pd)
+		in, err := OpenFileWith(path, false, pd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

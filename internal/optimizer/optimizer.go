@@ -10,13 +10,12 @@
 // cache — a prior identical job's committed output, where "identical" is
 // the cache-key contract (canonicalized program AST, input fingerprints,
 // conf, and output-shape knobs; see package catalog) — synthesized by the
-// System's cache lookup rather than by Choose. Plan.SharedScan opts a
-// record-file scan into the scan-sharing registry, where concurrent scans
-// of one block range run as a single physical scan under the union of the
-// subscribers' pushdown filters with per-job residuals re-applied (see
-// storage.ScanShare). Both preserve output equivalence: caching replays a
-// byte-identical committed output, sharing re-selects every block under
-// each job's own filter.
+// System's cache lookup rather than by Choose. Record-file scans of
+// optimized plans may also run as one physical scan with identical
+// concurrent scans (same file, block range and Pushdown; see
+// storage.ScanShare), which needs nothing from the plan. Both preserve
+// output equivalence: caching replays a byte-identical committed output,
+// and a shared scan is the very scan each member would have run.
 package optimizer
 
 import (
@@ -84,14 +83,6 @@ type Plan struct {
 	// cannot change observable output, and the mask only drops fields the
 	// program provably never needs.
 	Pushdown *storage.Pushdown
-	// SharedScan opts the plan's record-file scan into the System's
-	// scan-sharing registry: map tasks whose file and block range match
-	// another in-flight subscribed scan ride one shared physical scan, with
-	// the block-skip pushdown relaxed to the union of the subscribers'
-	// filters and each job's residual re-applied per batch. It is an
-	// execution strategy with identical output; the System sets it (it owns
-	// the registry, see manimal.Options.DisableScanSharing).
-	SharedScan bool
 	// Applied lists the optimizations in effect, e.g. ["selection",
 	// "projection"]. Empty for original scans.
 	Applied []string

@@ -239,10 +239,7 @@ func (b *Batch) SetSelMask(mask []bool) {
 }
 
 // SetSel copies sel (ascending block-row numbers) into the batch's own
-// selection storage. Shared-scan subscribers adopt a producer's
-// already-computed selection this way when the filter the producer applied
-// is exactly the subscriber's own — re-running the residual kernels would
-// reproduce the same vector.
+// selection storage.
 func (b *Batch) SetSel(sel []int32) {
 	s := growSel(b.sel, len(sel))
 	copy(s, sel)
@@ -254,24 +251,6 @@ func growSel(s []int32, n int) []int32 {
 		return s[:n]
 	}
 	return make([]int32, n)
-}
-
-// AliasColumns turns b into a view of src: schema, column vectors, decode
-// state, row count, and base are shared (not copied), while b keeps its own
-// selection vector, initially empty. Shared physical scans fan one decoded
-// block out to several subscribers this way — each subscriber re-selects
-// (its own residual filter over the shared columns) without re-decoding.
-// The view's validity window is src's: everything borrowed from either
-// batch dies when src's producer loads its next block. A view must not be
-// Reset or decoded into; it only ever selects.
-func (b *Batch) AliasColumns(src *Batch) {
-	b.schema = src.schema
-	b.cols = src.cols
-	b.decoded = src.decoded
-	b.decodedIdx = src.decodedIdx
-	b.n = src.n
-	b.base = src.base
-	b.sel = b.sel[:0]
 }
 
 // MaterializeInto writes block-row `row` into rec (which must share the

@@ -36,16 +36,23 @@ type BatchScanner struct {
 	tmp         []bool   // reused per-conjunct mask
 	raws        []int64  // reused delta/dict raw value scratch
 	nextIdx     int64
-	blockIdx    int
 	valid       bool
 	err         error
-	// publishEmpty makes Next return blocks whose every row the residual
-	// filter dropped (empty selection) instead of passing them over. Shared
-	// scans need them: the producer's filter is the relaxed union of its
-	// subscribers', so a union-empty block may still hold rows some
-	// subscriber's own residual admits, and per-subscriber read accounting
-	// wants every non-skipped block delivered exactly once.
-	publishEmpty bool
+	// tally is this scan's own share of the reader's counters, which a
+	// shared scan's followers mirror onto their readers.
+	tally scanTally
+}
+
+// scanTally counts what one scan added to its reader's pruning counters.
+type scanTally struct{ read, skipped, bytes, filtered int64 }
+
+// addTally adds the counts a scan made between since and t to r's
+// counters.
+func (r *Reader) addTally(t, since scanTally) {
+	r.blocksRead.Add(t.read - since.read)
+	r.blocksSkipped.Add(t.skipped - since.skipped)
+	r.bytesRead.Add(t.bytes - since.bytes)
+	r.rowsFiltered.Add(t.filtered - since.filtered)
 }
 
 // ScanBatch returns a batch scanner over blocks [lo, hi) with the given
@@ -128,16 +135,16 @@ func (s *BatchScanner) Next() bool {
 		s.nextIdx += s.r.blocks[b].records
 		if s.blockFilter != nil && s.r.blockSkippable(s.blockFilter, b) {
 			s.r.blocksSkipped.Add(1)
+			s.tally.skipped++
 			continue
 		}
 		if err := s.loadColumns(b, base); err != nil {
 			s.err = err
 			return false
 		}
-		if len(s.batch.Sel()) == 0 && !s.publishEmpty {
+		if len(s.batch.Sel()) == 0 {
 			continue
 		}
-		s.blockIdx = b
 		s.valid = true
 		return true
 	}
@@ -153,11 +160,6 @@ func (s *BatchScanner) Batch() *serde.Batch {
 	return &s.batch
 }
 
-// BlockIndex returns the file block index of the current batch, valid after
-// a successful Next. Shared-scan producers use it to track the publication
-// frontier across scanner reopens.
-func (s *BatchScanner) BlockIndex() int { return s.blockIdx }
-
 // Err returns the first error encountered while scanning.
 func (s *BatchScanner) Err() error { return s.err }
 
@@ -170,6 +172,8 @@ func (s *BatchScanner) loadColumns(bi int, base int64) error {
 	if err != nil {
 		return err
 	}
+	s.tally.read++
+	s.tally.bytes += int64(len(raw))
 	n := int(s.r.blocks[bi].records)
 	s.batch.Reset(s.r.schema, n, base)
 	for i, seg := range s.segs {
@@ -282,40 +286,22 @@ func (s *BatchScanner) selectRows(n int) {
 		s.batch.SelectAll()
 		return
 	}
-	s.mask, s.tmp = applyFilterSel(s.rowFilter, &s.batch, &s.batch, s.mask, s.tmp)
-	if dropped := int64(n - len(s.batch.Sel())); dropped > 0 {
-		s.r.rowsFiltered.Add(dropped)
-	}
-}
-
-// applyFilterSel evaluates rf's DNF over src's decoded columns and compacts
-// the surviving rows into dst's selection vector; src and dst may be the
-// same batch (the private-scan case) or dst may be a column-aliased view of
-// src (a shared-scan subscriber re-selecting a shared block). A nil rf
-// selects every row. mask and tmp are caller-owned scratch, returned after
-// possible growth.
-func applyFilterSel(rf *compiledFilter, src, dst *serde.Batch, mask, tmp []bool) ([]bool, []bool) {
-	if rf == nil {
-		dst.SelectAll()
-		return mask, tmp
-	}
-	n := src.Len()
-	tmp = growBool(tmp, n)
+	s.tmp = growBool(s.tmp, n)
+	tmp, mask := s.tmp, s.tmp
 	// A single-conjunct filter (the common shape: one range predicate) needs
 	// no DNF accumulator — its conjunct mask IS the row mask.
-	single := len(rf.conjuncts) == 1
+	single := len(s.rowFilter.conjuncts) == 1
 	if !single {
-		mask = growBool(mask, n)
-		for i := range mask {
-			mask[i] = false
-		}
+		s.mask = growBool(s.mask, n)
+		mask = s.mask
+		clear(mask)
 	}
-	for _, bounds := range rf.conjuncts {
+	for _, bounds := range s.rowFilter.conjuncts {
 		for i := range tmp {
 			tmp[i] = true
 		}
 		for _, b := range bounds {
-			col := src.Col(b.field)
+			col := s.batch.Col(b.field)
 			switch col.Kind() {
 			case serde.KindInt64:
 				b.iv.FilterInt64(col.Ints(), tmp)
@@ -336,12 +322,11 @@ func applyFilterSel(rf *compiledFilter, src, dst *serde.Batch, mask, tmp []bool)
 			mask[i] = mask[i] || tmp[i]
 		}
 	}
-	if single {
-		dst.SetSelMask(tmp)
-	} else {
-		dst.SetSelMask(mask)
+	s.batch.SetSelMask(mask)
+	if dropped := int64(n - len(s.batch.Sel())); dropped > 0 {
+		s.r.rowsFiltered.Add(dropped)
+		s.tally.filtered += dropped
 	}
-	return mask, tmp
 }
 
 func growBool(s []bool, n int) []bool {

@@ -39,6 +39,7 @@ type Reader struct {
 	verified  []atomic.Bool
 	dataStart int64
 	fileSize  int64
+	modTime   int64 // at Open, in Unix nanoseconds: with path and size, the file identity scans share on
 	bytesRead atomic.Int64
 	// Pruning-effect counters aggregated across scanners and split planning.
 	blocksRead    atomic.Int64
@@ -74,6 +75,7 @@ func (r *Reader) readMeta() error {
 		return err
 	}
 	r.fileSize = st.Size()
+	r.modTime = st.ModTime().UnixNano()
 
 	// Every length and count below comes from the file, so each is bounded
 	// by the bytes the file actually has before anything is sized from it.

@@ -1,10 +1,14 @@
 package storage
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
+	"manimal/internal/predicate"
 	"manimal/internal/serde"
 )
 
@@ -70,7 +74,292 @@ func TestSharedScanTwoSubscribers(t *testing.T) {
 	if counts[0] != rows || counts[1] != rows {
 		t.Errorf("row counts = %v, want %d each", counts, rows)
 	}
-	if r1.ScanStats().SharedScans+r2.ScanStats().SharedScans == 0 {
-		t.Errorf("no shared scans recorded")
+	if r1.ScanStats().SharedScans != 1 || r2.ScanStats().SharedScans != 1 {
+		t.Errorf("shared scans = %d, %d; want 1 each", r1.ScanStats().SharedScans, r2.ScanStats().SharedScans)
+	}
+}
+
+// shareFile writes a ~45-block file whose ts column rises monotonically,
+// so a ts range both skips blocks and filters rows inside others.
+func shareFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "share.rec")
+	writeFile(t, path, makeRecords(6000, 7), WriterOptions{BlockSize: 4 << 10})
+	return path
+}
+
+// openReader opens path for the duration of the test.
+func openReader(t *testing.T, path string) *Reader {
+	t.Helper()
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// midPushdown keeps the middle half of share.rec's ts range, decoding only
+// url besides the filtered ts.
+func midPushdown(t *testing.T, r *Reader) *Pushdown {
+	t.Helper()
+	lo := r.BlockStats(r.NumBlocks() / 4)[1].Min
+	hi := r.BlockStats(3 * r.NumBlocks() / 4)[1].Max
+	return &Pushdown{Filter: tsFilter(serde.Int(lo.Int()+7), serde.Int(hi.Int()-7)), Residual: true, Fields: []string{"url"}}
+}
+
+// scanned is what a scan delivered: every batch's base and every selected
+// row's whole-file index, plus the reader's counters afterwards.
+type scanned struct {
+	bases, rows []int64
+	stats       ScanStats
+	bytes       int64
+	err         error
+}
+
+type batchIter interface {
+	Next() bool
+	Batch() *serde.Batch
+	Err() error
+}
+
+// drain consumes up to limit batches of it (all when limit < 0).
+func drain(it batchIter, limit int) (s scanned) {
+	for n := 0; n != limit && it.Next(); n++ {
+		b := it.Batch()
+		s.bases = append(s.bases, b.Base())
+		for _, row := range b.Sel() {
+			s.rows = append(s.rows, b.Base()+int64(row))
+		}
+	}
+	s.err = it.Err()
+	return s
+}
+
+// private is the reference: a private BatchScanner over [0, NumBlocks)
+// on a fresh reader.
+func private(t *testing.T, path string, pd *Pushdown) scanned {
+	t.Helper()
+	r := openReader(t, path)
+	sc, err := r.ScanBatch(0, r.NumBlocks(), pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := drain(sc, -1)
+	s.stats, s.bytes = r.ScanStats(), r.BytesRead()
+	return s
+}
+
+// requireSame compares a member's scan, and its reader's counters, with the
+// private reference (SharedScans aside: only the member shared).
+func requireSame(t *testing.T, who string, got scanned, r *Reader, want scanned) {
+	t.Helper()
+	if got.err != nil {
+		t.Fatalf("%s: %v", who, got.err)
+	}
+	if !slicesEqual(got.bases, want.bases) || !slicesEqual(got.rows, want.rows) {
+		t.Errorf("%s: %d batches / %d rows, want %d / %d (or different bases/rows)",
+			who, len(got.bases), len(got.rows), len(want.bases), len(want.rows))
+	}
+	st := r.ScanStats()
+	st.SharedScans = 0
+	if st != want.stats || r.BytesRead() != want.bytes {
+		t.Errorf("%s: stats %+v, %d bytes; private scan %+v, %d bytes", who, st, r.BytesRead(), want.stats, want.bytes)
+	}
+}
+
+func slicesEqual(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// subscribe subscribes over the whole file or fails the test.
+func subscribe(t *testing.T, sh *ScanShare, r *Reader, pd *Pushdown) *SharedScanner {
+	t.Helper()
+	m, ok := sh.Subscribe(r, 0, r.NumBlocks(), pd)
+	if !ok {
+		t.Fatal("subscription declined")
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// TestShareLeaderCloseFollowerContinues: the leader leaves after three
+// batches; its follower finishes privately and sees exactly a private
+// scan — same batches, same rows, same counters.
+func TestShareLeaderCloseFollowerContinues(t *testing.T) {
+	path := shareFile(t)
+	leadR, followR := openReader(t, path), openReader(t, path)
+	pd := midPushdown(t, leadR)
+	want := private(t, path, pd)
+	sh := NewScanShare()
+	lead, follow := subscribe(t, sh, leadR, pd), subscribe(t, sh, followR, pd)
+
+	var got scanned
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); drain(lead, 3); lead.Close() }()
+	go func() { defer wg.Done(); got = drain(follow, -1) }()
+	wg.Wait()
+	requireSame(t, "follower", got, followR, want)
+	if followR.ScanStats().SharedScans != 1 {
+		t.Errorf("follower shared scans = %d, want 1", followR.ScanStats().SharedScans)
+	}
+}
+
+// TestShareLateJoinerStatsExact: a follower joining after the leader has
+// published three batches catches up privately, then follows; with a
+// filtered, field-masked pushdown both members' batches and counters
+// (blocks read and skipped, rows filtered, bytes) equal a private scan's.
+func TestShareLateJoinerStatsExact(t *testing.T) {
+	path := shareFile(t)
+	leadR, followR := openReader(t, path), openReader(t, path)
+	pd := midPushdown(t, leadR)
+	want := private(t, path, pd)
+	sh := NewScanShare()
+	lead := subscribe(t, sh, leadR, pd)
+	head := drain(lead, 3)
+	follow := subscribe(t, sh, followR, pd)
+
+	var led, got scanned
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); led = drain(lead, -1) }()
+	go func() { defer wg.Done(); got = drain(follow, -1) }()
+	wg.Wait()
+	led.bases, led.rows = append(head.bases, led.bases...), append(head.rows, led.rows...)
+	requireSame(t, "leader", led, leadR, want)
+	requireSame(t, "follower", got, followR, want)
+	if leadR.ScanStats().SharedScans != 1 || followR.ScanStats().SharedScans != 1 {
+		t.Errorf("shared scans = %d, %d; want 1 each", leadR.ScanStats().SharedScans, followR.ScanStats().SharedScans)
+	}
+}
+
+// TestShareLeaderCorruptionFollowerOwnError: the leader fails on a corrupt
+// block; the follower reads that block itself and reports its own
+// CorruptBlockError, naming its own reader's path.
+func TestShareLeaderCorruptionFollowerOwnError(t *testing.T) {
+	path := shareFile(t)
+	const bad = 5
+	r0 := openReader(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[r0.blocks[bad].offset+3] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	leadR, followR := openReader(t, path), openReader(t, path)
+	sh := NewScanShare()
+	lead, follow := subscribe(t, sh, leadR, nil), subscribe(t, sh, followR, nil)
+
+	var led, got scanned
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); led = drain(lead, -1) }()
+	go func() { defer wg.Done(); got = drain(follow, -1) }()
+	wg.Wait()
+	var leadErr, followErr *CorruptBlockError
+	if !errors.As(led.err, &leadErr) || !errors.As(got.err, &followErr) {
+		t.Fatalf("errors = %v, %v; want a CorruptBlockError each", led.err, got.err)
+	}
+	if followErr == leadErr || followErr.Path != followR.Path() || followErr.Block != bad {
+		t.Errorf("follower error %+v is not its own read of block %d", followErr, bad)
+	}
+	if len(got.bases) != bad || !slicesEqual(got.bases, led.bases) {
+		t.Errorf("follower saw %d batches before the corruption, leader %d; want %d", len(got.bases), len(led.bases), bad)
+	}
+	if got := followR.ScanStats().BlocksRead; got != bad+1 {
+		t.Errorf("follower reader blocks read = %d, want %d (the shared ones plus its own read of the corrupt one)", got, bad+1)
+	}
+}
+
+// TestShareLoneLeaderNoGoroutine: a subscriber alone in its group scans on
+// the caller's goroutine; sharing starts nothing of its own.
+func TestShareLoneLeaderNoGoroutine(t *testing.T) {
+	r := openReader(t, shareFile(t))
+	before := runtime.NumGoroutine()
+	m := subscribe(t, NewScanShare(), r, nil)
+	if !m.Next() {
+		t.Fatal(m.Err())
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("goroutines %d → %d across Subscribe and the first Next", before, after)
+	}
+}
+
+// TestShareDeclines: neither a second attempt over the same reader nor a
+// joiner more than half the range behind joins a group.
+func TestShareDeclines(t *testing.T) {
+	path := shareFile(t)
+	r := openReader(t, path)
+	n := r.NumBlocks()
+	sh := NewScanShare()
+	lead := subscribe(t, sh, r, nil)
+	// A wrongly admitted member is closed at once, so the leader never
+	// waits on it.
+	if m, ok := sh.Subscribe(r, 0, n, nil); ok {
+		m.Close()
+		t.Error("a second subscription over the same reader joined the group")
+	}
+	drain(lead, n/2+1)
+	if m, ok := sh.Subscribe(openReader(t, path), 0, n, nil); ok {
+		m.Close()
+		t.Errorf("a joiner %d blocks behind a %d-block range joined", n/2+1, n)
+	}
+}
+
+// TestShareDifferentPushdownsStayApart: scans that differ in any part of
+// their pushdown lead groups of their own; a field mask is a set, so its
+// order does not matter.
+func TestShareDifferentPushdownsStayApart(t *testing.T) {
+	path := shareFile(t)
+	base := midPushdown(t, openReader(t, path))
+	other := *base
+	other.Filter = tsFilter(serde.Int(1_000_000), serde.Int(1_050_000))
+	noResidual, noMask, floatBound := *base, *base, *base
+	noResidual.Residual = false
+	noMask.Fields = nil
+	iv := base.Filter[0][0].Iv
+	floatBound.Filter = predicate.ZoneFilter{{predicate.FieldInterval{Field: "ts",
+		Iv: predicate.Interval{Lo: serde.Float(float64(iv.Lo.Int())), LoInc: true, Hi: iv.Hi}}}}
+	reordered := *base
+	reordered.Fields = []string{"ts", "url"}
+	sameSet := *base
+	sameSet.Fields = []string{"url", "ts"}
+
+	for name, tc := range map[string]struct {
+		a, b  *Pushdown
+		share bool
+	}{
+		"filter":     {base, &other, false},
+		"residual":   {base, &noResidual, false},
+		"mask":       {base, &noMask, false},
+		"bound kind": {base, &floatBound, false},
+		"nil":        {base, nil, false},
+		"mask order": {&reordered, &sameSet, true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sh := NewScanShare()
+			ra, rb := openReader(t, path), openReader(t, path)
+			a, b := subscribe(t, sh, ra, tc.a), subscribe(t, sh, rb, tc.b)
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() { defer wg.Done(); drain(a, -1) }()
+			go func() { defer wg.Done(); drain(b, -1) }()
+			wg.Wait()
+			shared := ra.ScanStats().SharedScans + rb.ScanStats().SharedScans
+			if (shared > 0) != tc.share {
+				t.Errorf("shared scans = %d, want sharing %t", shared, tc.share)
+			}
+		})
 	}
 }

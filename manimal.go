@@ -172,9 +172,8 @@ type System struct {
 	workDir string
 	cat     *catalog.Catalog
 	sched   *mapreduce.Scheduler
-	// share is the scan-sharing registry concurrently running jobs of this
-	// System use to ride one physical scan per input block range; nil when
-	// sharing is disabled (Options.DisableScanSharing).
+	// share is the scan-sharing registry through which identical scans of
+	// this System's concurrently running jobs run once.
 	share *storage.ScanShare
 	// noCache disables the fingerprint-keyed result cache
 	// (Options.DisableResultCache).
@@ -196,9 +195,6 @@ type Options struct {
 	// many task slots. 0 (the default) shares the process-wide scheduler,
 	// so every System in the process draws from one slot budget.
 	SchedulerSlots int
-	// DisableScanSharing turns off shared physical scans: every map task
-	// scans its input privately, as before multi-query optimization.
-	DisableScanSharing bool
 	// DisableResultCache turns off the fingerprint-keyed result cache:
 	// identical re-submissions re-execute.
 	DisableResultCache bool
@@ -232,10 +228,6 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 	if opts.SchedulerSlots > 0 {
 		sched = mapreduce.NewScheduler(opts.SchedulerSlots)
 	}
-	var share *storage.ScanShare
-	if !opts.DisableScanSharing {
-		share = storage.NewScanShare()
-	}
 	var jnl *journal.Journal
 	if opts.Journal {
 		jnl, err = journal.Open(filepath.Join(dir, "journal"))
@@ -244,7 +236,7 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 		}
 	}
 	return &System{dir: dir, workDir: workDir, cat: cat, sched: sched,
-		share:       share,
+		share:       storage.NewScanShare(),
 		noCache:     opts.DisableResultCache,
 		jnl:         jnl,
 		liveOutputs: make(map[string]string)}, nil
@@ -631,7 +623,6 @@ func (s *System) plan(sub *submission, note string) error {
 		}
 		ir.Plan = optimizer.Choose(ir.Descriptor, ir.Path, sub.schemas[i], s.cat.ForInput(ir.Path), spec.Conf,
 			optimizer.Options{SortedOutput: spec.SortedOutput, SafeMode: spec.SafeMode})
-		s.markSharedScan(ir.Plan)
 		if note != "" {
 			ir.Plan.Notes = append(ir.Plan.Notes, note)
 		}
@@ -658,12 +649,16 @@ func (s *System) plan(sub *submission, note string) error {
 
 // record journals the accepted submission BEFORE any admission decision
 // (the result-cache probe included), so a coordinator crash from here on
-// leaves a replayable record. A failed journal write refuses the
-// submission — an accepted job must always be recoverable. A recovery
-// replay already has its record.
-func (s *System) record(sub *submission) (err error) {
-	if s.jnl != nil && sub.h.journalID == "" {
-		sub.h.journalID, err = s.jnl.Begin(journalSubmission(sub.spec))
+// leaves a replayable record. A conf the journal cannot round-trip, or a
+// failed journal write, refuses the submission — an accepted job must
+// always be recoverable. A recovery replay already has its record.
+func (s *System) record(sub *submission) error {
+	if s.jnl == nil || sub.h.journalID != "" {
+		return nil
+	}
+	js, err := journalSubmission(sub.spec)
+	if err == nil {
+		sub.h.journalID, err = s.jnl.Begin(js)
 	}
 	return err
 }
@@ -834,7 +829,12 @@ func (s *System) finish(sub *submission, err error) {
 // buildJob assembles the engine job from the spec and the current plans.
 // lazyInput and lazyKVOutput are single-use (an execution consumes them),
 // so every submission — initial or corruption replan — builds fresh ones.
+// A -noopt job scans privately, so the conventional baseline stays
+// conventional.
 func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.ScanShare) *mapreduce.Job {
+	if spec.DisableOptimization {
+		share = nil
+	}
 	inputs := make([]mapreduce.MapInput, len(spec.Inputs))
 	for i, ispec := range spec.Inputs {
 		inputs[i] = mapreduce.MapInput{
@@ -862,20 +862,6 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 		job.Combiner = fabric.CombinerFactory(lead)
 	}
 	return job
-}
-
-// markSharedScan flags a freshly chosen plan as eligible for shared
-// physical scans. Only record-file block-range scans can share (B+Tree
-// range reads keep private readers), and only when the System has a
-// sharing registry; -noopt plans are never marked, so the conventional
-// baseline stays fully conventional.
-func (s *System) markSharedScan(plan *optimizer.Plan) {
-	if s.share == nil || plan == nil || plan.Kind == optimizer.PlanBTree {
-		return
-	}
-	plan.SharedScan = true
-	plan.Notes = append(plan.Notes,
-		"scan sharing: map tasks may ride one physical scan with concurrent jobs over the same file")
 }
 
 // cacheKey derives the result-cache identity of a submission, and the
@@ -936,11 +922,15 @@ func (s *System) Submit(spec JobSpec) (*JobReport, error) {
 // journalSubmission converts a JobSpec into its durable journal form. The
 // program SOURCE is journaled (the analyzed representation is the parsed
 // source), so recovery needs no state beyond the journal itself.
-func journalSubmission(spec JobSpec) journal.Submission {
+func journalSubmission(spec JobSpec) (journal.Submission, error) {
+	conf, err := confToJournal(spec.Conf)
+	if err != nil {
+		return journal.Submission{}, err
+	}
 	sub := journal.Submission{
 		Name:                spec.Name,
 		OutputPath:          spec.OutputPath,
-		Conf:                confToJournal(spec.Conf),
+		Conf:                conf,
 		MapOnly:             spec.MapOnly,
 		SortedOutput:        spec.SortedOutput,
 		SafeMode:            spec.SafeMode,
@@ -954,7 +944,7 @@ func journalSubmission(spec JobSpec) journal.Submission {
 			Path: in.Path, ProgramName: in.Program.Name, Program: in.Program.Source,
 		})
 	}
-	return sub
+	return sub, nil
 }
 
 // specFromJournal reconstructs a submittable JobSpec from a journal
@@ -986,27 +976,36 @@ func specFromJournal(sub journal.Submission) (JobSpec, error) {
 
 // confToJournal encodes conf datums as kind-tagged strings — JSON alone
 // cannot round-trip the datum types (every number decodes as float64).
-func confToJournal(c Conf) map[string]journal.ConfValue {
+// Bytes travel as hex; a datum of no kind has no journal form and is
+// refused.
+func confToJournal(c Conf) (map[string]journal.ConfValue, error) {
 	if len(c) == 0 {
-		return nil
+		return nil, nil
 	}
 	out := make(map[string]journal.ConfValue, len(c))
 	for k, d := range c {
-		cv := journal.ConfValue{Kind: "string", Value: d.String()}
+		cv := journal.ConfValue{Value: d.String()}
 		switch d.Kind {
 		case serde.KindInt64:
 			cv.Kind = "int"
 		case serde.KindFloat64:
 			cv.Kind = "float"
+		case serde.KindString:
+			cv.Kind = "string"
+		case serde.KindBytes:
+			cv.Kind, cv.Value = "bytes", hex.EncodeToString(d.Raw())
 		case serde.KindBool:
 			cv.Kind = "bool"
+		default:
+			return nil, fmt.Errorf("manimal: conf %q holds a datum of no kind, which the job journal cannot record", k)
 		}
 		out[k] = cv
 	}
-	return out
+	return out, nil
 }
 
-// confFromJournal decodes what confToJournal wrote.
+// confFromJournal decodes what confToJournal wrote; the values reach it
+// through the checksummed log, so their parse errors are not checked.
 func confFromJournal(m map[string]journal.ConfValue) Conf {
 	if len(m) == 0 {
 		return nil
@@ -1022,6 +1021,9 @@ func confFromJournal(m map[string]journal.ConfValue) Conf {
 			c[k] = Float(v)
 		case "bool":
 			c[k] = Bool(cv.Value == "true")
+		case "bytes":
+			b, _ := hex.DecodeString(cv.Value)
+			c[k] = serde.Bytes(b)
 		default:
 			c[k] = String(cv.Value)
 		}
@@ -1185,7 +1187,7 @@ func (l *lazyInput) open() (mapreduce.Input, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.in == nil && l.err == nil {
-		l.in, l.err = fabric.InputForPlanShared(l.plan, l.share)
+		l.in, l.err = fabric.InputForPlan(l.plan, l.share)
 	}
 	return l.in, l.err
 }

@@ -40,8 +40,8 @@ func TestSharedScanDifferential(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
 	// Big enough that a split's scan far outlasts task-dispatch skew:
-	// sharing needs the first subscriber's producer to still be running
-	// when the later jobs' map tasks open their scans.
+	// sharing needs the first subscriber's scan to still be running when
+	// the later jobs' map tasks open theirs.
 	if err := workload.NewGen(41).WriteWebPages(data, 100000, 192); err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestSharedScanDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedScanUnionDifferential runs concurrent jobs with DIFFERENT
-// filters over one input: the shared producer scans under the union of
-// their pushdowns and each job re-applies its own residual, so every
-// job's output must still match its solo unoptimized run.
-func TestSharedScanUnionDifferential(t *testing.T) {
+// TestSharedScanDifferentFiltersStayPrivate runs concurrent jobs with
+// DIFFERENT filters over one input: their scans are not identical, so each
+// scans privately — no map scan shares — and every job's output matches
+// its solo unoptimized run.
+func TestSharedScanDifferentFiltersStayPrivate(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
 	if err := workload.NewGen(42).WriteWebPages(data, 12000, 64); err != nil {
@@ -153,15 +153,19 @@ func TestSharedScanUnionDifferential(t *testing.T) {
 		handles[i] = h
 	}
 	for i, h := range handles {
-		if _, err := h.Wait(); err != nil {
+		report, err := h.Wait()
+		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
+		}
+		if shared := report.Result.Counters.Get(mapreduce.CtrScansShared); shared != 0 {
+			t.Errorf("threshold %d: manimal.scans.shared = %d, want 0 for differing filters", thresholds[i], shared)
 		}
 		got, err := os.ReadFile(outs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want[i]) {
-			t.Errorf("threshold %d: union-shared output differs from solo -noopt run (%d vs %d bytes)",
+			t.Errorf("threshold %d: output differs from solo -noopt run (%d vs %d bytes)",
 				thresholds[i], len(got), len(want[i]))
 		}
 	}
