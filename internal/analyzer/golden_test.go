@@ -113,6 +113,46 @@ func dumpDescriptor(d *Descriptor) string {
 	return b.String()
 }
 
+// TestTable1MatchesPaper reproduces the analyzer-recall matrix of paper
+// Table 1 over the human-annotated benchmarks, including the deliberate
+// misses (Benchmark 1 projection and delta, Benchmark 4 selection), and
+// requires that no optimization annotated NotPresent is ever detected.
+func TestTable1MatchesPaper(t *testing.T) {
+	// Detected select, project, delta per benchmark, in Table1 order.
+	want := [][3]bool{
+		{true, false, false},
+		{false, true, true},
+		{true, false, true},
+		{false, false, false},
+	}
+	if len(programs.Table1) != len(want) {
+		t.Fatalf("programs.Table1 has %d rows, want %d", len(programs.Table1), len(want))
+	}
+	for i, truth := range programs.Table1 {
+		p, err := lang.Parse(truth.Source)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", truth.Name, err)
+		}
+		schema, err := serde.ParseSchema(truth.SchemaText)
+		if err != nil {
+			t.Fatalf("%s: schema: %v", truth.Name, err)
+		}
+		d, err := Analyze(p, schema)
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", truth.Name, err)
+		}
+		got := [3]bool{d.Select != nil, d.Project != nil, d.Delta != nil}
+		if got != want[i] {
+			t.Errorf("%s: detected select/project/delta = %v, want %v", truth.Name, got, want[i])
+		}
+		for j, present := range []programs.Presence{truth.Select, truth.Project, truth.Delta} {
+			if present == programs.NotPresent && got[j] {
+				t.Errorf("%s: false positive on %s", truth.Name, []string{"select", "project", "delta"}[j])
+			}
+		}
+	}
+}
+
 // TestGoldenDescriptorCorpus analyzes every corpus program and compares the
 // complete descriptor — including rejection notes — against the committed
 // golden dumps. Run with -update to rewrite them after an intentional

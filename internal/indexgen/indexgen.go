@@ -209,13 +209,6 @@ func (c BuildConfig) sampleSize() int {
 	return DefaultSampleSize
 }
 
-// Build runs the index-generation MapReduce job for the spec over
-// inputPath with default tuning (sharded, parallel) on the process-wide
-// scheduler. See BuildWith.
-func Build(spec Spec, inputPath, indexPath, workDir string) (catalog.Entry, error) {
-	return BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, inputPath, indexPath, workDir, BuildConfig{})
-}
-
 // BuildWith runs the index-generation MapReduce job for the spec over
 // inputPath, writing the index to indexPath, and returns the catalog entry
 // to register. workDir hosts the shuffle of B+Tree builds. The build's

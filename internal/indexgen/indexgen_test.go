@@ -98,7 +98,7 @@ func TestBuildBTreeSortedAndComplete(t *testing.T) {
 	spec := Spec{Kind: catalog.KindBTree, KeyExpr: `v.Int("rank")`, Fields: []string{"url", "rank"}}
 	// Default tuning: sharded on multi-core hosts, lone tree on one core;
 	// OpenIndex serves either layout.
-	entry, err := Build(spec, data, filepath.Join(dir, "w.idx"), dir)
+	entry, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data, filepath.Join(dir, "w.idx"), dir, BuildConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -872,7 +872,9 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 // canonicalized).
 func cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 	h := sha256.New()
-	fmt.Fprintf(h, "manimal-result-cache-v1\n")
+	// Every variable field is quoted, so no path, conf key or conf value
+	// can spell out further key lines.
+	fmt.Fprintf(h, "manimal-result-cache-v2\n")
 	fmt.Fprintf(h, "format=%d\n", storage.FormatVersion)
 	fmt.Fprintf(h, "maponly=%t sorted=%t reducers=%d\n", spec.MapOnly, spec.SortedOutput, spec.NumReducers)
 	var fps []catalog.CacheInput
@@ -887,7 +889,7 @@ func cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 		}
 		progHash := sha256.Sum256([]byte(canon))
 		fps = append(fps, fp)
-		fmt.Fprintf(h, "input=%s|%d|%d|%x\n", fp.Path, fp.SizeBytes, fp.ModTimeNanos, progHash)
+		fmt.Fprintf(h, "input=%q|%d|%d|%x\n", fp.Path, fp.SizeBytes, fp.ModTimeNanos, progHash)
 	}
 	keys := make([]string, 0, len(spec.Conf))
 	for k := range spec.Conf {
@@ -896,7 +898,7 @@ func cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		d := spec.Conf[k]
-		fmt.Fprintf(h, "conf=%s=%d:%s\n", k, d.Kind, d.String())
+		fmt.Fprintf(h, "conf=%q=%d:%q\n", k, d.Kind, d.String())
 	}
 	return hex.EncodeToString(h.Sum(nil)), fps
 }
@@ -1113,15 +1115,9 @@ func (s *System) BuildIndex(spec IndexSpec, inputPath, indexPath string) (Catalo
 
 // BuildIndexWith is BuildIndex with explicit build tuning.
 func (s *System) BuildIndexWith(spec IndexSpec, inputPath, indexPath string, cfg BuildConfig) (CatalogEntry, error) {
-	return s.BuildIndexCtx(context.Background(), spec, inputPath, indexPath, cfg)
-}
-
-// BuildIndexCtx is BuildIndexWith with a cancellation context: canceling
-// ctx aborts the build and removes its partial index files.
-func (s *System) BuildIndexCtx(ctx context.Context, spec IndexSpec, inputPath, indexPath string, cfg BuildConfig) (CatalogEntry, error) {
 	jobWork := s.scratchDir("idx")
 	defer os.RemoveAll(jobWork)
-	entry, err := indexgen.BuildWith(ctx, s.sched, spec, inputPath, indexPath, jobWork, cfg)
+	entry, err := indexgen.BuildWith(context.Background(), s.sched, spec, inputPath, indexPath, jobWork, cfg)
 	if err != nil {
 		return CatalogEntry{}, err
 	}

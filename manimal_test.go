@@ -8,8 +8,10 @@ import (
 	"testing"
 
 	"manimal"
+	"manimal/internal/catalog"
 	"manimal/internal/mapreduce"
 	"manimal/internal/programs"
+	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
 
@@ -101,6 +103,22 @@ func TestEndToEndSelection(t *testing.T) {
 	if optIn*5 > baseIn {
 		t.Errorf("indexed run read %d of %d records; expected ~10%%", optIn, baseIn)
 	}
+
+	// Paper Table 3: the saving grows as selectivity falls. The full scan
+	// reads every input byte at any threshold; the index range scan reads
+	// fewer the fewer rows qualify.
+	wideSpec := optSpec
+	wideSpec.Name = "bench1-manimal-60"
+	wideSpec.OutputPath = filepath.Join(dir, "opt60.kv")
+	wideSpec.Conf = manimal.Conf{"threshold": manimal.Int(4000)}
+	_, wideReport := submit(t, sys, wideSpec)
+	baseBytes := baseReport.Result.Counters.Get(mapreduce.CtrInputBytesRead)
+	narrowBytes := optReport.Result.Counters.Get(mapreduce.CtrInputBytesRead)
+	wideBytes := wideReport.Result.Counters.Get(mapreduce.CtrInputBytesRead)
+	if narrowBytes >= baseBytes || narrowBytes >= wideBytes {
+		t.Errorf("input bytes read: 10%% %d, 60%% %d, full scan %d; want 10%% below both",
+			narrowBytes, wideBytes, baseBytes)
+	}
 }
 
 // TestEndToEndAggregation exercises projection + delta-compression via the
@@ -159,6 +177,34 @@ func TestEndToEndAggregation(t *testing.T) {
 	// The projected index must be much smaller than the original.
 	if entries[0].SizeBytes*2 > fileSize(t, data) {
 		t.Errorf("projected index %d bytes vs original %d; expected <50%%", entries[0].SizeBytes, fileSize(t, data))
+	}
+
+	// Paper Table 5: delta-encoding the three numerics of a projected file
+	// saves substantial space (the paper reports 47 %).
+	numeric := []string{"visitDate", "adRevenue", "duration"}
+	plain := buildIndex(t, sys, manimal.IndexSpec{Kind: catalog.KindRecordFile, Fields: numeric}, data, "uv.proj")
+	delta := buildIndex(t, sys, manimal.IndexSpec{
+		Kind:   catalog.KindRecordFile,
+		Fields: numeric,
+		Encodings: map[string]storage.FieldEncoding{
+			"visitDate": storage.EncodeDelta,
+			"adRevenue": storage.EncodeDelta,
+			"duration":  storage.EncodeDelta,
+		},
+	}, data, "uv.delta")
+	if delta.SizeBytes*4 > plain.SizeBytes*3 {
+		t.Errorf("delta-encoded projection %d bytes vs plain %d; want >=25%% smaller", delta.SizeBytes, plain.SizeBytes)
+	}
+
+	// Paper Table 4: with 10 KB of content per web page, the url+rank
+	// projection is a small fraction of the original file.
+	pages := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(6).WriteWebPages(pages, 300, 10*1024); err != nil {
+		t.Fatal(err)
+	}
+	proj := buildIndex(t, sys, manimal.IndexSpec{Kind: catalog.KindRecordFile, Fields: []string{"url", "rank"}}, pages, "webpages.proj")
+	if proj.SizeBytes*10 >= fileSize(t, pages) {
+		t.Errorf("projection of 10 KB pages %d bytes vs original %d; want <10%%", proj.SizeBytes, fileSize(t, pages))
 	}
 }
 
@@ -241,6 +287,10 @@ func TestEndToEndJoin(t *testing.T) {
 	if !reflect.DeepEqual(base, opt) {
 		t.Fatalf("optimized join output differs: %d vs %d pairs", len(base), len(opt))
 	}
+	baseBytes := baseReport.Result.Counters.Get(mapreduce.CtrInputBytesRead)
+	if optBytes := optReport.Result.Counters.Get(mapreduce.CtrInputBytesRead); optBytes >= baseBytes {
+		t.Errorf("optimized join read %d input bytes, full scans %d; want fewer", optBytes, baseBytes)
+	}
 }
 
 // TestEndToEndDirectOperation exercises dictionary compression with direct
@@ -295,6 +345,16 @@ func TestEndToEndDirectOperation(t *testing.T) {
 	if sortedReport.Inputs[0].Plan.DirectCodes {
 		t.Error("direct codes must be disabled under SortedOutput")
 	}
+
+	// Paper Table 6: dictionary-encoding destURL shrinks the whole file.
+	dict := buildIndex(t, sys, manimal.IndexSpec{
+		Kind:      catalog.KindRecordFile,
+		Fields:    workload.UserVisitsSchema.FieldNames(),
+		Encodings: map[string]storage.FieldEncoding{"destURL": storage.EncodeDict},
+	}, data, "uv.dict")
+	if dict.SizeBytes >= fileSize(t, data) {
+		t.Errorf("dictionary index %d bytes not smaller than original %d", dict.SizeBytes, fileSize(t, data))
+	}
 }
 
 // TestBenchmark4Unoptimizable: the text-centric UDF aggregation runs
@@ -326,6 +386,16 @@ func TestBenchmark4Unoptimizable(t *testing.T) {
 	if len(report.Inputs[0].IndexPrograms) != 0 {
 		t.Fatalf("no index programs expected, got %d", len(report.Inputs[0].IndexPrograms))
 	}
+}
+
+// buildIndex builds spec over input into the file name beside it.
+func buildIndex(t *testing.T, sys *manimal.System, spec manimal.IndexSpec, input, name string) manimal.CatalogEntry {
+	t.Helper()
+	entry, err := sys.BuildIndex(spec, input, filepath.Join(filepath.Dir(input), name))
+	if err != nil {
+		t.Fatalf("build %s: %v", name, err)
+	}
+	return entry
 }
 
 func fileSize(t *testing.T, path string) int64 {

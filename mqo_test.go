@@ -303,6 +303,49 @@ func TestResultCacheHitResubmission(t *testing.T) {
 	}
 }
 
+// TestResultCacheConfValuesCannotForgeKeys: a string conf value that
+// spells out another conf line must not make two different jobs share a
+// cache key. Job A sets a = "x\nconf=b=…:y"; job B sets a = "x", b = "y".
+// B must execute and emit its own key "x", not be served A's output.
+func TestResultCacheConfValuesCannotForgeKeys(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(47).WriteWebPages(data, 200, 16); err != nil {
+		t.Fatal(err)
+	}
+	prog := mustProgram(t, "confkey", `
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Emit(ctx.ConfStr("a"), 1)
+}
+`)
+	sys, err := manimal.NewSystem(filepath.Join(dir, "sys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(name string, conf manimal.Conf) manimal.JobSpec {
+		return manimal.JobSpec{
+			Name:             name,
+			Inputs:           []manimal.InputSpec{{Path: data, Program: prog}},
+			OutputPath:       filepath.Join(dir, name+".kv"),
+			Conf:             conf,
+			MapOnly:          true,
+			MaxParallelTasks: 1,
+		}
+	}
+	forged := fmt.Sprintf("x\nconf=b=%d:y", manimal.String("").Kind)
+	submit(t, sys, spec("a", manimal.Conf{"a": manimal.String(forged)}))
+	pairs, report := submit(t, sys, spec("b", manimal.Conf{"a": manimal.String("x"), "b": manimal.String("y")}))
+	if kind := report.Inputs[0].Plan.Kind; kind == manimal.PlanCached {
+		t.Fatalf("job B served from job A's cache entry (plan %s)", kind)
+	}
+	if len(pairs) != 200 {
+		t.Fatalf("job B emitted %d pairs, want 200", len(pairs))
+	}
+	if got := pairs[0].Key.Str(); got != "x" {
+		t.Fatalf("job B emitted key %q, want \"x\"", got)
+	}
+}
+
 // TestResultCacheInvalidationOnRewrite: rewriting an input changes its
 // fingerprint, so the old entry can never serve again — the resubmission
 // executes (a miss) and produces the NEW input's output.
