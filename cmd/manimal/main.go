@@ -11,7 +11,8 @@
 //	manimal explain -prog prog.go [-cfg] [-usedef]
 //	manimal index   -sys DIR -prog prog.go -input data.rec
 //	manimal run     -sys DIR -prog prog.go -input data.rec -out out.kv \
-//	                [-conf threshold=10] [-noopt] [-maponly] [-progress]
+//	                [-conf threshold=10] [-noopt] [-maponly] [-progress] \
+//	                [-cpuprofile FILE]
 //	manimal catalog -sys DIR
 //	manimal cache   -sys DIR [-evict] [-stale]
 //	manimal inspect -file data.rec [-blocks]
@@ -35,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -377,6 +379,7 @@ func cmdRun(args []string) error {
 	explain := fs.Bool("explain", false, "print the optimizer's plan notes (index choices and skips)")
 	progress := fs.Bool("progress", false, "print live phase/task/counter updates while the job runs")
 	show := fs.Int("show", 10, "print up to N output pairs")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the job, from submit to wait, to this file")
 	var conf confFlag
 	fs.Var(&conf, "conf", "job parameter key=value (repeatable)")
 	fs.Parse(args)
@@ -390,21 +393,30 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	handle, err := sys.SubmitAsync(context.Background(), manimal.JobSpec{
-		Name:                "cli",
-		Inputs:              []manimal.InputSpec{{Path: *inputPath, Program: prog}},
-		OutputPath:          *outPath,
-		Conf:                conf.conf,
-		MapOnly:             *mapOnly,
-		DisableOptimization: *noopt,
-	})
+	stopProfile, err := startCPUProfile(*cpuProfile)
 	if err != nil {
 		return err
 	}
-	if *progress {
-		watchProgress(handle)
+	report, err := func() (*manimal.JobReport, error) {
+		handle, err := sys.SubmitAsync(context.Background(), manimal.JobSpec{
+			Name:                "cli",
+			Inputs:              []manimal.InputSpec{{Path: *inputPath, Program: prog}},
+			OutputPath:          *outPath,
+			Conf:                conf.conf,
+			MapOnly:             *mapOnly,
+			DisableOptimization: *noopt,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if *progress {
+			watchProgress(handle)
+		}
+		return handle.Wait()
+	}()
+	if perr := stopProfile(); err == nil {
+		err = perr
 	}
-	report, err := handle.Wait()
 	if err != nil {
 		return err
 	}
@@ -461,6 +473,26 @@ func cmdRun(args []string) error {
 		}
 	}
 	return nil
+}
+
+// startCPUProfile starts a pprof CPU profile written to path, if path is
+// set; the returned function stops it and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 // watchProgress prints a status line whenever the job's phase, task

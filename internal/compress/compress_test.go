@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +163,70 @@ func TestDictionaryBinaryRoundTrip(t *testing.T) {
 			t.Errorf("term %q: code %d vs %d", s, c, want)
 		}
 	}
+}
+
+// TestDecodedDictionaryAgreesWithWriter: a dictionary decoded from its
+// footer bytes, which builds no term→code map until asked, answers Decode,
+// Lookup and Encode exactly as the writer's dictionary does, including
+// Encode of a term neither has seen.
+func TestDecodedDictionaryAgreesWithWriter(t *testing.T) {
+	w := NewDictionary()
+	for i := 0; i < 300; i++ {
+		w.Encode(fmt.Sprintf("http://host-%d/page", i%211))
+	}
+	w.Encode("")
+	got, _, err := DecodeDictionary(w.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != w.Len() {
+		t.Fatalf("decoded %d terms, the writer holds %d", got.Len(), w.Len())
+	}
+	for c := uint64(0); c < uint64(w.Len()); c++ {
+		term, _ := w.Decode(c)
+		if s, err := got.Decode(c); err != nil || s != term {
+			t.Fatalf("Decode(%d) = %q, %v; the writer's is %q", c, s, err, term)
+		}
+		if code, ok := got.Lookup(term); !ok || code != c {
+			t.Fatalf("Lookup(%q) = %d, %t; want %d", term, code, ok, c)
+		}
+		if code := got.Encode(term); code != c {
+			t.Fatalf("Encode(%q) = %d; want %d", term, code, c)
+		}
+	}
+	if _, ok := got.Lookup("absent"); ok {
+		t.Error("decoded dictionary finds a term the writer never encoded")
+	}
+	if a, b := w.Encode("new"), got.Encode("new"); a != b || got.Len() != w.Len() {
+		t.Errorf("Encode of a new term: writer %d, decoded %d (lengths %d, %d)", a, b, w.Len(), got.Len())
+	}
+}
+
+// TestDecodedDictionaryConcurrentLookup: the first Lookups on a decoded
+// dictionary race to build its map; run under -race, they must not.
+func TestDecodedDictionaryConcurrentLookup(t *testing.T) {
+	w := NewDictionary()
+	for i := 0; i < 1000; i++ {
+		w.Encode(fmt.Sprintf("term-%d", i))
+	}
+	d, _, err := DecodeDictionary(w.AppendBinary(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if c, ok := d.Lookup(fmt.Sprintf("term-%d", i)); !ok || c != uint64(i) {
+					t.Errorf("Lookup(term-%d) = %d, %t", i, c, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Code strings must be injective: the entire correctness of direct

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Dictionary maps string field values to small integer codes for
@@ -13,9 +14,14 @@ import (
 // tests on codes agree with equality tests on the original strings.
 // Ordering is NOT preserved, which is why the paper restricts the
 // optimization when the user requires sorted final output (footnote 1).
+//
+// A dictionary decoded from a file footer serves Decode from its term list
+// alone; the term→code map it needs for Encode and Lookup is built by the
+// first such call. Read paths only ever Decode, so they never build it.
 type Dictionary struct {
-	codes map[string]uint64
-	terms []string
+	terms   []string
+	codes   map[string]uint64 // nil in a decoded dictionary until index builds it
+	indexed sync.Once
 }
 
 // NewDictionary returns an empty dictionary.
@@ -23,29 +29,48 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{codes: make(map[string]uint64)}
 }
 
+// index returns the term→code map, building it on a decoded dictionary's
+// first call. Concurrent Lookups on one dictionary are safe; Encode is not.
+func (d *Dictionary) index() map[string]uint64 {
+	d.indexed.Do(func() {
+		if d.codes != nil {
+			return
+		}
+		d.codes = make(map[string]uint64, len(d.terms))
+		for c, t := range d.terms {
+			if _, dup := d.codes[t]; !dup {
+				d.codes[t] = uint64(c)
+			}
+		}
+	})
+	return d.codes
+}
+
 // Encode returns the code for s, assigning the next code on first sight.
 // A newly seen term is cloned before it is stored: callers routinely pass
 // strings that alias a reused scan buffer (storage.Scanner's shared-decode
 // records), which would otherwise mutate under the dictionary.
 func (d *Dictionary) Encode(s string) uint64 {
-	if c, ok := d.codes[s]; ok {
+	codes := d.index()
+	if c, ok := codes[s]; ok {
 		return c
 	}
 	s = strings.Clone(s)
 	c := uint64(len(d.terms))
-	d.codes[s] = c
+	codes[s] = c
 	d.terms = append(d.terms, s)
 	return c
 }
 
 // Lookup returns the code for s if s was previously encoded.
 func (d *Dictionary) Lookup(s string) (uint64, bool) {
-	c, ok := d.codes[s]
+	c, ok := d.index()[s]
 	return c, ok
 }
 
-// Decode returns the string for code c. Decoding is only used by tooling
-// and tests; the execution fabric operates directly on codes.
+// Decode returns the string for code c. Scans that hand a dictionary field
+// to map() as a string decode every code they read through it; under
+// direct operation they pass the codes on instead.
 func (d *Dictionary) Decode(c uint64) (string, error) {
 	if c >= uint64(len(d.terms)) {
 		return "", fmt.Errorf("compress: dictionary code %d out of range (%d terms)", c, len(d.terms))
@@ -68,14 +93,16 @@ func (d *Dictionary) AppendBinary(dst []byte) []byte {
 }
 
 // DecodeDictionary decodes a dictionary from buf, returning it and the
-// number of bytes consumed.
+// number of bytes consumed. The terms are substrings of one string copy of
+// the bytes they span; no term→code map is built (see Dictionary).
 func DecodeDictionary(buf []byte) (*Dictionary, int, error) {
-	n, used := binary.Uvarint(buf)
-	if used <= 0 {
+	n, start := binary.Uvarint(buf)
+	if start <= 0 {
 		return nil, 0, fmt.Errorf("compress: truncated dictionary header")
 	}
-	pos := used
-	d := NewDictionary()
+	// Validate every term first, so the term list allocated below is
+	// bounded by buf's length however large a corrupt count claims to be.
+	pos := start
 	for i := uint64(0); i < n; i++ {
 		l, used := binary.Uvarint(buf[pos:])
 		if used <= 0 {
@@ -85,8 +112,16 @@ func DecodeDictionary(buf []byte) (*Dictionary, int, error) {
 		if l > uint64(len(buf)-pos) {
 			return nil, 0, fmt.Errorf("compress: truncated dictionary term body %d", i)
 		}
-		d.Encode(string(buf[pos : pos+int(l)]))
 		pos += int(l)
+	}
+	all := string(buf[start:pos])
+	d := &Dictionary{terms: make([]string, n)}
+	at := start
+	for i := range d.terms {
+		l, used := binary.Uvarint(buf[at:])
+		at += used
+		d.terms[i] = all[at-start : at-start+int(l)]
+		at += int(l)
 	}
 	return d, pos, nil
 }

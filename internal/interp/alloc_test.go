@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -108,6 +109,44 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 	if extra := indexAllocs(0, 64) - base; extra > 64 {
 		t.Errorf("map-store: 64 map stores add %.2f allocs per record; want <= 64 (the stored key string)", extra)
+	}
+}
+
+// TestRangeListAllocs pins lists as the []string strings.Fields returns,
+// not a copy boxed element by element: ranging over Fields allocates what
+// Fields does, once per call whatever the word count, and a list held in a
+// variable adds only the one box the variable needs.
+func TestRangeListAllocs(t *testing.T) {
+	for name, tc := range map[string]struct {
+		src  string
+		want float64
+	}{
+		"direct": {`
+func Map(k, v *Record, ctx *Ctx) {
+	n := 0
+	for _, w := range strings.Fields(v.Str("url")) {
+		if strings.HasPrefix(w, "http://") {
+			n = n + len(w)
+		}
+	}
+	ctx.Emit(k, n)
+}`, 1},
+		"variable": {`
+func Map(k, v *Record, ctx *Ctx) {
+	words := strings.Fields(v.Str("url"))
+	for i, w := range words {
+		if strings.HasPrefix(w, "http://") {
+			ctx.Emit(i, len(words))
+		}
+	}
+}`, 2},
+	} {
+		for _, words := range []int{1, 8, 170} {
+			rec := record(strings.TrimSpace(strings.Repeat("http://example.com/x ", words)), 1, 0, true)
+			if got := mapAllocs(t, tc.src, nil, rec); got != tc.want {
+				t.Errorf("%s, %d words: %.2f allocs per record; want %.0f", name, words, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -663,26 +663,39 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
 	if err != nil {
 		return errStmt(err)
 	}
-	xFn := c.box(c.expr(st.X))
+	// A list straight from a builtin over typed operands is never boxed; any
+	// other list expression is evaluated boxed and unboxed here.
+	x := c.expr(st.X)
+	listFn := x.l
+	if listFn == nil {
+		xFn := c.box(x)
+		listFn = func(fr *frame) ([]string, error) {
+			xv, err := xFn(fr)
+			if err != nil {
+				return nil, err
+			}
+			if xv.Kind != ValList {
+				return nil, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
+			}
+			return xv.list(), nil
+		}
+	}
 	bodyFn := c.block(st.Body)
 	return func(fr *frame) (ctrl, error) {
-		xv, err := xFn(fr)
+		list, err := listFn(fr)
 		if err != nil {
 			return ctrlNone, err
 		}
-		if xv.Kind != ValList {
-			return ctrlNone, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
-		}
-		for i, d := range xv.list() {
+		for i, s := range list {
 			// The index is an int and the element a string (see infer); a
 			// slot other statements define differently takes them boxed.
 			if keySlot >= 0 {
 				fr.bindKind(keySlot, keyKind, IntVal(int64(i)))
 			}
 			if valKind == kStr {
-				fr.setStr(valSlot, d.Str())
+				fr.setStr(valSlot, s)
 			} else if valSlot >= 0 {
-				fr.bind(valSlot, Scalar(d))
+				fr.bind(valSlot, StrVal(s))
 			}
 			ct, err := bodyFn(fr)
 			if err != nil {

@@ -436,7 +436,7 @@ func (c *compiler) index(ex *ast.IndexExpr) texpr {
 			if idx < 0 || idx >= int64(len(l)) {
 				return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(l))
 			}
-			return Scalar(l[idx]), nil
+			return StrVal(l[idx]), nil
 		case ValMap:
 			kd, err := i.scalar()
 			if err != nil {

@@ -491,6 +491,29 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 `, schemaText: webPages},
+		// Lists are the []string Split and Fields return: ranged over straight
+		// from the call and through a variable, indexed, measured and joined.
+		{name: "list-ops", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	parts := strings.Split(v.Str("url"), "/")
+	ctx.Emit(strings.Join(parts, "|"), len(parts))
+	if len(parts) > 2 {
+		ctx.Emit(parts[len(parts)-1], parts[0]+parts[2])
+	}
+	words := strings.Fields(v.Str("content"))
+	for i, w := range words {
+		if i+1 < len(words) && len(w) > len(words[i+1]) {
+			ctx.Emit(w, words[i+1])
+		}
+	}
+	for _, u := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(u, "http://") {
+			ctx.Emit(strings.Join(strings.Split(u, "/"), " "), len(strings.Split(u, ".")))
+		}
+	}
+	ctx.Emit(k, strings.Join(strings.Fields(""), ","))
+}
+`, schemaText: webPages},
 		// The record parameter escapes — to a helper and into Emit — while
 		// other reads of it stay bound to columns; and a Map that rebinds the
 		// parameter loses the binding altogether.

@@ -185,8 +185,7 @@ var (
 	strK   = kindOps[string]{kStr, Value.str, func(t *texpr) fn[string] { return t.s }, StrVal, strX}
 	floatK = kindOps[float64]{k: kFloat, box: FloatVal, wrap: floatX}
 	boolK  = kindOps[bool]{k: kBool, box: BoolVal, wrap: boolX}
-	// listK is a list result: built boxed by the function itself.
-	listK = kindOps[Value]{k: kDyn, box: func(v Value) Value { return v }, wrap: dynX}
+	listK  = kindOps[[]string]{k: kDyn, box: strList, wrap: listX}
 )
 
 // call1 and call2 apply a Go function to typed operands.
@@ -380,16 +379,11 @@ func minmax(name string) builtin {
 	}
 }
 
-// strList boxes the result of a list-valued function. It is the only
-// constructor of lists in the language, which is what lets a range
-// statement bind its element variable as a string (compiler.infer).
-func strList(parts []string) Value {
-	ds := make([]serde.Datum, len(parts))
-	for i, p := range parts {
-		ds[i] = serde.String(p)
-	}
-	return ListVal(ds)
-}
+// strList boxes the result of a list-valued function: the []string itself,
+// not a copy. It is the only constructor of lists in the language, which is
+// what lets a range statement bind its element variable as a string
+// (compiler.infer).
+func strList(parts []string) Value { return Value{Kind: ValList, ref: parts} }
 
 var builtins = map[string]builtin{
 	"len": {
@@ -432,8 +426,8 @@ var builtins = map[string]builtin{
 	"strings.ToLower":   fn1(strK, strK, strings.ToLower),
 	"strings.ToUpper":   fn1(strK, strK, strings.ToUpper),
 	"strings.TrimSpace": fn1(strK, strK, strings.TrimSpace),
-	"strings.Split":     fn2(strK, strK, listK, func(s, sep string) Value { return strList(strings.Split(s, sep)) }),
-	"strings.Fields":    fn1(strK, listK, func(s string) Value { return strList(strings.Fields(s)) }),
+	"strings.Split":     fn2(strK, strK, listK, strings.Split),
+	"strings.Fields":    fn1(strK, listK, strings.Fields),
 	"strings.Join": {
 		ret: kStr,
 		impl: func(args []Value) (Value, error) {
@@ -444,12 +438,7 @@ var builtins = map[string]builtin{
 			if err != nil {
 				return Value{}, err
 			}
-			list := args[0].list()
-			parts := make([]string, len(list))
-			for i, d := range list {
-				parts[i] = d.String()
-			}
-			return StrVal(strings.Join(parts, sep)), nil
+			return StrVal(strings.Join(args[0].list(), sep)), nil
 		},
 	},
 	"strings.Replace": {

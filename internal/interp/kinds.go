@@ -80,7 +80,10 @@ type exprFn = fn[Value]
 // demand (compiler.box); where a statically-kinded node can only be computed
 // dynamically (a comparison over a map read, a static conflict such as
 // 1 < "a" whose runtime error the walker defines), the boxed closure is the
-// lowering and the typed one is derived by unboxing (unboxed).
+// lowering and the typed one is derived by unboxing (unboxed). A list is no
+// scalar, so a list-valued builtin over typed operands is dynamic with a
+// typed closure beside: l yields the []string itself, which a range
+// statement takes without boxing it.
 type texpr struct {
 	e ast.Expr // the node, for the boxed-site inventory
 	k kind
@@ -88,6 +91,7 @@ type texpr struct {
 	f fn[float64]
 	s fn[string]
 	b fn[bool]
+	l fn[[]string]
 	v exprFn // boxed: the lowering itself when k == kDyn, else see above
 }
 
@@ -96,6 +100,7 @@ func floatX(f fn[float64]) texpr { return texpr{k: kFloat, f: f} }
 func strX(f fn[string]) texpr    { return texpr{k: kStr, s: f} }
 func boolX(f fn[bool]) texpr     { return texpr{k: kBool, b: f} }
 func dynX(f exprFn) texpr        { return texpr{k: kDyn, v: f} }
+func listX(f fn[[]string]) texpr { return texpr{k: kDyn, l: f, v: boxed(f, strList)} }
 
 // unboxed is a dynamically computed expression whose result is known to be
 // of kind k whenever f succeeds; its typed closure unboxes f's value.

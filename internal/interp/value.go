@@ -69,7 +69,8 @@ type ValKind uint8
 const (
 	// ValScalar is a serde.Datum.
 	ValScalar ValKind = iota
-	// ValList is a slice of datums (e.g. strings.Split result).
+	// ValList is a list of strings (a strings.Split or strings.Fields
+	// result).
 	ValList
 	// ValMap is a mutable map from datum keys to datum values (the
 	// Hashtable analogue of paper Benchmark 4).
@@ -86,7 +87,7 @@ const (
 type Value struct {
 	Kind ValKind
 	D    serde.Datum
-	// ref holds, per Kind, the []serde.Datum of a ValList, the
+	// ref holds, per Kind, the []string of a ValList, the
 	// map[string]serde.Datum of a ValMap (key = tagged encoding of the key
 	// datum, see Executor.mapKey) or the *serde.Record of a ValRecord.
 	ref any
@@ -104,16 +105,13 @@ func BoolVal(v bool) Value     { return Scalar(serde.Bool(v)) }
 // RecordVal wraps a record.
 func RecordVal(r *serde.Record) Value { return Value{Kind: ValRecord, ref: r} }
 
-// ListVal wraps a datum list.
-func ListVal(ds []serde.Datum) Value { return Value{Kind: ValList, ref: ds} }
-
 // NewMapVal returns an empty mutable map value.
 func NewMapVal() Value { return Value{Kind: ValMap, ref: make(map[string]serde.Datum)} }
 
 // list, dict and rec read the reference of a ValList, ValMap and ValRecord;
 // each is nil for a value of any other kind.
-func (v Value) list() []serde.Datum {
-	l, _ := v.ref.([]serde.Datum)
+func (v Value) list() []string {
+	l, _ := v.ref.([]string)
 	return l
 }
 

@@ -282,12 +282,12 @@ func (fr *walker) execStmt(s ast.Stmt) (ctrl, error) {
 		if xv.Kind != ValList {
 			return ctrlNone, fmt.Errorf("interp: range requires a list, got %v", xv.Kind)
 		}
-		for i, d := range xv.list() {
+		for i, s := range xv.list() {
 			if id, ok := st.Key.(*ast.Ident); ok {
 				fr.mustDefine(id.Name, IntVal(int64(i)))
 			}
 			if id, ok := st.Value.(*ast.Ident); ok {
-				fr.mustDefine(id.Name, Scalar(d))
+				fr.mustDefine(id.Name, StrVal(s))
 			}
 			c, err := fr.execBlock(st.Body)
 			if err != nil {
@@ -567,7 +567,7 @@ func (fr *walker) evalIndex(ex *ast.IndexExpr) (Value, error) {
 		if idx < 0 || idx >= int64(len(x.list())) {
 			return Value{}, fmt.Errorf("interp: list index %d out of range [0,%d)", idx, len(x.list()))
 		}
-		return Scalar(x.list()[idx]), nil
+		return StrVal(x.list()[idx]), nil
 	case ValMap:
 		kd, err := i.scalar()
 		if err != nil {

@@ -49,6 +49,43 @@ func TestShuffleEmitAllocs(t *testing.T) {
 	}
 }
 
+// TestGroupedSpillAllocs gates the grouped spill of a combiner job: once
+// its table and scratches are warm, a spill allocates per spill and per
+// distinct key, never per pair — spilling 16× the pairs over the same keys
+// allocates no more.
+func TestGroupedSpillAllocs(t *testing.T) {
+	comb := func() (Reducer, error) { return sumReducer{}, nil }
+	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
+	defer se.discard()
+	keys := make([]serde.Datum, 64)
+	for i := range keys {
+		keys[i] = serde.String(fmt.Sprintf("http://host-%02d/", i))
+	}
+	spillPairs := func(pairs int) {
+		for i := 0; i < pairs; i++ {
+			if err := se.emit(keys[(i*7)%len(keys)], interp.EmitValue{D: serde.Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := se.spill(); err != nil {
+			t.Fatal(err)
+		}
+		for _, sf := range se.files {
+			sf.release()
+		}
+		se.files = se.files[:0]
+	}
+	spillPairs(16384) // warm every scratch to the larger size
+	few := testing.AllocsPerRun(20, func() { spillPairs(1024) })
+	many := testing.AllocsPerRun(20, func() { spillPairs(16384) })
+	// AllocsPerRun counts the whole process's allocations, so a goroutine a
+	// previous test left behind may add a stray one; per-pair growth would
+	// add thousands.
+	if many > few+2 {
+		t.Fatalf("a grouped spill of 16384 pairs allocates %.1f objects, of 1024 pairs %.1f; want no growth with the pair count", many, few)
+	}
+}
+
 // TestMergeValueAllocsScalar gates the reduce-side merge: iterating a
 // spilled partition's scalar values must not allocate per value (the
 // cursor k/v buffers and the group key are reused).

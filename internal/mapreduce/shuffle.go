@@ -6,7 +6,9 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -198,6 +200,75 @@ func (pb *partBuf) sort() {
 	})
 }
 
+// groups is the grouped spill of a job with a Combine: it orders a
+// partition by its distinct keys instead of comparison-sorting every pair.
+// One pass gives each entry a group id through an open-addressing table
+// whose slots hold group ids — a group's key is read back out of the slab,
+// so an insert allocates nothing — then only the groups are sorted, and a
+// counting scatter lays the entries out group by group in key order, each
+// group's values in emission order. All of it is pooled with the emitter.
+type groups struct {
+	table []int32     // hash slots: group id + 1, 0 = empty
+	of    []int32     // per entry: its group id
+	first []int32     // per group: its first entry, whose key is the group's
+	n     []int32     // per group: its entry count, then its scatter cursor
+	order []int32     // group ids in key order, then the group sizes in that order
+	out   []slabEntry // the scattered index, swapped with the partition's
+}
+
+var groupSeed = maphash.MakeSeed()
+
+// group reorders pb.idx (non-empty) group by group in ascending key order
+// and returns the group sizes in that order.
+func (g *groups) group(pb *partBuf) []int32 {
+	n := len(pb.idx)
+	size := 1 << bits.Len(uint(2*n-1)) // a power of two ≥ 2n: at most half full
+	g.table = slices.Grow(g.table[:0], size)[:size]
+	clear(g.table)
+	mask := uint64(size - 1)
+	g.of, g.first, g.n = g.of[:0], g.first[:0], g.n[:0]
+	for i, e := range pb.idx {
+		k := pb.key(e)
+		for s := maphash.Bytes(groupSeed, k) & mask; ; s = (s + 1) & mask {
+			id := g.table[s] - 1
+			if id < 0 {
+				id = int32(len(g.first))
+				g.table[s] = id + 1
+				g.first = append(g.first, int32(i))
+				g.n = append(g.n, 0)
+			} else if !bytes.Equal(pb.key(pb.idx[g.first[id]]), k) {
+				continue
+			}
+			g.n[id]++
+			g.of = append(g.of, id)
+			break
+		}
+	}
+	g.order = g.order[:0]
+	for id := range g.first {
+		g.order = append(g.order, int32(id))
+	}
+	slab, idx, first := pb.slab, pb.idx, g.first
+	slices.SortFunc(g.order, func(a, b int32) int {
+		x, y := idx[first[a]], idx[first[b]]
+		return bytes.Compare(slab[x.off:x.off+int64(x.klen)], slab[y.off:y.off+int64(y.klen)])
+	})
+	at := int32(0)
+	for k, id := range g.order {
+		c := g.n[id]
+		g.n[id], g.order[k] = at, c
+		at += c
+	}
+	g.out = slices.Grow(g.out[:0], n)[:n]
+	for i, e := range pb.idx {
+		id := g.of[i]
+		g.out[g.n[id]] = e
+		g.n[id]++
+	}
+	pb.idx, g.out = g.out, pb.idx
+	return g.order
+}
+
 // spillFile is one map-task spill: every partition's sorted run
 // concatenated into a single image, located by per-partition byte spans.
 // An image of at most memSpillMax bytes stays in memory (mem) and never
@@ -267,25 +338,26 @@ func (sf *spillFile) consumed(p int) {
 }
 
 // emitterBufs is a shuffle emitter's reusable backing memory — partition
-// slabs, the combiner buffer, scratches — pooled across map tasks so every
-// task after the first starts with warmed, right-sized buffers instead of
-// growing fresh ones.
+// slabs, the combiner buffer, the grouped spill's table, scratches — pooled
+// across map tasks so every task after the first starts with warmed,
+// right-sized buffers instead of growing fresh ones.
 type emitterBufs struct {
 	parts  []partBuf
 	comb   partBuf
+	groups groups
 	keyBuf []byte
 	segBuf []byte
 }
 
 var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 
-// shuffleEmitter buffers one map task's output per partition, sorting and
-// spilling to disk (with optional combiner) when the buffer exceeds the
-// threshold and at task end. All per-record state — slabs, index arrays,
-// the key scratch, the value encoder's schema cache — is reused across
-// records and spills (and pooled across tasks; see release); values handed
-// to emit are fully serialized before emit returns, so callers may reuse
-// the backing record.
+// shuffleEmitter buffers one map task's output per partition, sorting (or,
+// with a combiner, grouping and combining) and spilling when the buffer
+// exceeds the threshold and at task end. All per-record state — slabs,
+// index arrays, the key scratch, the value encoder's schema cache — is
+// reused across records and spills (and pooled across tasks; see release);
+// values handed to emit are fully serialized before emit returns, so
+// callers may reuse the backing record.
 type shuffleEmitter struct {
 	taskID    int
 	attempt   int // task attempt; spill names embed it so retried and speculative attempts never collide
@@ -384,8 +456,8 @@ func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	return nil
 }
 
-// spill sorts every non-empty partition buffer and publishes one spill
-// image holding all partitions' sorted runs.
+// spill sorts (or groups and combines) every non-empty partition buffer and
+// publishes one spill image holding all partitions' sorted runs.
 func (se *shuffleEmitter) spill() error {
 	if se.pendRecords > 0 {
 		se.counters.Add(CtrMapOutputRecords, se.pendRecords)
@@ -402,15 +474,16 @@ func (se *shuffleEmitter) spill() error {
 		if len(pb.idx) == 0 {
 			continue
 		}
-		pb.sort()
 		out := pb
 		if se.combiner != nil {
 			var err error
-			out, err = se.combine(pb)
+			out, err = se.combine(pb, se.bufs.groups.group(pb))
 			if err != nil {
 				se.segBuf = buf
 				return err
 			}
+		} else {
+			pb.sort()
 		}
 		off := len(buf)
 		for _, e := range out.idx {
@@ -441,15 +514,17 @@ func (se *shuffleEmitter) spill() error {
 	return nil
 }
 
-// combine runs the combiner over each key group of a sorted partition
-// buffer, collecting its output into the reused combiner buffer and
-// re-sorting it (Hadoop-style map-side pre-aggregation). The combiner is
-// built once per emitter, at the task's first spill, and serves every
-// partition of every spill: compiling the program per partition per spill
-// cost more than combining did. Like a task's Mapper and Reducer it
-// therefore carries its member-variable state across all the groups the
-// task combines.
-func (se *shuffleEmitter) combine(pb *partBuf) (*partBuf, error) {
+// combine runs the combiner over each key group of a grouped partition
+// buffer — sizes are the group sizes in key order, as groups.group returns
+// them — collecting its output into the reused combiner buffer
+// (Hadoop-style map-side pre-aggregation). The output is re-sorted only if
+// the combiner did not keep it in key order, as one that re-keys may not.
+// The combiner is built once per emitter, at the task's first spill, and
+// serves every partition of every spill: compiling the program per
+// partition per spill cost more than combining did. Like a task's Mapper
+// and Reducer it therefore carries its member-variable state across all the
+// groups the task combines.
+func (se *shuffleEmitter) combine(pb *partBuf, sizes []int32) (*partBuf, error) {
 	if se.combInst == nil {
 		c, err := se.combiner()
 		if err != nil {
@@ -460,8 +535,12 @@ func (se *shuffleEmitter) combine(pb *partBuf) (*partBuf, error) {
 	c := se.combInst
 	out := &se.comb
 	out.reset()
+	sorted := true
 	emit := func(key serde.Datum, value interp.EmitValue) error {
 		se.keyBuf = key.AppendSortKey(se.keyBuf[:0])
+		if n := len(out.idx); sorted && n > 0 && bytes.Compare(out.key(out.idx[n-1]), se.keyBuf) > 0 {
+			sorted = false
+		}
 		out.append(se.keyBuf, value, &se.enc)
 		return nil
 	}
@@ -472,25 +551,25 @@ func (se *shuffleEmitter) combine(pb *partBuf) (*partBuf, error) {
 			se.counters.Add("user."+name, delta)
 		},
 	}
-	for lo := 0; lo < len(pb.idx); {
-		hi := lo + 1
-		for hi < len(pb.idx) && bytes.Equal(pb.key(pb.idx[hi]), pb.key(pb.idx[lo])) {
-			hi++
-		}
-		key, _, err := serde.DecodeSortKey(pb.key(pb.idx[lo]))
+	it := &slabValueIter{pb: pb, dec: &se.dec}
+	lo := 0
+	for _, n := range sizes {
+		it.idx, it.pos = pb.idx[lo:lo+int(n)], -1
+		lo += int(n)
+		key, _, err := serde.DecodeSortKey(pb.key(it.idx[0]))
 		if err != nil {
 			return nil, err
 		}
-		it := &slabValueIter{pb: pb, idx: pb.idx[lo:hi], dec: &se.dec, pos: -1}
 		if err := c.Reduce(key, it, ctx); err != nil {
 			return nil, err
 		}
 		if it.err != nil {
 			return nil, it.err
 		}
-		lo = hi
 	}
-	out.sort()
+	if !sorted {
+		out.sort()
+	}
 	return out, nil
 }
 

@@ -33,9 +33,10 @@ func mqoSpec(data *manimal.Program, input, name, out string, threshold int64) ma
 }
 
 // TestSharedScanDifferential is the scan-sharing acceptance gate: several
-// identical jobs submitted concurrently — whose map scans ride one shared
-// physical scan — must produce output byte-identical to a serial
-// unoptimized run, and at least one scan must actually have shared.
+// identical jobs submitted concurrently — whose map scans may ride one
+// shared physical scan — must produce output byte-identical to a serial
+// unoptimized run. Whether their scans overlap is up to the scheduler here;
+// mapreduce's TestScanShareGated forces the overlap and asserts the sharing.
 func TestSharedScanDifferential(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "webpages.rec")
@@ -84,13 +85,10 @@ func TestSharedScanDifferential(t *testing.T) {
 		}
 		handles[i] = h
 	}
-	var shared int64
 	for i, h := range handles {
-		report, err := h.Wait()
-		if err != nil {
+		if _, err := h.Wait(); err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		shared += report.Result.Counters.Get(mapreduce.CtrScansShared)
 		got, err := os.ReadFile(outs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -99,9 +97,6 @@ func TestSharedScanDifferential(t *testing.T) {
 			t.Errorf("job %d: shared-scan output differs from serial -noopt run (%d vs %d bytes)",
 				i, len(got), len(want))
 		}
-	}
-	if shared == 0 {
-		t.Error("manimal.scans.shared = 0: no map scan ever shared across the concurrent jobs")
 	}
 }
 
