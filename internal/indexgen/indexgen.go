@@ -346,13 +346,17 @@ func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry
 	}
 }
 
-// buildBTree runs the sharded (or single-file) B+Tree build.
+// buildBTree runs the B+Tree build: one reduce task per shard, each
+// bulk-loading its own file straight from its key-ordered merge. A
+// one-shard build is the same job with one reducer, whose file is
+// indexPath itself; a sharded build range-partitions the keys and writes a
+// manifest at indexPath.
 func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, pd *storage.Pushdown, stored *serde.Schema, indexPath, workDir string, cfg BuildConfig) error {
 	// A rebuild at the same path can produce fewer (or zero) shards than
 	// its predecessor — the shard count is data- and host-dependent — so
-	// drop the old shard files up front lest the survivors orphan. The
-	// rebuild is destructive either way: indexPath itself is truncated the
-	// moment the new build opens it.
+	// drop the old shard files up front lest the survivors orphan. A
+	// sharded rebuild is destructive either way: the old manifest names
+	// the files just removed.
 	if old, err := filepath.Glob(indexPath + ".shard*"); err == nil {
 		removeAll(old)
 	}
@@ -371,56 +375,43 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 		shards = len(bounds) + 1
 	}
 
+	paths := []string{indexPath}
+	if shards > 1 {
+		paths = make([]string, shards)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("%s.shard%03d", indexPath, i)
+		}
+	}
 	job := &mapreduce.Job{
 		Name:    "indexgen:" + indexPath,
 		Inputs:  []mapreduce.MapInput{{Input: in, Mapper: fabric.MapperFactory(prog)}},
 		Reducer: func() (mapreduce.Reducer, error) { return fabric.IdentityReducer{}, nil },
-	}
-
-	if shards == 1 {
-		out, err := mapreduce.NewBTreeOutput(indexPath, stored, spec.KeyExpr)
-		if err != nil {
-			return err
-		}
-		job.Output = out
-		// One reducer receives the merge in global key order — exactly what
-		// bottom-up bulk loading requires of a lone-file tree.
-		job.Config = mapreduce.Config{NumReducers: 1, WorkDir: workDir, MaxParallelTasks: cfg.MaxParallelTasks}
-		if _, err := sched.Run(ctx, job); err != nil {
-			return err
-		}
-		st, err := os.Stat(indexPath)
-		if err != nil {
-			return err
-		}
-		entry.SizeBytes = st.Size()
-		return nil
-	}
-
-	shardPaths := make([]string, shards)
-	for i := range shardPaths {
-		shardPaths[i] = fmt.Sprintf("%s.shard%03d", indexPath, i)
-	}
-	job.OutputFor = func(p int) (mapreduce.Output, error) {
-		return mapreduce.NewBTreeOutput(shardPaths[p], stored, spec.KeyExpr)
-	}
-	job.Config = mapreduce.Config{
-		NumReducers:      shards,
-		WorkDir:          workDir,
-		MaxParallelTasks: cfg.MaxParallelTasks,
-		Partitioner:      &mapreduce.RangePartitioner{Bounds: bounds},
+		OutputFor: func(p int) (mapreduce.Output, error) {
+			return mapreduce.NewBTreeOutput(paths[p], stored, spec.KeyExpr)
+		},
+		Config: mapreduce.Config{
+			NumReducers:      shards,
+			WorkDir:          workDir,
+			MaxParallelTasks: cfg.MaxParallelTasks,
+			Partitioner:      &mapreduce.RangePartitioner{Bounds: bounds},
+		},
 	}
 	if _, err := sched.Run(ctx, job); err != nil {
-		removeAll(shardPaths)
+		if shards > 1 {
+			removeAll(paths)
+		}
 		return err
 	}
-	if err := btree.WriteManifest(indexPath, spec.KeyExpr, shardPaths, bounds); err != nil {
-		removeAll(shardPaths)
-		return err
+	if shards > 1 {
+		if err := btree.WriteManifest(indexPath, spec.KeyExpr, paths, bounds); err != nil {
+			removeAll(paths)
+			return err
+		}
+		entry.Kind = catalog.KindBTreeSharded
+		entry.Shards = shards
+		paths = append(paths, indexPath)
 	}
-	entry.Kind = catalog.KindBTreeSharded
-	entry.Shards = shards
-	size, err := totalSize(append([]string{indexPath}, shardPaths...))
+	size, err := totalSize(paths)
 	if err != nil {
 		return err
 	}

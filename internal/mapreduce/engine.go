@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -68,57 +67,73 @@ func (a *attemptCtr) rollback() {
 	clear(a.deltas)
 }
 
-// emitBuffer holds one attempt's direct-to-sink emissions, fully
-// serialized (the Emit contract lets callers reuse the backing record),
-// until the attempt wins its commit claim — only then do the pairs reach
-// the job's shared output, so a failed or losing attempt contributes
-// nothing and a retry cannot double-write. The buffer lives in memory:
-// jobs whose final output is too large for that route it through
-// OutputFor (per-task files) or a reduce phase instead.
-type emitBuffer struct {
-	enc     valueEncoder
-	scratch []byte
-	buf     []byte
-	n       int64
+// taskSink is where a map-only map task's or a reduce task's pairs go
+// until the attempt commits. With Job.OutputFor the task writes its own
+// output, which commit closes (an atomic rename) and abort discards. With
+// a shared Job.Output the attempt buffers its pairs fully serialized (the
+// Emit contract lets callers reuse the backing record), and commit flushes
+// them into the output under the job's one output lock: a failed or losing
+// attempt contributes nothing, a retry cannot double-write, and each
+// committed task's pairs sit together in the output. The buffer holds the
+// attempt's whole output in memory — a reduce attempt's whole partition —
+// so jobs whose output is too large for that use OutputFor.
+type taskSink struct {
+	out    Output      // the task's own output (Job.OutputFor), or nil
+	shared Output      // Job.Output, when out is nil
+	mu     *sync.Mutex // held for a whole flush into shared
+	kv     kvEncoder
+	buf    []byte // pairs bound for shared, framed by appendKV
+	n      int64  // pairs emitted
 }
 
-func (b *emitBuffer) emit(k serde.Datum, v interp.EmitValue) error {
-	b.scratch = k.AppendTagged(b.scratch[:0])
-	kl := len(b.scratch)
-	b.scratch = b.enc.appendValue(b.scratch, v)
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(kl))
-	n += binary.PutUvarint(hdr[n:], uint64(len(b.scratch)-kl))
-	b.buf = append(b.buf, hdr[:n]...)
-	b.buf = append(b.buf, b.scratch...)
-	b.n++
+// newTaskSink opens task's sink; mu is the job's output lock.
+func newTaskSink(job *Job, task int, mu *sync.Mutex) (*taskSink, error) {
+	if job.OutputFor == nil {
+		return &taskSink{shared: job.Output, mu: mu}, nil
+	}
+	out, err := job.OutputFor(task)
+	if err != nil {
+		return nil, err
+	}
+	return &taskSink{out: out}, nil
+}
+
+func (s *taskSink) emit(k serde.Datum, v interp.EmitValue) error {
+	s.n++
+	if s.out != nil {
+		return s.out.Write(k, v)
+	}
+	s.buf = s.kv.appendKV(s.buf, k, v)
 	return nil
 }
 
-// flushTo replays the buffered pairs into out, in emission order.
-func (b *emitBuffer) flushTo(out func(serde.Datum, interp.EmitValue) error) error {
-	var dec valueDecoder
-	pos := 0
-	for i := int64(0); i < b.n; i++ {
-		kl, n := binary.Uvarint(b.buf[pos:])
-		pos += n
-		vl, n := binary.Uvarint(b.buf[pos:])
-		pos += n
-		key, _, err := serde.DecodeTagged(b.buf[pos : pos+int(kl)])
-		if err != nil {
+// commit publishes the attempt's pairs and counts them; it runs under the
+// task's commit claim.
+func (s *taskSink) commit(ctr *attemptCtr) error {
+	if s.out != nil {
+		if err := s.out.Close(); err != nil {
+			s.out.Abort() // discard the truncated result
 			return err
 		}
-		pos += int(kl)
-		val, _, err := dec.decode(b.buf[pos : pos+int(vl)])
+	} else {
+		s.mu.Lock()
+		err := readKVs(s.buf, uint64(s.n), s.shared.Write)
+		s.mu.Unlock()
 		if err != nil {
-			return err
-		}
-		pos += int(vl)
-		if err := out(key, val); err != nil {
 			return err
 		}
 	}
+	if s.n > 0 {
+		ctr.Add(CtrOutputRecords, s.n)
+	}
 	return nil
+}
+
+// abort discards an uncommitted attempt's partial per-task output.
+func (s *taskSink) abort() {
+	if s.out != nil {
+		s.out.Abort()
+	}
 }
 
 // execute drives the job's task graph — admit → plan → map → (reduce) →
@@ -134,10 +149,7 @@ func (e *Execution) execute() (*Result, error) {
 	if !mapOnly {
 		numReducers = job.Config.numReducers()
 	}
-	var sink *syncOutput
-	if job.Output != nil {
-		sink = &syncOutput{out: job.Output}
-	}
+	var outMu sync.Mutex // serializes task flushes into job.Output
 
 	// Spill files gathered after the map phase: the COMMITTED spills only.
 	// Each holds every partition's sorted run for one spill of one winning
@@ -159,7 +171,7 @@ func (e *Execution) execute() (*Result, error) {
 	// nothing still writes to what is released here.
 	fail := func(phase string, err error) (*Result, error) {
 		if job.Output != nil {
-			abortOutput(job.Output)
+			job.Output.Abort()
 		}
 		for _, in := range job.Inputs {
 			in.Input.Close()
@@ -219,9 +231,7 @@ func (e *Execution) execute() (*Result, error) {
 		faultinject.Sleep(ctx, akey)
 		ctr := newAttemptCtr(counters)
 		var se *shuffleEmitter
-		var taskOut Output
-		var outBuf *emitBuffer
-		var outRecs int64
+		var sink *taskSink
 		committed := false
 		defer func() {
 			if committed {
@@ -234,8 +244,8 @@ func (e *Execution) execute() (*Result, error) {
 			if se != nil {
 				se.discard()
 			}
-			if taskOut != nil {
-				abortOutput(taskOut)
+			if sink != nil {
+				sink.abort()
 			}
 			ctr.rollback()
 		}()
@@ -244,25 +254,16 @@ func (e *Execution) execute() (*Result, error) {
 			return err
 		}
 		var emit func(serde.Datum, interp.EmitValue) error
-		switch {
-		case !mapOnly:
+		if mapOnly {
+			if sink, err = newTaskSink(job, ta.Index(), &outMu); err != nil {
+				return err
+			}
+			emit = sink.emit
+		} else {
 			se = newShuffleEmitter(ta.Index(), ta.Attempt(), numReducers, job.Config.WorkDir,
 				job.Config.spillBuffer(), job.Combiner, ctr, job.Config.Conf,
 				job.Config.partitioner())
 			emit = se.emit
-		case job.OutputFor != nil:
-			taskOut, err = job.OutputFor(ta.Index())
-			if err != nil {
-				return err
-			}
-			out := taskOut
-			emit = func(k serde.Datum, v interp.EmitValue) error {
-				outRecs++
-				return out.Write(k, v)
-			}
-		default:
-			outBuf = &emitBuffer{}
-			emit = outBuf.emit
 		}
 		ictx := &interp.Context{
 			Conf: job.Config.Conf,
@@ -337,32 +338,17 @@ func (e *Execution) execute() (*Result, error) {
 			}
 		}
 		// Commit: publish this attempt's side effects under the task's
-		// commit claim — spills join the global list, the per-task output
-		// seals (atomic rename), buffered sink emissions flush. Exactly
-		// one attempt per task gets here successfully.
+		// commit claim — spills join the global list, or the task's pairs
+		// reach the output. Exactly one attempt per task gets here
+		// successfully.
 		if err := ta.Commit(func() error {
-			if se != nil {
-				segMu.Lock()
-				spills = append(spills, se.files...)
-				segMu.Unlock()
-				se.files = nil // ownership transferred to the job
+			if se == nil {
+				return sink.commit(ctr)
 			}
-			if taskOut != nil {
-				if cerr := taskOut.Close(); cerr != nil {
-					abortOutput(taskOut) // discard the truncated result
-					taskOut = nil
-					return cerr
-				}
-				taskOut = nil
-			}
-			if outBuf != nil {
-				if ferr := outBuf.flushTo(sink.Write); ferr != nil {
-					return ferr
-				}
-			}
-			if outRecs > 0 {
-				ctr.Add(CtrOutputRecords, outRecs)
-			}
+			segMu.Lock()
+			spills = append(spills, se.files...)
+			segMu.Unlock()
+			se.files = nil // ownership transferred to the job
 			return nil
 		}); err != nil {
 			return err
@@ -392,16 +378,14 @@ func (e *Execution) execute() (*Result, error) {
 			}
 			faultinject.Sleep(ctx, akey)
 			ctr := newAttemptCtr(counters)
-			var taskOut Output
-			var outBuf *emitBuffer
-			var outRecs int64
+			var sink *taskSink
 			committed := false
 			defer func() {
 				if committed {
 					return
 				}
-				if taskOut != nil {
-					abortOutput(taskOut)
+				if sink != nil {
+					sink.abort()
 				}
 				ctr.rollback()
 			}()
@@ -409,20 +393,8 @@ func (e *Execution) execute() (*Result, error) {
 			if err != nil {
 				return err
 			}
-			var emit func(serde.Datum, interp.EmitValue) error
-			if job.OutputFor != nil {
-				taskOut, err = job.OutputFor(p)
-				if err != nil {
-					return err
-				}
-				out := taskOut
-				emit = func(k serde.Datum, v interp.EmitValue) error {
-					outRecs++
-					return out.Write(k, v)
-				}
-			} else {
-				outBuf = &emitBuffer{}
-				emit = outBuf.emit
+			if sink, err = newTaskSink(job, p, &outMu); err != nil {
+				return err
 			}
 			m, err := newMergeIter(spills, p)
 			if err != nil {
@@ -431,7 +403,7 @@ func (e *Execution) execute() (*Result, error) {
 			defer m.closeAll()
 			ictx := &interp.Context{
 				Conf: job.Config.Conf,
-				Emit: emit,
+				Emit: sink.emit,
 				Counter: func(name string, delta int64) {
 					ctr.Add("user."+name, delta)
 				},
@@ -462,21 +434,8 @@ func (e *Execution) execute() (*Result, error) {
 			// commit claim decides whether it may consume spill references.
 			m.closeAll()
 			if err := ta.Commit(func() error {
-				if taskOut != nil {
-					if cerr := taskOut.Close(); cerr != nil {
-						abortOutput(taskOut) // discard the truncated result
-						taskOut = nil
-						return cerr
-					}
-					taskOut = nil
-				}
-				if outBuf != nil {
-					if ferr := outBuf.flushTo(sink.Write); ferr != nil {
-						return ferr
-					}
-				}
-				if outRecs > 0 {
-					ctr.Add(CtrOutputRecords, outRecs)
+				if err := sink.commit(ctr); err != nil {
+					return err
 				}
 				// Drop this partition's spill-file references (exactly once
 				// per partition — the commit claim guarantees it), so files
@@ -500,10 +459,10 @@ func (e *Execution) execute() (*Result, error) {
 		releaseSpills()
 	}
 
-	// Commit phase (one task): account input bytes, flush the shared sink,
-	// and seal the final output. The commit task flushes the job's ONE
-	// shared sink, which has no per-attempt isolation to roll back to —
-	// so it gets neither retries nor speculation.
+	// Commit phase (one task): account input bytes and seal the shared
+	// final output. Closing the job's ONE shared output has no per-attempt
+	// isolation to roll back to — so it gets neither retries nor
+	// speculation.
 	if err := sched.runPhase(e, PhaseCommit, 1, phaseOpts{}, func(*TaskAttempt) error {
 		for _, in := range job.Inputs {
 			counters.Add(CtrInputBytesRead, in.Input.BytesRead())
@@ -515,14 +474,11 @@ func (e *Execution) execute() (*Result, error) {
 			}
 			in.Input.Close()
 		}
-		if sink != nil {
-			counters.Add(CtrOutputRecords, sink.flush())
-		}
 		if job.Output != nil {
 			if err := job.Output.Close(); err != nil {
 				// A failed close (e.g. flush on a full disk) leaves a truncated
 				// file that looks valid; discard it like every other error path.
-				abortOutput(job.Output)
+				job.Output.Abort()
 				return fmt.Errorf("close output: %w", err)
 			}
 		}
@@ -534,29 +490,4 @@ func (e *Execution) execute() (*Result, error) {
 		return fail("commit", err)
 	}
 	return &Result{Counters: counters, Duration: time.Since(e.start)}, nil
-}
-
-// syncOutput serializes writes to the job output and counts records
-// locally (the count is flushed into the job counters once, at job end —
-// a second mutexed map update per written record is measurable).
-type syncOutput struct {
-	mu  sync.Mutex
-	out Output
-	n   int64
-}
-
-func (s *syncOutput) Write(k serde.Datum, v interp.EmitValue) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.n++
-	return s.out.Write(k, v)
-}
-
-// flush returns and resets the record count.
-func (s *syncOutput) flush() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.n
-	s.n = 0
-	return n
 }

@@ -16,7 +16,6 @@ type ScanStats = storage.ScanStats
 // tasks consume in parallel. The key plays Hadoop's "record offset" role
 // for plain files and is the index key for B+Tree-indexed input.
 type Input interface {
-	Schema() *serde.Schema
 	// Splits partitions the input into about target independent splits.
 	Splits(target int) ([]Split, error)
 	// BytesRead reports data bytes scanned so far (for counters).
@@ -96,7 +95,7 @@ func OpenFileWith(path string, directCodes bool, pd *storage.Pushdown, share *st
 // Reader exposes the underlying storage reader (for size statistics).
 func (f *FileInput) Reader() *storage.Reader { return f.r }
 
-// Schema implements Input.
+// Schema returns the file's record schema.
 func (f *FileInput) Schema() *serde.Schema { return f.r.Schema() }
 
 // BytesRead implements Input.
@@ -252,7 +251,7 @@ func OpenIndexed(path string, ranges []ByteRange) (*IndexedInput, error) {
 // Index exposes the underlying logical index (for statistics).
 func (ix *IndexedInput) Index() btree.Index { return ix.t }
 
-// Schema implements Input.
+// Schema returns the schema of the index's stored records.
 func (ix *IndexedInput) Schema() *serde.Schema { return ix.t.Schema() }
 
 // BytesRead implements Input.
@@ -358,7 +357,7 @@ func NewMemInput(schema *serde.Schema, records []*serde.Record) (*MemInput, erro
 	return &MemInput{schema: schema, records: records}, nil
 }
 
-// Schema implements Input.
+// Schema returns the records' schema.
 func (m *MemInput) Schema() *serde.Schema { return m.schema }
 
 // BytesRead implements Input.

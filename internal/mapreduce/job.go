@@ -40,10 +40,11 @@
 // back. When a task runs longer than Config.SpeculativeSlowdown times the
 // median duration of its completed siblings and slots are idle, the
 // scheduler launches one duplicate (speculative) attempt; whichever
-// attempt finishes first COMMITS — publishes its spills or flushes its
-// buffered output under the scheduler's commit claim, which is idempotent
-// per task, not per attempt — and the loser is canceled and its partial
-// outputs aborted. The counters manimal.tasks.retried,
+// attempt finishes first COMMITS — publishes its spills, closes its
+// per-task output, or flushes its buffered output under the scheduler's
+// commit claim, which is idempotent per task, not per attempt — and the
+// loser is canceled and its partial outputs aborted (Abort is part of
+// every Output). The counters manimal.tasks.retried,
 // manimal.tasks.speculative, and manimal.tasks.corrupt_blocks report what
 // the machinery did; Status.Attempts carries the per-task attempt
 // history. Package faultinject exercises all of it deterministically.
@@ -129,10 +130,15 @@ type MapInput struct {
 }
 
 // Output receives the job's final key/value pairs. The engine serializes
-// calls to Write.
+// calls to Write and ends every output with exactly one outcome: Close
+// when its task (or, for a shared Job.Output, the job) succeeds, Abort —
+// discard what was written and remove any partial file, leaving nothing
+// on disk — when it fails, is canceled, or Close itself fails. Abort must
+// be safe to repeat and after a failed Close.
 type Output interface {
 	Write(key serde.Datum, value interp.EmitValue) error
 	Close() error
+	Abort() error
 }
 
 // Config tunes one job execution.
@@ -271,15 +277,21 @@ type Job struct {
 	Inputs   []MapInput
 	Reducer  ReducerFactory // nil = map-only job
 	Combiner ReducerFactory // optional map-side pre-aggregation
-	Output   Output
+	// Output is the job's one shared output. Each reduce task (or map
+	// task of a map-only job) buffers its whole output in memory and
+	// flushes it when it commits, so the pairs of one committed task are
+	// contiguous in Output, in task commit order. The engine closes Output
+	// once every task has committed and aborts it if the job fails.
+	Output Output
 	// OutputFor, when set, replaces Output with one private output per
-	// task: reduce jobs open one output per reduce partition (how sharded
-	// index builds give every reducer its own shard file), map-only jobs
-	// one per map task in split order (how parallel record-file builds
-	// write ordered segments). The engine opens each output lazily when
-	// its task starts, closes it when the task succeeds, and aborts it
-	// when the task fails; per-task outputs need no write serialization.
-	// Exactly one of Output and OutputFor must be set.
+	// task: reduce jobs open one output per reduce partition (how B+Tree
+	// index builds give every reducer its own tree or shard file), map-only
+	// jobs one per map task in split order (how parallel record-file builds
+	// write ordered segments). The engine opens each output when its task
+	// attempt starts, writes it directly — nothing is buffered — closes it
+	// when the attempt commits, and aborts it when the attempt fails or
+	// loses; per-task outputs need no write serialization. Exactly one of
+	// Output and OutputFor must be set.
 	OutputFor func(task int) (Output, error)
 	Config    Config
 }

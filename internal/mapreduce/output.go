@@ -3,8 +3,8 @@ package mapreduce
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -17,63 +17,124 @@ import (
 
 const kvMagic = "MANIMALK"
 
-// Abortable lets an output discard a partially-written result — close any
-// handles and remove the file, leaving nothing on disk. The engine aborts
-// outputs (instead of closing them) when their producing task or job fails.
-type Abortable interface {
-	Abort() error
+// ErrMalformedKVFile marks KV data that does not decode: a bad magic or
+// trailer, a pair count the body cannot hold, a length past the bytes
+// left, a key or value that does not fill its frame, or bytes after the
+// last pair.
+var ErrMalformedKVFile = errors.New("mapreduce: malformed KV file")
+
+// minKVFrame is the fewest bytes a framed pair can take: two one-byte
+// lengths, a key tag and a value tag.
+const minKVFrame = 4
+
+// kvEncoder frames pairs in the one encoding KV output files and buffered
+// task output share: uvarint klen | uvarint vlen | tagged key | value.
+type kvEncoder struct {
+	enc     valueEncoder
+	scratch []byte
 }
 
-// abortOutput discards an output's partial result, falling back to Close
-// for outputs that cannot remove what they wrote.
-func abortOutput(o Output) {
-	if a, ok := o.(Abortable); ok {
-		a.Abort()
-		return
+// appendKV appends the framed pair (k, v) to dst.
+func (e *kvEncoder) appendKV(dst []byte, k serde.Datum, v interp.EmitValue) []byte {
+	e.scratch = k.AppendTagged(e.scratch[:0])
+	kl := len(e.scratch)
+	e.scratch = e.enc.appendValue(e.scratch, v)
+	dst = binary.AppendUvarint(dst, uint64(kl))
+	dst = binary.AppendUvarint(dst, uint64(len(e.scratch)-kl))
+	return append(dst, e.scratch...)
+}
+
+// readKVs decodes buf as exactly n framed pairs and hands each to fn, in
+// order. Every length is checked against the bytes left, so malformed data
+// fails with ErrMalformedKVFile instead of panicking or reading past its
+// frame; fn's own errors are returned as they are.
+func readKVs(buf []byte, n uint64, fn func(serde.Datum, interp.EmitValue) error) error {
+	if n > uint64(len(buf))/minKVFrame {
+		return fmt.Errorf("%w: %d pairs cannot fit in %d bytes", ErrMalformedKVFile, n, len(buf))
 	}
-	o.Close()
+	var dec valueDecoder
+	for i := uint64(0); i < n; i++ {
+		kl, a := binary.Uvarint(buf)
+		if a <= 0 {
+			return fmt.Errorf("%w: pair %d: bad key length", ErrMalformedKVFile, i)
+		}
+		vl, b := binary.Uvarint(buf[a:])
+		if b <= 0 {
+			return fmt.Errorf("%w: pair %d: bad value length", ErrMalformedKVFile, i)
+		}
+		buf = buf[a+b:]
+		if kl > uint64(len(buf)) || vl > uint64(len(buf))-kl {
+			return fmt.Errorf("%w: pair %d: %d+%d bytes past the %d left", ErrMalformedKVFile, i, kl, vl, len(buf))
+		}
+		key, kn, err := serde.DecodeTagged(buf[:kl])
+		if err == nil && uint64(kn) != kl {
+			err = fmt.Errorf("key fills %d of its %d bytes", kn, kl)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: pair %d: %v", ErrMalformedKVFile, i, err)
+		}
+		val, vn, err := dec.decode(buf[kl : kl+vl])
+		if err == nil && uint64(vn) != vl {
+			err = fmt.Errorf("value fills %d of its %d bytes", vn, vl)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: pair %d: %v", ErrMalformedKVFile, i, err)
+		}
+		buf = buf[kl+vl:]
+		if err := fn(key, val); err != nil {
+			return err
+		}
+	}
+	if len(buf) != 0 {
+		return fmt.Errorf("%w: %d bytes after the last pair", ErrMalformedKVFile, len(buf))
+	}
+	return nil
 }
 
 // KVFileOutput writes the job's (key, value) pairs to a simple streaming
 // container: the default final-output format. Pairs stream into an atomic
 // replacement of the final path (durable.File) that Close commits, so a
 // crashed or canceled job never leaves a partial output where the caller's
-// path points.
+// path points. The replacement is created by the first Write, or by Close
+// when nothing was written: a job canceled before it emits never touches
+// its output path, and a job that emits nothing still commits a valid
+// empty file.
 type KVFileOutput struct {
+	path  string
 	f     *durable.File
 	w     *bufio.Writer
 	count uint64
-	buf   []byte // reused per-write encoding buffer
-	enc   valueEncoder
+	buf   []byte // reused per-write frame
+	kv    kvEncoder
 }
 
-// NewKVFileOutput creates a KV output file destined for path (committed
-// by Close).
+// NewKVFileOutput returns a KV output destined for path (committed by
+// Close). It creates nothing until the first Write or Close, so the error
+// is always nil.
 func NewKVFileOutput(path string) (*KVFileOutput, error) {
-	f, err := durable.Create(path)
+	return &KVFileOutput{path: path}, nil
+}
+
+// open starts the atomic replacement and writes the header.
+func (o *KVFileOutput) open() error {
+	f, err := durable.Create(o.path)
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: create output %s: %w", path, err)
+		return fmt.Errorf("mapreduce: create output %s: %w", o.path, err)
 	}
-	w := bufio.NewWriterSize(f, 256<<10)
-	if _, err := w.WriteString(kvMagic); err != nil {
-		f.Abort()
-		return nil, err
-	}
-	return &KVFileOutput{f: f, w: w}, nil
+	o.f, o.w = f, bufio.NewWriterSize(f, 256<<10)
+	o.w.WriteString(kvMagic) // fits the empty buffer: it cannot fail
+	return nil
 }
 
 // Write implements Output. The key and value are fully serialized before
 // Write returns; callers may reuse the backing record afterwards.
 func (o *KVFileOutput) Write(k serde.Datum, v interp.EmitValue) error {
-	o.buf = k.AppendTagged(o.buf[:0])
-	kl := len(o.buf)
-	o.buf = o.enc.appendValue(o.buf, v)
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(kl))
-	n += binary.PutUvarint(hdr[n:], uint64(len(o.buf)-kl))
-	if _, err := o.w.Write(hdr[:n]); err != nil {
-		return err
+	if o.f == nil {
+		if err := o.open(); err != nil {
+			return err
+		}
 	}
+	o.buf = o.kv.appendKV(o.buf[:0], k, v)
 	if _, err := o.w.Write(o.buf); err != nil {
 		return err
 	}
@@ -83,6 +144,11 @@ func (o *KVFileOutput) Write(k serde.Datum, v interp.EmitValue) error {
 
 // Close writes the trailer, then commits the file.
 func (o *KVFileOutput) Close() error {
+	if o.f == nil {
+		if err := o.open(); err != nil {
+			return err
+		}
+	}
 	var tr [8]byte
 	binary.LittleEndian.PutUint64(tr[:], o.count)
 	o.w.Write(tr[:]) // a bufio.Writer's first error sticks: Flush reports it
@@ -97,9 +163,14 @@ func (o *KVFileOutput) Close() error {
 	return nil
 }
 
-// Abort implements Abortable: the partial temp file is removed; the final
-// path is never touched.
-func (o *KVFileOutput) Abort() error { return o.f.Abort() }
+// Abort implements Output: the partial temp file, if one was created, is
+// removed; the final path is never touched.
+func (o *KVFileOutput) Abort() error {
+	if o.f == nil {
+		return nil
+	}
+	return o.f.Abort()
+}
 
 // KVPair is one read-back output pair.
 type KVPair struct {
@@ -107,7 +178,8 @@ type KVPair struct {
 	Value interp.EmitValue
 }
 
-// ReadKVFile loads an entire KV output file (tooling and tests).
+// ReadKVFile loads an entire KV output file (tooling and tests). A file
+// that does not decode fails with ErrMalformedKVFile.
 func ReadKVFile(path string) ([]KVPair, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -115,35 +187,18 @@ func ReadKVFile(path string) ([]KVPair, error) {
 	}
 	if len(raw) < 2*len(kvMagic)+8 || string(raw[:len(kvMagic)]) != kvMagic ||
 		string(raw[len(raw)-len(kvMagic):]) != kvMagic {
-		return nil, fmt.Errorf("mapreduce: %s is not a Manimal KV file", path)
+		return nil, fmt.Errorf("%w: %s is not a Manimal KV file", ErrMalformedKVFile, path)
 	}
-	count := binary.LittleEndian.Uint64(raw[len(raw)-len(kvMagic)-8 : len(raw)-len(kvMagic)])
-	body := raw[len(kvMagic) : len(raw)-len(kvMagic)-8]
-	out := make([]KVPair, 0, count)
-	var dec valueDecoder
-	pos := 0
-	for i := uint64(0); i < count; i++ {
-		kl, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("mapreduce: truncated KV entry %d", i)
-		}
-		pos += n
-		vl, n := binary.Uvarint(body[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("mapreduce: truncated KV entry %d", i)
-		}
-		pos += n
-		key, _, err := serde.DecodeTagged(body[pos : pos+int(kl)])
-		if err != nil {
-			return nil, err
-		}
-		pos += int(kl)
-		val, _, err := dec.decode(body[pos : pos+int(vl)])
-		if err != nil {
-			return nil, err
-		}
-		pos += int(vl)
-		out = append(out, KVPair{Key: key, Value: val})
+	tr := len(raw) - len(kvMagic) - 8
+	count := binary.LittleEndian.Uint64(raw[tr:])
+	body := raw[len(kvMagic):tr]
+	out := make([]KVPair, 0, min(count, uint64(len(body))/minKVFrame))
+	err = readKVs(body, count, func(k serde.Datum, v interp.EmitValue) error {
+		out = append(out, KVPair{Key: k, Value: v})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return out, nil
 }
@@ -192,7 +247,7 @@ func (o *RecordFileOutput) Write(_ serde.Datum, v interp.EmitValue) error {
 // Close implements Output.
 func (o *RecordFileOutput) Close() error { return o.w.Close() }
 
-// Abort implements Abortable: the partial record file is removed.
+// Abort implements Output: the partial record file is removed.
 func (o *RecordFileOutput) Abort() error { return o.w.Abort() }
 
 // BTreeOutput bulk-loads emitted (key, record) pairs into a B+Tree index
@@ -230,7 +285,7 @@ func (o *BTreeOutput) Write(k serde.Datum, v interp.EmitValue) error {
 // Close implements Output.
 func (o *BTreeOutput) Close() error { return o.b.Close() }
 
-// Abort implements Abortable: the partial index file is removed.
+// Abort implements Output: the partial index file is removed.
 func (o *BTreeOutput) Abort() error { return o.b.Abort() }
 
 // conformRecord projects a record down to the target schema when needed.
@@ -254,4 +309,5 @@ func (o *DiscardOutput) Write(serde.Datum, interp.EmitValue) error {
 // Close implements Output.
 func (o *DiscardOutput) Close() error { return nil }
 
-var _ io.Writer = (*bufio.Writer)(nil) // interface sanity during refactors
+// Abort implements Output.
+func (o *DiscardOutput) Abort() error { return nil }

@@ -291,7 +291,7 @@ type Execution struct {
 // phaseOpts selects which fault-tolerance machinery a phase may use. Plan
 // tasks retry (planning is idempotent) but are singletons, so speculation
 // is moot; map and reduce tasks get both; commit tasks get neither —
-// commit flushes the job's shared sink, which is not per-attempt isolated.
+// commit closes the job's shared output, which is not per-attempt isolated.
 type phaseOpts struct {
 	retry     bool
 	speculate bool

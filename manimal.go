@@ -80,7 +80,6 @@ import (
 	"manimal/internal/fabric"
 	"manimal/internal/faultinject"
 	"manimal/internal/indexgen"
-	"manimal/internal/interp"
 	"manimal/internal/journal"
 	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
@@ -827,10 +826,13 @@ func (s *System) finish(sub *submission, err error) {
 }
 
 // buildJob assembles the engine job from the spec and the current plans.
-// lazyInput and lazyKVOutput are single-use (an execution consumes them),
-// so every submission — initial or corruption replan — builds fresh ones.
-// A -noopt job scans privately, so the conventional baseline stays
-// conventional.
+// Its inputs and output are single-use (an execution consumes them), so
+// every submission — initial or corruption replan — builds fresh ones.
+// Neither touches a file before the job runs: lazyInput opens at the plan
+// phase, and the KV output creates its file at its first write (or at
+// close, for an empty result), so a job canceled while queued never
+// touches its output path. A -noopt job scans privately, so the
+// conventional baseline stays conventional.
 func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.ScanShare) *mapreduce.Job {
 	if spec.DisableOptimization {
 		share = nil
@@ -842,10 +844,11 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 			Mapper: fabric.MapperFactory(ispec.Program.parsed),
 		}
 	}
+	out, _ := mapreduce.NewKVFileOutput(spec.OutputPath) // creates nothing yet, so cannot fail
 	job := &mapreduce.Job{
 		Name:   spec.Name,
 		Inputs: inputs,
-		Output: &lazyKVOutput{path: spec.OutputPath},
+		Output: out,
 		Config: mapreduce.Config{
 			NumReducers:      spec.NumReducers,
 			MaxParallelTasks: spec.MaxParallelTasks,
@@ -1188,15 +1191,6 @@ func (l *lazyInput) open() (mapreduce.Input, error) {
 	return l.in, l.err
 }
 
-// Schema implements mapreduce.Input.
-func (l *lazyInput) Schema() *serde.Schema {
-	in, err := l.open()
-	if err != nil {
-		return nil
-	}
-	return in.Schema()
-}
-
 // Splits implements mapreduce.Input.
 func (l *lazyInput) Splits(target int) ([]mapreduce.Split, error) {
 	in, err := l.open()
@@ -1235,55 +1229,4 @@ func (l *lazyInput) Close() error {
 		return nil
 	}
 	return l.in.Close()
-}
-
-// lazyKVOutput defers creating (and truncating) the output file until the
-// first write: a job canceled while queued never touches its output path.
-// Closing a never-written output still creates a valid empty KV file, so
-// zero-output jobs keep their historical result shape.
-type lazyKVOutput struct {
-	path string
-
-	mu  sync.Mutex
-	out *mapreduce.KVFileOutput
-	err error
-}
-
-func (l *lazyKVOutput) openLocked() error {
-	if l.out == nil && l.err == nil {
-		l.out, l.err = mapreduce.NewKVFileOutput(l.path)
-	}
-	return l.err
-}
-
-// Write implements mapreduce.Output (the engine already serializes
-// writes; the mutex here only guards lazy creation).
-func (l *lazyKVOutput) Write(k Datum, v interp.EmitValue) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.openLocked(); err != nil {
-		return err
-	}
-	return l.out.Write(k, v)
-}
-
-// Close implements mapreduce.Output.
-func (l *lazyKVOutput) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.openLocked(); err != nil {
-		return err
-	}
-	return l.out.Close()
-}
-
-// Abort implements mapreduce.Abortable: an opened partial file is
-// removed, a never-created one needs nothing.
-func (l *lazyKVOutput) Abort() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.out == nil {
-		return nil
-	}
-	return l.out.Abort()
 }
