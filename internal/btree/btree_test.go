@@ -44,6 +44,7 @@ func buildTree(t *testing.T, n, dups, pageSize int) *Tree {
 // collect scans a range and returns the id fields seen.
 func collect(t *testing.T, tree *Tree, lo, hi []byte) []int64 {
 	t.Helper()
+	before := tree.BytesRead()
 	it, err := tree.Range(lo, hi)
 	if err != nil {
 		t.Fatal(err)
@@ -54,6 +55,9 @@ func collect(t *testing.T, tree *Tree, lo, hi []byte) []int64 {
 	}
 	if it.Err() != nil {
 		t.Fatal(it.Err())
+	}
+	if read := tree.BytesRead() - before; it.BytesRead() != read {
+		t.Fatalf("iterator counted %d page bytes, the tree read %d", it.BytesRead(), read)
 	}
 	return out
 }
@@ -176,9 +180,12 @@ func TestRangeCutsPartitionRange(t *testing.T) {
 	lo := LowerBound(serde.Int(100), true)
 	hi := UpperBound(serde.Int(1700), false) // [100, 1700)
 
-	cuts, err := tree.RangeCuts(lo, hi, 8)
+	cuts, read, err := tree.RangeCuts(lo, hi, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if read == 0 || read != tree.BytesRead() {
+		t.Fatalf("RangeCuts counted %d page bytes, the tree read %d", read, tree.BytesRead())
 	}
 	if len(cuts) == 0 {
 		t.Fatal("no cuts for a 1600-entry range over tiny pages")
@@ -213,7 +220,7 @@ func TestRangeCutsPartitionRange(t *testing.T) {
 	}
 
 	// max < 2 asks for no parallelism.
-	if cuts, _ := tree.RangeCuts(lo, hi, 1); cuts != nil {
+	if cuts, _, _ := tree.RangeCuts(lo, hi, 1); cuts != nil {
 		t.Fatalf("max=1 returned cuts: %v", cuts)
 	}
 }
@@ -273,6 +280,7 @@ func TestShardSetAsLogicalTree(t *testing.T) {
 	}
 
 	scan := func(lo, hi []byte) []int64 {
+		before := idx.BytesRead()
 		c, err := idx.Scan(lo, hi)
 		if err != nil {
 			t.Fatal(err)
@@ -283,6 +291,9 @@ func TestShardSetAsLogicalTree(t *testing.T) {
 		}
 		if c.Err() != nil {
 			t.Fatal(c.Err())
+		}
+		if read := idx.BytesRead() - before; c.BytesRead() != read {
+			t.Fatalf("cursor counted %d page bytes, the shards read %d", c.BytesRead(), read)
 		}
 		return out
 	}
@@ -302,9 +313,13 @@ func TestShardSetAsLogicalTree(t *testing.T) {
 		t.Fatalf("cross-shard scan: %d entries [%d..%d]", len(cross), cross[0], cross[len(cross)-1])
 	}
 
-	cuts, err := idx.RangeCuts(nil, nil, 6)
+	before := idx.BytesRead()
+	cuts, read, err := idx.RangeCuts(nil, nil, 6)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if idx.BytesRead()-before != read {
+		t.Fatalf("RangeCuts counted %d page bytes, the shards read %d", read, idx.BytesRead()-before)
 	}
 	if len(cuts) == 0 || len(cuts) > 5 {
 		t.Fatalf("cuts = %d", len(cuts))

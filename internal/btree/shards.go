@@ -22,6 +22,8 @@ type Cursor interface {
 	KeyDatum() (serde.Datum, error)
 	Record() *serde.Record
 	Err() error
+	// BytesRead reports the page bytes the cursor has read so far.
+	BytesRead() int64
 }
 
 // Index is the read surface shared by a single Tree and a ShardSet, so the
@@ -31,13 +33,16 @@ type Index interface {
 	KeyExpr() string
 	NumEntries() uint64
 	Size() int64
+	// BytesRead reports the page bytes read through the index so far, by
+	// every cursor and RangeCuts walk.
 	BytesRead() int64
 	// Scan streams entries with lo <= key < hi in sort-key byte order;
 	// nil bounds are unbounded.
 	Scan(lo, hi []byte) (Cursor, error)
 	// RangeCuts proposes up to max-1 interior cut keys that divide
-	// [lo, hi) into shard- and page-aligned subranges for parallel scans.
-	RangeCuts(lo, hi []byte, max int) ([][]byte, error)
+	// [lo, hi) into shard- and page-aligned subranges for parallel scans,
+	// and reports the page bytes it read to find them.
+	RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err error)
 	Close() error
 }
 
@@ -244,17 +249,16 @@ func (s *ShardSet) Scan(lo, hi []byte) (Cursor, error) {
 
 // RangeCuts implements Index: shard boundaries inside the range come free,
 // and the per-shard budget is delegated to each shard's page-aligned cuts.
-func (s *ShardSet) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
+func (s *ShardSet) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err error) {
 	if max < 2 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	first, last := s.shardRange(lo, hi)
 	n := last - first
 	if n == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	per := max / n
-	var cuts [][]byte
 	for i := first; i < last; i++ {
 		if i > first {
 			// The boundary between shard i-1 and shard i; strictly inside
@@ -262,14 +266,15 @@ func (s *ShardSet) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
 			cuts = append(cuts, append([]byte(nil), s.bounds[i-1]...))
 		}
 		if per >= 2 {
-			sub, err := s.shards[i].RangeCuts(lo, hi, per)
+			sub, n, err := s.shards[i].RangeCuts(lo, hi, per)
+			read += n
 			if err != nil {
-				return nil, err
+				return nil, read, err
 			}
 			cuts = append(cuts, sub...)
 		}
 	}
-	return thinCuts(cuts, max), nil
+	return thinCuts(cuts, max), read, nil
 }
 
 // setCursor chains shard range scans.
@@ -278,6 +283,7 @@ type setCursor struct {
 	lo, hi     []byte
 	next, last int
 	cur        *Iterator
+	read       int64 // page bytes of the shards' finished iterators
 	err        error
 }
 
@@ -294,6 +300,7 @@ func (c *setCursor) Next() bool {
 				c.err = err
 				return false
 			}
+			c.read += c.cur.BytesRead()
 			c.cur = nil
 		}
 		if c.next >= c.last {
@@ -316,3 +323,10 @@ func (c *setCursor) KeyDatum() (serde.Datum, error) { return c.cur.KeyDatum() }
 func (c *setCursor) Record() *serde.Record { return c.cur.Record() }
 
 func (c *setCursor) Err() error { return c.err }
+
+func (c *setCursor) BytesRead() int64 {
+	if c.cur != nil {
+		return c.read + c.cur.BytesRead()
+	}
+	return c.read
+}

@@ -108,13 +108,17 @@ func (t *Tree) Size() int64 { return t.fileSize }
 // Path returns the file path.
 func (t *Tree) Path() string { return t.path }
 
-// BytesRead returns the page bytes read so far across all iterators.
+// BytesRead returns the page bytes this tree has physically read so far,
+// across all its cursors and RangeCuts walks; each of those also reports
+// its own share.
 func (t *Tree) BytesRead() int64 { return t.bytesRead.Load() }
 
 // Close closes the underlying file.
 func (t *Tree) Close() error { return t.f.Close() }
 
-func (t *Tree) readPage(off int64) ([]byte, error) {
+// readPage reads the page at off, adding its bytes to the tree's total and
+// to *read, the count of the cursor or walk that asked for it.
+func (t *Tree) readPage(off int64, read *int64) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := t.f.ReadAt(hdr[:], off); err != nil {
 		return nil, fmt.Errorf("btree: read page header at %d: %w", off, err)
@@ -125,15 +129,16 @@ func (t *Tree) readPage(off int64) ([]byte, error) {
 		return nil, fmt.Errorf("btree: read page at %d: %w", off, err)
 	}
 	t.bytesRead.Add(int64(4 + n))
+	*read += int64(4 + n)
 	return page, nil
 }
 
 // leafPos locates the first leaf whose entries may contain keys >= lo.
 // A nil lo positions at the very first leaf.
-func (t *Tree) leafPos(lo []byte) (int64, error) {
+func (t *Tree) leafPos(lo []byte, read *int64) (int64, error) {
 	off := t.root
 	for {
-		page, err := t.readPage(off)
+		page, err := t.readPage(off, read)
 		if err != nil {
 			return 0, err
 		}
@@ -215,9 +220,9 @@ func decodeInternal(page []byte) (offsets []int64, seps [][]byte, err error) {
 // hence the subranges [lo,c1), [c1,c2), …, [ck,hi) partition the range
 // exactly. Only internal pages are read: the walk descends level by level,
 // pruning subtrees outside the range, until it has enough boundaries.
-func (t *Tree) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
+func (t *Tree) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err error) {
 	if max < 2 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	type nodeRef struct {
 		off   int64
@@ -225,9 +230,9 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
 	}
 	level := []nodeRef{{off: t.root}}
 	for len(level) > 0 && len(level) < max {
-		page, err := t.readPage(level[0].off)
+		page, err := t.readPage(level[0].off, &read)
 		if err != nil {
-			return nil, err
+			return nil, read, err
 		}
 		if page[0] == pageLeaf {
 			break
@@ -236,13 +241,13 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
 		for i, nd := range level {
 			pg := page
 			if i > 0 {
-				if pg, err = t.readPage(nd.off); err != nil {
-					return nil, err
+				if pg, err = t.readPage(nd.off, &read); err != nil {
+					return nil, read, err
 				}
 			}
 			offsets, seps, err := decodeInternal(pg)
 			if err != nil {
-				return nil, err
+				return nil, read, err
 			}
 			for c := range offsets {
 				first := nd.first
@@ -271,7 +276,6 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
 		}
 		level = next
 	}
-	var cuts [][]byte
 	for _, nd := range level {
 		if nd.first == nil {
 			continue
@@ -284,7 +288,7 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) ([][]byte, error) {
 		}
 		cuts = append(cuts, append([]byte(nil), nd.first...))
 	}
-	return thinCuts(cuts, max), nil
+	return thinCuts(cuts, max), read, nil
 }
 
 // thinCuts evenly samples sorted cut keys down to at most max-1 entries.
@@ -317,17 +321,19 @@ type Iterator struct {
 	rec     *serde.Record
 	err     error
 	done    bool
+	read    int64 // page bytes this iterator read
 }
 
 // Range returns an iterator over entries with lo <= key < hi in sort-key
 // byte order. Either bound may be nil for unbounded. Use RangeBounds to
 // derive byte bounds from datum intervals.
 func (t *Tree) Range(lo, hi []byte) (*Iterator, error) {
-	off, err := t.leafPos(lo)
+	it := &Iterator{t: t, hi: hi}
+	off, err := t.leafPos(lo, &it.read)
 	if err != nil {
 		return nil, err
 	}
-	it := &Iterator{t: t, hi: hi, nextOff: off}
+	it.nextOff = off
 	if err := it.loadLeaf(); err != nil {
 		return nil, err
 	}
@@ -340,6 +346,8 @@ func (t *Tree) Range(lo, hi []byte) (*Iterator, error) {
 			}
 			if bytes.Compare(it.key, lo) >= 0 {
 				// Rewind one entry: restore saved state and stop skipping.
+				// Pages read meanwhile stay read.
+				save.read = it.read
 				*it = save
 				break
 			}
@@ -354,7 +362,7 @@ func (it *Iterator) loadLeaf() error {
 			it.done = true
 			return nil
 		}
-		page, err := it.t.readPage(it.nextOff)
+		page, err := it.t.readPage(it.nextOff, &it.read)
 		if err != nil {
 			return err
 		}
@@ -444,6 +452,10 @@ func (it *Iterator) Record() *serde.Record { return it.rec }
 
 // Err returns the first error encountered.
 func (it *Iterator) Err() error { return it.err }
+
+// BytesRead returns the page bytes the iterator has read, the descent to
+// its first leaf included.
+func (it *Iterator) BytesRead() int64 { return it.read }
 
 // maxSeq is the largest possible sequence suffix; appending it (plus one
 // extra byte) to a datum sort key yields a bound strictly above every entry

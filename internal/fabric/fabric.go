@@ -18,7 +18,6 @@ import (
 	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
 	"manimal/internal/optimizer"
-	"manimal/internal/predicate"
 	"manimal/internal/serde"
 	"manimal/internal/storage"
 )
@@ -147,19 +146,4 @@ func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Inp
 	default:
 		return nil, fmt.Errorf("fabric: unknown plan kind %v", plan.Kind)
 	}
-}
-
-// RangeSummary renders plan ranges for reports.
-func RangeSummary(ivs []predicate.Interval) string {
-	out := ""
-	for i, iv := range ivs {
-		if i > 0 {
-			out += " ∪ "
-		}
-		out += iv.String()
-	}
-	if out == "" {
-		out = "∅"
-	}
-	return out
 }

@@ -17,8 +17,9 @@ import (
 
 // TestIndexBuildFaultMatrixFromEnv runs a sharded B+Tree build and a
 // dictionary record-file build under the MANIMAL_FAULTS regime (the CI
-// fault matrix) and requires each to equal its fault-free build, with no
-// part or temp file left behind.
+// fault matrix) and requires each to equal its fault-free build, bytes and
+// the build job's data counters alike, with no part or temp file left
+// behind.
 func TestIndexBuildFaultMatrixFromEnv(t *testing.T) {
 	spec := os.Getenv("MANIMAL_FAULTS")
 	if spec == "" {
@@ -45,26 +46,46 @@ func TestIndexBuildFaultMatrixFromEnv(t *testing.T) {
 		Encodings: map[string]storage.FieldEncoding{"destURL": storage.EncodeDict},
 	}
 	cfg := BuildConfig{NumShards: 4, MaxParallelTasks: 4}
-	buildAll := func(tag string) (tree, dict string) {
+	buildAll := func(tag string) (tree, dict string, ctrs [2]*mapreduce.Counters) {
 		t.Helper()
 		tree, dict = filepath.Join(dir, tag+".idx"), filepath.Join(dir, tag+".dict")
-		e, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), treeSpec, webpages, tree, dir, cfg)
-		if err != nil {
-			t.Fatalf("%s B+Tree build: %v", tag, err)
+		for i, b := range []struct {
+			spec         Spec
+			input, index string
+		}{{treeSpec, webpages, tree}, {dictSpec, visits, dict}} {
+			in, pd, err := openInput(b.input, b.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e catalog.Entry
+			ctrs[i], err = build(context.Background(), mapreduce.DefaultScheduler(), &e, b.spec, in, pd, b.index, dir, cfg)
+			in.Close()
+			if err != nil {
+				t.Fatalf("%s %s build: %v", tag, b.spec.Kind, err)
+			}
+			if i == 0 && e.Kind != catalog.KindBTreeSharded {
+				t.Fatalf("%s B+Tree build is %s, want sharded", tag, e.Kind)
+			}
 		}
-		if e.Kind != catalog.KindBTreeSharded {
-			t.Fatalf("%s B+Tree build is %s, want sharded", tag, e.Kind)
-		}
-		if _, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), dictSpec, visits, dict, dir, cfg); err != nil {
-			t.Fatalf("%s dictionary build: %v", tag, err)
-		}
-		return tree, dict
+		return tree, dict, ctrs
 	}
-	refTree, refDict := buildAll("ref")
+	refTree, refDict, refCtrs := buildAll("ref")
 
 	faultinject.Set(faultinject.MustParse(spec))
-	tree, dict := buildAll("faulted")
+	tree, dict, ctrs := buildAll("faulted")
 	faultinject.Reset()
+
+	for i, kind := range []string{"B+Tree", "dictionary"} {
+		for _, name := range []string{
+			mapreduce.CtrMapInputRecords, mapreduce.CtrMapOutputRecords, mapreduce.CtrBlocksRead,
+			mapreduce.CtrBlocksSkipped, mapreduce.CtrRowsFiltered, mapreduce.CtrInputBytesRead,
+			mapreduce.CtrOutputRecords,
+		} {
+			if got, want := ctrs[i].Get(name), refCtrs[i].Get(name); got != want {
+				t.Errorf("%s build: %s = %d under faults, %d fault-free", kind, name, got, want)
+			}
+		}
+	}
 
 	ri, err := btree.OpenIndex(refTree)
 	if err != nil {

@@ -234,7 +234,7 @@ func BuildWith(ctx context.Context, sched *mapreduce.Scheduler, spec Spec, input
 		InputSizeBytes:    fp.Size(),
 		InputModTimeNanos: fp.ModTime().UnixNano(),
 	}
-	if err := build(ctx, sched, &entry, spec, in, pd, indexPath, workDir, cfg); err != nil {
+	if _, err := build(ctx, sched, &entry, spec, in, pd, indexPath, workDir, cfg); err != nil {
 		return catalog.Entry{}, fmt.Errorf("indexgen: %w", err)
 	}
 	entry.BuildDuration = time.Since(start)
@@ -316,8 +316,9 @@ func keyFields(keyExpr string, schema *serde.Schema) (fields []string, ok bool) 
 }
 
 // build runs the index-generation job for spec over in, whose scans apply
-// pd (nil for none), and fills in the entry's index fields.
-func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, in *mapreduce.FileInput, pd *storage.Pushdown, indexPath, workDir string, cfg BuildConfig) error {
+// pd (nil for none), fills in the entry's index fields and returns the
+// job's counters.
+func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, in *mapreduce.FileInput, pd *storage.Pushdown, indexPath, workDir string, cfg BuildConfig) (*mapreduce.Counters, error) {
 	schema := in.Schema()
 	fields := spec.Fields
 	if len(fields) == 0 {
@@ -325,11 +326,11 @@ func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry
 	}
 	stored, err := schema.Project(fields...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	prog, err := lang.Parse(spec.Source())
 	if err != nil {
-		return fmt.Errorf("synthesized program: %w", err)
+		return nil, fmt.Errorf("synthesized program: %w", err)
 	}
 	entry.IndexPath = indexPath
 	entry.Kind = spec.Kind
@@ -342,7 +343,7 @@ func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry
 	case catalog.KindRecordFile:
 		return buildRecordFile(ctx, sched, entry, spec, prog, in, stored, indexPath, cfg)
 	default:
-		return fmt.Errorf("unknown index kind %q", spec.Kind)
+		return nil, fmt.Errorf("unknown index kind %q", spec.Kind)
 	}
 }
 
@@ -351,7 +352,7 @@ func build(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry
 // one-shard build is the same job with one reducer, whose file is
 // indexPath itself; a sharded build range-partitions the keys and writes a
 // manifest at indexPath.
-func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, pd *storage.Pushdown, stored *serde.Schema, indexPath, workDir string, cfg BuildConfig) error {
+func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, pd *storage.Pushdown, stored *serde.Schema, indexPath, workDir string, cfg BuildConfig) (*mapreduce.Counters, error) {
 	// A rebuild at the same path can produce fewer (or zero) shards than
 	// its predecessor — the shard count is data- and host-dependent — so
 	// drop the old shard files up front lest the survivors orphan. A
@@ -368,7 +369,7 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 			return err
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Heavily duplicated keys can collapse quantiles; the effective
 		// shard count follows the distinct bounds.
@@ -396,27 +397,24 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 			Partitioner:      &mapreduce.RangePartitioner{Bounds: bounds},
 		},
 	}
-	if _, err := sched.Run(ctx, job); err != nil {
+	res, err := sched.Run(ctx, job)
+	if err != nil {
 		if shards > 1 {
 			removeAll(paths)
 		}
-		return err
+		return nil, err
 	}
 	if shards > 1 {
 		if err := btree.WriteManifest(indexPath, spec.KeyExpr, paths, bounds); err != nil {
 			removeAll(paths)
-			return err
+			return nil, err
 		}
 		entry.Kind = catalog.KindBTreeSharded
 		entry.Shards = shards
 		paths = append(paths, indexPath)
 	}
-	size, err := totalSize(paths)
-	if err != nil {
-		return err
-	}
-	entry.SizeBytes = size
-	return nil
+	entry.SizeBytes, err = totalSize(paths)
+	return res.Counters, err
 }
 
 // buildRecordFile runs the parallel record-file build: a map-only job
@@ -424,7 +422,7 @@ func buildBTree(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.
 // (Job.OutputFor), then storage.Concat joins the parts — in split order,
 // i.e. original record order — into the final file without re-encoding a
 // record.
-func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, stored *serde.Schema, indexPath string, cfg BuildConfig) error {
+func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *catalog.Entry, spec Spec, prog *lang.Program, in *mapreduce.FileInput, stored *serde.Schema, indexPath string, cfg BuildConfig) (*mapreduce.Counters, error) {
 	opts := storage.WriterOptions{Encodings: spec.Encodings}
 	var mu sync.Mutex
 	parts := make(map[int]string)
@@ -445,8 +443,9 @@ func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *cat
 			os.Remove(p)
 		}
 	}()
-	if _, err := sched.Run(ctx, job); err != nil {
-		return err
+	res, err := sched.Run(ctx, job)
+	if err != nil {
+		return nil, err
 	}
 
 	order := make([]int, 0, len(parts))
@@ -459,7 +458,7 @@ func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *cat
 		paths[i] = parts[task]
 	}
 	if err := retryTransient(func() error { return concat(ctx, indexPath, stored, opts, paths) }); err != nil {
-		return err
+		return nil, err
 	}
 	// Record the format the variant was just written in, so tooling can
 	// tell current variants from ones left behind by a retired format.
@@ -469,10 +468,10 @@ func buildRecordFile(ctx context.Context, sched *mapreduce.Scheduler, entry *cat
 	}
 	st, err := os.Stat(indexPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	entry.SizeBytes = st.Size()
-	return nil
+	return res.Counters, nil
 }
 
 // concat joins the build's part files into indexPath. An input without

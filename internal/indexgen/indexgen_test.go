@@ -17,6 +17,7 @@ import (
 	"manimal/internal/catalog"
 	"manimal/internal/durable"
 	"manimal/internal/fabric"
+	"manimal/internal/faultinject"
 	"manimal/internal/lang"
 	"manimal/internal/mapreduce"
 	"manimal/internal/serde"
@@ -215,6 +216,52 @@ func TestShardedBuildMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestShardedBuildDuplicateKeysReproducible: a sharded B+Tree build over a
+// key with heavy duplicates writes the same shard bytes every time, however
+// its map tasks' commits interleave, because one key's records reach their
+// reducer in input order. The second build runs with stragglers among its
+// map tasks.
+func TestShardedBuildDuplicateKeysReproducible(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(5).WriteWebPages(data, 4000, 64); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: catalog.KindBTree, KeyExpr: `v.Int("rank") % 16`, Fields: []string{"url", "rank"}}
+	build := func(name string) [][]byte {
+		t.Helper()
+		e, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data, filepath.Join(dir, name), dir,
+			BuildConfig{NumShards: 4, MaxParallelTasks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != catalog.KindBTreeSharded {
+			t.Fatalf("%s: kind %s, want sharded", name, e.Kind)
+		}
+		var shards [][]byte
+		for i := 0; i < e.Shards; i++ {
+			b, err := os.ReadFile(fmt.Sprintf("%s.shard%03d", e.IndexPath, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards = append(shards, b)
+		}
+		return shards
+	}
+	a := build("a.idx")
+	faultinject.Set(faultinject.MustParse("straggle=0.5:5ms@map;seed=3"))
+	b := build("b.idx")
+	faultinject.Reset()
+	if len(a) != len(b) {
+		t.Fatalf("%d shards, then %d", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Errorf("shard %d differs between two builds of the same input", i)
+		}
+	}
+}
+
 // TestIndexedInputSplitsHonorTarget: a one-range selection must fan out
 // across map tasks when asked for more than one split.
 func TestIndexedInputSplitsHonorTarget(t *testing.T) {
@@ -235,7 +282,7 @@ func TestIndexedInputSplitsHonorTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	splits, err := in.Splits(8)
+	splits, _, err := in.Splits(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +514,8 @@ func TestFieldPrunedBuildReadsOnlyStoredAndKeyFields(t *testing.T) {
 		}
 		var e catalog.Entry
 		idx := filepath.Join(dir, fmt.Sprintf("rank%d.idx", c.shards))
-		err = build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, idx, dir, BuildConfig{NumShards: c.shards})
-		got := in.BytesRead()
+		_, err = build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, idx, dir, BuildConfig{NumShards: c.shards})
+		got := in.Reader().BytesRead()
 		in.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -506,10 +553,10 @@ func TestMaskedBuildStoresSameRecords(t *testing.T) {
 		masked, full = filepath.Join(dir, name+".masked"), filepath.Join(dir, name+".full")
 		cfg := BuildConfig{NumShards: 1}
 		var e catalog.Entry
-		if err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, masked, dir, cfg); err != nil {
+		if _, err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, in, pd, masked, dir, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, plain, nil, full, dir, cfg); err != nil {
+		if _, err := build(context.Background(), mapreduce.DefaultScheduler(), &e, spec, plain, nil, full, dir, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return masked, full

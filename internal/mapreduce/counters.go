@@ -18,7 +18,6 @@ const (
 	CtrOutputRecords      = "output.records"
 	CtrMapTasks           = "map.tasks"
 	CtrReduceTasks        = "reduce.tasks"
-	CtrSkippedSideEffects = "manimal.skipped.map.invocations"
 	// Zone-map pruning effect (record-file inputs with a scan pushdown):
 	// storage blocks whose payload was read vs skipped without I/O, and
 	// rows the residual filter dropped before the interpreter ran.

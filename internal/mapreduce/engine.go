@@ -57,6 +57,24 @@ func (a *attemptCtr) Add(name string, delta int64) {
 	a.deltas[name] += delta
 }
 
+// addScan commits one scan's counts — a split's, or planning's — to the
+// attempt. input.bytes.read is always recorded; the zone-map counters
+// appear once a scan covered a record-file block.
+func (a *attemptCtr) addScan(st ScanStats) {
+	a.Add(CtrInputBytesRead, st.BytesRead)
+	if st.BlocksRead+st.BlocksSkipped == 0 {
+		return
+	}
+	a.Add(CtrBlocksRead, st.BlocksRead)
+	a.Add(CtrBlocksSkipped, st.BlocksSkipped)
+	a.Add(CtrRowsFiltered, st.RowsFiltered)
+	shared := int64(0)
+	if st.Shared {
+		shared = 1
+	}
+	a.Add(CtrScansShared, shared)
+}
+
 // rollback withdraws every delta this attempt contributed.
 func (a *attemptCtr) rollback() {
 	for name, d := range a.deltas {
@@ -136,6 +154,119 @@ func (s *taskSink) abort() {
 	}
 }
 
+// attempt is the skeleton every plan, map and reduce task attempt runs in:
+// its ledger, the interp context whose user counters land there, and the
+// cleanup that runs unless it commits.
+type attempt struct {
+	*TaskAttempt
+	ctr   *attemptCtr
+	ictx  interp.Context // Conf and user counters; the task body sets Emit
+	abort func()         // discards the attempt's partial output; nil for none
+}
+
+// runTask runs body as attempt ta of a kind ("plan", "map", "reduce")
+// task. The fault hooks keyed kind:task:attempt fire first; body then does
+// the attempt's work and returns the function that publishes it, which
+// runs under the task's commit claim. Every count the attempt makes goes
+// through its ledger, so one that fails, is canceled or loses the claim
+// leaves no trace — it aborts its output and its ledger rolls back — and
+// job counters sum committed attempts only.
+func (e *Execution) runTask(kind string, ta *TaskAttempt, body func(a *attempt) (commit func() error, err error)) error {
+	akey := fmt.Sprintf("%s:%d:%d", kind, ta.Index(), ta.Attempt())
+	faultinject.Kill(akey)
+	if err := faultinject.Fail(faultinject.PointTask, akey); err != nil {
+		return err
+	}
+	faultinject.Sleep(ta.Context(), akey)
+	a := &attempt{TaskAttempt: ta, ctr: newAttemptCtr(e.counters)}
+	a.ictx = interp.Context{
+		Conf:    e.job.Config.Conf,
+		Counter: func(name string, delta int64) { a.ctr.Add("user."+name, delta) },
+	}
+	committed := false
+	defer func() {
+		if committed {
+			return
+		}
+		if a.abort != nil {
+			a.abort()
+		}
+		a.ctr.rollback()
+	}()
+	commit, err := body(a)
+	if err != nil {
+		return err
+	}
+	if err := ta.Commit(commit); err != nil {
+		return err
+	}
+	committed = true
+	return nil
+}
+
+// mapSplit feeds split to mapper and commits the split's scan counts to
+// the attempt's ledger once its iterator is closed. When both the split
+// and the mapper support batch-at-a-time execution, whole column-vector
+// batches flow to the mapper, with cancellation checks and counter flushes
+// per batch instead of per record; either capability missing takes the
+// row loop. Both count CtrMapInputRecords identically (rows the residual
+// filter dropped never reach either), locally and flushed in batches plus
+// a final flush: live enough for progress reporting, cheap enough for the
+// per-record hot path.
+func mapSplit(a *attempt, split Split, mapper Mapper) error {
+	ctx, ctr := a.Context(), a.ctr
+	n, flushed := 0, 0
+	defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
+	bm, _ := mapper.(BatchMapper)
+	if bs, ok := split.(BatchSplit); ok && bm != nil {
+		bit, err := bs.OpenBatch()
+		if err != nil {
+			return err
+		}
+		defer func() {
+			bit.Close()
+			ctr.addScan(bit.Stats())
+		}()
+		for bit.Next() {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			b := bit.Batch()
+			n += len(b.Sel())
+			if n-flushed >= counterFlushEvery {
+				ctr.Add(CtrMapInputRecords, int64(n-flushed))
+				flushed = n
+			}
+			if err := bm.MapBatch(b, &a.ictx); err != nil {
+				return err
+			}
+		}
+		return bit.Err()
+	}
+	it, err := split.Open()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		it.Close()
+		ctr.addScan(it.Stats())
+	}()
+	for it.Next() {
+		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		n++
+		if n-flushed >= counterFlushEvery {
+			ctr.Add(CtrMapInputRecords, int64(n-flushed))
+			flushed = n
+		}
+		if err := mapper.Map(it.Key(), it.Record(), &a.ictx); err != nil {
+			return err
+		}
+	}
+	return it.Err()
+}
+
 // execute drives the job's task graph — admit → plan → map → (reduce) →
 // commit — with every task dispatched through the scheduler's slot pool.
 // It runs on the execution's controller goroutine.
@@ -151,16 +282,18 @@ func (e *Execution) execute() (*Result, error) {
 	}
 	var outMu sync.Mutex // serializes task flushes into job.Output
 
-	// Spill files gathered after the map phase: the COMMITTED spills only.
-	// Each holds every partition's sorted run for one spill of one winning
-	// map attempt and stays open until the reduce phase has merged it
-	// (reduce tasks read sections of the shared handles); failed and
-	// losing attempts delete their own spills before returning.
-	var spills []*spillFile
-	var segMu sync.Mutex
+	// The committed spills, per map task in spill order; failed and losing
+	// attempts delete their own. Each holds every partition's sorted run
+	// for one spill and stays open until the reduce phase has merged it
+	// (reduce tasks read sections of the shared handles). The reduce phase
+	// reads them in (map task, spill) order, which fixes the order of one
+	// key's values whatever order the map tasks committed in.
+	var spills [][]*spillFile
 	releaseSpills := func() {
-		for _, sf := range spills {
-			sf.release()
+		for _, files := range spills {
+			for _, sf := range files {
+				sf.release()
+			}
 		}
 		spills = nil
 	}
@@ -193,265 +326,136 @@ func (e *Execution) execute() (*Result, error) {
 	}
 	var tasks []taskSpec
 	if err := sched.runPhase(e, PhasePlan, 1, phaseOpts{retry: true}, func(ta *TaskAttempt) error {
-		if err := faultinject.Fail(faultinject.PointTask, fmt.Sprintf("plan:0:%d", ta.Attempt())); err != nil {
-			return err
-		}
-		// The job-wide task target is maxParallel*2; it is divided across
-		// inputs (rounding up) so an N-input job plans about the intended
-		// task count instead of N× it.
-		parallel := job.Config.maxParallel()
-		perInput := (parallel*2 + len(job.Inputs) - 1) / len(job.Inputs)
-		if perInput < 1 {
-			perInput = 1
-		}
-		var planned []taskSpec
-		for _, in := range job.Inputs {
-			splits, err := in.Input.Splits(perInput)
-			if err != nil {
-				return err
+		return e.runTask("plan", ta, func(a *attempt) (func() error, error) {
+			// The job-wide task target is maxParallel*2; it is divided
+			// across inputs (rounding up) so an N-input job plans about the
+			// intended task count instead of N× it.
+			parallel := job.Config.maxParallel()
+			perInput := max(1, (parallel*2+len(job.Inputs)-1)/len(job.Inputs))
+			var planned []taskSpec
+			for _, in := range job.Inputs {
+				splits, st, err := in.Input.Splits(perInput)
+				if err != nil {
+					return nil, err
+				}
+				a.ctr.addScan(st)
+				for _, s := range splits {
+					planned = append(planned, taskSpec{split: s, factory: in.Mapper})
+				}
 			}
-			for _, s := range splits {
-				planned = append(planned, taskSpec{split: s, factory: in.Mapper})
-			}
-		}
-		tasks = planned
-		counters.Add(CtrMapTasks, int64(len(tasks)))
-		return nil
+			return func() error {
+				tasks = planned
+				a.ctr.Add(CtrMapTasks, int64(len(planned)))
+				return nil
+			}, nil
+		})
 	}); err != nil {
 		return fail("plan", err)
 	}
-
-	runMapTask := func(ta *TaskAttempt, spec taskSpec) (err error) {
-		ctx := ta.Context()
-		akey := fmt.Sprintf("map:%d:%d", ta.Index(), ta.Attempt())
-		faultinject.Kill(akey)
-		if err := faultinject.Fail(faultinject.PointTask, akey); err != nil {
-			return err
-		}
-		faultinject.Sleep(ctx, akey)
-		ctr := newAttemptCtr(counters)
-		var se *shuffleEmitter
-		var sink *taskSink
-		committed := false
-		defer func() {
-			if committed {
-				return
-			}
-			// The attempt failed, was canceled, or lost the commit race:
-			// its spill files, partial per-task output, and counter deltas
-			// all roll back, leaving no trace for the relaunch (or the
-			// winner) to collide with.
-			if se != nil {
-				se.discard()
-			}
-			if sink != nil {
-				sink.abort()
-			}
-			ctr.rollback()
-		}()
-		mapper, err := spec.factory()
-		if err != nil {
-			return err
-		}
-		var emit func(serde.Datum, interp.EmitValue) error
-		if mapOnly {
-			if sink, err = newTaskSink(job, ta.Index(), &outMu); err != nil {
-				return err
-			}
-			emit = sink.emit
-		} else {
-			se = newShuffleEmitter(ta.Index(), ta.Attempt(), numReducers, job.Config.WorkDir,
-				job.Config.spillBuffer(), job.Combiner, ctr, job.Config.Conf,
-				job.Config.partitioner())
-			emit = se.emit
-		}
-		ictx := &interp.Context{
-			Conf: job.Config.Conf,
-			Emit: emit,
-			Counter: func(name string, delta int64) {
-				ctr.Add("user."+name, delta)
-			},
-		}
-		mapBody := func() error {
-			// Batch path: when both the split and the mapper support
-			// batch-at-a-time execution, whole column-vector batches flow to
-			// the mapper, with cancellation checks and counter flushes per
-			// batch instead of per record. Either capability missing takes
-			// the row loop; both count CtrMapInputRecords identically (rows
-			// the residual filter dropped never reach either).
-			bm, _ := mapper.(BatchMapper)
-			if bs, ok := spec.split.(BatchSplit); ok && bm != nil {
-				bit, err := bs.OpenBatch()
-				if err != nil {
-					return err
-				}
-				defer bit.Close()
-				n, flushed := 0, 0
-				defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
-				for bit.NextBatch() {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					b := bit.Batch()
-					n += len(b.Sel())
-					if n-flushed >= counterFlushEvery {
-						ctr.Add(CtrMapInputRecords, int64(n-flushed))
-						flushed = n
-					}
-					if err := bm.MapBatch(b, ictx); err != nil {
-						return err
-					}
-				}
-				return bit.Err()
-			}
-			it, err := spec.split.Open()
-			if err != nil {
-				return err
-			}
-			defer it.Close()
-			// Input records are counted locally and flushed in batches (plus a
-			// final flush): live enough for progress reporting, cheap enough
-			// for the per-record hot path.
-			n, flushed := 0, 0
-			defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
-			for it.Next() {
-				if n%cancelCheckEvery == 0 && ctx.Err() != nil {
-					return ctx.Err()
-				}
-				n++
-				if n-flushed >= counterFlushEvery {
-					ctr.Add(CtrMapInputRecords, int64(n-flushed))
-					flushed = n
-				}
-				if err := mapper.Map(it.Key(), it.Record(), ictx); err != nil {
-					return err
-				}
-			}
-			return it.Err()
-		}
-		if err := mapBody(); err != nil {
-			return err
-		}
-		if se != nil {
-			if err := se.spill(); err != nil {
-				return err
-			}
-		}
-		// Commit: publish this attempt's side effects under the task's
-		// commit claim — spills join the global list, or the task's pairs
-		// reach the output. Exactly one attempt per task gets here
-		// successfully.
-		if err := ta.Commit(func() error {
-			if se == nil {
-				return sink.commit(ctr)
-			}
-			segMu.Lock()
-			spills = append(spills, se.files...)
-			segMu.Unlock()
-			se.files = nil // ownership transferred to the job
-			return nil
-		}); err != nil {
-			return err
-		}
-		committed = true
-		if se != nil {
-			se.release()
-		}
-		return nil
-	}
+	spills = make([][]*spillFile, len(tasks))
 
 	if err := sched.runPhase(e, PhaseMap, len(tasks), phaseOpts{retry: true, speculate: true}, func(ta *TaskAttempt) error {
-		return runMapTask(ta, tasks[ta.Index()])
+		return e.runTask("map", ta, func(a *attempt) (func() error, error) {
+			spec := tasks[a.Index()]
+			mapper, err := spec.factory()
+			if err != nil {
+				return nil, err
+			}
+			if mapOnly {
+				sink, err := newTaskSink(job, a.Index(), &outMu)
+				if err != nil {
+					return nil, err
+				}
+				a.abort, a.ictx.Emit = sink.abort, sink.emit
+				if err := mapSplit(a, spec.split, mapper); err != nil {
+					return nil, err
+				}
+				return func() error { return sink.commit(a.ctr) }, nil
+			}
+			se := newShuffleEmitter(a.Index(), a.Attempt(), numReducers, job.Config.WorkDir,
+				job.Config.spillBuffer(), job.Combiner, a.ctr, job.Config.Conf,
+				job.Config.partitioner())
+			a.abort, a.ictx.Emit = se.discard, se.emit
+			if err := mapSplit(a, spec.split, mapper); err != nil {
+				return nil, err
+			}
+			if err := se.spill(); err != nil {
+				return nil, err
+			}
+			return func() error {
+				spills[a.Index()] = se.files
+				se.files = nil // ownership transferred to the job
+				se.release()
+				return nil
+			}, nil
+		})
 	}); err != nil {
 		return fail("map phase", err)
 	}
 
 	if !mapOnly {
 		counters.Add(CtrReduceTasks, int64(numReducers))
-		reduceTask := func(ta *TaskAttempt) (err error) {
-			ctx := ta.Context()
-			p := ta.Index()
-			akey := fmt.Sprintf("reduce:%d:%d", p, ta.Attempt())
-			faultinject.Kill(akey)
-			if err := faultinject.Fail(faultinject.PointTask, akey); err != nil {
-				return err
-			}
-			faultinject.Sleep(ctx, akey)
-			ctr := newAttemptCtr(counters)
-			var sink *taskSink
-			committed := false
-			defer func() {
-				if committed {
-					return
-				}
-				if sink != nil {
-					sink.abort()
-				}
-				ctr.rollback()
-			}()
+		var ordered []*spillFile
+		for _, files := range spills {
+			ordered = append(ordered, files...)
+		}
+		reduceTask := func(a *attempt) (func() error, error) {
+			ctx, p := a.Context(), a.Index()
 			reducer, err := job.Reducer()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if sink, err = newTaskSink(job, p, &outMu); err != nil {
-				return err
-			}
-			m, err := newMergeIter(spills, p)
+			sink, err := newTaskSink(job, p, &outMu)
 			if err != nil {
-				return err
+				return nil, err
 			}
+			a.abort, a.ictx.Emit = sink.abort, sink.emit
+			m, err := newMergeIter(ordered, p)
+			if err != nil {
+				return nil, err
+			}
+			// The cursors close when the merge is done, before the commit
+			// claim decides whether this attempt consumes spill references.
 			defer m.closeAll()
-			ictx := &interp.Context{
-				Conf: job.Config.Conf,
-				Emit: sink.emit,
-				Counter: func(name string, delta int64) {
-					ctr.Add("user."+name, delta)
-				},
-			}
 			for m.nextGroup() {
 				if ctx.Err() != nil {
-					return ctx.Err()
+					return nil, ctx.Err()
 				}
-				ctr.Add(CtrReduceInputGroups, 1)
+				a.ctr.Add(CtrReduceInputGroups, 1)
 				key, _, err := serde.DecodeSortKey(m.groupKey)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				g := &groupValueIter{m: m}
-				if err := reducer.Reduce(key, g, ictx); err != nil {
-					return err
+				if err := reducer.Reduce(key, g, &a.ictx); err != nil {
+					return nil, err
 				}
 				m.drainGroup()
-				ctr.Add(CtrReduceInputRecords, g.n)
+				a.ctr.Add(CtrReduceInputRecords, g.n)
 				if m.err != nil {
-					return m.err
+					return nil, m.err
 				}
 			}
 			if m.err != nil {
-				return m.err
+				return nil, m.err
 			}
-			// This attempt is fully merged: close its cursors before the
-			// commit claim decides whether it may consume spill references.
-			m.closeAll()
-			if err := ta.Commit(func() error {
-				if err := sink.commit(ctr); err != nil {
+			return func() error {
+				if err := sink.commit(a.ctr); err != nil {
 					return err
 				}
 				// Drop this partition's spill-file references (exactly once
 				// per partition — the commit claim guarantees it), so files
 				// whose every partition has been consumed are deleted while
 				// the reduce phase is still running.
-				for _, sf := range spills {
+				for _, sf := range ordered {
 					sf.consumed(p)
 				}
 				return nil
-			}); err != nil {
-				return err
-			}
-			committed = true
-			return nil
+			}, nil
 		}
-		if err := sched.runPhase(e, PhaseReduce, numReducers, phaseOpts{retry: true, speculate: true}, reduceTask); err != nil {
+		if err := sched.runPhase(e, PhaseReduce, numReducers, phaseOpts{retry: true, speculate: true}, func(ta *TaskAttempt) error {
+			return e.runTask("reduce", ta, reduceTask)
+		}); err != nil {
 			return fail("reduce phase", err)
 		}
 		// Spill files are shared across reduce partitions (each holds every
@@ -459,19 +463,12 @@ func (e *Execution) execute() (*Result, error) {
 		releaseSpills()
 	}
 
-	// Commit phase (one task): account input bytes and seal the shared
-	// final output. Closing the job's ONE shared output has no per-attempt
+	// Commit phase (one task): close the inputs and seal the shared final
+	// output. Closing the job's ONE shared output has no per-attempt
 	// isolation to roll back to — so it gets neither retries nor
 	// speculation.
 	if err := sched.runPhase(e, PhaseCommit, 1, phaseOpts{}, func(*TaskAttempt) error {
 		for _, in := range job.Inputs {
-			counters.Add(CtrInputBytesRead, in.Input.BytesRead())
-			if st := in.Input.ScanStats(); st != (ScanStats{}) {
-				counters.Add(CtrBlocksRead, st.BlocksRead)
-				counters.Add(CtrBlocksSkipped, st.BlocksSkipped)
-				counters.Add(CtrRowsFiltered, st.RowsFiltered)
-				counters.Add(CtrScansShared, st.SharedScans)
-			}
 			in.Input.Close()
 		}
 		if job.Output != nil {

@@ -237,20 +237,31 @@ func TestRetryBudgetExhausted(t *testing.T) {
 }
 
 // TestFaultMatrixFromEnv is the CI hook: it runs only when MANIMAL_FAULTS
-// is set (the process-wide injector is then already installed by the
-// faultinject init) and checks that word count still produces exactly the
-// right answer under whatever fault regime the environment dialed in.
+// is set and checks that word count still produces exactly the right
+// answer, and exactly the data counters of its fault-free run, under
+// whatever fault regime the environment dialed in.
 func TestFaultMatrixFromEnv(t *testing.T) {
 	spec := os.Getenv("MANIMAL_FAULTS")
 	if spec == "" {
 		t.Skip("set MANIMAL_FAULTS (e.g. \"task=0.05;seed=3\") to run the fault matrix")
 	}
+	// The input and the fault-free reference are made without the
+	// injector; the run under test gets a fresh one for the regime.
+	faultinject.Reset()
+	defer faultinject.Set(faultinject.MustParse(spec))
 	path := filepath.Join(t.TempDir(), "words.rec")
-	expected := writeWordFile(t, path, 2000)
+	expected := writeWordFile(t, path, 3000)
+	_, clean, err := runFileWordCount(t, path, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Set(faultinject.MustParse(spec))
 	raw, e, err := runFileWordCount(t, path, 2, 12)
+	faultinject.Reset()
 	if err != nil {
 		t.Fatalf("word count under MANIMAL_FAULTS=%q failed: %v", spec, err)
 	}
+	requireDataCounters(t, e.Counters(), clean.Counters())
 	got := sortedCounts(t, raw, t.TempDir())
 	if len(got) != len(expected) {
 		t.Errorf("got %d distinct words, want %d", len(got), len(expected))

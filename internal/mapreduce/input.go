@@ -8,21 +8,18 @@ import (
 	"manimal/internal/storage"
 )
 
-// ScanStats re-exports the scan-pruning counters (blocks read/skipped,
-// rows residual-filtered) record-file inputs accumulate.
+// ScanStats is what one scan — a split's iterator, or planning — read,
+// skipped and filtered. Inputs without zone-map pruning report only bytes,
+// or nothing.
 type ScanStats = storage.ScanStats
 
 // Input is a source of (key, record) pairs divisible into splits that map
 // tasks consume in parallel. The key plays Hadoop's "record offset" role
 // for plain files and is the index key for B+Tree-indexed input.
 type Input interface {
-	// Splits partitions the input into about target independent splits.
-	Splits(target int) ([]Split, error)
-	// BytesRead reports data bytes scanned so far (for counters).
-	BytesRead() int64
-	// ScanStats reports pruning effect so far; inputs without zone-map
-	// pruning return zeros.
-	ScanStats() ScanStats
+	// Splits partitions the input into about target independent splits,
+	// and reports what planning them read or pruned.
+	Splits(target int) ([]Split, ScanStats, error)
 	Close() error
 }
 
@@ -41,13 +38,16 @@ type BatchSplit interface {
 
 // BatchIter iterates a split block-batch-wise. The batch (and everything
 // borrowed from it: column slices, selection vector, string/bytes values)
-// is reused across iterations — valid only until the next NextBatch — per
-// the package's buffer-ownership contract.
+// is reused across iterations — valid only until the next Next — per the
+// package's buffer-ownership contract.
 type BatchIter interface {
-	NextBatch() bool
+	Next() bool
 	Batch() *serde.Batch
 	Err() error
 	Close() error
+	// Stats reports what the iteration has read so far; it is final once
+	// the iterator is closed.
+	Stats() ScanStats
 }
 
 // RecordIter iterates a split's records. Implementations may reuse the
@@ -60,6 +60,8 @@ type RecordIter interface {
 	Record() *serde.Record
 	Err() error
 	Close() error
+	// Stats reports what the iteration has read so far.
+	Stats() ScanStats
 }
 
 // FileInput reads a Manimal record file (plain, projected, or compressed),
@@ -98,20 +100,14 @@ func (f *FileInput) Reader() *storage.Reader { return f.r }
 // Schema returns the file's record schema.
 func (f *FileInput) Schema() *serde.Schema { return f.r.Schema() }
 
-// BytesRead implements Input.
-func (f *FileInput) BytesRead() int64 { return f.r.BytesRead() }
-
-// ScanStats implements Input.
-func (f *FileInput) ScanStats() ScanStats { return f.r.ScanStats() }
-
 // Close implements Input.
 func (f *FileInput) Close() error { return f.r.Close() }
 
 // Splits implements Input, partitioning storage blocks evenly. With a
 // pushdown filter, fully-pruned block ranges are dropped up front — they
-// never become map-task work — and the remaining blocks are balanced
-// across splits by SURVIVING block count.
-func (f *FileInput) Splits(target int) ([]Split, error) {
+// never become map-task work, and planning counts them as skipped — and
+// the remaining blocks are balanced across splits by SURVIVING block count.
+func (f *FileInput) Splits(target int) ([]Split, ScanStats, error) {
 	n := f.r.NumBlocks()
 	if target < 1 {
 		target = 1
@@ -137,8 +133,7 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 	if len(kept) == 0 {
 		// Every block is provably predicate-free: the job runs zero map
 		// tasks over this input. Account the whole file as skipped.
-		f.r.AddBlocksSkipped(int64(n))
-		return out, nil
+		return out, ScanStats{BlocksSkipped: int64(n)}, nil
 	}
 	per := len(kept) / target
 	extra := len(kept) % target
@@ -159,8 +154,7 @@ func (f *FileInput) Splits(target int) ([]Split, error) {
 	}
 	// Blocks outside every split never reach a scanner; count them here so
 	// blocks read + skipped always totals the blocks planned over.
-	f.r.AddBlocksSkipped(int64(n - covered))
-	return out, nil
+	return out, ScanStats{BlocksSkipped: int64(n - covered)}, nil
 }
 
 type fileSplit struct {
@@ -175,7 +169,7 @@ func (s *fileSplit) Open() (RecordIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fileIter{sc: sc}, nil
+	return fileIter{sc}, nil
 }
 
 // OpenBatch implements BatchSplit: a batch scan over the split's block
@@ -184,46 +178,26 @@ func (s *fileSplit) Open() (RecordIter, error) {
 // (e.g. a leader too far ahead) scans privately.
 func (s *fileSplit) OpenBatch() (BatchIter, error) {
 	if m, ok := s.subscribe(s.lo, s.hi); ok {
-		return &sharedBatchIter{m: m}, nil
+		return m, nil
 	}
 	sc, err := s.r.ScanBatch(s.lo, s.hi, s.pd)
 	if err != nil {
 		return nil, err
 	}
-	return &fileBatchIter{sc: sc}, nil
+	return fileBatchIter{sc}, nil
 }
 
-type sharedBatchIter struct {
-	m *storage.SharedScanner
-}
+type fileBatchIter struct{ *storage.BatchScanner }
 
-func (it *sharedBatchIter) NextBatch() bool     { return it.m.Next() }
-func (it *sharedBatchIter) Batch() *serde.Batch { return it.m.Batch() }
-func (it *sharedBatchIter) Err() error          { return it.m.Err() }
-func (it *sharedBatchIter) Close() error        { return it.m.Close() }
+func (fileBatchIter) Close() error { return nil }
 
-type fileBatchIter struct {
-	sc *storage.BatchScanner
-}
-
-func (it *fileBatchIter) NextBatch() bool     { return it.sc.Next() }
-func (it *fileBatchIter) Batch() *serde.Batch { return it.sc.Batch() }
-func (it *fileBatchIter) Err() error          { return it.sc.Err() }
-func (it *fileBatchIter) Close() error        { return nil }
-
-type fileIter struct {
-	sc *storage.Scanner
-}
-
-func (it *fileIter) Next() bool { return it.sc.Next() }
+type fileIter struct{ *storage.Scanner }
 
 // Key is the record's whole-file position, which the scanner preserves
 // across block skips and residual drops: pruned and unpruned runs of a
 // key-reading program observe identical keys.
-func (it *fileIter) Key() serde.Datum      { return serde.Int(it.sc.RecordIndex()) }
-func (it *fileIter) Record() *serde.Record { return it.sc.Record() }
-func (it *fileIter) Err() error            { return it.sc.Err() }
-func (it *fileIter) Close() error          { return nil }
+func (it fileIter) Key() serde.Datum { return serde.Int(it.RecordIndex()) }
+func (fileIter) Close() error        { return nil }
 
 // IndexedInput scans only the relevant key ranges of a B+Tree selection
 // index (paper Section 2.1: "use the index to skip map invocations that do
@@ -254,13 +228,6 @@ func (ix *IndexedInput) Index() btree.Index { return ix.t }
 // Schema returns the schema of the index's stored records.
 func (ix *IndexedInput) Schema() *serde.Schema { return ix.t.Schema() }
 
-// BytesRead implements Input.
-func (ix *IndexedInput) BytesRead() int64 { return ix.t.BytesRead() }
-
-// ScanStats implements Input; B+Tree scans prune via key ranges, not zone
-// maps, so the counters stay zero.
-func (ix *IndexedInput) ScanStats() ScanStats { return ScanStats{} }
-
 // Close implements Input.
 func (ix *IndexedInput) Close() error { return ix.t.Close() }
 
@@ -269,13 +236,15 @@ func (ix *IndexedInput) Close() error { return ix.t.Close() }
 // sub-split at shard and leaf-page boundaries (Index.RangeCuts), so even a
 // single-range selection parallelizes instead of running as one map task.
 // Ranges produced by interval merging are disjoint, and cut keys partition
-// a range exactly, so splits never overlap.
-func (ix *IndexedInput) Splits(target int) ([]Split, error) {
+// a range exactly, so splits never overlap. The pages the cuts cost count
+// as planning's bytes; B+Tree scans prune by key range, not zone maps.
+func (ix *IndexedInput) Splits(target int) ([]Split, ScanStats, error) {
 	if target < 1 {
 		target = 1
 	}
+	var st ScanStats
 	if len(ix.ranges) == 0 {
-		return nil, nil
+		return nil, st, nil
 	}
 	per := 1
 	if len(ix.ranges) < target {
@@ -285,9 +254,10 @@ func (ix *IndexedInput) Splits(target int) ([]Split, error) {
 	for _, r := range ix.ranges {
 		lo := r.Lo
 		if per > 1 {
-			cuts, err := ix.t.RangeCuts(r.Lo, r.Hi, per)
+			cuts, read, err := ix.t.RangeCuts(r.Lo, r.Hi, per)
+			st.BytesRead += read
 			if err != nil {
-				return nil, err
+				return nil, st, err
 			}
 			for _, c := range cuts {
 				out = append(out, &indexSplit{t: ix.t, r: ByteRange{Lo: lo, Hi: c}})
@@ -296,7 +266,7 @@ func (ix *IndexedInput) Splits(target int) ([]Split, error) {
 		}
 		out = append(out, &indexSplit{t: ix.t, r: ByteRange{Lo: lo, Hi: r.Hi}})
 	}
-	return out, nil
+	return out, st, nil
 }
 
 type indexSplit struct {
@@ -339,7 +309,8 @@ func (ii *indexIter) Err() error {
 	}
 	return ii.it.Err()
 }
-func (ii *indexIter) Close() error { return nil }
+func (ii *indexIter) Close() error     { return nil }
+func (ii *indexIter) Stats() ScanStats { return ScanStats{BytesRead: ii.it.BytesRead()} }
 
 // MemInput serves records from memory; used by tests and tiny examples.
 type MemInput struct {
@@ -360,17 +331,11 @@ func NewMemInput(schema *serde.Schema, records []*serde.Record) (*MemInput, erro
 // Schema returns the records' schema.
 func (m *MemInput) Schema() *serde.Schema { return m.schema }
 
-// BytesRead implements Input.
-func (m *MemInput) BytesRead() int64 { return 0 }
-
-// ScanStats implements Input.
-func (m *MemInput) ScanStats() ScanStats { return ScanStats{} }
-
 // Close implements Input.
 func (m *MemInput) Close() error { return nil }
 
 // Splits implements Input.
-func (m *MemInput) Splits(target int) ([]Split, error) {
+func (m *MemInput) Splits(target int) ([]Split, ScanStats, error) {
 	if target < 1 {
 		target = 1
 	}
@@ -379,7 +344,7 @@ func (m *MemInput) Splits(target int) ([]Split, error) {
 	}
 	var out []Split
 	if len(m.records) == 0 {
-		return out, nil
+		return out, ScanStats{}, nil
 	}
 	per := (len(m.records) + target - 1) / target
 	for lo := 0; lo < len(m.records); lo += per {
@@ -389,7 +354,7 @@ func (m *MemInput) Splits(target int) ([]Split, error) {
 		}
 		out = append(out, &memSplit{recs: m.records[lo:hi], base: int64(lo)})
 	}
-	return out, nil
+	return out, ScanStats{}, nil
 }
 
 type memSplit struct {
@@ -419,3 +384,4 @@ func (it *memIter) Key() serde.Datum      { return serde.Int(it.base + int64(it.
 func (it *memIter) Record() *serde.Record { return it.recs[it.pos] }
 func (it *memIter) Err() error            { return nil }
 func (it *memIter) Close() error          { return nil }
+func (it *memIter) Stats() ScanStats      { return ScanStats{} }

@@ -36,10 +36,13 @@
 // retry budgets) fail the job. Attempts are ISOLATED: each writes spill
 // files and temp outputs under attempt-qualified names, so a retry never
 // collides with its failed predecessor's files, and a failed attempt's
-// partial spills, buffered emissions, and counter deltas are all rolled
-// back. When a task runs longer than Config.SpeculativeSlowdown times the
-// median duration of its completed siblings and slots are idle, the
-// scheduler launches one duplicate (speculative) attempt; whichever
+// partial spills, buffered emissions, and counter deltas — the counts of
+// the scans it ran (blocks read and skipped, rows filtered, bytes read)
+// included — are all rolled back, so job counters sum committed attempts
+// only, as Hadoop's do. When a task runs longer than
+// Config.SpeculativeSlowdown times the median duration of its completed
+// siblings and slots are idle, the scheduler launches one duplicate
+// (speculative) attempt; whichever
 // attempt finishes first COMMITS — publishes its spills, closes its
 // per-task output, or flushes its buffered output under the scheduler's
 // commit claim, which is idempotent per task, not per attempt — and the
@@ -72,7 +75,7 @@
 //     bytes fields) past that point must call Record().Clone().
 //   - BatchIter.Batch() and everything borrowed from it (column slices,
 //     the selection vector, materialized records' string/bytes fields) are
-//     valid only until the next call to NextBatch(). Retainers copy.
+//     valid only until the next call to Next(). Retainers copy.
 //   - Emit (interp.Context.Emit and Output.Write) fully serializes its key
 //     and value before returning, so mappers and reducers may emit the
 //     reused record an iterator handed them.
@@ -164,10 +167,6 @@ type Config struct {
 	// slot. Zero by default so tests run fast; benchmarks set it to model
 	// startup-dominated regimes.
 	StartupDelay time.Duration
-	// SortedOutput declares that the user requires the final output in
-	// key-sorted order. The optimizer refuses direct-operation compression
-	// of map output keys in that case (paper footnote 1).
-	SortedOutput bool
 	// Partitioner routes intermediate keys to reduce partitions; nil means
 	// HashPartitioner. Sharded index builds install a RangePartitioner so
 	// each reduce task receives one contiguous slice of the key space.

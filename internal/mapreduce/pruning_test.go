@@ -39,8 +39,9 @@ func idRange(lo, hi int64) predicate.ZoneFilter {
 }
 
 // TestFileInputSplitsPruned: fully-pruned block ranges never become map
-// task work, surviving splits cover exactly the matching records, and the
-// iteration keys equal whole-file record positions.
+// task work, surviving splits cover exactly the matching records, the
+// iteration keys equal whole-file record positions, and planning's skipped
+// blocks plus the splits' scans account for every block once.
 func TestFileInputSplitsPruned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 4000)
@@ -50,7 +51,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	fullSplits, err := full.Splits(8)
+	fullSplits, _, err := full.Splits(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	splits, err := in.Splits(8)
+	splits, st, err := in.Splits(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +85,8 @@ func TestFileInputSplitsPruned(t *testing.T) {
 			t.Fatal(it.Err())
 		}
 		it.Close()
+		st.BlocksRead += it.Stats().BlocksRead
+		st.BlocksSkipped += it.Stats().BlocksSkipped
 	}
 	if len(keys) != 40 {
 		t.Fatalf("pruned scan yielded %d records, want 40", len(keys))
@@ -93,7 +96,6 @@ func TestFileInputSplitsPruned(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", i, k, 2000+i)
 		}
 	}
-	st := in.ScanStats()
 	if st.BlocksSkipped == 0 {
 		t.Fatalf("scan stats = %+v; expected skipped blocks", st)
 	}
@@ -112,14 +114,13 @@ func TestFileInputSplitsAllPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	splits, err := in.Splits(8)
+	splits, st, err := in.Splits(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(splits) != 0 {
 		t.Fatalf("impossible predicate planned %d splits", len(splits))
 	}
-	st := in.ScanStats()
 	if st.BlocksSkipped != int64(in.Reader().NumBlocks()) || st.BlocksRead != 0 {
 		t.Fatalf("scan stats = %+v", st)
 	}
@@ -138,7 +139,7 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	splits, err := in.Splits(4)
+	splits, st, err := in.Splits(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,12 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 			t.Fatal(it.Err())
 		}
 		it.Close()
+		st.BlocksSkipped += it.Stats().BlocksSkipped
 	}
 	if n != 1000 {
 		t.Fatalf("unresolvable filter dropped records: %d of 1000", n)
 	}
-	if st := in.ScanStats(); st.BlocksSkipped != 0 {
+	if st.BlocksSkipped != 0 {
 		t.Fatalf("unresolvable filter skipped blocks: %+v", st)
 	}
 }
@@ -180,7 +182,7 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer in.Close()
-		splits, err := in.Splits(4)
+		splits, _, err := in.Splits(4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +198,7 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for bit.NextBatch() {
+			for bit.Next() {
 				b := bit.Batch()
 				for _, row := range b.Sel() {
 					if !it.Next() || it.Key().Int() != b.Base()+int64(row) {

@@ -539,9 +539,8 @@ const specMinSiblings = 3
 // running before it can be declared a straggler, regardless of the
 // sibling median. Without it, millisecond-scale tasks get speculated
 // whenever goroutine scheduling delays one of them a few ms past the
-// median — and the duplicate attempt's scan work double-counts job
-// counters (blocks read, rows filtered) that differential tests compare
-// exactly. Real stragglers run well past this; a task that finishes in
+// median, and each duplicate takes a slot and re-reads its split for
+// nothing. Real stragglers run well past this; a task that finishes in
 // under 100ms is never worth duplicating.
 const specMinRuntime = 100 * time.Millisecond
 
@@ -758,8 +757,7 @@ func (s *Scheduler) runAttempt(e *Execution, ph *phaseRun, ta *TaskAttempt) {
 	case err == nil:
 		if !slot.done {
 			// Implicit commit: the task body finished without needing the
-			// commit claim (plan tasks, bodies whose only side effects are
-			// already per-attempt isolated and idempotent).
+			// commit claim (the job's commit task).
 			slot.done = true
 			slot.winner = ta
 			for _, other := range slot.live {

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"fmt"
@@ -190,14 +191,28 @@ func (pb *partBuf) reset() {
 	pb.idx = pb.idx[:0]
 }
 
-// sort orders the index entries by key bytes. The comparison indexes
-// straight into the slab — no closure over per-entry slice headers, no
-// reflection-based swapping as with sort.Slice over a struct of slices.
+// sort orders the index entries by key bytes, equal keys by slab offset —
+// emission order — so a key's values leave the spill in the order they
+// were emitted. Each run of equal keys is put in offset order after the
+// key sort: comparing offsets inside it would cost pdqsort its shortcut
+// for equal keys. The comparison indexes straight into the slab — no
+// closure over per-entry slice headers, no reflection-based swapping as
+// with sort.Slice over a struct of slices.
 func (pb *partBuf) sort() {
 	slab := pb.slab
 	slices.SortFunc(pb.idx, func(a, b slabEntry) int {
 		return bytes.Compare(slab[a.off:a.off+int64(a.klen)], slab[b.off:b.off+int64(b.klen)])
 	})
+	for i := 0; i < len(pb.idx); {
+		j := i + 1
+		for j < len(pb.idx) && bytes.Equal(pb.key(pb.idx[i]), pb.key(pb.idx[j])) {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(pb.idx[i:j], func(a, b slabEntry) int { return cmp.Compare(a.off, b.off) })
+		}
+		i = j
+	}
 }
 
 // groups is the grouped spill of a job with a Combine: it orders a
@@ -659,6 +674,7 @@ type segCursor struct {
 	}
 	pooled *bufio.Reader // r when it came from segReaders, returned at close
 	owned  *os.File      // non-nil when the cursor had to reopen a budget-closed spill
+	rank   int           // the spill's place in (map task, spill) order
 	k      []byte
 	v      []byte
 	bufs   [2][]byte // alternating backing buffers for one k+v pair
@@ -737,13 +753,18 @@ func (c *segCursor) close() {
 	}
 }
 
-// cursorHeap is a min-heap of segment cursors ordered by current key.
+// cursorHeap is a min-heap of segment cursors ordered by current key, and
+// equal keys by spill rank: a key's values merge in (map task, spill,
+// emission) order, the same on every run.
 type cursorHeap []*segCursor
 
-func (h cursorHeap) Len() int           { return len(h) }
-func (h cursorHeap) Less(i, j int) bool { return bytes.Compare(h[i].k, h[j].k) < 0 }
-func (h cursorHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)        { *h = append(*h, x.(*segCursor)) }
+func (h cursorHeap) Len() int { return len(h) }
+func (h cursorHeap) Less(i, j int) bool {
+	c := bytes.Compare(h[i].k, h[j].k)
+	return c < 0 || c == 0 && h[i].rank < h[j].rank
+}
+func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*segCursor)) }
 func (h *cursorHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -767,10 +788,10 @@ type mergeIter struct {
 }
 
 // newMergeIter opens one cursor per spill that holds data for
-// partition p.
+// partition p; files are in (map task, spill) order.
 func newMergeIter(files []*spillFile, p int) (*mergeIter, error) {
 	m := &mergeIter{}
-	for _, sf := range files {
+	for rank, sf := range files {
 		sp := sf.parts[p]
 		if sp.n == 0 {
 			continue
@@ -780,6 +801,7 @@ func newMergeIter(files []*spillFile, p int) (*mergeIter, error) {
 			m.closeAll()
 			return nil, err
 		}
+		c.rank = rank
 		m.cursors = append(m.cursors, c)
 		if c.advance() {
 			m.h = append(m.h, c)

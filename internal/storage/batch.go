@@ -38,21 +38,7 @@ type BatchScanner struct {
 	nextIdx     int64
 	valid       bool
 	err         error
-	// tally is this scan's own share of the reader's counters, which a
-	// shared scan's followers mirror onto their readers.
-	tally scanTally
-}
-
-// scanTally counts what one scan added to its reader's pruning counters.
-type scanTally struct{ read, skipped, bytes, filtered int64 }
-
-// addTally adds the counts a scan made between since and t to r's
-// counters.
-func (r *Reader) addTally(t, since scanTally) {
-	r.blocksRead.Add(t.read - since.read)
-	r.blocksSkipped.Add(t.skipped - since.skipped)
-	r.bytesRead.Add(t.bytes - since.bytes)
-	r.rowsFiltered.Add(t.filtered - since.filtered)
+	stats       ScanStats
 }
 
 // ScanBatch returns a batch scanner over blocks [lo, hi) with the given
@@ -134,8 +120,7 @@ func (s *BatchScanner) Next() bool {
 		base := s.nextIdx
 		s.nextIdx += s.r.blocks[b].records
 		if s.blockFilter != nil && s.r.blockSkippable(s.blockFilter, b) {
-			s.r.blocksSkipped.Add(1)
-			s.tally.skipped++
+			s.stats.BlocksSkipped++
 			continue
 		}
 		if err := s.loadColumns(b, base); err != nil {
@@ -163,6 +148,9 @@ func (s *BatchScanner) Batch() *serde.Batch {
 // Err returns the first error encountered while scanning.
 func (s *BatchScanner) Err() error { return s.err }
 
+// Stats returns what the scan has read, skipped and filtered so far.
+func (s *BatchScanner) Stats() ScanStats { return s.stats }
+
 // loadColumns reads the segments of block bi's unmasked fields,
 // bulk-decodes them into the batch's column vectors, and computes the
 // selection vector, flushing the residual-drop count per block.
@@ -172,8 +160,8 @@ func (s *BatchScanner) loadColumns(bi int, base int64) error {
 	if err != nil {
 		return err
 	}
-	s.tally.read++
-	s.tally.bytes += int64(len(raw))
+	s.stats.BlocksRead++
+	s.stats.BytesRead += int64(len(raw))
 	n := int(s.r.blocks[bi].records)
 	s.batch.Reset(s.r.schema, n, base)
 	for i, seg := range s.segs {
@@ -323,10 +311,7 @@ func (s *BatchScanner) selectRows(n int) {
 		}
 	}
 	s.batch.SetSelMask(mask)
-	if dropped := int64(n - len(s.batch.Sel())); dropped > 0 {
-		s.r.rowsFiltered.Add(dropped)
-		s.tally.filtered += dropped
-	}
+	s.stats.RowsFiltered += int64(n - len(s.batch.Sel()))
 }
 
 func growBool(s []bool, n int) []bool {

@@ -12,7 +12,7 @@ import (
 
 // rowScanCollect runs the row cursor (Scanner) on an already-open reader,
 // returning cloned surviving records, their whole-file indexes, and the
-// reader's counters afterwards.
+// scan's own counts.
 func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
 	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
@@ -28,7 +28,7 @@ func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []i
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
 	}
-	return recs, idx, r.ScanStats()
+	return recs, idx, sc.Stats()
 }
 
 // batchScanCollect runs a batch scan on an already-open reader,
@@ -55,7 +55,7 @@ func batchScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, [
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
 	}
-	return recs, idx, r.ScanStats()
+	return recs, idx, sc.Stats()
 }
 
 // oracleScan computes what a whole-file scan under pd must yield, from the
@@ -175,6 +175,8 @@ func TestBatchRowScanDifferential(t *testing.T) {
 					defer r.Close()
 					want, wantIdx, wantStats := oracleScan(r, recs, pd)
 					got, gotIdx, gotStats := collect(t, r, pd)
+					// The scan's bytes are what its fresh reader physically read.
+					wantStats.BytesRead = r.BytesRead()
 					requireEqual(t, want, got)
 					requireSameIndexes(t, wantIdx, gotIdx)
 					if gotStats != wantStats {

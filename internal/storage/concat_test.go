@@ -183,7 +183,7 @@ func TestConcatZoneMapsCarryOver(t *testing.T) {
 		if sc.Err() != nil {
 			t.Fatal(sc.Err())
 		}
-		return out, r.ScanStats().BlocksSkipped
+		return out, sc.Stats().BlocksSkipped
 	}
 	var want []*serde.Record
 	var wantSkipped int64

@@ -16,7 +16,8 @@ import (
 
 // Reader reads a record file written by Writer. A single Reader may serve
 // multiple concurrent Scanners (one per map task); scanners do their own
-// positioned reads and share only immutable metadata and the byte counter.
+// positioned reads, count what they read in their own ScanStats, and share
+// only immutable metadata and the physical byte counter.
 type Reader struct {
 	f         *os.File
 	path      string
@@ -41,13 +42,6 @@ type Reader struct {
 	fileSize  int64
 	modTime   int64 // at Open, in Unix nanoseconds: with path and size, the file identity scans share on
 	bytesRead atomic.Int64
-	// Pruning-effect counters aggregated across scanners and split planning.
-	blocksRead    atomic.Int64
-	blocksSkipped atomic.Int64
-	rowsFiltered  atomic.Int64
-	// sharedScans counts split scans this reader served through a shared
-	// physical scan with at least one other subscriber (see ScanShare).
-	sharedScans atomic.Int64
 	// DirectCodes controls dictionary-field materialization: when false
 	// (default) codes are decoded back to the original strings (lossless
 	// compression); when true, the fabric operates directly on compact
@@ -260,7 +254,9 @@ func (r *Reader) NumRecords() int64 {
 // Size returns the total file size in bytes (header and footer included).
 func (r *Reader) Size() int64 { return r.fileSize }
 
-// BytesRead returns the data bytes scanned so far across all scanners.
+// BytesRead returns the data bytes this reader has physically read so far,
+// across all its scans. A follower of a shared scan reads the leader's
+// batches: their bytes count in the follower scan's Stats, not here.
 func (r *Reader) BytesRead() int64 { return r.bytesRead.Load() }
 
 // Encoding returns the stored encoding of the named field.
@@ -367,6 +363,9 @@ func (s *Scanner) Record() *serde.Record {
 // Err returns the first error encountered while scanning.
 func (s *Scanner) Err() error { return s.bs.Err() }
 
+// Stats returns what the scan has read, skipped and filtered so far.
+func (s *Scanner) Stats() ScanStats { return s.bs.Stats() }
+
 // readSegments reads the segments of block i whose fields decode selects
 // (nil selects all) into raw, grown as needed and returned: one positioned
 // read per run of adjacent selected segments, so a full scan reads the
@@ -374,7 +373,7 @@ func (s *Scanner) Err() error { return s.bs.Err() }
 // Each selected segment is checksummed the first time this reader reads it
 // (see the verified field doc) — or on every read while a fault injector is
 // installed, since any read may then have been corrupted in flight. The
-// bytes read, and the block, count toward the reader's counters.
+// bytes read count toward the reader's physical total.
 func (r *Reader) readSegments(i int, decode []bool, raw []byte, segs [][]byte) ([]byte, error) {
 	nf := len(segs)
 	bsegs := r.segs[i*nf : (i+1)*nf]
@@ -417,7 +416,6 @@ func (r *Reader) readSegments(i int, decode []bool, raw []byte, segs [][]byte) (
 		faultinject.CorruptBytes(blockKey, raw)
 	}
 	r.bytesRead.Add(total)
-	r.blocksRead.Add(1)
 	// Verify before decoding anything: a checksum mismatch is a definitive
 	// corruption signal (classified permanent), whereas a decode failure
 	// downstream of a passing checksum is a reader bug.

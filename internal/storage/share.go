@@ -12,8 +12,10 @@ import (
 // over one block range under byte-for-byte the same pushdown run as one.
 // The first subscriber LEADS with its own BatchScanner on its own
 // goroutine — exactly its private scan. Later ones FOLLOW: they read its
-// batches and mirror its counts onto their own readers, so their batches,
-// record indices and ScanStats are exactly a private scan's. Delivery is
+// batches and mirror its counts into their own scan's Stats (not onto their
+// readers, which count only what they physically read), so their batches,
+// record indices and Stats are exactly a private scan's, Shared aside.
+// Delivery is
 // lock-step: the leader loads block k+1 once every follower released
 // block k (at its next Next, or Close). A joiner covers the blocks the
 // leader already passed with a private catch-up of at most half the range;
@@ -88,15 +90,12 @@ func (sh *ScanShare) subscribe(r *Reader, pd *Pushdown, key shareKey, lo, hi int
 		g.mu.Unlock()
 		return nil, false
 	}
-	if len(g.readers) == 1 {
-		g.readers[0].sharedScans.Add(1)
-	}
 	g.readers = append(g.readers, r)
 	g.followers++
-	m.g, m.seq, m.seen = g, g.seq, g.tally
+	m.g, m.seq, m.from, m.to = g, g.seq, g.stats, g.stats
+	m.own.Shared = true
 	start := g.next
 	g.mu.Unlock()
-	r.sharedScans.Add(1)
 	if start > lo {
 		var err error
 		if m.sc, err = r.ScanBatch(lo, start, pd); err != nil {
@@ -119,7 +118,7 @@ type shareGroup struct {
 	next      int          // first block the leader has not passed
 	batch     *serde.Batch // the current publication
 	seq       int          // publications so far
-	tally     scanTally    // the leader's counts through next
+	stats     ScanStats    // the leader's counts through next
 	over      bool         // the leader left; next == hi if it finished
 }
 
@@ -133,14 +132,17 @@ type SharedScanner struct {
 	hi   int
 	lead bool
 	sc   *BatchScanner // the leader's scan; a follower's catch-up or continuation
-	// Guarded by g.mu: the last publication taken, whether it is held (a
-	// leader: by followers), and the leader counts mirrored so far.
+	// Guarded by g.mu: the last publication taken, and whether it is held
+	// (a leader: by followers).
 	seq   int
 	holds bool
-	seen  scanTally
-	cur   *serde.Batch
-	err   error
-	done  bool
+	// own holds the counts of the member's finished private scans and its
+	// Shared flag; a follower mirrors the leader's counts from its join
+	// (from) to its last take (to).
+	own, from, to ScanStats
+	cur           *serde.Batch
+	err           error
+	done          bool
 }
 
 // Next advances to the member's next batch; false at the end or on error.
@@ -160,6 +162,7 @@ func (m *SharedScanner) Next() bool {
 			m.Close()
 			return false
 		}
+		m.own.add(m.sc.Stats(), 1)
 		m.sc = nil // caught up
 	}
 	g := m.g
@@ -171,14 +174,13 @@ func (m *SharedScanner) Next() bool {
 	for g.seq == m.seq && !g.over {
 		g.cond.Wait()
 	}
-	t, since, next := g.tally, m.seen, g.next
+	m.to = g.stats
+	next := g.next
 	took := g.seq > m.seq
 	if took {
 		m.seq, m.holds, m.cur = g.seq, true, g.batch
 	}
 	g.mu.Unlock()
-	m.seen = t
-	m.r.addTally(t, since)
 	if took {
 		return true
 	}
@@ -208,7 +210,7 @@ func (m *SharedScanner) leadNext() bool {
 	}
 	m.cur = m.sc.Batch()
 	g.mu.Lock()
-	g.batch, g.next, g.tally = m.cur, m.sc.blockLo, m.sc.tally
+	g.batch, g.next, g.stats = m.cur, m.sc.blockLo, m.sc.Stats()
 	g.seq++
 	if m.holds = g.followers > 0; m.holds {
 		g.released.Add(g.followers)
@@ -228,8 +230,9 @@ func (m *SharedScanner) leave(finished bool) {
 	g.sh.mu.Unlock()
 	g.mu.Lock()
 	if finished {
-		g.next, g.tally = m.hi, m.sc.tally
+		g.next, g.stats = m.hi, m.sc.Stats()
 	}
+	m.own.Shared = len(g.readers) > 1 // no one joins once it is over
 	g.over = true
 	g.cond.Broadcast()
 	g.mu.Unlock()
@@ -240,6 +243,19 @@ func (m *SharedScanner) Batch() *serde.Batch { return m.cur }
 
 // Err returns the member's own first scan error, never another member's.
 func (m *SharedScanner) Err() error { return m.err }
+
+// Stats returns the member's counts so far — a private scan's — with
+// Shared set if its group ever had company. A leader's flag is final once
+// it has left (at the end of its range, or Close).
+func (m *SharedScanner) Stats() ScanStats {
+	st := m.own
+	if m.sc != nil {
+		st.add(m.sc.Stats(), 1)
+	}
+	st.add(m.to, 1)
+	st.add(m.from, -1)
+	return st
+}
 
 // Close ends the membership (the engine closes iterators on all paths).
 func (m *SharedScanner) Close() error {

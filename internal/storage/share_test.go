@@ -14,7 +14,8 @@ import (
 
 // TestSharedScanTwoSubscribers drives the share registry directly: two
 // concurrent subscribers over the same range must each see every row and
-// record one shared scan apiece.
+// count one shared scan apiece. Only the leader's reader reads the file;
+// the follower's scan mirrors the leader's counts, bytes included.
 func TestSharedScanTwoSubscribers(t *testing.T) {
 	schema := serde.MustSchema(
 		serde.Field{Name: "a", Kind: serde.KindInt64},
@@ -70,12 +71,16 @@ func TestSharedScanTwoSubscribers(t *testing.T) {
 		}(i, subs[i])
 	}
 	wg.Wait()
-	t.Logf("counts=%v stats1=%+v stats2=%+v", counts, r1.ScanStats(), r2.ScanStats())
+	st1, st2 := subs[0].Stats(), subs[1].Stats()
+	t.Logf("counts=%v stats1=%+v stats2=%+v", counts, st1, st2)
 	if counts[0] != rows || counts[1] != rows {
 		t.Errorf("row counts = %v, want %d each", counts, rows)
 	}
-	if r1.ScanStats().SharedScans != 1 || r2.ScanStats().SharedScans != 1 {
-		t.Errorf("shared scans = %d, %d; want 1 each", r1.ScanStats().SharedScans, r2.ScanStats().SharedScans)
+	if !st1.Shared || !st2.Shared || st1 != st2 {
+		t.Errorf("stats %+v and %+v; want equal and shared", st1, st2)
+	}
+	if r1.BytesRead() != st1.BytesRead || r2.BytesRead() != 0 {
+		t.Errorf("readers read %d and %d bytes; want %d and 0", r1.BytesRead(), r2.BytesRead(), st1.BytesRead)
 	}
 }
 
@@ -109,11 +114,10 @@ func midPushdown(t *testing.T, r *Reader) *Pushdown {
 }
 
 // scanned is what a scan delivered: every batch's base and every selected
-// row's whole-file index, plus the reader's counters afterwards.
+// row's whole-file index, plus the scan's counts afterwards.
 type scanned struct {
 	bases, rows []int64
 	stats       ScanStats
-	bytes       int64
 	err         error
 }
 
@@ -121,6 +125,7 @@ type batchIter interface {
 	Next() bool
 	Batch() *serde.Batch
 	Err() error
+	Stats() ScanStats
 }
 
 // drain consumes up to limit batches of it (all when limit < 0).
@@ -132,7 +137,7 @@ func drain(it batchIter, limit int) (s scanned) {
 			s.rows = append(s.rows, b.Base()+int64(row))
 		}
 	}
-	s.err = it.Err()
+	s.err, s.stats = it.Err(), it.Stats()
 	return s
 }
 
@@ -145,14 +150,12 @@ func private(t *testing.T, path string, pd *Pushdown) scanned {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := drain(sc, -1)
-	s.stats, s.bytes = r.ScanStats(), r.BytesRead()
-	return s
+	return drain(sc, -1)
 }
 
-// requireSame compares a member's scan, and its reader's counters, with the
-// private reference (SharedScans aside: only the member shared).
-func requireSame(t *testing.T, who string, got scanned, r *Reader, want scanned) {
+// requireSame compares a member's scan, and its counts, with the private
+// reference (Shared aside: only the member shared).
+func requireSame(t *testing.T, who string, got scanned, want scanned) {
 	t.Helper()
 	if got.err != nil {
 		t.Fatalf("%s: %v", who, got.err)
@@ -161,10 +164,10 @@ func requireSame(t *testing.T, who string, got scanned, r *Reader, want scanned)
 		t.Errorf("%s: %d batches / %d rows, want %d / %d (or different bases/rows)",
 			who, len(got.bases), len(got.rows), len(want.bases), len(want.rows))
 	}
-	st := r.ScanStats()
-	st.SharedScans = 0
-	if st != want.stats || r.BytesRead() != want.bytes {
-		t.Errorf("%s: stats %+v, %d bytes; private scan %+v, %d bytes", who, st, r.BytesRead(), want.stats, want.bytes)
+	st := got.stats
+	st.Shared = false
+	if st != want.stats {
+		t.Errorf("%s: stats %+v; private scan %+v", who, st, want.stats)
 	}
 }
 
@@ -208,9 +211,9 @@ func TestShareLeaderCloseFollowerContinues(t *testing.T) {
 	go func() { defer wg.Done(); drain(lead, 3); lead.Close() }()
 	go func() { defer wg.Done(); got = drain(follow, -1) }()
 	wg.Wait()
-	requireSame(t, "follower", got, followR, want)
-	if followR.ScanStats().SharedScans != 1 {
-		t.Errorf("follower shared scans = %d, want 1", followR.ScanStats().SharedScans)
+	requireSame(t, "follower", got, want)
+	if !got.stats.Shared {
+		t.Error("follower scan not counted as shared")
 	}
 }
 
@@ -235,10 +238,10 @@ func TestShareLateJoinerStatsExact(t *testing.T) {
 	go func() { defer wg.Done(); got = drain(follow, -1) }()
 	wg.Wait()
 	led.bases, led.rows = append(head.bases, led.bases...), append(head.rows, led.rows...)
-	requireSame(t, "leader", led, leadR, want)
-	requireSame(t, "follower", got, followR, want)
-	if leadR.ScanStats().SharedScans != 1 || followR.ScanStats().SharedScans != 1 {
-		t.Errorf("shared scans = %d, %d; want 1 each", leadR.ScanStats().SharedScans, followR.ScanStats().SharedScans)
+	requireSame(t, "leader", led, want)
+	requireSame(t, "follower", got, want)
+	if !led.stats.Shared || !got.stats.Shared {
+		t.Errorf("shared = %t, %t; want both", led.stats.Shared, got.stats.Shared)
 	}
 }
 
@@ -277,8 +280,13 @@ func TestShareLeaderCorruptionFollowerOwnError(t *testing.T) {
 	if len(got.bases) != bad || !slicesEqual(got.bases, led.bases) {
 		t.Errorf("follower saw %d batches before the corruption, leader %d; want %d", len(got.bases), len(led.bases), bad)
 	}
-	if got := followR.ScanStats().BlocksRead; got != bad+1 {
-		t.Errorf("follower reader blocks read = %d, want %d (the shared ones plus its own read of the corrupt one)", got, bad+1)
+	// The follower's scan mirrors the leader's good blocks; its reader
+	// physically read only the corrupt one, which no scan counts as read.
+	if got.stats != led.stats || got.stats.BlocksRead != bad {
+		t.Errorf("follower stats %+v, leader %+v; want equal, %d blocks read", got.stats, led.stats, bad)
+	}
+	if own := leadR.BytesRead() - led.stats.BytesRead; own <= 0 || followR.BytesRead() != own {
+		t.Errorf("follower reader read %d bytes, want the corrupt block's %d", followR.BytesRead(), own)
 	}
 }
 
@@ -356,9 +364,8 @@ func TestShareDifferentPushdownsStayApart(t *testing.T) {
 			go func() { defer wg.Done(); drain(a, -1) }()
 			go func() { defer wg.Done(); drain(b, -1) }()
 			wg.Wait()
-			shared := ra.ScanStats().SharedScans + rb.ScanStats().SharedScans
-			if (shared > 0) != tc.share {
-				t.Errorf("shared scans = %d, want sharing %t", shared, tc.share)
+			if shared := a.Stats().Shared || b.Stats().Shared; shared != tc.share {
+				t.Errorf("shared = %t, want %t", shared, tc.share)
 			}
 		})
 	}

@@ -333,32 +333,24 @@ func (r *Reader) BlockStats(i int) []FieldStats {
 	return r.blockStats[i]
 }
 
-// ScanStats aggregates scan-time pruning effect across all of a reader's
-// scanners (and split planning): blocks whose payload was read, blocks
-// skipped without I/O, rows dropped by the residual filter before reaching
-// the caller, and split scans that rode a shared physical scan (a scan
-// subscribed to a ScanShare group that had two or more subscribers).
+// ScanStats is what one scan did: the blocks whose payload it read and
+// the bytes they held, the blocks its zone maps skipped without I/O, the
+// rows its residual filter dropped before reaching the caller, and whether
+// it rode a shared physical scan with company (see ScanShare). A scan owns
+// its counts; whoever ran it decides where they are committed.
 type ScanStats struct {
 	BlocksRead    int64
 	BlocksSkipped int64
+	BytesRead     int64
 	RowsFiltered  int64
-	SharedScans   int64
+	Shared        bool
 }
 
-// AddBlocksSkipped accounts blocks pruned outside any scanner (split
-// planning drops fully-pruned ranges before a scanner ever sees them).
-func (r *Reader) AddBlocksSkipped(n int64) {
-	if n > 0 {
-		r.blocksSkipped.Add(n)
-	}
-}
-
-// ScanStats returns the pruning counters accumulated so far.
-func (r *Reader) ScanStats() ScanStats {
-	return ScanStats{
-		BlocksRead:    r.blocksRead.Load(),
-		BlocksSkipped: r.blocksSkipped.Load(),
-		RowsFiltered:  r.rowsFiltered.Load(),
-		SharedScans:   r.sharedScans.Load(),
-	}
+// add adds o's counts to s, scaled by sign (1, or -1 to subtract).
+func (s *ScanStats) add(o ScanStats, sign int64) {
+	s.BlocksRead += sign * o.BlocksRead
+	s.BlocksSkipped += sign * o.BlocksSkipped
+	s.BytesRead += sign * o.BytesRead
+	s.RowsFiltered += sign * o.RowsFiltered
+	s.Shared = s.Shared || o.Shared
 }

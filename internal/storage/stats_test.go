@@ -127,7 +127,7 @@ func TestPrunedScanSkipsBlocks(t *testing.T) {
 	if sc.Err() != nil {
 		t.Fatal(sc.Err())
 	}
-	st := r.ScanStats()
+	st := sc.Stats()
 	if st.BlocksRead+st.BlocksSkipped != int64(r.NumBlocks()) {
 		t.Fatalf("blocks read %d + skipped %d != total %d", st.BlocksRead, st.BlocksSkipped, r.NumBlocks())
 	}
@@ -459,7 +459,7 @@ func TestResidualGatedUnderDirectCodes(t *testing.T) {
 	if n == 0 {
 		t.Fatal("residual filter dropped all rows under DirectCodes")
 	}
-	st := r.ScanStats()
+	st := sc.Stats()
 	if st.BlocksSkipped == 0 {
 		t.Fatalf("logical block skipping should still apply: %+v", st)
 	}

@@ -854,7 +854,6 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 			MaxParallelTasks: spec.MaxParallelTasks,
 			WorkDir:          jobWork,
 			StartupDelay:     spec.StartupDelay,
-			SortedOutput:     spec.SortedOutput,
 			Tenant:           spec.Tenant,
 			Conf:             spec.Conf,
 		},
@@ -1192,32 +1191,12 @@ func (l *lazyInput) open() (mapreduce.Input, error) {
 }
 
 // Splits implements mapreduce.Input.
-func (l *lazyInput) Splits(target int) ([]mapreduce.Split, error) {
+func (l *lazyInput) Splits(target int) ([]mapreduce.Split, mapreduce.ScanStats, error) {
 	in, err := l.open()
 	if err != nil {
-		return nil, err
+		return nil, mapreduce.ScanStats{}, err
 	}
 	return in.Splits(target)
-}
-
-// BytesRead implements mapreduce.Input.
-func (l *lazyInput) BytesRead() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.in == nil {
-		return 0
-	}
-	return l.in.BytesRead()
-}
-
-// ScanStats implements mapreduce.Input.
-func (l *lazyInput) ScanStats() mapreduce.ScanStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.in == nil {
-		return mapreduce.ScanStats{}
-	}
-	return l.in.ScanStats()
 }
 
 // Close implements mapreduce.Input; never-opened inputs have nothing to
