@@ -224,6 +224,7 @@ type jsonDescriptor struct {
 	Project     *jsonProject `json:"project,omitempty"`
 	Delta       []string     `json:"delta,omitempty"`
 	DirectOp    []string     `json:"directOp,omitempty"`
+	Combine     string       `json:"combine,omitempty"`
 	SideEffects []string     `json:"sideEffects,omitempty"`
 	Notes       []string     `json:"notes,omitempty"`
 }
@@ -259,6 +260,9 @@ func descriptorJSON(d *manimal.Descriptor) *jsonDescriptor {
 	if d.DirectOp != nil {
 		out.DirectOp = d.DirectOp.Fields
 	}
+	if d.Combine != nil {
+		out.Combine = d.Combine.Op
+	}
 	return out
 }
 
@@ -289,10 +293,13 @@ func printDescriptor(desc *manimal.Descriptor) {
 	if desc.DirectOp != nil {
 		fmt.Printf("DIRECT-OPERATION: %v\n", desc.DirectOp.Fields)
 	}
+	if desc.Combine != nil {
+		fmt.Printf("COMBINE: int64 %s, folded at emit\n", desc.Combine.Op)
+	}
 	if len(desc.SideEffects) > 0 {
 		fmt.Printf("SIDE EFFECTS (detected, not optimized): %v\n", desc.SideEffects)
 	}
-	if desc.Select == nil && desc.Project == nil && desc.Delta == nil && desc.DirectOp == nil {
+	if desc.Select == nil && desc.Project == nil && desc.Delta == nil && desc.DirectOp == nil && desc.Combine == nil {
 		fmt.Println("no optimizations detected")
 	}
 	for _, n := range desc.Notes {

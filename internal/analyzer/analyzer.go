@@ -1,7 +1,8 @@
 // Package analyzer is Manimal's core contribution (paper Section 3): a
 // static analysis that inspects an unmodified mapper-language program and
 // emits optimization descriptors for selection, projection,
-// delta-compression, and direct operation on compressed data.
+// delta-compression, and direct operation on compressed data — and, beyond
+// the paper, for a Combine the engine can fold natively (an int64 sum).
 //
 // Like the paper's analyzer, it is best-effort but safety-first: it may
 // miss optimizations (a determined programmer can elude it) but never
@@ -104,6 +105,15 @@ type DirectOpDescriptor struct {
 	Fields []string
 }
 
+// CombineDescriptor names the aggregate a program's Combine computes when
+// it is exactly one the engine can run natively. Op "sum" is the only one:
+// an int64 sum of the group's values re-emitted under the group's own key,
+// which the shuffle folds into one running sum per distinct key as pairs
+// are emitted instead of buffering them for an interpreted Combine.
+type CombineDescriptor struct {
+	Op string
+}
+
 // Descriptor is the analyzer's complete output for one program: the
 // "optimization descriptor" of paper Figure 1. Nil sub-descriptors mean the
 // optimization was not detected.
@@ -112,6 +122,7 @@ type Descriptor struct {
 	Project  *ProjectDescriptor
 	Delta    *DeltaDescriptor
 	DirectOp *DirectOpDescriptor
+	Combine  *CombineDescriptor
 
 	// SideEffects lists detected side-effecting calls (ctx.Log/ctx.Counter)
 	// that optimized execution may skip; detected but not optimized,
@@ -189,6 +200,7 @@ func Analyze(p *lang.Program, inputSchema *serde.Schema) (*Descriptor, error) {
 	d.Project = a.findProject(d)
 	d.Delta = a.findDelta(d)
 	d.DirectOp = a.findDirectOp(d)
+	d.Combine = findCombine(p, d)
 	d.SideEffects = a.findSideEffects()
 	return d, nil
 }

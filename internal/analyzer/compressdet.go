@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 
@@ -212,6 +213,107 @@ func reduceUsesKey(reduce *lang.Function) bool {
 		return !found
 	})
 	return found
+}
+
+// findCombine recognizes a Combine that is exactly an int64 sum of its
+// values re-emitted under its own key:
+//
+//	acc := 0
+//	for values.Next() {
+//		acc = acc + values.Int()   // or acc += values.Int()
+//	}
+//	ctx.Emit(key, acc)
+//
+// Such a Combine has no state, no side effect and no other output, and its
+// result does not depend on how a key's values are split across calls: a
+// running sum kept per key as pairs are emitted, wrapping like the
+// interpreter's int64 +, gives the pairs it would. Any other Combine —
+// extra statements, ctx.Counter or ctx.Log, a global, Float or FieldInt, a
+// condition, a rewritten key — is left to the interpreter, with a note.
+func findCombine(p *lang.Program, d *Descriptor) *CombineDescriptor {
+	comb := p.Combine()
+	if comb == nil {
+		return nil
+	}
+	if why := sumCombineMismatch(comb); why != "" {
+		d.notef("combine: not an int64 sum, %s; the interpreter runs it", why)
+		return nil
+	}
+	return &CombineDescriptor{Op: "sum"}
+}
+
+// sumCombineMismatch returns why fn is not the int64-sum Combine shape
+// findCombine matches, or "" when it is.
+func sumCombineMismatch(fn *lang.Function) string {
+	if len(fn.Params) != 3 {
+		return fmt.Sprintf("it takes %d parameters", len(fn.Params))
+	}
+	key, values, ctx := fn.Params[0].Name, fn.Params[1].Name, fn.Params[2].Name
+	if key == "_" || values == "_" || ctx == "_" {
+		return "a parameter is unnamed"
+	}
+	body := fn.Body.List
+	if len(body) != 3 {
+		return fmt.Sprintf("its body has %d statements, not an accumulator, a loop and an emit", len(body))
+	}
+	// The language forbids shadowing, so a := here declares a fresh local.
+	init, ok := body[0].(*ast.AssignStmt)
+	if !ok || init.Tok != token.DEFINE || len(init.Lhs) != 1 || len(init.Rhs) != 1 || !isIntLit(init.Rhs[0], "0") {
+		return "its first statement does not declare an accumulator as the literal 0"
+	}
+	acc := init.Lhs[0].(*ast.Ident)
+	loop, ok := body[1].(*ast.ForStmt)
+	if !ok || loop.Init != nil || loop.Post != nil || !isIterCall(loop.Cond, values, "Next") || len(loop.Body.List) != 1 {
+		return fmt.Sprintf("its loop is not `for %s.Next()` around one statement", values)
+	}
+	if !isSumStep(loop.Body.List[0], acc.Name, values) {
+		return fmt.Sprintf("its loop does not add %s.Int() to %s", values, acc.Name)
+	}
+	var call *ast.CallExpr
+	if es, ok := body[2].(*ast.ExprStmt); ok {
+		call, _ = es.X.(*ast.CallExpr)
+	}
+	if call == nil || !lang.IsEmit(call, ctx) || len(call.Args) != 2 || !isIdentNamed(call.Args[0], key) || !isIdentNamed(call.Args[1], acc.Name) {
+		return fmt.Sprintf("its last statement is not %s.Emit(%s, %s)", ctx, key, acc.Name)
+	}
+	return ""
+}
+
+// isSumStep reports whether s is `acc = acc + values.Int()` or
+// `acc += values.Int()`.
+func isSumStep(s ast.Stmt, acc, values string) bool {
+	as, ok := s.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || !isIdentNamed(as.Lhs[0], acc) {
+		return false
+	}
+	switch as.Tok {
+	case token.ADD_ASSIGN:
+		return isIterCall(as.Rhs[0], values, "Int")
+	case token.ASSIGN:
+		sum, ok := as.Rhs[0].(*ast.BinaryExpr)
+		return ok && sum.Op == token.ADD && isIdentNamed(sum.X, acc) && isIterCall(sum.Y, values, "Int")
+	}
+	return false
+}
+
+// isIterCall reports whether e is the argument-free call values.method().
+func isIterCall(e ast.Expr, values, method string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	recv, m, ok := lang.MethodOn(call)
+	return ok && recv == values && m == method
+}
+
+func isIdentNamed(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+func isIntLit(e ast.Expr, value string) bool {
+	lit, ok := e.(*ast.BasicLit)
+	return ok && lit.Kind == token.INT && lit.Value == value
 }
 
 func unparen(e ast.Expr) ast.Expr {

@@ -104,6 +104,11 @@ func dumpDescriptor(d *Descriptor) string {
 	} else {
 		fmt.Fprintf(&b, "direct-op: none\n")
 	}
+	if d.Combine != nil {
+		fmt.Fprintf(&b, "combine: %s\n", d.Combine.Op)
+	} else {
+		fmt.Fprintf(&b, "combine: none\n")
+	}
 	for _, s := range d.SideEffects {
 		fmt.Fprintf(&b, "side-effect: %s\n", s)
 	}

@@ -94,6 +94,35 @@ func CombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
 	}
 }
 
+// SumCombinerFactory is CombinerFactory for a program whose Combine the
+// analyzer recognized as an int64 sum (analyzer.CombineDescriptor "sum").
+// Its combiners are marked mapreduce.SumCombiner, so map tasks fold their
+// output into running sums instead of calling them; one compiles the
+// interpreted Combine only when its task unfolds and has groups to combine.
+func SumCombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
+	build := CombinerFactory(p)
+	return func() (mapreduce.Reducer, error) { return &sumCombiner{build: build}, nil }
+}
+
+type sumCombiner struct {
+	build mapreduce.ReducerFactory
+	r     mapreduce.Reducer
+}
+
+// FoldsInt64Sum implements mapreduce.SumCombiner.
+func (*sumCombiner) FoldsInt64Sum() {}
+
+func (c *sumCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *interp.Context) error {
+	if c.r == nil {
+		r, err := c.build()
+		if err != nil {
+			return err
+		}
+		c.r = r
+	}
+	return c.r.Reduce(key, values, ctx)
+}
+
 // IdentityReducer forwards every value of every group unchanged; it is the
 // reduce stage of B+Tree index-generation jobs. Each reduce task's merge
 // stream is key-sorted, so under a range partitioner every reducer feeds

@@ -89,25 +89,26 @@ func (a *attemptCtr) rollback() {
 // until the attempt commits. With Job.OutputFor the task writes its own
 // output, which commit closes (an atomic rename) and abort discards. With
 // a shared Job.Output the attempt buffers its pairs fully serialized (the
-// Emit contract lets callers reuse the backing record), and commit flushes
-// them into the output under the job's one output lock: a failed or losing
-// attempt contributes nothing, a retry cannot double-write, and each
-// committed task's pairs sit together in the output. The buffer holds the
-// attempt's whole output in memory — a reduce attempt's whole partition —
-// so jobs whose output is too large for that use OutputFor.
+// Emit contract lets callers reuse the backing record), and commit hands
+// the buffer to the job's sharedOutput, which writes it in task order: a
+// failed or losing attempt contributes nothing, a retry cannot
+// double-write, and each committed task's pairs sit together in the
+// output. The buffer holds the attempt's whole output in memory — a reduce
+// attempt's whole partition — so jobs whose output is too large for that
+// use OutputFor.
 type taskSink struct {
-	out    Output      // the task's own output (Job.OutputFor), or nil
-	shared Output      // Job.Output, when out is nil
-	mu     *sync.Mutex // held for a whole flush into shared
+	out    Output        // the task's own output (Job.OutputFor), or nil
+	shared *sharedOutput // Job.Output, when out is nil
+	task   int
 	kv     kvEncoder
 	buf    []byte // pairs bound for shared, framed by appendKV
 	n      int64  // pairs emitted
 }
 
-// newTaskSink opens task's sink; mu is the job's output lock.
-func newTaskSink(job *Job, task int, mu *sync.Mutex) (*taskSink, error) {
+// newTaskSink opens task's sink; shared is the job's Job.Output, if any.
+func newTaskSink(job *Job, task int, shared *sharedOutput) (*taskSink, error) {
 	if job.OutputFor == nil {
-		return &taskSink{shared: job.Output, mu: mu}, nil
+		return &taskSink{shared: shared, task: task}, nil
 	}
 	out, err := job.OutputFor(task)
 	if err != nil {
@@ -133,18 +134,44 @@ func (s *taskSink) commit(ctr *attemptCtr) error {
 			s.out.Abort() // discard the truncated result
 			return err
 		}
-	} else {
-		s.mu.Lock()
-		err := readKVs(s.buf, uint64(s.n), s.shared.Write)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	} else if err := s.shared.commit(s); err != nil {
+		return err
 	}
 	if s.n > 0 {
 		ctr.Add(CtrOutputRecords, s.n)
 	}
 	return nil
+}
+
+// sharedOutput writes the committed tasks' buffers into a job's one
+// Job.Output in task order — reduce partition order, or a map-only job's
+// split order — so the output's bytes do not depend on which task commits
+// first. A task that commits ahead of a lower-numbered one is held until
+// that one has been written. Nothing is buffered beyond the tasks' own
+// buffers, and each is dropped once written.
+type sharedOutput struct {
+	mu   sync.Mutex
+	out  Output
+	next int               // the lowest task not yet written
+	held map[int]*taskSink // committed tasks waiting on a lower one
+	err  error             // a failed write; the output is lost
+}
+
+func (o *sharedOutput) commit(s *taskSink) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if s.task != o.next {
+		o.held[s.task] = s
+		return o.err
+	}
+	for s != nil && o.err == nil {
+		o.err = readKVs(s.buf, uint64(s.n), o.out.Write)
+		s.buf = nil
+		o.next++
+		s = o.held[o.next]
+		delete(o.held, o.next)
+	}
+	return o.err
 }
 
 // abort discards an uncommitted attempt's partial per-task output.
@@ -280,7 +307,7 @@ func (e *Execution) execute() (*Result, error) {
 	if !mapOnly {
 		numReducers = job.Config.numReducers()
 	}
-	var outMu sync.Mutex // serializes task flushes into job.Output
+	shared := &sharedOutput{out: job.Output, held: make(map[int]*taskSink)}
 
 	// The committed spills, per map task in spill order; failed and losing
 	// attempts delete their own. Each holds every partition's sorted run
@@ -362,7 +389,7 @@ func (e *Execution) execute() (*Result, error) {
 				return nil, err
 			}
 			if mapOnly {
-				sink, err := newTaskSink(job, a.Index(), &outMu)
+				sink, err := newTaskSink(job, a.Index(), shared)
 				if err != nil {
 					return nil, err
 				}
@@ -375,7 +402,10 @@ func (e *Execution) execute() (*Result, error) {
 			se := newShuffleEmitter(a.Index(), a.Attempt(), numReducers, job.Config.WorkDir,
 				job.Config.spillBuffer(), job.Combiner, a.ctr, job.Config.Conf,
 				job.Config.partitioner())
-			a.abort, a.ictx.Emit = se.discard, se.emit
+			a.abort = se.discard
+			if a.ictx.Emit, err = se.emitter(); err != nil {
+				return nil, err
+			}
 			if err := mapSplit(a, spec.split, mapper); err != nil {
 				return nil, err
 			}
@@ -405,7 +435,7 @@ func (e *Execution) execute() (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			sink, err := newTaskSink(job, p, &outMu)
+			sink, err := newTaskSink(job, p, shared)
 			if err != nil {
 				return nil, err
 			}

@@ -79,9 +79,11 @@
 //   - Emit (interp.Context.Emit and Output.Write) fully serializes its key
 //     and value before returning, so mappers and reducers may emit the
 //     reused record an iterator handed them.
-//   - The shuffle buffers pairs in per-partition byte slabs, spills each
-//     sorted run into one spill image per spill (kept in memory up to 1 MiB,
-//     a file in WorkDir beyond), and merges through reused cursor buffers.
+//   - The shuffle buffers pairs in per-partition byte slabs (a task that
+//     folds an int64-sum Combine keeps one running sum per distinct key
+//     instead), spills each sorted run into one spill image per spill
+//     (kept in memory up to 1 MiB, a file in WorkDir beyond), and merges
+//     through reused cursor buffers.
 //     Values decoded for reducers are freshly allocated — a reducer may
 //     buffer them across Next() calls.
 package mapreduce
@@ -119,9 +121,10 @@ type Reducer interface {
 type MapperFactory func() (Mapper, error)
 
 // ReducerFactory builds one reducer instance per reduce task — and, as
-// Job.Combiner, one combiner instance per map task that spills (built at
-// its first spill), so Combine has the same one-instance-per-task
-// member-variable state Map and Reduce have.
+// Job.Combiner, one combiner instance per map task (built when the task
+// starts), so Combine has the same one-instance-per-task member-variable
+// state Map and Reduce have. A combiner that implements SumCombiner makes
+// its map task fold instead of combining.
 type ReducerFactory func() (Reducer, error)
 
 // MapInput pairs an input source with the mapper that consumes it,
@@ -275,12 +278,14 @@ type Job struct {
 	Name     string
 	Inputs   []MapInput
 	Reducer  ReducerFactory // nil = map-only job
-	Combiner ReducerFactory // optional map-side pre-aggregation
+	Combiner ReducerFactory // optional map-side pre-aggregation; see SumCombiner
 	// Output is the job's one shared output. Each reduce task (or map
-	// task of a map-only job) buffers its whole output in memory and
-	// flushes it when it commits, so the pairs of one committed task are
-	// contiguous in Output, in task commit order. The engine closes Output
-	// once every task has committed and aborts it if the job fails.
+	// task of a map-only job) buffers its whole output in memory, and a
+	// committed task's buffer is flushed once every lower-numbered task's
+	// has been. So Output holds one task's pairs together, in task order —
+	// reduce partition order, or a map-only job's split order — and its
+	// bytes do not depend on which task commits first. The engine closes
+	// Output once every task has committed and aborts it if the job fails.
 	Output Output
 	// OutputFor, when set, replaces Output with one private output per
 	// task: reduce jobs open one output per reduce partition (how B+Tree

@@ -1,13 +1,17 @@
 package mapreduce
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
 
+	"manimal/internal/faultinject"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 )
@@ -176,4 +180,65 @@ func FuzzReadKVFile(f *testing.F) {
 			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
 		}
 	})
+}
+
+// TestSharedOutputPartitionOrder: a reduce job's one shared output holds
+// its partitions in partition order, whatever order the reduce tasks
+// commit in. Twenty runs over four slots, with reduce task 0 straggling so
+// that the other partitions commit first, are byte-equal to the one-slot
+// run. A map-only job's output follows its split order the same way.
+func TestSharedOutputPartitionOrder(t *testing.T) {
+	lines := make([]string, 300)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("w%03d w%03d w%03d", i%97, (i*7)%89, (i*13)%83)
+	}
+	run := func(parallel int, mapOnly bool) []byte {
+		t.Helper()
+		in, err := NewMemInput(wordSchema, textRecords(lines...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(t.TempDir(), "out.kv")
+		kv, err := NewKVFileOutput(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := &Job{
+			Name:    "partition-order",
+			Inputs:  []MapInput{{Input: in, Mapper: func() (Mapper, error) { return wordCountMapper{}, nil }}},
+			Reducer: func() (Reducer, error) { return sumReducer{}, nil },
+			Output:  kv,
+			Config:  Config{WorkDir: t.TempDir(), NumReducers: 4, MaxParallelTasks: parallel},
+		}
+		if mapOnly {
+			job.Reducer = nil
+		}
+		if _, err := NewScheduler(4).Run(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, tc := range []struct {
+		name    string
+		mapOnly bool
+		faults  string
+	}{
+		{"reduce", false, "straggle=1.0:20ms@reduce:0:;seed=3"},
+		{"map-only", true, "straggle=1.0:20ms@map:0:;seed=3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := run(1, tc.mapOnly)
+			faultinject.Set(faultinject.MustParse(tc.faults))
+			defer faultinject.Reset()
+			for i := 0; i < 20; i++ {
+				if got := run(4, tc.mapOnly); !bytes.Equal(got, want) {
+					t.Fatalf("run %d: output (%d bytes) differs from the one-slot run (%d bytes)", i, len(got), len(want))
+				}
+			}
+		})
+	}
 }

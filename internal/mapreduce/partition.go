@@ -16,9 +16,16 @@ type Partitioner interface {
 // HashPartitioner spreads keys uniformly with FNV-1a; the default.
 type HashPartitioner struct{}
 
-// Partition implements Partitioner. The hash is inlined: hash/fnv allocates
-// a hasher per call, far too expensive for a per-emitted-record path.
+// Partition implements Partitioner.
 func (HashPartitioner) Partition(key []byte, n int) int {
+	return int(fnv1a(key) % uint32(n))
+}
+
+// fnv1a is HashPartitioner's hash, inlined: hash/fnv allocates a hasher per
+// call, far too expensive for a per-emitted-record path. A folding map task
+// (see shuffleEmitter.emitFold) derives both a key's partition and its
+// running-sum slot from this one hash.
+func fnv1a(key []byte) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -28,7 +35,7 @@ func (HashPartitioner) Partition(key []byte, n int) int {
 		h ^= uint32(b)
 		h *= prime32
 	}
-	return int(h % uint32(n))
+	return h
 }
 
 // RangePartitioner routes keys by sorted cut points: partition p receives

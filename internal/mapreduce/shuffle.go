@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"manimal/internal/durable"
 	"manimal/internal/faultinject"
@@ -284,6 +285,92 @@ func (g *groups) group(pb *partBuf) []int32 {
 	return g.order
 }
 
+// SumCombiner marks a combiner that is exactly an int64 sum of a group's
+// values re-emitted under the group's own key — the Combine the analyzer
+// reports as CombineDescriptor{Op: "sum"}. A map task whose combiner is one
+// folds: see shuffleEmitter.emitFold. Reduce must still be that Combine,
+// for the pairs a task gives back when it unfolds.
+type SumCombiner interface {
+	Reducer
+	FoldsInt64Sum()
+}
+
+// foldPart is one partition's running sums while its map task folds: an
+// open-addressing table in the grouped spill's layout — slots hold entry
+// ids, and each distinct key's sort-key bytes live once in the partition's
+// slab — whose entries carry the key's int64 sum.
+type foldPart struct {
+	slots []int32 // entry id + 1, 0 = empty; a power of two, at most half full
+	shift uint8   // 32 - log2(len(slots)): a hash's slot is its top bits after fibMul
+	ents  []foldEntry
+}
+
+// foldEntry is one distinct key of a folding partition.
+type foldEntry struct {
+	off  int64 // the key's sort-key bytes are slab[off : off+klen]
+	klen uint32
+	hash uint32 // fnv1a of the key, kept for regrowth
+	sum  int64
+}
+
+// foldEntryBytes is what one distinct key costs a folding task beyond its
+// key bytes: its entry and its two table slots. The spill budget counts it.
+const foldEntryBytes = int(unsafe.Sizeof(foldEntry{})) + 8
+
+// fibMul spreads a key's FNV hash over the table's slots. The partition
+// already took the hash modulo the reducer count, so its low bits are
+// partly fixed within a partition; the top bits of the product are not.
+const fibMul = 0x9E3779B1
+
+const foldMinSlots = 64
+
+func (fp *foldPart) reset() {
+	fp.ents = fp.ents[:0]
+	if len(fp.slots) == 0 {
+		fp.resize(foldMinSlots)
+	} else {
+		clear(fp.slots)
+	}
+}
+
+// resize rebuilds the table with size slots from the entries' kept hashes.
+func (fp *foldPart) resize(size int) {
+	fp.slots = make([]int32, size)
+	fp.shift = uint8(33 - bits.Len(uint(size)))
+	mask := uint32(size - 1)
+	for id, e := range fp.ents {
+		s := (e.hash * fibMul) >> fp.shift
+		for fp.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		fp.slots[s] = int32(id) + 1
+	}
+}
+
+// appendRun sorts the partition's distinct keys and appends its spill run:
+// one (key, Int(sum)) pair per key, framed as the grouped spill frames the
+// pairs a sum Combine emits, so the bytes are identical.
+func (fp *foldPart) appendRun(buf, slab []byte) []byte {
+	slices.SortFunc(fp.ents, func(a, b foldEntry) int {
+		return bytes.Compare(slab[a.off:a.off+int64(a.klen)], slab[b.off:b.off+int64(b.klen)])
+	})
+	for _, e := range fp.ents {
+		buf = binary.AppendUvarint(buf, uint64(e.klen))
+		buf = binary.AppendUvarint(buf, uint64(intValueLen(e.sum)))
+		buf = append(buf, slab[e.off:e.off+int64(e.klen)]...)
+		buf = serde.Int(e.sum).AppendTagged(append(buf, valTagDatum))
+	}
+	return buf
+}
+
+// intValueLen is the length of valueEncoder's encoding of Int(v) — the
+// value tag, the datum kind and v's zigzag varint — computed without
+// encoding it.
+func intValueLen(v int64) int {
+	ux := uint64(v)<<1 ^ uint64(v>>63)
+	return 2 + (bits.Len64(ux|1)+6)/7
+}
+
 // spillFile is one map-task spill: every partition's sorted run
 // concatenated into a single image, located by per-partition byte spans.
 // An image of at most memSpillMax bytes stays in memory (mem) and never
@@ -353,11 +440,12 @@ func (sf *spillFile) consumed(p int) {
 }
 
 // emitterBufs is a shuffle emitter's reusable backing memory — partition
-// slabs, the combiner buffer, the grouped spill's table, scratches — pooled
-// across map tasks so every task after the first starts with warmed,
-// right-sized buffers instead of growing fresh ones.
+// slabs, fold tables, the combiner buffer, the grouped spill's table,
+// scratches — pooled across map tasks so every task after the first starts
+// with warmed, right-sized buffers instead of growing fresh ones.
 type emitterBufs struct {
 	parts  []partBuf
+	fold   []foldPart
 	comb   partBuf
 	groups groups
 	keyBuf []byte
@@ -373,11 +461,36 @@ var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 // reused across records and spills (and pooled across tasks; see release);
 // values handed to emit are fully serialized before emit returns, so
 // callers may reuse the backing record.
+//
+// # Folding
+//
+// A task whose combiner is a SumCombiner folds instead (emitFold): each
+// partition keeps one running int64 sum per distinct key (foldPart), and
+// an emitted int is added to its key's sum with wrapping +, exactly the
+// interpreter's. There is no slab entry per pair, no grouping pass at
+// spill time and no Combine call: spill sorts the distinct keys and writes
+// each (key, Int(sum)), byte for byte the run the grouped spill writes
+// after the same Combine. The key's one FNV-1a hash (fnv1a) picks its
+// table slot and, under HashPartitioner, whose hash it is, its partition.
+// map.output.records and map.output.bytes still count every emitted pair,
+// at the length its encoding would have. The spill budget counts what the
+// fold holds — each distinct key's bytes plus foldEntryBytes — not the
+// pairs, so a folding task spills later and less often than one that
+// buffers: one whose distinct keys fit the budget spills once, at its end.
+//
+// The first record or non-int value unfolds the task for good: every
+// (key, sum) becomes an ordinary slab pair ahead of the key's later
+// values, and the task continues on the grouped-combine path, where the
+// Combine sees partial sums plus the later values — and fails on a non-int
+// exactly as it would have without the fold.
 type shuffleEmitter struct {
 	taskID    int
 	attempt   int // task attempt; spill names embed it so retried and speculative attempts never collide
 	workDir   string
 	parts     []partBuf
+	fold      []foldPart // per partition, in the pooled bufs; set by a folding emitter
+	folding   bool
+	hashPart  bool    // part is HashPartitioner: a fold takes the partition from its own hash
 	comb      partBuf // combiner output buffer, reused across groups
 	keyBuf    []byte  // sort-key scratch (partitioning needs the key before placement)
 	enc       valueEncoder
@@ -385,7 +498,7 @@ type shuffleEmitter struct {
 	bytes     int
 	threshold int
 	combiner  ReducerFactory
-	combInst  Reducer // the task's one combiner instance, built at the first spill
+	combInst  Reducer // the task's one combiner instance, built by emitter or at the first spill
 	counters  counterAdder
 	conf      map[string]serde.Datum
 	part      Partitioner
@@ -458,6 +571,34 @@ func (se *shuffleEmitter) release() {
 	se.bufs = nil
 }
 
+// emitter returns the function the task emits through. A task with a
+// combiner builds its one combiner instance here; a SumCombiner makes the
+// task fold (emitFold), anything else leaves it on emit, which pays
+// nothing for the fold.
+func (se *shuffleEmitter) emitter() (func(serde.Datum, interp.EmitValue) error, error) {
+	if se.combiner == nil {
+		return se.emit, nil
+	}
+	c, err := se.combiner()
+	if err != nil {
+		return nil, err
+	}
+	se.combInst = c
+	if _, ok := c.(SumCombiner); !ok {
+		return se.emit, nil
+	}
+	if cap(se.bufs.fold) < len(se.parts) {
+		se.bufs.fold = make([]foldPart, len(se.parts))
+	}
+	se.fold = se.bufs.fold[:len(se.parts)]
+	for p := range se.fold {
+		se.fold[p].reset()
+	}
+	_, se.hashPart = se.part.(HashPartitioner)
+	se.folding = true
+	return se.emitFold, nil
+}
+
 func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	se.keyBuf = key.AppendSortKey(se.keyBuf[:0])
 	p := se.part.Partition(se.keyBuf, len(se.parts))
@@ -471,8 +612,71 @@ func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	return nil
 }
 
-// spill sorts (or groups and combines) every non-empty partition buffer and
-// publishes one spill image holding all partitions' sorted runs.
+// emitFold is emit for a folding task: the value is added to its key's
+// running sum in the key's partition (see Folding on shuffleEmitter).
+func (se *shuffleEmitter) emitFold(key serde.Datum, value interp.EmitValue) error {
+	if !se.folding || value.Rec != nil || value.D.Kind != serde.KindInt64 {
+		if se.folding {
+			se.unfold()
+		}
+		return se.emit(key, value)
+	}
+	se.keyBuf = key.AppendSortKey(se.keyBuf[:0])
+	kb := se.keyBuf
+	h := fnv1a(kb)
+	var p int
+	if se.hashPart {
+		p = int(h % uint32(len(se.parts)))
+	} else {
+		p = se.part.Partition(kb, len(se.parts))
+	}
+	v := value.D.Int()
+	se.pendRecords++
+	se.pendBytes += int64(len(kb) + intValueLen(v))
+	pb, fp := &se.parts[p], &se.fold[p]
+	mask := uint32(len(fp.slots) - 1)
+	for s := (h * fibMul) >> fp.shift; ; s = (s + 1) & mask {
+		id := fp.slots[s] - 1
+		if id < 0 {
+			fp.slots[s] = int32(len(fp.ents)) + 1
+			fp.ents = append(fp.ents, foldEntry{off: int64(len(pb.slab)), klen: uint32(len(kb)), hash: h, sum: v})
+			pb.slab = append(pb.slab, kb...)
+			if 2*len(fp.ents) > len(fp.slots) {
+				fp.resize(2 * len(fp.slots))
+			}
+			se.bytes += len(kb) + foldEntryBytes
+			if se.bytes >= se.threshold {
+				return se.spill()
+			}
+			return nil
+		}
+		if e := &fp.ents[id]; e.hash == h && bytes.Equal(pb.slab[e.off:e.off+int64(e.klen)], kb) {
+			e.sum += v
+			return nil
+		}
+	}
+}
+
+// unfold ends the task's fold: every key's running sum becomes one slab
+// pair, and from here on the task buffers pairs for the grouped combine.
+func (se *shuffleEmitter) unfold() {
+	se.folding = false
+	se.bytes = 0
+	for p := range se.parts {
+		pb, fp := &se.parts[p], &se.fold[p]
+		keys := pb.slab
+		pb.slab = se.comb.slab[:0]
+		for _, e := range fp.ents {
+			se.bytes += pb.append(keys[e.off:e.off+int64(e.klen)], interp.EmitValue{D: serde.Int(e.sum)}, &se.enc)
+		}
+		se.comb.slab = keys[:0]
+		fp.ents = fp.ents[:0]
+	}
+}
+
+// spill sorts (or groups and combines, or for a folding task writes the
+// running sums of) every non-empty partition buffer and publishes one
+// spill image holding all partitions' sorted runs.
 func (se *shuffleEmitter) spill() error {
 	if se.pendRecords > 0 {
 		se.counters.Add(CtrMapOutputRecords, se.pendRecords)
@@ -483,31 +687,28 @@ func (se *shuffleEmitter) spill() error {
 	// each pair is a klen/vlen header plus its contiguous slab bytes.
 	buf := se.segBuf[:0]
 	spans := make([]span, len(se.parts))
-	var hdr [2 * binary.MaxVarintLen64]byte
 	for p := range se.parts {
 		pb := &se.parts[p]
-		if len(pb.idx) == 0 {
-			continue
-		}
-		out := pb
-		if se.combiner != nil {
-			var err error
-			out, err = se.combine(pb, se.bufs.groups.group(pb))
+		off := len(buf)
+		switch {
+		case se.folding:
+			buf = se.fold[p].appendRun(buf, pb.slab)
+			se.fold[p].reset()
+		case len(pb.idx) == 0:
+		case se.combiner != nil:
+			out, err := se.combine(pb, se.bufs.groups.group(pb))
 			if err != nil {
 				se.segBuf = buf
 				return err
 			}
-		} else {
+			buf = out.appendRun(buf)
+		default:
 			pb.sort()
+			buf = pb.appendRun(buf)
 		}
-		off := len(buf)
-		for _, e := range out.idx {
-			n := binary.PutUvarint(hdr[:], uint64(e.klen))
-			n += binary.PutUvarint(hdr[n:], uint64(e.vlen))
-			buf = append(buf, hdr[:n]...)
-			buf = append(buf, out.slab[e.off:e.off+int64(e.klen)+int64(e.vlen)]...)
+		if len(buf) > off {
+			spans[p] = span{off: int64(off), n: int64(len(buf) - off)}
 		}
-		spans[p] = span{off: int64(off), n: int64(len(buf) - off)}
 		pb.reset()
 	}
 	se.segBuf = buf
@@ -529,13 +730,27 @@ func (se *shuffleEmitter) spill() error {
 	return nil
 }
 
+// appendRun appends the buffer's pairs, in index order, as a spill run:
+// each a klen/vlen header plus its contiguous slab bytes.
+func (pb *partBuf) appendRun(buf []byte) []byte {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	for _, e := range pb.idx {
+		n := binary.PutUvarint(hdr[:], uint64(e.klen))
+		n += binary.PutUvarint(hdr[n:], uint64(e.vlen))
+		buf = append(buf, hdr[:n]...)
+		buf = append(buf, pb.slab[e.off:e.off+int64(e.klen)+int64(e.vlen)]...)
+	}
+	return buf
+}
+
 // combine runs the combiner over each key group of a grouped partition
 // buffer — sizes are the group sizes in key order, as groups.group returns
 // them — collecting its output into the reused combiner buffer
 // (Hadoop-style map-side pre-aggregation). The output is re-sorted only if
 // the combiner did not keep it in key order, as one that re-keys may not.
-// The combiner is built once per emitter, at the task's first spill, and
-// serves every partition of every spill: compiling the program per
+// The combiner is built once per emitter, when the task starts (see
+// emitter) or else at its first spill, and serves every partition of every
+// spill: compiling the program per
 // partition per spill cost more than combining did. Like a task's Mapper
 // and Reducer it therefore carries its member-variable state across all the
 // groups the task combines.

@@ -70,6 +70,24 @@ func TestSortKeyOrderProperty(t *testing.T) {
 			t.Fatalf("order mismatch: %#v vs %#v: datum %d, bytes %d", a, b, want, got)
 		}
 	}
+	// Strings dense in the escape byte 0x00 and the escape marker 0xFF,
+	// where a prefix and an escaped NUL compare most delicately.
+	for i := 0; i < 20000; i++ {
+		a, b := String(denseNulString(rnd)), String(denseNulString(rnd))
+		if got, want := bytes.Compare(a.SortKey(), b.SortKey()), a.Compare(b); sign(got) != sign(want) {
+			t.Fatalf("order mismatch: %q vs %q: datum %d, bytes %d", a.Str(), b.Str(), want, got)
+		}
+	}
+}
+
+// denseNulString draws a string of up to 12 bytes, each 0x00, 0xFF or 'a'
+// with equal odds.
+func denseNulString(rnd *rand.Rand) string {
+	b := make([]byte, rnd.Intn(13))
+	for i := range b {
+		b[i] = []byte{0x00, 0xFF, 'a'}[rnd.Intn(3)]
+	}
+	return string(b)
 }
 
 func sign(x int) int {
@@ -98,7 +116,12 @@ func TestSortKeyRoundTrip(t *testing.T) {
 // Strings containing NUL bytes must still round-trip and order correctly
 // (the escaping scheme is easy to get wrong).
 func TestSortKeyNulEscaping(t *testing.T) {
-	cases := []string{"", "\x00", "\x00\x00", "a\x00b", "a", "a\x00", "ab", "\x00\xff", "\xff"}
+	cases := []string{"", "\x00", "\x00\x00", "a\x00b", "a", "a\x00", "ab", "\x00\xff", "\xff",
+		"\x00\x00\x00\x00", "\xff\x00\xff\x00", "\x00\xff\x00\xff", "a\x00\x00b\x00", "\xff\xff\x00"}
+	rnd := rand.New(rand.NewSource(5))
+	for i := 0; i < 60; i++ {
+		cases = append(cases, denseNulString(rnd))
+	}
 	for _, a := range cases {
 		for _, b := range cases {
 			da, db := String(a), String(b)
@@ -109,6 +132,17 @@ func TestSortKeyNulEscaping(t *testing.T) {
 		got, _, err := DecodeSortKey(String(a).SortKey())
 		if err != nil || got.Str() != a {
 			t.Errorf("round trip %q -> %q (%v)", a, got.Str(), err)
+		}
+		// The bytes are the format B+Tree keys are stored in: each NUL
+		// escaped in place, then the terminator.
+		want := []byte{byte(KindString)}
+		for i := 0; i < len(a); i++ {
+			if want = append(want, a[i]); a[i] == 0x00 {
+				want = append(want, 0xFF)
+			}
+		}
+		if key := String(a).SortKey(); !bytes.Equal(key, append(want, 0x00, 0x00)) {
+			t.Errorf("sort key of %q is %x, want %x", a, key, append(want, 0x00, 0x00))
 		}
 	}
 }

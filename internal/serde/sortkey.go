@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // SortKey encodings: order-preserving byte encodings such that
@@ -48,15 +49,20 @@ func (d Datum) AppendSortKey(dst []byte) []byte {
 // SortKey returns the order-preserving encoding of d as a fresh slice.
 func (d Datum) SortKey() []byte { return d.AppendSortKey(nil) }
 
+// appendEscaped appends raw with each 0x00 escaped as 0x00 0xFF, then the
+// 0x00 0x00 terminator. Each run free of 0x00 — a typical key is one — is
+// copied with one append.
 func appendEscaped(dst []byte, raw string) []byte {
-	for i := 0; i < len(raw); i++ {
-		b := raw[i]
-		if b == 0x00 {
-			dst = append(dst, 0x00, 0xFF)
-		} else {
-			dst = append(dst, b)
+	for {
+		i := strings.IndexByte(raw, 0x00)
+		if i < 0 {
+			break
 		}
+		dst = append(dst, raw[:i]...)
+		dst = append(dst, 0x00, 0xFF)
+		raw = raw[i+1:]
 	}
+	dst = append(dst, raw...)
 	return append(dst, 0x00, 0x00)
 }
 

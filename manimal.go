@@ -626,6 +626,10 @@ func (s *System) plan(sub *submission, note string) error {
 			ir.Plan.Notes = append(ir.Plan.Notes, note)
 		}
 	}
+	if foldsCombine(spec, report) {
+		lead := report.Inputs[0].Plan
+		lead.Notes = append(lead.Notes, "combine: int64 sum folded at emit")
+	}
 
 	// Two-input jobs are checked for the repartition-join shape (paper
 	// Benchmark 3 / examples/join): both maps re-keying on a plain field of
@@ -831,8 +835,8 @@ func (s *System) finish(sub *submission, err error) {
 // Neither touches a file before the job runs: lazyInput opens at the plan
 // phase, and the KV output creates its file at its first write (or at
 // close, for an empty result), so a job canceled while queued never
-// touches its output path. A -noopt job scans privately, so the
-// conventional baseline stays conventional.
+// touches its output path. A -noopt job scans privately and never folds
+// its Combine, so the conventional baseline stays conventional.
 func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.ScanShare) *mapreduce.Job {
 	if spec.DisableOptimization {
 		share = nil
@@ -862,8 +866,23 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 		lead := spec.Inputs[0].Program.parsed
 		job.Reducer = fabric.ReducerFactory(lead)
 		job.Combiner = fabric.CombinerFactory(lead)
+		if foldsCombine(spec, report) {
+			job.Combiner = fabric.SumCombinerFactory(lead)
+		}
 	}
 	return job
+}
+
+// foldsCombine reports whether an optimized job's map tasks fold its
+// Combine: the lead program's Combine, which combines every input's map
+// output, is an int64 sum. A -noopt job never folds — it is the
+// conventional baseline, combining through the interpreter.
+func foldsCombine(spec JobSpec, report *JobReport) bool {
+	if spec.DisableOptimization || spec.MapOnly || spec.Inputs[0].Program.parsed.Reduce() == nil {
+		return false
+	}
+	d := report.Inputs[0].Descriptor
+	return d != nil && d.Combine != nil
 }
 
 // cacheKey derives the result-cache identity of a submission, and the
