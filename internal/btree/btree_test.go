@@ -226,7 +226,7 @@ func TestRangeCutsPartitionRange(t *testing.T) {
 }
 
 // buildShard bulk-loads one shard holding keys [lo, hi).
-func buildShard(t *testing.T, path string, lo, hi int64) {
+func buildShard(t testing.TB, path string, lo, hi int64) {
 	t.Helper()
 	b, err := NewBuilder(path, kvSchema, `v.Int("id")`, BuilderOptions{PageSize: 256})
 	if err != nil {

@@ -125,6 +125,10 @@ func OpenShards(path string) (*ShardSet, error) {
 	s := &ShardSet{path: path, size: int64(len(raw))}
 	dir := filepath.Dir(path)
 	for _, name := range m.Shards {
+		if name != filepath.Base(name) || name == "." || name == ".." {
+			s.Close()
+			return nil, fmt.Errorf("btree: %s: shard %q is not a file beside the manifest", path, name)
+		}
 		t, err := Open(filepath.Join(dir, name))
 		if err != nil {
 			s.Close()
@@ -138,6 +142,10 @@ func OpenShards(path string) (*ShardSet, error) {
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("btree: %s: bad bound: %w", path, err)
+		}
+		if n := len(s.bounds); n > 0 && bytes.Compare(s.bounds[n-1], kb) >= 0 {
+			s.Close()
+			return nil, fmt.Errorf("btree: %s: bounds not strictly increasing", path)
 		}
 		s.bounds = append(s.bounds, kb)
 	}

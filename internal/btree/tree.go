@@ -20,6 +20,7 @@ type Tree struct {
 	height     int
 	numEntries uint64
 	fileSize   int64
+	dataEnd    int64 // pages lie before this offset; the footer follows
 	bytesRead  atomic.Int64
 }
 
@@ -54,8 +55,12 @@ func (t *Tree) readFooter() error {
 		return fmt.Errorf("bad magic: not a Manimal B+Tree")
 	}
 	ftrLen := int64(binary.LittleEndian.Uint64(tail[:8]))
+	if ftrLen < 0 || ftrLen > t.fileSize-int64(len(tail)) {
+		return fmt.Errorf("footer length %d out of range", ftrLen)
+	}
+	t.dataEnd = t.fileSize - int64(len(tail)) - ftrLen
 	ftr := make([]byte, ftrLen)
-	if _, err := t.f.ReadAt(ftr, t.fileSize-int64(len(tail))-ftrLen); err != nil {
+	if _, err := t.f.ReadAt(ftr, t.dataEnd); err != nil {
 		return fmt.Errorf("read footer: %w", err)
 	}
 	schema, pos, err := serde.DecodeSchema(ftr)
@@ -64,15 +69,15 @@ func (t *Tree) readFooter() error {
 	}
 	t.schema = schema
 	kl, used := binary.Uvarint(ftr[pos:])
-	if used <= 0 {
+	if used <= 0 || kl > uint64(len(ftr)-pos-used) {
 		return fmt.Errorf("truncated key expression")
 	}
 	pos += used
 	t.keyExpr = string(ftr[pos : pos+int(kl)])
 	pos += int(kl)
 	root, used := binary.Uvarint(ftr[pos:])
-	if used <= 0 {
-		return fmt.Errorf("truncated root offset")
+	if used <= 0 || root >= uint64(t.dataEnd) {
+		return fmt.Errorf("truncated or out-of-range root offset")
 	}
 	pos += used
 	height, used := binary.Uvarint(ftr[pos:])
@@ -116,14 +121,22 @@ func (t *Tree) BytesRead() int64 { return t.bytesRead.Load() }
 // Close closes the underlying file.
 func (t *Tree) Close() error { return t.f.Close() }
 
-// readPage reads the page at off, adding its bytes to the tree's total and
-// to *read, the count of the cursor or walk that asked for it.
+// readPage reads the non-empty page at off, adding its bytes to the tree's
+// total and to *read, the count of the cursor or walk that asked for it. A
+// page must end before the footer, which bounds what a corrupt length can
+// make it allocate.
 func (t *Tree) readPage(off int64, read *int64) ([]byte, error) {
+	if off < 0 || off > t.dataEnd-4 {
+		return nil, fmt.Errorf("btree: page offset %d out of range", off)
+	}
 	var hdr [4]byte
 	if _, err := t.f.ReadAt(hdr[:], off); err != nil {
 		return nil, fmt.Errorf("btree: read page header at %d: %w", off, err)
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
+	if n == 0 || int64(n) > t.dataEnd-off-4 {
+		return nil, fmt.Errorf("btree: corrupt page length %d at %d", n, off)
+	}
 	page := make([]byte, n)
 	if _, err := t.f.ReadAt(page, off+4); err != nil {
 		return nil, fmt.Errorf("btree: read page at %d: %w", off, err)
@@ -145,37 +158,14 @@ func (t *Tree) leafPos(lo []byte, read *int64) (int64, error) {
 		if page[0] == pageLeaf {
 			return off, nil
 		}
-		n, pos := binary.Uvarint(page[1:])
-		if pos <= 0 {
-			return 0, fmt.Errorf("btree: corrupt internal page at %d", off)
-		}
-		pos++ // account for type byte
-		offsets := make([]int64, n)
-		for i := range offsets {
-			v, used := binary.Uvarint(page[pos:])
-			if used <= 0 {
-				return 0, fmt.Errorf("btree: corrupt child offsets at %d", off)
-			}
-			offsets[i] = int64(v)
-			pos += used
+		offsets, seps, err := decodeInternal(page, off)
+		if err != nil {
+			return 0, err
 		}
 		// Separators k1..k(n-1): child i covers keys in [ki, k(i+1)).
 		child := 0
-		if lo != nil {
-			for i := 1; i < int(n); i++ {
-				kl, used := binary.Uvarint(page[pos:])
-				if used <= 0 {
-					return 0, fmt.Errorf("btree: corrupt separator at %d", off)
-				}
-				pos += used
-				key := page[pos : pos+int(kl)]
-				pos += int(kl)
-				if bytes.Compare(key, lo) <= 0 {
-					child = i
-				} else {
-					break
-				}
-			}
+		for lo != nil && child < len(seps) && bytes.Compare(seps[child], lo) <= 0 {
+			child++
 		}
 		off = offsets[child]
 	}
@@ -184,19 +174,22 @@ func (t *Tree) leafPos(lo []byte, read *int64) (int64, error) {
 // Scan implements Index (Range under the shared Cursor interface).
 func (t *Tree) Scan(lo, hi []byte) (Cursor, error) { return t.Range(lo, hi) }
 
-// decodeInternal parses an internal page into its child offsets and the
-// n-1 separator keys (the first key of every child except the first).
-func decodeInternal(page []byte) (offsets []int64, seps [][]byte, err error) {
+// decodeInternal parses the internal page at off into its child offsets
+// and the n-1 separator keys (the first key of every child except the
+// first). A bulk load writes every child before its parent, so a child
+// offset at or past off is corrupt, and rejecting it keeps every descent
+// finite.
+func decodeInternal(page []byte, off int64) (offsets []int64, seps [][]byte, err error) {
 	n, used := binary.Uvarint(page[1:])
-	if used <= 0 {
-		return nil, nil, fmt.Errorf("btree: corrupt internal page")
+	if page[0] != pageInternal || used <= 0 || n == 0 || n > uint64(len(page)) {
+		return nil, nil, fmt.Errorf("btree: corrupt internal page at %d", off)
 	}
 	pos := 1 + used
 	offsets = make([]int64, n)
 	for i := range offsets {
 		v, used := binary.Uvarint(page[pos:])
-		if used <= 0 {
-			return nil, nil, fmt.Errorf("btree: corrupt child offsets")
+		if used <= 0 || v >= uint64(off) {
+			return nil, nil, fmt.Errorf("btree: corrupt child offsets at %d", off)
 		}
 		offsets[i] = int64(v)
 		pos += used
@@ -204,8 +197,8 @@ func decodeInternal(page []byte) (offsets []int64, seps [][]byte, err error) {
 	seps = make([][]byte, 0, n-1)
 	for i := 1; i < int(n); i++ {
 		kl, used := binary.Uvarint(page[pos:])
-		if used <= 0 {
-			return nil, nil, fmt.Errorf("btree: corrupt separator")
+		if used <= 0 || kl > uint64(len(page)-pos-used) {
+			return nil, nil, fmt.Errorf("btree: corrupt separator at %d", off)
 		}
 		pos += used
 		seps = append(seps, page[pos:pos+int(kl)])
@@ -245,7 +238,7 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err
 					return nil, read, err
 				}
 			}
-			offsets, seps, err := decodeInternal(pg)
+			offsets, seps, err := decodeInternal(pg, nd.off)
 			if err != nil {
 				return nil, read, err
 			}
@@ -366,10 +359,17 @@ func (it *Iterator) loadLeaf() error {
 		if err != nil {
 			return err
 		}
-		if page[0] != pageLeaf {
+		if page[0] != pageLeaf || len(page) < 9 {
 			return fmt.Errorf("btree: expected leaf at %d", it.nextOff)
 		}
-		it.nextOff = int64(binary.BigEndian.Uint64(page[1:9]))
+		// A bulk load writes each leaf before its successor, so a next
+		// pointer that does not move forward is corrupt, and rejecting it
+		// keeps every scan finite.
+		next := int64(binary.BigEndian.Uint64(page[1:9]))
+		if next != 0 && next <= it.nextOff {
+			return fmt.Errorf("btree: corrupt leaf chain at %d", it.nextOff)
+		}
+		it.nextOff = next
 		n, used := binary.Uvarint(page[9:])
 		if used <= 0 {
 			return fmt.Errorf("btree: corrupt leaf")
@@ -395,7 +395,7 @@ func (it *Iterator) advance() bool {
 		}
 	}
 	kl, used := binary.Uvarint(it.page[it.pos:])
-	if used <= 0 {
+	if used <= 0 || kl > uint64(len(it.page)-it.pos-used) {
 		it.err = fmt.Errorf("btree: corrupt leaf entry key")
 		return false
 	}
@@ -403,7 +403,7 @@ func (it *Iterator) advance() bool {
 	key := it.page[it.pos : it.pos+int(kl)]
 	it.pos += int(kl)
 	vl, used := binary.Uvarint(it.page[it.pos:])
-	if used <= 0 {
+	if used <= 0 || vl > uint64(len(it.page)-it.pos-used) {
 		it.err = fmt.Errorf("btree: corrupt leaf entry value")
 		return false
 	}

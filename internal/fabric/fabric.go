@@ -98,7 +98,7 @@ func CombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
 // analyzer recognized as an int64 sum (analyzer.CombineDescriptor "sum").
 // Its combiners are marked mapreduce.SumCombiner, so map tasks fold their
 // output into running sums instead of calling them; one compiles the
-// interpreted Combine only when its task unfolds and has groups to combine.
+// interpreted Combine only when its task unfolds and has keys to combine.
 func SumCombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
 	build := CombinerFactory(p)
 	return func() (mapreduce.Reducer, error) { return &sumCombiner{build: build}, nil }

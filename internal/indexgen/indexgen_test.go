@@ -3,6 +3,7 @@ package indexgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -258,6 +259,70 @@ func TestShardedBuildDuplicateKeysReproducible(t *testing.T) {
 	for i := range a {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Errorf("shard %d differs between two builds of the same input", i)
+		}
+	}
+}
+
+// TestSampleKeyBoundsDeterministic: the shard cut keys of a sharded build
+// depend on the input alone. Sampling the same file twice gives byte-equal
+// bounds, strictly increasing and at most shards-1 of them — also when
+// heavy duplicates collapse quantiles — and a build at 1 or at 4 task
+// slots writes exactly those bounds into its manifest.
+func TestSampleKeyBoundsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "webpages.rec")
+	if err := workload.NewGen(9).WriteWebPages(data, 4000, 64); err != nil {
+		t.Fatal(err)
+	}
+	const shards = 8
+	for i, keyExpr := range []string{`v.Str("url")`, `v.Int("rank") % 3`} {
+		spec := Spec{Kind: catalog.KindBTree, KeyExpr: keyExpr, Fields: []string{"url", "rank"}}
+		prog, err := lang.Parse(spec.Source())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := func() [][]byte {
+			t.Helper()
+			in, err := mapreduce.OpenFile(data, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			bounds, err := sampleKeyBounds(context.Background(), in, nil, prog, shards, BuildConfig{}.sampleSize())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bounds
+		}
+		want := sample()
+		if len(want) == 0 || len(want) > shards-1 {
+			t.Fatalf("%s: %d bounds for %d shards", keyExpr, len(want), shards)
+		}
+		for j := 1; j < len(want); j++ {
+			if bytes.Compare(want[j-1], want[j]) >= 0 {
+				t.Fatalf("%s: bound %d (%x) does not follow bound %d (%x)", keyExpr, j, want[j], j-1, want[j-1])
+			}
+		}
+		if again := sample(); !slices.EqualFunc(again, want, bytes.Equal) {
+			t.Fatalf("%s: a second sample gave %x, the first %x", keyExpr, again, want)
+		}
+		for _, slots := range []int{1, 4} {
+			e, err := BuildWith(context.Background(), mapreduce.DefaultScheduler(), spec, data,
+				filepath.Join(dir, fmt.Sprintf("k%d-slots%d.idx", i, slots)), dir, BuildConfig{NumShards: shards, MaxParallelTasks: slots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(e.IndexPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var manifest struct{ Bounds [][]byte }
+			if err := json.Unmarshal(raw, &manifest); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(manifest.Bounds, want, bytes.Equal) {
+				t.Fatalf("%s at %d slots: manifest bounds %x, sampled %x", keyExpr, slots, manifest.Bounds, want)
+			}
 		}
 	}
 }

@@ -935,13 +935,14 @@ func (c *compiler) ctxCall(method string, args []ast.Expr, k kind) texpr {
 		}
 		msgFn := c.box(c.expr(args[0]))
 		return dynX(func(fr *frame) (Value, error) {
+			if fr.ctx.Log == nil {
+				return Value{}, nil
+			}
 			mv, err := msgFn(fr)
 			if err != nil {
 				return Value{}, err
 			}
-			if fr.ctx.Log != nil {
-				fr.ctx.Log(mv.D.String())
-			}
+			fr.ctx.Log(mv.D.String())
 			return Value{}, nil
 		})
 	case "Counter":

@@ -284,6 +284,48 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 
+// TestLogWithoutSinkSkipsMessage: with no Log sink a ctx.Log statement
+// evaluates nothing — a message reading a field the record lacks does not
+// fail, and a helper it calls does not run — while with a sink the same
+// message fails on the missing field.
+func TestLogWithoutSinkSkipsMessage(t *testing.T) {
+	p, err := lang.Parse(`
+var marked int
+
+func mark(s string) string {
+	marked = 1
+	return s
+}
+
+func Map(k, v *Record, ctx *Ctx) {
+	ctx.Log("visit from " + mark(v.Str("sourceIP")))
+	ctx.Emit(k, marked)
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	ctx := &Context{Emit: func(_ serde.Datum, v EmitValue) error {
+		got = append(got, v.D.Int())
+		return nil
+	}}
+	if err := ex.InvokeMap(serde.Int(0), record("", 0, 0, false), ctx); err != nil {
+		t.Fatalf("no sink: %v", err)
+	}
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("no sink: emitted %v, want [0]: the message's helper ran", got)
+	}
+	ctx.Log = func(string) {}
+	if err := ex.InvokeMap(serde.Int(0), record("", 0, 0, false), ctx); err == nil || !strings.Contains(err.Error(), "no field") {
+		t.Fatalf("with a sink: err = %v, want the missing field", err)
+	}
+}
+
 func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string

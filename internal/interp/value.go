@@ -224,8 +224,14 @@ func FromValue(v Value) (EmitValue, error) {
 // record a scanning iterator handed to map(), whose contents are only
 // valid until that iterator's next advance.
 type Context struct {
-	Conf    map[string]serde.Datum
-	Emit    func(key serde.Datum, value EmitValue) error
+	Conf map[string]serde.Datum
+	Emit func(key serde.Datum, value EmitValue) error
+	// Log receives ctx.Log messages. A ctx.Log statement evaluates its
+	// message only when Log is set: with no sink, as every engine runs
+	// jobs, it does nothing at all. Logging is a side effect the optimizer
+	// may drop (paper Appendix C), so a message that reads a field a
+	// projection dropped, or calls a helper, neither fails nor runs, on
+	// every plan alike.
 	Log     func(msg string)
 	Counter func(name string, delta int64)
 }

@@ -673,13 +673,14 @@ func (fr *walker) evalCtxCall(method string, args []ast.Expr) (Value, error) {
 		if len(args) != 1 {
 			return Value{}, fmt.Errorf("interp: Log takes one message")
 		}
+		if fr.ctx.Log == nil {
+			return Value{}, nil
+		}
 		mv, err := fr.eval(args[0])
 		if err != nil {
 			return Value{}, err
 		}
-		if fr.ctx.Log != nil {
-			fr.ctx.Log(mv.D.String())
-		}
+		fr.ctx.Log(mv.D.String())
 		return Value{}, nil
 	case "Counter":
 		if len(args) != 1 {

@@ -12,9 +12,10 @@ import (
 	"manimal/internal/serde"
 )
 
-// TestShuffleEmitAllocs gates the zero-allocation emit path: once the
-// partition slabs, key scratch, and encoder scratches are warm, emitting a
-// pair — scalar or record-valued — must not allocate.
+// TestShuffleEmitAllocs gates the zero-allocation emit paths: once the
+// partition slabs, tables, key scratch, and encoder scratches are warm,
+// emitting a pair — scalar or record-valued, with or without a Combine,
+// under a new key or a seen one — must not allocate.
 func TestShuffleEmitAllocs(t *testing.T) {
 	rec := serde.NewRecord(wordSchema)
 	rec.MustSet("text", serde.String("the quick brown fox"))
@@ -46,6 +47,47 @@ func TestShuffleEmitAllocs(t *testing.T) {
 				t.Fatalf("emit allocates %.3f objects per %s pair; want 0", allocs, name)
 			}
 		})
+		t.Run("chained-"+name, func(t *testing.T) {
+			comb := func() (Reducer, error) { return sumReducer{}, nil }
+			se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
+			defer se.discard()
+			emit, err := se.emitter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]serde.Datum, 4096)
+			for i := range keys {
+				keys[i] = serde.String(fmt.Sprintf("http://host-%04d/", i))
+			}
+			// Warm the tables and slabs to every key, twice over, then empty
+			// them as a spill does, keeping their capacity.
+			for i := 0; i < 2*len(keys); i++ {
+				if err := emit(keys[i%len(keys)], val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for p := range se.parts {
+				se.tables[p].reset()
+				se.parts[p].reset()
+			}
+			se.bytes = 0
+			next := 0
+			misses := testing.AllocsPerRun(len(keys)-1, func() {
+				if err := emit(keys[next], val); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			hits := testing.AllocsPerRun(len(keys), func() {
+				if err := emit(keys[next%64], val); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			if misses > 0.01 || hits > 0.01 {
+				t.Fatalf("a chained %s emit allocates %.3f objects on a new key, %.3f on a seen one; want 0", name, misses, hits)
+			}
+		})
 	}
 }
 
@@ -57,13 +99,17 @@ func TestGroupedSpillAllocs(t *testing.T) {
 	comb := func() (Reducer, error) { return sumReducer{}, nil }
 	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
+	emit, err := se.emitter()
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := make([]serde.Datum, 64)
 	for i := range keys {
 		keys[i] = serde.String(fmt.Sprintf("http://host-%02d/", i))
 	}
 	spillPairs := func(pairs int) {
 		for i := 0; i < pairs; i++ {
-			if err := se.emit(keys[(i*7)%len(keys)], interp.EmitValue{D: serde.Int(1)}); err != nil {
+			if err := emit(keys[(i*7)%len(keys)], interp.EmitValue{D: serde.Int(1)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -127,10 +127,14 @@ func TestGroupedCombineResortsOutput(t *testing.T) {
 			comb := func() (Reducer, error) { return rekeyCombiner{key: tc.key}, nil }
 			se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
 			defer se.discard()
+			emit, err := se.emitter()
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := map[int64]int64{}
 			for i := int64(0); i < 600; i++ {
 				k := (i * 37) % 50
-				if err := se.emit(serde.Int(k), interp.EmitValue{D: serde.Int(1)}); err != nil {
+				if err := emit(serde.Int(k), interp.EmitValue{D: serde.Int(1)}); err != nil {
 					t.Fatal(err)
 				}
 				if ck, ok := tc.key(k); ok {
@@ -178,13 +182,17 @@ func TestGroupedCombineGroupOrder(t *testing.T) {
 	rc := &recordingCombiner{}
 	se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, func() (Reducer, error) { return rc, nil }, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
+	emit, err := se.emitter()
+	if err != nil {
+		t.Fatal(err)
+	}
 	seq := int64(0)
 	for spill := 0; spill < 3; spill++ {
 		emitted := map[int64]bool{}
 		for i := 0; i < 200+100*spill; i++ {
 			k := (seq * 29) % (17 + int64(spill)*11)
 			emitted[k] = true
-			if err := se.emit(serde.Int(k), interp.EmitValue{D: serde.Int(seq)}); err != nil {
+			if err := emit(serde.Int(k), interp.EmitValue{D: serde.Int(seq)}); err != nil {
 				t.Fatal(err)
 			}
 			seq++

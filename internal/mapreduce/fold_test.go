@@ -3,9 +3,11 @@ package mapreduce
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"manimal/internal/interp"
@@ -60,6 +62,34 @@ func sumCombinerFactory(t testing.TB, fold bool) ReducerFactory {
 	}
 }
 
+// digestCombiner is a Combine the fold never takes: across all its calls
+// it counts the keys it was given, and for each it emits, under the key's
+// bytes reversed — an order a spill must re-sort — the key's ordinal and a
+// digest of its values' encodings in the order the iterator yielded them,
+// plus, for a key with more than one value, the value count under the key
+// itself. So its output shows which keys it saw, in what order, and which
+// values each had.
+type digestCombiner struct{ calls int64 }
+
+func (c *digestCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *interp.Context) error {
+	c.calls++
+	h := fnv.New32a()
+	n := int64(0)
+	for values.Next() {
+		h.Write(encodeValue(values.Value(), nil))
+		n++
+	}
+	k := []byte(key.Str())
+	slices.Reverse(k)
+	if err := ctx.Emit(serde.String(string(k)), interp.EmitValue{D: serde.Int(c.calls<<32 | int64(h.Sum32()))}); err != nil {
+		return err
+	}
+	if n > 1 {
+		return ctx.Emit(key, interp.EmitValue{D: serde.Int(n)})
+	}
+	return nil
+}
+
 // foldOutcome is everything observable of one emitter's run.
 type foldOutcome struct {
 	images  [][]byte
@@ -82,31 +112,145 @@ type foldRun struct {
 	spill     []bool
 }
 
-func (r *foldRun) execute(t *testing.T, fold bool) foldOutcome {
+// execute runs r through a map task whose combiner comb builds: one that
+// folds when comb's combiners are SumCombiners, one that chains otherwise.
+func (r *foldRun) execute(t *testing.T, comb ReducerFactory) foldOutcome {
 	t.Helper()
 	ctrs := NewCounters()
-	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), r.threshold, sumCombinerFactory(t, fold), ctrs, nil, r.part)
+	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), r.threshold, comb, ctrs, nil, r.part)
 	defer se.discard()
 	emit, err := se.emitter()
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, fold := se.combInst.(SumCombiner)
 	if se.folding != fold {
 		t.Fatalf("emitter folding = %v, want %v", se.folding, fold)
 	}
-	var out foldOutcome
-	err = func() error {
-		for i := range r.keys {
-			if r.spill[i] {
-				if err := se.spill(); err != nil {
-					return err
-				}
-			}
-			if err := emit(r.keys[i], r.values[i]); err != nil {
+	return r.outcome(t, se, ctrs, func(i int) error {
+		if r.spill[i] {
+			if err := se.spill(); err != nil {
 				return err
 			}
 		}
-		return se.spill()
+		return emit(r.keys[i], r.values[i])
+	}, se.spill)
+}
+
+// reference runs r through the no-Combine path — pairs in the slab, sorted
+// by partBuf.sort — and runs comb's combiner over each run of equal keys
+// in the sorted pairs, re-sorting its output: the grouping a Combine must
+// see, built without combTable. It spills where a chaining task spills, at
+// r's explicit spills and once the pairs' bytes reach r.threshold.
+func (r *foldRun) reference(t *testing.T, comb ReducerFactory) foldOutcome {
+	t.Helper()
+	ctrs := NewCounters()
+	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), 1<<30, nil, ctrs, nil, r.part)
+	defer se.discard()
+	c, err := comb()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spill := func() error {
+		ctrs.Add(CtrMapOutputRecords, se.pendRecords)
+		ctrs.Add(CtrMapOutputBytes, se.pendBytes)
+		se.pendRecords, se.pendBytes, se.bytes = 0, 0, 0
+		var image []byte
+		spans := make([]span, r.parts)
+		for p := range se.parts {
+			pb := &se.parts[p]
+			pb.sort()
+			var out partBuf
+			var enc valueEncoder
+			ctx := &interp.Context{Emit: func(key serde.Datum, value interp.EmitValue) error {
+				out.append(key.SortKey(), value, &enc)
+				return nil
+			}}
+			for i := 0; i < len(pb.idx); {
+				j := i + 1
+				for j < len(pb.idx) && bytes.Equal(pb.key(pb.idx[i]), pb.key(pb.idx[j])) {
+					j++
+				}
+				key, _, err := serde.DecodeSortKey(pb.key(pb.idx[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				it := &runIter{pb: pb, run: pb.idx[i:j]}
+				if err := c.Reduce(key, it, ctx); err != nil {
+					return err
+				}
+				if it.err != nil {
+					return it.err
+				}
+				i = j
+			}
+			out.sort()
+			if off := len(image); len(out.idx) > 0 {
+				image = out.appendRun(image)
+				spans[p] = span{off: int64(off), n: int64(len(image) - off)}
+			}
+			pb.reset()
+		}
+		if len(image) == 0 {
+			return nil
+		}
+		sf, err := newSpill(filepath.Join(t.TempDir(), fmt.Sprintf("ref%03d.spill", len(se.files))), image, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se.files = append(se.files, sf)
+		ctrs.Add(CtrSpills, 1)
+		return nil
+	}
+	return r.outcome(t, se, ctrs, func(i int) error {
+		if r.spill[i] {
+			if err := spill(); err != nil {
+				return err
+			}
+		}
+		if err := se.emit(r.keys[i], r.values[i]); err != nil {
+			return err
+		}
+		if se.bytes >= r.threshold {
+			return spill()
+		}
+		return nil
+	}, spill)
+}
+
+// runIter iterates the values of one run of equal keys in a sorted
+// partBuf.
+type runIter struct {
+	pb  *partBuf
+	run []slabEntry
+	cur interp.EmitValue
+	err error
+}
+
+func (it *runIter) Next() bool {
+	if it.err != nil || len(it.run) == 0 {
+		return false
+	}
+	e := it.run[0]
+	it.run = it.run[1:]
+	it.cur, _, it.err = decodeValue(it.pb.slab[e.off+int64(e.klen) : e.off+int64(e.klen)+int64(e.vlen)])
+	return it.err == nil
+}
+
+func (it *runIter) Value() interp.EmitValue { return it.cur }
+
+// outcome makes emit(i) for each of r's emits, then a final spill, and
+// collects what se's spills and ctrs show.
+func (r *foldRun) outcome(t *testing.T, se *shuffleEmitter, ctrs *Counters, emit func(i int) error, spill func() error) foldOutcome {
+	t.Helper()
+	var out foldOutcome
+	err := func() error {
+		for i := range r.keys {
+			if err := emit(i); err != nil {
+				return err
+			}
+		}
+		return spill()
 	}()
 	if err != nil {
 		out.err = err.Error()
@@ -139,6 +283,34 @@ func (r *foldRun) execute(t *testing.T, fold bool) foldOutcome {
 	out.bytes = ctrs.Get(CtrMapOutputBytes)
 	out.spills = ctrs.Get(CtrSpills)
 	return out
+}
+
+// sameOutcome fails t unless got and want have the same error, pair
+// counters and merged partitions and — when spills is set — the same
+// spills, byte for byte.
+func sameOutcome(t *testing.T, name string, got, want foldOutcome, spills bool) {
+	t.Helper()
+	if got.err != want.err {
+		t.Fatalf("%s: error %q, reference %q", name, got.err, want.err)
+	}
+	if got.records != want.records || got.bytes != want.bytes {
+		t.Fatalf("%s: counted %d pairs / %d bytes, reference %d / %d", name, got.records, got.bytes, want.records, want.bytes)
+	}
+	if fmt.Sprint(got.merged) != fmt.Sprint(want.merged) {
+		t.Fatalf("%s: merged partitions differ:\ngot       %q\nreference %q", name, got.merged, want.merged)
+	}
+	if !spills {
+		return
+	}
+	if got.spills != want.spills || len(got.images) != len(want.images) {
+		t.Fatalf("%s: %d spills, reference %d", name, got.spills, want.spills)
+	}
+	for i := range got.images {
+		if !bytes.Equal(got.images[i], want.images[i]) || fmt.Sprint(got.spans[i]) != fmt.Sprint(want.spans[i]) {
+			t.Fatalf("%s: spill %d differs:\ngot       %x %v\nreference %x %v", name, i,
+				got.images[i], got.spans[i], want.images[i], want.spans[i])
+		}
+	}
 }
 
 // foldRangeBounds are the interior cut keys a fuzz-drawn RangePartitioner
@@ -202,46 +374,32 @@ func drawFoldRun(data []byte) *foldRun {
 	return r
 }
 
-// FuzzFoldMatchesCombine: a folding map task and one that buffers its pairs
-// for the grouped spill's interpreted sum Combine give the same result.
-// Under explicit spills their spill images, spans and counters are
-// byte-equal; under a tiny buffer, where a fold spills later and less
-// often, their merged partitions and pair counters are. Either way a
-// non-int value fails both with the same error.
+// FuzzFoldMatchesCombine: a map task with a Combine gives what the
+// reference — sorted pairs, then the Combine over each run of equal keys —
+// gives. A chaining task, under the interpreted sum Combine or under
+// digestCombiner, spills where the reference spills, and its spill images,
+// spans, counters and error are byte-equal to the reference's. A folding
+// task matches it the same way under explicit spills; under a tiny buffer,
+// where a fold spills later and less often, its merged partitions, pair
+// counters and error do. A non-int value fails the sum every way with the
+// same error.
 func FuzzFoldMatchesCombine(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 5, 2, 7, 1, 5, 0xFE, 0, 3, 1})
 	f.Add([]byte{3, 0, 1, 0x05, 0, 0x09, 1, 0x0d, 200, 0xFE, 0, 0x05, 0x1f, 0x09, 3})
 	f.Add([]byte{7, 1, 2, 0x03, 9, 0x17, 40, 0x2b, 1, 0x03, 0, 0x3f, 0x1f, 0x17, 5})
 	f.Add([]byte{6, 9, 3, 0x01, 0, 0x01, 0, 0x02, 1, 0x07, 2, 0x01, 77, 0x02, 31})
 	f.Add([]byte{1, 40, 0, 0x05, 4, 0x09, 6, 0x0d, 8, 0x11, 10, 0x15, 12, 0x19, 14, 0x05, 16})
+	f.Add([]byte{0, 0, 0, 0x26, 5, 0x1a, 6, 0x26, 7, 0x05, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := drawFoldRun(data)
 		if r == nil {
 			return
 		}
-		folded, grouped := r.execute(t, true), r.execute(t, false)
-		if folded.err != grouped.err {
-			t.Fatalf("fold error %q, grouped Combine error %q", folded.err, grouped.err)
-		}
-		if folded.records != grouped.records || folded.bytes != grouped.bytes {
-			t.Fatalf("fold counted %d pairs / %d bytes, grouped Combine %d / %d",
-				folded.records, folded.bytes, grouped.records, grouped.bytes)
-		}
-		if fmt.Sprint(folded.merged) != fmt.Sprint(grouped.merged) {
-			t.Fatalf("merged partitions differ:\nfold    %q\ngrouped %q", folded.merged, grouped.merged)
-		}
-		if r.threshold < 1<<30 {
-			return
-		}
-		if folded.spills != grouped.spills || len(folded.images) != len(grouped.images) {
-			t.Fatalf("fold made %d spills, grouped Combine %d", folded.spills, grouped.spills)
-		}
-		for i := range folded.images {
-			if !bytes.Equal(folded.images[i], grouped.images[i]) || fmt.Sprint(folded.spans[i]) != fmt.Sprint(grouped.spans[i]) {
-				t.Fatalf("spill %d differs:\nfold    %x %v\ngrouped %x %v", i,
-					folded.images[i], folded.spans[i], grouped.images[i], grouped.spans[i])
-			}
-		}
+		digest := func() (Reducer, error) { return &digestCombiner{}, nil }
+		sum := r.reference(t, sumCombinerFactory(t, false))
+		sameOutcome(t, "fold", r.execute(t, sumCombinerFactory(t, true)), sum, r.threshold == 1<<30)
+		sameOutcome(t, "chained sum", r.execute(t, sumCombinerFactory(t, false)), sum, true)
+		sameOutcome(t, "chained digest", r.execute(t, digest), r.reference(t, digest), true)
 	})
 }
 
@@ -269,7 +427,7 @@ func TestFoldEmitAllocs(t *testing.T) {
 	}
 	clearFold := func() {
 		for p := range se.parts {
-			se.fold[p].reset()
+			se.tables[p].reset()
 			se.parts[p].reset()
 		}
 		se.bytes = 0

@@ -356,8 +356,8 @@ func TestShuffleMultiSpillWithCombiner(t *testing.T) {
 	}
 }
 
-// TestCombinerBuiltOncePerEmitter: a map task builds its combiner at its
-// first spill and reuses it for every partition of every spill. With an
+// TestCombinerBuiltOncePerEmitter: a map task builds its combiner once,
+// when it starts, and reuses it for every partition of every spill. With an
 // interpreted combiner the factory is a whole program compile, which used
 // to run once per non-empty partition per spill.
 func TestCombinerBuiltOncePerEmitter(t *testing.T) {
@@ -368,9 +368,13 @@ func TestCombinerBuiltOncePerEmitter(t *testing.T) {
 	}
 	se := newShuffleEmitter(0, 0, 3, t.TempDir(), 1<<30, combiner, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
+	emit, err := se.emitter()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for spill := 0; spill < 3; spill++ {
 		for i := 0; i < 64; i++ {
-			if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
+			if err := emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -22,9 +22,10 @@ func (HashPartitioner) Partition(key []byte, n int) int {
 }
 
 // fnv1a is HashPartitioner's hash, inlined: hash/fnv allocates a hasher per
-// call, far too expensive for a per-emitted-record path. A folding map task
-// (see shuffleEmitter.emitFold) derives both a key's partition and its
-// running-sum slot from this one hash.
+// call, far too expensive for a per-emitted-record path. It is the one hash
+// a map task with a Combine computes per emitted pair: the task derives
+// both the key's partition and its combTable slot from it (see
+// shuffleEmitter).
 func fnv1a(key []byte) uint32 {
 	const (
 		offset32 = 2166136261

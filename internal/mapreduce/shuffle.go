@@ -7,7 +7,6 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"math/bits"
 	"os"
@@ -162,7 +161,9 @@ type slabEntry struct {
 // partBuf buffers one partition's pairs: a byte slab holding the
 // concatenated key/value encodings plus the index locating each pair. Both
 // backing arrays are truncated (not freed) between spills, so a long map
-// task settles into zero allocations per emitted record.
+// task settles into zero allocations per emitted record. In a task with a
+// Combine the slab holds the partition's combTable keys and value chains
+// instead, and the index stays empty.
 type partBuf struct {
 	slab []byte
 	idx  []slabEntry
@@ -170,10 +171,6 @@ type partBuf struct {
 
 func (pb *partBuf) key(e slabEntry) []byte {
 	return pb.slab[e.off : e.off+int64(e.klen)]
-}
-
-func (pb *partBuf) value(e slabEntry) []byte {
-	return pb.slab[e.off+int64(e.klen) : e.off+int64(e.klen)+int64(e.vlen)]
 }
 
 // append adds one pair whose key bytes are kb and whose value is encoded
@@ -185,6 +182,14 @@ func (pb *partBuf) append(kb []byte, v interp.EmitValue, enc *valueEncoder) int 
 	n := len(pb.slab) - off
 	pb.idx = append(pb.idx, slabEntry{off: int64(off), klen: uint32(len(kb)), vlen: uint32(n - len(kb))})
 	return n
+}
+
+// appendLink appends one chain link holding v — an unset next-link offset,
+// then v's encoding — and returns the link's offset and v's encoded length.
+func (pb *partBuf) appendLink(v interp.EmitValue, enc *valueEncoder) (int64, int) {
+	at := len(pb.slab)
+	pb.slab = enc.appendValue(binary.LittleEndian.AppendUint64(pb.slab, 0), v)
+	return int64(at), len(pb.slab) - at - linkBytes
 }
 
 func (pb *partBuf) reset() {
@@ -216,149 +221,121 @@ func (pb *partBuf) sort() {
 	}
 }
 
-// groups is the grouped spill of a job with a Combine: it orders a
-// partition by its distinct keys instead of comparison-sorting every pair.
-// One pass gives each entry a group id through an open-addressing table
-// whose slots hold group ids — a group's key is read back out of the slab,
-// so an insert allocates nothing — then only the groups are sorted, and a
-// counting scatter lays the entries out group by group in key order, each
-// group's values in emission order. All of it is pooled with the emitter.
-type groups struct {
-	table []int32     // hash slots: group id + 1, 0 = empty
-	of    []int32     // per entry: its group id
-	first []int32     // per group: its first entry, whose key is the group's
-	n     []int32     // per group: its entry count, then its scatter cursor
-	order []int32     // group ids in key order, then the group sizes in that order
-	out   []slabEntry // the scattered index, swapped with the partition's
-}
-
-var groupSeed = maphash.MakeSeed()
-
-// group reorders pb.idx (non-empty) group by group in ascending key order
-// and returns the group sizes in that order.
-func (g *groups) group(pb *partBuf) []int32 {
-	n := len(pb.idx)
-	size := 1 << bits.Len(uint(2*n-1)) // a power of two ≥ 2n: at most half full
-	g.table = slices.Grow(g.table[:0], size)[:size]
-	clear(g.table)
-	mask := uint64(size - 1)
-	g.of, g.first, g.n = g.of[:0], g.first[:0], g.n[:0]
-	for i, e := range pb.idx {
-		k := pb.key(e)
-		for s := maphash.Bytes(groupSeed, k) & mask; ; s = (s + 1) & mask {
-			id := g.table[s] - 1
-			if id < 0 {
-				id = int32(len(g.first))
-				g.table[s] = id + 1
-				g.first = append(g.first, int32(i))
-				g.n = append(g.n, 0)
-			} else if !bytes.Equal(pb.key(pb.idx[g.first[id]]), k) {
-				continue
-			}
-			g.n[id]++
-			g.of = append(g.of, id)
-			break
-		}
-	}
-	g.order = g.order[:0]
-	for id := range g.first {
-		g.order = append(g.order, int32(id))
-	}
-	slab, idx, first := pb.slab, pb.idx, g.first
-	slices.SortFunc(g.order, func(a, b int32) int {
-		x, y := idx[first[a]], idx[first[b]]
-		return bytes.Compare(slab[x.off:x.off+int64(x.klen)], slab[y.off:y.off+int64(y.klen)])
-	})
-	at := int32(0)
-	for k, id := range g.order {
-		c := g.n[id]
-		g.n[id], g.order[k] = at, c
-		at += c
-	}
-	g.out = slices.Grow(g.out[:0], n)[:n]
-	for i, e := range pb.idx {
-		id := g.of[i]
-		g.out[g.n[id]] = e
-		g.n[id]++
-	}
-	pb.idx, g.out = g.out, pb.idx
-	return g.order
-}
-
 // SumCombiner marks a combiner that is exactly an int64 sum of a group's
 // values re-emitted under the group's own key — the Combine the analyzer
 // reports as CombineDescriptor{Op: "sum"}. A map task whose combiner is one
-// folds: see shuffleEmitter.emitFold. Reduce must still be that Combine,
-// for the pairs a task gives back when it unfolds.
+// folds (see Folding on shuffleEmitter). Reduce must still be that Combine,
+// for the keys a task combines after it unfolds.
 type SumCombiner interface {
 	Reducer
 	FoldsInt64Sum()
 }
 
-// foldPart is one partition's running sums while its map task folds: an
-// open-addressing table in the grouped spill's layout — slots hold entry
-// ids, and each distinct key's sort-key bytes live once in the partition's
-// slab — whose entries carry the key's int64 sum.
-type foldPart struct {
+// combTable is one partition's buffer in a map task with a Combine: an
+// open-addressing table over the partition's distinct keys, whose slots
+// hold entry ids. Each key's sort-key bytes live once in the partition's
+// slab; its entry carries either the key's running int64 sum, while the
+// task folds, or the tail of the key's value chain.
+//
+// A chain is the key's values in emission order, as links in the slab:
+// an 8-byte little-endian offset of the next link, then one encoded value.
+// The first link directly follows the key's bytes; the last link's next
+// offset is never read.
+type combTable struct {
 	slots []int32 // entry id + 1, 0 = empty; a power of two, at most half full
 	shift uint8   // 32 - log2(len(slots)): a hash's slot is its top bits after fibMul
-	ents  []foldEntry
+	ents  []combEntry
 }
 
-// foldEntry is one distinct key of a folding partition.
-type foldEntry struct {
+// combEntry is one distinct key of a combining partition.
+type combEntry struct {
 	off  int64 // the key's sort-key bytes are slab[off : off+klen]
 	klen uint32
 	hash uint32 // fnv1a of the key, kept for regrowth
-	sum  int64
+	val  int64  // folding: the running sum; chained: the offset of the chain's last link
 }
+
+// linkBytes is the next-link offset heading each chain link.
+const linkBytes = 8
 
 // foldEntryBytes is what one distinct key costs a folding task beyond its
 // key bytes: its entry and its two table slots. The spill budget counts it.
-const foldEntryBytes = int(unsafe.Sizeof(foldEntry{})) + 8
+const foldEntryBytes = int(unsafe.Sizeof(combEntry{})) + 8
 
 // fibMul spreads a key's FNV hash over the table's slots. The partition
 // already took the hash modulo the reducer count, so its low bits are
 // partly fixed within a partition; the top bits of the product are not.
 const fibMul = 0x9E3779B1
 
-const foldMinSlots = 64
+const combMinSlots = 64
 
-func (fp *foldPart) reset() {
-	fp.ents = fp.ents[:0]
-	if len(fp.slots) == 0 {
-		fp.resize(foldMinSlots)
-	} else {
-		clear(fp.slots)
+// reset empties the table, keeping its slots' capacity.
+func (t *combTable) reset() {
+	if len(t.slots) == 0 {
+		t.ents = t.ents[:0]
+		t.resize(combMinSlots)
+	} else if len(t.ents) > 0 {
+		t.ents = t.ents[:0]
+		clear(t.slots)
 	}
 }
 
 // resize rebuilds the table with size slots from the entries' kept hashes.
-func (fp *foldPart) resize(size int) {
-	fp.slots = make([]int32, size)
-	fp.shift = uint8(33 - bits.Len(uint(size)))
+func (t *combTable) resize(size int) {
+	t.slots = make([]int32, size)
+	t.shift = uint8(33 - bits.Len(uint(size)))
 	mask := uint32(size - 1)
-	for id, e := range fp.ents {
-		s := (e.hash * fibMul) >> fp.shift
-		for fp.slots[s] != 0 {
+	for id, e := range t.ents {
+		s := (e.hash * fibMul) >> t.shift
+		for t.slots[s] != 0 {
 			s = (s + 1) & mask
 		}
-		fp.slots[s] = int32(id) + 1
+		t.slots[s] = int32(id) + 1
 	}
 }
 
-// appendRun sorts the partition's distinct keys and appends its spill run:
-// one (key, Int(sum)) pair per key, framed as the grouped spill frames the
-// pairs a sum Combine emits, so the bytes are identical.
-func (fp *foldPart) appendRun(buf, slab []byte) []byte {
-	slices.SortFunc(fp.ents, func(a, b foldEntry) int {
+// find returns the id of key kb, whose hash is h, or -1 and the empty slot
+// an insert of kb takes.
+func (t *combTable) find(slab, kb []byte, h uint32) (int32, uint32) {
+	mask := uint32(len(t.slots) - 1)
+	for s := (h * fibMul) >> t.shift; ; s = (s + 1) & mask {
+		id := t.slots[s] - 1
+		if id < 0 {
+			return -1, s
+		}
+		if e := t.ents[id]; e.hash == h && string(slab[e.off:e.off+int64(e.klen)]) == string(kb) {
+			return id, s
+		}
+	}
+}
+
+// insert adds e in slot s, as find returned it, and returns e's id.
+func (t *combTable) insert(s uint32, e combEntry) int32 {
+	id := int32(len(t.ents))
+	t.slots[s] = id + 1
+	t.ents = append(t.ents, e)
+	if 2*len(t.ents) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	return id
+}
+
+// sort orders the entries by key: only the distinct keys are sorted.
+func (t *combTable) sort(slab []byte) {
+	slices.SortFunc(t.ents, func(a, b combEntry) int {
 		return bytes.Compare(slab[a.off:a.off+int64(a.klen)], slab[b.off:b.off+int64(b.klen)])
 	})
-	for _, e := range fp.ents {
+}
+
+// appendSums appends a sorted folding table's spill run: one (key,
+// Int(sum)) pair per key, framed as a spill frames the pairs a sum Combine
+// emits, so the bytes are identical.
+func (t *combTable) appendSums(buf, slab []byte) []byte {
+	for _, e := range t.ents {
 		buf = binary.AppendUvarint(buf, uint64(e.klen))
-		buf = binary.AppendUvarint(buf, uint64(intValueLen(e.sum)))
+		buf = binary.AppendUvarint(buf, uint64(intValueLen(e.val)))
 		buf = append(buf, slab[e.off:e.off+int64(e.klen)]...)
-		buf = serde.Int(e.sum).AppendTagged(append(buf, valTagDatum))
+		buf = serde.Int(e.val).AppendTagged(append(buf, valTagDatum))
 	}
 	return buf
 }
@@ -440,65 +417,71 @@ func (sf *spillFile) consumed(p int) {
 }
 
 // emitterBufs is a shuffle emitter's reusable backing memory — partition
-// slabs, fold tables, the combiner buffer, the grouped spill's table,
-// scratches — pooled across map tasks so every task after the first starts
-// with warmed, right-sized buffers instead of growing fresh ones.
+// slabs, combining tables, the combiner buffer, scratches — pooled across
+// map tasks so every task after the first starts with warmed, right-sized
+// buffers instead of growing fresh ones.
 type emitterBufs struct {
 	parts  []partBuf
-	fold   []foldPart
+	tables []combTable
 	comb   partBuf
-	groups groups
 	keyBuf []byte
 	segBuf []byte
 }
 
 var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 
-// shuffleEmitter buffers one map task's output per partition, sorting (or,
-// with a combiner, grouping and combining) and spilling when the buffer
-// exceeds the threshold and at task end. All per-record state — slabs,
-// index arrays, the key scratch, the value encoder's schema cache — is
-// reused across records and spills (and pooled across tasks; see release);
-// values handed to emit are fully serialized before emit returns, so
-// callers may reuse the backing record.
+// shuffleEmitter buffers one map task's output per partition and spills
+// every partition's sorted run when the buffer exceeds the threshold and
+// at task end. All per-record state — slabs, tables, the key scratch, the
+// value encoder's schema cache — is reused across records and spills (and
+// pooled across tasks; see release); values handed to emit are fully
+// serialized before emit returns, so callers may reuse the backing record.
+//
+// A pair takes one of two paths. With no Combine it is appended to its
+// partition's slab and index, and spill sorts the index (partBuf.sort).
+// With a Combine it goes into its partition's combTable: the key's one
+// FNV-1a hash (fnv1a) picks its table slot and, under HashPartitioner,
+// whose hash it is, its partition. A key's bytes are stored once, at its
+// first emit, and each value is linked onto the key's chain in emission
+// order. Spill sorts only the distinct keys and runs the Combine over each
+// key's chain, in key order, into the combiner buffer, which it re-sorts
+// only if the Combine re-keyed out of order. Either path charges a pair's
+// key and value bytes against the spill budget, so a Combine sees the same
+// groups at the same spills as it would over sorted pairs.
 //
 // # Folding
 //
-// A task whose combiner is a SumCombiner folds instead (emitFold): each
-// partition keeps one running int64 sum per distinct key (foldPart), and
-// an emitted int is added to its key's sum with wrapping +, exactly the
-// interpreter's. There is no slab entry per pair, no grouping pass at
-// spill time and no Combine call: spill sorts the distinct keys and writes
-// each (key, Int(sum)), byte for byte the run the grouped spill writes
-// after the same Combine. The key's one FNV-1a hash (fnv1a) picks its
-// table slot and, under HashPartitioner, whose hash it is, its partition.
-// map.output.records and map.output.bytes still count every emitted pair,
-// at the length its encoding would have. The spill budget counts what the
-// fold holds — each distinct key's bytes plus foldEntryBytes — not the
-// pairs, so a folding task spills later and less often than one that
-// buffers: one whose distinct keys fit the budget spills once, at its end.
+// A task whose combiner is a SumCombiner folds instead: an emitted int is
+// added to its key's running sum in the table entry with wrapping +,
+// exactly the interpreter's. There is no value chain and no Combine call:
+// spill writes each (key, Int(sum)), byte for byte the run the Combine
+// writes over the same chain. map.output.records and map.output.bytes
+// still count every emitted pair, at the length its encoding would have.
+// The spill budget counts what the fold holds — each distinct key's bytes
+// plus foldEntryBytes — not the pairs, so a folding task spills later and
+// less often than one that chains: one whose distinct keys fit the budget
+// spills once, at its end.
 //
-// The first record or non-int value unfolds the task for good: every
-// (key, sum) becomes an ordinary slab pair ahead of the key's later
-// values, and the task continues on the grouped-combine path, where the
-// Combine sees partial sums plus the later values — and fails on a non-int
-// exactly as it would have without the fold.
+// The first record or non-int value unfolds the task for good: each key's
+// sum becomes the first link of its chain, and the task continues chaining,
+// where the Combine sees partial sums plus the later values — and fails on
+// a non-int exactly as it would have without the fold.
 type shuffleEmitter struct {
 	taskID    int
 	attempt   int // task attempt; spill names embed it so retried and speculative attempts never collide
 	workDir   string
 	parts     []partBuf
-	fold      []foldPart // per partition, in the pooled bufs; set by a folding emitter
+	tables    []combTable // per partition, in the pooled bufs; nil without a Combine
 	folding   bool
-	hashPart  bool    // part is HashPartitioner: a fold takes the partition from its own hash
-	comb      partBuf // combiner output buffer, reused across groups
+	hashPart  bool    // part is HashPartitioner: a Combine task takes the partition from its own hash
+	comb      partBuf // combiner output buffer, reused across keys
 	keyBuf    []byte  // sort-key scratch (partitioning needs the key before placement)
 	enc       valueEncoder
 	dec       valueDecoder
 	bytes     int
 	threshold int
 	combiner  ReducerFactory
-	combInst  Reducer // the task's one combiner instance, built by emitter or at the first spill
+	combInst  Reducer // the task's one combiner instance, built by emitter
 	counters  counterAdder
 	conf      map[string]serde.Datum
 	part      Partitioner
@@ -528,12 +511,25 @@ func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold 
 	for i := range bufs.parts {
 		bufs.parts[i].reset()
 	}
+	var tables []combTable
+	if combiner != nil {
+		if cap(bufs.tables) < numParts {
+			bufs.tables = make([]combTable, numParts)
+		}
+		tables = bufs.tables[:numParts]
+		for i := range tables {
+			tables[i].reset()
+		}
+	}
 	bufs.comb.reset()
+	_, hashPart := part.(HashPartitioner)
 	return &shuffleEmitter{
 		taskID:    taskID,
 		attempt:   attempt,
 		workDir:   workDir,
 		parts:     bufs.parts,
+		tables:    tables,
+		hashPart:  hashPart,
 		comb:      bufs.comb,
 		keyBuf:    bufs.keyBuf,
 		segBuf:    bufs.segBuf,
@@ -571,58 +567,30 @@ func (se *shuffleEmitter) release() {
 	se.bufs = nil
 }
 
-// emitter returns the function the task emits through. A task with a
-// combiner builds its one combiner instance here; a SumCombiner makes the
-// task fold (emitFold), anything else leaves it on emit, which pays
-// nothing for the fold.
+// emitter returns the function the task emits through, once per task. A
+// task with a combiner builds its one combiner instance here, and a
+// SumCombiner makes the task fold.
 func (se *shuffleEmitter) emitter() (func(serde.Datum, interp.EmitValue) error, error) {
-	if se.combiner == nil {
-		return se.emit, nil
+	if se.combiner != nil {
+		c, err := se.combiner()
+		if err != nil {
+			return nil, err
+		}
+		se.combInst = c
+		_, se.folding = c.(SumCombiner)
 	}
-	c, err := se.combiner()
-	if err != nil {
-		return nil, err
-	}
-	se.combInst = c
-	if _, ok := c.(SumCombiner); !ok {
-		return se.emit, nil
-	}
-	if cap(se.bufs.fold) < len(se.parts) {
-		se.bufs.fold = make([]foldPart, len(se.parts))
-	}
-	se.fold = se.bufs.fold[:len(se.parts)]
-	for p := range se.fold {
-		se.fold[p].reset()
-	}
-	_, se.hashPart = se.part.(HashPartitioner)
-	se.folding = true
-	return se.emitFold, nil
+	return se.emit, nil
 }
 
+// emit buffers one pair on the task's path: sorted pairs, or with a
+// Combine its key's combTable entry (see shuffleEmitter).
 func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	se.keyBuf = key.AppendSortKey(se.keyBuf[:0])
-	p := se.part.Partition(se.keyBuf, len(se.parts))
-	n := se.parts[p].append(se.keyBuf, value, &se.enc)
-	se.bytes += n
-	se.pendRecords++
-	se.pendBytes += int64(n)
-	if se.bytes >= se.threshold {
-		return se.spill()
-	}
-	return nil
-}
-
-// emitFold is emit for a folding task: the value is added to its key's
-// running sum in the key's partition (see Folding on shuffleEmitter).
-func (se *shuffleEmitter) emitFold(key serde.Datum, value interp.EmitValue) error {
-	if !se.folding || value.Rec != nil || value.D.Kind != serde.KindInt64 {
-		if se.folding {
-			se.unfold()
-		}
-		return se.emit(key, value)
-	}
-	se.keyBuf = key.AppendSortKey(se.keyBuf[:0])
 	kb := se.keyBuf
+	if se.tables == nil {
+		n := se.parts[se.part.Partition(kb, len(se.parts))].append(kb, value, &se.enc)
+		return se.charge(n, n)
+	}
 	h := fnv1a(kb)
 	var p int
 	if se.hashPart {
@@ -630,53 +598,72 @@ func (se *shuffleEmitter) emitFold(key serde.Datum, value interp.EmitValue) erro
 	} else {
 		p = se.part.Partition(kb, len(se.parts))
 	}
-	v := value.D.Int()
-	se.pendRecords++
-	se.pendBytes += int64(len(kb) + intValueLen(v))
-	pb, fp := &se.parts[p], &se.fold[p]
-	mask := uint32(len(fp.slots) - 1)
-	for s := (h * fibMul) >> fp.shift; ; s = (s + 1) & mask {
-		id := fp.slots[s] - 1
-		if id < 0 {
-			fp.slots[s] = int32(len(fp.ents)) + 1
-			fp.ents = append(fp.ents, foldEntry{off: int64(len(pb.slab)), klen: uint32(len(kb)), hash: h, sum: v})
-			pb.slab = append(pb.slab, kb...)
-			if 2*len(fp.ents) > len(fp.slots) {
-				fp.resize(2 * len(fp.slots))
-			}
-			se.bytes += len(kb) + foldEntryBytes
-			if se.bytes >= se.threshold {
-				return se.spill()
-			}
-			return nil
-		}
-		if e := &fp.ents[id]; e.hash == h && bytes.Equal(pb.slab[e.off:e.off+int64(e.klen)], kb) {
-			e.sum += v
-			return nil
-		}
+	if se.folding && (value.Rec != nil || value.D.Kind != serde.KindInt64) {
+		se.unfold()
 	}
+	pb, t := &se.parts[p], &se.tables[p]
+	id, s := t.find(pb.slab, kb, h)
+	if se.folding {
+		v := value.D.Int()
+		if id >= 0 {
+			t.ents[id].val += v
+			se.pendRecords++
+			se.pendBytes += int64(len(kb) + intValueLen(v))
+			return nil
+		}
+		t.insert(s, combEntry{off: int64(len(pb.slab)), klen: uint32(len(kb)), hash: h, val: v})
+		pb.slab = append(pb.slab, kb...)
+		return se.charge(len(kb)+foldEntryBytes, len(kb)+intValueLen(v))
+	}
+	seen := id >= 0
+	if !seen {
+		pb.slab = append(pb.slab, kb...)
+		id = t.insert(s, combEntry{off: int64(len(pb.slab) - len(kb)), klen: uint32(len(kb)), hash: h})
+	}
+	e := &t.ents[id]
+	at, vlen := pb.appendLink(value, &se.enc)
+	if seen {
+		binary.LittleEndian.PutUint64(pb.slab[e.val:], uint64(at))
+	}
+	e.val = at
+	return se.charge(len(kb)+vlen, len(kb)+vlen)
 }
 
-// unfold ends the task's fold: every key's running sum becomes one slab
-// pair, and from here on the task buffers pairs for the grouped combine.
+// charge counts one emitted pair of n encoded bytes and adds held bytes to
+// the spill budget, spilling once the budget is spent.
+func (se *shuffleEmitter) charge(held, n int) error {
+	se.pendRecords++
+	se.pendBytes += int64(n)
+	se.bytes += held
+	if se.bytes >= se.threshold {
+		return se.spill()
+	}
+	return nil
+}
+
+// unfold ends the task's fold: each key's running sum becomes the first
+// link of its chain, and from here on the task chains values.
 func (se *shuffleEmitter) unfold() {
 	se.folding = false
 	se.bytes = 0
-	for p := range se.parts {
-		pb, fp := &se.parts[p], &se.fold[p]
+	for p := range se.tables {
+		pb, t := &se.parts[p], &se.tables[p]
 		keys := pb.slab
 		pb.slab = se.comb.slab[:0]
-		for _, e := range fp.ents {
-			se.bytes += pb.append(keys[e.off:e.off+int64(e.klen)], interp.EmitValue{D: serde.Int(e.sum)}, &se.enc)
+		for i := range t.ents {
+			e := &t.ents[i]
+			pb.slab = append(pb.slab, keys[e.off:e.off+int64(e.klen)]...)
+			at, vlen := pb.appendLink(interp.EmitValue{D: serde.Int(e.val)}, &se.enc)
+			e.off, e.val = at-int64(e.klen), at
+			se.bytes += int(e.klen) + vlen
 		}
 		se.comb.slab = keys[:0]
-		fp.ents = fp.ents[:0]
 	}
 }
 
-// spill sorts (or groups and combines, or for a folding task writes the
-// running sums of) every non-empty partition buffer and publishes one
-// spill image holding all partitions' sorted runs.
+// spill writes every non-empty partition's run — its sorted pairs, its
+// folded sums, or what the Combine makes of its chains — into one spill
+// image and publishes it.
 func (se *shuffleEmitter) spill() error {
 	if se.pendRecords > 0 {
 		se.counters.Add(CtrMapOutputRecords, se.pendRecords)
@@ -684,27 +671,28 @@ func (se *shuffleEmitter) spill() error {
 		se.pendRecords, se.pendBytes = 0, 0
 	}
 	// Serialize all partitions into one file image in the reused scratch:
-	// each pair is a klen/vlen header plus its contiguous slab bytes.
+	// each pair is a klen/vlen header plus its contiguous bytes.
 	buf := se.segBuf[:0]
 	spans := make([]span, len(se.parts))
 	for p := range se.parts {
 		pb := &se.parts[p]
 		off := len(buf)
-		switch {
-		case se.folding:
-			buf = se.fold[p].appendRun(buf, pb.slab)
-			se.fold[p].reset()
-		case len(pb.idx) == 0:
-		case se.combiner != nil:
-			out, err := se.combine(pb, se.bufs.groups.group(pb))
-			if err != nil {
-				se.segBuf = buf
-				return err
-			}
-			buf = out.appendRun(buf)
-		default:
+		if se.tables == nil {
 			pb.sort()
 			buf = pb.appendRun(buf)
+		} else if t := &se.tables[p]; len(t.ents) > 0 {
+			t.sort(pb.slab)
+			if se.folding {
+				buf = t.appendSums(buf, pb.slab)
+			} else {
+				out, err := se.combine(pb.slab, t)
+				if err != nil {
+					se.segBuf = buf
+					return err
+				}
+				buf = out.appendRun(buf)
+			}
+			t.reset()
 		}
 		if len(buf) > off {
 			spans[p] = span{off: int64(off), n: int64(len(buf) - off)}
@@ -743,25 +731,16 @@ func (pb *partBuf) appendRun(buf []byte) []byte {
 	return buf
 }
 
-// combine runs the combiner over each key group of a grouped partition
-// buffer — sizes are the group sizes in key order, as groups.group returns
-// them — collecting its output into the reused combiner buffer
-// (Hadoop-style map-side pre-aggregation). The output is re-sorted only if
-// the combiner did not keep it in key order, as one that re-keys may not.
-// The combiner is built once per emitter, when the task starts (see
-// emitter) or else at its first spill, and serves every partition of every
-// spill: compiling the program per
-// partition per spill cost more than combining did. Like a task's Mapper
-// and Reducer it therefore carries its member-variable state across all the
-// groups the task combines.
-func (se *shuffleEmitter) combine(pb *partBuf, sizes []int32) (*partBuf, error) {
-	if se.combInst == nil {
-		c, err := se.combiner()
-		if err != nil {
-			return nil, err
-		}
-		se.combInst = c
-	}
+// combine runs the combiner over each key of a sorted combTable, in key
+// order, with the key's chain as its values, collecting its output into
+// the reused combiner buffer (Hadoop-style map-side pre-aggregation). The
+// output is re-sorted only if the combiner did not keep it in key order,
+// as one that re-keys may not. The combiner is built once per emitter,
+// when the task starts (see emitter), and serves every partition of every
+// spill: compiling the program per partition per spill cost more than
+// combining did. Like a task's Mapper and Reducer it therefore carries its
+// member-variable state across all the keys the task combines.
+func (se *shuffleEmitter) combine(slab []byte, t *combTable) (*partBuf, error) {
 	c := se.combInst
 	out := &se.comb
 	out.reset()
@@ -781,15 +760,13 @@ func (se *shuffleEmitter) combine(pb *partBuf, sizes []int32) (*partBuf, error) 
 			se.counters.Add("user."+name, delta)
 		},
 	}
-	it := &slabValueIter{pb: pb, dec: &se.dec}
-	lo := 0
-	for _, n := range sizes {
-		it.idx, it.pos = pb.idx[lo:lo+int(n)], -1
-		lo += int(n)
-		key, _, err := serde.DecodeSortKey(pb.key(it.idx[0]))
+	it := &chainIter{slab: slab, dec: &se.dec}
+	for _, e := range t.ents {
+		key, _, err := serde.DecodeSortKey(slab[e.off : e.off+int64(e.klen)])
 		if err != nil {
 			return nil, err
 		}
+		it.at, it.tail = e.off+int64(e.klen), e.val
 		if err := c.Reduce(key, it, ctx); err != nil {
 			return nil, err
 		}
@@ -803,29 +780,33 @@ func (se *shuffleEmitter) combine(pb *partBuf, sizes []int32) (*partBuf, error) 
 	return out, nil
 }
 
-// slabValueIter iterates the values of one in-memory key group.
-type slabValueIter struct {
-	pb  *partBuf
-	idx []slabEntry
-	dec *valueDecoder
-	pos int
-	cur interp.EmitValue
-	err error
+// chainIter iterates one key's chain of values, in emission order.
+type chainIter struct {
+	slab     []byte
+	at, tail int64 // the next link, -1 once the tail was read; the last link
+	dec      *valueDecoder
+	cur      interp.EmitValue
+	err      error
 }
 
-func (it *slabValueIter) Next() bool {
-	if it.err != nil || it.pos+1 >= len(it.idx) {
+func (it *chainIter) Next() bool {
+	if it.err != nil || it.at < 0 {
 		return false
 	}
-	it.pos++
-	if _, err := it.dec.decodeInto(it.pb.value(it.idx[it.pos]), &it.cur); err != nil {
+	link := it.slab[it.at:]
+	if it.at == it.tail {
+		it.at = -1
+	} else {
+		it.at = int64(binary.LittleEndian.Uint64(link))
+	}
+	if _, err := it.dec.decodeInto(link[linkBytes:], &it.cur); err != nil {
 		it.err = err
 		return false
 	}
 	return true
 }
 
-func (it *slabValueIter) Value() interp.EmitValue { return it.cur }
+func (it *chainIter) Value() interp.EmitValue { return it.cur }
 
 // newSpill publishes a serialized spill image: a copy of an image of at
 // most memSpillMax bytes stays in memory (image is the emitter's reused
