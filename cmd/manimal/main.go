@@ -17,7 +17,7 @@
 //	manimal cache   -sys DIR [-evict] [-stale]
 //	manimal inspect -file data.rec [-blocks]
 //	manimal serve   -sys DIR -addr 127.0.0.1:7070 [-slots N] [-recover] \
-//	                [-drain 30s] [-max-jobs N] [-tenant-slots N]
+//	                [-drain 30s] [-max-jobs N] [-tenant-slots N] [-pprof]
 //	manimal submit  -addr URL -prog prog.go -input data.rec -out out.kv \
 //	                [-conf k=v] [-noopt] [-maponly] [-wait] [-retries N] \
 //	                [-tenant NAME]
@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -645,6 +646,7 @@ func cmdServe(args []string) error {
 	drain := fs.Duration("drain", 30*time.Second, "on SIGTERM/SIGINT, let running jobs finish for this long before canceling them (0 = cancel immediately)")
 	maxJobs := fs.Int("max-jobs", 0, "admission cap: reject new submissions with 429 while this many jobs are active (0 = unlimited)")
 	tenantSlots := fs.Int("tenant-slots", 0, "task-slot quota applied to every tenant named via the "+service.TenantHeader+" header (0 = unlimited)")
+	withPprof := fs.Bool("pprof", false, "also serve net/http/pprof's profiles under /debug/pprof/")
 	fs.Parse(args)
 	// The service always journals: a coordinator worth restarting is one
 	// whose accepted jobs survive the restart.
@@ -678,7 +680,7 @@ func cmdServe(args []string) error {
 	// in-memory state, so generous-but-bounded limits fit every endpoint.
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           serveHandler(srv.Handler(), *withPprof),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -708,6 +710,22 @@ func cmdServe(args []string) error {
 		return err
 	}
 	return nil
+}
+
+// serveHandler is what `serve` listens with: the service API and, with
+// withPprof, net/http/pprof's handlers under /debug/pprof/ beside it.
+func serveHandler(api http.Handler, withPprof bool) http.Handler {
+	if !withPprof {
+		return api
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", api)
+	mux.HandleFunc("/debug/pprof/", httppprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
+	return mux
 }
 
 func cmdSubmit(args []string) error {

@@ -4,11 +4,15 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"manimal"
 	"manimal/internal/programs"
+	"manimal/internal/service"
 	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
@@ -56,5 +60,32 @@ func TestRunCPUProfile(t *testing.T) {
 	}
 	if len(raw) == 0 {
 		t.Fatal("profile is empty")
+	}
+}
+
+// TestServePprof: `serve -pprof` mounts net/http/pprof's handlers beside
+// the service API, and without the flag /debug/pprof/ is not found.
+func TestServePprof(t *testing.T) {
+	sys, err := manimal.NewSystemWith(t.TempDir(), manimal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	api := service.New(sys).Handler()
+	for _, tc := range []struct {
+		pprof      bool
+		path       string
+		wantStatus int
+	}{
+		{false, "/debug/pprof/", http.StatusNotFound},
+		{true, "/debug/pprof/", http.StatusOK},
+		{true, "/debug/pprof/goroutine?debug=1", http.StatusOK},
+		{true, "/v1/health", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		serveHandler(api, tc.pprof).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		if rec.Code != tc.wantStatus {
+			t.Errorf("pprof=%v GET %s = %d; want %d", tc.pprof, tc.path, rec.Code, tc.wantStatus)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func (rc *resultCache) apply(_ int64, kind byte, payload []byte) error {
 	switch kind {
 	case cachePut:
 		e := &CacheEntry{}
-		if json.Unmarshal(payload, e) == nil && e.Key != "" {
+		if json.Unmarshal(payload, e) == nil && validCacheKey(e.Key) {
 			e.Path = rc.path(e.Key)
 			e.flushedHits = e.Hits
 			rc.entries[e.Key] = e
@@ -212,6 +212,22 @@ func (rc *resultCache) apply(_ int64, kind byte, payload []byte) error {
 }
 
 func (rc *resultCache) path(key string) string { return filepath.Join(rc.dir, key+".kv") }
+
+// validCacheKey reports whether key is non-empty lowercase hex, the shape
+// of every key the system computes. Only such a key names a file inside
+// the cache directory: the index is read from disk, and a key like
+// "../x" would make eviction remove a file outside it.
+func validCacheKey(key string) bool {
+	if key == "" {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // append writes one record to the index, creating it on first use. Callers
 // hold rc.mu.
@@ -299,7 +315,11 @@ func (c *Catalog) ServeCache(key, dst string) (CacheEntry, bool) {
 // is skipped when an input no longer matches the fingerprint captured at
 // submission (the key would promise a result the current file contents
 // never produced) or an identical job that finished first registered key.
+// A key that is not lowercase hex is refused.
 func (c *Catalog) StoreCache(key, src string, inputs []CacheInput, outputRecords int64) error {
+	if !validCacheKey(key) {
+		return fmt.Errorf("catalog: result-cache key %q is not lowercase hex", key)
+	}
 	rc := &c.cache
 	for _, in := range inputs {
 		if in.Verify() != nil {

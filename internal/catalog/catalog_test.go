@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -386,4 +387,110 @@ func TestCacheTrafficLeavesSnapshotAlone(t *testing.T) {
 		t.Errorf("cache traffic rewrote the snapshot: %d bytes @ %v, was %d @ %v",
 			now.Size(), now.ModTime(), snapshot.Size(), snapshot.ModTime())
 	}
+}
+
+// TestCacheKeyStaysInCacheDir: a cache key names a file inside the cache
+// directory or is refused. An index put keyed "../victim" is skipped when
+// the index is replayed, so eviction cannot remove the file it points at,
+// and StoreCache refuses such a key before placing anything.
+func TestCacheKeyStaysInCacheDir(t *testing.T) {
+	dir := t.TempDir()
+	victim := filepath.Join(dir, "victim.kv")
+	if err := os.WriteFile(victim, []byte("not a cache artifact"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"bb", "../victim"} {
+		e := artifact(t, c, "bb")
+		e.Key = key
+		if err := c.cache.put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	if c, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.CacheEntries(); len(got) != 1 || got[0].Key != "bb" {
+		t.Fatalf("entries replayed from the index = %+v; want only bb", got)
+	}
+	if _, err := c.EvictCache(false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("eviction removed a file outside the cache directory: %v", err)
+	}
+
+	src := filepath.Join(dir, "out.kv")
+	if err := os.WriteFile(src, []byte("kv"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"", "../x", "CAFE", "cafe/..", "ca fe"} {
+		if err := c.StoreCache(key, src, nil, 1); err == nil {
+			t.Errorf("StoreCache(%q) accepted the key", key)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x.kv")); !os.IsNotExist(err) {
+		t.Errorf("a refused store placed its artifact outside the cache (stat err = %v)", err)
+	}
+	if err := c.StoreCache("cafe", src, nil, 1); err != nil {
+		t.Fatalf("StoreCache(cafe): %v", err)
+	}
+}
+
+// FuzzCacheIndex opens a catalog over a result-cache index cut at an
+// arbitrary length and overwritten anywhere: Open never panics, and every
+// entry it replays names an artifact inside the cache directory.
+func FuzzCacheIndex(f *testing.F) {
+	seedDir := f.TempDir()
+	c, err := Open(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, key := range []string{"aa", "cafe", "../x"} {
+		e := artifact(f, c, "aa")
+		e.Key = key
+		if err := c.cache.put(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := c.cache.quarantine("aa", "size mismatch"); err != nil {
+		f.Fatal(err)
+	}
+	c.ServeCache("cafe", filepath.Join(seedDir, "served.kv"))
+	c.Close()
+	raw, err := os.ReadFile(filepath.Join(seedDir, "cache", cacheIndexName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint(len(raw)), uint(0), []byte{})
+	f.Add(uint(len(raw)-3), uint(20), []byte(`"key":"../`))
+	f.Add(uint(len(raw)), uint(len(raw)/2), []byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, keep, at uint, patch []byte) {
+		index := bytes.Clone(raw[:keep%uint(len(raw)+1)])
+		if len(index) > 0 {
+			copy(index[at%uint(len(index)):], patch)
+		}
+		dir := t.TempDir()
+		cacheDir := filepath.Join(dir, "cache")
+		if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cacheDir, cacheIndexName), index, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(dir)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for _, e := range c.CacheEntries() {
+			if filepath.Dir(e.Path) != cacheDir {
+				t.Fatalf("entry %q names %s, outside %s", e.Key, e.Path, cacheDir)
+			}
+		}
+	})
 }

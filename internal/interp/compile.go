@@ -9,13 +9,14 @@ import (
 	"manimal/internal/serde"
 )
 
-// This file, compile_expr.go and kinds.go are the interpreter: they lower
-// every function body of a program — Map, Reduce, Combine and the user's
-// helpers — into chains of Go closures, once per Executor, so that
-// per-record execution never re-walks the go/ast tree. Identifier references
-// are resolved at compile time to integer frame slots (or to the executor's
-// global cells), accessor/builtin/ctx dispatch to function values instead of
-// per-call string switches, and helper calls to the callee's compiledFunc.
+// This file, compile_expr.go, kinds.go and tokens.go are the interpreter:
+// they lower every function body of a program — Map, Reduce, Combine and
+// the user's helpers — into chains of Go closures, once per Executor, so
+// that per-record execution never re-walks the go/ast tree. Identifier
+// references are resolved at compile time to integer frame slots (or to the
+// executor's global cells), accessor/builtin/ctx dispatch to function values
+// instead of per-call string switches, and helper calls to the callee's
+// compiledFunc.
 //
 // # Static kinds, two conventions
 //
@@ -144,9 +145,14 @@ type compiler struct {
 }
 
 func (c *compiler) block(b *ast.BlockStmt) stmtFn {
-	fns := make([]stmtFn, len(b.List))
-	for i, s := range b.List {
-		fns[i] = c.stmt(s)
+	fns := make([]stmtFn, 0, len(b.List))
+	for i := 0; i < len(b.List); i++ {
+		if rs, src, ok := c.fieldsListLoop(b.List, i); ok {
+			fns = append(fns, c.tokenLoop(rs, src)) // the list is never built
+			i++
+			continue
+		}
+		fns = append(fns, c.stmt(b.List[i]))
 	}
 	if len(fns) == 1 {
 		return fns[0]
@@ -642,9 +648,17 @@ func (c *compiler) forStmt(st *ast.ForStmt) stmtFn {
 	}
 }
 
-func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
-	// A range variable is a frame slot; the blank identifier and non-variable
-	// targets are ignored (-1). A package-level variable cannot be one.
+// rangeVars is the binding of a range statement's index and element: the
+// frame slot of each (-1 for the blank identifier, a non-variable target or
+// none) and its static kind.
+type rangeVars struct {
+	key, val         int
+	keyKind, valKind kind
+}
+
+// rangeVars resolves a range statement's variables. A package-level
+// variable cannot be one.
+func (c *compiler) rangeVars(st *ast.RangeStmt) (rangeVars, error) {
 	slotOf := func(e ast.Expr) (int, kind, error) {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
@@ -655,11 +669,48 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
 		}
 		return -1, kDyn, errNotLocal(id.Name)
 	}
-	keySlot, keyKind, err := slotOf(st.Key)
-	if err != nil {
-		return errStmt(err)
+	var rv rangeVars
+	var err error
+	if rv.key, rv.keyKind, err = slotOf(st.Key); err != nil {
+		return rv, err
 	}
-	valSlot, valKind, err := slotOf(st.Value)
+	rv.val, rv.valKind, err = slotOf(st.Value)
+	return rv, err
+}
+
+// bind binds the i'th element s. The index is an int and the element a
+// string (see infer); a slot other statements define differently takes
+// them boxed.
+func (rv *rangeVars) bind(fr *frame, i int, s string) {
+	if rv.key >= 0 {
+		fr.bindKind(rv.key, rv.keyKind, IntVal(int64(i)))
+	}
+	if rv.valKind == kStr {
+		fr.setStr(rv.val, s)
+	} else if rv.val >= 0 {
+		fr.bind(rv.val, StrVal(s))
+	}
+}
+
+// loopCtrl folds one run of a range body into the loop: whether the loop
+// stops, and then the range statement's outcome.
+func loopCtrl(ct ctrl, err error) (stop bool, _ ctrl, _ error) {
+	switch {
+	case err != nil:
+		return true, ctrlNone, err
+	case ct == ctrlBreak:
+		return true, ctrlNone, nil
+	case ct == ctrlReturn:
+		return true, ctrlReturn, nil
+	}
+	return false, ctrlNone, nil
+}
+
+func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
+	if src, ok := c.fieldsArg(st.X); ok {
+		return c.tokenLoop(st, src)
+	}
+	vars, err := c.rangeVars(st)
 	if err != nil {
 		return errStmt(err)
 	}
@@ -687,25 +738,9 @@ func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
 			return ctrlNone, err
 		}
 		for i, s := range list {
-			// The index is an int and the element a string (see infer); a
-			// slot other statements define differently takes them boxed.
-			if keySlot >= 0 {
-				fr.bindKind(keySlot, keyKind, IntVal(int64(i)))
-			}
-			if valKind == kStr {
-				fr.setStr(valSlot, s)
-			} else if valSlot >= 0 {
-				fr.bind(valSlot, StrVal(s))
-			}
-			ct, err := bodyFn(fr)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if ct == ctrlBreak {
-				break
-			}
-			if ct == ctrlReturn {
-				return ctrlReturn, nil
+			vars.bind(fr, i, s)
+			if stop, ct, err := loopCtrl(bodyFn(fr)); stop {
+				return ct, err
 			}
 		}
 		return ctrlNone, nil

@@ -34,6 +34,9 @@ type diffCase struct {
 	// masked names fields the batch leaves undecoded (field-pruned); they
 	// read as their kind's zero, which is what the records hold for them.
 	masked []string
+	// content, when set, replaces the generated "content" field: record i
+	// holds content[i%len(content)].
+	content []string
 }
 
 // errCase builds a program whose Map emits, then — for about half of the
@@ -544,6 +547,165 @@ func Map(k, v *Record, ctx *Ctx) {
 	}
 }
 `, schemaText: webPages, wantErr: `"v" is not a record, ctx, or iterator`},
+
+		// Token loops (tokens.go): ranges over strings.Fields walk the
+		// fields in place, and a HasPrefix-guarded body jumps to the fields
+		// with the prefix. Control flow, member writes and emits inside the
+		// guarded body, in both the direct and the single-use-variable form.
+		{name: "token-loop-control", source: `
+var hits int
+
+func Map(k, v *Record, ctx *Ctx) {
+	for _, w := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(w, "http://") {
+			hits++
+			if strings.HasSuffix(w, "x") {
+				continue
+			}
+			if hits%7 == 0 {
+				break
+			}
+			if hits%11 == 0 {
+				return
+			}
+			ctx.Emit(w, hits)
+		}
+	}
+	words := strings.Fields(v.Str("content"))
+	for _, u := range words {
+		if strings.HasPrefix(u, "http://b") {
+			hits = hits + len(u)
+			if hits%5 == 0 {
+				return
+			}
+			ctx.Emit(u, hits)
+			break
+		}
+	}
+	for i, x := range strings.Fields(v.Str("content")) {
+		if i == 4 && hits%3 == 0 {
+			return
+		}
+		ctx.Emit(x, i)
+	}
+	ctx.Emit(k, hits)
+}
+`, schemaText: webPages},
+		{name: "token-loop-nested", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	for _, w := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(w, "http://") {
+			parts := strings.Fields(strings.Replace(w, "/", " ", -1))
+			for j, p := range parts {
+				ctx.Emit(w, strconv.Itoa(j)+p)
+			}
+		}
+	}
+	for _, a := range strings.Fields(v.Str("url") + " " + v.Str("content")) {
+		for _, b := range strings.Fields(v.Str("content")) {
+			if strings.HasPrefix(b, "b") {
+				ctx.Emit(a, b)
+				continue
+			}
+			if len(a) > 4 {
+				break
+			}
+		}
+	}
+}
+`, schemaText: webPages},
+		// Shapes that must not fuse: the index is used, the list is read
+		// after the loop, the element is read after the loop, the guard
+		// reads a computed prefix, or the body does more than the guard.
+		{name: "token-loop-no-fuse", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	for i, w := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(w, "http://") {
+			ctx.Emit(w, i)
+		}
+	}
+	words := strings.Fields(v.Str("content"))
+	for _, x := range words {
+		if strings.HasPrefix(x, "http://") {
+			ctx.Emit(x, 1)
+		}
+	}
+	ctx.Emit(k, len(words))
+	for _, u := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(u, "alpha") {
+			ctx.Emit(u, 2)
+		}
+	}
+	ctx.Emit(u, 3)
+	pre := v.Str("url")
+	for _, y := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(y, pre) {
+			ctx.Emit(y, 4)
+		}
+	}
+	for _, z := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(z, "http://") {
+			ctx.Emit(z, 5)
+		}
+		ctx.Counter("fields")
+	}
+	list := strings.Fields(v.Str("content"))
+	ctx.Counter("between")
+	for _, q := range list {
+		ctx.Emit(q, 6)
+	}
+}
+`, schemaText: webPages},
+		// Literals the guard rule rejects fall back to the walk that binds
+		// every field: empty, non-ASCII, holding a space or a tab.
+		{name: "token-loop-literal-fallback", source: `
+func Map(k, v *Record, ctx *Ctx) {
+	for _, a := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(a, "") {
+			ctx.Emit(a, 1)
+		}
+	}
+	for _, b := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(b, "\u00e9") {
+			ctx.Emit(b, 2)
+		}
+	}
+	for _, c := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(c, "http:// a") {
+			ctx.Emit(c, 3)
+		}
+	}
+	for _, d := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(d, "x\thttp") {
+			ctx.Emit(d, 4)
+		}
+	}
+}
+`, schemaText: webPages, content: []string{"alpha \u00e9t\u00e9 http://a", "\u00e9 http:// a", "x\thttp://b xhttp://c"}},
+		// White space beyond ASCII, invalid bytes against the prefix, a
+		// prefix inside a field and twice in one field, through both walks.
+		{name: "token-loop-unicode", source: programs.Benchmark4UDFAggregation + `
+func Combine(key Datum, values *Iter, ctx *Ctx) {
+	n := 0
+	for values.Next() {
+		n = n + values.Int()
+	}
+	for i, w := range strings.Fields(key + " " + strconv.Itoa(n)) {
+		ctx.Emit(key, strconv.Itoa(i)+w)
+	}
+}
+`, schemaText: "content:string", content: []string{
+			"alpha\u0085http://a.example/x\u00a0beta",
+			"http://b\u2003http://c\u3000gamma http://d",
+			"\xffhttp://e http://f\xff \xc2http://g \xe2\x80http://h \xc2\xa0http://i",
+			"xhttp://a http://a/http://b http:// http:/",
+			"", " \t\n", "http://x", "\u00e9 http://\u00e9/\u00fc\u2028http://j\u205fhttp://k",
+		}},
+		errCase("token-loop-source", "", `for _, w := range strings.Fields(v.Str("missing")) {
+			if strings.HasPrefix(w, "http://") {
+				ctx.Emit(w, 1)
+			}
+		}`, `"missing"`),
 	}
 }
 
@@ -810,6 +972,11 @@ func TestCompiledMatchesTreeWalker(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			recs := genRecords(t, tc.schemaText, 200, tc.masked...)
+			for i, r := range recs {
+				if tc.content != nil {
+					r.MustSet("content", serde.String(tc.content[i%len(tc.content)]))
+				}
+			}
 			allErrs := runDifferential(t, prog, recs, tc.conf, tc.masked, nil)
 			if tc.wantErr == "" && len(allErrs) > 0 {
 				t.Fatalf("unexpected error: %s", allErrs[0])

@@ -34,6 +34,16 @@
 // from an executor-owned, depth-indexed frame stack. Executor.BoxedSites
 // reports, per function, which expressions still box.
 //
+// # Token loops
+//
+// A range over strings.Fields(x) — written directly, or through a variable
+// assigned the list just before the loop and used nowhere else — walks the
+// fields of x in place (tokens.go): no []string is built, and each field is
+// bound as a substring of x when the walk reaches it. When the body is
+// nothing but an if strings.HasPrefix(w, "lit") on the element w, the walk
+// jumps from one occurrence of lit to the next and binds only the fields
+// that start with it. White space is exactly strings.Fields'.
+//
 // The lowering is total over what lang.Parse accepts: constructs the
 // language admits but the runtime cannot carry out, and operations whose
 // operand kinds conflict statically, become closures that return their

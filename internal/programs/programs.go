@@ -94,7 +94,10 @@ func Map(k, v *Record, ctx *Ctx) {
 // Java Hashtable) to de-duplicate URLs before emitting. The implicit
 // selection — documents without URLs emit nothing — goes undetected: the
 // analyzer has no functional model of the map (make) and conservatively
-// refuses emits inside loops. Exactly the paper's Benchmark 4 miss.
+// refuses emits inside loops. Exactly the paper's Benchmark 4 miss. The
+// interpreter runs the loop lazily all the same — the word list is never
+// built, and the HasPrefix guard lets it jump from one "http://" to the
+// next — while the selection itself stays undetected.
 const Benchmark4UDFAggregation = `
 func Map(k, v *Record, ctx *Ctx) {
 	seen := make(map[string]bool)
