@@ -147,8 +147,8 @@ type compiler struct {
 func (c *compiler) block(b *ast.BlockStmt) stmtFn {
 	fns := make([]stmtFn, 0, len(b.List))
 	for i := 0; i < len(b.List); i++ {
-		if rs, src, ok := c.fieldsListLoop(b.List, i); ok {
-			fns = append(fns, c.tokenLoop(rs, src)) // the list is never built
+		if fn, ok := c.tokenLoop(b.List, i); ok {
+			fns = append(fns, fn) // the list is never built
 			i++
 			continue
 		}
@@ -707,9 +707,6 @@ func loopCtrl(ct ctrl, err error) (stop bool, _ ctrl, _ error) {
 }
 
 func (c *compiler) rangeStmt(st *ast.RangeStmt) stmtFn {
-	if src, ok := c.fieldsArg(st.X); ok {
-		return c.tokenLoop(st, src)
-	}
 	vars, err := c.rangeVars(st)
 	if err != nil {
 		return errStmt(err)

@@ -548,15 +548,16 @@ func Map(k, v *Record, ctx *Ctx) {
 }
 `, schemaText: webPages, wantErr: `"v" is not a record, ctx, or iterator`},
 
-		// Token loops (tokens.go): ranges over strings.Fields walk the
-		// fields in place, and a HasPrefix-guarded body jumps to the fields
-		// with the prefix. Control flow, member writes and emits inside the
-		// guarded body, in both the direct and the single-use-variable form.
+		// Token loops (tokens.go): a prefix-guarded range over a
+		// strings.Fields list used nowhere else jumps to the fields with the
+		// prefix. Control flow, member writes and emits inside the guarded
+		// body.
 		{name: "token-loop-control", source: `
 var hits int
 
 func Map(k, v *Record, ctx *Ctx) {
-	for _, w := range strings.Fields(v.Str("content")) {
+	words := strings.Fields(v.Str("content"))
+	for _, w := range words {
 		if strings.HasPrefix(w, "http://") {
 			hits++
 			if strings.HasSuffix(w, "x") {
@@ -571,8 +572,8 @@ func Map(k, v *Record, ctx *Ctx) {
 			ctx.Emit(w, hits)
 		}
 	}
-	words := strings.Fields(v.Str("content"))
-	for _, u := range words {
+	more := strings.Fields(v.Str("content"))
+	for _, u := range more {
 		if strings.HasPrefix(u, "http://b") {
 			hits = hits + len(u)
 			if hits%5 == 0 {
@@ -582,44 +583,46 @@ func Map(k, v *Record, ctx *Ctx) {
 			break
 		}
 	}
-	for i, x := range strings.Fields(v.Str("content")) {
-		if i == 4 && hits%3 == 0 {
-			return
-		}
-		ctx.Emit(x, i)
-	}
 	ctx.Emit(k, hits)
 }
 `, schemaText: webPages},
 		{name: "token-loop-nested", source: `
 func Map(k, v *Record, ctx *Ctx) {
-	for _, w := range strings.Fields(v.Str("content")) {
+	words := strings.Fields(v.Str("content"))
+	for _, w := range words {
 		if strings.HasPrefix(w, "http://") {
 			parts := strings.Fields(strings.Replace(w, "/", " ", -1))
-			for j, p := range parts {
-				ctx.Emit(w, strconv.Itoa(j)+p)
+			for _, p := range parts {
+				if strings.HasPrefix(p, "b") {
+					ctx.Emit(w, p)
+					continue
+				}
 			}
 		}
 	}
-	for _, a := range strings.Fields(v.Str("url") + " " + v.Str("content")) {
-		for _, b := range strings.Fields(v.Str("content")) {
-			if strings.HasPrefix(b, "b") {
-				ctx.Emit(a, b)
-				continue
-			}
-			if len(a) > 4 {
-				break
+	outer := strings.Fields(v.Str("url") + " " + v.Str("content"))
+	for _, a := range outer {
+		if strings.HasPrefix(a, "h") {
+			inner := strings.Fields(v.Str("content"))
+			for _, b := range inner {
+				if strings.HasPrefix(b, "http://a") {
+					ctx.Emit(a, b)
+					break
+				}
 			}
 		}
 	}
 }
 `, schemaText: webPages},
-		// Shapes that must not fuse: the index is used, the list is read
-		// after the loop, the element is read after the loop, the guard
-		// reads a computed prefix, or the body does more than the guard.
+		// Shapes that must not fuse and build the list instead: the index
+		// is used, the list or the element is read after the loop, the
+		// guard reads a computed prefix, the body does more than the guard,
+		// a statement stands between list and loop, or the range is over
+		// the call itself.
 		{name: "token-loop-no-fuse", source: `
 func Map(k, v *Record, ctx *Ctx) {
-	for i, w := range strings.Fields(v.Str("content")) {
+	indexed := strings.Fields(v.Str("content"))
+	for i, w := range indexed {
 		if strings.HasPrefix(w, "http://") {
 			ctx.Emit(w, i)
 		}
@@ -631,19 +634,22 @@ func Map(k, v *Record, ctx *Ctx) {
 		}
 	}
 	ctx.Emit(k, len(words))
-	for _, u := range strings.Fields(v.Str("content")) {
+	read := strings.Fields(v.Str("content"))
+	for _, u := range read {
 		if strings.HasPrefix(u, "alpha") {
 			ctx.Emit(u, 2)
 		}
 	}
 	ctx.Emit(u, 3)
 	pre := v.Str("url")
-	for _, y := range strings.Fields(v.Str("content")) {
+	computed := strings.Fields(v.Str("content"))
+	for _, y := range computed {
 		if strings.HasPrefix(y, pre) {
 			ctx.Emit(y, 4)
 		}
 	}
-	for _, z := range strings.Fields(v.Str("content")) {
+	more := strings.Fields(v.Str("content"))
+	for _, z := range more {
 		if strings.HasPrefix(z, "http://") {
 			ctx.Emit(z, 5)
 		}
@@ -652,30 +658,41 @@ func Map(k, v *Record, ctx *Ctx) {
 	list := strings.Fields(v.Str("content"))
 	ctx.Counter("between")
 	for _, q := range list {
-		ctx.Emit(q, 6)
+		if strings.HasPrefix(q, "http://") {
+			ctx.Emit(q, 6)
+		}
+	}
+	for _, r := range strings.Fields(v.Str("content")) {
+		if strings.HasPrefix(r, "http://") {
+			ctx.Emit(r, 7)
+		}
 	}
 }
 `, schemaText: webPages},
-		// Literals the guard rule rejects fall back to the walk that binds
-		// every field: empty, non-ASCII, holding a space or a tab.
+		// Literals the guard rule rejects build the list: empty, non-ASCII,
+		// holding a space or a tab.
 		{name: "token-loop-literal-fallback", source: `
 func Map(k, v *Record, ctx *Ctx) {
-	for _, a := range strings.Fields(v.Str("content")) {
+	la := strings.Fields(v.Str("content"))
+	for _, a := range la {
 		if strings.HasPrefix(a, "") {
 			ctx.Emit(a, 1)
 		}
 	}
-	for _, b := range strings.Fields(v.Str("content")) {
+	lb := strings.Fields(v.Str("content"))
+	for _, b := range lb {
 		if strings.HasPrefix(b, "\u00e9") {
 			ctx.Emit(b, 2)
 		}
 	}
-	for _, c := range strings.Fields(v.Str("content")) {
+	lc := strings.Fields(v.Str("content"))
+	for _, c := range lc {
 		if strings.HasPrefix(c, "http:// a") {
 			ctx.Emit(c, 3)
 		}
 	}
-	for _, d := range strings.Fields(v.Str("content")) {
+	ld := strings.Fields(v.Str("content"))
+	for _, d := range ld {
 		if strings.HasPrefix(d, "x\thttp") {
 			ctx.Emit(d, 4)
 		}
@@ -683,25 +700,17 @@ func Map(k, v *Record, ctx *Ctx) {
 }
 `, schemaText: webPages, content: []string{"alpha \u00e9t\u00e9 http://a", "\u00e9 http:// a", "x\thttp://b xhttp://c"}},
 		// White space beyond ASCII, invalid bytes against the prefix, a
-		// prefix inside a field and twice in one field, through both walks.
-		{name: "token-loop-unicode", source: programs.Benchmark4UDFAggregation + `
-func Combine(key Datum, values *Iter, ctx *Ctx) {
-	n := 0
-	for values.Next() {
-		n = n + values.Int()
-	}
-	for i, w := range strings.Fields(key + " " + strconv.Itoa(n)) {
-		ctx.Emit(key, strconv.Itoa(i)+w)
-	}
-}
-`, schemaText: "content:string", content: []string{
+		// prefix inside a field and twice in one field: B4's token loop
+		// against the walker's strings.Fields.
+		{name: "token-loop-unicode", source: programs.Benchmark4UDFAggregation, schemaText: "content:string", content: []string{
 			"alpha\u0085http://a.example/x\u00a0beta",
 			"http://b\u2003http://c\u3000gamma http://d",
 			"\xffhttp://e http://f\xff \xc2http://g \xe2\x80http://h \xc2\xa0http://i",
 			"xhttp://a http://a/http://b http:// http:/",
 			"", " \t\n", "http://x", "\u00e9 http://\u00e9/\u00fc\u2028http://j\u205fhttp://k",
 		}},
-		errCase("token-loop-source", "", `for _, w := range strings.Fields(v.Str("missing")) {
+		errCase("token-loop-source", "", `words := strings.Fields(v.Str("missing"))
+		for _, w := range words {
 			if strings.HasPrefix(w, "http://") {
 				ctx.Emit(w, 1)
 			}

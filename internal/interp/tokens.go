@@ -10,43 +10,24 @@ import (
 	"manimal/internal/lang"
 )
 
-// Token loops. A range over strings.Fields(E) — written directly, or as
-// L := strings.Fields(E) followed at once by a range over L when L appears
-// nowhere else — walks the fields of E's string in place: no []string is
-// built, and the loop variables are bound field by field as the walk finds
-// them. When, in addition, the body is nothing but
+// Token loops. L := strings.Fields(E) followed at once by
 //
-//	if strings.HasPrefix(w, "lit") { ... }
+//	for _, w := range L {
+//		if strings.HasPrefix(w, "lit") { ... }
+//	}
 //
-// on the element variable w, which is read nowhere outside that body, the
-// walk jumps from one occurrence of lit to the next and binds only the
-// fields that start with it: HasPrefix is pure and w is not observed
-// between iterations, so the fields it would reject are unobservable.
-// White space is exactly strings.Fields': the ASCII table, unicode.IsSpace
-// for other runes, and an invalid byte is not space.
+// where L appears nowhere else, the if has no init and no else, lit is a
+// non-empty ASCII literal without white space, and w is read nowhere
+// outside that body, walks E's string in place: no []string is
+// built, and the walk jumps from one occurrence of lit to the next, binding
+// only the fields that start with it. HasPrefix is pure and w is not
+// observed between iterations, so the fields it would reject are
+// unobservable. White space is exactly strings.Fields': the ASCII table,
+// unicode.IsSpace for other runes, and an invalid byte is not space. Every
+// other range over strings.Fields builds the list.
 
 // asciiSpace is strings.Fields' table of ASCII white space.
 var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// nextField returns the bounds of the first field of s at or after i, a
-// rune boundary; start == len(s) when there is none.
-func nextField(s string, i int) (start, end int) {
-	for i < len(s) {
-		if b := s[i]; b < utf8.RuneSelf {
-			if !asciiSpace[b] {
-				break
-			}
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRuneInString(s[i:])
-		if !isSpace(r) {
-			break
-		}
-		i += n
-	}
-	return i, fieldEnd(s, i)
-}
 
 // fieldEnd returns the end of the field running through s[i], a rune
 // boundary: the start of the first space rune at or after i, or len(s).
@@ -128,8 +109,8 @@ func (c *compiler) fieldsArg(e ast.Expr) (ast.Expr, bool) {
 
 // fieldsListLoop recognizes list[i] as L := strings.Fields(E) and
 // list[i+1] as a range over L, where L appears nowhere else in the function
-// — the language has no shadowing, so the count is exact — and the range
-// variables resolve. It returns the range statement and E.
+// — the language has no shadowing, so the count is exact. It returns the
+// range statement and E.
 func (c *compiler) fieldsListLoop(list []ast.Stmt, i int) (*ast.RangeStmt, ast.Expr, bool) {
 	if i+1 >= len(list) {
 		return nil, nil, false
@@ -147,13 +128,7 @@ func (c *compiler) fieldsListLoop(list []ast.Stmt, i int) (*ast.RangeStmt, ast.E
 		return nil, nil, false
 	}
 	src, ok := c.fieldsArg(as.Rhs[0])
-	if !ok {
-		return nil, nil, false
-	}
-	if _, err := c.rangeVars(rs); err != nil {
-		return nil, nil, false
-	}
-	return rs, src, true
+	return rs, src, ok
 }
 
 // prefixGuard returns the literal and the guarded body when the range
@@ -203,50 +178,38 @@ func countIdent(n ast.Node, name string) int {
 	return count
 }
 
-// tokenLoop compiles a range statement over the fields of src, a string
-// expression, walking them in place.
-func (c *compiler) tokenLoop(st *ast.RangeStmt, src ast.Expr) stmtFn {
+// tokenLoop compiles list[i] and list[i+1] as one token loop when they
+// have its shape.
+func (c *compiler) tokenLoop(list []ast.Stmt, i int) (stmtFn, bool) {
+	st, src, ok := c.fieldsListLoop(list, i)
+	if !ok {
+		return nil, false
+	}
+	lit, guarded, ok := c.prefixGuard(st)
+	if !ok {
+		return nil, false
+	}
 	vars, err := c.rangeVars(st)
 	if err != nil {
-		return errStmt(err)
+		return nil, false
 	}
 	str := c.expr(src).s
-	if lit, guarded, ok := c.prefixGuard(st); ok {
-		bodyFn := c.block(guarded)
-		return func(fr *frame) (ctrl, error) {
-			s, err := str(fr)
-			if err != nil {
-				return ctrlNone, err
-			}
-			for i := 0; ; {
-				start, end, ok := nextPrefixed(s, lit, i)
-				if !ok {
-					return ctrlNone, nil
-				}
-				vars.bind(fr, 0, s[start:end])
-				if stop, ct, err := loopCtrl(bodyFn(fr)); stop {
-					return ct, err
-				}
-				i = end
-			}
-		}
-	}
-	bodyFn := c.block(st.Body)
+	bodyFn := c.block(guarded)
 	return func(fr *frame) (ctrl, error) {
 		s, err := str(fr)
 		if err != nil {
 			return ctrlNone, err
 		}
-		for n, i := 0, 0; ; n++ {
-			start, end := nextField(s, i)
-			if start == len(s) {
+		for i := 0; ; {
+			start, end, ok := nextPrefixed(s, lit, i)
+			if !ok {
 				return ctrlNone, nil
 			}
-			vars.bind(fr, n, s[start:end])
+			vars.bind(fr, 0, s[start:end])
 			if stop, ct, err := loopCtrl(bodyFn(fr)); stop {
 				return ct, err
 			}
 			i = end
 		}
-	}
+	}, true
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// FuzzTokenLoop holds the walks of a token loop to what they replace: for
-// any bytes, nextField yields exactly strings.Fields, and for every literal
-// guardLiteral accepts — the fuzzed one and the first bytes of each field —
-// nextPrefixed yields exactly the fields with that prefix, in order.
+// FuzzTokenLoop holds the walk of a token loop to what it replaces: for
+// any bytes and every literal guardLiteral accepts — the fuzzed one and the
+// first bytes of each field — nextPrefixed yields exactly the fields of
+// strings.Fields with that prefix, in order.
 func FuzzTokenLoop(f *testing.F) {
 	for _, s := range []string{
 		"", " \t\n\v\f\r", "alpha http://a.example/x beta",
@@ -22,14 +22,7 @@ func FuzzTokenLoop(f *testing.F) {
 	}
 	f.Add("a\u00a0a a", "a")
 	f.Fuzz(func(t *testing.T, s, lit string) {
-		var got []string
-		for start, end := nextField(s, 0); start < len(s); start, end = nextField(s, end) {
-			got = append(got, s[start:end])
-		}
 		fields := strings.Fields(s)
-		if !slices.Equal(got, fields) {
-			t.Fatalf("fields of %q:\n got %q\nwant %q", s, got, fields)
-		}
 		lits := []string{lit}
 		for _, w := range fields {
 			for n := 1; n <= min(len(w), 3); n++ {
@@ -40,7 +33,7 @@ func FuzzTokenLoop(f *testing.F) {
 			if !guardLiteral(lit) {
 				continue
 			}
-			got = got[:0]
+			var got []string
 			for i := 0; ; {
 				start, end, ok := nextPrefixed(s, lit, i)
 				if !ok {

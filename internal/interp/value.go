@@ -36,13 +36,12 @@
 //
 // # Token loops
 //
-// A range over strings.Fields(x) — written directly, or through a variable
-// assigned the list just before the loop and used nowhere else — walks the
-// fields of x in place (tokens.go): no []string is built, and each field is
-// bound as a substring of x when the walk reaches it. When the body is
-// nothing but an if strings.HasPrefix(w, "lit") on the element w, the walk
-// jumps from one occurrence of lit to the next and binds only the fields
-// that start with it. White space is exactly strings.Fields'.
+// L := strings.Fields(x) followed at once by a range over L, when L is used
+// nowhere else and the body is nothing but an if strings.HasPrefix(w, "lit")
+// on the element w, walks x in place (tokens.go): no []string is built, the
+// walk jumps from one occurrence of lit to the next, and only the fields
+// that start with it are bound, as substrings of x. White space is exactly
+// strings.Fields'. Every other range over strings.Fields builds the list.
 //
 // The lowering is total over what lang.Parse accepts: constructs the
 // language admits but the runtime cannot carry out, and operations whose
