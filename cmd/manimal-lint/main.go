@@ -1,6 +1,7 @@
 // Command manimal-lint runs the repo's own lint suite (internal/lint) over
-// a directory tree: recordclone (borrowed Scanner.Record()/RecordIter.
-// Record() results must be Clone()d before retention) and ctxfirst
+// a directory tree: recordclone (borrowed Record() results of reusing
+// cursors must be Clone()d before retention), vecborrow (column-vector
+// borrows must not be retained past their batch) and ctxfirst
 // (context.Context parameters come first). Exits 1 when any diagnostic is
 // reported, so it slots into CI next to vet and staticcheck.
 //

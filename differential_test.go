@@ -2,6 +2,7 @@ package manimal_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,20 +10,154 @@ import (
 	"testing"
 
 	"manimal"
+	"manimal/internal/btree"
 	"manimal/internal/mapreduce"
 	"manimal/internal/programs"
+	"manimal/internal/serde"
+	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
 
 // differentialCase pits one optimized plan shape against the unoptimized
-// baseline and requires identical output.
+// baseline and requires identical output: the same pairs, and with
+// sameBytes the same output file byte for byte. confFor, when set,
+// derives the job's conf from the indexes the case built.
 type differentialCase struct {
-	name     string
-	source   string
-	genData  func(path string) error
-	conf     manimal.Conf
-	build    manimal.BuildConfig
-	wantPlan string
+	name      string
+	source    string
+	genData   func(path string) error
+	conf      manimal.Conf
+	confFor   func(t *testing.T, entries []manimal.CatalogEntry) manimal.Conf
+	build     manimal.BuildConfig
+	wantPlan  string
+	sameBytes bool
+	wantEmpty bool // the selection keeps no record
+}
+
+// idsSchema is the input of the B+Tree range cases: id is the record's
+// position in the file, name a unique string in another order.
+var idsSchema = serde.MustSchema(
+	serde.Field{Name: "id", Kind: serde.KindInt64},
+	serde.Field{Name: "name", Kind: serde.KindString},
+	serde.Field{Name: "pad", Kind: serde.KindString},
+)
+
+const idsRows = 20000
+
+func writeIDs(path string) error {
+	w, err := storage.NewWriter(path, idsSchema, storage.WriterOptions{})
+	if err != nil {
+		return err
+	}
+	for i := 0; i < idsRows; i++ {
+		r := serde.NewRecord(idsSchema)
+		r.MustSet("id", serde.Int(int64(i)))
+		r.MustSet("name", serde.String(fmt.Sprintf("k%05d", (i*7919)%idsRows)))
+		r.MustSet("pad", serde.String("padding-that-spreads-entries-over-many-leaves"))
+		if err := w.Append(r); err != nil {
+			w.Abort()
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// The B+Tree range programs. Each has a Reduce, so an optimized run's
+// output file must equal the baseline's byte for byte.
+const (
+	idRangeCount = `
+func Map(k, v *Record, ctx *Ctx) {
+	if v.Int("id") > ctx.ConfInt("lo") && v.Int("id") <= ctx.ConfInt("hi") {
+		ctx.Emit(v.Int("id") % 97, 1)
+	}
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	count := 0
+	for values.Next() {
+		count = count + values.Int()
+	}
+	ctx.Emit(key, count)
+}
+`
+	// Both bounds fall exactly on an entry: the first one kept and the
+	// first one dropped.
+	idHalfOpenCount = `
+func Map(k, v *Record, ctx *Ctx) {
+	if v.Int("id") >= ctx.ConfInt("lo") && v.Int("id") < ctx.ConfInt("hi") {
+		ctx.Emit(v.Int("id") % 97, 1)
+	}
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	count := 0
+	for values.Next() {
+		count = count + values.Int()
+	}
+	ctx.Emit(key, count)
+}
+`
+	// Map's key is the entry's index key under a B+Tree plan and the
+	// record's position without one; on this input the two agree, and a
+	// key taken from anything else (a row number within a split) shows.
+	emitMapKey = `
+func Map(k, v *Record, ctx *Ctx) {
+	if v.Int("id") > ctx.ConfInt("lo") {
+		ctx.Emit(k, v.Str("name"))
+	}
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	for values.Next() {
+		ctx.Emit(key, values.Str())
+	}
+}
+`
+	nameRangeSum = `
+func Map(k, v *Record, ctx *Ctx) {
+	if v.Str("name") >= ctx.ConfStr("lo") && v.Str("name") < ctx.ConfStr("hi") {
+		ctx.Emit(v.Str("name"), v.Int("id"))
+	}
+}
+
+func Reduce(key Datum, values *Iter, ctx *Ctx) {
+	sum := 0
+	for values.Next() {
+		sum = sum + values.Int()
+	}
+	ctx.Emit(key, sum)
+}
+`
+)
+
+// leafEndConf puts both bounds of idHalfOpenCount's range on the last key
+// of a leaf — the entry just before a first-of-leaf cut key — so the scan
+// keeps exactly one entry of its first leaf and stops exactly before the
+// last entry of another.
+func leafEndConf(t *testing.T, entries []manimal.CatalogEntry) manimal.Conf {
+	t.Helper()
+	idx, err := btree.OpenIndex(entries[0].IndexPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	cuts, _, err := idx.RangeCuts(nil, nil, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) < 4 {
+		t.Fatalf("%d leaf cuts; the input must span more leaves", len(cuts))
+	}
+	first := func(cut []byte) int64 {
+		d, _, err := serde.DecodeSortKey(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Int()
+	}
+	// id is unique, so the key before a leaf's first key ends the leaf
+	// before it.
+	return manimal.Conf{"lo": manimal.Int(first(cuts[1]) - 1), "hi": manimal.Int(first(cuts[len(cuts)-2]) - 1)}
 }
 
 // TestDifferentialOptimizedPlans runs the programs corpus through every
@@ -56,6 +191,22 @@ func TestDifferentialOptimizedPlans(t *testing.T) {
 			wantPlan: "recordfile",
 		},
 	}
+	for _, shards := range []int{1, 4} {
+		build := manimal.BuildConfig{NumShards: shards}
+		suffix := fmt.Sprintf("-%dshard", shards)
+		cases = append(cases,
+			differentialCase{name: "btree-int-range" + suffix, source: idRangeCount, genData: writeIDs,
+				conf: manimal.Conf{"lo": manimal.Int(3000), "hi": manimal.Int(9000)}, build: build, wantPlan: "btree", sameBytes: true},
+			differentialCase{name: "btree-emits-map-key" + suffix, source: emitMapKey, genData: writeIDs,
+				conf: manimal.Conf{"lo": manimal.Int(12345)}, build: build, wantPlan: "btree", sameBytes: true},
+			differentialCase{name: "btree-string-key" + suffix, source: nameRangeSum, genData: writeIDs,
+				conf: manimal.Conf{"lo": manimal.String("k05000"), "hi": manimal.String("k11000")}, build: build, wantPlan: "btree", sameBytes: true},
+			differentialCase{name: "btree-leaf-end-bounds" + suffix, source: idHalfOpenCount, genData: writeIDs,
+				confFor: leafEndConf, build: build, wantPlan: "btree", sameBytes: true},
+			differentialCase{name: "btree-empty-range" + suffix, source: idRangeCount, genData: writeIDs,
+				conf: manimal.Conf{"lo": manimal.Int(5000), "hi": manimal.Int(5000)}, build: build, wantPlan: "btree", sameBytes: true, wantEmpty: true},
+		)
+	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,6 +220,15 @@ func TestDifferentialOptimizedPlans(t *testing.T) {
 				t.Fatal(err)
 			}
 			prog := mustProgram(t, tc.name, tc.source)
+			// Noopt runs ignore indexes, so building first changes nothing
+			// for the baseline and lets a case derive its conf from them.
+			entries, err := sys.BuildBestIndexesWith(prog, data, tc.build)
+			if err != nil {
+				t.Fatalf("build indexes: %v", err)
+			}
+			if tc.confFor != nil {
+				tc.conf = tc.confFor(t, entries)
+			}
 
 			baseSpec := manimal.JobSpec{
 				Name:                tc.name + "-base",
@@ -78,12 +238,8 @@ func TestDifferentialOptimizedPlans(t *testing.T) {
 				DisableOptimization: true,
 			}
 			base, _ := submit(t, sys, baseSpec)
-			if len(base) == 0 {
+			if len(base) == 0 && !tc.wantEmpty {
 				t.Fatal("baseline produced no output")
-			}
-
-			if _, err := sys.BuildBestIndexesWith(prog, data, tc.build); err != nil {
-				t.Fatalf("build indexes: %v", err)
 			}
 
 			optSpec := baseSpec
@@ -98,6 +254,26 @@ func TestDifferentialOptimizedPlans(t *testing.T) {
 			}
 			if !reflect.DeepEqual(base, opt) {
 				t.Fatalf("optimized output differs from baseline: %d vs %d pairs", len(base), len(opt))
+			}
+			if tc.sameBytes {
+				b, err := os.ReadFile(baseSpec.OutputPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o, err := os.ReadFile(optSpec.OutputPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(b, o) {
+					t.Fatalf("optimized output file differs from the baseline's (%d vs %d bytes)", len(o), len(b))
+				}
+				// Map re-checks the selection, so a scan that strays past a
+				// bound shows only in what it fed Map: these programs emit
+				// once per selected record.
+				c := report.Result.Counters
+				if in, out := c.Get(mapreduce.CtrMapInputRecords), c.Get(mapreduce.CtrMapOutputRecords); in != out {
+					t.Fatalf("the B+Tree scan fed Map %d records, %d of them selected", in, out)
+				}
 			}
 			if tc.name == "btree-sharded" {
 				// A single-range selection must fan out across map tasks

@@ -1,8 +1,11 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"manimal/internal/serde"
@@ -45,7 +48,7 @@ func buildTree(t *testing.T, n, dups, pageSize int) *Tree {
 func collect(t *testing.T, tree *Tree, lo, hi []byte) []int64 {
 	t.Helper()
 	before := tree.BytesRead()
-	it, err := tree.Range(lo, hi)
+	it, err := tree.Scan(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,5 +381,177 @@ func TestBuilderAddAllocs(t *testing.T) {
 	})
 	if perAdd := allocs / n; perAdd >= 0.1 {
 		t.Fatalf("Add allocates %.3f objects per record over %d records; want < 0.1", perAdd, n)
+	}
+}
+
+// TestBatchCursorMatchesBuilder: for trees of several shapes — duplicate
+// keys spanning leaves, pages of a few entries, a shard set — and random
+// [lo, hi) ranges, the batch cursor's batches concatenate to exactly the
+// builder's in-range entries in key order (record fields, index keys and
+// raw keys), and the row cursor walks the same entries with the same page
+// bytes read.
+func TestBatchCursorMatchesBuilder(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "s0"), filepath.Join(dir, "s1"), filepath.Join(dir, "s2")}
+	buildShard(t, paths[0], 0, 150)
+	buildShard(t, paths[1], 150, 400)
+	buildShard(t, paths[2], 400, 500)
+	manifest := filepath.Join(dir, "set")
+	if err := WriteManifest(manifest, `v.Int("id")`, paths, [][]byte{serde.Int(150).SortKey(), serde.Int(400).SortKey()}); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenShards(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	indexes := []struct {
+		name string
+		idx  Index
+		n    int
+		key  func(id int) int64 // the index key of the entry with this id
+	}{
+		{"unique", buildTree(t, 700, 1, 128), 700, func(id int) int64 { return int64(id) }},
+		{"dups", buildTree(t, 900, 7, 200), 900, func(id int) int64 { return int64(id / 7) }},
+		{"one-leaf", buildTree(t, 20, 3, 4096), 20, func(id int) int64 { return int64(id / 3) }},
+		{"shards", set, 500, func(id int) int64 { return int64(id) }},
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, ix := range indexes {
+		maxKey := ix.key(ix.n - 1)
+		for trial := 0; trial < 60; trial++ {
+			// Bounds just outside, on and between the stored keys; nil for
+			// unbounded.
+			var lo, hi []byte
+			loKey, loInc := rng.Int63n(maxKey+3)-1, rng.Intn(2) == 0
+			hiKey, hiInc := rng.Int63n(maxKey+3)-1, rng.Intn(2) == 0
+			if rng.Intn(5) > 0 {
+				lo = LowerBound(serde.Int(loKey), loInc)
+			}
+			if rng.Intn(5) > 0 {
+				hi = UpperBound(serde.Int(hiKey), hiInc)
+			}
+			var want []int
+			for id := 0; id < ix.n; id++ {
+				k := ix.key(id)
+				if lo != nil && (k < loKey || k == loKey && !loInc) {
+					continue
+				}
+				if hi != nil && (k > hiKey || k == hiKey && !hiInc) {
+					continue
+				}
+				want = append(want, id)
+			}
+
+			bc, err := ix.idx.ScanBatch(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []int
+			var rawKeys [][]byte
+			for bc.Next() {
+				b := bc.Batch()
+				if len(b.Sel()) != b.Len() || b.Len() == 0 {
+					t.Fatalf("%s: a batch selects %d of %d rows", ix.name, len(b.Sel()), b.Len())
+				}
+				ids, payloads := b.Col(0).Ints(), b.Col(1).Strs()
+				for r := 0; r < b.Len(); r++ {
+					id := int(ids[r])
+					if payloads[r] != fmt.Sprintf("row-%06d", id) {
+						t.Fatalf("%s: entry %d has payload %q", ix.name, id, payloads[r])
+					}
+					k, err := b.RowKey(r)
+					if err != nil || k.Int() != ix.key(id) {
+						t.Fatalf("%s: entry %d keyed %v (%v), want %d", ix.name, id, k, err, ix.key(id))
+					}
+					got = append(got, id)
+					rawKeys = append(rawKeys, append([]byte(nil), b.Keys()[r]...))
+				}
+			}
+			if bc.Err() != nil {
+				t.Fatal(bc.Err())
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s [%x, %x): batches hold %v, want %v", ix.name, lo, hi, got, want)
+			}
+
+			c, err := ix.idx.Scan(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for ; c.Next(); i++ {
+				if i >= len(got) || c.Record().Int("id") != int64(got[i]) || !bytes.Equal(c.Key(), rawKeys[i]) {
+					t.Fatalf("%s: row cursor entry %d disagrees with the batches", ix.name, i)
+				}
+				if k, err := c.KeyDatum(); err != nil || k.Int() != ix.key(got[i]) {
+					t.Fatalf("%s: row cursor entry %d keyed %v (%v)", ix.name, i, k, err)
+				}
+			}
+			if c.Err() != nil || i != len(got) {
+				t.Fatalf("%s: row cursor walked %d of %d entries (%v)", ix.name, i, len(got), c.Err())
+			}
+			if c.BytesRead() != bc.BytesRead() {
+				t.Fatalf("%s: row cursor read %d page bytes, batch cursor %d", ix.name, c.BytesRead(), bc.BytesRead())
+			}
+		}
+	}
+}
+
+// TestBatchCursorAllocs gates the zero-allocation B+Tree range scan: once
+// the first leaf has sized the cursor's page buffer, columns and key
+// column, decoding further leaves — string fields and keys aliasing the
+// page — allocates nothing per row, for a lone tree and for a shard set
+// whose cursor reopens on each shard.
+func TestBatchCursorAllocs(t *testing.T) {
+	dir := t.TempDir()
+	var paths [][]byte
+	var files []string
+	for i := 0; i < 4; i++ {
+		p := filepath.Join(dir, fmt.Sprintf("s%d", i))
+		buildShard(t, p, int64(i*5000), int64((i+1)*5000))
+		files = append(files, p)
+		if i > 0 {
+			paths = append(paths, serde.Int(int64(i*5000)).SortKey())
+		}
+	}
+	manifest := filepath.Join(dir, "set")
+	if err := WriteManifest(manifest, `v.Int("id")`, files, paths); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenShards(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	for _, c := range []struct {
+		name string
+		idx  Index
+	}{{"tree", buildTree(t, 20000, 1, 1024)}, {"shards", set}} {
+		t.Run(c.name, func(t *testing.T) {
+			// The range starts near the end of the first shard, so the
+			// shard cursor reopens on the next one while measured.
+			bc, err := c.idx.ScanBatch(LowerBound(serde.Int(4900), true), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bc.Next() { // the first leaf sizes the buffers
+				t.Fatal(bc.Err())
+			}
+			const leaves = 100
+			rows := 0
+			allocs := testing.AllocsPerRun(leaves, func() {
+				if !bc.Next() {
+					t.Fatalf("scan exhausted early: %v", bc.Err())
+				}
+				rows += bc.Batch().Len()
+			})
+			if first := bc.Batch().Keys()[0]; c.name == "shards" && bytes.Compare(first, serde.Int(5000).SortKey()) < 0 {
+				t.Fatal("the measured leaves never reached the second shard")
+			}
+			if perRow := allocs * (leaves + 1) / float64(rows); perRow > 0.01 {
+				t.Fatalf("batch cursor allocates %.4f objects per row (%.2f per leaf); want ~0", perRow, allocs)
+			}
+		})
 	}
 }

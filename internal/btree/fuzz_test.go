@@ -61,11 +61,24 @@ func leafPage(next uint64, n uint64, entries ...byte) []byte {
 }
 
 // exercise reads an opened index every way a plan does: a full scan, a
-// bounded range scan and range cuts. A corrupt index may fail any of them
-// with an error; none may panic or run forever.
+// bounded range scan and range cuts, each through the batch cursor (every
+// row's key and columns read) and the row cursor. A corrupt index may fail
+// any of them with an error; none may panic or run forever.
 func exercise(idx Index) {
 	lo, hi := LowerBound(serde.Int(3), true), UpperBound(serde.Int(12), false)
 	for _, r := range [][2][]byte{{nil, nil}, {lo, hi}} {
+		if bc, err := idx.ScanBatch(r[0], r[1]); err == nil {
+		batches:
+			for bc.Next() {
+				b := bc.Batch()
+				for _, row := range b.Sel() {
+					if _, err := b.RowKey(int(row)); err != nil {
+						break batches
+					}
+					b.MaterializeInto(serde.NewRecord(b.Schema()), int(row))
+				}
+			}
+		}
 		if c, err := idx.Scan(r[0], r[1]); err == nil {
 			for c.Next() {
 				if _, err := c.KeyDatum(); err != nil {

@@ -13,14 +13,27 @@ import (
 	"manimal/internal/serde"
 )
 
-// Cursor streams (key, record) entries of a key range. Implemented by
-// Iterator (a single tree's range scan) and by the shard-chaining cursor a
-// ShardSet returns.
+// Cursor streams (key, record) entries of a key range one at a time. It
+// is the row form of a BatchCursor: the record is reused, and it and the
+// key are valid only until the next call to Next.
 type Cursor interface {
 	Next() bool
 	Key() []byte
 	KeyDatum() (serde.Datum, error)
 	Record() *serde.Record
+	Err() error
+	// BytesRead reports the page bytes the cursor has read so far.
+	BytesRead() int64
+}
+
+// BatchCursor streams the entries of a key range a leaf at a time: each
+// batch holds one leaf's in-range entries, every row selected, with a
+// column per stored field and the entries' sort keys as its key column
+// (serde.Batch.RowKey decodes a row's index key datum). The batch and
+// everything borrowed from it are valid only until the next call to Next.
+type BatchCursor interface {
+	Next() bool
+	Batch() *serde.Batch
 	Err() error
 	// BytesRead reports the page bytes the cursor has read so far.
 	BytesRead() int64
@@ -36,8 +49,10 @@ type Index interface {
 	// BytesRead reports the page bytes read through the index so far, by
 	// every cursor and RangeCuts walk.
 	BytesRead() int64
-	// Scan streams entries with lo <= key < hi in sort-key byte order;
-	// nil bounds are unbounded.
+	// ScanBatch streams entries with lo <= key < hi in sort-key byte
+	// order, a leaf at a time; nil bounds are unbounded.
+	ScanBatch(lo, hi []byte) (BatchCursor, error)
+	// Scan is ScanBatch one entry at a time.
 	Scan(lo, hi []byte) (Cursor, error)
 	// RangeCuts proposes up to max-1 interior cut keys that divide
 	// [lo, hi) into shard- and page-aligned subranges for parallel scans,
@@ -248,12 +263,15 @@ func (s *ShardSet) shardRange(lo, hi []byte) (int, int) {
 	return first, last
 }
 
-// Scan implements Index: a cursor chaining the intersecting shards' range
-// scans in shard (= key) order.
-func (s *ShardSet) Scan(lo, hi []byte) (Cursor, error) {
+// ScanBatch implements Index: a cursor chaining the intersecting shards'
+// range scans in shard (= key) order.
+func (s *ShardSet) ScanBatch(lo, hi []byte) (BatchCursor, error) {
 	first, last := s.shardRange(lo, hi)
 	return &setCursor{set: s, lo: lo, hi: hi, next: first, last: last}, nil
 }
+
+// Scan implements Index: the row form of ScanBatch.
+func (s *ShardSet) Scan(lo, hi []byte) (Cursor, error) { return rows(s.ScanBatch(lo, hi)) }
 
 // RangeCuts implements Index: shard boundaries inside the range come free,
 // and the per-shard budget is delegated to each shard's page-aligned cuts.
@@ -285,56 +303,40 @@ func (s *ShardSet) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64,
 	return thinCuts(cuts, max), read, nil
 }
 
-// setCursor chains shard range scans.
+// setCursor chains shard range scans through one leaf cursor, which each
+// shard reopens with its buffers and counts carried over.
 type setCursor struct {
 	set        *ShardSet
 	lo, hi     []byte
 	next, last int
-	cur        *Iterator
-	read       int64 // page bytes of the shards' finished iterators
+	cur        leafCursor
+	open       bool // cur scans shard next-1
 	err        error
 }
 
 func (c *setCursor) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	for {
-		if c.cur != nil {
+	for c.err == nil {
+		if c.open {
 			if c.cur.Next() {
 				return true
 			}
-			if err := c.cur.Err(); err != nil {
-				c.err = err
+			if c.err = c.cur.Err(); c.err != nil {
 				return false
 			}
-			c.read += c.cur.BytesRead()
-			c.cur = nil
+			c.open = false
 		}
 		if c.next >= c.last {
 			return false
 		}
-		it, err := c.set.shards[c.next].Range(c.lo, c.hi)
-		if err != nil {
-			c.err = err
-			return false
-		}
+		c.err = c.cur.open(c.set.shards[c.next], c.lo, c.hi)
 		c.next++
-		c.cur = it
+		c.open = true
 	}
+	return false
 }
 
-func (c *setCursor) Key() []byte { return c.cur.Key() }
-
-func (c *setCursor) KeyDatum() (serde.Datum, error) { return c.cur.KeyDatum() }
-
-func (c *setCursor) Record() *serde.Record { return c.cur.Record() }
+func (c *setCursor) Batch() *serde.Batch { return c.cur.Batch() }
 
 func (c *setCursor) Err() error { return c.err }
 
-func (c *setCursor) BytesRead() int64 {
-	if c.cur != nil {
-		return c.read + c.cur.BytesRead()
-	}
-	return c.read
-}
+func (c *setCursor) BytesRead() int64 { return c.cur.read }

@@ -122,22 +122,34 @@ func (t *Tree) BytesRead() int64 { return t.bytesRead.Load() }
 func (t *Tree) Close() error { return t.f.Close() }
 
 // readPage reads the non-empty page at off, adding its bytes to the tree's
-// total and to *read, the count of the cursor or walk that asked for it. A
-// page must end before the footer, which bounds what a corrupt length can
-// make it allocate.
-func (t *Tree) readPage(off int64, read *int64) ([]byte, error) {
+// total and to *read, the count of the cursor or walk that asked for it.
+// A non-nil buf is the caller's page buffer: the page (and its length
+// header before it) is read into it, grown as needed, and so is valid only
+// until the next read into buf; with a nil buf the page is freshly
+// allocated. A page must end before the footer, which bounds what a
+// corrupt length can make it allocate.
+func (t *Tree) readPage(off int64, buf *[]byte, read *int64) ([]byte, error) {
 	if off < 0 || off > t.dataEnd-4 {
 		return nil, fmt.Errorf("btree: page offset %d out of range", off)
 	}
-	var hdr [4]byte
-	if _, err := t.f.ReadAt(hdr[:], off); err != nil {
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if cap(*buf) < 4 {
+		*buf = make([]byte, 4)
+	}
+	hdr := (*buf)[:4]
+	if _, err := t.f.ReadAt(hdr, off); err != nil {
 		return nil, fmt.Errorf("btree: read page header at %d: %w", off, err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || int64(n) > t.dataEnd-off-4 {
 		return nil, fmt.Errorf("btree: corrupt page length %d at %d", n, off)
 	}
-	page := make([]byte, n)
+	if cap(*buf) < int(n) {
+		*buf = make([]byte, n)
+	}
+	page := (*buf)[:n]
 	if _, err := t.f.ReadAt(page, off+4); err != nil {
 		return nil, fmt.Errorf("btree: read page at %d: %w", off, err)
 	}
@@ -146,12 +158,13 @@ func (t *Tree) readPage(off int64, read *int64) ([]byte, error) {
 	return page, nil
 }
 
-// leafPos locates the first leaf whose entries may contain keys >= lo.
-// A nil lo positions at the very first leaf.
-func (t *Tree) leafPos(lo []byte, read *int64) (int64, error) {
+// leafPos locates the first leaf whose entries may contain keys >= lo,
+// reading the descent's pages into buf. A nil lo positions at the very
+// first leaf.
+func (t *Tree) leafPos(lo []byte, buf *[]byte, read *int64) (int64, error) {
 	off := t.root
 	for {
-		page, err := t.readPage(off, read)
+		page, err := t.readPage(off, buf, read)
 		if err != nil {
 			return 0, err
 		}
@@ -170,9 +183,6 @@ func (t *Tree) leafPos(lo []byte, read *int64) (int64, error) {
 		off = offsets[child]
 	}
 }
-
-// Scan implements Index (Range under the shared Cursor interface).
-func (t *Tree) Scan(lo, hi []byte) (Cursor, error) { return t.Range(lo, hi) }
 
 // decodeInternal parses the internal page at off into its child offsets
 // and the n-1 separator keys (the first key of every child except the
@@ -223,7 +233,7 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err
 	}
 	level := []nodeRef{{off: t.root}}
 	for len(level) > 0 && len(level) < max {
-		page, err := t.readPage(level[0].off, &read)
+		page, err := t.readPage(level[0].off, nil, &read)
 		if err != nil {
 			return nil, read, err
 		}
@@ -234,7 +244,7 @@ func (t *Tree) RangeCuts(lo, hi []byte, max int) (cuts [][]byte, read int64, err
 		for i, nd := range level {
 			pg := page
 			if i > 0 {
-				if pg, err = t.readPage(nd.off, &read); err != nil {
+				if pg, err = t.readPage(nd.off, nil, &read); err != nil {
 					return nil, read, err
 				}
 			}
@@ -302,160 +312,256 @@ func thinCuts(cuts [][]byte, max int) [][]byte {
 	return thin
 }
 
-// Iterator streams (key, record) entries over a key range.
-type Iterator struct {
+// leafCursor is a range scan of one tree a leaf at a time, and the only
+// decoder of leaf entries. Each Next decodes the current leaf's in-range
+// entries — row-major record payloads — into one reused serde.Batch: a
+// column vector per stored field, and the entries' sort keys as the batch's
+// key column. Leaf pages are read into one buffer the cursor reuses, and
+// the batch's string and bytes values and its keys alias that buffer, so
+// everything borrowed from a batch is valid only until the next Next (the
+// serde.Vector contract).
+type leafCursor struct {
 	t       *Tree
-	hi      []byte // exclusive byte bound; nil = unbounded
-	page    []byte
+	lo, hi  []byte // byte bounds; nil = unbounded. lo is dropped once reached
+	buf     []byte // the page buffer
+	page    []byte // the current leaf, aliasing buf
 	pos     int
-	left    uint64
+	left    uint64 // entries of page not yet decoded
 	nextOff int64
-	key     []byte
-	rec     *serde.Record
+	batch   serde.Batch
+	keys    [][]byte
 	err     error
 	done    bool
-	read    int64 // page bytes this iterator read
+	read    int64 // page bytes this cursor read
 }
 
-// Range returns an iterator over entries with lo <= key < hi in sort-key
-// byte order. Either bound may be nil for unbounded. Use RangeBounds to
-// derive byte bounds from datum intervals.
-func (t *Tree) Range(lo, hi []byte) (*Iterator, error) {
-	it := &Iterator{t: t, hi: hi}
-	off, err := t.leafPos(lo, &it.read)
+// ScanBatch implements Index: a batch cursor over entries with
+// lo <= key < hi in sort-key byte order. Either bound may be nil for
+// unbounded; LowerBound and UpperBound derive byte bounds from datums.
+func (t *Tree) ScanBatch(lo, hi []byte) (BatchCursor, error) {
+	c := &leafCursor{}
+	if err := c.open(t, lo, hi); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Scan implements Index: the row form of ScanBatch.
+func (t *Tree) Scan(lo, hi []byte) (Cursor, error) { return rows(t.ScanBatch(lo, hi)) }
+
+// open positions c at the first leaf of [lo, hi) in t, keeping the
+// buffers and the page-byte count of whatever range c scanned before.
+func (c *leafCursor) open(t *Tree, lo, hi []byte) error {
+	*c = leafCursor{t: t, lo: lo, hi: hi, buf: c.buf, batch: c.batch, keys: c.keys, read: c.read}
+	off, err := t.leafPos(lo, &c.buf, &c.read)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it.nextOff = off
-	if err := it.loadLeaf(); err != nil {
-		return nil, err
-	}
-	// Skip entries below lo within the first leaf.
-	if lo != nil {
-		for !it.done && it.left > 0 {
-			save := *it
-			if !it.advance() {
-				break
-			}
-			if bytes.Compare(it.key, lo) >= 0 {
-				// Rewind one entry: restore saved state and stop skipping.
-				// Pages read meanwhile stay read.
-				save.read = it.read
-				*it = save
-				break
-			}
-		}
-	}
-	return it, nil
+	c.nextOff = off
+	return c.loadLeaf()
 }
 
-func (it *Iterator) loadLeaf() error {
+// loadLeaf reads the next non-empty leaf of the chain, or marks the cursor
+// done at its end.
+func (c *leafCursor) loadLeaf() error {
 	for {
-		if it.nextOff == 0 {
-			it.done = true
+		if c.nextOff == 0 {
+			c.done = true
 			return nil
 		}
-		page, err := it.t.readPage(it.nextOff, &it.read)
+		page, err := c.t.readPage(c.nextOff, &c.buf, &c.read)
 		if err != nil {
 			return err
 		}
 		if page[0] != pageLeaf || len(page) < 9 {
-			return fmt.Errorf("btree: expected leaf at %d", it.nextOff)
+			return fmt.Errorf("btree: expected leaf at %d", c.nextOff)
 		}
 		// A bulk load writes each leaf before its successor, so a next
 		// pointer that does not move forward is corrupt, and rejecting it
 		// keeps every scan finite.
 		next := int64(binary.BigEndian.Uint64(page[1:9]))
-		if next != 0 && next <= it.nextOff {
-			return fmt.Errorf("btree: corrupt leaf chain at %d", it.nextOff)
+		if next != 0 && next <= c.nextOff {
+			return fmt.Errorf("btree: corrupt leaf chain at %d", c.nextOff)
 		}
-		it.nextOff = next
 		n, used := binary.Uvarint(page[9:])
-		if used <= 0 {
-			return fmt.Errorf("btree: corrupt leaf")
+		// An entry takes at least two bytes (its two lengths), which bounds
+		// the columns a corrupt count can make the decoder allocate.
+		if used <= 0 || n > uint64(len(page)-9-used)/2 {
+			return fmt.Errorf("btree: corrupt leaf at %d", c.nextOff)
 		}
-		it.page = page
-		it.pos = 9 + used
-		it.left = n
+		c.nextOff = next
+		c.page = page
+		c.pos = 9 + used
+		c.left = n
 		if n > 0 {
 			return nil
 		}
 	}
 }
 
-// advance decodes the next raw entry; returns false at range/leaf end.
-func (it *Iterator) advance() bool {
-	for it.left == 0 {
-		if err := it.loadLeaf(); err != nil {
-			it.err = err
-			return false
+// Next decodes the next leaf holding in-range entries, returning false at
+// the end of the range or on error (check Err).
+func (c *leafCursor) Next() bool {
+	for c.err == nil && !c.done {
+		if c.left == 0 {
+			c.err = c.loadLeaf()
+			continue
 		}
-		if it.done {
-			return false
+		if c.decodeLeaf() > 0 {
+			return true
 		}
 	}
-	kl, used := binary.Uvarint(it.page[it.pos:])
-	if used <= 0 || kl > uint64(len(it.page)-it.pos-used) {
-		it.err = fmt.Errorf("btree: corrupt leaf entry key")
-		return false
-	}
-	it.pos += used
-	key := it.page[it.pos : it.pos+int(kl)]
-	it.pos += int(kl)
-	vl, used := binary.Uvarint(it.page[it.pos:])
-	if used <= 0 || vl > uint64(len(it.page)-it.pos-used) {
-		it.err = fmt.Errorf("btree: corrupt leaf entry value")
-		return false
-	}
-	it.pos += used
-	payload := it.page[it.pos : it.pos+int(vl)]
-	it.pos += int(vl)
-	it.left--
-
-	rec, _, err := serde.DecodeRecord(it.t.schema, payload)
-	if err != nil {
-		it.err = err
-		return false
-	}
-	it.key = key
-	it.rec = rec
-	return true
+	return false
 }
 
-// Next advances the iterator, returning false at the end of the range or on
-// error (check Err).
-func (it *Iterator) Next() bool {
-	if it.err != nil || it.done {
-		return false
+// decodeLeaf decodes the current leaf's remaining entries up to hi into
+// the batch and returns how many it holds. Entries below lo are passed
+// over by their lengths; every payload field is decoded.
+func (c *leafCursor) decodeLeaf() int {
+	schema, most := c.t.schema, int(c.left)
+	c.batch.Reset(schema, most, 0)
+	for f := 0; f < schema.NumFields(); f++ {
+		c.batch.Col(f).Resize(schema.Field(f).Kind, most)
 	}
-	if !it.advance() {
-		return false
+	if cap(c.keys) < most {
+		c.keys = make([][]byte, most)
 	}
-	if it.hi != nil && bytes.Compare(it.key, it.hi) >= 0 {
-		it.done = true
-		return false
+	keys := c.keys[:most]
+	n := 0
+	for ; c.left > 0; c.left-- {
+		key, keyOK := c.field()
+		payload, payloadOK := c.field()
+		if !keyOK || !payloadOK {
+			c.err = fmt.Errorf("btree: corrupt leaf entry")
+			return 0
+		}
+		if c.lo != nil {
+			if bytes.Compare(key, c.lo) < 0 {
+				continue
+			}
+			c.lo = nil
+		}
+		if c.hi != nil && bytes.Compare(key, c.hi) >= 0 {
+			c.done = true
+			break
+		}
+		if err := decodeEntry(payload, &c.batch, n); err != nil {
+			c.err = err
+			return 0
+		}
+		keys[n] = key
+		n++
 	}
+	c.batch.Reset(schema, n, 0)
+	for f := 0; f < schema.NumFields(); f++ {
+		c.batch.Col(f).Resize(schema.Field(f).Kind, n)
+		c.batch.SetDecoded(f)
+	}
+	c.batch.SetKeys(keys[:n])
+	c.batch.SelectAll()
+	return n
+}
+
+// field consumes one length-prefixed byte string of the current leaf.
+func (c *leafCursor) field() ([]byte, bool) {
+	l, used := binary.Uvarint(c.page[c.pos:])
+	if used <= 0 || l > uint64(len(c.page)-c.pos-used) {
+		return nil, false
+	}
+	c.pos += used + int(l)
+	return c.page[c.pos-int(l) : c.pos], true
+}
+
+// decodeEntry decodes one entry's record payload into row of the batch's
+// columns, which hold every field of the tree's schema.
+func decodeEntry(payload []byte, b *serde.Batch, row int) error {
+	pos := 0
+	for f := 0; f < b.Schema().NumFields(); f++ {
+		var (
+			used int
+			err  error
+		)
+		col, buf := b.Col(f), payload[pos:]
+		switch col.Kind() {
+		case serde.KindInt64:
+			used, err = serde.DecodeInt64Column(buf, col.Ints()[row:row+1])
+		case serde.KindFloat64:
+			used, err = serde.DecodeFloat64Column(buf, col.Floats()[row:row+1])
+		case serde.KindString:
+			used, err = serde.DecodeStringColumnShared(buf, col.Strs()[row:row+1])
+		case serde.KindBytes:
+			used, err = serde.DecodeBytesColumnShared(buf, col.Raws()[row:row+1])
+		case serde.KindBool:
+			used, err = serde.DecodeBoolColumn(buf, col.Bools()[row:row+1])
+		}
+		if err != nil {
+			return fmt.Errorf("btree: field %q: %w", b.Schema().Field(f).Name, err)
+		}
+		pos += used
+	}
+	if pos != len(payload) {
+		return fmt.Errorf("btree: leaf entry payload has %d stray bytes", len(payload)-pos)
+	}
+	return nil
+}
+
+// Batch returns the current leaf's decoded entries after a successful
+// Next; reused, valid only until the next call to Next.
+func (c *leafCursor) Batch() *serde.Batch { return &c.batch }
+
+// Err returns the first error encountered.
+func (c *leafCursor) Err() error { return c.err }
+
+// BytesRead returns the page bytes the cursor has read, the descent to its
+// first leaf included.
+func (c *leafCursor) BytesRead() int64 { return c.read }
+
+// rowCursor is the row form of a BatchCursor: it walks each batch's rows
+// (a leaf batch selects all of them), materializing each into one reused
+// record. The record and the key alias
+// the batch, so both are valid only until the next call to Next.
+type rowCursor struct {
+	bc  BatchCursor
+	b   *serde.Batch // the current batch; nil before the first
+	row int          // the current row of b
+	rec *serde.Record
+}
+
+// rows returns the row form of a batch cursor ScanBatch opened.
+func rows(bc BatchCursor, err error) (Cursor, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &rowCursor{bc: bc}, nil
+}
+
+func (c *rowCursor) Next() bool {
+	for c.b == nil || c.row+1 >= c.b.Len() {
+		if !c.bc.Next() {
+			return false
+		}
+		c.b, c.row = c.bc.Batch(), -1
+		if c.rec == nil {
+			c.rec = serde.NewRecord(c.b.Schema())
+		}
+	}
+	c.row++
+	c.b.MaterializeInto(c.rec, c.row)
 	return true
 }
 
 // Key returns the current entry's full sort key (datum key + sequence).
-func (it *Iterator) Key() []byte { return it.key }
+func (c *rowCursor) Key() []byte { return c.b.Keys()[c.row] }
 
 // KeyDatum decodes and returns the current entry's key datum.
-func (it *Iterator) KeyDatum() (serde.Datum, error) {
-	d, _, err := serde.DecodeSortKey(it.key)
-	return d, err
-}
+func (c *rowCursor) KeyDatum() (serde.Datum, error) { return c.b.RowKey(c.row) }
 
 // Record returns the current entry's record.
-func (it *Iterator) Record() *serde.Record { return it.rec }
+func (c *rowCursor) Record() *serde.Record { return c.rec }
 
-// Err returns the first error encountered.
-func (it *Iterator) Err() error { return it.err }
+func (c *rowCursor) Err() error { return c.bc.Err() }
 
-// BytesRead returns the page bytes the iterator has read, the descent to
-// its first leaf included.
-func (it *Iterator) BytesRead() int64 { return it.read }
+func (c *rowCursor) BytesRead() int64 { return c.bc.BytesRead() }
 
 // maxSeq is the largest possible sequence suffix; appending it (plus one
 // extra byte) to a datum sort key yields a bound strictly above every entry

@@ -48,8 +48,9 @@ func (d *Dictionary) index() map[string]uint64 {
 
 // Encode returns the code for s, assigning the next code on first sight.
 // A newly seen term is cloned before it is stored: callers routinely pass
-// strings that alias a reused scan buffer (storage.Scanner's shared-decode
-// records), which would otherwise mutate under the dictionary.
+// strings that alias a reused scan buffer (a batch's string column, or a
+// record materialized from one), which would otherwise mutate under the
+// dictionary.
 func (d *Dictionary) Encode(s string) uint64 {
 	codes := d.index()
 	if c, ok := codes[s]; ok {

@@ -22,7 +22,9 @@ import (
 	"manimal/internal/storage"
 )
 
-// interpMapper adapts one interpreter executor to mapreduce.Mapper.
+// interpMapper adapts one interpreter executor to mapreduce.Mapper. The
+// engine maps every split through MapBatch; Map is the one-record form the
+// Mapper interface asks for.
 type interpMapper struct{ ex *interp.Executor }
 
 func (m *interpMapper) Map(k serde.Datum, rec *serde.Record, ctx *interp.Context) error {
@@ -30,9 +32,10 @@ func (m *interpMapper) Map(k serde.Datum, rec *serde.Record, ctx *interp.Context
 }
 
 // MapBatch implements mapreduce.BatchMapper: the compiled Map runs once per
-// selected row, keyed by whole-file record index, reading its fields from
-// the batch's column vectors (rows late-materialize into one reused record
-// only for programs that use the record opaquely).
+// selected row, keyed by whole-file record index or, for a B+Tree leaf, by
+// the entry's index key, reading its fields from the batch's column vectors
+// (rows late-materialize into one reused record only for programs that use
+// the record opaquely).
 func (m *interpMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
 	return m.ex.InvokeMapBatch(b, ctx)
 }

@@ -502,8 +502,9 @@ func retryTransient(fn func() error) error {
 }
 
 // sampleKeyBounds scans a block-spread sample of the input through the
-// build's pushdown pd, evaluates the synthesized key expression on each
-// record through the interpreter, and returns up to shards-1 interior
+// build's pushdown pd — the first surviving rows of each sampled block —
+// evaluates the synthesized key expression on them through the
+// interpreter's batch door, and returns up to shards-1 interior
 // quantile cut keys (sort-key encoded, deduplicated — heavy duplicates
 // merge adjacent shards).
 func sampleKeyBounds(ctx context.Context, in *mapreduce.FileInput, pd *storage.Pushdown, prog *lang.Program, shards, sample int) ([][]byte, error) {
@@ -533,12 +534,16 @@ func sampleKeyBounds(ctx context.Context, in *mapreduce.FileInput, pd *storage.P
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc, err := r.ScanPushdown(i*nb/blocks, i*nb/blocks+1, pd)
+		sc, err := r.ScanBatch(i*nb/blocks, i*nb/blocks+1, pd)
 		if err != nil {
 			return nil, err
 		}
-		for j := 0; j < perBlock && sc.Next(); j++ {
-			if err := ex.InvokeMap(serde.Int(0), sc.Record(), ictx); err != nil {
+		if sc.Next() {
+			b := sc.Batch()
+			if len(b.Sel()) > perBlock {
+				b.SetSel(b.Sel()[:perBlock])
+			}
+			if err := ex.InvokeMapBatch(b, ictx); err != nil {
 				return nil, err
 			}
 		}

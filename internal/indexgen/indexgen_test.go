@@ -359,12 +359,16 @@ func TestIndexedInputSplitsHonorTarget(t *testing.T) {
 	// single scan, with no loss, duplication, or reordering.
 	var got []int64
 	for _, s := range splits {
-		it, err := s.Open()
+		it, err := s.OpenBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for it.Next() {
-			got = append(got, it.Record().Int("rank"))
+			b := it.Batch()
+			rank := b.Col(b.Schema().IndexOf("rank")).Ints()
+			for _, row := range b.Sel() {
+				got = append(got, rank[row])
+			}
 		}
 		if it.Err() != nil {
 			t.Fatal(it.Err())
@@ -554,7 +558,7 @@ func TestFieldPrunedBuildReadsOnlyStoredAndKeyFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), &storage.Pushdown{Fields: []string{"rank"}})
+	sc, err := r.ScanBatch(0, r.NumBlocks(), &storage.Pushdown{Fields: []string{"rank"}})
 	if err != nil {
 		t.Fatal(err)
 	}

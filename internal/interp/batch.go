@@ -5,22 +5,23 @@ import (
 )
 
 // InvokeMapBatch runs Map once per row of the batch's selection vector —
-// the batch-at-a-time entry point of the scan pipeline. The frame is set up
-// once for the batch, and Map's constant-field reads of its record
-// parameter are bound to the batch's column vectors (fieldSite.bind), so a
-// row costs little more than its number in the frame. Only a program that
-// uses the record parameter opaquely (compiledFunc.readsRecord) has rows
+// the one entry point the engine's map loop uses, for record-file blocks,
+// B+Tree leaves and in-memory inputs alike. The frame is set up once for
+// the batch, and Map's constant-field reads of its record parameter are
+// bound to the batch's column vectors (fieldSite.bind), so a row costs
+// little more than its number in the frame. Only a program that uses the
+// record parameter opaquely (compiledFunc.readsRecord) has rows
 // LATE-MATERIALIZED for it: selected rows are assembled into one
 // executor-owned record whose string/bytes fields alias the column vectors.
-// Bindings and record are valid until the producer's next batch, which is
-// after this call returns — the same window storage.Scanner's reused record
-// has.
+// Map's key is bound only when Map reads it (compiledFunc.reads[0]): the
+// row's index key datum when the batch carries a key column (a B+Tree
+// leaf), else the whole-file row index Base()+row. Bindings and record are
+// valid until the producer's next batch, which is after this call returns.
 //
 // Equivalence contract: for every selected row r this is observably
-// identical to InvokeMap(serde.Int(b.Base()+int64(r)), row r's record, ctx)
-// — same keys, same field values (masked fields read as their kind's
-// zero), same errors, same emission order. TestInvokeMapBatchEquivalence
-// pins it.
+// identical to InvokeMap(row r's key, row r's record, ctx) — same keys,
+// same field values (masked fields read as their kind's zero), same
+// errors, same emission order. TestInvokeMapBatchEquivalence pins it.
 func (ex *Executor) InvokeMapBatch(b *serde.Batch, ctx *Context) error {
 	cf, err := ex.mapFunc()
 	if err != nil {
@@ -40,11 +41,16 @@ func (ex *Executor) InvokeMapBatch(b *serde.Batch, ctx *Context) error {
 		b.ZeroUndecoded(ex.batchRec)
 	}
 	fr.batch = b
-	base := b.Base()
+	var key serde.Datum
 	for _, row := range b.Sel() {
 		fr.row = int(row)
 		clear(fr.defined)
-		fr.bindStage(cf, serde.Int(base+int64(row)))
+		if cf.reads[0] {
+			if key, err = b.RowKey(int(row)); err != nil {
+				return err
+			}
+		}
+		fr.bindStage(cf, key)
 		if cf.readsRecord() {
 			b.MaterializeDecodedInto(ex.batchRec, int(row))
 			fr.bind(cf.params[1], RecordVal(ex.batchRec))

@@ -47,8 +47,8 @@ import (
 // batch it was made against, the window the column vectors themselves have.
 // A row is assembled into a record only for programs that use the parameter
 // opaquely (ctx.Emit(k, v), a helper argument, a computed field name):
-// compiledFunc.readsRecord. InvokeMap(k, rec) — the B+Tree row path — feeds the
-// same closures from the record.
+// compiledFunc.readsRecord. InvokeMap(k, rec), the one-record door for Go
+// callers holding a record, feeds the same closures from the record.
 //
 // The lowering is total over everything lang.Parse accepts: a construct the
 // language admits syntactically but cannot run (a two-value assignment from

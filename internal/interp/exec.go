@@ -128,8 +128,9 @@ func (ex *Executor) mapFunc() (*compiledFunc, error) {
 	return cf, nil
 }
 
-// InvokeMap runs Map(k, v, ctx): the row-at-a-time entry point (B+Tree
-// range scans). Field reads bound to columns under InvokeMapBatch read v
+// InvokeMap runs Map(k, v, ctx) over one record, for callers that hold a
+// record rather than a batch; the engine maps every input through
+// InvokeMapBatch. Field reads bound to columns under InvokeMapBatch read v
 // instead.
 func (ex *Executor) InvokeMap(k serde.Datum, v *serde.Record, ctx *Context) error {
 	cf, err := ex.mapFunc()

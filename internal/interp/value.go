@@ -60,10 +60,12 @@
 // is made per batch and is valid exactly as long as the batch's vectors
 // are. Rows are assembled into a record only for programs that use the
 // parameter opaquely (ctx.Emit(k, v), a helper argument), late and into one
-// executor-owned record. InvokeMap(k, rec) — B+Tree range scans — runs the
-// same closures over a record. The two are observably identical over the
-// same rows, keyed by Batch.Base()+row: same keys, values, errors, and
-// emission order.
+// executor-owned record. The engine calls nothing else: record-file blocks,
+// B+Tree leaves (whose batches carry each row's index key) and in-memory
+// inputs all arrive as batches. InvokeMap(k, rec) runs the same closures
+// over one record, for Go callers that hold a record rather than a batch
+// and for the tests; the two are observably identical over the same rows
+// and keys: same values, errors, and emission order.
 package interp
 
 import (

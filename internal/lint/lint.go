@@ -6,15 +6,15 @@
 //
 // Three analyzers ship with it:
 //
-//   - recordclone: the storage layer's Scanner.Record and the engine's
-//     RecordIter.Record return a record borrowed from an internal buffer,
-//     valid only until the next call to Next. Retaining one — appending it
+//   - recordclone: the B+Tree row cursor's Record (btree.Cursor) returns a
+//     record borrowed from an internal buffer, valid only until the next
+//     call to Next. Retaining one — appending it
 //     to a slice, storing it in a map, field, or composite literal, or
 //     sending it on a channel — without an intervening Clone() aliases
 //     memory that the iterator will overwrite.
 //
 //   - vecborrow: the batch scan path's column-vector accessors
-//     (Vector.Ints/Floats/Strs/Raws/Bools, Batch.Sel, Batch.Col) borrow
+//     (Vector.Ints/Floats/Strs/Raws/Bools, Batch.Sel/Keys, Batch.Col) borrow
 //     batch-owned storage valid only until the producer's next batch;
 //     retaining one of those slices is the column-vector form of the same
 //     use-after-overwrite hazard.

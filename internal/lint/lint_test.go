@@ -49,7 +49,7 @@ func TestCtxFirstSeededViolations(t *testing.T) {
 
 func TestVecBorrowSeededViolations(t *testing.T) {
 	diags := lintFile(t, filepath.Join("testdata", "src", "vecborrow_bad.go"), []*Analyzer{VecBorrow})
-	wantLines := []int{22, 23, 25, 27, 29}
+	wantLines := []int{22, 23, 25, 27, 29, 30}
 	if len(diags) != len(wantLines) {
 		t.Fatalf("got %d diagnostics, want %d:\n%v", len(diags), len(wantLines), diags)
 	}

@@ -6,9 +6,10 @@ import (
 
 // RecordClone flags retained results of borrowing Record() calls.
 //
-// Scanner.Record and RecordIter.Record return a *serde.Record aliasing an
-// internal buffer that the next Next() overwrites (see the contract note in
-// internal/mapreduce/job.go). Borrowing it — reading fields, passing it down
+// A reusing cursor's Record — the B+Tree row cursor's (btree.Cursor), or
+// any row walk that materializes a batch's rows into one record — returns
+// a *serde.Record aliasing an internal buffer that the next Next()
+// overwrites (see the contract note in internal/mapreduce/job.go). Borrowing it — reading fields, passing it down
 // a call — is the intended zero-allocation fast path; RETAINING it past the
 // iteration is a use-after-overwrite bug unless the caller clones first:
 //
@@ -21,7 +22,7 @@ import (
 // or a channel send — is reported.
 var RecordClone = &Analyzer{
 	Name: "recordclone",
-	Doc:  "flags Scanner.Record()/RecordIter.Record() results retained without Clone()",
+	Doc:  "flags borrowed Record() results (btree.Cursor and other reusing cursors) retained without Clone()",
 	Run:  runRecordClone,
 }
 

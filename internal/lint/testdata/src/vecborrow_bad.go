@@ -26,8 +26,9 @@ func retainVectors(b *batch, cols [][]int64, m map[int][]int32, ch chan []int64)
 	hs := []vholder{
 		{sel: b.Sel()}, // want: composite literal
 	}
-	ch <- b.Col(0).Ints() // want: sent on a channel
-	_, _ = h, hs
+	ch <- b.Col(0).Ints()                     // want: sent on a channel
+	keys := append([][][]byte(nil), b.Keys()) // want: appended to a slice
+	_, _, _ = h, hs, keys
 	return cols
 }
 
@@ -39,3 +40,5 @@ func borrowVectorsOK(b *batch) int64 {
 	}
 	return sum
 }
+
+func (b *batch) Keys() [][]byte { return nil }

@@ -7,8 +7,8 @@ import (
 // VecBorrow flags retained borrows of batch-owned column-vector storage.
 //
 // serde.Batch and serde.Vector are reused by their producer across storage
-// blocks: the slices returned by the borrow accessors (Ints, Floats, Strs,
-// Raws, Bools, Sel) and the vectors returned by Col alias producer-owned
+// blocks and B+Tree leaves: the slices returned by the borrow accessors
+// (Ints, Floats, Strs, Raws, Bools, Sel, Keys) and the vectors returned by Col alias producer-owned
 // storage that the next batch overwrites. Borrowing one inside the batch
 // loop — iterating it, passing it to a kernel — is the intended
 // zero-allocation fast path; RETAINING it past the iteration is a
@@ -37,6 +37,7 @@ var vecBorrowAccessors = map[string]bool{
 	"Raws":   true,
 	"Bools":  true,
 	"Sel":    true,
+	"Keys":   true,
 }
 
 func runVecBorrow(p *Pass) {

@@ -11,15 +11,11 @@ import (
 	"manimal/internal/serde"
 )
 
-// cancelCheckEvery throttles how often long task loops poll the job
-// context for cancellation: cheap enough to keep cancel latency low
-// without taxing the per-record hot path.
-const cancelCheckEvery = 64
-
 // counterFlushEvery is how often map tasks flush their locally batched
-// input-record count into the shared counters, so Status() progress moves
-// while a long task is still running (per-record Counters.Add takes a
-// mutex — too expensive on the hot path).
+// input-record count, and reduce tasks their group and value counts, into
+// the shared counters, so Status() progress moves while a long task is
+// still running (a per-record or per-group Counters.Add takes the
+// job-wide mutex — too expensive on the hot path).
 const counterFlushEvery = 8192
 
 // Run executes a job to completion on the process-wide shared scheduler
@@ -231,67 +227,69 @@ func (e *Execution) runTask(kind string, ta *TaskAttempt, body func(a *attempt) 
 	return nil
 }
 
-// mapSplit feeds split to mapper and commits the split's scan counts to
-// the attempt's ledger once its iterator is closed. When both the split
-// and the mapper support batch-at-a-time execution, whole column-vector
-// batches flow to the mapper, with cancellation checks and counter flushes
-// per batch instead of per record; either capability missing takes the
-// row loop. Both count CtrMapInputRecords identically (rows the residual
-// filter dropped never reach either), locally and flushed in batches plus
-// a final flush: live enough for progress reporting, cheap enough for the
-// per-record hot path.
+// mapSplit feeds split's batches to mapper and commits the split's scan
+// counts to the attempt's ledger once its iterator is closed. Cancellation
+// is checked per batch. CtrMapInputRecords counts the selected rows (rows
+// the residual filter dropped never reach the mapper) locally, flushed
+// every counterFlushEvery rows plus a final flush: live enough for
+// progress reporting, cheap enough for the per-record hot path. A mapper
+// without MapBatch maps the rows through rowMapper.
 func mapSplit(a *attempt, split Split, mapper Mapper) error {
 	ctx, ctr := a.Context(), a.ctr
-	n, flushed := 0, 0
-	defer func() { ctr.Add(CtrMapInputRecords, int64(n-flushed)) }()
-	bm, _ := mapper.(BatchMapper)
-	if bs, ok := split.(BatchSplit); ok && bm != nil {
-		bit, err := bs.OpenBatch()
-		if err != nil {
-			return err
-		}
-		defer func() {
-			bit.Close()
-			ctr.addScan(bit.Stats())
-		}()
-		for bit.Next() {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			b := bit.Batch()
-			n += len(b.Sel())
-			if n-flushed >= counterFlushEvery {
-				ctr.Add(CtrMapInputRecords, int64(n-flushed))
-				flushed = n
-			}
-			if err := bm.MapBatch(b, &a.ictx); err != nil {
-				return err
-			}
-		}
-		return bit.Err()
+	bm, ok := mapper.(BatchMapper)
+	if !ok {
+		bm = &rowMapper{m: mapper}
 	}
-	it, err := split.Open()
+	bit, err := split.OpenBatch()
 	if err != nil {
 		return err
 	}
+	n, flushed := 0, 0
 	defer func() {
-		it.Close()
-		ctr.addScan(it.Stats())
+		bit.Close()
+		ctr.addScan(bit.Stats())
+		ctr.Add(CtrMapInputRecords, int64(n-flushed))
 	}()
-	for it.Next() {
-		if n%cancelCheckEvery == 0 && ctx.Err() != nil {
+	for bit.Next() {
+		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		n++
+		b := bit.Batch()
+		n += len(b.Sel())
 		if n-flushed >= counterFlushEvery {
 			ctr.Add(CtrMapInputRecords, int64(n-flushed))
 			flushed = n
 		}
-		if err := mapper.Map(it.Key(), it.Record(), &a.ictx); err != nil {
+		if err := bm.MapBatch(b, &a.ictx); err != nil {
 			return err
 		}
 	}
-	return it.Err()
+	return bit.Err()
+}
+
+// rowMapper runs a Mapper that has no MapBatch: each selected row of a
+// batch is materialized into one reused record and mapped with its key.
+type rowMapper struct {
+	m   Mapper
+	rec *serde.Record
+}
+
+func (r *rowMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
+	if r.rec == nil || r.rec.Schema() != b.Schema() {
+		r.rec = serde.NewRecord(b.Schema())
+	}
+	b.ZeroUndecoded(r.rec)
+	for _, row := range b.Sel() {
+		key, err := b.RowKey(int(row))
+		if err != nil {
+			return err
+		}
+		b.MaterializeDecodedInto(r.rec, int(row))
+		if err := r.m.Map(key, r.rec, ctx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // execute drives the job's task graph — admit → plan → map → (reduce) →
@@ -447,21 +445,37 @@ func (e *Execution) execute() (*Result, error) {
 			// The cursors close when the merge is done, before the commit
 			// claim decides whether this attempt consumes spill references.
 			defer m.closeAll()
+			// Groups and their values are counted locally and flushed
+			// through the ledger every counterFlushEvery groups and once
+			// at the end, as mapSplit counts its input rows.
+			var groups, values int64
+			flush := func() {
+				if groups > 0 {
+					a.ctr.Add(CtrReduceInputGroups, groups)
+					a.ctr.Add(CtrReduceInputRecords, values)
+				}
+				groups, values = 0, 0
+			}
+			defer flush()
+			g := &groupValueIter{m: m}
 			for m.nextGroup() {
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				a.ctr.Add(CtrReduceInputGroups, 1)
 				key, _, err := serde.DecodeSortKey(m.groupKey)
 				if err != nil {
 					return nil, err
 				}
-				g := &groupValueIter{m: m}
+				*g = groupValueIter{m: m}
 				if err := reducer.Reduce(key, g, &a.ictx); err != nil {
 					return nil, err
 				}
 				m.drainGroup()
-				a.ctr.Add(CtrReduceInputRecords, g.n)
+				groups++
+				values += g.n
+				if groups >= counterFlushEvery {
+					flush()
+				}
 				if m.err != nil {
 					return nil, m.err
 				}

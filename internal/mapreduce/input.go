@@ -14,8 +14,9 @@ import (
 type ScanStats = storage.ScanStats
 
 // Input is a source of (key, record) pairs divisible into splits that map
-// tasks consume in parallel. The key plays Hadoop's "record offset" role
-// for plain files and is the index key for B+Tree-indexed input.
+// tasks consume in parallel. A record file's key plays Hadoop's "record
+// offset" role: the record's whole-file index. A B+Tree-indexed input's
+// key is the entry's index key datum, carried by each batch's key column.
 type Input interface {
 	// Splits partitions the input into about target independent splits,
 	// and reports what planning them read or pruned.
@@ -23,23 +24,17 @@ type Input interface {
 	Close() error
 }
 
-// Split is one map task's share of an input.
+// Split is one map task's share of an input, served as decoded
+// column-vector batches.
 type Split interface {
-	Open() (RecordIter, error)
-}
-
-// BatchSplit is optionally implemented by splits that can serve decoded
-// column-vector batches instead of one record at a time; the engine hands
-// them whole to mappers that implement BatchMapper. The two modes are
-// equivalent by contract: same records, same keys, same counters.
-type BatchSplit interface {
 	OpenBatch() (BatchIter, error)
 }
 
-// BatchIter iterates a split block-batch-wise. The batch (and everything
-// borrowed from it: column slices, selection vector, string/bytes values)
-// is reused across iterations — valid only until the next Next — per the
-// package's buffer-ownership contract.
+// BatchIter iterates a split batch-wise: a record-file block, a B+Tree
+// leaf, or a MemInput split at a time. The batch (and everything borrowed
+// from it: column slices, selection vector, key column, string/bytes
+// values) is reused across iterations — valid only until the next Next —
+// per the package's buffer-ownership contract.
 type BatchIter interface {
 	Next() bool
 	Batch() *serde.Batch
@@ -47,20 +42,6 @@ type BatchIter interface {
 	Close() error
 	// Stats reports what the iteration has read so far; it is final once
 	// the iterator is closed.
-	Stats() ScanStats
-}
-
-// RecordIter iterates a split's records. Implementations may reuse the
-// record across iterations: Record() is valid only until the next call to
-// Next(), and callers that retain it must Clone() it (see the package
-// comment's buffer-ownership contract).
-type RecordIter interface {
-	Next() bool
-	Key() serde.Datum
-	Record() *serde.Record
-	Err() error
-	Close() error
-	// Stats reports what the iteration has read so far.
 	Stats() ScanStats
 }
 
@@ -164,15 +145,7 @@ type fileSplit struct {
 	subscribe func(lo, hi int) (*storage.SharedScanner, bool)
 }
 
-func (s *fileSplit) Open() (RecordIter, error) {
-	sc, err := s.r.ScanPushdown(s.lo, s.hi, s.pd)
-	if err != nil {
-		return nil, err
-	}
-	return fileIter{sc}, nil
-}
-
-// OpenBatch implements BatchSplit: a batch scan over the split's block
+// OpenBatch implements Split: a batch scan over the split's block
 // range. With a share registry the scan first subscribes to the group of
 // identical scans (leading it if none is running); a declined subscription
 // (e.g. a leader too far ahead) scans privately.
@@ -190,14 +163,6 @@ func (s *fileSplit) OpenBatch() (BatchIter, error) {
 type fileBatchIter struct{ *storage.BatchScanner }
 
 func (fileBatchIter) Close() error { return nil }
-
-type fileIter struct{ *storage.Scanner }
-
-// Key is the record's whole-file position, which the scanner preserves
-// across block skips and residual drops: pruned and unpruned runs of a
-// key-reading program observe identical keys.
-func (it fileIter) Key() serde.Datum { return serde.Int(it.RecordIndex()) }
-func (fileIter) Close() error        { return nil }
 
 // IndexedInput scans only the relevant key ranges of a B+Tree selection
 // index (paper Section 2.1: "use the index to skip map invocations that do
@@ -274,43 +239,20 @@ type indexSplit struct {
 	r ByteRange
 }
 
-func (s *indexSplit) Open() (RecordIter, error) {
-	it, err := s.t.Scan(s.r.Lo, s.r.Hi)
+// OpenBatch implements Split: the range's entries a leaf at a time, keyed
+// by their index key datums.
+func (s *indexSplit) OpenBatch() (BatchIter, error) {
+	c, err := s.t.ScanBatch(s.r.Lo, s.r.Hi)
 	if err != nil {
 		return nil, err
 	}
-	return &indexIter{it: it}, nil
+	return indexBatchIter{c}, nil
 }
 
-type indexIter struct {
-	it  btree.Cursor
-	key serde.Datum
-	err error
-}
+type indexBatchIter struct{ btree.BatchCursor }
 
-func (ii *indexIter) Next() bool {
-	if !ii.it.Next() {
-		return false
-	}
-	d, err := ii.it.KeyDatum()
-	if err != nil {
-		ii.err = err
-		return false
-	}
-	ii.key = d
-	return true
-}
-
-func (ii *indexIter) Key() serde.Datum      { return ii.key }
-func (ii *indexIter) Record() *serde.Record { return ii.it.Record() }
-func (ii *indexIter) Err() error {
-	if ii.err != nil {
-		return ii.err
-	}
-	return ii.it.Err()
-}
-func (ii *indexIter) Close() error     { return nil }
-func (ii *indexIter) Stats() ScanStats { return ScanStats{BytesRead: ii.it.BytesRead()} }
+func (indexBatchIter) Close() error        { return nil }
+func (it indexBatchIter) Stats() ScanStats { return ScanStats{BytesRead: it.BytesRead()} }
 
 // MemInput serves records from memory; used by tests and tiny examples.
 type MemInput struct {
@@ -352,36 +294,61 @@ func (m *MemInput) Splits(target int) ([]Split, ScanStats, error) {
 		if hi > len(m.records) {
 			hi = len(m.records)
 		}
-		out = append(out, &memSplit{recs: m.records[lo:hi], base: int64(lo)})
+		out = append(out, &memSplit{schema: m.schema, recs: m.records[lo:hi], base: int64(lo)})
 	}
 	return out, ScanStats{}, nil
 }
 
 type memSplit struct {
-	recs []*serde.Record
-	base int64
+	schema *serde.Schema
+	recs   []*serde.Record
+	base   int64
 }
 
-func (s *memSplit) Open() (RecordIter, error) {
-	return &memIter{recs: s.recs, pos: -1, base: s.base}, nil
-}
-
-type memIter struct {
-	recs []*serde.Record
-	pos  int
-	base int64
-}
-
-func (it *memIter) Next() bool {
-	if it.pos+1 >= len(it.recs) {
-		return false
+// OpenBatch implements Split: the split's records as one batch, keyed by
+// their positions in the input. String and bytes values alias the records.
+func (s *memSplit) OpenBatch() (BatchIter, error) {
+	it := &memBatchIter{}
+	schema := s.schema
+	b := &it.batch
+	b.Reset(schema, len(s.recs), s.base)
+	for f := 0; f < schema.NumFields(); f++ {
+		col := b.Col(f)
+		col.Resize(schema.Field(f).Kind, len(s.recs))
+		for r, rec := range s.recs {
+			d := rec.At(f)
+			switch col.Kind() {
+			case serde.KindInt64:
+				col.Ints()[r] = d.Int()
+			case serde.KindFloat64:
+				col.Floats()[r] = d.Float()
+			case serde.KindString:
+				col.Strs()[r] = d.Str()
+			case serde.KindBytes:
+				col.Raws()[r] = d.Raw()
+			case serde.KindBool:
+				col.Bools()[r] = d.Flag()
+			}
+		}
+		b.SetDecoded(f)
 	}
-	it.pos++
-	return true
+	b.SelectAll()
+	return it, nil
 }
 
-func (it *memIter) Key() serde.Datum      { return serde.Int(it.base + int64(it.pos)) }
-func (it *memIter) Record() *serde.Record { return it.recs[it.pos] }
-func (it *memIter) Err() error            { return nil }
-func (it *memIter) Close() error          { return nil }
-func (it *memIter) Stats() ScanStats      { return ScanStats{} }
+// memBatchIter serves its one batch once.
+type memBatchIter struct {
+	batch  serde.Batch
+	served bool
+}
+
+func (it *memBatchIter) Next() bool {
+	ok := !it.served
+	it.served = true
+	return ok
+}
+
+func (it *memBatchIter) Batch() *serde.Batch { return &it.batch }
+func (it *memBatchIter) Err() error          { return nil }
+func (it *memBatchIter) Close() error        { return nil }
+func (it *memBatchIter) Stats() ScanStats    { return ScanStats{} }

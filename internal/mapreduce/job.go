@@ -70,12 +70,14 @@
 // The per-record hot paths run without allocations by reusing buffers, so
 // record lifetimes follow an explicit contract:
 //
-//   - RecordIter.Record() is valid only until the next call to Next().
-//     Callers that retain a record (or datums extracted from its string or
-//     bytes fields) past that point must call Record().Clone().
 //   - BatchIter.Batch() and everything borrowed from it (column slices,
-//     the selection vector, materialized records' string/bytes fields) are
-//     valid only until the next call to Next(). Retainers copy.
+//     the selection vector, the key column, materialized records'
+//     string/bytes fields) are valid only until the next call to Next().
+//     Retainers copy.
+//   - The record a Mapper without MapBatch is handed is one reused record
+//     the engine materializes each row into: valid only until Map returns.
+//     Mappers that retain it (or datums extracted from its string or bytes
+//     fields) must call Clone().
 //   - Emit (interp.Context.Emit and Output.Write) fully serializes its key
 //     and value before returning, so mappers and reducers may emit the
 //     reused record an iterator handed them.
@@ -98,7 +100,10 @@ import (
 
 // Mapper processes one input record. Implementations are created per task
 // (per-task member-variable state, like a Hadoop task JVM) and are never
-// shared across goroutines.
+// shared across goroutines. The engine maps every split as batches: a
+// Mapper that is not also a BatchMapper has each selected row materialized
+// into one reused record and passed to Map with the row's key
+// (serde.Batch.RowKey).
 type Mapper interface {
 	Map(key serde.Datum, rec *serde.Record, ctx *interp.Context) error
 }
@@ -107,7 +112,7 @@ type Mapper interface {
 // column-vector batch at a time (late materialization: only rows in the
 // batch's selection vector are materialized and mapped). MapBatch over a
 // batch must be observably identical to calling Map for each selected row
-// with key Base()+row.
+// with the row's key, serde.Batch.RowKey.
 type BatchMapper interface {
 	MapBatch(b *serde.Batch, ctx *interp.Context) error
 }

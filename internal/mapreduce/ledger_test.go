@@ -251,3 +251,99 @@ func TestReduceValueOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// ledgerKeys is how many distinct keys TestReduceCountersExactUnderRetry
+// shuffles into its two partitions: enough that each reduce task flushes
+// its group counts part-way, before it ends.
+const ledgerKeys = 4 * counterFlushEvery
+
+// keyOnceMapper emits (rec.k, 1).
+type keyOnceMapper struct{}
+
+func (keyOnceMapper) Map(_ serde.Datum, rec *serde.Record, ctx *interp.Context) error {
+	return ctx.Emit(rec.At(0), interp.EmitValue{D: serde.Int(1)})
+}
+
+// failingReducer sums like sumReducer, but fails at its failAt-th group
+// while fail reports true.
+type failingReducer struct {
+	groups, failAt int
+	fail           func() bool
+}
+
+func (r *failingReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *interp.Context) error {
+	if r.groups++; r.groups == r.failAt && r.fail() {
+		return errors.New("injected failure part-way through the partition")
+	}
+	return sumReducer{}.Reduce(key, values, ctx)
+}
+
+// TestReduceCountersExactUnderRetry: reduce tasks count their groups and
+// values locally and flush them through the attempt's ledger, part-way and
+// at the end. A reduce attempt that fails — at its start (the injected
+// task fault reduce:0:0), or after a flush — and is retried leaves the
+// job's reduce.input.* and output counts equal to a clean run's.
+func TestReduceCountersExactUnderRetry(t *testing.T) {
+	schema := serde.MustSchema(serde.Field{Name: "k", Kind: serde.KindInt64})
+	recs := make([]*serde.Record, 2*ledgerKeys) // every key twice
+	for i := range recs {
+		recs[i] = serde.NewRecord(schema)
+		recs[i].MustSet("k", serde.Int(int64(i%ledgerKeys)))
+	}
+	run := func(t *testing.T, reducer ReducerFactory) *Execution {
+		t.Helper()
+		in, err := NewMemInput(schema, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewScheduler(2).Submit(context.Background(), &Job{
+			Name:    "reduce-ledger",
+			Inputs:  []MapInput{{Input: in, Mapper: func() (Mapper, error) { return keyOnceMapper{}, nil }}},
+			Reducer: reducer,
+			Output:  &DiscardOutput{},
+			Config: Config{WorkDir: t.TempDir(), NumReducers: 2, MaxParallelTasks: 2,
+				RetryBackoff: time.Millisecond, SpeculativeSlowdown: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	sum := func() (Reducer, error) { return sumReducer{}, nil }
+	clean := run(t, sum).Counters()
+	if g, v := clean.Get(CtrReduceInputGroups), clean.Get(CtrReduceInputRecords); g != ledgerKeys || v != 2*ledgerKeys {
+		t.Fatalf("clean run: %d groups of %d values, want %d of %d", g, v, ledgerKeys, 2*ledgerKeys)
+	}
+	retried := func(t *testing.T, e *Execution) {
+		t.Helper()
+		n := 0
+		for _, a := range e.Status().Attempts {
+			if a.Phase == PhaseReduce && a.Outcome == AttemptRetried {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d reduce attempts retried, want 1", n)
+		}
+		for _, name := range []string{CtrReduceInputGroups, CtrReduceInputRecords, CtrOutputRecords} {
+			if g, w := e.Counters().Get(name), clean.Get(name); g != w {
+				t.Errorf("%s = %d, clean run %d", name, g, w)
+			}
+		}
+	}
+	t.Run("injected", func(t *testing.T) {
+		faultinject.Set(faultinject.MustParse("task=1@reduce:0:0;seed=1"))
+		defer faultinject.Reset()
+		retried(t, run(t, sum))
+	})
+	t.Run("after-flush", func(t *testing.T) {
+		var failed atomic.Bool
+		fail := func() bool { return failed.CompareAndSwap(false, true) }
+		retried(t, run(t, func() (Reducer, error) {
+			return &failingReducer{failAt: counterFlushEvery + 100, fail: fail}, nil
+		}))
+	})
+}

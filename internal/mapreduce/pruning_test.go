@@ -38,6 +38,37 @@ func idRange(lo, hi int64) predicate.ZoneFilter {
 		Iv: predicate.Interval{Lo: serde.Int(lo), LoInc: true, Hi: serde.Int(hi)}}}}
 }
 
+// splitRows walks a split's selected rows in order, each with its key and
+// its record materialized from the batch (valid only inside fn), and
+// returns what the split's scan read.
+func splitRows(t *testing.T, s Split, fn func(key serde.Datum, rec *serde.Record)) ScanStats {
+	t.Helper()
+	it, err := s.OpenBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *serde.Record
+	for it.Next() {
+		b := it.Batch()
+		if rec == nil {
+			rec = serde.NewRecord(b.Schema())
+		}
+		for _, row := range b.Sel() {
+			key, err := b.RowKey(int(row))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.MaterializeInto(rec, int(row))
+			fn(key, rec)
+		}
+	}
+	if it.Err() != nil {
+		t.Fatal(it.Err())
+	}
+	it.Close()
+	return it.Stats()
+}
+
 // TestFileInputSplitsPruned: fully-pruned block ranges never become map
 // task work, surviving splits cover exactly the matching records, the
 // iteration keys equal whole-file record positions, and planning's skipped
@@ -70,23 +101,14 @@ func TestFileInputSplitsPruned(t *testing.T) {
 	}
 	var keys []int64
 	for _, s := range splits {
-		it, err := s.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for it.Next() {
-			k := it.Key()
-			if k.Int() != it.Record().Get("id").Int() {
-				t.Fatalf("key %d != id %d (keys must be whole-file positions)", k.Int(), it.Record().Get("id").Int())
+		sst := splitRows(t, s, func(k serde.Datum, rec *serde.Record) {
+			if k.Int() != rec.Get("id").Int() {
+				t.Fatalf("key %d != id %d (keys must be whole-file positions)", k.Int(), rec.Get("id").Int())
 			}
 			keys = append(keys, k.Int())
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		it.Close()
-		st.BlocksRead += it.Stats().BlocksRead
-		st.BlocksSkipped += it.Stats().BlocksSkipped
+		})
+		st.BlocksRead += sst.BlocksRead
+		st.BlocksSkipped += sst.BlocksSkipped
 	}
 	if len(keys) != 40 {
 		t.Fatalf("pruned scan yielded %d records, want 40", len(keys))
@@ -145,18 +167,7 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 	}
 	n := 0
 	for _, s := range splits {
-		it, err := s.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for it.Next() {
-			n++
-		}
-		if it.Err() != nil {
-			t.Fatal(it.Err())
-		}
-		it.Close()
-		st.BlocksSkipped += it.Stats().BlocksSkipped
+		st.BlocksSkipped += splitRows(t, s, func(serde.Datum, *serde.Record) { n++ }).BlocksSkipped
 	}
 	if n != 1000 {
 		t.Fatalf("unresolvable filter dropped records: %d of 1000", n)
@@ -168,8 +179,9 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 
 // TestFileSplitOpenBatchAlwaysServes: every split of a file storage.Open
 // accepts serves batches — OpenBatch has no "not in batch mode" (nil, nil)
-// answer for the engine to fall through on — and batch iteration covers
-// exactly the rows Open's row cursor does, pushdown or not.
+// answer for the engine to fall through on — and the splits' batches
+// cover exactly the file's rows the pushdown keeps, in order, each keyed
+// by its whole-file position.
 func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 3000)
@@ -189,28 +201,26 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 		if len(splits) < 2 {
 			t.Fatalf("%s: %d split(s); want a multi-split plan", name, len(splits))
 		}
+		var keys []int64
 		for i, s := range splits {
-			bit, err := s.(BatchSplit).OpenBatch()
+			bit, err := s.OpenBatch()
 			if bit == nil || err != nil {
 				t.Fatalf("%s split %d: OpenBatch = (%v, %v); want an iterator", name, i, bit, err)
 			}
-			it, err := s.Open()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for bit.Next() {
-				b := bit.Batch()
-				for _, row := range b.Sel() {
-					if !it.Next() || it.Key().Int() != b.Base()+int64(row) {
-						t.Fatalf("%s split %d: row cursor and batch disagree at key %d", name, i, b.Base()+int64(row))
-					}
-				}
-			}
-			if it.Next() || bit.Err() != nil || it.Err() != nil {
-				t.Fatalf("%s split %d: row cursor outlasted the batches (errs %v, %v)", name, i, bit.Err(), it.Err())
-			}
 			bit.Close()
-			it.Close()
+			splitRows(t, s, func(k serde.Datum, _ *serde.Record) { keys = append(keys, k.Int()) })
+		}
+		lo, hi := int64(0), int64(3000)
+		if pd != nil {
+			lo, hi = 1000, 1500
+		}
+		if int64(len(keys)) != hi-lo {
+			t.Fatalf("%s: splits served %d rows, want %d", name, len(keys), hi-lo)
+		}
+		for i, k := range keys {
+			if k != lo+int64(i) {
+				t.Fatalf("%s: row %d keyed %d, want %d", name, i, k, lo+int64(i))
+			}
 		}
 	}
 }

@@ -11,9 +11,9 @@
 // Batch, one storage block decoded column-wise with a selection vector,
 // plus per-encoding bulk decoders. Vectors and batches are producer-owned
 // and reused — everything borrowed from them is valid only until the
-// producer's next batch (retainers copy); row-at-a-time consumers
-// (storage.Scanner) materialize a batch's selected rows one by one via
-// MaterializeInto.
+// producer's next batch (retainers copy); row-at-a-time consumers (the
+// B+Tree row cursor, storage.ReadAll, a Go mapper without MapBatch)
+// materialize a batch's selected rows one by one via MaterializeInto.
 //
 // # Value representation
 //

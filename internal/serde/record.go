@@ -43,8 +43,8 @@ func (r *Record) Lookup(name string) (Datum, bool) {
 func (r *Record) At(i int) Datum { return r.vals[i] }
 
 // Slot returns a pointer to field i's storage for in-place decoding by
-// high-throughput readers (storage.Scanner), sparing a Datum copy per
-// field. The caller must store a datum of the schema's kind for the field;
+// high-throughput readers (Batch.MaterializeInto), sparing a Datum copy
+// per field. The caller must store a datum of the schema's kind for the field;
 // SetAt is the checked path for everyone not on a per-record hot loop.
 func (r *Record) Slot(i int) *Datum { return &r.vals[i] }
 
@@ -100,9 +100,9 @@ func (r *Record) get(name string, want Kind) Datum {
 
 // Clone returns a deep copy of the record: string and bytes payloads are
 // copied into fresh storage. This is how a caller retains a record obtained
-// from a reusing iterator (storage.Scanner, mapreduce.RecordIter) past the
-// iterator's next advance — reused records may alias a scan buffer that the
-// producer overwrites.
+// from a reusing cursor (btree.Cursor, or a row materialized from a
+// serde.Batch) past the cursor's next advance — reused records may alias a
+// scan buffer that the producer overwrites.
 func (r *Record) Clone() *Record {
 	c := &Record{schema: r.schema, vals: make([]Datum, len(r.vals))}
 	for i, d := range r.vals {

@@ -146,10 +146,13 @@ func (v *Vector) Datum(i int) Datum {
 	}
 }
 
-// Batch is one storage block decoded column-wise: a column vector per
-// decoded field, a selection vector naming the rows that survived residual
-// filtering, and the whole-file index of the block's first row (so
-// consumers observe whole-file record keys under any pruning).
+// Batch is one storage block — or one B+Tree leaf's in-range entries —
+// decoded column-wise: a column vector per decoded field, a selection
+// vector naming the rows that survived residual filtering, and each row's
+// map key. A record file's row key is its whole-file index, Base()+row, so
+// consumers observe whole-file record keys under any pruning; a B+Tree
+// batch carries a key column instead, each row's raw index sort key (see
+// RowKey).
 //
 // A Batch is reused by its producer across blocks: everything borrowed from
 // it — column slices, the selection vector, datums with string/bytes
@@ -163,6 +166,7 @@ type Batch struct {
 	n          int
 	sel        []int32
 	base       int64
+	keys       [][]byte // each row's sort-key bytes; nil when keyed by position
 }
 
 // Reset re-shapes the batch for a block of n rows starting at whole-file
@@ -181,6 +185,7 @@ func (b *Batch) Reset(schema *Schema, n int, base int64) {
 	b.n = n
 	b.base = base
 	b.sel = b.sel[:0]
+	b.keys = nil
 }
 
 // Schema returns the batch's record schema.
@@ -189,9 +194,30 @@ func (b *Batch) Schema() *Schema { return b.schema }
 // Len returns the number of rows in the block (before selection).
 func (b *Batch) Len() int { return b.n }
 
-// Base returns the whole-file index of the block's row 0. Row r's record
-// key is Base()+r (what storage.Scanner.RecordIndex reports).
+// Base returns the whole-file index of the block's row 0: without a key
+// column, row r's record key is Base()+r.
 func (b *Batch) Base() int64 { return b.base }
+
+// SetKeys installs the batch's key column: keys[r] is row r's sort-key
+// encoding (serde.AppendSortKey, possibly followed by a suffix such as a
+// B+Tree entry's sequence number). The batch borrows keys until its next
+// Reset, so the producer keeps them intact for the batch's lifetime.
+func (b *Batch) SetKeys(keys [][]byte) { b.keys = keys }
+
+// Keys borrows the key column (nil when the batch has none); valid until
+// the producer's next batch, like the selection vector.
+func (b *Batch) Keys() [][]byte { return b.keys }
+
+// RowKey returns row's map key: the datum its key-column entry encodes, or
+// Base()+row when the batch has no key column. A string or bytes key is
+// decoded into fresh storage.
+func (b *Batch) RowKey(row int) (Datum, error) {
+	if b.keys == nil {
+		return Int(b.base + int64(row)), nil
+	}
+	d, _, err := DecodeSortKey(b.keys[row])
+	return d, err
+}
 
 // Col returns field i's column vector (for decoding into, or for kernels
 // to borrow from). Meaningful only when Decoded(i) is true.

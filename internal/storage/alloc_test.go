@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// TestScannerNextAllocs gates the zero-allocation scan path: after the
-// first block load, advancing the reusable record through plain-encoded
-// rows (including string fields) must not allocate.
+// TestScannerNextAllocs gates the zero-allocation row walk over a batch
+// scan (rowScan: ZeroUndecoded per batch, MaterializeDecodedInto per row,
+// as the engine's row adapter does): after the first block load, advancing
+// the reusable record through plain-encoded rows (including string fields)
+// must not allocate.
 func TestScannerNextAllocs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alloc.rec")
 	recs := makeRecords(5000, 11)
@@ -17,7 +19,7 @@ func TestScannerNextAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sc, err := r.ScanAll()
+	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +32,14 @@ func TestScannerNextAllocs(t *testing.T) {
 		}
 	})
 	if allocs > 0.05 {
-		t.Fatalf("Scanner.Next allocates %.3f objects per record; want ~0", allocs)
+		t.Fatalf("a row walk allocates %.3f objects per record; want ~0", allocs)
 	}
 }
 
-// TestScannerRecordOwnership pins the buffer-ownership contract: the
-// record returned by Record is reused (same pointer, new values) across
-// Next calls, and Clone detaches a copy that survives further scanning.
+// TestScannerRecordOwnership pins the buffer-ownership contract of rows
+// materialized from a batch scan: the one record is reused (same pointer,
+// new values) across rows and blocks, and Clone detaches a copy that
+// survives further scanning.
 func TestScannerRecordOwnership(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "own.rec")
 	recs := makeRecords(100, 7)
@@ -46,7 +49,7 @@ func TestScannerRecordOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sc, err := r.ScanAll()
+	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,9 @@ import (
 // vectors, evaluates the residual filter as interval kernels over those
 // vectors, and exposes the result as one serde.Batch with a selection
 // vector — rows are never materialized unless the consumer asks
-// (Batch.MaterializeInto). It is the only code that decodes a block;
-// Scanner is a row cursor on top of it.
+// (Batch.MaterializeInto). It is the only code that decodes a block, and
+// the only way to read one: map tasks, index-build key sampling and
+// ReadAll all consume its batches.
 //
 // Buffer ownership: the scanner reuses one Batch, its vectors, and the
 // segment buffer they alias across blocks. Everything borrowed from the

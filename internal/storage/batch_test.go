@@ -10,12 +10,53 @@ import (
 	"manimal/internal/serde"
 )
 
-// rowScanCollect runs the row cursor (Scanner) on an already-open reader,
+// rowScan walks a batch scan's selected rows one at a time, as the
+// engine's row adapter and InvokeMapBatch's late materialization do: masked
+// slots of one reused record are zeroed once per batch
+// (ZeroUndecoded), and each row writes only its decoded columns
+// (MaterializeDecodedInto). The record is valid until the next Next.
+type rowScan struct {
+	*BatchScanner
+	b   *serde.Batch // the current batch; nil before the first
+	pos int          // next entry of b's selection vector
+	rec *serde.Record
+	idx int64
+}
+
+// scanRows opens a row walk over blocks [lo, hi) under pd.
+func scanRows(r *Reader, lo, hi int, pd *Pushdown) (*rowScan, error) {
+	bs, err := r.ScanBatch(lo, hi, pd)
+	if err != nil {
+		return nil, err
+	}
+	return &rowScan{BatchScanner: bs, rec: serde.NewRecord(r.Schema())}, nil
+}
+
+func (s *rowScan) Next() bool {
+	for s.b == nil || s.pos >= len(s.b.Sel()) {
+		if !s.BatchScanner.Next() {
+			return false
+		}
+		s.b, s.pos = s.BatchScanner.Batch(), 0
+		s.b.ZeroUndecoded(s.rec)
+	}
+	row := int(s.b.Sel()[s.pos])
+	s.pos++
+	s.b.MaterializeDecodedInto(s.rec, row)
+	s.idx = s.b.Base() + int64(row)
+	return true
+}
+
+// Record is the current row; RecordIndex is its whole-file position.
+func (s *rowScan) Record() *serde.Record { return s.rec }
+func (s *rowScan) RecordIndex() int64    { return s.idx }
+
+// rowScanCollect walks a scan's rows (rowScan) on an already-open reader,
 // returning cloned surviving records, their whole-file indexes, and the
 // scan's own counts.
 func rowScanCollect(t *testing.T, r *Reader, pd *Pushdown) ([]*serde.Record, []int64, ScanStats) {
 	t.Helper()
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+	sc, err := scanRows(r, 0, r.NumBlocks(), pd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func directCodes(t *testing.T, path, field string) []string {
 	}
 	defer r.Close()
 	r.DirectCodes = true
-	sc, err := r.ScanAll()
+	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConcatZoneMapsCarryOver(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+		sc, err := scanRows(r, 0, r.NumBlocks(), pd)
 		if err != nil {
 			t.Fatal(err)
 		}

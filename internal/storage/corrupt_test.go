@@ -37,7 +37,7 @@ func TestOnDiskBitFlipDetected(t *testing.T) {
 		t.Fatalf("Open should succeed (the footer is intact): %v", err)
 	}
 	defer r.Close()
-	sc, err := r.ScanAll()
+	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestChecksumCoversEveryBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("block %d: open: %v", i, err)
 		}
-		sc, err := rr.Scan(i, i+1)
+		sc, err := scanRows(rr, i, i+1, nil)
 		if err != nil {
 			t.Fatalf("block %d: scan: %v", i, err)
 		}
@@ -123,7 +123,7 @@ func drainScan(t *testing.T, path string, pd *Pushdown) (int, int64, error) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+	sc, err := scanRows(r, 0, r.NumBlocks(), pd)
 	if err != nil {
 		t.Fatal(err)
 	}

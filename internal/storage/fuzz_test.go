@@ -65,7 +65,7 @@ func FuzzRecordFooter(f *testing.F) {
 		}
 		defer r.Close()
 		for _, pd := range []*Pushdown{nil, {Fields: []string{"ts"}}} {
-			sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+			sc, err := scanRows(r, 0, r.NumBlocks(), pd)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 )
 
 // Reader reads a record file written by Writer. A single Reader may serve
-// multiple concurrent Scanners (one per map task); scanners do their own
+// multiple concurrent BatchScanners (one per map task); scanners do their own
 // positioned reads, count what they read in their own ScanStats, and share
 // only immutable metadata and the physical byte counter.
 type Reader struct {
@@ -280,92 +280,6 @@ func (r *Reader) Dictionary(name string) *compress.Dictionary {
 // Close closes the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// Scanner iterates over the records of a contiguous block range one row at
-// a time. It is a cursor over a BatchScanner: each block decodes once into
-// column vectors, and Next walks the block's selection vector,
-// late-materializing each surviving row into one reused record. It is not
-// safe for concurrent use; create one scanner per map task.
-//
-// Buffer ownership: the record's string and bytes fields alias the batch
-// scanner's column vectors and block buffer, so a full scan performs no
-// per-record allocations. The record returned by Record is therefore valid
-// only until the next call to Next; callers that retain records across
-// iterations must call Record().Clone().
-type Scanner struct {
-	bs    *BatchScanner
-	b     *serde.Batch  // current block; nil before the first one
-	pos   int           // next entry of b's selection vector
-	rec   *serde.Record // reused current record; see ownership note
-	idx   int64
-	valid bool
-}
-
-// Scan returns a scanner over blocks [lo, hi). Passing (0, NumBlocks())
-// scans the whole file.
-func (r *Reader) Scan(lo, hi int) (*Scanner, error) { return r.ScanPushdown(lo, hi, nil) }
-
-// ScanPushdown returns a scanner over blocks [lo, hi) with the given
-// pushdown applied (nil scans everything; see Pushdown for semantics and
-// the legality contract). Pruned and unpruned scans agree exactly on the
-// surviving records: values decode identically, masked fields read as
-// their kind's zero value, and RecordIndex reflects whole-file positions.
-func (r *Reader) ScanPushdown(lo, hi int, pd *Pushdown) (*Scanner, error) {
-	bs, err := r.ScanBatch(lo, hi, pd)
-	if err != nil {
-		return nil, err
-	}
-	return &Scanner{bs: bs, rec: serde.NewRecord(r.schema)}, nil
-}
-
-// ScanAll returns a scanner over the entire file.
-func (r *Reader) ScanAll() (*Scanner, error) { return r.Scan(0, len(r.blocks)) }
-
-// Next advances to the next surviving record, returning false at the end
-// of the range or on error (check Err). With a pushdown installed it
-// transparently skips blocks the zone maps rule out (without reading their
-// payload) and rows the residual filter rejects.
-func (s *Scanner) Next() bool {
-	for s.b == nil || s.pos >= len(s.b.Sel()) {
-		s.valid = false
-		if !s.bs.Next() {
-			return false
-		}
-		s.b, s.pos = s.bs.Batch(), 0
-		// Masked slots are written once per block and stay zero while the
-		// decoded columns cycle per row.
-		s.b.ZeroUndecoded(s.rec)
-	}
-	row := int(s.b.Sel()[s.pos])
-	s.pos++
-	s.b.MaterializeDecodedInto(s.rec, row)
-	s.idx = s.b.Base() + int64(row)
-	s.valid = true
-	return true
-}
-
-// RecordIndex returns the current record's position in the WHOLE file
-// (counting records in skipped blocks and residual-dropped rows), so
-// callers keying records by position see identical keys with and without
-// pruning. Valid after a successful Next.
-func (s *Scanner) RecordIndex() int64 { return s.idx }
-
-// Record returns the current record after a successful Next. The returned
-// record is reused by the scanner: it is valid only until the next call to
-// Next. Callers that retain it (or datums extracted from its string/bytes
-// fields) past that point must Clone it.
-func (s *Scanner) Record() *serde.Record {
-	if !s.valid {
-		return nil
-	}
-	return s.rec
-}
-
-// Err returns the first error encountered while scanning.
-func (s *Scanner) Err() error { return s.bs.Err() }
-
-// Stats returns what the scan has read, skipped and filtered so far.
-func (s *Scanner) Stats() ScanStats { return s.bs.Stats() }
-
 // readSegments reads the segments of block i whose fields decode selects
 // (nil selects all) into raw, grown as needed and returned: one positioned
 // read per run of adjacent selected segments, so a full scan reads the
@@ -432,21 +346,27 @@ func (r *Reader) readSegments(i int, decode []bool, raw []byte, segs [][]byte) (
 	return raw, nil
 }
 
-// ReadAll is a convenience that scans the whole file into memory.
+// ReadAll is a convenience that scans the whole file into memory, one
+// freshly allocated record per row.
 func ReadAll(path string) ([]*serde.Record, *serde.Schema, error) {
 	r, err := Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer r.Close()
-	sc, err := r.ScanAll()
+	sc, err := r.ScanBatch(0, r.NumBlocks(), nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	var out []*serde.Record
+	row := serde.NewRecord(r.Schema())
 	for sc.Next() {
-		// The scanner reuses its record; retaining requires a deep copy.
-		out = append(out, sc.Record().Clone())
+		b := sc.Batch()
+		for _, i := range b.Sel() {
+			// The batch is reused; retaining a row requires a deep copy.
+			b.MaterializeInto(row, int(i))
+			out = append(out, row.Clone())
+		}
 	}
 	if sc.Err() != nil {
 		return nil, nil, sc.Err()

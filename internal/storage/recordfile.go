@@ -67,13 +67,10 @@
 // bulk-decode into one reused serde.Batch of flat column vectors, the
 // residual filter runs as interval kernels producing a selection vector,
 // and rows are only materialized (into a caller-reused record) on demand —
-// late materialization. The engine hands whole batches to the interpreter.
-// Reader.ScanPushdown (Scanner) is a row cursor over the same scanner for
-// callers that want one record at a time (ReadAll, key sampling): it
-// walks each batch's selection vector and materializes each row into one
-// reused record, keyed by Batch.Base()+row. Both therefore
-// see the same surviving rows, values, record indices, and pruning
-// counters by construction.
+// late materialization. The engine hands whole batches to the interpreter,
+// index builds sample keys from them, and ReadAll materializes each
+// selected row into a fresh record; a row's whole-file index is
+// Batch.Base()+row.
 //
 // # Concatenation
 //
@@ -86,7 +83,7 @@
 //
 // # Scan pushdown
 //
-// Both scanners accept a Pushdown (block-level zone-map filter, per-row
+// A scan accepts a Pushdown (block-level zone-map filter, per-row
 // residual filter, used-field decode mask). Ownership of LEGALITY sits
 // with the planner (package optimizer): skipping blocks or rows elides
 // map() invocations — admissible exactly when the paper's selection
@@ -101,13 +98,12 @@
 // A BatchScanner reuses one Batch, its vectors, and the segment buffer
 // across blocks: everything borrowed from the batch — column slices, the
 // selection vector, string/bytes values aliasing the segment buffer — is
-// valid only until the scanner's next batch (see serde.Vector). The row
-// cursor inherits that window one row at a time: the record returned by
-// Scanner.Record (and any datum read out of it) is valid only until the
-// next call to Next. Callers that retain records across iterations —
-// collecting into a slice, building a MemInput, buffering on the reduce
-// side — must call Record().Clone(), which deep-copies the variable-length
-// payloads. ReadAll already returns cloned records.
+// valid only until the scanner's next batch (see serde.Vector). A record
+// materialized from a batch (Batch.MaterializeInto) inherits that window.
+// Callers that retain rows across batches — collecting into a slice,
+// building a MemInput, buffering on the reduce side — must Clone the
+// record, which deep-copies the variable-length payloads. ReadAll already
+// returns cloned records.
 package storage
 
 import (

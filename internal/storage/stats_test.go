@@ -39,7 +39,7 @@ func scanPushdown(t *testing.T, path string, pd *Pushdown) ([]*serde.Record, []i
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), pd)
+	sc, err := scanRows(r, 0, r.NumBlocks(), pd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPrunedScanSkipsBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
+	sc, err := scanRows(r, 0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestResidualGatedUnderDirectCodes(t *testing.T) {
 	}
 	defer r.Close()
 	r.DirectCodes = true
-	sc, err := r.ScanPushdown(0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
+	sc, err := scanRows(r, 0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
 	if err != nil {
 		t.Fatal(err)
 	}

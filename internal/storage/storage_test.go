@@ -114,7 +114,7 @@ func TestRoundTripDict(t *testing.T) {
 	}
 	defer r.Close()
 	r.DirectCodes = true
-	sc, err := r.ScanAll()
+	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestBlockRangeScan(t *testing.T) {
 	mid := r.NumBlocks() / 2
 	total := 0
 	for _, rng := range [][2]int{{0, mid}, {mid, r.NumBlocks()}} {
-		sc, err := r.Scan(rng[0], rng[1])
+		sc, err := scanRows(r, rng[0], rng[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,10 +207,10 @@ func TestBlockRangeScan(t *testing.T) {
 	if r.BytesRead() == 0 {
 		t.Error("BytesRead not counted")
 	}
-	if _, err := r.Scan(-1, 2); err == nil {
+	if _, err := scanRows(r, -1, 2, nil); err == nil {
 		t.Error("negative block range accepted")
 	}
-	if _, err := r.Scan(0, r.NumBlocks()+1); err == nil {
+	if _, err := scanRows(r, 0, r.NumBlocks()+1, nil); err == nil {
 		t.Error("out-of-range block accepted")
 	}
 }
