@@ -108,6 +108,12 @@ func FuzzBTreeOpen(f *testing.F) {
 	f.Add(treeFile(first+4+uint64(len(leaf)), leaf, []byte{pageInternal, 2, byte(first), byte(first), 200, 1}))
 	// A leaf entry whose key runs past its page.
 	f.Add(treeFile(first, leafPage(0, 1, 200, 1)))
+	// A leaf entry whose string field claims a length of 1<<63: as an int
+	// that length is negative, so only an unsigned bound rejects it.
+	key := append(serde.Int(0).AppendSortKey(nil), 0, 0, 0, 0, 0, 0, 0, 0)
+	payload := []byte{0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
+	entry := append(append(binary.AppendUvarint(nil, uint64(len(key))), key...), byte(len(payload)))
+	f.Add(treeFile(first, leafPage(0, 1, append(entry, payload...)...)))
 	// A page of no bytes, and one claiming nearly 4 GiB.
 	f.Add(treeFile(first, []byte{}))
 	f.Add(append(binary.LittleEndian.AppendUint32([]byte(magicFooter), 0xFFFFFFF0), treeFile(first, leafPage(0, 0))[len(magicFooter):]...))

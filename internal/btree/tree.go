@@ -517,14 +517,14 @@ func (c *leafCursor) Err() error { return c.err }
 func (c *leafCursor) BytesRead() int64 { return c.read }
 
 // rowCursor is the row form of a BatchCursor: it walks each batch's rows
-// (a leaf batch selects all of them), materializing each into one reused
-// record. The record and the key alias
-// the batch, so both are valid only until the next call to Next.
+// (a leaf batch selects all of them) through serde.Rows. The record and
+// the key alias the batch, so both are valid only until the next call to
+// Next.
 type rowCursor struct {
-	bc  BatchCursor
-	b   *serde.Batch // the current batch; nil before the first
-	row int          // the current row of b
-	rec *serde.Record
+	bc   BatchCursor
+	b    *serde.Batch // the current batch; nil before the first
+	rows serde.Rows
+	row  int // the current row of b
 }
 
 // rows returns the row form of a batch cursor ScanBatch opened.
@@ -536,18 +536,17 @@ func rows(bc BatchCursor, err error) (Cursor, error) {
 }
 
 func (c *rowCursor) Next() bool {
-	for c.b == nil || c.row+1 >= c.b.Len() {
+	for {
+		if row, ok := c.rows.Next(); ok {
+			c.row = row
+			return true
+		}
 		if !c.bc.Next() {
 			return false
 		}
-		c.b, c.row = c.bc.Batch(), -1
-		if c.rec == nil {
-			c.rec = serde.NewRecord(c.b.Schema())
-		}
+		c.b = c.bc.Batch()
+		c.rows.Reset(c.b)
 	}
-	c.row++
-	c.b.MaterializeInto(c.rec, c.row)
-	return true
 }
 
 // Key returns the current entry's full sort key (datum key + sequence).
@@ -557,7 +556,7 @@ func (c *rowCursor) Key() []byte { return c.b.Keys()[c.row] }
 func (c *rowCursor) KeyDatum() (serde.Datum, error) { return c.b.RowKey(c.row) }
 
 // Record returns the current entry's record.
-func (c *rowCursor) Record() *serde.Record { return c.rec }
+func (c *rowCursor) Record() *serde.Record { return c.rows.Record() }
 
 func (c *rowCursor) Err() error { return c.bc.Err() }
 

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -401,4 +402,51 @@ func (recordConcatReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx 
 		joined += s
 	}
 	return ctx.Emit(key, interp.EmitValue{D: serde.String(joined)})
+}
+
+// readMapper is a Go Mapper with no MapBatch that reads each row's string.
+type readMapper struct{ bytes *int }
+
+func (m readMapper) Map(_ serde.Datum, rec *serde.Record, _ *interp.Context) error {
+	*m.bytes += len(rec.At(0).Str())
+	return nil
+}
+
+// TestRowMapperAllocs gates the engine's row adapter for Go Mappers (the
+// serde.Rows walk, its cancel polls and the row keys): mapping a warm
+// batch must not allocate.
+func TestRowMapperAllocs(t *testing.T) {
+	lines := make([]string, memBatchRows)
+	for i := range lines {
+		lines[i] = fmt.Sprintf("line %d", i)
+	}
+	in, err := NewMemInput(wordSchema, textRecords(lines...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, _, err := in.Splits(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := splits[0].OpenBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !it.Next() {
+		t.Fatal("empty split")
+	}
+	b := it.Batch()
+	var n int
+	rm := &rowMapper{m: readMapper{bytes: &n}, ctx: context.Background()}
+	if err := rm.MapBatch(b, nil); err != nil { // first batch sizes the record
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := rm.MapBatch(b, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0.05 {
+		t.Fatalf("rowMapper allocates %.3f objects per %d-row batch; want 0", allocs, b.Len())
+	}
 }

@@ -11,6 +11,11 @@ import (
 	"manimal/internal/serde"
 )
 
+// cancelCheckEvery throttles how often a row loop polls the job context
+// for cancellation: cheap enough to keep cancel latency low without taxing
+// the per-record hot path.
+const cancelCheckEvery = 64
+
 // counterFlushEvery is how often map tasks flush their locally batched
 // input-record count, and reduce tasks their group and value counts, into
 // the shared counters, so Status() progress moves while a long task is
@@ -229,7 +234,7 @@ func (e *Execution) runTask(kind string, ta *TaskAttempt, body func(a *attempt) 
 
 // mapSplit feeds split's batches to mapper and commits the split's scan
 // counts to the attempt's ledger once its iterator is closed. Cancellation
-// is checked per batch. CtrMapInputRecords counts the selected rows (rows
+// is checked per batch (and by rowMapper within one). CtrMapInputRecords counts the selected rows (rows
 // the residual filter dropped never reach the mapper) locally, flushed
 // every counterFlushEvery rows plus a final flush: live enough for
 // progress reporting, cheap enough for the per-record hot path. A mapper
@@ -238,7 +243,7 @@ func mapSplit(a *attempt, split Split, mapper Mapper) error {
 	ctx, ctr := a.Context(), a.ctr
 	bm, ok := mapper.(BatchMapper)
 	if !ok {
-		bm = &rowMapper{m: mapper}
+		bm = &rowMapper{m: mapper, ctx: ctx}
 	}
 	bit, err := split.OpenBatch()
 	if err != nil {
@@ -268,28 +273,33 @@ func mapSplit(a *attempt, split Split, mapper Mapper) error {
 }
 
 // rowMapper runs a Mapper that has no MapBatch: each selected row of a
-// batch is materialized into one reused record and mapped with its key.
+// batch is materialized through serde.Rows and mapped with its key. A
+// batch may hold thousands of rows and a Go Mapper may be slow, so the
+// walk polls ctx every cancelCheckEvery rows.
 type rowMapper struct {
-	m   Mapper
-	rec *serde.Record
+	m    Mapper
+	ctx  context.Context
+	rows serde.Rows
 }
 
-func (r *rowMapper) MapBatch(b *serde.Batch, ctx *interp.Context) error {
-	if r.rec == nil || r.rec.Schema() != b.Schema() {
-		r.rec = serde.NewRecord(b.Schema())
-	}
-	b.ZeroUndecoded(r.rec)
-	for _, row := range b.Sel() {
-		key, err := b.RowKey(int(row))
+func (r *rowMapper) MapBatch(b *serde.Batch, ictx *interp.Context) error {
+	r.rows.Reset(b)
+	for n := 1; ; n++ {
+		row, ok := r.rows.Next()
+		if !ok {
+			return nil
+		}
+		if n%cancelCheckEvery == 0 && r.ctx.Err() != nil {
+			return r.ctx.Err()
+		}
+		key, err := b.RowKey(row)
 		if err != nil {
 			return err
 		}
-		b.MaterializeDecodedInto(r.rec, int(row))
-		if err := r.m.Map(key, r.rec, ctx); err != nil {
+		if err := r.m.Map(key, r.rows.Record(), ictx); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // execute drives the job's task graph — admit → plan → map → (reduce) →

@@ -305,17 +305,41 @@ type memSplit struct {
 	base   int64
 }
 
-// OpenBatch implements Split: the split's records as one batch, keyed by
-// their positions in the input. String and bytes values alias the records.
+// memBatchRows is how many records a memSplit batch holds: it bounds the
+// column copy a batch makes and spaces mapSplit's per-batch cancel checks.
+const memBatchRows = 1024
+
+// OpenBatch implements Split: the split's records in batches of
+// memBatchRows, keyed by their positions in the input. String and bytes
+// values alias the records.
 func (s *memSplit) OpenBatch() (BatchIter, error) {
-	it := &memBatchIter{}
-	schema := s.schema
+	return &memBatchIter{s: s}, nil
+}
+
+// memBatchIter copies its split's records into column vectors one batch
+// at a time.
+type memBatchIter struct {
+	s     *memSplit
+	off   int // the split offset of the next batch's first record
+	batch serde.Batch
+}
+
+func (it *memBatchIter) Next() bool {
+	recs := it.s.recs[it.off:]
+	if len(recs) == 0 {
+		return false
+	}
+	if len(recs) > memBatchRows {
+		recs = recs[:memBatchRows]
+	}
+	schema := it.s.schema
 	b := &it.batch
-	b.Reset(schema, len(s.recs), s.base)
+	b.Reset(schema, len(recs), it.s.base+int64(it.off))
+	it.off += len(recs)
 	for f := 0; f < schema.NumFields(); f++ {
 		col := b.Col(f)
-		col.Resize(schema.Field(f).Kind, len(s.recs))
-		for r, rec := range s.recs {
+		col.Resize(schema.Field(f).Kind, len(recs))
+		for r, rec := range recs {
 			d := rec.At(f)
 			switch col.Kind() {
 			case serde.KindInt64:
@@ -333,19 +357,7 @@ func (s *memSplit) OpenBatch() (BatchIter, error) {
 		b.SetDecoded(f)
 	}
 	b.SelectAll()
-	return it, nil
-}
-
-// memBatchIter serves its one batch once.
-type memBatchIter struct {
-	batch  serde.Batch
-	served bool
-}
-
-func (it *memBatchIter) Next() bool {
-	ok := !it.served
-	it.served = true
-	return ok
+	return true
 }
 
 func (it *memBatchIter) Batch() *serde.Batch { return &it.batch }

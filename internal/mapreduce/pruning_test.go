@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -47,19 +48,16 @@ func splitRows(t *testing.T, s Split, fn func(key serde.Datum, rec *serde.Record
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *serde.Record
+	var rows serde.Rows
 	for it.Next() {
 		b := it.Batch()
-		if rec == nil {
-			rec = serde.NewRecord(b.Schema())
-		}
-		for _, row := range b.Sel() {
-			key, err := b.RowKey(int(row))
+		rows.Reset(b)
+		for row, ok := rows.Next(); ok; row, ok = rows.Next() {
+			key, err := b.RowKey(row)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.MaterializeInto(rec, int(row))
-			fn(key, rec)
+			fn(key, rows.Record())
 		}
 	}
 	if it.Err() != nil {
@@ -67,6 +65,45 @@ func splitRows(t *testing.T, s Split, fn func(key serde.Datum, rec *serde.Record
 	}
 	it.Close()
 	return it.Stats()
+}
+
+// TestMemSplitBatches: a memory split longer than one batch is served in
+// memBatchRows-record batches whose keys are the records' input positions.
+func TestMemSplitBatches(t *testing.T) {
+	const total = 2*memBatchRows + 100
+	lines := make([]string, total)
+	for i := range lines {
+		lines[i] = fmt.Sprint(i)
+	}
+	in, err := NewMemInput(wordSchema, textRecords(lines...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	splits, _, err := in.Splits(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	for _, s := range splits {
+		it, err := s.OpenBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.Next() {
+			if n := it.Batch().Len(); n > memBatchRows {
+				t.Fatalf("batch of %d rows; want at most %d", n, memBatchRows)
+			}
+		}
+		splitRows(t, s, func(key serde.Datum, rec *serde.Record) {
+			if key.Int() != want || rec.At(0).Str() != fmt.Sprint(want) {
+				t.Fatalf("row %d: key %v, text %q", want, key, rec.At(0).Str())
+			}
+			want++
+		})
+	}
+	if want != total {
+		t.Fatalf("walked %d rows, want %d", want, total)
+	}
 }
 
 // TestFileInputSplitsPruned: fully-pruned block ranges never become map

@@ -304,13 +304,20 @@ func assertCanceledCleanup(t *testing.T, e *Execution, out, work string) {
 }
 
 // TestCancelMidMapPhase: canceling while map tasks run must stop them
-// promptly and leave no partial output or spill files behind.
+// promptly and leave no partial output or spill files behind. Each map
+// call sleeps 1 ms, so a task that polled the context only between
+// batches would run on for up to a batch of sleeps (memBatchRows ms)
+// after the cancel.
 func TestCancelMidMapPhase(t *testing.T) {
 	s := NewScheduler(2)
 	e, out, work := submitShuffleJob(t, context.Background(), s, 5000, time.Millisecond, 0)
 	waitForPhase(t, e, PhaseMap)
+	start := time.Now()
 	e.Cancel()
 	assertCanceledCleanup(t, e, out, work)
+	if took, limit := time.Since(start), memBatchRows*time.Millisecond/2; took > limit {
+		t.Fatalf("canceled job took %v to stop; want under %v", took, limit)
+	}
 }
 
 // TestCancelMidReducePhase: cancellation via the submission context during

@@ -345,3 +345,15 @@ func TestDecodeTruncated(t *testing.T) {
 		t.Error("empty sort key accepted")
 	}
 }
+
+// TestSharedColumnHugeLength: a length uvarint of 2^63 or more is negative
+// as an int; the shared column decoders must reject it, not slice with it.
+func TestSharedColumnHugeLength(t *testing.T) {
+	buf := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}
+	if _, err := DecodeStringColumnShared(buf, make([]string, 1)); err == nil {
+		t.Error("string column of length 1<<63 accepted")
+	}
+	if _, err := DecodeBytesColumnShared(buf, make([][]byte, 1)); err == nil {
+		t.Error("bytes column of length 1<<63 accepted")
+	}
+}

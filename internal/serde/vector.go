@@ -318,6 +318,42 @@ func (b *Batch) MaterializeDecodedInto(rec *Record, row int) {
 	}
 }
 
+// Rows walks a batch's selected rows through one reused record: the one
+// batch-to-row walk shared by every row consumer of the batch pipeline.
+// Reset zeroes the batch's undecoded fields once; Next writes each row's
+// decoded columns. The record aliases the batch's vectors, so it is valid
+// only until the batch's producer moves on, and the consumer must not
+// modify it between rows (see ZeroUndecoded).
+type Rows struct {
+	b   *Batch
+	rec *Record
+	pos int // the next index into b's selection vector
+}
+
+// Reset starts the walk over b's selected rows.
+func (r *Rows) Reset(b *Batch) {
+	if r.rec == nil || r.rec.Schema() != b.Schema() {
+		r.rec = NewRecord(b.Schema())
+	}
+	r.b, r.pos = b, 0
+	b.ZeroUndecoded(r.rec)
+}
+
+// Next materializes the next selected row into Record and returns its
+// block row, or false once the batch's selection is exhausted.
+func (r *Rows) Next() (int, bool) {
+	if r.b == nil || r.pos >= len(r.b.sel) {
+		return 0, false
+	}
+	row := int(r.b.sel[r.pos])
+	r.pos++
+	r.b.MaterializeDecodedInto(r.rec, row)
+	return row, true
+}
+
+// Record returns the current row's record (nil before the first Reset).
+func (r *Rows) Record() *Record { return r.rec }
+
 // Bulk column decoders: each decodes len(dst) consecutive kind-implied
 // value encodings (see Datum.AppendValue) from buf into dst, returning the
 // bytes consumed. They are the batch-path counterparts of DecodeValueInto,
@@ -377,8 +413,10 @@ func DecodeStringColumnShared(buf []byte, dst []string) (int, error) {
 		if pos < len(buf) && buf[pos] < 0x80 { // one-byte length fast path
 			l, n = int(buf[pos]), 1
 		} else {
+			// Bound the length as an unsigned value: a corrupt uvarint of
+			// 2^63 or more would turn negative as an int and pass the check.
 			lv, un := binary.Uvarint(buf[pos:])
-			if un <= 0 {
+			if un <= 0 || lv > uint64(len(buf)-pos-un) {
 				return 0, fmt.Errorf("serde: truncated string column at row %d", i)
 			}
 			l, n = int(lv), un
@@ -397,12 +435,13 @@ func DecodeStringColumnShared(buf []byte, dst []string) (int, error) {
 func DecodeBytesColumnShared(buf []byte, dst [][]byte) (int, error) {
 	pos := 0
 	for i := range dst {
-		l, n := binary.Uvarint(buf[pos:])
-		if n <= 0 || pos+n+int(l) > len(buf) {
+		lv, n := binary.Uvarint(buf[pos:])
+		if n <= 0 || lv > uint64(len(buf)-pos-n) {
 			return 0, fmt.Errorf("serde: truncated bytes column at row %d", i)
 		}
-		dst[i] = buf[pos+n : pos+n+int(l) : pos+n+int(l)]
-		pos += n + int(l)
+		l := int(lv)
+		dst[i] = buf[pos+n : pos+n+l : pos+n+l]
+		pos += n + l
 	}
 	return pos, nil
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // TestScannerNextAllocs gates the zero-allocation row walk over a batch
-// scan (rowScan: ZeroUndecoded per batch, MaterializeDecodedInto per row,
-// as the engine's row adapter does): after the first block load, advancing
-// the reusable record through plain-encoded rows (including string fields)
-// must not allocate.
+// scan (serde.Rows, through rowScan, as the engine's row adapter, the
+// B+Tree row cursor and ReadAll walk batches): after the first block load,
+// advancing the reusable record through plain-encoded rows (including
+// string fields) must not allocate.
 func TestScannerNextAllocs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "alloc.rec")
 	recs := makeRecords(5000, 11)

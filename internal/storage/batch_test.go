@@ -10,17 +10,16 @@ import (
 	"manimal/internal/serde"
 )
 
-// rowScan walks a batch scan's selected rows one at a time, as the
-// engine's row adapter and InvokeMapBatch's late materialization do: masked
-// slots of one reused record are zeroed once per batch
-// (ZeroUndecoded), and each row writes only its decoded columns
-// (MaterializeDecodedInto). The record is valid until the next Next.
+// rowScan walks a batch scan's selected rows one at a time through
+// serde.Rows, the walk the engine's row adapter, the B+Tree row cursor and
+// ReadAll share: masked slots of one reused record are zeroed once per
+// batch, and each row writes only its decoded columns. The record is valid
+// until the next Next.
 type rowScan struct {
 	*BatchScanner
-	b   *serde.Batch // the current batch; nil before the first
-	pos int          // next entry of b's selection vector
-	rec *serde.Record
-	idx int64
+	b    *serde.Batch // the current batch; nil before the first
+	rows serde.Rows
+	idx  int64
 }
 
 // scanRows opens a row walk over blocks [lo, hi) under pd.
@@ -29,26 +28,25 @@ func scanRows(r *Reader, lo, hi int, pd *Pushdown) (*rowScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rowScan{BatchScanner: bs, rec: serde.NewRecord(r.Schema())}, nil
+	return &rowScan{BatchScanner: bs}, nil
 }
 
 func (s *rowScan) Next() bool {
-	for s.b == nil || s.pos >= len(s.b.Sel()) {
+	for {
+		if row, ok := s.rows.Next(); ok {
+			s.idx = s.b.Base() + int64(row)
+			return true
+		}
 		if !s.BatchScanner.Next() {
 			return false
 		}
-		s.b, s.pos = s.BatchScanner.Batch(), 0
-		s.b.ZeroUndecoded(s.rec)
+		s.b = s.BatchScanner.Batch()
+		s.rows.Reset(s.b)
 	}
-	row := int(s.b.Sel()[s.pos])
-	s.pos++
-	s.b.MaterializeDecodedInto(s.rec, row)
-	s.idx = s.b.Base() + int64(row)
-	return true
 }
 
 // Record is the current row; RecordIndex is its whole-file position.
-func (s *rowScan) Record() *serde.Record { return s.rec }
+func (s *rowScan) Record() *serde.Record { return s.rows.Record() }
 func (s *rowScan) RecordIndex() int64    { return s.idx }
 
 // rowScanCollect walks a scan's rows (rowScan) on an already-open reader,

@@ -359,13 +359,12 @@ func ReadAll(path string) ([]*serde.Record, *serde.Schema, error) {
 		return nil, nil, err
 	}
 	var out []*serde.Record
-	row := serde.NewRecord(r.Schema())
+	var rows serde.Rows
 	for sc.Next() {
-		b := sc.Batch()
-		for _, i := range b.Sel() {
+		rows.Reset(sc.Batch())
+		for _, ok := rows.Next(); ok; _, ok = rows.Next() {
 			// The batch is reused; retaining a row requires a deep copy.
-			b.MaterializeInto(row, int(i))
-			out = append(out, row.Clone())
+			out = append(out, rows.Record().Clone())
 		}
 	}
 	if sc.Err() != nil {
