@@ -226,6 +226,7 @@ type jsonDescriptor struct {
 	Delta       []string     `json:"delta,omitempty"`
 	DirectOp    []string     `json:"directOp,omitempty"`
 	Combine     string       `json:"combine,omitempty"`
+	Aggregate   string       `json:"aggregate,omitempty"`
 	SideEffects []string     `json:"sideEffects,omitempty"`
 	Notes       []string     `json:"notes,omitempty"`
 }
@@ -264,6 +265,9 @@ func descriptorJSON(d *manimal.Descriptor) *jsonDescriptor {
 	if d.Combine != nil {
 		out.Combine = d.Combine.Op
 	}
+	if d.Aggregate != nil {
+		out.Aggregate = d.Aggregate.String()
+	}
 	return out
 }
 
@@ -296,6 +300,9 @@ func printDescriptor(desc *manimal.Descriptor) {
 	}
 	if desc.Combine != nil {
 		fmt.Printf("COMBINE: int64 %s, folded at emit\n", desc.Combine.Op)
+	}
+	if desc.Aggregate != nil {
+		fmt.Printf("AGGREGATE: %s, column kernel\n", desc.Aggregate)
 	}
 	if len(desc.SideEffects) > 0 {
 		fmt.Printf("SIDE EFFECTS (detected, not optimized): %v\n", desc.SideEffects)

@@ -2,7 +2,8 @@
 // static analysis that inspects an unmodified mapper-language program and
 // emits optimization descriptors for selection, projection,
 // delta-compression, and direct operation on compressed data — and, beyond
-// the paper, for a Combine the engine can fold natively (an int64 sum).
+// the paper, for a Combine the engine can fold natively (an int64 sum) and
+// a Map it can run as a column kernel over that fold (an aggregate).
 //
 // Like the paper's analyzer, it is best-effort but safety-first: it may
 // miss optimizations (a determined programmer can elude it) but never
@@ -118,11 +119,12 @@ type CombineDescriptor struct {
 // "optimization descriptor" of paper Figure 1. Nil sub-descriptors mean the
 // optimization was not detected.
 type Descriptor struct {
-	Select   *SelectDescriptor
-	Project  *ProjectDescriptor
-	Delta    *DeltaDescriptor
-	DirectOp *DirectOpDescriptor
-	Combine  *CombineDescriptor
+	Select    *SelectDescriptor
+	Project   *ProjectDescriptor
+	Delta     *DeltaDescriptor
+	DirectOp  *DirectOpDescriptor
+	Combine   *CombineDescriptor
+	Aggregate *AggregateDescriptor
 
 	// SideEffects lists detected side-effecting calls (ctx.Log/ctx.Counter)
 	// that optimized execution may skip; detected but not optimized,
@@ -201,6 +203,7 @@ func Analyze(p *lang.Program, inputSchema *serde.Schema) (*Descriptor, error) {
 	d.Delta = a.findDelta(d)
 	d.DirectOp = a.findDirectOp(d)
 	d.Combine = findCombine(p, d)
+	d.Aggregate = a.findAggregate(d)
 	d.SideEffects = a.findSideEffects()
 	return d, nil
 }

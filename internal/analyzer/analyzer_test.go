@@ -396,6 +396,18 @@ func TestFormulaMatchesExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The formula, run as a Map of its own: it emits exactly where the
+		// formula holds.
+		formula := d.Select.Formula.Canon()
+		cond := strings.NewReplacer(" AND ", " && ", " OR ", " || ").Replace(formula)
+		fp, err := lang.Parse("func Map(k, v *Record, ctx *Ctx) {\n\tif " + cond + " {\n\t\tctx.Emit(k, 1)\n\t}\n}\n")
+		if err != nil {
+			t.Fatalf("prog %d: formula %s as a program: %v", pi, formula, err)
+		}
+		fex, err := interp.New(fp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 400; i++ {
 			rec := serde.NewRecord(webPageSchema)
 			rec.MustSet("url", serde.String(urls[rnd.Intn(2)]))
@@ -412,10 +424,12 @@ func TestFormulaMatchesExecution(t *testing.T) {
 			if err := ex.InvokeMap(serde.Int(int64(i)), rec, ctx); err != nil {
 				t.Fatalf("prog %d: invoke: %v", pi, err)
 			}
-			want, err := d.Select.Formula.Eval(rec, predicate.Config(conf))
-			if err != nil {
-				t.Fatalf("prog %d: formula eval: %v", pi, err)
+			want := emitted
+			emitted = false
+			if err := fex.InvokeMap(serde.Int(int64(i)), rec, ctx); err != nil {
+				t.Fatalf("prog %d: formula: %v", pi, err)
 			}
+			want, emitted = emitted, want
 			if want != emitted {
 				t.Fatalf("prog %d, record %s: formula says %v, map emitted %v\nformula: %s",
 					pi, rec, want, emitted, d.Select.Formula.Canon())

@@ -109,6 +109,9 @@ func dumpDescriptor(d *Descriptor) string {
 	} else {
 		fmt.Fprintf(&b, "combine: none\n")
 	}
+	if d.Aggregate != nil {
+		fmt.Fprintf(&b, "aggregate: %s\n", d.Aggregate)
+	}
 	for _, s := range d.SideEffects {
 		fmt.Fprintf(&b, "side-effect: %s\n", s)
 	}

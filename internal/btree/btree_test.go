@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -553,5 +554,111 @@ func TestBatchCursorAllocs(t *testing.T) {
 				t.Fatalf("batch cursor allocates %.4f objects per row (%.2f per leaf); want ~0", perRow, allocs)
 			}
 		})
+	}
+}
+
+// scanPageBytes is what a range scan of [lo, hi) over tr must read,
+// walked here from the pages themselves: the internal pages of the descent
+// to the first leaf that may hold lo, then every leaf of the chain up to
+// and including the first one holding a key at or past hi — each page
+// once.
+func scanPageBytes(t *testing.T, tr *Tree, lo, hi []byte) int64 {
+	t.Helper()
+	var sum, scratch int64
+	off := tr.root
+	for {
+		page, err := tr.readPage(off, nil, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page[0] == pageLeaf {
+			break
+		}
+		sum += int64(4 + len(page))
+		offsets, seps, err := decodeInternal(page, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		child := 0
+		for lo != nil && child < len(seps) && bytes.Compare(seps[child], lo) <= 0 {
+			child++
+		}
+		off = offsets[child]
+	}
+	for off != 0 {
+		page, err := tr.readPage(off, nil, &scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += int64(4 + len(page))
+		c := &leafCursor{page: page}
+		n, used := binary.Uvarint(page[9:])
+		c.pos = 9 + used
+		for i := uint64(0); i < n; i++ {
+			key, _ := c.field()
+			c.field()
+			if hi != nil && bytes.Compare(key, hi) >= 0 {
+				return sum
+			}
+		}
+		off = int64(binary.BigEndian.Uint64(page[1:9]))
+	}
+	return sum
+}
+
+// TestScanReadsEachPageOnce: for random ranges over a lone tree and over a
+// shard set, a batch cursor's BytesRead is the descent's internal pages
+// plus each leaf it visits, once — the first leaf, which the descent
+// already read, included.
+func TestScanReadsEachPageOnce(t *testing.T) {
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "s0"), filepath.Join(dir, "s1"), filepath.Join(dir, "s2")}
+	buildShard(t, paths[0], 0, 400)
+	buildShard(t, paths[1], 400, 700)
+	buildShard(t, paths[2], 700, 1200)
+	manifest := filepath.Join(dir, "idx")
+	if err := WriteManifest(manifest, `v.Int("id")`, paths, [][]byte{serde.Int(400).SortKey(), serde.Int(700).SortKey()}); err != nil {
+		t.Fatal(err)
+	}
+	set, err := OpenIndex(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	tree := buildTree(t, 1200, 3, 256)
+	defer tree.Close()
+	rnd := rand.New(rand.NewSource(5))
+	bound := func() []byte {
+		if rnd.Intn(8) == 0 {
+			return nil
+		}
+		return serde.Int(int64(rnd.Intn(1300)) - 50).SortKey()
+	}
+	for i := 0; i < 200; i++ {
+		lo, hi := bound(), bound()
+		if lo != nil && hi != nil && bytes.Compare(lo, hi) > 0 {
+			lo, hi = hi, lo
+		}
+		// The lone tree; and the shard set, whose cursor scans each shard
+		// the range meets.
+		want := map[Index]int64{tree: scanPageBytes(t, tree, lo, hi)}
+		first, last := set.(*ShardSet).shardRange(lo, hi)
+		for s := first; s < last; s++ {
+			want[set] += scanPageBytes(t, set.(*ShardSet).shards[s], lo, hi)
+		}
+		for ix, w := range want {
+			c, err := ix.ScanBatch(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c.Next() {
+			}
+			if c.Err() != nil {
+				t.Fatal(c.Err())
+			}
+			if c.BytesRead() != w {
+				t.Fatalf("%T [%x, %x): read %d page bytes, want %d", ix, lo, hi, c.BytesRead(), w)
+			}
+		}
 	}
 }

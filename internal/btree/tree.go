@@ -159,21 +159,21 @@ func (t *Tree) readPage(off int64, buf *[]byte, read *int64) ([]byte, error) {
 }
 
 // leafPos locates the first leaf whose entries may contain keys >= lo,
-// reading the descent's pages into buf. A nil lo positions at the very
-// first leaf.
-func (t *Tree) leafPos(lo []byte, buf *[]byte, read *int64) (int64, error) {
+// reading the descent's pages into buf, and returns the leaf's offset and
+// page, which aliases buf. A nil lo positions at the very first leaf.
+func (t *Tree) leafPos(lo []byte, buf *[]byte, read *int64) (int64, []byte, error) {
 	off := t.root
 	for {
 		page, err := t.readPage(off, buf, read)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if page[0] == pageLeaf {
-			return off, nil
+			return off, page, nil
 		}
 		offsets, seps, err := decodeInternal(page, off)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		// Separators k1..k(n-1): child i covers keys in [ki, k(i+1)).
 		child := 0
@@ -353,11 +353,15 @@ func (t *Tree) Scan(lo, hi []byte) (Cursor, error) { return rows(t.ScanBatch(lo,
 // buffers and the page-byte count of whatever range c scanned before.
 func (c *leafCursor) open(t *Tree, lo, hi []byte) error {
 	*c = leafCursor{t: t, lo: lo, hi: hi, buf: c.buf, batch: c.batch, keys: c.keys, read: c.read}
-	off, err := t.leafPos(lo, &c.buf, &c.read)
+	off, page, err := t.leafPos(lo, &c.buf, &c.read)
 	if err != nil {
 		return err
 	}
+	// The descent read the first leaf; it is not read again.
 	c.nextOff = off
+	if err := c.useLeaf(page); err != nil || c.left > 0 {
+		return err
+	}
 	return c.loadLeaf()
 }
 
@@ -373,30 +377,36 @@ func (c *leafCursor) loadLeaf() error {
 		if err != nil {
 			return err
 		}
-		if page[0] != pageLeaf || len(page) < 9 {
-			return fmt.Errorf("btree: expected leaf at %d", c.nextOff)
-		}
-		// A bulk load writes each leaf before its successor, so a next
-		// pointer that does not move forward is corrupt, and rejecting it
-		// keeps every scan finite.
-		next := int64(binary.BigEndian.Uint64(page[1:9]))
-		if next != 0 && next <= c.nextOff {
-			return fmt.Errorf("btree: corrupt leaf chain at %d", c.nextOff)
-		}
-		n, used := binary.Uvarint(page[9:])
-		// An entry takes at least two bytes (its two lengths), which bounds
-		// the columns a corrupt count can make the decoder allocate.
-		if used <= 0 || n > uint64(len(page)-9-used)/2 {
-			return fmt.Errorf("btree: corrupt leaf at %d", c.nextOff)
-		}
-		c.nextOff = next
-		c.page = page
-		c.pos = 9 + used
-		c.left = n
-		if n > 0 {
-			return nil
+		if err := c.useLeaf(page); err != nil || c.left > 0 {
+			return err
 		}
 	}
+}
+
+// useLeaf makes page, the leaf at nextOff, the cursor's current leaf and
+// moves nextOff to its successor.
+func (c *leafCursor) useLeaf(page []byte) error {
+	if page[0] != pageLeaf || len(page) < 9 {
+		return fmt.Errorf("btree: expected leaf at %d", c.nextOff)
+	}
+	// A bulk load writes each leaf before its successor, so a next
+	// pointer that does not move forward is corrupt, and rejecting it
+	// keeps every scan finite.
+	next := int64(binary.BigEndian.Uint64(page[1:9]))
+	if next != 0 && next <= c.nextOff {
+		return fmt.Errorf("btree: corrupt leaf chain at %d", c.nextOff)
+	}
+	n, used := binary.Uvarint(page[9:])
+	// An entry takes at least two bytes (its two lengths), which bounds
+	// the columns a corrupt count can make the decoder allocate.
+	if used <= 0 || n > uint64(len(page)-9-used)/2 {
+		return fmt.Errorf("btree: corrupt leaf at %d", c.nextOff)
+	}
+	c.nextOff = next
+	c.page = page
+	c.pos = 9 + used
+	c.left = n
+	return nil
 }
 
 // Next decodes the next leaf holding in-range entries, returning false at

@@ -3,6 +3,13 @@
 // Mapper/Reducer interfaces and opens the physical input an execution plan
 // selected (original file, B+Tree range scan, or re-encoded record file).
 //
+// A Map the analyzer recognized as an aggregate is handed to the engine
+// as well, as AggregateKernel: a map task that folds its Combine runs it
+// over the batch's column vectors and never builds the interpreted mapper,
+// and InputForPlan's codesOnly hands that task dictionary codes instead of
+// code strings. -noopt jobs, map-only jobs and two-input jobs always call
+// the interpreted Map.
+//
 // The factories returned here are invoked per task by the engine's
 // scheduler, concurrently across the jobs sharing its slot pool: each task
 // gets a private executor instance, so nothing produced by this package is
@@ -13,6 +20,7 @@ package fabric
 import (
 	"fmt"
 
+	"manimal/internal/analyzer"
 	"manimal/internal/btree"
 	"manimal/internal/interp"
 	"manimal/internal/lang"
@@ -126,6 +134,13 @@ func (c *sumCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *inte
 	return c.r.Reduce(key, values, ctx)
 }
 
+// AggregateKernel is the engine's form of a Map the analyzer recognized as
+// an aggregate: a folding map task runs it as a column kernel over the
+// batch's vectors and never calls the interpreted Map.
+func AggregateKernel(g *analyzer.AggregateDescriptor) *mapreduce.Aggregate {
+	return &mapreduce.Aggregate{Key: g.Key, KeyKind: g.KeyKind, Div: g.Div, Value: g.Value, Const: g.Const}
+}
+
 // IdentityReducer forwards every value of every group unchanged; it is the
 // reduce stage of B+Tree index-generation jobs. Each reduce task's merge
 // stream is key-sorted, so under a range partitioner every reducer feeds
@@ -146,15 +161,23 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 // InputForPlan opens the physical input chosen by the optimizer. A
 // record-file scan subscribes its splits to share, the scan-sharing
 // registry of the jobs in flight, so identical scans run once; B+Tree
-// range reads and a nil registry scan privately.
-func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
+// range reads and a nil registry scan privately. codesOnly marks an input
+// the aggregate kernel maps: a direct-operation scan then hands it its
+// dictionary codes and renders no code strings.
+func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare, codesOnly bool) (mapreduce.Input, error) {
 	switch plan.Kind {
 	case optimizer.PlanOriginal, optimizer.PlanRecordFile:
-		path, direct := plan.InputPath, false
+		path, codes := plan.InputPath, storage.DecodeTerms
 		if plan.Kind == optimizer.PlanRecordFile {
-			path, direct = plan.IndexPath, plan.DirectCodes
+			path = plan.IndexPath
+			if plan.DirectCodes {
+				codes = storage.CodeStrings
+				if codesOnly {
+					codes = storage.CodesOnly
+				}
+			}
 		}
-		in, err := mapreduce.OpenFileWith(path, direct, plan.Pushdown, share)
+		in, err := mapreduce.OpenFileWith(path, codes, plan.Pushdown, share)
 		if err != nil {
 			return nil, err // not a typed nil: callers test the Input against nil
 		}

@@ -259,7 +259,7 @@ func openInput(inputPath string, spec Spec) (*mapreduce.FileInput, *storage.Push
 	}
 	in.Close()
 	pd := &storage.Pushdown{Fields: decode}
-	in, err = mapreduce.OpenFileWith(inputPath, false, pd, nil)
+	in, err = mapreduce.OpenFileWith(inputPath, storage.DecodeTerms, pd, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -232,19 +232,15 @@ func (e *Execution) runTask(kind string, ta *TaskAttempt, body func(a *attempt) 
 	return nil
 }
 
-// mapSplit feeds split's batches to mapper and commits the split's scan
-// counts to the attempt's ledger once its iterator is closed. Cancellation
-// is checked per batch (and by rowMapper within one). CtrMapInputRecords counts the selected rows (rows
-// the residual filter dropped never reach the mapper) locally, flushed
-// every counterFlushEvery rows plus a final flush: live enough for
-// progress reporting, cheap enough for the per-record hot path. A mapper
-// without MapBatch maps the rows through rowMapper.
-func mapSplit(a *attempt, split Split, mapper Mapper) error {
+// mapSplit feeds split's batches to bm — the task's Mapper, or the
+// aggregate kernel — and commits the split's scan counts to the attempt's
+// ledger once its iterator is closed. Cancellation is checked per batch
+// (and by rowMapper within one). CtrMapInputRecords counts the selected
+// rows (rows the residual filter dropped never reach the mapper) locally,
+// flushed every counterFlushEvery rows plus a final flush: live enough for
+// progress reporting, cheap enough for the per-record hot path.
+func mapSplit(a *attempt, split Split, bm BatchMapper) error {
 	ctx, ctr := a.Context(), a.ctr
-	bm, ok := mapper.(BatchMapper)
-	if !ok {
-		bm = &rowMapper{m: mapper, ctx: ctx}
-	}
 	bit, err := split.OpenBatch()
 	if err != nil {
 		return err
@@ -270,6 +266,19 @@ func mapSplit(a *attempt, split Split, mapper Mapper) error {
 		}
 	}
 	return bit.Err()
+}
+
+// newMapper builds the task's Mapper as a BatchMapper: a Mapper without
+// MapBatch maps its rows through rowMapper.
+func newMapper(a *attempt, factory MapperFactory) (BatchMapper, error) {
+	m, err := factory()
+	if err != nil {
+		return nil, err
+	}
+	if bm, ok := m.(BatchMapper); ok {
+		return bm, nil
+	}
+	return &rowMapper{m: m, ctx: a.Context()}, nil
 }
 
 // rowMapper runs a Mapper that has no MapBatch: each selected row of a
@@ -356,8 +365,8 @@ func (e *Execution) execute() (*Result, error) {
 	// input's mapper. Planning is idempotent — each attempt builds a local
 	// list and publishes it wholesale — so it retries like any map task.
 	type taskSpec struct {
-		split   Split
-		factory MapperFactory
+		split Split
+		input *MapInput
 	}
 	var tasks []taskSpec
 	if err := sched.runPhase(e, PhasePlan, 1, phaseOpts{retry: true}, func(ta *TaskAttempt) error {
@@ -368,14 +377,15 @@ func (e *Execution) execute() (*Result, error) {
 			parallel := job.Config.maxParallel()
 			perInput := max(1, (parallel*2+len(job.Inputs)-1)/len(job.Inputs))
 			var planned []taskSpec
-			for _, in := range job.Inputs {
+			for i := range job.Inputs {
+				in := &job.Inputs[i]
 				splits, st, err := in.Input.Splits(perInput)
 				if err != nil {
 					return nil, err
 				}
 				a.ctr.addScan(st)
 				for _, s := range splits {
-					planned = append(planned, taskSpec{split: s, factory: in.Mapper})
+					planned = append(planned, taskSpec{split: s, input: in})
 				}
 			}
 			return func() error {
@@ -392,11 +402,11 @@ func (e *Execution) execute() (*Result, error) {
 	if err := sched.runPhase(e, PhaseMap, len(tasks), phaseOpts{retry: true, speculate: true}, func(ta *TaskAttempt) error {
 		return e.runTask("map", ta, func(a *attempt) (func() error, error) {
 			spec := tasks[a.Index()]
-			mapper, err := spec.factory()
-			if err != nil {
-				return nil, err
-			}
 			if mapOnly {
+				mapper, err := newMapper(a, spec.input.Mapper)
+				if err != nil {
+					return nil, err
+				}
 				sink, err := newTaskSink(job, a.Index(), shared)
 				if err != nil {
 					return nil, err
@@ -411,8 +421,17 @@ func (e *Execution) execute() (*Result, error) {
 				job.Config.spillBuffer(), job.Combiner, a.ctr, job.Config.Conf,
 				job.Config.partitioner())
 			a.abort = se.discard
+			var err error
 			if a.ictx.Emit, err = se.emitter(); err != nil {
 				return nil, err
+			}
+			// A folding task runs an Aggregate Map as the column kernel; the
+			// Mapper is never built.
+			var mapper BatchMapper = &aggKernel{agg: spec.input.Aggregate, se: se}
+			if spec.input.Aggregate == nil || !se.folding {
+				if mapper, err = newMapper(a, spec.input.Mapper); err != nil {
+					return nil, err
+				}
 			}
 			if err := mapSplit(a, spec.split, mapper); err != nil {
 				return nil, err

@@ -58,20 +58,25 @@ type FileInput struct {
 // direct-operation mode on dictionary-compressed fields: codes are passed
 // to map() without decompression.
 func OpenFile(path string, directCodes bool) (*FileInput, error) {
-	return OpenFileWith(path, directCodes, nil, nil)
+	codes := storage.DecodeTerms
+	if directCodes {
+		codes = storage.CodeStrings
+	}
+	return OpenFileWith(path, codes, nil, nil)
 }
 
-// OpenFileWith is OpenFile with a scan pushdown (nil scans everything) and
-// a scan-sharing registry: a batch scan identical to one another job is
+// OpenFileWith is OpenFile with the dictionary-field materialization as a
+// storage.CodeMode, a scan pushdown (nil scans everything) and a
+// scan-sharing registry: a batch scan identical to one another job is
 // running over the same split rides that scan instead of decoding
 // privately (see storage.ScanShare). A nil registry keeps every scan
 // private.
-func OpenFileWith(path string, directCodes bool, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
+func OpenFileWith(path string, codes storage.CodeMode, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
 	r, err := storage.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r.DirectCodes = directCodes
+	r.Codes = codes
 	return &FileInput{r: r, pd: pd, subscribe: share.For(r, pd)}, nil
 }
 

@@ -138,6 +138,10 @@ type ReducerFactory func() (Reducer, error)
 type MapInput struct {
 	Input  Input
 	Mapper MapperFactory
+	// Aggregate, when set, says what Mapper's Map does; a map task that
+	// folds its Combine then runs it as a column kernel and never builds
+	// Mapper (see Aggregate).
+	Aggregate *Aggregate
 }
 
 // Output receives the job's final key/value pairs. The engine serializes

@@ -426,6 +426,7 @@ type emitterBufs struct {
 	comb   partBuf
 	keyBuf []byte
 	segBuf []byte
+	codes  codeSums
 }
 
 var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
@@ -451,9 +452,10 @@ var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 //
 // # Folding
 //
-// A task whose combiner is a SumCombiner folds instead: an emitted int is
-// added to its key's running sum in the table entry with wrapping +,
-// exactly the interpreter's. There is no value chain and no Combine call:
+// A task whose combiner is a SumCombiner folds instead (foldInt): an
+// emitted int is added to its key's running sum in the table entry with
+// wrapping +, exactly the interpreter's. There is no value chain and no
+// Combine call:
 // spill writes each (key, Int(sum)), byte for byte the run the Combine
 // writes over the same chain. map.output.records and map.output.bytes
 // still count every emitted pair, at the length its encoding would have.
@@ -466,6 +468,17 @@ var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 // sum becomes the first link of its chain, and the task continues chaining,
 // where the Combine sees partial sums plus the later values — and fails on
 // a non-int exactly as it would have without the fold.
+//
+// A folding task whose input has an Aggregate Map emits nothing through
+// emit: the aggregate kernel (aggregate.go) walks each batch's key and
+// value vectors and folds every selected row through the same foldInt, so
+// its spills, spill points and counters are emit's by construction. A key
+// that is a dictionary code instead adds into codeSums, a dense array
+// indexed by code, when the dictionary fits the spill budget
+// (DenseCodes): a code's first pair in a spill charges what foldInt
+// charges for a new key, and spill moves each code's sum into the tables
+// (flushCodes), computing its sort key, hash and partition once. Such a
+// task never unfolds: its values are all ints.
 type shuffleEmitter struct {
 	taskID    int
 	attempt   int // task attempt; spill names embed it so retried and speculative attempts never collide
@@ -487,6 +500,7 @@ type shuffleEmitter struct {
 	part      Partitioner
 	files     []*spillFile // one per spill
 	segBuf    []byte       // reused spill-file image buffer (one write per spill)
+	codes     codeSums     // the aggregate kernel's dense sums of dictionary codes
 	bufs      *emitterBufs // pool ticket; nil after release
 
 	// Counter deltas batch locally and flush at each spill: Counters.Add
@@ -522,6 +536,7 @@ func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold 
 		}
 	}
 	bufs.comb.reset()
+	bufs.codes.reset()
 	_, hashPart := part.(HashPartitioner)
 	return &shuffleEmitter{
 		taskID:    taskID,
@@ -533,6 +548,7 @@ func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold 
 		comb:      bufs.comb,
 		keyBuf:    bufs.keyBuf,
 		segBuf:    bufs.segBuf,
+		codes:     bufs.codes,
 		bufs:      bufs,
 		threshold: threshold,
 		combiner:  combiner,
@@ -563,6 +579,7 @@ func (se *shuffleEmitter) release() {
 	se.bufs.comb = se.comb
 	se.bufs.keyBuf = se.keyBuf
 	se.bufs.segBuf = se.segBuf
+	se.bufs.codes = se.codes
 	emitterBufsPool.Put(se.bufs)
 	se.bufs = nil
 }
@@ -591,30 +608,14 @@ func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 		n := se.parts[se.part.Partition(kb, len(se.parts))].append(kb, value, &se.enc)
 		return se.charge(n, n)
 	}
-	h := fnv1a(kb)
-	var p int
-	if se.hashPart {
-		p = int(h % uint32(len(se.parts)))
-	} else {
-		p = se.part.Partition(kb, len(se.parts))
-	}
 	if se.folding && (value.Rec != nil || value.D.Kind != serde.KindInt64) {
 		se.unfold()
 	}
-	pb, t := &se.parts[p], &se.tables[p]
-	id, s := t.find(pb.slab, kb, h)
 	if se.folding {
-		v := value.D.Int()
-		if id >= 0 {
-			t.ents[id].val += v
-			se.pendRecords++
-			se.pendBytes += int64(len(kb) + intValueLen(v))
-			return nil
-		}
-		t.insert(s, combEntry{off: int64(len(pb.slab)), klen: uint32(len(kb)), hash: h, val: v})
-		pb.slab = append(pb.slab, kb...)
-		return se.charge(len(kb)+foldEntryBytes, len(kb)+intValueLen(v))
+		return se.foldInt(kb, value.D.Int())
 	}
+	p, h, id, s := se.place(kb)
+	pb, t := &se.parts[p], &se.tables[p]
 	seen := id >= 0
 	if !seen {
 		pb.slab = append(pb.slab, kb...)
@@ -627,6 +628,50 @@ func (se *shuffleEmitter) emit(key serde.Datum, value interp.EmitValue) error {
 	}
 	e.val = at
 	return se.charge(len(kb)+vlen, len(kb)+vlen)
+}
+
+// place finds key kb in a combining task's tables: kb's partition, its
+// FNV-1a hash (fnv1a) — which, under HashPartitioner, picks the partition —
+// and its entry id in the partition's table, or -1 and the empty slot an
+// insert of kb takes.
+func (se *shuffleEmitter) place(kb []byte) (p int, h uint32, id int32, s uint32) {
+	h = fnv1a(kb)
+	if se.hashPart {
+		p = int(h % uint32(len(se.parts)))
+	} else {
+		p = se.part.Partition(kb, len(se.parts))
+	}
+	id, s = se.tables[p].find(se.parts[p].slab, kb, h)
+	return p, h, id, s
+}
+
+// foldInt is a folding task's one fold: it adds v to key kb's running sum,
+// wrapping like the interpreter's int64 +, and counts the pair it stands
+// for. A key's first pair stores its bytes and charges them, plus
+// foldEntryBytes, against the spill budget; later pairs charge nothing.
+// emit's folding branch and the aggregate kernel both fold through it.
+func (se *shuffleEmitter) foldInt(kb []byte, v int64) error {
+	if !se.addSum(kb, v) {
+		se.pendRecords++
+		se.pendBytes += int64(len(kb) + intValueLen(v))
+		return nil
+	}
+	return se.charge(len(kb)+foldEntryBytes, len(kb)+intValueLen(v))
+}
+
+// addSum adds v to key kb's running sum, storing kb's bytes and a new
+// entry if the tables do not hold kb yet, which it reports.
+func (se *shuffleEmitter) addSum(kb []byte, v int64) (inserted bool) {
+	p, h, id, s := se.place(kb)
+	t := &se.tables[p]
+	if id >= 0 {
+		t.ents[id].val += v
+		return false
+	}
+	pb := &se.parts[p]
+	t.insert(s, combEntry{off: int64(len(pb.slab)), klen: uint32(len(kb)), hash: h, val: v})
+	pb.slab = append(pb.slab, kb...)
+	return true
 }
 
 // charge counts one emitted pair of n encoded bytes and adds held bytes to
@@ -665,6 +710,7 @@ func (se *shuffleEmitter) unfold() {
 // folded sums, or what the Combine makes of its chains — into one spill
 // image and publishes it.
 func (se *shuffleEmitter) spill() error {
+	se.flushCodes()
 	if se.pendRecords > 0 {
 		se.counters.Add(CtrMapOutputRecords, se.pendRecords)
 		se.counters.Add(CtrMapOutputBytes, se.pendBytes)

@@ -1,11 +1,8 @@
 package predicate
 
 import (
-	"fmt"
 	"go/token"
 	"strings"
-
-	"manimal/internal/serde"
 )
 
 // Atom is one boolean-valued leaf expression of a formula (a comparison,
@@ -21,18 +18,6 @@ func (a Atom) Canon() string {
 		return "!" + a.Expr.Canon()
 	}
 	return a.Expr.Canon()
-}
-
-// Eval evaluates the atom to a boolean.
-func (a Atom) Eval(v *serde.Record, conf Config) (bool, error) {
-	d, err := a.Expr.Eval(v, conf)
-	if err != nil {
-		return false, err
-	}
-	if d.Kind != serde.KindBool {
-		return false, fmt.Errorf("predicate: atom %s is %v, not bool", a.Canon(), d.Kind)
-	}
-	return d.Flag() != a.Negated, nil
 }
 
 // Conjunct is a conjunction of atoms: the tests that must all hold on one
@@ -77,27 +62,6 @@ func (d DNF) AlwaysEmits() bool {
 		}
 	}
 	return false
-}
-
-// Eval evaluates the whole formula against a record.
-func (d DNF) Eval(v *serde.Record, conf Config) (bool, error) {
-	for _, c := range d {
-		all := true
-		for _, a := range c {
-			ok, err := a.Eval(v, conf)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // ToDNF converts a boolean expression (with possible nested &&, ||, !) plus

@@ -27,10 +27,6 @@ type Expr interface {
 	// Canon returns the canonical string form, used to match selection
 	// descriptors against index key expressions in the catalog.
 	Canon() string
-	// Eval evaluates the expression against a record and config. Exprs
-	// containing calls or indexing are not evaluatable here (the
-	// interpreter evaluates those at index-build time) and return an error.
-	Eval(v *serde.Record, conf Config) (serde.Datum, error)
 }
 
 // Field is a record accessor: v.Int("rank"). Accessor is the method name
@@ -42,22 +38,6 @@ type Field struct {
 
 // Canon implements Expr.
 func (f Field) Canon() string { return fmt.Sprintf("v.%s(%q)", f.Accessor, f.Name) }
-
-// Eval implements Expr.
-func (f Field) Eval(v *serde.Record, _ Config) (serde.Datum, error) {
-	d, ok := v.Lookup(f.Name)
-	if f.Accessor == "Has" {
-		return serde.Bool(ok), nil
-	}
-	if !ok {
-		return serde.Datum{}, fmt.Errorf("predicate: record has no field %q", f.Name)
-	}
-	want := accessorKind(f.Accessor)
-	if want != serde.KindInvalid && d.Kind != want {
-		return serde.Datum{}, fmt.Errorf("predicate: field %q is %v, accessor wants %v", f.Name, d.Kind, want)
-	}
-	return d, nil
-}
 
 func accessorKind(acc string) serde.Kind {
 	switch acc {
@@ -85,15 +65,6 @@ type Conf struct {
 // Canon implements Expr.
 func (c Conf) Canon() string { return fmt.Sprintf("ctx.%s(%q)", c.Accessor, c.Name) }
 
-// Eval implements Expr.
-func (c Conf) Eval(_ *serde.Record, conf Config) (serde.Datum, error) {
-	d, ok := conf[c.Name]
-	if !ok {
-		return serde.Datum{}, fmt.Errorf("predicate: job config has no parameter %q", c.Name)
-	}
-	return d, nil
-}
-
 // Const is a literal.
 type Const struct{ D serde.Datum }
 
@@ -105,12 +76,8 @@ func (c Const) Canon() string {
 	return c.D.String()
 }
 
-// Eval implements Expr.
-func (c Const) Eval(_ *serde.Record, _ Config) (serde.Datum, error) { return c.D, nil }
-
 // Call is a whitelisted pure function call, e.g. strings.Split(...). It is
-// canonical and index-buildable (the interpreter evaluates it), but not
-// evaluatable inside this package.
+// canonical and index-buildable: the interpreter evaluates it.
 type Call struct {
 	Name string
 	Args []Expr
@@ -125,21 +92,11 @@ func (c Call) Canon() string {
 	return c.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-// Eval implements Expr.
-func (c Call) Eval(*serde.Record, Config) (serde.Datum, error) {
-	return serde.Datum{}, fmt.Errorf("predicate: call %s is not evaluatable here", c.Name)
-}
-
 // Index is a subscript expression, e.g. parts[1].
 type Index struct{ X, I Expr }
 
 // Canon implements Expr.
 func (ix Index) Canon() string { return ix.X.Canon() + "[" + ix.I.Canon() + "]" }
-
-// Eval implements Expr.
-func (ix Index) Eval(*serde.Record, Config) (serde.Datum, error) {
-	return serde.Datum{}, fmt.Errorf("predicate: index expression is not evaluatable here")
-}
 
 // Binary is an arithmetic or comparison operation.
 type Binary struct {
@@ -152,19 +109,6 @@ func (b Binary) Canon() string {
 	return "(" + b.L.Canon() + " " + b.Op.String() + " " + b.R.Canon() + ")"
 }
 
-// Eval implements Expr.
-func (b Binary) Eval(v *serde.Record, conf Config) (serde.Datum, error) {
-	l, err := b.L.Eval(v, conf)
-	if err != nil {
-		return serde.Datum{}, err
-	}
-	r, err := b.R.Eval(v, conf)
-	if err != nil {
-		return serde.Datum{}, err
-	}
-	return EvalBinary(b.Op, l, r)
-}
-
 // Unary is !x or -x.
 type Unary struct {
 	Op token.Token
@@ -173,31 +117,6 @@ type Unary struct {
 
 // Canon implements Expr.
 func (u Unary) Canon() string { return u.Op.String() + u.X.Canon() }
-
-// Eval implements Expr.
-func (u Unary) Eval(v *serde.Record, conf Config) (serde.Datum, error) {
-	x, err := u.X.Eval(v, conf)
-	if err != nil {
-		return serde.Datum{}, err
-	}
-	switch u.Op {
-	case token.NOT:
-		if x.Kind != serde.KindBool {
-			return serde.Datum{}, fmt.Errorf("predicate: ! of %v", x.Kind)
-		}
-		return serde.Bool(!x.Flag()), nil
-	case token.SUB:
-		switch x.Kind {
-		case serde.KindInt64:
-			return serde.Int(-x.Int()), nil
-		case serde.KindFloat64:
-			return serde.Float(-x.Float()), nil
-		}
-	case token.ADD:
-		return x, nil
-	}
-	return serde.Datum{}, fmt.Errorf("predicate: unsupported unary %s on %v", u.Op, x.Kind)
-}
 
 // EvalBinary applies a binary operator to two datums with Go-like numeric
 // promotion between int64 and float64. It is shared with the interpreter so

@@ -282,9 +282,46 @@ func isBindable(e Expr) bool {
 	}
 }
 
-// bindValue evaluates a bindable expression given the job config.
+// bindValue evaluates a bindable expression (see isBindable) given the
+// job config.
 func bindValue(e Expr, conf Config) (serde.Datum, error) {
-	return e.Eval(nil, conf)
+	switch ex := e.(type) {
+	case Const:
+		return ex.D, nil
+	case Conf:
+		d, ok := conf[ex.Name]
+		if !ok {
+			return serde.Datum{}, fmt.Errorf("predicate: job config has no parameter %q", ex.Name)
+		}
+		return d, nil
+	case Binary:
+		l, err := bindValue(ex.L, conf)
+		if err != nil {
+			return serde.Datum{}, err
+		}
+		r, err := bindValue(ex.R, conf)
+		if err != nil {
+			return serde.Datum{}, err
+		}
+		return EvalBinary(ex.Op, l, r)
+	case Unary:
+		x, err := bindValue(ex.X, conf)
+		if err != nil {
+			return serde.Datum{}, err
+		}
+		switch {
+		case ex.Op == token.ADD:
+			return x, nil
+		case ex.Op == token.SUB && x.Kind == serde.KindInt64:
+			return serde.Int(-x.Int()), nil
+		case ex.Op == token.SUB && x.Kind == serde.KindFloat64:
+			return serde.Float(-x.Float()), nil
+		case ex.Op == token.NOT && x.Kind == serde.KindBool:
+			return serde.Bool(!x.Flag()), nil
+		}
+		return serde.Datum{}, fmt.Errorf("predicate: unsupported unary %s on %v", ex.Op, x.Kind)
+	}
+	return serde.Datum{}, fmt.Errorf("predicate: %s is not bindable", e.Canon())
 }
 
 // RangesFor derives, for the given canonical key expression and job config,

@@ -53,60 +53,97 @@ func TestFromASTRejects(t *testing.T) {
 	}
 }
 
-var rankSchema = serde.MustSchema(
-	serde.Field{Name: "rank", Kind: serde.KindInt64},
-	serde.Field{Name: "score", Kind: serde.KindFloat64},
-	serde.Field{Name: "url", Kind: serde.KindString},
-)
-
-func rankRecord(rank int64, score float64, url string) *serde.Record {
-	r := serde.NewRecord(rankSchema)
-	r.MustSet("rank", serde.Int(rank))
-	r.MustSet("score", serde.Float(score))
-	r.MustSet("url", serde.String(url))
-	return r
+// rankRow is one record of the property tests' rank/score/url schema.
+type rankRow struct {
+	rank  int64
+	score float64
+	url   string
 }
 
-// ToDNF must preserve semantics: for random records, the DNF evaluates to
-// the same truth value as the original expression, including under
-// negation and De Morgan rewrites.
+// atomHolds evaluates one field-versus-bindable comparison atom on r
+// through the vector filter: the atom's zone interval (Zones), tested on a
+// one-row column by the kernel of the field's kind. A != atom holds where
+// its == interval does not.
+func atomHolds(t *testing.T, a Atom, r rankRow, conf Config) bool {
+	t.Helper()
+	ex, ok := a.Expr.(Binary)
+	if !ok {
+		t.Fatalf("atom %s is not a comparison", a.Canon())
+	}
+	negated := a.Negated
+	if ex.Op == token.NEQ {
+		ex.Op, negated = token.EQL, !negated
+	}
+	f, ok, err := DNF{{Atom{Expr: ex}}}.Zones(conf)
+	if err != nil || !ok || len(f) != 1 || len(f[0]) != 1 {
+		t.Fatalf("atom %s has no one-field interval: %v %v %v", a.Canon(), f, ok, err)
+	}
+	b, mask := f[0][0], []bool{true}
+	switch b.Field {
+	case "rank":
+		b.Iv.FilterInt64([]int64{r.rank}, mask)
+	case "score":
+		b.Iv.FilterFloat64([]float64{r.score}, mask)
+	case "url":
+		b.Iv.FilterString([]string{r.url}, mask)
+	default:
+		t.Fatalf("atom %s bounds unknown field %s", a.Canon(), b.Field)
+	}
+	return mask[0] != negated
+}
+
+// dnfHolds evaluates a formula of comparison atoms on r through the
+// vector filter (atomHolds).
+func dnfHolds(t *testing.T, d DNF, r rankRow, conf Config) bool {
+	t.Helper()
+	for _, c := range d {
+		all := true
+		for _, a := range c {
+			if !atomHolds(t, a, r, conf) {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// ToDNF must preserve semantics: for random records, the DNF — evaluated
+// through the vector filter — holds exactly where the original expression,
+// written out in Go, does, including under negation and De Morgan
+// rewrites.
 func TestToDNFSemanticsProperty(t *testing.T) {
-	exprs := []string{
-		`v.Int("rank") > 5`,
-		`v.Int("rank") > 5 && v.Float("score") < 0.5`,
-		`v.Int("rank") > 5 || v.Float("score") < 0.5`,
-		`!(v.Int("rank") > 5)`,
-		`!(v.Int("rank") > 5 && v.Str("url") == "a")`,
-		`!(v.Int("rank") < 2 || !(v.Float("score") >= 0.25))`,
-		`v.Int("rank") == 3 || (v.Int("rank") > 7 && v.Int("rank") <= 9)`,
-		`v.Int("rank") != 4 && (v.Str("url") == "a" || v.Float("score") > 0.75)`,
+	exprs := []struct {
+		src  string
+		want func(r rankRow) bool
+	}{
+		{`v.Int("rank") > 5`, func(r rankRow) bool { return r.rank > 5 }},
+		{`v.Int("rank") > 5 && v.Float("score") < 0.5`, func(r rankRow) bool { return r.rank > 5 && r.score < 0.5 }},
+		{`v.Int("rank") > 5 || v.Float("score") < 0.5`, func(r rankRow) bool { return r.rank > 5 || r.score < 0.5 }},
+		{`!(v.Int("rank") > 5)`, func(r rankRow) bool { return !(r.rank > 5) }},
+		{`!(v.Int("rank") > 5 && v.Str("url") == "a")`, func(r rankRow) bool { return !(r.rank > 5 && r.url == "a") }},
+		{`!(v.Int("rank") < 2 || !(v.Float("score") >= 0.25))`, func(r rankRow) bool { return !(r.rank < 2 || !(r.score >= 0.25)) }},
+		{`v.Int("rank") == 3 || (v.Int("rank") > 7 && v.Int("rank") <= 9)`, func(r rankRow) bool { return r.rank == 3 || (r.rank > 7 && r.rank <= 9) }},
+		{`v.Int("rank") != 4 && (v.Str("url") == "a" || v.Float("score") > 0.75)`, func(r rankRow) bool { return r.rank != 4 && (r.url == "a" || r.score > 0.75) }},
 	}
 	rnd := rand.New(rand.NewSource(42))
 	conf := Config{}
 	urls := []string{"a", "b"}
-	for _, src := range exprs {
-		e := parseExpr(t, src)
+	for _, tc := range exprs {
+		e := parseExpr(t, tc.src)
 		dnf := ToDNF(e, false)
 		neg := ToDNF(e, true)
 		for i := 0; i < 500; i++ {
-			rec := rankRecord(int64(rnd.Intn(12)), float64(rnd.Intn(4))/4, urls[rnd.Intn(2)])
-			want, err := e.Eval(rec, conf)
-			if err != nil {
-				t.Fatalf("%q eval: %v", src, err)
+			r := rankRow{rank: int64(rnd.Intn(12)), score: float64(rnd.Intn(4)) / 4, url: urls[rnd.Intn(2)]}
+			want := tc.want(r)
+			if got := dnfHolds(t, dnf, r, conf); got != want {
+				t.Fatalf("%q on %+v: dnf %v, expr %v", tc.src, r, got, want)
 			}
-			got, err := dnf.Eval(rec, conf)
-			if err != nil {
-				t.Fatalf("%q dnf eval: %v", src, err)
-			}
-			if got != want.Flag() {
-				t.Fatalf("%q on %s: dnf %v, expr %v", src, rec, got, want.Flag())
-			}
-			gotNeg, err := neg.Eval(rec, conf)
-			if err != nil {
-				t.Fatalf("%q neg eval: %v", src, err)
-			}
-			if gotNeg != !want.Flag() {
-				t.Fatalf("%q negated on %s: %v", src, rec, gotNeg)
+			if got := dnfHolds(t, neg, r, conf); got != !want {
+				t.Fatalf("%q negated on %+v: %v", tc.src, r, got)
 			}
 		}
 	}
@@ -191,11 +228,7 @@ func TestRangeCoverProperty(t *testing.T) {
 		}
 		for i := 0; i < 2000; i++ {
 			rank := int64(rnd.Intn(120))
-			rec := rankRecord(rank, 0.5, "a")
-			sat, err := dnf.Eval(rec, conf)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sat := dnfHolds(t, dnf, rankRow{rank: rank, score: 0.5, url: "a"}, conf)
 			if sat && !covered(ivs, serde.Int(rank)) {
 				t.Fatalf("%q: rank %d satisfies formula but is outside %v", src, rank, ivs)
 			}

@@ -25,6 +25,9 @@ type Vector struct {
 	strs   []string
 	raws   [][]byte
 	bools  []bool
+	codes  []int64 // a dictionary-coded string column's codes; see Codes
+	terms  int     // the coded column's dictionary size
+	coded  bool
 }
 
 // Kind returns the vector's element kind.
@@ -53,6 +56,7 @@ func (v *Vector) Len() int {
 // returned-slice variants below are the write paths.
 func (v *Vector) Resize(kind Kind, n int) {
 	v.kind = kind
+	v.coded = false
 	switch kind {
 	case KindInt64:
 		v.ints = grow(v.ints, n)
@@ -105,6 +109,30 @@ func (v *Vector) ResizeRaws(n int) [][]byte {
 func (v *Vector) ResizeBools(n int) []bool {
 	v.Resize(KindBool, n)
 	return v.bools
+}
+
+// ResizeCodes re-types to a dictionary-coded string column of n elements
+// over a dictionary of terms terms and returns the writable code storage.
+// The string elements are resized too, for the producer to fill with the
+// codes' renderings or leave empty (see Codes).
+func (v *Vector) ResizeCodes(n, terms int) []int64 {
+	v.Resize(KindString, n)
+	v.codes = grow(v.codes, n)
+	v.terms, v.coded = terms, true
+	return v.codes
+}
+
+// Codes borrows a dictionary-coded string column's codes and its
+// dictionary's term count; codes is nil when the column is not coded. A
+// coded column's strings are whatever its producer rendered for the codes
+// (storage's direct-operation scans render code strings, or nothing when
+// the consumer reads only codes). Same validity window as the other
+// borrow accessors.
+func (v *Vector) Codes() (codes []int64, terms int) {
+	if !v.coded {
+		return nil, 0
+	}
+	return v.codes, v.terms
 }
 
 // Borrow accessors. Each returns the backing slice for the vector's kind

@@ -237,23 +237,36 @@ func (s *BatchScanner) decodeColumn(i int, seg []byte, n int) error {
 		}
 		return nil
 	case EncodeDict:
-		s.raws = growInt64(s.raws, n)
-		used, err := serde.DecodeUvarintColumn(seg, s.raws)
+		// Under direct operation the codes decode straight into the
+		// column, which keeps them; otherwise into the raw scratch.
+		dict := s.r.dicts[i]
+		var codes []int64
+		if s.r.Codes == DecodeTerms {
+			s.raws = growInt64(s.raws, n)
+			codes = s.raws
+		} else {
+			codes = col.ResizeCodes(n, dict.Len())
+		}
+		used, err := serde.DecodeUvarintColumn(seg, codes)
 		if err != nil {
 			return err
 		}
 		if used != len(seg) {
 			return fmt.Errorf("segment not fully consumed")
 		}
-		dst := col.ResizeStrs(n)
-		if s.r.DirectCodes {
-			for j, code := range s.raws {
+		switch s.r.Codes {
+		case CodesOnly:
+			clear(col.Strs())
+			return nil
+		case CodeStrings:
+			dst := col.Strs()
+			for j, code := range codes {
 				dst[j] = compress.CodeString(uint64(code))
 			}
 			return nil
 		}
-		dict := s.r.dicts[i]
-		for j, code := range s.raws {
+		dst := col.ResizeStrs(n)
+		for j, code := range codes {
 			term, err := dict.Decode(uint64(code))
 			if err != nil {
 				return err

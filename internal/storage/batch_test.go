@@ -324,7 +324,7 @@ func TestBatchScanDirectCodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		r.DirectCodes = true
+		r.Codes = CodeStrings
 		got, idx, st := collect(t, r, pd)
 		if len(got) == 0 {
 			t.Fatalf("%s: residual filter dropped all rows under DirectCodes", name)
@@ -339,6 +339,70 @@ func TestBatchScanDirectCodes(t *testing.T) {
 		if st.BlocksSkipped == 0 || st.RowsFiltered != 0 {
 			t.Fatalf("%s: want logical block skipping and no residual drops on code strings: %+v", name, st)
 		}
+	}
+}
+
+// TestBatchScanCodes: a direct-operation scan's dict column carries its
+// dictionary codes and term count beside the code strings, and a CodesOnly
+// scan carries the same codes with empty strings; a decoding scan's column
+// has no codes.
+func TestBatchScanCodes(t *testing.T) {
+	schema := serde.MustSchema(serde.Field{Name: "s", Kind: serde.KindString})
+	path := filepath.Join(t.TempDir(), "codes.rec")
+	w, err := NewWriter(path, schema, WriterOptions{BlockSize: 16, Encodings: map[string]FieldEncoding{"s": EncodeDict}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := []string{"", "a\x00", "bb", "a\x00", "ccc", ""}
+	for i := 0; i < 40; i++ {
+		r := serde.NewRecord(schema)
+		r.MustSet("s", serde.String(terms[i%len(terms)]))
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []CodeMode{DecodeTerms, CodeStrings, CodesOnly} {
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Codes = mode
+		dict := r.Dictionary("s")
+		sc, err := r.ScanBatch(0, r.NumBlocks(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := 0
+		for sc.Next() {
+			col := sc.Batch().Col(0)
+			codes, n := col.Codes()
+			if (codes == nil) != (mode == DecodeTerms) || (codes != nil && n != dict.Len()) {
+				t.Fatalf("mode %d: codes %v over %d terms, dictionary of %d", mode, codes, n, dict.Len())
+			}
+			for i, s := range col.Strs() {
+				term := terms[row%len(terms)]
+				want := map[CodeMode]string{DecodeTerms: term, CodesOnly: ""}[mode]
+				if codes != nil {
+					if got, _ := dict.Decode(uint64(codes[i])); got != term {
+						t.Fatalf("mode %d row %d: code %d is %q, want %q", mode, row, codes[i], got, term)
+					}
+					if mode == CodeStrings {
+						want = compress.CodeString(uint64(codes[i]))
+					}
+				}
+				if s != want {
+					t.Fatalf("mode %d row %d: string %q, want %q", mode, row, s, want)
+				}
+				row++
+			}
+		}
+		if sc.Err() != nil || row != 40 {
+			t.Fatalf("mode %d: %d rows, err %v", mode, row, sc.Err())
+		}
+		r.Close()
 	}
 }
 

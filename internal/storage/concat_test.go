@@ -79,7 +79,7 @@ func directCodes(t *testing.T, path, field string) []string {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.DirectCodes = true
+	r.Codes = CodeStrings
 	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)

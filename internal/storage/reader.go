@@ -42,12 +42,27 @@ type Reader struct {
 	fileSize  int64
 	modTime   int64 // at Open, in Unix nanoseconds: with path and size, the file identity scans share on
 	bytesRead atomic.Int64
-	// DirectCodes controls dictionary-field materialization: when false
-	// (default) codes are decoded back to the original strings (lossless
-	// compression); when true, the fabric operates directly on compact
-	// code-strings and never decodes (paper's direct-operation mode).
-	DirectCodes bool
+	// Codes controls dictionary-field materialization; see CodeMode. Set
+	// it before the reader's first scan.
+	Codes CodeMode
 }
+
+// CodeMode is how scans materialize dictionary-encoded fields.
+type CodeMode uint8
+
+const (
+	// DecodeTerms decodes codes back to the original strings (lossless
+	// compression). The default.
+	DecodeTerms CodeMode = iota
+	// CodeStrings is the paper's direct-operation mode: the fabric works on
+	// compact code strings (compress.CodeString) and never decodes. The
+	// column also carries the codes themselves (serde.Vector.Codes).
+	CodeStrings
+	// CodesOnly is direct operation for a consumer that reads only the
+	// codes (the aggregate kernel): the column carries its codes, and its
+	// strings are left empty.
+	CodesOnly
+)
 
 // Open opens a record file for reading.
 func Open(path string) (*Reader, error) {

@@ -37,7 +37,7 @@ func NewScanShare() *ScanShare { return &ScanShare{groups: make(map[shareKey]*sh
 type shareKey struct {
 	path        string
 	size, mtime int64
-	direct      bool
+	codes       CodeMode
 	pd          string
 	lo, hi      int
 }
@@ -50,14 +50,14 @@ func (sh *ScanShare) Subscribe(r *Reader, lo, hi int, pd *Pushdown) (*SharedScan
 	return sh.For(r, pd)(lo, hi)
 }
 
-// For returns Subscribe bound to one input's Reader (set its DirectCodes
+// For returns Subscribe bound to one input's Reader (set its Codes
 // first) and pushdown, rendering the pushdown's canonical form once for
 // all the input's splits; a nil registry's function declines every scan.
 func (sh *ScanShare) For(r *Reader, pd *Pushdown) func(lo, hi int) (*SharedScanner, bool) {
 	if sh == nil {
 		return func(int, int) (*SharedScanner, bool) { return nil, false }
 	}
-	key := shareKey{path: r.path, size: r.fileSize, mtime: r.modTime, direct: r.DirectCodes}
+	key := shareKey{path: r.path, size: r.fileSize, mtime: r.modTime, codes: r.Codes}
 	if pd != nil {
 		// Go syntax is exact: quoted strings, datum kinds and bits, nil apart
 		// from empty. The field mask is a set, so it is sorted.

@@ -223,8 +223,8 @@ type compiledBound struct {
 	iv    predicate.Interval
 }
 
-// compileFilter resolves f against the reader's schema. directCodes
-// excludes dict-encoded fields from RESIDUAL bounds (the decoded value is
+// compileFilter resolves f against the reader's schema. Direct operation
+// on codes excludes dict-encoded fields from RESIDUAL bounds (the decoded value is
 // a code string, not the logical value the bounds constrain); block-level
 // stats are computed on logical values at write time, so block pruning
 // keeps those bounds — the caller compiles two variants.
@@ -240,7 +240,7 @@ func (r *Reader) compileFilter(f predicate.ZoneFilter, forResidual bool) compile
 			if k := boundKind(b.Iv); k == serde.KindInvalid || k != r.schema.Field(i).Kind {
 				continue
 			}
-			if forResidual && r.DirectCodes && r.encodings[i] == EncodeDict {
+			if forResidual && r.Codes != DecodeTerms && r.encodings[i] == EncodeDict {
 				continue
 			}
 			bounds = append(bounds, compiledBound{field: i, iv: b.Iv})

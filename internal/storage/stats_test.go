@@ -441,7 +441,7 @@ func TestResidualGatedUnderDirectCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.DirectCodes = true
+	r.Codes = CodeStrings
 	sc, err := scanRows(r, 0, r.NumBlocks(), &Pushdown{Filter: filter, Residual: true})
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func TestRoundTripDict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.DirectCodes = true
+	r.Codes = CodeStrings
 	sc, err := scanRows(r, 0, r.NumBlocks(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -67,6 +67,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -629,6 +630,9 @@ func (s *System) plan(sub *submission, note string) error {
 	if foldsCombine(spec, report) {
 		lead := report.Inputs[0].Plan
 		lead.Notes = append(lead.Notes, "combine: int64 sum folded at emit")
+		if g := kernelAggregate(spec, report); g != nil {
+			lead.Notes = append(lead.Notes, "aggregate: column kernel ("+g.String()+denseNote(g, report, sub.counts[0])+")")
+		}
 	}
 
 	// Two-input jobs are checked for the repartition-join shape (paper
@@ -848,6 +852,10 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 			Mapper: fabric.MapperFactory(ispec.Program.parsed),
 		}
 	}
+	if g := kernelAggregate(spec, report); g != nil {
+		inputs[0].Aggregate = fabric.AggregateKernel(g)
+		inputs[0].Input.(*lazyInput).codesOnly = true
+	}
 	out, _ := mapreduce.NewKVFileOutput(spec.OutputPath) // creates nothing yet, so cannot fail
 	job := &mapreduce.Job{
 		Name:   spec.Name,
@@ -883,6 +891,32 @@ func foldsCombine(spec JobSpec, report *JobReport) bool {
 	}
 	d := report.Inputs[0].Descriptor
 	return d != nil && d.Combine != nil
+}
+
+// kernelAggregate returns the Aggregate Map an optimized job's map tasks
+// run as a column kernel, or nil: the job must fold its Combine and have
+// one input, whose Map the analyzer recognized. A -noopt job never folds,
+// so it never runs the kernel.
+func kernelAggregate(spec JobSpec, report *JobReport) *analyzer.AggregateDescriptor {
+	if len(spec.Inputs) != 1 || !foldsCombine(spec, report) {
+		return nil
+	}
+	return report.Inputs[0].Descriptor.Aggregate
+}
+
+// denseNote is the kernel note's suffix when the aggregate's key is a
+// dictionary code under direct operation. Its dictionary holds at most
+// one term per record, so a file of records terms is sure to fold into the
+// dense array; a larger one does when its dictionary fits.
+func denseNote(g *analyzer.AggregateDescriptor, report *JobReport, records int64) string {
+	plan, d := report.Inputs[0].Plan, report.Inputs[0].Descriptor
+	if !plan.DirectCodes || d.DirectOp == nil || !slices.Contains(d.DirectOp.Fields, g.Key) {
+		return ""
+	}
+	if mapreduce.DenseCodes(int(records), mapreduce.DefaultSpillBufferBytes) {
+		return ", dictionary codes, dense"
+	}
+	return ", dictionary codes, dense if the dictionary fits the spill budget"
 }
 
 // cacheKey derives the result-cache identity of a submission, and the
@@ -1192,8 +1226,9 @@ func ReadOutput(path string) ([]mapreduce.KVPair, error) { return mapreduce.Read
 // the running jobs. Open errors surface from the plan phase (Splits)
 // instead of from SubmitAsync.
 type lazyInput struct {
-	plan  *optimizer.Plan
-	share *storage.ScanShare
+	plan      *optimizer.Plan
+	share     *storage.ScanShare
+	codesOnly bool // the aggregate kernel maps it: see fabric.InputForPlan
 
 	mu  sync.Mutex
 	in  mapreduce.Input
@@ -1204,7 +1239,7 @@ func (l *lazyInput) open() (mapreduce.Input, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.in == nil && l.err == nil {
-		l.in, l.err = fabric.InputForPlan(l.plan, l.share)
+		l.in, l.err = fabric.InputForPlan(l.plan, l.share, l.codesOnly)
 	}
 	return l.in, l.err
 }
