@@ -136,11 +136,14 @@ func TestAggregateKernelDifferential(t *testing.T) {
 						t.Fatalf("plan without the kernel has its note: %q", r.Inputs[0].Plan.Notes)
 					}
 				}
-				if kp.Kind != ip.Kind || kp.IndexPath != ip.IndexPath || kp.DirectCodes != ip.DirectCodes {
-					t.Fatalf("plans differ: kernel %v %s direct=%v, interpreted %v %s direct=%v",
-						kp.Kind, kp.IndexPath, kp.DirectCodes, ip.Kind, ip.IndexPath, ip.DirectCodes)
+				// The kernel reads codes only where the interpreted Map reads
+				// code strings: both operate directly on codes, or neither.
+				kDirect, iDirect := kp.Codes != storage.DecodeTerms, ip.Codes != storage.DecodeTerms
+				if kp.Kind != ip.Kind || kp.IndexPath != ip.IndexPath || kDirect != iDirect {
+					t.Fatalf("plans differ: kernel %v %s codes=%v, interpreted %v %s codes=%v",
+						kp.Kind, kp.IndexPath, kp.Codes, ip.Kind, ip.IndexPath, ip.Codes)
 				}
-				if variant == "dict" && tc.name == "compression-query" && !kp.DirectCodes {
+				if variant == "dict" && tc.name == "compression-query" && kp.Codes != storage.CodesOnly {
 					t.Fatalf("dict variant of %s does not run on codes: %q", tc.name, kp.Notes)
 				}
 				if br.Result.Counters.Get(mapreduce.CtrOutputRecords) == 0 {
@@ -154,7 +157,7 @@ func TestAggregateKernelDifferential(t *testing.T) {
 						t.Errorf("%s: kernel %d, interpreted %d", name, k, i)
 					}
 				}
-				if !kp.DirectCodes {
+				if !kDirect {
 					if !bytes.Equal(kernel, base) {
 						t.Fatalf("kernel output (%d bytes) differs from -noopt (%d bytes)", len(kernel), len(base))
 					}

@@ -1,6 +1,8 @@
 package manimal_test
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"manimal/internal/faultinject"
 	"manimal/internal/mapreduce"
 	"manimal/internal/programs"
+	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
 
@@ -121,4 +124,62 @@ func TestCorruptIndexQuarantineAndReplan(t *testing.T) {
 	if k := againReport.Inputs[0].Plan.Kind; k != manimal.PlanOriginal {
 		t.Errorf("post-quarantine plan = %s, want original (corrupt variants must stay skipped)", k)
 	}
+
+	// A job whose aggregate kernel runs on the dictionary variant reads
+	// codes only. Quarantining the variant replans it onto the original
+	// file, where the plan decodes terms again and the output is -noopt's,
+	// byte for byte.
+	t.Run("compression-query", func(t *testing.T) {
+		dir := t.TempDir()
+		data := filepath.Join(dir, "visits.rec")
+		if err := workload.NewGen(12).WriteUserVisits(data, 3000, 200); err != nil {
+			t.Fatal(err)
+		}
+		sys, err := manimal.NewSystemWith(filepath.Join(dir, "sys"), manimal.Options{DisableResultCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := manimal.JobSpec{
+			Name:                "dict-base",
+			Inputs:              []manimal.InputSpec{{Path: data, Program: mustProgram(t, "compression", programs.CompressionQuery)}},
+			OutputPath:          filepath.Join(dir, "base.kv"),
+			DisableOptimization: true,
+		}
+		run := func(name string) ([]byte, *manimal.Plan, *manimal.JobReport) {
+			t.Helper()
+			spec.Name, spec.OutputPath = name, filepath.Join(dir, name+".kv")
+			report, err := sys.Submit(spec)
+			if err != nil {
+				t.Fatalf("submit %s: %v", name, err)
+			}
+			raw, err := os.ReadFile(spec.OutputPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw, report.Inputs[0].Plan, report
+		}
+		base, _, _ := run("dict-base")
+		buildIndex(t, sys, manimal.IndexSpec{
+			Kind:      catalog.KindRecordFile,
+			Fields:    workload.UserVisitsSchema.FieldNames(),
+			Encodings: map[string]storage.FieldEncoding{"destURL": storage.EncodeDict},
+		}, data, "visits.dict")
+		spec.DisableOptimization = false
+		if _, plan, _ := run("dict-clean"); plan.Kind != manimal.PlanRecordFile || plan.Codes != storage.CodesOnly {
+			t.Fatalf("healthy plan = %s with codes %v, want recordfile with codes only; notes: %v", plan.Kind, plan.Codes, plan.Notes)
+		}
+
+		faultinject.Set(faultinject.MustParse("corrupt=1@.dict;seed=3"))
+		defer faultinject.Reset()
+		opt, plan, report := run("dict-corrupt")
+		if plan.Kind != manimal.PlanOriginal || plan.Codes != storage.DecodeTerms {
+			t.Errorf("replanned plan = %s with codes %v, want original decoding terms; notes: %v", plan.Kind, plan.Codes, plan.Notes)
+		}
+		if !bytes.Equal(opt, base) {
+			t.Errorf("replanned output (%d bytes) differs from -noopt's (%d bytes)", len(opt), len(base))
+		}
+		if n := report.Result.Counters.Get(mapreduce.CtrCorruptBlocks); n == 0 {
+			t.Error("corrupt-block counter did not survive the replan")
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +14,8 @@ import (
 	"time"
 
 	"manimal/internal/durable"
+	"manimal/internal/serde"
+	"manimal/internal/storage"
 )
 
 // CacheEntry is a committed job output registered for reuse: a
@@ -83,6 +87,39 @@ func (in CacheInput) Verify() error {
 		return fmt.Errorf("%s: size or mtime changed", in.Path)
 	}
 	return nil
+}
+
+// KeyedInput is one input of a job as the result-cache key covers it: the
+// file's fingerprint and the canonical text of the program that maps it.
+type KeyedInput struct {
+	File    CacheInput
+	Program string
+}
+
+// ResultKey is the result-cache key of a job with these output-shape
+// knobs, inputs and conf, under the storage format version this build
+// reads and writes: exactly what determines the job's output (see
+// CacheEntry). It is lowercase hex.
+func ResultKey(mapOnly, sortedOutput bool, reducers int, inputs []KeyedInput, conf map[string]serde.Datum) string {
+	h := sha256.New()
+	// Every variable field is quoted, so no path, conf key or conf value
+	// can spell out further key lines.
+	fmt.Fprintf(h, "manimal-result-cache-v2\n")
+	fmt.Fprintf(h, "format=%d\n", storage.FormatVersion)
+	fmt.Fprintf(h, "maponly=%t sorted=%t reducers=%d\n", mapOnly, sortedOutput, reducers)
+	for _, in := range inputs {
+		fmt.Fprintf(h, "input=%q|%d|%d|%x\n", in.File.Path, in.File.SizeBytes, in.File.ModTimeNanos, sha256.Sum256([]byte(in.Program)))
+	}
+	keys := make([]string, 0, len(conf))
+	for k := range conf {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		d := conf[k]
+		fmt.Fprintf(h, "conf=%q=%d:%q\n", k, d.Kind, d.String())
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Usable reports whether a submission may be served from this entry.

@@ -3,12 +3,13 @@
 // Mapper/Reducer interfaces and opens the physical input an execution plan
 // selected (original file, B+Tree range scan, or re-encoded record file).
 //
-// A Map the analyzer recognized as an aggregate is handed to the engine
-// as well, as AggregateKernel: a map task that folds its Combine runs it
-// over the batch's column vectors and never builds the interpreted mapper,
-// and InputForPlan's codesOnly hands that task dictionary codes instead of
-// code strings. -noopt jobs, map-only jobs and two-input jobs always call
-// the interpreted Map.
+// A Map the analyzer recognized as an aggregate reaches the engine as its
+// analyzer.AggregateDescriptor (mapreduce.MapInput.Aggregate): a map task
+// that folds its Combine runs it over the batch's column vectors and never
+// builds the interpreted mapper. The submission that decides so raises the
+// lead plan's Codes to CodesOnly, and InputForPlan then hands that task
+// dictionary codes instead of code strings. -noopt jobs, map-only jobs and
+// two-input jobs always call the interpreted Map.
 //
 // The factories returned here are invoked per task by the engine's
 // scheduler, concurrently across the jobs sharing its slot pool: each task
@@ -19,8 +20,8 @@ package fabric
 
 import (
 	"fmt"
+	"sync"
 
-	"manimal/internal/analyzer"
 	"manimal/internal/btree"
 	"manimal/internal/interp"
 	"manimal/internal/lang"
@@ -134,13 +135,6 @@ func (c *sumCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *inte
 	return c.r.Reduce(key, values, ctx)
 }
 
-// AggregateKernel is the engine's form of a Map the analyzer recognized as
-// an aggregate: a folding map task runs it as a column kernel over the
-// batch's vectors and never calls the interpreted Map.
-func AggregateKernel(g *analyzer.AggregateDescriptor) *mapreduce.Aggregate {
-	return &mapreduce.Aggregate{Key: g.Key, KeyKind: g.KeyKind, Div: g.Div, Value: g.Value, Const: g.Const}
-}
-
 // IdentityReducer forwards every value of every group unchanged; it is the
 // reduce stage of B+Tree index-generation jobs. Each reduce task's merge
 // stream is key-sorted, so under a range partitioner every reducer feeds
@@ -158,26 +152,63 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 	return nil
 }
 
-// InputForPlan opens the physical input chosen by the optimizer. A
-// record-file scan subscribes its splits to share, the scan-sharing
-// registry of the jobs in flight, so identical scans run once; B+Tree
-// range reads and a nil registry scan privately. codesOnly marks an input
-// the aggregate kernel maps: a direct-operation scan then hands it its
-// dictionary codes and renders no code strings.
-func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare, codesOnly bool) (mapreduce.Input, error) {
+// InputForPlan returns the physical input the optimizer chose, opened at
+// the execution's plan phase (its first Splits) rather than now. A service
+// may queue far more submissions than the scheduler runs, and an eager
+// open would hold file descriptors for the whole queue wait; lazily,
+// descriptors scale with the running jobs. Open errors surface from
+// Splits.
+func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare) mapreduce.Input {
+	return &planInput{plan: plan, share: share}
+}
+
+type planInput struct {
+	plan  *optimizer.Plan
+	share *storage.ScanShare
+
+	mu  sync.Mutex
+	in  mapreduce.Input
+	err error
+}
+
+// Splits implements mapreduce.Input.
+func (p *planInput) Splits(target int) ([]mapreduce.Split, mapreduce.ScanStats, error) {
+	p.mu.Lock()
+	if p.in == nil && p.err == nil {
+		p.in, p.err = openPlan(p.plan, p.share)
+	}
+	in, err := p.in, p.err
+	p.mu.Unlock()
+	if err != nil {
+		return nil, mapreduce.ScanStats{}, err
+	}
+	return in.Splits(target)
+}
+
+// Close implements mapreduce.Input; a never-opened input has nothing to
+// release.
+func (p *planInput) Close() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.in == nil {
+		return nil
+	}
+	return p.in.Close()
+}
+
+// openPlan opens the plan's physical input. A record-file scan, of the
+// original file or a variant, materializes dictionary fields as plan.Codes
+// says and subscribes its splits to share, the scan-sharing registry of
+// the jobs in flight, so identical scans run once; B+Tree range reads and
+// a nil registry scan privately.
+func openPlan(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
 	switch plan.Kind {
 	case optimizer.PlanOriginal, optimizer.PlanRecordFile:
-		path, codes := plan.InputPath, storage.DecodeTerms
+		path := plan.InputPath
 		if plan.Kind == optimizer.PlanRecordFile {
 			path = plan.IndexPath
-			if plan.DirectCodes {
-				codes = storage.CodeStrings
-				if codesOnly {
-					codes = storage.CodesOnly
-				}
-			}
 		}
-		in, err := mapreduce.OpenFileWith(path, codes, plan.Pushdown, share)
+		in, err := mapreduce.OpenFile(path, plan.Codes, plan.Pushdown, share)
 		if err != nil {
 			return nil, err // not a typed nil: callers test the Input against nil
 		}

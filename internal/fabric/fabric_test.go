@@ -17,18 +17,24 @@ import (
 	"manimal/internal/workload"
 )
 
+// The plan's input opens at its first Splits, so that is where a bad plan
+// fails; a never-opened input closes cleanly.
 func TestInputForPlanUnknownKind(t *testing.T) {
-	if _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanKind(99)}, nil, false); err == nil {
+	in := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanKind(99)}, nil)
+	if _, _, err := in.Splits(1); err == nil {
 		t.Fatal("unknown plan kind accepted")
 	}
 }
 
 func TestInputForPlanMissingFiles(t *testing.T) {
-	if _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}, nil, false); err == nil {
+	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}, nil).Splits(1); err == nil {
 		t.Fatal("missing original accepted")
 	}
-	if _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanBTree, IndexPath: "/nonexistent.idx"}, nil, false); err == nil {
+	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanBTree, IndexPath: "/nonexistent.idx"}, nil).Splits(1); err == nil {
 		t.Fatal("missing index accepted")
+	}
+	if err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}, nil).Close(); err != nil {
+		t.Fatalf("closing a never-opened input: %v", err)
 	}
 }
 
@@ -103,13 +109,13 @@ func TestAggregateKernelSpills(t *testing.T) {
 					codes = storage.CodesOnly
 				}
 			}
-			in, err := mapreduce.OpenFileWith(tc.path, codes, nil, nil)
+			in, err := mapreduce.OpenFile(tc.path, codes, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			mi := mapreduce.MapInput{Input: in, Mapper: MapperFactory(p)}
 			if kernel {
-				mi.Aggregate = AggregateKernel(d.Aggregate)
+				mi.Aggregate = d.Aggregate
 			}
 			outPath := filepath.Join(dir, fmt.Sprintf("%s-%t.kv", tc.name, kernel))
 			out, err := mapreduce.NewKVFileOutput(outPath)

@@ -249,19 +249,15 @@ func BuildWith(ctx context.Context, sched *mapreduce.Scheduler, spec Spec, input
 // spec.Fields (the output projects every record down to them) and the key
 // reads only its own fields.
 func openInput(inputPath string, spec Spec) (*mapreduce.FileInput, *storage.Pushdown, error) {
-	in, err := mapreduce.OpenFile(inputPath, false)
+	// The mask needs the schema, which the open reads; the input reads the
+	// pushdown only at its first Splits, and an empty one scans everything.
+	pd := &storage.Pushdown{}
+	in, err := mapreduce.OpenFile(inputPath, storage.DecodeTerms, pd, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	decode := decodeFields(spec, in.Schema())
-	if decode == nil {
+	if pd.Fields = decodeFields(spec, in.Schema()); pd.Fields == nil {
 		return in, nil, nil
-	}
-	in.Close()
-	pd := &storage.Pushdown{Fields: decode}
-	in, err = mapreduce.OpenFileWith(inputPath, storage.DecodeTerms, pd, nil)
-	if err != nil {
-		return nil, nil, err
 	}
 	return in, pd, nil
 }

@@ -70,7 +70,7 @@
 // One Map is not called at all: in an optimized job whose Combine folds,
 // a Map the analyzer recognized as an aggregate (one ctx.Emit of a
 // field-derived key and an int value) runs as the engine's column kernel
-// (mapreduce.Aggregate), and its map tasks build no Executor for it.
+// (package mapreduce), and its map tasks build no Executor for it.
 // Reduce, and a Combine the task unfolds into, still run here.
 package interp
 

@@ -45,6 +45,7 @@ package journal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -54,9 +55,11 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"manimal/internal/durable"
 	"manimal/internal/faultinject"
+	"manimal/internal/serde"
 )
 
 // Terminal states recorded in End.State (mirroring the engine's terminal
@@ -80,10 +83,71 @@ type Input struct {
 // round-trip the engine's datum types faithfully (every number decodes as
 // float64), so the journal stores the kind explicitly. Every datum kind
 // round-trips: ints in decimal, floats in shortest exact form, bools as
-// true/false, strings verbatim, bytes in lowercase hex.
+// true/false, strings verbatim (valid UTF-8 only, see EncodeConf), bytes
+// in lowercase hex.
 type ConfValue struct {
 	Kind  string `json:"kind"` // "int" | "float" | "string" | "bytes" | "bool"
 	Value string `json:"value"`
+}
+
+// EncodeConf turns a job conf into its journal form. A datum of no kind
+// has none and is refused, and so is a key or string value that is not
+// valid UTF-8: JSON would store U+FFFD in place of its bad bytes, and the
+// replayed job would read a different conf.
+func EncodeConf(conf map[string]serde.Datum) (map[string]ConfValue, error) {
+	if len(conf) == 0 {
+		return nil, nil
+	}
+	out := make(map[string]ConfValue, len(conf))
+	for k, d := range conf {
+		if !utf8.ValidString(k) || d.Kind == serde.KindString && !utf8.ValidString(d.Str()) {
+			return nil, fmt.Errorf("journal: conf %q is not valid UTF-8, which the job journal cannot record", k)
+		}
+		cv := ConfValue{Value: d.String()}
+		switch d.Kind {
+		case serde.KindInt64:
+			cv.Kind = "int"
+		case serde.KindFloat64:
+			cv.Kind = "float"
+		case serde.KindString:
+			cv.Kind = "string"
+		case serde.KindBytes:
+			cv.Kind, cv.Value = "bytes", hex.EncodeToString(d.Raw())
+		case serde.KindBool:
+			cv.Kind = "bool"
+		default:
+			return nil, fmt.Errorf("journal: conf %q holds a datum of no kind, which the job journal cannot record", k)
+		}
+		out[k] = cv
+	}
+	return out, nil
+}
+
+// DecodeConf is EncodeConf's inverse. The values reach it through the
+// checksummed log, so their parse errors are not checked.
+func DecodeConf(m map[string]ConfValue) map[string]serde.Datum {
+	if len(m) == 0 {
+		return nil
+	}
+	conf := make(map[string]serde.Datum, len(m))
+	for k, cv := range m {
+		switch cv.Kind {
+		case "int":
+			v, _ := strconv.ParseInt(cv.Value, 10, 64)
+			conf[k] = serde.Int(v)
+		case "float":
+			v, _ := strconv.ParseFloat(cv.Value, 64)
+			conf[k] = serde.Float(v)
+		case "bool":
+			conf[k] = serde.Bool(cv.Value == "true")
+		case "bytes":
+			b, _ := hex.DecodeString(cv.Value)
+			conf[k] = serde.Bytes(b)
+		default:
+			conf[k] = serde.String(cv.Value)
+		}
+	}
+	return conf
 }
 
 // Submission is the journaled form of one accepted job: everything needed

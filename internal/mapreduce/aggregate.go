@@ -6,34 +6,25 @@ import (
 	"math/bits"
 	"unsafe"
 
+	"manimal/internal/analyzer"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 )
 
-// Aggregate describes a Map that is exactly one emit of a field-derived
-// key and an int value (the analyzer's AggregateDescriptor):
+// aggKernel is the BatchMapper a folding map task (see SumCombiner) runs
+// for an input whose Map the analyzer recognized as an aggregate, one emit
+// of a field-derived key and an int value:
 //
 //	ctx.Emit(v.Str(Key), v.Int(Value))     // or v.Int(Key), or v.Int(Key) / Div
 //	ctx.Emit(v.Str(Key), Const)            // Value == ""
 //
-// In a map task that folds its Combine (see SumCombiner), the engine runs
-// such a Map as a column kernel: no Map call, no Emit, no per-row datums.
-// Each selected row's key and value go straight from the batch's column
-// vectors into the shuffle's fold, with exactly the pairs, sums, spills
-// and counters the Map would have produced. A task that does not fold
-// calls the Mapper as usual.
-type Aggregate struct {
-	Key     string
-	KeyKind serde.Kind // KindString (v.Str) or KindInt64 (v.Int)
-	Div     int64      // non-zero: the key is v.Int(Key) / Div, truncated toward zero
-	Value   string     // the int value field; "" emits Const
-	Const   int64
-}
-
-// aggKernel is the BatchMapper a folding map task runs for an Aggregate
-// input: mapSplit's loop hands it each batch in place of the Mapper.
+// mapSplit's loop hands it each batch in place of the Mapper: no Map call,
+// no Emit, no per-row datums. Each selected row's key and value go straight
+// from the batch's column vectors into the shuffle's fold, with exactly the
+// pairs, sums, spills and counters the Map would have produced. A task
+// that does not fold calls the Mapper as usual.
 type aggKernel struct {
-	agg *Aggregate
+	agg *analyzer.AggregateDescriptor
 	se  *shuffleEmitter
 }
 
@@ -90,7 +81,7 @@ func (k *aggKernel) MapBatch(b *serde.Batch, _ *interp.Context) error {
 }
 
 // rowValue is row r's emitted value: its value-column entry, or the
-// Aggregate's constant.
+// aggregate's constant.
 func rowValue(vals []int64, r int32, c int64) int64 {
 	if vals != nil {
 		return vals[r]

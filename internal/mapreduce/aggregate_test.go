@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"manimal/internal/analyzer"
 	"manimal/internal/compress"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
@@ -29,7 +30,7 @@ type aggRow struct {
 // aggCase is one map task of an Aggregate Map: its batches, and the
 // shuffle they fold into.
 type aggCase struct {
-	agg       *Aggregate
+	agg       *analyzer.AggregateDescriptor
 	terms     int // > 0: k is a column of dictionary codes over terms terms
 	batches   [][]aggRow
 	parts     int
@@ -149,7 +150,7 @@ func drawAggCase(data []byte) *aggCase {
 	if data[1]&1 != 0 {
 		c.threshold = 1 + int(data[1]>>1)
 	}
-	c.agg = &Aggregate{Key: "k", KeyKind: serde.KindString, Value: "v", Const: int64(int8(data[2]))}
+	c.agg = &analyzer.AggregateDescriptor{Key: "k", KeyKind: serde.KindString, Value: "v", Const: int64(int8(data[2]))}
 	if data[2]&0x80 != 0 {
 		c.agg.Value = ""
 	}
@@ -226,16 +227,16 @@ func TestAggregateKernelEdges(t *testing.T) {
 		{code: 4, v: 2, sel: true}, {code: 1, v: 9, sel: false}, {code: 0, v: 1, sel: true}}
 	for _, tc := range []struct {
 		name  string
-		agg   Aggregate
+		agg   analyzer.AggregateDescriptor
 		terms int
 		rows  []aggRow
 	}{
-		{"string key", Aggregate{Key: "k", KeyKind: serde.KindString, Value: "v"}, 0, wide},
-		{"int key", Aggregate{Key: "n", KeyKind: serde.KindInt64, Value: "v"}, 0, wide},
-		{"negative dividends", Aggregate{Key: "n", KeyKind: serde.KindInt64, Div: 2, Value: "v"}, 0, wide},
-		{"MinInt64 / -1", Aggregate{Key: "n", KeyKind: serde.KindInt64, Div: -1, Const: -3}, 0, wide},
-		{"dense codes", Aggregate{Key: "k", KeyKind: serde.KindString, Value: "v"}, 4, codes},
-		{"codes past the dense bound", Aggregate{Key: "k", KeyKind: serde.KindString, Const: 1}, 1 << 28, codes},
+		{"string key", analyzer.AggregateDescriptor{Key: "k", KeyKind: serde.KindString, Value: "v"}, 0, wide},
+		{"int key", analyzer.AggregateDescriptor{Key: "n", KeyKind: serde.KindInt64, Value: "v"}, 0, wide},
+		{"negative dividends", analyzer.AggregateDescriptor{Key: "n", KeyKind: serde.KindInt64, Div: 2, Value: "v"}, 0, wide},
+		{"MinInt64 / -1", analyzer.AggregateDescriptor{Key: "n", KeyKind: serde.KindInt64, Div: -1, Const: -3}, 0, wide},
+		{"dense codes", analyzer.AggregateDescriptor{Key: "k", KeyKind: serde.KindString, Value: "v"}, 4, codes},
+		{"codes past the dense bound", analyzer.AggregateDescriptor{Key: "k", KeyKind: serde.KindString, Const: 1}, 1 << 28, codes},
 	} {
 		for _, threshold := range []int{1 << 30, 2 * foldEntryBytes} {
 			c := &aggCase{agg: &tc.agg, terms: tc.terms, batches: [][]aggRow{tc.rows, tc.rows}, parts: 3, part: HashPartitioner{}, threshold: threshold}
@@ -265,7 +266,7 @@ func TestAppendCodeKey(t *testing.T) {
 func TestAggregateKernelAllocs(t *testing.T) {
 	const rows = 1024
 	for _, coded := range []bool{false, true} {
-		c := &aggCase{agg: &Aggregate{Key: "k", KeyKind: serde.KindString, Value: "v"}, parts: 4, part: HashPartitioner{}, threshold: 1 << 30}
+		c := &aggCase{agg: &analyzer.AggregateDescriptor{Key: "k", KeyKind: serde.KindString, Value: "v"}, parts: 4, part: HashPartitioner{}, threshold: 1 << 30}
 		if coded {
 			c.terms = 4 * rows
 		}

@@ -53,7 +53,7 @@ func writeWordFile(t *testing.T, path string, n int) map[string]int64 {
 // something to chew on.
 func runFileWordCount(t *testing.T, path string, numReducers, maxRetries int) ([]byte, *Execution, error) {
 	t.Helper()
-	in, err := OpenFile(path, false)
+	in, err := OpenFile(path, storage.DecodeTerms, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,24 +54,13 @@ type FileInput struct {
 	subscribe func(lo, hi int) (*storage.SharedScanner, bool) // see storage.ScanShare.For
 }
 
-// OpenFile opens a record file as an input. directCodes enables
-// direct-operation mode on dictionary-compressed fields: codes are passed
-// to map() without decompression.
-func OpenFile(path string, directCodes bool) (*FileInput, error) {
-	codes := storage.DecodeTerms
-	if directCodes {
-		codes = storage.CodeStrings
-	}
-	return OpenFileWith(path, codes, nil, nil)
-}
-
-// OpenFileWith is OpenFile with the dictionary-field materialization as a
-// storage.CodeMode, a scan pushdown (nil scans everything) and a
-// scan-sharing registry: a batch scan identical to one another job is
-// running over the same split rides that scan instead of decoding
-// privately (see storage.ScanShare). A nil registry keeps every scan
-// private.
-func OpenFileWith(path string, codes storage.CodeMode, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
+// OpenFile opens a record file as an input with the dictionary-field
+// materialization codes (see storage.CodeMode), a scan pushdown (nil scans
+// everything) and a scan-sharing registry: a batch scan identical to one
+// another job is running over the same split rides that scan instead of
+// decoding privately (see storage.ScanShare). A nil registry keeps every
+// scan private.
+func OpenFile(path string, codes storage.CodeMode, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
 	r, err := storage.Open(path)
 	if err != nil {
 		return nil, err

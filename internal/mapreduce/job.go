@@ -56,7 +56,7 @@
 //
 // Map tasks of concurrently running jobs that scan the same record-file
 // block range under the same pushdown can ride ONE physical scan
-// (storage.ScanShare, passed to OpenFileWith): the first task reads and
+// (storage.ScanShare, passed to OpenFile): the first task reads and
 // decodes each block, and the others read its batches — so per-task
 // output is identical to a private scan, while I/O and decode cost are
 // paid once per block instead of once per job. The manimal.scans.shared
@@ -94,6 +94,7 @@ import (
 	"fmt"
 	"time"
 
+	"manimal/internal/analyzer"
 	"manimal/internal/interp"
 	"manimal/internal/serde"
 )
@@ -140,8 +141,8 @@ type MapInput struct {
 	Mapper MapperFactory
 	// Aggregate, when set, says what Mapper's Map does; a map task that
 	// folds its Combine then runs it as a column kernel and never builds
-	// Mapper (see Aggregate).
-	Aggregate *Aggregate
+	// Mapper (see aggKernel).
+	Aggregate *analyzer.AggregateDescriptor
 }
 
 // Output receives the job's final key/value pairs. The engine serializes

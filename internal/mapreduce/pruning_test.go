@@ -114,7 +114,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 4000)
 
-	full, err := OpenFile(path, false)
+	full, err := OpenFile(path, storage.DecodeTerms, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	in, err := OpenFileWith(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(2000, 2040), Residual: true}, nil)
+	in, err := OpenFile(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(2000, 2040), Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestFileInputSplitsPruned(t *testing.T) {
 func TestFileInputSplitsAllPruned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.rec")
 	writePruneFile(t, path, 2000)
-	in, err := OpenFileWith(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(1<<40, 1<<40+1), Residual: true}, nil)
+	in, err := OpenFile(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(1<<40, 1<<40+1), Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFileInputSplitsUnresolvableFilter(t *testing.T) {
 	writePruneFile(t, path, 1000)
 	filter := predicate.ZoneFilter{{predicate.FieldInterval{Field: "absent",
 		Iv: predicate.Interval{Lo: serde.Int(5), LoInc: true}}}}
-	in, err := OpenFileWith(path, storage.DecodeTerms, &storage.Pushdown{Filter: filter, Residual: true}, nil)
+	in, err := OpenFile(path, storage.DecodeTerms, &storage.Pushdown{Filter: filter, Residual: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestFileSplitOpenBatchAlwaysServes(t *testing.T) {
 		"plain":    nil,
 		"pushdown": {Filter: idRange(1000, 1500), Residual: true, Fields: []string{"payload"}},
 	} {
-		in, err := OpenFileWith(path, storage.DecodeTerms, pd, nil)
+		in, err := OpenFile(path, storage.DecodeTerms, pd, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

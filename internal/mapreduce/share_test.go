@@ -68,7 +68,7 @@ func TestScanShareGated(t *testing.T) {
 	data := filepath.Join(dir, "ids.rec")
 	writePruneFile(t, data, 20000)
 	job := func(name string, share *storage.ScanShare, m idBucketMapper) (*Job, string) {
-		in, err := OpenFileWith(data, storage.DecodeTerms, nil, share)
+		in, err := OpenFile(data, storage.DecodeTerms, nil, share)
 		if err != nil {
 			t.Fatal(err)
 		}

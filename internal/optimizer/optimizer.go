@@ -73,8 +73,11 @@ type Plan struct {
 	// KeyExpr and Ranges drive B+Tree scans.
 	KeyExpr string
 	Ranges  []predicate.Interval
-	// DirectCodes turns on direct operation on dictionary codes.
-	DirectCodes bool
+	// Codes is how the scan materializes dictionary-encoded fields.
+	// Choose sets CodeStrings for direct operation on dictionary codes; a
+	// submission raises it to CodesOnly when the aggregate kernel maps the
+	// input, which reads the codes and never their strings.
+	Codes storage.CodeMode
 	// Pushdown carries scan-time pruning for record-file scans (original
 	// or re-encoded): zone-map block skipping plus residual row filtering
 	// derived from the selection formula, and a used-field decode mask
@@ -355,10 +358,10 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 				dictFields = append(dictFields, f)
 			}
 		}
-		directCodes := false
+		codes := storage.DecodeTerms
 		if len(dictFields) > 0 {
 			if desc.DirectOp != nil && subset(dictFields, desc.DirectOp.Fields) && !sortedOutput {
-				directCodes = true
+				codes = storage.CodeStrings
 				score += 2
 				applied = append(applied, "direct-operation")
 			} else {
@@ -385,12 +388,12 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 			bestScore, bestSize = score, e.SizeBytes
 			bestFields = e.Fields
 			best = &Plan{
-				Kind:        PlanRecordFile,
-				InputPath:   base.InputPath,
-				IndexPath:   e.IndexPath,
-				DirectCodes: directCodes,
-				Applied:     applied,
-				Notes:       append([]string(nil), base.Notes...),
+				Kind:      PlanRecordFile,
+				InputPath: base.InputPath,
+				IndexPath: e.IndexPath,
+				Codes:     codes,
+				Applied:   applied,
+				Notes:     append([]string(nil), base.Notes...),
 			}
 			best.notef("record file %s: %v", e.IndexPath, applied)
 		}

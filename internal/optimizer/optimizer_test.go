@@ -257,12 +257,12 @@ func TestDirectCodesGating(t *testing.T) {
 		Encodings: map[string]string{"destURL": "dict"},
 	}}
 	plan := Choose(d, "uv.rec", uvSchema, entries, nil, Options{})
-	if plan.Kind != PlanRecordFile || !plan.DirectCodes {
+	if plan.Kind != PlanRecordFile || plan.Codes != storage.CodeStrings {
 		t.Fatalf("plan = %+v", plan)
 	}
 	// Sorted output forbids recoded keys (paper footnote 1)...
 	sorted := Choose(d, "uv.rec", uvSchema, entries, nil, Options{SortedOutput: true})
-	if sorted.DirectCodes {
+	if sorted.Codes != storage.DecodeTerms {
 		t.Fatal("direct codes enabled despite SortedOutput")
 	}
 	// ...and with no other benefit the dict file is then pointless: the

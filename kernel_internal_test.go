@@ -6,11 +6,12 @@ import (
 	"manimal/internal/analyzer"
 	"manimal/internal/optimizer"
 	"manimal/internal/programs"
+	"manimal/internal/storage"
 	"manimal/internal/workload"
 )
 
-// TestNoOptNeverRunsKernel: a job built for -noopt hands its map tasks no
-// Aggregate, even when its input's descriptor has one, and asks its scan
+// TestNoOptNeverRunsKernel: a job planned for -noopt hands its map tasks
+// no Aggregate, even when its input's descriptor has one, and asks its scan
 // for no codes, so every record goes through the interpreted Map; the same
 // job optimized runs the kernel. Two-input and map-only jobs never do.
 func TestNoOptNeverRunsKernel(t *testing.T) {
@@ -22,8 +23,6 @@ func TestNoOptNeverRunsKernel(t *testing.T) {
 	if err != nil || desc.Aggregate == nil || desc.Combine == nil {
 		t.Fatalf("no aggregate (%v): %q", err, desc.Notes)
 	}
-	plan := &optimizer.Plan{Kind: optimizer.PlanRecordFile, DirectCodes: true}
-	in := InputReport{Descriptor: desc, Plan: plan}
 	for _, tc := range []struct {
 		name   string
 		spec   JobSpec
@@ -38,15 +37,18 @@ func TestNoOptNeverRunsKernel(t *testing.T) {
 		spec, report := tc.spec, &JobReport{}
 		for i := 0; i < tc.inputs; i++ {
 			spec.Inputs = append(spec.Inputs, InputSpec{Path: "uv.rec", Program: prog})
-			report.Inputs = append(report.Inputs, in)
+			plan := &optimizer.Plan{Kind: optimizer.PlanRecordFile, Codes: storage.CodeStrings}
+			report.Inputs = append(report.Inputs, InputReport{Descriptor: desc, Plan: plan})
 		}
 		spec.OutputPath = t.TempDir() + "/out.kv"
-		job := buildJob(spec, report, t.TempDir(), nil)
+		sub := &submission{spec: spec, h: &JobHandle{report: report}, counts: make([]int64, tc.inputs), work: t.TempDir()}
+		sub.decideAggregation()
+		job := buildJob(sub, nil)
 		for i, mi := range job.Inputs {
 			if got := mi.Aggregate != nil; got != (tc.kernel && i == 0) {
 				t.Errorf("%s: input %d runs the kernel: %v", tc.name, i, got)
 			}
-			if codes := mi.Input.(*lazyInput).codesOnly; codes != (tc.kernel && i == 0) {
+			if codes := report.Inputs[i].Plan.Codes == storage.CodesOnly; codes != (tc.kernel && i == 0) {
 				t.Errorf("%s: input %d asks for codes only: %v", tc.name, i, codes)
 			}
 		}

@@ -50,26 +50,25 @@
 //
 // Every submission passes through the same stages (submitJournaled):
 // resolve (validate, claim the output path, read input footers) → plan
-// (Figure 1's analyze and optimize) → record (journal it) → probe (result
-// cache) → admit (name the scratch space, scheduler) → run (Figure 1's
-// execute; a corrupt index variant is quarantined and the job goes back to
-// plan) →
-// finish, the single exit for a refusal at any stage, a cache hit and a
-// completed execution alike: only it journals the terminal state, releases
-// the output claim, removes scratch space and closes Done.
+// (Figure 1's analyze and optimize, plus the job's aggregation: fold the
+// Combine or not, run the column kernel or not, read dictionary codes or
+// strings) → record (journal it) → probe (result cache) → admit (name the
+// scratch space, scheduler) → run (Figure 1's execute; a corrupt index
+// variant is quarantined and the job goes back to plan) → finish, the
+// single exit for a refusal at any stage, a cache hit and a completed
+// execution alike: only it journals the terminal state, releases the
+// output claim, removes scratch space and closes Done. Nothing after plan
+// decides anything about the execution: admit builds the engine job from
+// what plan recorded.
 package manimal
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -531,8 +530,11 @@ type submission struct {
 	schemas   []*serde.Schema // resolve: per input, from the file footers
 	counts    []int64         // resolve: per-input record counts
 
-	cacheKey    string               // probe: "" = uncacheable or cache off
-	cacheInputs []catalog.CacheInput // probe: input fingerprints under cacheKey
+	fold      bool                          // plan: map tasks fold the lead Combine
+	aggregate *analyzer.AggregateDescriptor // plan: the Map the column kernel runs, or nil
+
+	resultKey   string               // probe: "" = uncacheable or cache off
+	cacheInputs []catalog.CacheInput // probe: input fingerprints under resultKey
 
 	work string // admit: scratch directory
 }
@@ -572,7 +574,8 @@ func (s *System) submitJournaled(ctx context.Context, spec JobSpec, jid string) 
 
 // resolve validates the spec, claims the output path and reads every
 // input's footer. Inputs are only opened for real by the execution's plan
-// phase (lazyInput), so the claim is all a submission holds before admit.
+// phase (fabric.InputForPlan), so the claim is all a submission holds
+// before admit.
 func (s *System) resolve(sub *submission) error {
 	spec := sub.spec
 	if len(spec.Inputs) == 0 {
@@ -601,10 +604,11 @@ func (s *System) resolve(sub *submission) error {
 }
 
 // plan chooses an execution plan for every input against the catalog as
-// it is now (paper Figure 1: analyze, then optimize). It runs at
-// submission and again whenever run has quarantined a corrupt index
-// variant: the optimizer then skips that entry for the next variant or the
-// original file, and note says why on each new plan. The analysis is kept.
+// it is now (paper Figure 1: analyze, then optimize), then decides the
+// job's aggregation. It runs at submission and again whenever run has
+// quarantined a corrupt index variant: the optimizer then skips that entry
+// for the next variant or the original file, and note says why on each
+// new plan. The analysis is kept.
 func (s *System) plan(sub *submission, note string) error {
 	spec, report := sub.spec, sub.h.report
 	for i, ispec := range spec.Inputs {
@@ -627,13 +631,7 @@ func (s *System) plan(sub *submission, note string) error {
 			ir.Plan.Notes = append(ir.Plan.Notes, note)
 		}
 	}
-	if foldsCombine(spec, report) {
-		lead := report.Inputs[0].Plan
-		lead.Notes = append(lead.Notes, "combine: int64 sum folded at emit")
-		if g := kernelAggregate(spec, report); g != nil {
-			lead.Notes = append(lead.Notes, "aggregate: column kernel ("+g.String()+denseNote(g, report, sub.counts[0])+")")
-		}
-	}
+	sub.decideAggregation()
 
 	// Two-input jobs are checked for the repartition-join shape (paper
 	// Benchmark 3 / examples/join): both maps re-keying on a plain field of
@@ -654,6 +652,48 @@ func (s *System) plan(sub *submission, note string) error {
 	return nil
 }
 
+// decideAggregation records how the job's map tasks aggregate. An
+// optimized job folds its Combine when the lead program's Combine, which
+// combines every input's map output, is an int64 sum. A folding job with
+// one input whose Map the analyzer recognized runs that Map as a column
+// kernel, and a direct-operation scan then hands the kernel dictionary
+// codes only. A -noopt job never folds: it is the conventional baseline,
+// combining and mapping through the interpreter.
+func (sub *submission) decideAggregation() {
+	spec, lead := sub.spec, &sub.h.report.Inputs[0]
+	d := lead.Descriptor
+	sub.fold = !spec.DisableOptimization && !spec.MapOnly && spec.Inputs[0].Program.parsed.Reduce() != nil &&
+		d != nil && d.Combine != nil
+	sub.aggregate = nil
+	if !sub.fold {
+		return
+	}
+	lead.Plan.Notes = append(lead.Plan.Notes, "combine: int64 sum folded at emit")
+	if len(spec.Inputs) != 1 || d.Aggregate == nil {
+		return
+	}
+	sub.aggregate = d.Aggregate
+	if lead.Plan.Codes == storage.CodeStrings {
+		lead.Plan.Codes = storage.CodesOnly
+	}
+	lead.Plan.Notes = append(lead.Plan.Notes, "aggregate: column kernel ("+d.Aggregate.String()+denseNote(lead, sub.counts[0])+")")
+}
+
+// denseNote is the kernel note's suffix when the aggregate's key is a
+// dictionary code under direct operation. Its dictionary holds at most
+// one term per record, so a file of records terms is sure to fold into the
+// dense array; a larger one does when its dictionary fits.
+func denseNote(lead *InputReport, records int64) string {
+	d := lead.Descriptor
+	if lead.Plan.Codes != storage.CodesOnly || d.DirectOp == nil || !slices.Contains(d.DirectOp.Fields, d.Aggregate.Key) {
+		return ""
+	}
+	if mapreduce.DenseCodes(int(records), mapreduce.DefaultSpillBufferBytes) {
+		return ", dictionary codes, dense"
+	}
+	return ", dictionary codes, dense if the dictionary fits the spill budget"
+}
+
 // record journals the accepted submission BEFORE any admission decision
 // (the result-cache probe included), so a coordinator crash from here on
 // leaves a replayable record. A conf the journal cannot round-trip, or a
@@ -670,22 +710,32 @@ func (s *System) record(sub *submission) error {
 	return err
 }
 
-// probe consults the result cache (multi-query optimization): an optimized
-// submission whose identity (see cacheKey) matches a committed prior output
-// has the cached artifact placed at its output path and is done, without
-// occupying a scheduler slot or writing to the catalog. -noopt and SafeMode
-// submissions never consult (or feed) the cache: they must execute
-// conventionally.
+// probe consults the result cache (multi-query optimization): an
+// optimized submission whose identity (catalog.ResultKey) matches a
+// committed prior output has the cached artifact placed at its output path
+// and is done, without occupying a scheduler slot or writing to the
+// catalog. -noopt and SafeMode submissions never consult (or feed) the
+// cache: they must execute conventionally.
 func (s *System) probe(sub *submission) (served bool) {
 	spec, report := sub.spec, sub.h.report
 	if spec.DisableOptimization || spec.SafeMode || s.noCache {
 		return false
 	}
-	sub.cacheKey, sub.cacheInputs = cacheKey(spec)
-	if sub.cacheKey == "" {
-		return false
+	// An input that cannot be fingerprinted, or a program that cannot be
+	// canonicalized, leaves the submission uncacheable.
+	keyed := make([]catalog.KeyedInput, len(spec.Inputs))
+	fps := make([]catalog.CacheInput, len(spec.Inputs))
+	for i, ispec := range spec.Inputs {
+		fp, err := catalog.Fingerprint(ispec.Path)
+		canon, cerr := ispec.Program.parsed.Canonical()
+		if err != nil || cerr != nil {
+			return false
+		}
+		keyed[i], fps[i] = catalog.KeyedInput{File: fp, Program: canon}, fp
 	}
-	entry, ok := s.cat.ServeCache(sub.cacheKey, spec.OutputPath)
+	sub.resultKey = catalog.ResultKey(spec.MapOnly, spec.SortedOutput, spec.NumReducers, keyed, spec.Conf)
+	sub.cacheInputs = fps
+	entry, ok := s.cat.ServeCache(sub.resultKey, spec.OutputPath)
 	if !ok {
 		return false
 	}
@@ -699,7 +749,7 @@ func (s *System) probe(sub *submission) (served bool) {
 			Applied:   []string{"result-cache"},
 			Notes: []string{
 				fmt.Sprintf("result cache hit: key %.12s…, served %d time(s) from %s",
-					sub.cacheKey, entry.Hits, entry.Path),
+					sub.resultKey, entry.Hits, entry.Path),
 			},
 		}
 	}
@@ -721,7 +771,7 @@ func (s *System) admit(ctx context.Context, sub *submission) error {
 	if sub.work == "" {
 		sub.work = s.scratchDir("job")
 	}
-	exec, err := s.sched.Submit(ctx, buildJob(sub.spec, sub.h.report, sub.work, s.share))
+	exec, err := s.sched.Submit(ctx, buildJob(sub, s.share))
 	if err != nil {
 		return err
 	}
@@ -733,7 +783,7 @@ func (s *System) admit(ctx context.Context, sub *submission) error {
 				exec.Counters().Add(name, n)
 			}
 		}
-	} else if sub.cacheKey != "" {
+	} else if sub.resultKey != "" {
 		exec.Counters().Add(mapreduce.CtrCacheMisses, 1)
 	}
 	if !sub.h.swap(exec) { // canceled while the replan was resubmitting
@@ -763,10 +813,10 @@ func (s *System) run(ctx context.Context, sub *submission) error {
 		if err == nil {
 			report.Result = res
 			report.Duration = res.Duration
-			if sub.cacheKey != "" {
+			if sub.resultKey != "" {
 				// Not storing costs the next identical submission a miss,
 				// never this job its result.
-				_ = s.cat.StoreCache(sub.cacheKey, sub.spec.OutputPath, sub.cacheInputs,
+				_ = s.cat.StoreCache(sub.resultKey, sub.spec.OutputPath, sub.cacheInputs,
 					res.Counters.Get(mapreduce.CtrOutputRecords))
 			}
 			return nil
@@ -833,29 +883,26 @@ func (s *System) finish(sub *submission, err error) {
 	close(h.done)
 }
 
-// buildJob assembles the engine job from the spec and the current plans.
+// buildJob assembles the engine job from the spec and what plan recorded.
 // Its inputs and output are single-use (an execution consumes them), so
 // every submission — initial or corruption replan — builds fresh ones.
-// Neither touches a file before the job runs: lazyInput opens at the plan
-// phase, and the KV output creates its file at its first write (or at
-// close, for an empty result), so a job canceled while queued never
-// touches its output path. A -noopt job scans privately and never folds
-// its Combine, so the conventional baseline stays conventional.
-func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.ScanShare) *mapreduce.Job {
+// Neither touches a file before the job runs: fabric.InputForPlan opens at
+// the plan phase, and the KV output creates its file at its first write
+// (or at close, for an empty result), so a job canceled while queued never
+// touches its output path. A -noopt job scans privately.
+func buildJob(sub *submission, share *storage.ScanShare) *mapreduce.Job {
+	spec, report := sub.spec, sub.h.report
 	if spec.DisableOptimization {
 		share = nil
 	}
 	inputs := make([]mapreduce.MapInput, len(spec.Inputs))
 	for i, ispec := range spec.Inputs {
 		inputs[i] = mapreduce.MapInput{
-			Input:  &lazyInput{plan: report.Inputs[i].Plan, share: share},
+			Input:  fabric.InputForPlan(report.Inputs[i].Plan, share),
 			Mapper: fabric.MapperFactory(ispec.Program.parsed),
 		}
 	}
-	if g := kernelAggregate(spec, report); g != nil {
-		inputs[0].Aggregate = fabric.AggregateKernel(g)
-		inputs[0].Input.(*lazyInput).codesOnly = true
-	}
+	inputs[0].Aggregate = sub.aggregate
 	out, _ := mapreduce.NewKVFileOutput(spec.OutputPath) // creates nothing yet, so cannot fail
 	job := &mapreduce.Job{
 		Name:   spec.Name,
@@ -864,7 +911,7 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 		Config: mapreduce.Config{
 			NumReducers:      spec.NumReducers,
 			MaxParallelTasks: spec.MaxParallelTasks,
-			WorkDir:          jobWork,
+			WorkDir:          sub.work,
 			StartupDelay:     spec.StartupDelay,
 			Tenant:           spec.Tenant,
 			Conf:             spec.Conf,
@@ -874,88 +921,11 @@ func buildJob(spec JobSpec, report *JobReport, jobWork string, share *storage.Sc
 		lead := spec.Inputs[0].Program.parsed
 		job.Reducer = fabric.ReducerFactory(lead)
 		job.Combiner = fabric.CombinerFactory(lead)
-		if foldsCombine(spec, report) {
+		if sub.fold {
 			job.Combiner = fabric.SumCombinerFactory(lead)
 		}
 	}
 	return job
-}
-
-// foldsCombine reports whether an optimized job's map tasks fold its
-// Combine: the lead program's Combine, which combines every input's map
-// output, is an int64 sum. A -noopt job never folds — it is the
-// conventional baseline, combining through the interpreter.
-func foldsCombine(spec JobSpec, report *JobReport) bool {
-	if spec.DisableOptimization || spec.MapOnly || spec.Inputs[0].Program.parsed.Reduce() == nil {
-		return false
-	}
-	d := report.Inputs[0].Descriptor
-	return d != nil && d.Combine != nil
-}
-
-// kernelAggregate returns the Aggregate Map an optimized job's map tasks
-// run as a column kernel, or nil: the job must fold its Combine and have
-// one input, whose Map the analyzer recognized. A -noopt job never folds,
-// so it never runs the kernel.
-func kernelAggregate(spec JobSpec, report *JobReport) *analyzer.AggregateDescriptor {
-	if len(spec.Inputs) != 1 || !foldsCombine(spec, report) {
-		return nil
-	}
-	return report.Inputs[0].Descriptor.Aggregate
-}
-
-// denseNote is the kernel note's suffix when the aggregate's key is a
-// dictionary code under direct operation. Its dictionary holds at most
-// one term per record, so a file of records terms is sure to fold into the
-// dense array; a larger one does when its dictionary fits.
-func denseNote(g *analyzer.AggregateDescriptor, report *JobReport, records int64) string {
-	plan, d := report.Inputs[0].Plan, report.Inputs[0].Descriptor
-	if !plan.DirectCodes || d.DirectOp == nil || !slices.Contains(d.DirectOp.Fields, g.Key) {
-		return ""
-	}
-	if mapreduce.DenseCodes(int(records), mapreduce.DefaultSpillBufferBytes) {
-		return ", dictionary codes, dense"
-	}
-	return ", dictionary codes, dense if the dictionary fits the spill budget"
-}
-
-// cacheKey derives the result-cache identity of a submission, and the
-// input fingerprints it embeds. What the key covers — exactly what
-// determines the job's output — and what it leaves out is the contract
-// documented on catalog.CacheEntry. An empty key marks the submission
-// uncacheable (an input could not be fingerprinted or a program not
-// canonicalized).
-func cacheKey(spec JobSpec) (string, []catalog.CacheInput) {
-	h := sha256.New()
-	// Every variable field is quoted, so no path, conf key or conf value
-	// can spell out further key lines.
-	fmt.Fprintf(h, "manimal-result-cache-v2\n")
-	fmt.Fprintf(h, "format=%d\n", storage.FormatVersion)
-	fmt.Fprintf(h, "maponly=%t sorted=%t reducers=%d\n", spec.MapOnly, spec.SortedOutput, spec.NumReducers)
-	var fps []catalog.CacheInput
-	for _, ispec := range spec.Inputs {
-		fp, err := catalog.Fingerprint(ispec.Path)
-		if err != nil {
-			return "", nil
-		}
-		canon, err := ispec.Program.parsed.Canonical()
-		if err != nil {
-			return "", nil
-		}
-		progHash := sha256.Sum256([]byte(canon))
-		fps = append(fps, fp)
-		fmt.Fprintf(h, "input=%q|%d|%d|%x\n", fp.Path, fp.SizeBytes, fp.ModTimeNanos, progHash)
-	}
-	keys := make([]string, 0, len(spec.Conf))
-	for k := range spec.Conf {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := spec.Conf[k]
-		fmt.Fprintf(h, "conf=%q=%d:%q\n", k, d.Kind, d.String())
-	}
-	return hex.EncodeToString(h.Sum(nil)), fps
 }
 
 // EvictResultCache removes result-cache entries — every entry, or with
@@ -980,7 +950,7 @@ func (s *System) Submit(spec JobSpec) (*JobReport, error) {
 // program SOURCE is journaled (the analyzed representation is the parsed
 // source), so recovery needs no state beyond the journal itself.
 func journalSubmission(spec JobSpec) (journal.Submission, error) {
-	conf, err := confToJournal(spec.Conf)
+	conf, err := journal.EncodeConf(spec.Conf)
 	if err != nil {
 		return journal.Submission{}, err
 	}
@@ -1012,7 +982,7 @@ func specFromJournal(sub journal.Submission) (JobSpec, error) {
 	spec := JobSpec{
 		Name:                sub.Name,
 		OutputPath:          sub.OutputPath,
-		Conf:                confFromJournal(sub.Conf),
+		Conf:                journal.DecodeConf(sub.Conf),
 		MapOnly:             sub.MapOnly,
 		SortedOutput:        sub.SortedOutput,
 		SafeMode:            sub.SafeMode,
@@ -1029,63 +999,6 @@ func specFromJournal(sub journal.Submission) (JobSpec, error) {
 		spec.Inputs = append(spec.Inputs, InputSpec{Path: in.Path, Program: p})
 	}
 	return spec, nil
-}
-
-// confToJournal encodes conf datums as kind-tagged strings — JSON alone
-// cannot round-trip the datum types (every number decodes as float64).
-// Bytes travel as hex; a datum of no kind has no journal form and is
-// refused.
-func confToJournal(c Conf) (map[string]journal.ConfValue, error) {
-	if len(c) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]journal.ConfValue, len(c))
-	for k, d := range c {
-		cv := journal.ConfValue{Value: d.String()}
-		switch d.Kind {
-		case serde.KindInt64:
-			cv.Kind = "int"
-		case serde.KindFloat64:
-			cv.Kind = "float"
-		case serde.KindString:
-			cv.Kind = "string"
-		case serde.KindBytes:
-			cv.Kind, cv.Value = "bytes", hex.EncodeToString(d.Raw())
-		case serde.KindBool:
-			cv.Kind = "bool"
-		default:
-			return nil, fmt.Errorf("manimal: conf %q holds a datum of no kind, which the job journal cannot record", k)
-		}
-		out[k] = cv
-	}
-	return out, nil
-}
-
-// confFromJournal decodes what confToJournal wrote; the values reach it
-// through the checksummed log, so their parse errors are not checked.
-func confFromJournal(m map[string]journal.ConfValue) Conf {
-	if len(m) == 0 {
-		return nil
-	}
-	c := make(Conf, len(m))
-	for k, cv := range m {
-		switch cv.Kind {
-		case "int":
-			v, _ := strconv.ParseInt(cv.Value, 10, 64)
-			c[k] = Int(v)
-		case "float":
-			v, _ := strconv.ParseFloat(cv.Value, 64)
-			c[k] = Float(v)
-		case "bool":
-			c[k] = Bool(cv.Value == "true")
-		case "bytes":
-			b, _ := hex.DecodeString(cv.Value)
-			c[k] = serde.Bytes(b)
-		default:
-			c[k] = String(cv.Value)
-		}
-	}
-	return c
 }
 
 // RecoveredJob reports one incomplete journal entry Recover acted on.
@@ -1218,48 +1131,3 @@ func (s *System) BuildBestIndexesWith(p *Program, inputPath string, cfg BuildCon
 
 // ReadOutput loads a job's KV output file.
 func ReadOutput(path string) ([]mapreduce.KVPair, error) { return mapreduce.ReadKVFile(path) }
-
-// lazyInput defers opening a plan's physical input until the execution's
-// plan phase first needs it. A service may queue far more submissions
-// than the scheduler runs, and every eager open would hold file
-// descriptors for the whole queue wait; lazily, descriptors scale with
-// the running jobs. Open errors surface from the plan phase (Splits)
-// instead of from SubmitAsync.
-type lazyInput struct {
-	plan      *optimizer.Plan
-	share     *storage.ScanShare
-	codesOnly bool // the aggregate kernel maps it: see fabric.InputForPlan
-
-	mu  sync.Mutex
-	in  mapreduce.Input
-	err error
-}
-
-func (l *lazyInput) open() (mapreduce.Input, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.in == nil && l.err == nil {
-		l.in, l.err = fabric.InputForPlan(l.plan, l.share, l.codesOnly)
-	}
-	return l.in, l.err
-}
-
-// Splits implements mapreduce.Input.
-func (l *lazyInput) Splits(target int) ([]mapreduce.Split, mapreduce.ScanStats, error) {
-	in, err := l.open()
-	if err != nil {
-		return nil, mapreduce.ScanStats{}, err
-	}
-	return in.Splits(target)
-}
-
-// Close implements mapreduce.Input; never-opened inputs have nothing to
-// release.
-func (l *lazyInput) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.in == nil {
-		return nil
-	}
-	return l.in.Close()
-}

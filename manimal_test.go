@@ -328,7 +328,7 @@ func TestEndToEndDirectOperation(t *testing.T) {
 	optSpec.OutputPath = filepath.Join(dir, "opt.kv")
 	opt, optReport := submit(t, sys, optSpec)
 	plan := optReport.Inputs[0].Plan
-	if !plan.DirectCodes {
+	if plan.Codes == storage.DecodeTerms {
 		t.Fatalf("direct codes not enabled; plan %+v", plan)
 	}
 	if !reflect.DeepEqual(base, opt) {
@@ -342,7 +342,7 @@ func TestEndToEndDirectOperation(t *testing.T) {
 	sortedSpec.OutputPath = filepath.Join(dir, "sorted.kv")
 	sortedSpec.SortedOutput = true
 	_, sortedReport := submit(t, sys, sortedSpec)
-	if sortedReport.Inputs[0].Plan.DirectCodes {
+	if sortedReport.Inputs[0].Plan.Codes != storage.DecodeTerms {
 		t.Error("direct codes must be disabled under SortedOutput")
 	}
 
