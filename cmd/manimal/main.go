@@ -462,7 +462,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("fault tolerance:%s\n", ft)
 	}
 	mqo := ""
-	for _, c := range []string{"manimal.cache.hits", "manimal.cache.misses", "manimal.scans.shared"} {
+	for _, c := range []string{"manimal.cache.hits", "manimal.cache.misses"} {
 		if v := report.Result.Counters.Get(c); v != 0 {
 			mqo += fmt.Sprintf(" %s=%d", c, v)
 		}
@@ -543,7 +543,7 @@ func progressLine(st manimal.JobStatus) string {
 	for _, c := range []string{"map.input.records", "reduce.input.groups", "output.records",
 		"manimal.blocks.skipped", "manimal.rows.prefiltered",
 		"manimal.tasks.retried", "manimal.tasks.speculative", "manimal.tasks.corrupt_blocks",
-		"manimal.cache.hits", "manimal.cache.misses", "manimal.scans.shared"} {
+		"manimal.cache.hits", "manimal.cache.misses"} {
 		if v, ok := st.Counters[c]; ok {
 			line += fmt.Sprintf("  %s=%d", c, v)
 		}

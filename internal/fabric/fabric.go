@@ -28,7 +28,6 @@ import (
 	"manimal/internal/mapreduce"
 	"manimal/internal/optimizer"
 	"manimal/internal/serde"
-	"manimal/internal/storage"
 )
 
 // interpMapper adapts one interpreter executor to mapreduce.Mapper. The
@@ -106,35 +105,6 @@ func CombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
 	}
 }
 
-// SumCombinerFactory is CombinerFactory for a program whose Combine the
-// analyzer recognized as an int64 sum (analyzer.CombineDescriptor "sum").
-// Its combiners are marked mapreduce.SumCombiner, so map tasks fold their
-// output into running sums instead of calling them; one compiles the
-// interpreted Combine only when its task unfolds and has keys to combine.
-func SumCombinerFactory(p *lang.Program) mapreduce.ReducerFactory {
-	build := CombinerFactory(p)
-	return func() (mapreduce.Reducer, error) { return &sumCombiner{build: build}, nil }
-}
-
-type sumCombiner struct {
-	build mapreduce.ReducerFactory
-	r     mapreduce.Reducer
-}
-
-// FoldsInt64Sum implements mapreduce.SumCombiner.
-func (*sumCombiner) FoldsInt64Sum() {}
-
-func (c *sumCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *interp.Context) error {
-	if c.r == nil {
-		r, err := c.build()
-		if err != nil {
-			return err
-		}
-		c.r = r
-	}
-	return c.r.Reduce(key, values, ctx)
-}
-
 // IdentityReducer forwards every value of every group unchanged; it is the
 // reduce stage of B+Tree index-generation jobs. Each reduce task's merge
 // stream is key-sorted, so under a range partitioner every reducer feeds
@@ -158,13 +128,12 @@ func (IdentityReducer) Reduce(key serde.Datum, values interp.ValueIter, ctx *int
 // open would hold file descriptors for the whole queue wait; lazily,
 // descriptors scale with the running jobs. Open errors surface from
 // Splits.
-func InputForPlan(plan *optimizer.Plan, share *storage.ScanShare) mapreduce.Input {
-	return &planInput{plan: plan, share: share}
+func InputForPlan(plan *optimizer.Plan) mapreduce.Input {
+	return &planInput{plan: plan}
 }
 
 type planInput struct {
-	plan  *optimizer.Plan
-	share *storage.ScanShare
+	plan *optimizer.Plan
 
 	mu  sync.Mutex
 	in  mapreduce.Input
@@ -175,7 +144,7 @@ type planInput struct {
 func (p *planInput) Splits(target int) ([]mapreduce.Split, mapreduce.ScanStats, error) {
 	p.mu.Lock()
 	if p.in == nil && p.err == nil {
-		p.in, p.err = openPlan(p.plan, p.share)
+		p.in, p.err = openPlan(p.plan)
 	}
 	in, err := p.in, p.err
 	p.mu.Unlock()
@@ -196,19 +165,19 @@ func (p *planInput) Close() error {
 	return p.in.Close()
 }
 
-// openPlan opens the plan's physical input. A record-file scan, of the
-// original file or a variant, materializes dictionary fields as plan.Codes
-// says and subscribes its splits to share, the scan-sharing registry of
-// the jobs in flight, so identical scans run once; B+Tree range reads and
-// a nil registry scan privately.
-func openPlan(plan *optimizer.Plan, share *storage.ScanShare) (mapreduce.Input, error) {
+// openPlan opens the plan's physical input and nothing else: a record-file
+// scan of the original file or a variant, with plan.Pushdown and its
+// dictionary fields materialized as plan.Codes says, or the B+Tree ranges
+// of plan.Ranges. Every split scans privately, so what a job reads is
+// exactly the plan it reports.
+func openPlan(plan *optimizer.Plan) (mapreduce.Input, error) {
 	switch plan.Kind {
 	case optimizer.PlanOriginal, optimizer.PlanRecordFile:
 		path := plan.InputPath
 		if plan.Kind == optimizer.PlanRecordFile {
 			path = plan.IndexPath
 		}
-		in, err := mapreduce.OpenFile(path, plan.Codes, plan.Pushdown, share)
+		in, err := mapreduce.OpenFile(path, plan.Codes, plan.Pushdown)
 		if err != nil {
 			return nil, err // not a typed nil: callers test the Input against nil
 		}

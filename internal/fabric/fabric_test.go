@@ -20,20 +20,20 @@ import (
 // The plan's input opens at its first Splits, so that is where a bad plan
 // fails; a never-opened input closes cleanly.
 func TestInputForPlanUnknownKind(t *testing.T) {
-	in := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanKind(99)}, nil)
+	in := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanKind(99)})
 	if _, _, err := in.Splits(1); err == nil {
 		t.Fatal("unknown plan kind accepted")
 	}
 }
 
 func TestInputForPlanMissingFiles(t *testing.T) {
-	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}, nil).Splits(1); err == nil {
+	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}).Splits(1); err == nil {
 		t.Fatal("missing original accepted")
 	}
-	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanBTree, IndexPath: "/nonexistent.idx"}, nil).Splits(1); err == nil {
+	if _, _, err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanBTree, IndexPath: "/nonexistent.idx"}).Splits(1); err == nil {
 		t.Fatal("missing index accepted")
 	}
-	if err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}, nil).Close(); err != nil {
+	if err := InputForPlan(&optimizer.Plan{Kind: optimizer.PlanOriginal, InputPath: "/nonexistent.rec"}).Close(); err != nil {
 		t.Fatalf("closing a never-opened input: %v", err)
 	}
 }
@@ -109,7 +109,7 @@ func TestAggregateKernelSpills(t *testing.T) {
 					codes = storage.CodesOnly
 				}
 			}
-			in, err := mapreduce.OpenFile(tc.path, codes, nil, nil)
+			in, err := mapreduce.OpenFile(tc.path, codes, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,8 @@ func TestAggregateKernelSpills(t *testing.T) {
 				Name:     tc.name,
 				Inputs:   []mapreduce.MapInput{mi},
 				Reducer:  ReducerFactory(p),
-				Combiner: SumCombinerFactory(p),
+				Combiner: CombinerFactory(p),
+				FoldSum:  true,
 				Output:   out,
 				Config: mapreduce.Config{WorkDir: filepath.Join(dir, "work"), NumReducers: 3,
 					MaxParallelTasks: 2, SpillBufferBytes: tc.buffer},

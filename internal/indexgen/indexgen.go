@@ -252,7 +252,7 @@ func openInput(inputPath string, spec Spec) (*mapreduce.FileInput, *storage.Push
 	// The mask needs the schema, which the open reads; the input reads the
 	// pushdown only at its first Splits, and an empty one scans everything.
 	pd := &storage.Pushdown{}
-	in, err := mapreduce.OpenFile(inputPath, storage.DecodeTerms, pd, nil)
+	in, err := mapreduce.OpenFile(inputPath, storage.DecodeTerms, pd)
 	if err != nil {
 		return nil, nil, err
 	}

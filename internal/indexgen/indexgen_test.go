@@ -283,7 +283,7 @@ func TestSampleKeyBoundsDeterministic(t *testing.T) {
 		}
 		sample := func() [][]byte {
 			t.Helper()
-			in, err := mapreduce.OpenFile(data, storage.DecodeTerms, nil, nil)
+			in, err := mapreduce.OpenFile(data, storage.DecodeTerms, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -614,7 +614,7 @@ func TestMaskedBuildStoresSameRecords(t *testing.T) {
 		if pd == nil {
 			t.Fatalf("%s: no mask for %s", name, spec.Describe())
 		}
-		plain, err := mapreduce.OpenFile(data, storage.DecodeTerms, nil, nil)
+		plain, err := mapreduce.OpenFile(data, storage.DecodeTerms, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -402,7 +402,14 @@ func recordKey(seq uint64, kind byte) string { return idFor(seq) + "." + kindNam
 // Begin journals an accepted submission and returns its assigned job ID
 // ("j" + 8-digit sequence). The record is durable when Begin returns; on
 // error nothing was accepted and the caller must refuse the submission.
+// A submission whose name, tenant, output path, or an input's path,
+// program name or program source is not valid UTF-8 is refused with
+// nothing appended: JSON would store U+FFFD in place of its bad bytes, and
+// recovery would resubmit a job with a different input or output.
 func (j *Journal) Begin(sub Submission) (string, error) {
+	if what := invalidUTF8(&sub); what != "" {
+		return "", fmt.Errorf("journal: %s is not valid UTF-8, which the job journal cannot record", what)
+	}
 	sub.ID = "" // the record's sequence number is the ID
 	if sub.SubmittedAt.IsZero() {
 		sub.SubmittedAt = time.Now()
@@ -412,6 +419,30 @@ func (j *Journal) Begin(sub Submission) (string, error) {
 		return "", err
 	}
 	return idFor(seq), nil
+}
+
+// invalidUTF8 names the first string of sub that is not valid UTF-8, or
+// returns "" when every one is.
+func invalidUTF8(sub *Submission) string {
+	switch {
+	case !utf8.ValidString(sub.Name):
+		return fmt.Sprintf("job name %q", sub.Name)
+	case !utf8.ValidString(sub.Tenant):
+		return fmt.Sprintf("tenant %q", sub.Tenant)
+	case !utf8.ValidString(sub.OutputPath):
+		return fmt.Sprintf("output path %q", sub.OutputPath)
+	}
+	for i, in := range sub.Inputs {
+		switch {
+		case !utf8.ValidString(in.Path):
+			return fmt.Sprintf("input path %q", in.Path)
+		case !utf8.ValidString(in.ProgramName):
+			return fmt.Sprintf("program name %q", in.ProgramName)
+		case !utf8.ValidString(in.Program):
+			return fmt.Sprintf("the program source of input %d", i)
+		}
+	}
+	return ""
 }
 
 // End journals a job's terminal state. Ending the same job again appends a

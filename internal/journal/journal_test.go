@@ -196,6 +196,38 @@ func TestCrashAtJournalWrite(t *testing.T) {
 	}
 }
 
+// TestBeginRefusesInvalidUTF8: a submission whose output or input path
+// is not valid UTF-8 — legal on Linux, but JSON would replay it with U+FFFD
+// in place of its bad bytes — is refused, and nothing reaches the journal;
+// the same holds for its name, tenant, program name and program source.
+func TestBeginRefusesInvalidUTF8(t *testing.T) {
+	j, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*Submission){
+		"output path":    func(s *Submission) { s.OutputPath = "out\xff.kv" },
+		"input path":     func(s *Submission) { s.Inputs[0].Path = "in\xfe.rec" },
+		"job name":       func(s *Submission) { s.Name = "job\xff" },
+		"tenant":         func(s *Submission) { s.Tenant = "acme\xff" },
+		"program name":   func(s *Submission) { s.Inputs[0].ProgramName = "count\xfe.go" },
+		"program source": func(s *Submission) { s.Inputs[0].Program = "func Map() {} // \xff" },
+	} {
+		s := sub("bad")
+		mutate(&s)
+		if _, err := j.Begin(s); err == nil || !strings.Contains(err.Error(), "cannot record") {
+			t.Errorf("%s: Begin = %v, want a refusal", name, err)
+		}
+	}
+	entries, err := j.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("refused submissions left %d entries in the journal", len(entries))
+	}
+}
+
 // TestParseID accepts exactly the IDs idFor produces.
 func TestParseID(t *testing.T) {
 	if n, err := ParseID("j00000042"); err != nil || n != 42 {

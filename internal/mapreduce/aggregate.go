@@ -11,7 +11,7 @@ import (
 	"manimal/internal/serde"
 )
 
-// aggKernel is the BatchMapper a folding map task (see SumCombiner) runs
+// aggKernel is the BatchMapper a folding map task (see Job.FoldSum) runs
 // for an input whose Map the analyzer recognized as an aggregate, one emit
 // of a field-derived key and an int value:
 //

@@ -103,11 +103,8 @@ func (c *aggCase) pairs() *foldRun {
 func (c *aggCase) kernel(t *testing.T) foldOutcome {
 	t.Helper()
 	ctrs := NewCounters()
-	se := newShuffleEmitter(0, 0, c.parts, t.TempDir(), c.threshold, sumCombinerFactory(t, true), ctrs, nil, c.part)
+	se := newShuffleEmitter(0, 0, c.parts, t.TempDir(), c.threshold, sumCombinerFactory(t), true, ctrs, nil, c.part)
 	defer se.discard()
-	if _, err := se.emitter(); err != nil {
-		t.Fatal(err)
-	}
 	k := &aggKernel{agg: c.agg, se: se}
 	var b serde.Batch
 	per := &foldRun{parts: c.parts, keys: make([]serde.Datum, len(c.batches))}
@@ -121,7 +118,7 @@ func (c *aggCase) kernel(t *testing.T) foldOutcome {
 // byte-equal to emit's over the same pairs.
 func (c *aggCase) check(t *testing.T, name string) {
 	t.Helper()
-	want := c.pairs().execute(t, sumCombinerFactory(t, true))
+	want := c.pairs().execute(t, sumCombinerFactory(t), true)
 	if want.err != "" {
 		t.Fatalf("%s: emit failed: %s", name, want.err)
 	}
@@ -270,10 +267,7 @@ func TestAggregateKernelAllocs(t *testing.T) {
 		if coded {
 			c.terms = 4 * rows
 		}
-		se := newShuffleEmitter(0, 0, c.parts, t.TempDir(), c.threshold, sumCombinerFactory(t, true), NewCounters(), nil, c.part)
-		if _, err := se.emitter(); err != nil {
-			t.Fatal(err)
-		}
+		se := newShuffleEmitter(0, 0, c.parts, t.TempDir(), c.threshold, sumCombinerFactory(t), true, NewCounters(), nil, c.part)
 		k := &aggKernel{agg: c.agg, se: se}
 		batches := make([]serde.Batch, 4)
 		for i := range batches {

@@ -25,7 +25,7 @@ func TestShuffleEmitAllocs(t *testing.T) {
 		"record": {Rec: rec},
 	} {
 		t.Run(name, func(t *testing.T) {
-			se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, nil, NewCounters(), nil, HashPartitioner{})
+			se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, nil, false, NewCounters(), nil, HashPartitioner{})
 			defer se.release()
 			key := serde.String("alpha")
 			// Warm the slab and scratch buffers well past what the measured
@@ -50,12 +50,9 @@ func TestShuffleEmitAllocs(t *testing.T) {
 		})
 		t.Run("chained-"+name, func(t *testing.T) {
 			comb := func() (Reducer, error) { return sumReducer{}, nil }
-			se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
+			se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, false, NewCounters(), nil, HashPartitioner{})
 			defer se.discard()
-			emit, err := se.emitter()
-			if err != nil {
-				t.Fatal(err)
-			}
+			emit := se.emit
 			keys := make([]serde.Datum, 4096)
 			for i := range keys {
 				keys[i] = serde.String(fmt.Sprintf("http://host-%04d/", i))
@@ -98,12 +95,9 @@ func TestShuffleEmitAllocs(t *testing.T) {
 // allocates no more.
 func TestGroupedSpillAllocs(t *testing.T) {
 	comb := func() (Reducer, error) { return sumReducer{}, nil }
-	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, comb, false, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
-	emit, err := se.emitter()
-	if err != nil {
-		t.Fatal(err)
-	}
+	emit := se.emit
 	keys := make([]serde.Datum, 64)
 	for i := range keys {
 		keys[i] = serde.String(fmt.Sprintf("http://host-%02d/", i))
@@ -137,7 +131,7 @@ func TestGroupedSpillAllocs(t *testing.T) {
 // spilled partition's scalar values must not allocate per value (the
 // cursor k/v buffers and the group key are reused).
 func TestMergeValueAllocsScalar(t *testing.T) {
-	se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, nil, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, nil, false, NewCounters(), nil, HashPartitioner{})
 	defer se.release()
 	for i := 0; i < 3000; i++ {
 		if err := se.emit(serde.Int(int64(i%7)), interp.EmitValue{D: serde.Int(int64(i))}); err != nil {
@@ -177,7 +171,7 @@ func TestMergeValueAllocsScalar(t *testing.T) {
 // merge, and that per-partition consumption deletes every file. Every value
 // is larger than memSpillMax, so every spill goes to disk.
 func TestSpillFdBudgetAndReopen(t *testing.T) {
-	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1, nil, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1, nil, false, NewCounters(), nil, HashPartitioner{})
 	defer se.release()
 	big := interp.EmitValue{D: serde.String(strings.Repeat("x", memSpillMax))}
 	total := spillKeepOpenPerTask + 8 // threshold 1 → one spill file per emit

@@ -125,12 +125,9 @@ func TestGroupedCombineResortsOutput(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			comb := func() (Reducer, error) { return rekeyCombiner{key: tc.key}, nil }
-			se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, comb, NewCounters(), nil, HashPartitioner{})
+			se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, comb, false, NewCounters(), nil, HashPartitioner{})
 			defer se.discard()
-			emit, err := se.emitter()
-			if err != nil {
-				t.Fatal(err)
-			}
+			emit := se.emit
 			want := map[int64]int64{}
 			for i := int64(0); i < 600; i++ {
 				k := (i * 37) % 50
@@ -180,12 +177,9 @@ func (c *recordingCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx
 // in emission order.
 func TestGroupedCombineGroupOrder(t *testing.T) {
 	rc := &recordingCombiner{}
-	se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, func() (Reducer, error) { return rc, nil }, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 1, t.TempDir(), 1<<30, func() (Reducer, error) { return rc, nil }, false, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
-	emit, err := se.emitter()
-	if err != nil {
-		t.Fatal(err)
-	}
+	emit := se.emit
 	seq := int64(0)
 	for spill := 0; spill < 3; spill++ {
 		emitted := map[int64]bool{}

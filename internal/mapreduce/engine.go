@@ -69,11 +69,6 @@ func (a *attemptCtr) addScan(st ScanStats) {
 	a.Add(CtrBlocksRead, st.BlocksRead)
 	a.Add(CtrBlocksSkipped, st.BlocksSkipped)
 	a.Add(CtrRowsFiltered, st.RowsFiltered)
-	shared := int64(0)
-	if st.Shared {
-		shared = 1
-	}
-	a.Add(CtrScansShared, shared)
 }
 
 // rollback withdraws every delta this attempt contributed.
@@ -418,17 +413,14 @@ func (e *Execution) execute() (*Result, error) {
 				return func() error { return sink.commit(a.ctr) }, nil
 			}
 			se := newShuffleEmitter(a.Index(), a.Attempt(), numReducers, job.Config.WorkDir,
-				job.Config.spillBuffer(), job.Combiner, a.ctr, job.Config.Conf,
+				job.Config.spillBuffer(), job.Combiner, job.FoldSum, a.ctr, job.Config.Conf,
 				job.Config.partitioner())
-			a.abort = se.discard
-			var err error
-			if a.ictx.Emit, err = se.emitter(); err != nil {
-				return nil, err
-			}
+			a.abort, a.ictx.Emit = se.discard, se.emit
 			// A folding task runs an Aggregate Map as the column kernel; the
 			// Mapper is never built.
 			var mapper BatchMapper = &aggKernel{agg: spec.input.Aggregate, se: se}
 			if spec.input.Aggregate == nil || !se.folding {
+				var err error
 				if mapper, err = newMapper(a, spec.input.Mapper); err != nil {
 					return nil, err
 				}

@@ -38,14 +38,8 @@ func (c interpCombiner) Reduce(key serde.Datum, values interp.ValueIter, ctx *in
 	return c.ex.InvokeCombine(key, values, ctx)
 }
 
-// foldingCombiner is the same Combine marked as a SumCombiner.
-type foldingCombiner struct{ interpCombiner }
-
-func (foldingCombiner) FoldsInt64Sum() {}
-
-// sumCombinerFactory builds sumCombineProgram's Combine, marked for
-// folding when fold is set.
-func sumCombinerFactory(t testing.TB, fold bool) ReducerFactory {
+// sumCombinerFactory builds sumCombineProgram's Combine.
+func sumCombinerFactory(t testing.TB) ReducerFactory {
 	p, err := lang.Parse(sumCombineProgram)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +48,6 @@ func sumCombinerFactory(t testing.TB, fold bool) ReducerFactory {
 		ex, err := interp.New(p)
 		if err != nil {
 			return nil, err
-		}
-		if fold {
-			return foldingCombiner{interpCombiner{ex}}, nil
 		}
 		return interpCombiner{ex}, nil
 	}
@@ -113,17 +104,12 @@ type foldRun struct {
 }
 
 // execute runs r through a map task whose combiner comb builds: one that
-// folds when comb's combiners are SumCombiners, one that chains otherwise.
-func (r *foldRun) execute(t *testing.T, comb ReducerFactory) foldOutcome {
+// folds when fold is set, one that chains otherwise.
+func (r *foldRun) execute(t *testing.T, comb ReducerFactory, fold bool) foldOutcome {
 	t.Helper()
 	ctrs := NewCounters()
-	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), r.threshold, comb, ctrs, nil, r.part)
+	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), r.threshold, comb, fold, ctrs, nil, r.part)
 	defer se.discard()
-	emit, err := se.emitter()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fold := se.combInst.(SumCombiner)
 	if se.folding != fold {
 		t.Fatalf("emitter folding = %v, want %v", se.folding, fold)
 	}
@@ -133,7 +119,7 @@ func (r *foldRun) execute(t *testing.T, comb ReducerFactory) foldOutcome {
 				return err
 			}
 		}
-		return emit(r.keys[i], r.values[i])
+		return se.emit(r.keys[i], r.values[i])
 	}, se.spill)
 }
 
@@ -145,7 +131,7 @@ func (r *foldRun) execute(t *testing.T, comb ReducerFactory) foldOutcome {
 func (r *foldRun) reference(t *testing.T, comb ReducerFactory) foldOutcome {
 	t.Helper()
 	ctrs := NewCounters()
-	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), 1<<30, nil, ctrs, nil, r.part)
+	se := newShuffleEmitter(0, 0, r.parts, t.TempDir(), 1<<30, nil, false, ctrs, nil, r.part)
 	defer se.discard()
 	c, err := comb()
 	if err != nil {
@@ -396,10 +382,10 @@ func FuzzFoldMatchesCombine(f *testing.F) {
 			return
 		}
 		digest := func() (Reducer, error) { return &digestCombiner{}, nil }
-		sum := r.reference(t, sumCombinerFactory(t, false))
-		sameOutcome(t, "fold", r.execute(t, sumCombinerFactory(t, true)), sum, r.threshold == 1<<30)
-		sameOutcome(t, "chained sum", r.execute(t, sumCombinerFactory(t, false)), sum, true)
-		sameOutcome(t, "chained digest", r.execute(t, digest), r.reference(t, digest), true)
+		sum := r.reference(t, sumCombinerFactory(t))
+		sameOutcome(t, "fold", r.execute(t, sumCombinerFactory(t), true), sum, r.threshold == 1<<30)
+		sameOutcome(t, "chained sum", r.execute(t, sumCombinerFactory(t), false), sum, true)
+		sameOutcome(t, "chained digest", r.execute(t, digest, false), r.reference(t, digest), true)
 	})
 }
 
@@ -407,12 +393,9 @@ func FuzzFoldMatchesCombine(f *testing.F) {
 // emitting allocates nothing — neither adding to a key's running sum nor
 // inserting a key the fold has not seen since its last spill.
 func TestFoldEmitAllocs(t *testing.T) {
-	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, sumCombinerFactory(t, true), NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 4, t.TempDir(), 1<<30, sumCombinerFactory(t), true, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
-	emit, err := se.emitter()
-	if err != nil {
-		t.Fatal(err)
-	}
+	emit := se.emit
 	keys := make([]serde.Datum, 4096)
 	for i := range keys {
 		keys[i] = serde.String(fmt.Sprintf("http://host-%04d/", i))
@@ -477,7 +460,8 @@ func TestFoldJobMatchesCombine(t *testing.T) {
 			Name:     "fold",
 			Inputs:   []MapInput{{Input: in, Mapper: func() (Mapper, error) { return mapper, nil }}},
 			Reducer:  func() (Reducer, error) { return sumReducer{}, nil },
-			Combiner: sumCombinerFactory(t, fold),
+			Combiner: sumCombinerFactory(t),
+			FoldSum:  fold,
 			Output:   kv,
 			Config:   cfg,
 		})

@@ -49,24 +49,20 @@ type BatchIter interface {
 // optionally with a scan pushdown (zone-map block skipping, residual row
 // filtering, field-pruned decoding) chosen by the optimizer.
 type FileInput struct {
-	r         *storage.Reader
-	pd        *storage.Pushdown
-	subscribe func(lo, hi int) (*storage.SharedScanner, bool) // see storage.ScanShare.For
+	r  *storage.Reader
+	pd *storage.Pushdown
 }
 
 // OpenFile opens a record file as an input with the dictionary-field
-// materialization codes (see storage.CodeMode), a scan pushdown (nil scans
-// everything) and a scan-sharing registry: a batch scan identical to one
-// another job is running over the same split rides that scan instead of
-// decoding privately (see storage.ScanShare). A nil registry keeps every
-// scan private.
-func OpenFile(path string, codes storage.CodeMode, pd *storage.Pushdown, share *storage.ScanShare) (*FileInput, error) {
+// materialization codes (see storage.CodeMode) and a scan pushdown (nil
+// scans everything).
+func OpenFile(path string, codes storage.CodeMode, pd *storage.Pushdown) (*FileInput, error) {
 	r, err := storage.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	r.Codes = codes
-	return &FileInput{r: r, pd: pd, subscribe: share.For(r, pd)}, nil
+	return &FileInput{r: r, pd: pd}, nil
 }
 
 // Reader exposes the underlying storage reader (for size statistics).
@@ -125,7 +121,7 @@ func (f *FileInput) Splits(target int) ([]Split, ScanStats, error) {
 		// blocks are skipped (and counted) by the scanner itself.
 		lo, hi := chunk[0], chunk[len(chunk)-1]+1
 		covered += hi - lo
-		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd, subscribe: f.subscribe})
+		out = append(out, &fileSplit{r: f.r, lo: lo, hi: hi, pd: f.pd})
 	}
 	// Blocks outside every split never reach a scanner; count them here so
 	// blocks read + skipped always totals the blocks planned over.
@@ -133,20 +129,13 @@ func (f *FileInput) Splits(target int) ([]Split, ScanStats, error) {
 }
 
 type fileSplit struct {
-	r         *storage.Reader
-	lo, hi    int
-	pd        *storage.Pushdown
-	subscribe func(lo, hi int) (*storage.SharedScanner, bool)
+	r      *storage.Reader
+	lo, hi int
+	pd     *storage.Pushdown
 }
 
-// OpenBatch implements Split: a batch scan over the split's block
-// range. With a share registry the scan first subscribes to the group of
-// identical scans (leading it if none is running); a declined subscription
-// (e.g. a leader too far ahead) scans privately.
+// OpenBatch implements Split: a batch scan over the split's block range.
 func (s *fileSplit) OpenBatch() (BatchIter, error) {
-	if m, ok := s.subscribe(s.lo, s.hi); ok {
-		return m, nil
-	}
 	sc, err := s.r.ScanBatch(s.lo, s.hi, s.pd)
 	if err != nil {
 		return nil, err

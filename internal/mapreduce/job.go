@@ -54,13 +54,9 @@
 //
 // # Multi-query optimization
 //
-// Map tasks of concurrently running jobs that scan the same record-file
-// block range under the same pushdown can ride ONE physical scan
-// (storage.ScanShare, passed to OpenFile): the first task reads and
-// decodes each block, and the others read its batches — so per-task
-// output is identical to a private scan, while I/O and decode cost are
-// paid once per block instead of once per job. The manimal.scans.shared
-// counter reports map-task scans whose group had company;
+// Every map task scans its split privately: what a job reads is exactly
+// the plan it was given (one input per plan, see OpenFile and
+// OpenIndexed). The multi-query optimization lives above this package:
 // manimal.cache.hits / manimal.cache.misses report the System-level
 // result cache (package manimal), which serves identical re-submissions
 // from committed output without consuming any task slot here.
@@ -127,10 +123,11 @@ type Reducer interface {
 type MapperFactory func() (Mapper, error)
 
 // ReducerFactory builds one reducer instance per reduce task — and, as
-// Job.Combiner, one combiner instance per map task (built when the task
-// starts), so Combine has the same one-instance-per-task member-variable
-// state Map and Reduce have. A combiner that implements SumCombiner makes
-// its map task fold instead of combining.
+// Job.Combiner, one combiner instance per map task (built at the task's
+// first combine), so Combine has the same one-instance-per-task
+// member-variable state Map and Reduce have. Under Job.FoldSum a map task
+// folds instead of combining, and builds its combiner only if it stops
+// folding.
 type ReducerFactory func() (Reducer, error)
 
 // MapInput pairs an input source with the mapper that consumes it,
@@ -288,7 +285,14 @@ type Job struct {
 	Name     string
 	Inputs   []MapInput
 	Reducer  ReducerFactory // nil = map-only job
-	Combiner ReducerFactory // optional map-side pre-aggregation; see SumCombiner
+	Combiner ReducerFactory // optional map-side pre-aggregation
+	// FoldSum says the plan recognized Combiner as an int64 sum of a
+	// group's values re-emitted under the group's own key
+	// (analyzer.CombineDescriptor "sum"), so map tasks fold each emitted
+	// int into its key's running sum instead of calling Combiner (see
+	// shuffleEmitter). Combiner must still be that Combine, for the keys a
+	// task combines after a record or non-int value unfolds it.
+	FoldSum bool
 	// Output is the job's one shared output. Each reduce task (or map
 	// task of a map-only job) buffers its whole output in memory, and a
 	// committed task's buffer is flushed once every lower-numbered task's

@@ -85,7 +85,7 @@ func TestScanCountersExactUnderRetry(t *testing.T) {
 	r.Close()
 	run := func(t *testing.T, batches bool, slowdown float64, strike func(*Execution) error) *Execution {
 		t.Helper()
-		in, err := OpenFile(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(300, 3700), Residual: true}, nil)
+		in, err := OpenFile(path, storage.DecodeTerms, &storage.Pushdown{Filter: idRange(300, 3700), Residual: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -357,21 +357,18 @@ func TestShuffleMultiSpillWithCombiner(t *testing.T) {
 }
 
 // TestCombinerBuiltOncePerEmitter: a map task builds its combiner once,
-// when it starts, and reuses it for every partition of every spill. With an
-// interpreted combiner the factory is a whole program compile, which used
-// to run once per non-empty partition per spill.
+// at its first combine, and reuses it for every partition of every spill.
+// With an interpreted combiner the factory is a whole program compile,
+// which used to run once per non-empty partition per spill.
 func TestCombinerBuiltOncePerEmitter(t *testing.T) {
 	built := 0
 	combiner := func() (Reducer, error) {
 		built++
 		return sumReducer{}, nil
 	}
-	se := newShuffleEmitter(0, 0, 3, t.TempDir(), 1<<30, combiner, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 3, t.TempDir(), 1<<30, combiner, false, NewCounters(), nil, HashPartitioner{})
 	defer se.discard()
-	emit, err := se.emitter()
-	if err != nil {
-		t.Fatal(err)
-	}
+	emit := se.emit
 	for spill := 0; spill < 3; spill++ {
 		for i := 0; i < 64; i++ {
 			if err := emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
@@ -398,6 +395,32 @@ func TestCombinerBuiltOncePerEmitter(t *testing.T) {
 	}
 	if built != 1 {
 		t.Fatalf("combiner factory called %d times over 3 spills of several partitions, want 1", built)
+	}
+}
+
+// TestFoldingTaskBuildsCombinerOnUnfold: a task that folds never builds its
+// combiner while it folds, spills included; the first non-int value
+// unfolds it, and its next spill builds the combiner once.
+func TestFoldingTaskBuildsCombinerOnUnfold(t *testing.T) {
+	built := 0
+	combiner := func() (Reducer, error) {
+		built++
+		return &digestCombiner{}, nil
+	}
+	se := newShuffleEmitter(0, 0, 3, t.TempDir(), 1<<30, combiner, true, NewCounters(), nil, HashPartitioner{})
+	defer se.discard()
+	for _, v := range []serde.Datum{serde.Int(1), serde.Int(2), serde.Float(0.5)} {
+		for i := 0; i < 64; i++ {
+			if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := se.spill(); err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int{true: 0, false: 1}[se.folding]; built != want {
+			t.Fatalf("after emitting %v: combiner built %d times (folding %v), want %d", v, built, se.folding, want)
+		}
 	}
 }
 
@@ -485,7 +508,7 @@ func TestInMemorySpillFaultsAndRelease(t *testing.T) {
 		t.Fatalf("word count under spill=1.0: err = %v; want the injected spill fault", err)
 	}
 
-	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1<<30, nil, NewCounters(), nil, HashPartitioner{})
+	se := newShuffleEmitter(0, 0, 2, t.TempDir(), 1<<30, nil, false, NewCounters(), nil, HashPartitioner{})
 	for i := 0; i < 100; i++ {
 		if err := se.emit(serde.Int(int64(i)), interp.EmitValue{D: serde.Int(1)}); err != nil {
 			t.Fatal(err)

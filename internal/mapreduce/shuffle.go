@@ -221,16 +221,6 @@ func (pb *partBuf) sort() {
 	}
 }
 
-// SumCombiner marks a combiner that is exactly an int64 sum of a group's
-// values re-emitted under the group's own key — the Combine the analyzer
-// reports as CombineDescriptor{Op: "sum"}. A map task whose combiner is one
-// folds (see Folding on shuffleEmitter). Reduce must still be that Combine,
-// for the keys a task combines after it unfolds.
-type SumCombiner interface {
-	Reducer
-	FoldsInt64Sum()
-}
-
 // combTable is one partition's buffer in a map task with a Combine: an
 // open-addressing table over the partition's distinct keys, whose slots
 // hold entry ids. Each key's sort-key bytes live once in the partition's
@@ -452,7 +442,7 @@ var emitterBufsPool = sync.Pool{New: func() any { return new(emitterBufs) }}
 //
 // # Folding
 //
-// A task whose combiner is a SumCombiner folds instead (foldInt): an
+// A task whose job folds (Job.FoldSum) folds instead (foldInt): an
 // emitted int is added to its key's running sum in the table entry with
 // wrapping +, exactly the interpreter's. There is no value chain and no
 // Combine call:
@@ -494,7 +484,7 @@ type shuffleEmitter struct {
 	bytes     int
 	threshold int
 	combiner  ReducerFactory
-	combInst  Reducer // the task's one combiner instance, built by emitter
+	combInst  Reducer // the task's one combiner instance, built by combine on first use
 	counters  counterAdder
 	conf      map[string]serde.Datum
 	part      Partitioner
@@ -516,7 +506,7 @@ type counterAdder interface {
 	Add(name string, delta int64)
 }
 
-func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold int, combiner ReducerFactory, counters counterAdder, conf map[string]serde.Datum, part Partitioner) *shuffleEmitter {
+func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold int, combiner ReducerFactory, fold bool, counters counterAdder, conf map[string]serde.Datum, part Partitioner) *shuffleEmitter {
 	bufs := emitterBufsPool.Get().(*emitterBufs)
 	if cap(bufs.parts) < numParts {
 		bufs.parts = make([]partBuf, numParts)
@@ -544,6 +534,7 @@ func newShuffleEmitter(taskID, attempt, numParts int, workDir string, threshold 
 		workDir:   workDir,
 		parts:     bufs.parts,
 		tables:    tables,
+		folding:   fold && combiner != nil,
 		hashPart:  hashPart,
 		comb:      bufs.comb,
 		keyBuf:    bufs.keyBuf,
@@ -582,21 +573,6 @@ func (se *shuffleEmitter) release() {
 	se.bufs.codes = se.codes
 	emitterBufsPool.Put(se.bufs)
 	se.bufs = nil
-}
-
-// emitter returns the function the task emits through, once per task. A
-// task with a combiner builds its one combiner instance here, and a
-// SumCombiner makes the task fold.
-func (se *shuffleEmitter) emitter() (func(serde.Datum, interp.EmitValue) error, error) {
-	if se.combiner != nil {
-		c, err := se.combiner()
-		if err != nil {
-			return nil, err
-		}
-		se.combInst = c
-		_, se.folding = c.(SumCombiner)
-	}
-	return se.emit, nil
 }
 
 // emit buffers one pair on the task's path: sorted pairs, or with a
@@ -781,12 +757,21 @@ func (pb *partBuf) appendRun(buf []byte) []byte {
 // order, with the key's chain as its values, collecting its output into
 // the reused combiner buffer (Hadoop-style map-side pre-aggregation). The
 // output is re-sorted only if the combiner did not keep it in key order,
-// as one that re-keys may not. The combiner is built once per emitter,
-// when the task starts (see emitter), and serves every partition of every
-// spill: compiling the program per partition per spill cost more than
-// combining did. Like a task's Mapper and Reducer it therefore carries its
+// as one that re-keys may not. The combiner is built once per emitter, at
+// the first combine — a chaining task's first spill, a folding task's
+// first spill after it unfolds, so a task that folds to the end never
+// compiles it — and serves every partition of every later spill:
+// compiling the program per partition per spill cost more than combining
+// did. Like a task's Mapper and Reducer it therefore carries its
 // member-variable state across all the keys the task combines.
 func (se *shuffleEmitter) combine(slab []byte, t *combTable) (*partBuf, error) {
+	if se.combInst == nil {
+		c, err := se.combiner()
+		if err != nil {
+			return nil, err
+		}
+		se.combInst = c
+	}
 	c := se.combInst
 	out := &se.comb
 	out.reset()

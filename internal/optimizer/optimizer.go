@@ -5,17 +5,15 @@
 // selection favored over delta-compression when the two conflict
 // (paper footnote 3).
 //
-// Two multi-query execution strategies sit alongside the per-job plan
+// One multi-query execution strategy sits alongside the per-job plan
 // kinds. PlanCached marks a submission served from the catalog's result
 // cache — a prior identical job's committed output, where "identical" is
 // the cache-key contract (canonicalized program AST, input fingerprints,
 // conf, and output-shape knobs; see package catalog) — synthesized by the
-// System's cache lookup rather than by Choose. Record-file scans of
-// optimized plans may also run as one physical scan with identical
-// concurrent scans (same file, block range and Pushdown; see
-// storage.ScanShare), which needs nothing from the plan. Both preserve
-// output equivalence: caching replays a byte-identical committed output,
-// and a shared scan is the very scan each member would have run.
+// System's cache lookup rather than by Choose. It preserves output
+// equivalence by replaying a byte-identical committed output. Every other
+// plan is executed exactly as reported: each of its scans is the job's
+// own.
 package optimizer
 
 import (

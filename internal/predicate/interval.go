@@ -24,9 +24,6 @@ func PointInterval(d serde.Datum) Interval {
 	return Interval{Lo: d, Hi: d, LoInc: true, HiInc: true}
 }
 
-// Bounded reports whether at least one side is bounded.
-func (iv Interval) Bounded() bool { return iv.Lo.IsValid() || iv.Hi.IsValid() }
-
 // String renders the interval in math notation for descriptors and tables.
 func (iv Interval) String() string {
 	if iv.Empty {

@@ -151,9 +151,13 @@ type JobInfo struct {
 // the submission rate over one grace window). With the journal enabled,
 // eviction loses nothing: GET /v1/jobs/{id} falls back to the journal.
 const (
-	DefaultMaxTerminalJobs  = 256
-	DefaultTerminalGrace    = time.Minute
-	defaultRetryAfter       = time.Second
+	DefaultMaxTerminalJobs = 256
+	DefaultTerminalGrace   = time.Minute
+	// defaultRetryAfter is the hint sent with 429 responses.
+	defaultRetryAfter = time.Second
+	// defaultDrainCancelGrace is how long Drain waits, after canceling the
+	// jobs that outlived the drain deadline, for their terminal states to
+	// land in the journal.
 	defaultDrainCancelGrace = 10 * time.Second
 )
 
@@ -165,8 +169,6 @@ type ServerConfig struct {
 	// this many jobs are non-terminal are answered 429 with a Retry-After
 	// hint. 0 means unbounded.
 	MaxActiveJobs int
-	// RetryAfter is the hint sent with 429 responses; 0 means 1s.
-	RetryAfter time.Duration
 	// TenantSlots, when > 0, gives every tenant named by a submission's
 	// X-Manimal-Tenant header a scheduler-slot quota of that many slots
 	// (see manimal.System.SetTenantQuota).
@@ -175,10 +177,6 @@ type ServerConfig struct {
 	// (DefaultMaxTerminalJobs / DefaultTerminalGrace); 0 means default.
 	MaxTerminalJobs int
 	TerminalGrace   time.Duration
-	// DrainCancelGrace is how long Drain waits, after canceling the jobs
-	// that outlived the drain deadline, for their terminal states to land
-	// in the journal; 0 means 10s.
-	DrainCancelGrace time.Duration
 }
 
 func (c *ServerConfig) maxTerminal() int {
@@ -193,20 +191,6 @@ func (c *ServerConfig) terminalGrace() time.Duration {
 		return c.TerminalGrace
 	}
 	return DefaultTerminalGrace
-}
-
-func (c *ServerConfig) retryAfter() time.Duration {
-	if c.RetryAfter > 0 {
-		return c.RetryAfter
-	}
-	return defaultRetryAfter
-}
-
-func (c *ServerConfig) drainCancelGrace() time.Duration {
-	if c.DrainCancelGrace > 0 {
-		return c.DrainCancelGrace
-	}
-	return defaultDrainCancelGrace
 }
 
 // Server tracks submitted jobs by ID on top of one System.
@@ -347,7 +331,7 @@ func (s *Server) Drain(ctx context.Context) DrainReport {
 			for _, t := range live {
 				t.handle.Cancel()
 			}
-			graceCtx, cancel := context.WithTimeout(context.Background(), s.cfg.drainCancelGrace())
+			graceCtx, cancel := context.WithTimeout(context.Background(), defaultDrainCancelGrace)
 			defer cancel()
 			for _, t := range live {
 				select {
@@ -410,9 +394,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if max := s.cfg.MaxActiveJobs; max > 0 && s.activeLocked() >= max {
 		s.rejectedFull++
-		retry := s.cfg.retryAfter()
 		s.mu.Unlock()
-		w.Header().Set("Retry-After", strconv.Itoa(int((retry+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int(defaultRetryAfter/time.Second)))
 		httpError(w, http.StatusTooManyRequests, "admission queue full (%d active jobs); retry later", max)
 		return
 	}
@@ -745,14 +728,13 @@ type StatsInfo struct {
 }
 
 // statsCounters is the counter subset /v1/stats aggregates across jobs:
-// what fault tolerance and multi-query optimization did service-wide.
+// what fault tolerance and the result cache did service-wide.
 var statsCounters = []string{
 	mapreduce.CtrTasksRetried,
 	mapreduce.CtrTasksSpeculative,
 	mapreduce.CtrCorruptBlocks,
 	mapreduce.CtrCacheHits,
 	mapreduce.CtrCacheMisses,
-	mapreduce.CtrScansShared,
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

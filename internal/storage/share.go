@@ -23,12 +23,13 @@ import (
 // overtake its straggler. When the leader leaves early, followers go on
 // privately from their first untaken block, so a corrupt block surfaces as
 // each follower's own CorruptBlockError.
+// No job uses it: it is kept only for the benchmark's share_fanout probe.
 type ScanShare struct {
 	mu     sync.Mutex
 	groups map[shareKey]*shareGroup
 }
 
-// NewScanShare returns an empty registry; a System owns one for its jobs.
+// NewScanShare returns an empty registry.
 func NewScanShare() *ScanShare { return &ScanShare{groups: make(map[shareKey]*shareGroup)} }
 
 // shareKey identifies one shareable scan: the file (path, size and mtime,

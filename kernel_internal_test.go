@@ -43,7 +43,7 @@ func TestNoOptNeverRunsKernel(t *testing.T) {
 		spec.OutputPath = t.TempDir() + "/out.kv"
 		sub := &submission{spec: spec, h: &JobHandle{report: report}, counts: make([]int64, tc.inputs), work: t.TempDir()}
 		sub.decideAggregation()
-		job := buildJob(sub, nil)
+		job := buildJob(sub)
 		for i, mi := range job.Inputs {
 			if got := mi.Aggregate != nil; got != (tc.kernel && i == 0) {
 				t.Errorf("%s: input %d runs the kernel: %v", tc.name, i, got)

@@ -171,9 +171,6 @@ type System struct {
 	workDir string
 	cat     *catalog.Catalog
 	sched   *mapreduce.Scheduler
-	// share is the scan-sharing registry through which identical scans of
-	// this System's concurrently running jobs run once.
-	share *storage.ScanShare
 	// noCache disables the fingerprint-keyed result cache
 	// (Options.DisableResultCache).
 	noCache bool
@@ -235,7 +232,6 @@ func NewSystemWith(dir string, opts Options) (*System, error) {
 		}
 	}
 	return &System{dir: dir, workDir: workDir, cat: cat, sched: sched,
-		share:       storage.NewScanShare(),
 		noCache:     opts.DisableResultCache,
 		jnl:         jnl,
 		liveOutputs: make(map[string]string)}, nil
@@ -771,7 +767,7 @@ func (s *System) admit(ctx context.Context, sub *submission) error {
 	if sub.work == "" {
 		sub.work = s.scratchDir("job")
 	}
-	exec, err := s.sched.Submit(ctx, buildJob(sub, s.share))
+	exec, err := s.sched.Submit(ctx, buildJob(sub))
 	if err != nil {
 		return err
 	}
@@ -889,16 +885,13 @@ func (s *System) finish(sub *submission, err error) {
 // Neither touches a file before the job runs: fabric.InputForPlan opens at
 // the plan phase, and the KV output creates its file at its first write
 // (or at close, for an empty result), so a job canceled while queued never
-// touches its output path. A -noopt job scans privately.
-func buildJob(sub *submission, share *storage.ScanShare) *mapreduce.Job {
+// touches its output path. Each input scans exactly its plan.
+func buildJob(sub *submission) *mapreduce.Job {
 	spec, report := sub.spec, sub.h.report
-	if spec.DisableOptimization {
-		share = nil
-	}
 	inputs := make([]mapreduce.MapInput, len(spec.Inputs))
 	for i, ispec := range spec.Inputs {
 		inputs[i] = mapreduce.MapInput{
-			Input:  fabric.InputForPlan(report.Inputs[i].Plan, share),
+			Input:  fabric.InputForPlan(report.Inputs[i].Plan),
 			Mapper: fabric.MapperFactory(ispec.Program.parsed),
 		}
 	}
@@ -920,10 +913,7 @@ func buildJob(sub *submission, share *storage.ScanShare) *mapreduce.Job {
 	if !spec.MapOnly {
 		lead := spec.Inputs[0].Program.parsed
 		job.Reducer = fabric.ReducerFactory(lead)
-		job.Combiner = fabric.CombinerFactory(lead)
-		if sub.fold {
-			job.Combiner = fabric.SumCombinerFactory(lead)
-		}
+		job.Combiner, job.FoldSum = fabric.CombinerFactory(lead), sub.fold
 	}
 	return job
 }
