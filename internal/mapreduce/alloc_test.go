@@ -89,6 +89,44 @@ func TestShuffleEmitAllocs(t *testing.T) {
 	}
 }
 
+// TestTaskSinkEmitAllocs gates the shared-output task sink: once the chunk
+// pool and the sink's frame scratch are warm, framing a pair into its
+// chunks — scalar or record-valued, within a chunk or across a chunk
+// boundary — must not allocate.
+func TestTaskSinkEmitAllocs(t *testing.T) {
+	rec := serde.NewRecord(wordSchema)
+	rec.MustSet("text", serde.String("the quick brown fox"))
+	for name, val := range map[string]interp.EmitValue{
+		"datum":  {D: serde.Int(1)},
+		"record": {Rec: rec},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := &taskSink{shared: &sharedOutput{out: &DiscardOutput{}, held: map[int]*taskSink{}}}
+			defer s.release()
+			key := serde.String("alpha")
+			// Fill several chunks and hand them back, so the measured emits
+			// find pooled chunks and room in the sink's chunk list.
+			for i := 0; i < 8192; i++ {
+				if err := s.emit(key, val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(s.chunks) < 2 {
+				t.Fatalf("warm-up filled %d chunk(s); want a chunk boundary", len(s.chunks))
+			}
+			s.release()
+			allocs := testing.AllocsPerRun(8000, func() {
+				if err := s.emit(key, val); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0.01 {
+				t.Fatalf("emit allocates %.3f objects per %s pair; want 0", allocs, name)
+			}
+		})
+	}
+}
+
 // TestGroupedSpillAllocs gates the grouped spill of a combiner job: once
 // its table and scratches are warm, a spill allocates per spill and per
 // distinct key, never per pair — spilling 16× the pairs over the same keys

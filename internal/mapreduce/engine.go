@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -81,15 +82,24 @@ func (a *attemptCtr) rollback() {
 	clear(a.deltas)
 }
 
+// outChunkSize is the size of the fixed chunks a task holds its framed
+// output in until it commits.
+const outChunkSize = 64 << 10
+
+// outChunks recycles output chunks across tasks and jobs: a chunk goes
+// back once its task's bytes are written or the attempt is dropped.
+var outChunks = sync.Pool{New: func() any { return new([outChunkSize]byte) }}
+
 // taskSink is where a map-only map task's or a reduce task's pairs go
 // until the attempt commits. With Job.OutputFor the task writes its own
 // output, which commit closes (an atomic rename) and abort discards. With
-// a shared Job.Output the attempt buffers its pairs fully serialized (the
-// Emit contract lets callers reuse the backing record), and commit hands
-// the buffer to the job's sharedOutput, which writes it in task order: a
+// a shared Job.Output the attempt frames each pair once, at emit (the
+// Emit contract lets callers reuse the backing record), into pooled
+// fixed-size chunks, and commit hands the chunks to the job's
+// sharedOutput, which writes their bytes as they are, in task order: a
 // failed or losing attempt contributes nothing, a retry cannot
 // double-write, and each committed task's pairs sit together in the
-// output. The buffer holds the attempt's whole output in memory — a reduce
+// output. The chunks hold the attempt's whole output in memory — a reduce
 // attempt's whole partition — so jobs whose output is too large for that
 // use OutputFor.
 type taskSink struct {
@@ -97,8 +107,9 @@ type taskSink struct {
 	shared *sharedOutput // Job.Output, when out is nil
 	task   int
 	kv     kvEncoder
-	buf    []byte // pairs bound for shared, framed by appendKV
-	n      int64  // pairs emitted
+	chunks []*[outChunkSize]byte // the attempt's frames, from outChunks; a frame may straddle
+	tail   int                   // bytes used in the last chunk
+	n      int64                 // pairs emitted
 }
 
 // newTaskSink opens task's sink; shared is the job's Job.Output, if any.
@@ -118,8 +129,45 @@ func (s *taskSink) emit(k serde.Datum, v interp.EmitValue) error {
 	if s.out != nil {
 		return s.out.Write(k, v)
 	}
-	s.buf = s.kv.appendKV(s.buf, k, v)
+	hdr, body := s.kv.frame(k, v)
+	s.write(hdr)
+	s.write(body)
 	return nil
+}
+
+// write appends p to the attempt's chunks, taking a new chunk from the
+// pool whenever the last one is full.
+func (s *taskSink) write(p []byte) {
+	for len(p) > 0 {
+		if len(s.chunks) == 0 || s.tail == outChunkSize {
+			s.chunks = append(s.chunks, outChunks.Get().(*[outChunkSize]byte))
+			s.tail = 0
+		}
+		n := copy(s.chunks[len(s.chunks)-1][s.tail:], p)
+		s.tail += n
+		p = p[n:]
+	}
+}
+
+// framed returns the bytes held in each chunk, in order.
+func (s *taskSink) framed() [][]byte {
+	views := make([][]byte, len(s.chunks))
+	for i, c := range s.chunks {
+		views[i] = c[:]
+	}
+	if len(views) > 0 {
+		views[len(views)-1] = views[len(views)-1][:s.tail]
+	}
+	return views
+}
+
+// release returns the attempt's chunks to the pool. It is safe to repeat.
+func (s *taskSink) release() {
+	for _, c := range s.chunks {
+		outChunks.Put(c)
+	}
+	clear(s.chunks)
+	s.chunks, s.tail = s.chunks[:0], 0
 }
 
 // commit publishes the attempt's pairs and counts them; it runs under the
@@ -139,41 +187,76 @@ func (s *taskSink) commit(ctr *attemptCtr) error {
 	return nil
 }
 
-// sharedOutput writes the committed tasks' buffers into a job's one
+// abort discards an uncommitted attempt's output: its partial per-task
+// output, or its chunks.
+func (s *taskSink) abort() {
+	if s.out != nil {
+		s.out.Abort()
+	}
+	s.release()
+}
+
+// errOutputAborted fails a commit that reaches a job's shared output after
+// the job has failed.
+var errOutputAborted = errors.New("mapreduce: the job's output was aborted")
+
+// sharedOutput writes the committed tasks' chunks into a job's one
 // Job.Output in task order — reduce partition order, or a map-only job's
 // split order — so the output's bytes do not depend on which task commits
 // first. A task that commits ahead of a lower-numbered one is held until
 // that one has been written. Nothing is buffered beyond the tasks' own
-// buffers, and each is dropped once written.
+// chunks, and each task's go back to the pool once written — or, on a
+// failed write or a failed job, unwritten.
 type sharedOutput struct {
 	mu   sync.Mutex
-	out  Output
+	out  SharedOutput
 	next int               // the lowest task not yet written
 	held map[int]*taskSink // committed tasks waiting on a lower one
-	err  error             // a failed write; the output is lost
+	err  error             // a failed write or the job's abort; the output is lost
 }
 
+// commit takes over s's chunks: it writes them, with any held tasks they
+// unblock, or holds them.
 func (o *sharedOutput) commit(s *taskSink) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if s.task != o.next {
-		o.held[s.task] = s
+	if o.err != nil {
+		s.release()
 		return o.err
 	}
-	for s != nil && o.err == nil {
-		o.err = readKVs(s.buf, uint64(s.n), o.out.Write)
-		s.buf = nil
-		o.next++
-		s = o.held[o.next]
+	o.held[s.task] = s
+	for o.err == nil {
+		w, ok := o.held[o.next]
+		if !ok {
+			break
+		}
 		delete(o.held, o.next)
+		o.err = o.out.writeFramed(w.framed(), uint64(w.n))
+		w.release()
+		o.next++
+	}
+	if o.err != nil {
+		o.releaseHeld()
 	}
 	return o.err
 }
 
-// abort discards an uncommitted attempt's partial per-task output.
-func (s *taskSink) abort() {
-	if s.out != nil {
-		s.out.Abort()
+// abort releases every held task's chunks when the job fails; a later
+// commit writes nothing and releases its own.
+func (o *sharedOutput) abort() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.err == nil {
+		o.err = errOutputAborted
+	}
+	o.releaseHeld()
+}
+
+// releaseHeld returns every held task's chunks to the pool unwritten.
+func (o *sharedOutput) releaseHeld() {
+	for t, s := range o.held {
+		s.release()
+		delete(o.held, t)
 	}
 }
 
@@ -337,11 +420,13 @@ func (e *Execution) execute() (*Result, error) {
 		spills = nil
 	}
 
-	// fail releases everything on an error exit: the partial final output
-	// is aborted, inputs are closed, and any spill files are removed. By
-	// the time a phase reports an error its attempts have drained, so
-	// nothing still writes to what is released here.
+	// fail releases everything on an error exit: held output chunks go
+	// back to their pool, the partial final output is aborted, inputs are
+	// closed, and any spill files are removed. By the time a phase reports
+	// an error its attempts have drained, so nothing still writes to what
+	// is released here.
 	fail := func(phase string, err error) (*Result, error) {
+		shared.abort()
 		if job.Output != nil {
 			job.Output.Abort()
 		}

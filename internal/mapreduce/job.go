@@ -44,7 +44,7 @@
 // siblings and slots are idle, the scheduler launches one duplicate
 // (speculative) attempt; whichever
 // attempt finishes first COMMITS — publishes its spills, closes its
-// per-task output, or flushes its buffered output under the scheduler's
+// per-task output, or writes its held output chunks under the scheduler's
 // commit claim, which is idempotent per task, not per attempt — and the
 // loser is canceled and its partial outputs aborted (Abort is part of
 // every Output). The counters manimal.tasks.retried,
@@ -152,6 +152,18 @@ type Output interface {
 	Write(key serde.Datum, value interp.EmitValue) error
 	Close() error
 	Abort() error
+}
+
+// SharedOutput is an Output a job's tasks share (Job.Output). Besides
+// pair-by-pair Write it takes a committed task's pairs as the bytes the
+// task framed them in — the one KV framing, see kvEncoder — and stores
+// them as they are, never decoded. Its unexported method keeps the
+// implementations in this package: KVFileOutput and DiscardOutput.
+type SharedOutput interface {
+	Output
+	// writeFramed appends pairs framed pairs held in chunks, in order; a
+	// frame may straddle chunks. It must not retain chunks.
+	writeFramed(chunks [][]byte, pairs uint64) error
 }
 
 // Config tunes one job execution.
@@ -294,13 +306,15 @@ type Job struct {
 	// task combines after a record or non-int value unfolds it.
 	FoldSum bool
 	// Output is the job's one shared output. Each reduce task (or map
-	// task of a map-only job) buffers its whole output in memory, and a
-	// committed task's buffer is flushed once every lower-numbered task's
-	// has been. So Output holds one task's pairs together, in task order —
-	// reduce partition order, or a map-only job's split order — and its
-	// bytes do not depend on which task commits first. The engine closes
-	// Output once every task has committed and aborts it if the job fails.
-	Output Output
+	// task of a map-only job) holds its whole output in memory until it
+	// commits, framed once at emit into pooled fixed-size chunks, and a
+	// committed task's chunks are written as they are once every
+	// lower-numbered task's have been. So Output holds one task's pairs
+	// together, in task order — reduce partition order, or a map-only
+	// job's split order — and its bytes do not depend on which task
+	// commits first. The engine closes Output once every task has
+	// committed and aborts it if the job fails.
+	Output SharedOutput
 	// OutputFor, when set, replaces Output with one private output per
 	// task: reduce jobs open one output per reduce partition (how B+Tree
 	// index builds give every reducer its own tree or shard file), map-only

@@ -27,21 +27,24 @@ var ErrMalformedKVFile = errors.New("mapreduce: malformed KV file")
 // lengths, a key tag and a value tag.
 const minKVFrame = 4
 
-// kvEncoder frames pairs in the one encoding KV output files and buffered
+// kvEncoder frames pairs in the one encoding KV output files and held
 // task output share: uvarint klen | uvarint vlen | tagged key | value.
 type kvEncoder struct {
 	enc     valueEncoder
+	hdr     [2 * binary.MaxVarintLen64]byte
 	scratch []byte
 }
 
-// appendKV appends the framed pair (k, v) to dst.
-func (e *kvEncoder) appendKV(dst []byte, k serde.Datum, v interp.EmitValue) []byte {
+// frame encodes the pair (k, v) and returns its frame in two parts, the
+// length header and the tagged key and value, which the writer copies
+// out: both are valid only until the next call.
+func (e *kvEncoder) frame(k serde.Datum, v interp.EmitValue) (hdr, body []byte) {
 	e.scratch = k.AppendTagged(e.scratch[:0])
 	kl := len(e.scratch)
 	e.scratch = e.enc.appendValue(e.scratch, v)
-	dst = binary.AppendUvarint(dst, uint64(kl))
-	dst = binary.AppendUvarint(dst, uint64(len(e.scratch)-kl))
-	return append(dst, e.scratch...)
+	hdr = binary.AppendUvarint(e.hdr[:0], uint64(kl))
+	hdr = binary.AppendUvarint(hdr, uint64(len(e.scratch)-kl))
+	return hdr, e.scratch
 }
 
 // readKVs decodes buf as exactly n framed pairs and hands each to fn, in
@@ -95,16 +98,16 @@ func readKVs(buf []byte, n uint64, fn func(serde.Datum, interp.EmitValue) error)
 // container: the default final-output format. Pairs stream into an atomic
 // replacement of the final path (durable.File) that Close commits, so a
 // crashed or canceled job never leaves a partial output where the caller's
-// path points. The replacement is created by the first Write, or by Close
+// path points. The replacement is created by the first write, or by Close
 // when nothing was written: a job canceled before it emits never touches
 // its output path, and a job that emits nothing still commits a valid
-// empty file.
+// empty file. As a job's shared output it is handed each task's framed
+// bytes (writeFramed), which it writes as they are.
 type KVFileOutput struct {
 	path  string
 	f     *durable.File
 	w     *bufio.Writer
 	count uint64
-	buf   []byte // reused per-write frame
 	kv    kvEncoder
 }
 
@@ -134,11 +137,32 @@ func (o *KVFileOutput) Write(k serde.Datum, v interp.EmitValue) error {
 			return err
 		}
 	}
-	o.buf = o.kv.appendKV(o.buf[:0], k, v)
-	if _, err := o.w.Write(o.buf); err != nil {
+	hdr, body := o.kv.frame(k, v)
+	o.w.Write(hdr) // a bufio.Writer's first error sticks: the next Write reports it
+	if _, err := o.w.Write(body); err != nil {
 		return err
 	}
 	o.count++
+	return nil
+}
+
+// writeFramed implements SharedOutput. A task that emitted nothing brings
+// no chunks and, like an unwritten Write, creates nothing.
+func (o *KVFileOutput) writeFramed(chunks [][]byte, pairs uint64) error {
+	if len(chunks) == 0 {
+		return nil
+	}
+	if o.f == nil {
+		if err := o.open(); err != nil {
+			return err
+		}
+	}
+	for _, c := range chunks {
+		if _, err := o.w.Write(c); err != nil {
+			return err
+		}
+	}
+	o.count += pairs
 	return nil
 }
 
@@ -303,6 +327,12 @@ type DiscardOutput struct{ N int64 }
 // Write implements Output.
 func (o *DiscardOutput) Write(serde.Datum, interp.EmitValue) error {
 	o.N++
+	return nil
+}
+
+// writeFramed implements SharedOutput.
+func (o *DiscardOutput) writeFramed(_ [][]byte, pairs uint64) error {
+	o.N += int64(pairs)
 	return nil
 }
 

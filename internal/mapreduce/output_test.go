@@ -6,10 +6,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"manimal/internal/faultinject"
 	"manimal/internal/interp"
@@ -241,4 +246,256 @@ func TestSharedOutputPartitionOrder(t *testing.T) {
 			}
 		})
 	}
+}
+
+// framedSchema is the input of framedMapper.
+var framedSchema = serde.MustSchema(
+	serde.Field{Name: "id", Kind: serde.KindInt64},
+	serde.Field{Name: "size", Kind: serde.KindInt64},
+)
+
+// framedValue is a size-byte value whose bytes differ from one id to the
+// next, so a pair out of place changes the output's bytes.
+func framedValue(id int64, size int) interp.EmitValue {
+	return interp.EmitValue{D: serde.String(strings.Repeat(string(rune('a'+id%26)), size))}
+}
+
+// framedVictim is the record at which framedMapper strikes: the third of
+// its split, so the striking attempt has framed pairs before it.
+const framedVictim = 27
+
+// framedMapper emits (id, framedValue(id, size)) for every record whose
+// size is not negative. strike, when set, runs first at framedVictim.
+type framedMapper struct {
+	strike func(ctx *interp.Context) error
+}
+
+func (m framedMapper) Map(_ serde.Datum, rec *serde.Record, ctx *interp.Context) error {
+	id, size := rec.Int("id"), rec.Int("size")
+	if id == framedVictim && m.strike != nil {
+		if err := m.strike(ctx); err != nil {
+			return err
+		}
+	}
+	if size < 0 {
+		return nil
+	}
+	return ctx.Emit(serde.Int(id), framedValue(id, int(size)))
+}
+
+// emitPoison frames a pair no clean run emits, so output that holds a
+// dropped attempt's bytes differs from the expected.
+func emitPoison(ctx *interp.Context) error {
+	return ctx.Emit(serde.String("poison"), framedValue(-1, 3000))
+}
+
+// TestFramedCommitMatchesPairwise: a map-only job's shared output, which
+// writes each task's framed chunks as they are, is byte-identical to a
+// KVFileOutput fed the same pairs through Write — with a value larger than
+// one chunk, frames straddling chunk boundaries and a task that emits
+// nothing; with tasks committing out of order; and when attempts that
+// framed pairs (a poison pair among them) fail and are retried, or lose a
+// speculative race.
+func TestFramedCommitMatchesPairwise(t *testing.T) {
+	// Eight splits of five records: record 5's value spans four chunks,
+	// the others (1–2.5 KiB) straddle chunk boundaries, and the third
+	// split (ids 10–14) emits nothing.
+	recs := make([]*serde.Record, 40)
+	for i := range recs {
+		size := int64(1000 + 37*i)
+		switch {
+		case i == 5:
+			size = 3*outChunkSize + 1234
+		case i >= 10 && i < 15:
+			size = -1
+		}
+		recs[i] = serde.NewRecord(framedSchema)
+		recs[i].MustSet("id", serde.Int(int64(i)))
+		recs[i].MustSet("size", serde.Int(size))
+	}
+	wantPath := filepath.Join(t.TempDir(), "want.kv")
+	want, _ := NewKVFileOutput(wantPath)
+	for _, r := range recs {
+		if size := r.Int("size"); size >= 0 {
+			if err := want.Write(serde.Int(r.Int("id")), framedValue(r.Int("id"), int(size))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := want.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(t *testing.T, m framedMapper, slowdown float64, exe *atomic.Pointer[Execution]) *Execution {
+		t.Helper()
+		in, err := NewMemInput(framedSchema, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "out.kv")
+		kv, _ := NewKVFileOutput(path)
+		e, err := NewScheduler(4).Submit(context.Background(), &Job{
+			Name:   "framed",
+			Inputs: []MapInput{{Input: in, Mapper: func() (Mapper, error) { return m, nil }}},
+			Output: kv,
+			Config: Config{MaxParallelTasks: 4, RetryBackoff: time.Millisecond, SpeculativeSlowdown: slowdown},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exe != nil {
+			exe.Store(e)
+		}
+		if _, err := e.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Counters().Get(CtrMapTasks); n != 8 {
+			t.Fatalf("%d map tasks; want 8", n)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("framed output (%d bytes) differs from the pairwise write (%d bytes)", len(got), len(wantBytes))
+		}
+		return e
+	}
+	outcomes := func(e *Execution) map[string]int {
+		n := map[string]int{}
+		for _, a := range e.Status().Attempts {
+			if a.Phase == PhaseMap {
+				n[a.Outcome]++
+			}
+		}
+		return n
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		run(t, framedMapper{}, -1, nil)
+	})
+	t.Run("out-of-order-and-retried", func(t *testing.T) {
+		// Task 0 straggles so that later tasks commit first and are held;
+		// task 3's first attempt fails at its start.
+		faultinject.Set(faultinject.MustParse("straggle=1.0:30ms@map:0:,task=1.0@map:3:0;seed=3"))
+		defer faultinject.Reset()
+		var failed atomic.Bool
+		e := run(t, framedMapper{strike: func(ctx *interp.Context) error {
+			if !failed.CompareAndSwap(false, true) {
+				return nil
+			}
+			if err := emitPoison(ctx); err != nil {
+				return err
+			}
+			return errors.New("injected failure after framing pairs")
+		}}, -1, nil)
+		if n := outcomes(e); n[AttemptRetried] != 2 {
+			t.Errorf("map outcomes %v; want two retried", n)
+		}
+	})
+	t.Run("speculative-loser", func(t *testing.T) {
+		// The first attempt at the victim frames a poison pair, then stalls
+		// until a duplicate has committed its task, and loses the race.
+		var exe atomic.Pointer[Execution]
+		var stalled atomic.Bool
+		e := run(t, framedMapper{strike: func(ctx *interp.Context) error {
+			if !stalled.CompareAndSwap(false, true) {
+				return nil
+			}
+			if err := emitPoison(ctx); err != nil {
+				return err
+			}
+			for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if e := exe.Load(); e != nil {
+					if st := e.Status(); st.Phase == PhaseMap && st.TasksDone == st.TasksTotal {
+						return nil
+					}
+				}
+			}
+			return errors.New("no speculative attempt committed the stalled task")
+		}}, 1, &exe)
+		if n := outcomes(e); n[AttemptLost] != 1 {
+			t.Errorf("map outcomes %v; want one lost", n)
+		}
+	})
+}
+
+// FuzzFramedCommit frames pairs of fuzzed sizes through task sinks, splits
+// them into fuzzed tasks (empty ones included), and commits the tasks to
+// a shared KV output in a seeded random order, each after a dropped
+// attempt that framed other bytes into the pooled chunks. The output must
+// be byte-identical to a KVFileOutput fed the same pairs through Write.
+func FuzzFramedCommit(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, []byte{1}, int64(1))
+	f.Add([]byte{255, 90, 0, 17, 200, 3}, []byte{0, 0, 4, 9}, int64(7))
+	f.Add([]byte{148, 148, 148, 148}, []byte{2}, int64(3))
+	f.Fuzz(func(t *testing.T, sizes, cuts []byte, seed int64) {
+		if len(sizes) > 64 || len(cuts) > 16 {
+			t.Skip("bounded so each input stays small")
+		}
+		// A size byte b frames a value of 3b² bytes: up to about three chunks.
+		value := func(i int) interp.EmitValue { return framedValue(int64(i), 3*int(sizes[i])*int(sizes[i])) }
+		dir := t.TempDir()
+		want, _ := NewKVFileOutput(filepath.Join(dir, "want.kv"))
+		for i := range sizes {
+			if err := want.Write(serde.Int(int64(i)), value(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := want.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		bounds := []int{0}
+		for _, c := range cuts {
+			bounds = append(bounds, int(c)%(len(sizes)+1))
+		}
+		sort.Ints(bounds)
+		bounds = append(bounds, len(sizes))
+		kv, _ := NewKVFileOutput(filepath.Join(dir, "got.kv"))
+		shared := &sharedOutput{out: kv, held: map[int]*taskSink{}}
+		sinks := make([]*taskSink, len(bounds)-1)
+		for task := range sinks {
+			lo, hi := bounds[task], bounds[task+1]
+			loser := &taskSink{shared: shared, task: task}
+			for i := hi - 1; i >= lo; i-- {
+				if err := loser.emit(serde.String("poison"), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loser.abort()
+			sinks[task] = &taskSink{shared: shared, task: task}
+			for i := lo; i < hi; i++ {
+				if err := sinks[task].emit(serde.Int(int64(i)), value(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, task := range rand.New(rand.NewSource(seed)).Perm(len(sinks)) {
+			if err := shared.commit(sinks[task]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(shared.held) != 0 {
+			t.Fatalf("%d tasks still held after every task committed", len(shared.held))
+		}
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, err := os.ReadFile(filepath.Join(dir, "want.kv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "got.kv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, wantBytes) {
+			t.Fatalf("framed commit (%d bytes) differs from the pairwise write (%d bytes)", len(got), len(wantBytes))
+		}
+	})
 }
