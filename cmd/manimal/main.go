@@ -11,8 +11,9 @@
 //	manimal explain -prog prog.go [-cfg] [-usedef]
 //	manimal index   -sys DIR -prog prog.go -input data.rec
 //	manimal run     -sys DIR -prog prog.go -input data.rec -out out.kv \
-//	                [-conf threshold=10] [-noopt] [-maponly] [-progress] \
-//	                [-cpuprofile FILE]
+//	                [-prog2 other.go -input2 other.rec] \
+//	                [-conf threshold=10] [-noopt] [-maponly] [-explain] \
+//	                [-progress] [-cpuprofile FILE]
 //	manimal catalog -sys DIR
 //	manimal cache   -sys DIR [-evict] [-stale]
 //	manimal inspect -file data.rec [-blocks]
@@ -38,6 +39,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -204,11 +206,30 @@ func cmdAnalyze(args []string) error {
 	if *prog2Path != "" {
 		if join != nil {
 			fmt.Printf("JOIN: %s\n", join)
+			printSemiJoin(join)
 		} else {
 			fmt.Println("no join shape detected")
 		}
 	}
 	return nil
+}
+
+// printSemiJoin prints the analyzer's semi-join verdict on a detected
+// join: the proof, or the check that refused it. Whether a job takes it
+// also depends on its plans, which `run -explain` shows.
+func printSemiJoin(j *manimal.JoinDescriptor) {
+	if p := j.SemiJoin; p != nil {
+		fmt.Printf("SEMI-JOIN: Reduce is inner on input %d (%s counts its values; HasField(%q) tells the sides apart)\n",
+			p.Build, p.Counter, p.Tag)
+		fmt.Printf("  input %d drops rows whose %s is not among input %d's emitted keys, when input %d's plan pushes a selection down\n",
+			1-p.Build, j.Side(1-p.Build).Canon, p.Build, p.Build)
+		return
+	}
+	for _, n := range j.Notes {
+		if strings.HasPrefix(n, "semi-join:") {
+			fmt.Printf("no semi-join: %s\n", strings.TrimPrefix(n, "semi-join: refused: "))
+		}
+	}
 }
 
 // analysisJSON is the machine-readable shape of `manimal analyze -json`.
@@ -388,6 +409,8 @@ func cmdRun(args []string) error {
 	sysDir := fs.String("sys", "manimal-sys", "system/catalog directory")
 	progPath := fs.String("prog", "", "mapper-language program file")
 	inputPath := fs.String("input", "", "input record file")
+	prog2Path := fs.String("prog2", "", "second program: run a two-input job (e.g. a join); -prog's Reduce is the job's")
+	input2Path := fs.String("input2", "", "the second program's input record file")
 	outPath := fs.String("out", "out.kv", "output KV file")
 	noopt := fs.Bool("noopt", false, "disable optimization (conventional MapReduce)")
 	mapOnly := fs.Bool("maponly", false, "skip the reduce phase")
@@ -408,6 +431,14 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	inputs := []manimal.InputSpec{{Path: *inputPath, Program: prog}}
+	if *prog2Path != "" {
+		prog2, err := loadProgram(*prog2Path)
+		if err != nil {
+			return err
+		}
+		inputs = append(inputs, manimal.InputSpec{Path: *input2Path, Program: prog2})
+	}
 	stopProfile, err := startCPUProfile(*cpuProfile)
 	if err != nil {
 		return err
@@ -415,7 +446,7 @@ func cmdRun(args []string) error {
 	report, err := func() (*manimal.JobReport, error) {
 		handle, err := sys.SubmitAsync(context.Background(), manimal.JobSpec{
 			Name:                "cli",
-			Inputs:              []manimal.InputSpec{{Path: *inputPath, Program: prog}},
+			Inputs:              inputs,
 			OutputPath:          *outPath,
 			Conf:                conf.conf,
 			MapOnly:             *mapOnly,
@@ -452,6 +483,17 @@ func cmdRun(args []string) error {
 	}
 	fmt.Printf("done in %.3fs, %d output records\n",
 		report.Duration.Seconds(), report.Result.Counters.Get("output.records"))
+	if j := report.Join; j != nil && *explain {
+		fmt.Printf("join: %s\n", j)
+		printSemiJoin(j)
+	}
+	ctr := report.Result.Counters
+	if ctr.Get(mapreduce.CtrSemiJoinFallback) != 0 {
+		fmt.Println("semi-join: key set outgrew the spill budget; the probe input ran unfiltered")
+	} else if slices.ContainsFunc(report.Inputs, func(ir manimal.InputReport) bool { return ir.Plan.SemiJoin != nil }) {
+		fmt.Printf("semi-join: %d keys in the set; %d rows prefiltered, the rows it dropped included\n",
+			ctr.Get(mapreduce.CtrSemiJoinKeys), ctr.Get(mapreduce.CtrRowsFiltered))
+	}
 	ft := ""
 	for _, c := range []string{"manimal.tasks.retried", "manimal.tasks.speculative", "manimal.tasks.corrupt_blocks"} {
 		if v := report.Result.Counters.Get(c); v != 0 {

@@ -17,6 +17,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden descriptor cor
 
 const (
 	webPagesSchemaText   = "url:string,rank:int64,content:string"
+	rankingsSchemaText   = "pageURL:string,pageRank:int64,avgDuration:int64"
 	userVisitsSchemaText = "sourceIP:string,destURL:string,visitDate:int64,adRevenue:int64,userAgent:string,countryCode:string,languageCode:string,searchWord:string,duration:int64"
 )
 
@@ -34,7 +35,7 @@ var goldenCases = []goldenCase{
 	{"benchmark1-selection", programs.Benchmark1Selection, "tuple:string"},
 	{"benchmark2-aggregation", programs.Benchmark2Aggregation, userVisitsSchemaText},
 	{"benchmark3-join-uservisits", programs.Benchmark3JoinUserVisits, userVisitsSchemaText},
-	{"benchmark3-join-rankings", programs.Benchmark3JoinRankings, "pageURL:string,pageRank:int64,avgDuration:int64"},
+	{"benchmark3-join-rankings", programs.Benchmark3JoinRankings, rankingsSchemaText},
 	{"benchmark4-udf-aggregation", programs.Benchmark4UDFAggregation, "content:string"},
 	{"selection-query", programs.SelectionQuery, webPagesSchemaText},
 	{"projection-query", programs.ProjectionQuery, webPagesSchemaText},
@@ -182,25 +183,67 @@ func TestGoldenDescriptorCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze: %v", err)
 			}
-			got := dumpDescriptor(d)
-
-			path := filepath.Join("testdata", "golden", tc.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run `go test ./internal/analyzer -run Golden -update`): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("descriptor drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, tc.name, dumpDescriptor(d))
 		})
+	}
+}
+
+// TestGoldenJoinVerdict pins the join shape and the semi-join verdict of
+// paper Benchmark 3's two programs, as a job submits them (UserVisits
+// first, its Reduce the job's).
+func TestGoldenJoinVerdict(t *testing.T) {
+	uv, err := lang.Parse(programs.Benchmark3JoinUserVisits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rk, err := lang.Parse(programs.Benchmark3JoinRankings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uvs, err := serde.ParseSchema(userVisitsSchemaText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rks, err := serde.ParseSchema(rankingsSchemaText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := DetectJoin(uv, uvs, rk, rks)
+	if j == nil {
+		t.Fatal("Benchmark 3 join not detected")
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "join: %s\n", j)
+	if p := j.SemiJoin; p != nil {
+		fmt.Fprintf(&b, "semi-join: build input %d, tag %q, counter %s\n", p.Build, p.Tag, p.Counter)
+	} else {
+		fmt.Fprintf(&b, "semi-join: none\n")
+	}
+	for _, n := range j.Notes {
+		fmt.Fprintf(&b, "note: %s\n", n)
+	}
+	checkGolden(t, "benchmark3-join-pair", b.String())
+}
+
+// checkGolden compares got with testdata/golden/<name>.golden, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run `go test ./internal/analyzer -run Golden -update`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("descriptor drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }

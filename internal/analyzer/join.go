@@ -25,14 +25,37 @@ type JoinSide struct {
 // JoinDescriptor describes a detected two-input repartition join (the
 // examples/join / paper Benchmark 3 shape): each input's map() re-keys its
 // records on a field extracted from that input, so the shuffle brings
-// matching keys together and reduce() performs the join. Knowing the key
-// fields lets the optimizer report (and a future planner exploit) the join
-// structure — e.g. choosing a build side by cardinality.
+// matching keys together and reduce() performs the join.
+//
+// When SemiJoin is set, the job's Reduce is also proved inner on one input
+// (the build side), and an optimized job runs as a semi-join: the build
+// side's map tasks run first, the distinct keys they emit form an exact
+// set, and the other input drops rows whose join field is not in the set
+// before Map (optimizer.ChooseSemiJoin adds the plan-level conditions).
+// When it is nil, Notes says which check refused it.
 type JoinDescriptor struct {
 	Left  JoinSide `json:"left"`
 	Right JoinSide `json:"right"`
+	// SemiJoin is the reduce-side proof, or nil.
+	SemiJoin *SemiJoinProof `json:"semiJoin,omitempty"`
 	// Notes explains detection details for tooling.
 	Notes []string `json:"notes,omitempty"`
+}
+
+// SemiJoinProof says the lead program's Reduce is inner on input Build: a
+// key group that holds no value from that input makes Reduce emit nothing
+// and change nothing outside its own locals, so dropping such a group's
+// values — every value the other input's Map emits for a key the build
+// side never emits — leaves the output and every user counter as they are.
+type SemiJoinProof struct {
+	// Build is the build side's input index: 0 for Left, 1 for Right.
+	Build int `json:"build"`
+	// Tag is the field whose values.HasField test tells the sides apart;
+	// exactly one input's schema has it.
+	Tag string `json:"tag"`
+	// Counter is the Reduce local that starts at 0, is incremented only
+	// for build-side values, and guards every emit.
+	Counter string `json:"counter"`
 }
 
 // String renders the join shape for explain output.
@@ -40,46 +63,65 @@ func (j *JoinDescriptor) String() string {
 	return fmt.Sprintf("%s = %s", j.Left.Canon, j.Right.Canon)
 }
 
+// Side returns input i's side (0 for Left, 1 for Right).
+func (j *JoinDescriptor) Side(i int) *JoinSide {
+	if i == 0 {
+		return &j.Left
+	}
+	return &j.Right
+}
+
 // DetectJoin recognizes the repartition-join shape across a two-input job:
 // both maps must key every emit by a (statically resolvable, functional)
 // plain field of their own input record. Safety-first like every detector:
 // any doubt — multiple inconsistent key fields, a computed key, a key that
-// fails isFunc — yields nil.
+// fails isFunc — yields nil. A detected join then gets the semi-join proof
+// (see SemiJoinProof) or a note saying why not; left's Reduce is the job's
+// Reduce.
 func DetectJoin(left *lang.Program, leftSchema *serde.Schema, right *lang.Program, rightSchema *serde.Schema) *JoinDescriptor {
-	lf, lc, ok := emitKeyField(left, leftSchema)
+	lk, la, ok := emitKeyField(left, leftSchema)
 	if !ok {
 		return nil
 	}
-	rf, rc, ok := emitKeyField(right, rightSchema)
+	rk, ra, ok := emitKeyField(right, rightSchema)
 	if !ok {
 		return nil
 	}
 	j := &JoinDescriptor{
-		Left:  JoinSide{Field: lf, Canon: lc},
-		Right: JoinSide{Field: rf, Canon: rc},
+		Left:  JoinSide{Field: lk.Name, Canon: lk.Canon()},
+		Right: JoinSide{Field: rk.Name, Canon: rk.Canon()},
 	}
 	j.Notes = append(j.Notes, fmt.Sprintf("join: both inputs re-key on a plain field (%s)", j))
+	proof, err := proveSemiJoin([2]predicate.Field{lk, rk}, [2]*analysis{la, ra}, left.Reduce())
+	if err != nil {
+		j.Notes = append(j.Notes, "semi-join: refused: "+err.Error())
+		return j
+	}
+	j.SemiJoin = proof
+	j.Notes = append(j.Notes, fmt.Sprintf("semi-join: Reduce is inner on input %d (%s counts its values, HasField(%q) tells the sides apart)",
+		proof.Build, proof.Counter, proof.Tag))
 	return j
 }
 
-// emitKeyField reports the single schema field that keys every emit of the
-// program's map(), if there is one. The key argument of each emit must pass
-// isFunc (its value depends only on the record and config) and resolve to a
-// bare field accessor; all emits must agree on the field.
-func emitKeyField(p *lang.Program, schema *serde.Schema) (field, canon string, ok bool) {
+// emitKeyField reports the single field accessor that keys every emit of
+// the program's map(), if there is one, with the map's analysis. The key
+// argument of each emit must pass isFunc (its value depends only on the
+// record and config) and resolve to a bare field accessor; all emits must
+// agree on the accessor.
+func emitKeyField(p *lang.Program, schema *serde.Schema) (key predicate.Field, a *analysis, ok bool) {
 	fn := p.Map()
 	if fn == nil || len(fn.Params) != 3 || schema == nil {
-		return "", "", false
+		return key, nil, false
 	}
 	g, err := cfg.Build(p, fn)
 	if err != nil {
-		return "", "", false
+		return key, nil, false
 	}
 	fl, err := dataflow.Analyze(p, g)
 	if err != nil {
-		return "", "", false
+		return key, nil, false
 	}
-	a := &analysis{
+	a = &analysis{
 		prog:       p,
 		schema:     schema,
 		fn:         fn,
@@ -92,35 +134,35 @@ func emitKeyField(p *lang.Program, schema *serde.Schema) (field, canon string, o
 	}
 	a.collectEmits()
 	if len(a.emits) == 0 {
-		return "", "", false
+		return key, nil, false
 	}
 	for _, e := range a.emits {
 		if len(e.call.Args) < 1 {
-			return "", "", false
+			return key, nil, false
 		}
-		key := e.call.Args[0]
-		dag, err := a.flow.UseDefOfExpr(key, e.stmt)
+		k := e.call.Args[0]
+		dag, err := a.flow.UseDefOfExpr(k, e.stmt)
 		if err != nil {
-			return "", "", false
+			return key, nil, false
 		}
 		if funcOK, _ := a.isFunc(dag); !funcOK {
-			return "", "", false
+			return key, nil, false
 		}
-		pe, err := a.resolveToInputs(key, resolvePoint{stmt: e.stmt})
+		pe, err := a.resolveToInputs(k, resolvePoint{stmt: e.stmt})
 		if err != nil {
-			return "", "", false
+			return key, nil, false
 		}
 		f, isField := pe.(predicate.Field)
 		if !isField {
-			return "", "", false
+			return key, nil, false
 		}
 		if _, known := schema.KindOf(f.Name); !known {
-			return "", "", false
+			return key, nil, false
 		}
-		if field != "" && field != f.Name {
-			return "", "", false // inconsistent key fields across emits
+		if key.Name != "" && key != f {
+			return key, nil, false // inconsistent key fields across emits
 		}
-		field, canon = f.Name, f.Canon()
+		key = f
 	}
-	return field, canon, field != ""
+	return key, a, true
 }

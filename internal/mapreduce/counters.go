@@ -24,6 +24,12 @@ const (
 	CtrBlocksRead    = "manimal.blocks.read"
 	CtrBlocksSkipped = "manimal.blocks.skipped"
 	CtrRowsFiltered  = "manimal.rows.prefiltered"
+	// Semi-join counters (Job.SemiJoin): the distinct build-side keys the
+	// probe input was filtered by, or 1 in fallback when the set outgrew
+	// the spill budget and the probe input ran unfiltered. The probe rows
+	// the set dropped count in CtrRowsFiltered.
+	CtrSemiJoinKeys     = "manimal.semijoin.keys"
+	CtrSemiJoinFallback = "manimal.semijoin.fallback"
 	// Fault-tolerance counters: task attempts relaunched after a transient
 	// failure, duplicate (speculative) attempts launched for stragglers,
 	// and storage blocks that failed checksum/decode verification.

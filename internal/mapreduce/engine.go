@@ -316,24 +316,33 @@ func (e *Execution) runTask(kind string, ta *TaskAttempt, body func(a *attempt) 
 // (and by rowMapper within one). CtrMapInputRecords counts the selected
 // rows (rows the residual filter dropped never reach the mapper) locally,
 // flushed every counterFlushEvery rows plus a final flush: live enough for
-// progress reporting, cheap enough for the per-record hot path.
-func mapSplit(a *attempt, split Split, bm BatchMapper) error {
+// progress reporting, cheap enough for the per-record hot path. A probe
+// split of a semi-join (sj non-nil) first narrows each batch to the rows
+// whose join field is in sj's key set; the rows it drops count as
+// CtrRowsFiltered.
+func mapSplit(a *attempt, split Split, bm BatchMapper, sj *semiJoinRun) error {
 	ctx, ctr := a.Context(), a.ctr
 	bit, err := split.OpenBatch()
 	if err != nil {
 		return err
 	}
-	n, flushed := 0, 0
+	n, flushed, dropped := 0, 0, 0
 	defer func() {
 		bit.Close()
 		ctr.addScan(bit.Stats())
 		ctr.Add(CtrMapInputRecords, int64(n-flushed))
+		if dropped > 0 {
+			ctr.Add(CtrRowsFiltered, int64(dropped))
+		}
 	}()
 	for bit.Next() {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		b := bit.Batch()
+		if sj != nil {
+			dropped += narrow(b, sj.Field, sj.set)
+		}
 		n += len(b.Sel())
 		if n-flushed >= counterFlushEvery {
 			ctr.Add(CtrMapInputRecords, int64(n-flushed))
@@ -479,52 +488,89 @@ func (e *Execution) execute() (*Result, error) {
 	}
 	spills = make([][]*spillFile, len(tasks))
 
-	if err := sched.runPhase(e, PhaseMap, len(tasks), phaseOpts{retry: true, speculate: true}, func(ta *TaskAttempt) error {
-		return e.runTask("map", ta, func(a *attempt) (func() error, error) {
-			spec := tasks[a.Index()]
-			if mapOnly {
-				mapper, err := newMapper(a, spec.input.Mapper)
-				if err != nil {
-					return nil, err
-				}
-				sink, err := newTaskSink(job, a.Index(), shared)
-				if err != nil {
-					return nil, err
-				}
-				a.abort, a.ictx.Emit = sink.abort, sink.emit
-				if err := mapSplit(a, spec.split, mapper); err != nil {
-					return nil, err
-				}
-				return func() error { return sink.commit(a.ctr) }, nil
-			}
-			se := newShuffleEmitter(a.Index(), a.Attempt(), numReducers, job.Config.WorkDir,
-				job.Config.spillBuffer(), job.Combiner, job.FoldSum, a.ctr, job.Config.Conf,
-				job.Config.partitioner())
-			a.abort, a.ictx.Emit = se.discard, se.emit
-			// A folding task runs an Aggregate Map as the column kernel; the
-			// Mapper is never built.
-			var mapper BatchMapper = &aggKernel{agg: spec.input.Aggregate, se: se}
-			if spec.input.Aggregate == nil || !se.folding {
-				var err error
-				if mapper, err = newMapper(a, spec.input.Mapper); err != nil {
-					return nil, err
-				}
-			}
-			if err := mapSplit(a, spec.split, mapper); err != nil {
+	// The map phase is one wave, or two for a semi-join: the build input's
+	// tasks, whose committed keys form the set, then the probe input's,
+	// filtered by it. Tasks were planned in input order, so each of the
+	// two inputs' tasks are a contiguous range of indexes.
+	waves := [][2]int{{0, len(tasks)}}
+	var semi *semiJoinRun   // the semi-join's key set, filled by the build wave
+	var filter *semiJoinRun // semi, once the probe wave may filter by it
+	if job.SemiJoin != nil && !mapOnly {
+		semi = &semiJoinRun{SemiJoin: job.SemiJoin, set: newKeySet(job.Config.spillBuffer())}
+		cut := 0
+		for cut < len(tasks) && tasks[cut].input == &job.Inputs[0] {
+			cut++
+		}
+		waves = [][2]int{{0, cut}, {cut, len(tasks)}}
+		if semi.Build == 1 {
+			waves[0], waves[1] = waves[1], waves[0]
+		}
+	}
+	mapTask := func(a *attempt) (func() error, error) {
+		spec := tasks[a.Index()]
+		if mapOnly {
+			mapper, err := newMapper(a, spec.input.Mapper)
+			if err != nil {
 				return nil, err
 			}
-			if err := se.spill(); err != nil {
+			sink, err := newTaskSink(job, a.Index(), shared)
+			if err != nil {
 				return nil, err
 			}
-			return func() error {
-				spills[a.Index()] = se.files
-				se.files = nil // ownership transferred to the job
-				se.release()
-				return nil
-			}, nil
-		})
-	}); err != nil {
-		return fail("map phase", err)
+			a.abort, a.ictx.Emit = sink.abort, sink.emit
+			if err := mapSplit(a, spec.split, mapper, nil); err != nil {
+				return nil, err
+			}
+			return func() error { return sink.commit(a.ctr) }, nil
+		}
+		se := newShuffleEmitter(a.Index(), a.Attempt(), numReducers, job.Config.WorkDir,
+			job.Config.spillBuffer(), job.Combiner, job.FoldSum, a.ctr, job.Config.Conf,
+			job.Config.partitioner())
+		a.abort, a.ictx.Emit = se.discard, se.emit
+		var keys *keySet
+		if semi != nil && spec.input == &job.Inputs[semi.Build] {
+			keys = semi.record(a)
+		}
+		// A folding task runs an Aggregate Map as the column kernel; the
+		// Mapper is never built.
+		var mapper BatchMapper = &aggKernel{agg: spec.input.Aggregate, se: se}
+		if spec.input.Aggregate == nil || !se.folding {
+			var err error
+			if mapper, err = newMapper(a, spec.input.Mapper); err != nil {
+				return nil, err
+			}
+		}
+		// filter is set only for the probe wave, after the build wave drained.
+		if err := mapSplit(a, spec.split, mapper, filter); err != nil {
+			return nil, err
+		}
+		if err := se.spill(); err != nil {
+			return nil, err
+		}
+		return func() error {
+			spills[a.Index()] = se.files
+			se.files = nil // ownership transferred to the job
+			se.release()
+			if keys != nil {
+				semi.commit(keys)
+			}
+			return nil
+		}, nil
+	}
+	for w, wave := range waves {
+		if w == 1 {
+			if semi.set.over {
+				counters.Add(CtrSemiJoinFallback, 1)
+			} else {
+				counters.Add(CtrSemiJoinKeys, int64(semi.set.len()))
+				filter = semi
+			}
+		}
+		if err := sched.runPhase(e, PhaseMap, wave[1]-wave[0], phaseOpts{retry: true, speculate: true, first: wave[0]}, func(ta *TaskAttempt) error {
+			return e.runTask("map", ta, mapTask)
+		}); err != nil {
+			return fail("map phase", err)
+		}
 	}
 
 	if !mapOnly {

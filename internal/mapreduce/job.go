@@ -305,6 +305,18 @@ type Job struct {
 	// shuffleEmitter). Combiner must still be that Combine, for the keys a
 	// task combines after a record or non-int value unfolds it.
 	FoldSum bool
+	// SemiJoin, when set on a two-input job with a Reducer, says the plan
+	// proved that Reduce emits nothing, and does nothing else observable,
+	// for a key no value of input SemiJoin.Build carries
+	// (optimizer.ChooseSemiJoin). The map phase then runs as two waves:
+	// the build input's map tasks first, each committed attempt adding the
+	// distinct keys it emitted to an exact set, then the other input's,
+	// whose batches keep only rows whose join field is in the set before
+	// Map. A set larger than the spill budget (Config.SpillBufferBytes) is
+	// dropped and the second wave runs unfiltered. Map tasks keep the
+	// indexes they have without it, so the order of a key's values, and
+	// the output, do not change.
+	SemiJoin *SemiJoin
 	// Output is the job's one shared output. Each reduce task (or map
 	// task of a map-only job) holds its whole output in memory until it
 	// commits, framed once at emit into pooled fixed-size chunks, and a
@@ -340,6 +352,9 @@ func (j *Job) Validate() error {
 	}
 	if (j.Output == nil) == (j.OutputFor == nil) {
 		return fmt.Errorf("mapreduce: job %q needs exactly one of Output and OutputFor", j.Name)
+	}
+	if sj := j.SemiJoin; sj != nil && (len(j.Inputs) != 2 || sj.Build < 0 || sj.Build > 1 || j.Reducer == nil || sj.Field == "") {
+		return fmt.Errorf("mapreduce: job %q: a semi-join needs two inputs, a build input among them, a Reducer and a join field", j.Name)
 	}
 	if j.Reducer != nil && j.Config.WorkDir == "" {
 		return fmt.Errorf("mapreduce: job %q needs Config.WorkDir for its shuffle", j.Name)

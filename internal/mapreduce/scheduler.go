@@ -295,6 +295,9 @@ type Execution struct {
 type phaseOpts struct {
 	retry     bool
 	speculate bool
+	// first is the index of the phase's first task: a map phase split
+	// into waves keeps each task's index in the whole map phase.
+	first int
 }
 
 // taskSlot is the scheduler-side state of ONE task across its attempts.
@@ -369,7 +372,8 @@ type TaskAttempt struct {
 // canceled, the phase fails, or a sibling attempt wins the commit race.
 func (ta *TaskAttempt) Context() context.Context { return ta.ctx }
 
-// Index returns the task index within the phase (e.g. the split number).
+// Index returns the task index within the phase (e.g. the split number);
+// a map task's index is its split's, in every wave.
 func (ta *TaskAttempt) Index() int { return ta.index }
 
 // Attempt returns the attempt number for this task, starting at 0.
@@ -596,7 +600,7 @@ func (s *Scheduler) dispatchLocked() {
 		ta := &TaskAttempt{
 			e: e, ph: ph, slot: slot,
 			ctx: actx, cancel: acancel,
-			index: idx, attempt: slot.attempts,
+			index: ph.opts.first + idx, attempt: slot.attempts,
 			speculative: speculative,
 			start:       time.Now(),
 		}
@@ -805,7 +809,7 @@ func (s *Scheduler) runAttempt(e *Execution, ph *phaseRun, ta *TaskAttempt) {
 	default:
 		rec.Outcome = AttemptFailed
 		if ph.opts.retry && slot.retries > 0 {
-			err = fmt.Errorf("mapreduce: task %d failed after %d attempts: %w", slot.idx, slot.attempts, err)
+			err = fmt.Errorf("mapreduce: task %d failed after %d attempts: %w", ta.index, slot.attempts, err)
 		}
 		slot.failed = true
 		ph.halted = true

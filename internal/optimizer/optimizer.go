@@ -20,9 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 
 	"manimal/internal/analyzer"
 	"manimal/internal/catalog"
+	"manimal/internal/mapreduce"
 	"manimal/internal/predicate"
 	"manimal/internal/serde"
 	"manimal/internal/storage"
@@ -84,6 +86,10 @@ type Plan struct {
 	// cannot change observable output, and the mask only drops fields the
 	// program provably never needs.
 	Pushdown *storage.Pushdown
+	// SemiJoin, when set on a join's probe input, filters its rows by the
+	// keys the build input's map tasks emit (see ChooseSemiJoin); the job
+	// runs it as Job.SemiJoin.
+	SemiJoin *mapreduce.SemiJoin
 	// Applied lists the optimizations in effect, e.g. ["selection",
 	// "projection"]. Empty for original scans.
 	Applied []string
@@ -397,6 +403,50 @@ func chooseRecordFile(desc *analyzer.Descriptor, schema *serde.Schema, entries [
 		}
 	}
 	return best, bestFields
+}
+
+// ChooseSemiJoin decides whether a detected two-input join runs as a
+// semi-join, given each input's plan (index i is input i). It needs the
+// analyzer's proof that Reduce is inner on one input (the build side), a
+// build-side plan that pushes a selection down — a B+Tree range or a
+// residual scan filter, so that the key set is small (SNIPPETS.md's
+// greedy choice without statistics) — and plans that read the join fields
+// as strings, not dictionary codes, so that the set and the probe side's
+// column hold the same values. It then sets the probe plan's SemiJoin; in
+// every case both plans get a note saying what was decided and why.
+func ChooseSemiJoin(j *analyzer.JoinDescriptor, plans []*Plan) {
+	note := func(format string, args ...any) {
+		for _, p := range plans {
+			p.notef(format, args...)
+		}
+	}
+	if j == nil || len(plans) != 2 {
+		return
+	}
+	proof := j.SemiJoin
+	if proof == nil {
+		for _, n := range j.Notes {
+			if strings.HasPrefix(n, "semi-join:") {
+				note("%s", n)
+			}
+		}
+		return
+	}
+	build, probe := proof.Build, 1-proof.Build
+	if bp := plans[build]; bp.Kind != PlanBTree && (bp.Pushdown == nil || bp.Pushdown.Filter == nil) {
+		note("semi-join: refused: input %d's plan pushes no selection down, so its key set would not be selective", build)
+		return
+	}
+	for i, p := range plans {
+		if p.Codes != storage.DecodeTerms {
+			note("semi-join: refused: input %d's plan reads dictionary codes, which the other input's join field would not match", i)
+			return
+		}
+	}
+	plans[probe].SemiJoin = &mapreduce.SemiJoin{Build: build, Field: j.Side(probe).Field}
+	plans[probe].Applied = append(plans[probe].Applied, "semi-join")
+	note("semi-join: input %d's map tasks run first; input %d drops rows whose %s is not among their keys, before Map",
+		build, probe, j.Side(probe).Canon)
 }
 
 func containsString(xs []string, s string) bool {

@@ -468,3 +468,51 @@ func TestPushdownOnRecordFileVariant(t *testing.T) {
 		t.Fatalf("mask on exactly-projected variant: %v", pd.Fields)
 	}
 }
+
+// TestChooseSemiJoin: a proved semi-join is planned only when the build
+// side's plan pushes a selection down and neither plan reads dictionary
+// codes; every outcome is noted on both plans.
+func TestChooseSemiJoin(t *testing.T) {
+	proved := func() *analyzer.JoinDescriptor {
+		return &analyzer.JoinDescriptor{
+			Left:     analyzer.JoinSide{Field: "destURL", Canon: `v.Str("destURL")`},
+			Right:    analyzer.JoinSide{Field: "pageURL", Canon: `v.Str("pageURL")`},
+			SemiJoin: &analyzer.SemiJoinProof{Build: 0, Tag: "pageRank", Counter: "visits"},
+		}
+	}
+	pushed := func() *Plan {
+		return &Plan{Kind: PlanOriginal, Pushdown: &storage.Pushdown{Filter: predicate.ZoneFilter{{}}, Residual: true}}
+	}
+	for _, tc := range []struct {
+		name   string
+		join   *analyzer.JoinDescriptor
+		plans  []*Plan
+		want   bool
+		reason string
+	}{
+		{"pushed-down selection", proved(), []*Plan{pushed(), {Kind: PlanOriginal}}, true, "input 1 drops rows"},
+		{"B+Tree range", proved(), []*Plan{{Kind: PlanBTree}, {Kind: PlanOriginal}}, true, "input 1 drops rows"},
+		{"build side without a pushed-down selection", proved(), []*Plan{{Kind: PlanOriginal}, pushed()}, false, "pushes no selection"},
+		{"dictionary codes", proved(), []*Plan{pushed(), {Kind: PlanRecordFile, Codes: storage.CodeStrings}}, false, "dictionary codes"},
+		{"no proof", &analyzer.JoinDescriptor{Notes: []string{"semi-join: refused: Reduce: calls ctx.Log"}},
+			[]*Plan{pushed(), {Kind: PlanOriginal}}, false, "ctx.Log"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ChooseSemiJoin(tc.join, tc.plans)
+			if got := tc.plans[1].SemiJoin != nil; got != tc.want {
+				t.Fatalf("semi-join planned: %v, want %v; notes %q", got, tc.want, tc.plans[1].Notes)
+			}
+			if tc.plans[0].SemiJoin != nil {
+				t.Error("the build side's plan got a filter")
+			}
+			if tc.want && tc.plans[1].SemiJoin.Field != "pageURL" {
+				t.Errorf("filter field = %q", tc.plans[1].SemiJoin.Field)
+			}
+			for i, p := range tc.plans {
+				if !strings.Contains(strings.Join(p.Notes, "\n"), tc.reason) {
+					t.Errorf("plan %d notes %q do not say %q", i, p.Notes, tc.reason)
+				}
+			}
+		})
+	}
+}

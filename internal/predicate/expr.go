@@ -39,6 +39,10 @@ type Field struct {
 // Canon implements Expr.
 func (f Field) Canon() string { return fmt.Sprintf("v.%s(%q)", f.Accessor, f.Name) }
 
+// Kind is the datum kind f's accessor reads (KindInvalid for an unknown
+// accessor).
+func (f Field) Kind() serde.Kind { return accessorKind(f.Accessor) }
+
 func accessorKind(acc string) serde.Kind {
 	switch acc {
 	case "Int":

@@ -82,7 +82,8 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 
 // Benchmark3JoinRankings is the Rankings-side map of the join: a straight
 // re-key on pageURL. It emits whole records unconditionally, so no
-// optimization applies to this input.
+// selection or projection applies to this input; an optimized join runs
+// it as the probe side of a semi-join instead (analyzer.SemiJoinProof).
 const Benchmark3JoinRankings = `
 func Map(k, v *Record, ctx *Ctx) {
 	ctx.Emit(v.Str("pageURL"), v)

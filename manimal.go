@@ -632,7 +632,8 @@ func (s *System) plan(sub *submission, note string) error {
 	// Two-input jobs are checked for the repartition-join shape (paper
 	// Benchmark 3 / examples/join): both maps re-keying on a plain field of
 	// their own input. The detection is reported on the job and noted on
-	// each side's plan for explain output.
+	// each side's plan for explain output, and a job with a reduce phase
+	// runs it as a semi-join when the plans allow.
 	if len(spec.Inputs) == 2 && !spec.DisableOptimization {
 		if report.Join == nil {
 			report.Join = analyzer.DetectJoin(spec.Inputs[0].Program.parsed, sub.schemas[0], spec.Inputs[1].Program.parsed, sub.schemas[1])
@@ -640,8 +641,16 @@ func (s *System) plan(sub *submission, note string) error {
 		if j := report.Join; j != nil {
 			j.Left.Records, j.Right.Records = sub.counts[0], sub.counts[1]
 			note := fmt.Sprintf("join detected: %s (left %d records, right %d records)", j, j.Left.Records, j.Right.Records)
-			for i := range report.Inputs {
-				report.Inputs[i].Plan.Notes = append(report.Inputs[i].Plan.Notes, note)
+			plans := []*optimizer.Plan{report.Inputs[0].Plan, report.Inputs[1].Plan}
+			for _, p := range plans {
+				p.Notes = append(p.Notes, note)
+			}
+			if spec.MapOnly {
+				for _, p := range plans {
+					p.Notes = append(p.Notes, "semi-join: refused: a map-only job outputs every map emit")
+				}
+			} else {
+				optimizer.ChooseSemiJoin(j, plans)
 			}
 		}
 	}
@@ -914,6 +923,11 @@ func buildJob(sub *submission) *mapreduce.Job {
 		lead := spec.Inputs[0].Program.parsed
 		job.Reducer = fabric.ReducerFactory(lead)
 		job.Combiner, job.FoldSum = fabric.CombinerFactory(lead), sub.fold
+		for _, ir := range report.Inputs {
+			if ir.Plan.SemiJoin != nil {
+				job.SemiJoin = ir.Plan.SemiJoin
+			}
+		}
 	}
 	return job
 }

@@ -287,6 +287,14 @@ func TestEndToEndJoin(t *testing.T) {
 	if !reflect.DeepEqual(base, opt) {
 		t.Fatalf("optimized join output differs: %d vs %d pairs", len(base), len(opt))
 	}
+	// The B+Tree range is the build side's pushed-down selection: Rankings
+	// rows whose pageURL no selected visit carries never reach Map.
+	if optReport.Inputs[1].Plan.SemiJoin == nil {
+		t.Fatalf("no semi-join on the Rankings plan; notes: %v", optReport.Inputs[1].Plan.Notes)
+	}
+	if keys := optReport.Result.Counters.Get(mapreduce.CtrSemiJoinKeys); keys == 0 || int(keys) < len(opt) {
+		t.Errorf("%s = %d for %d joined keys", mapreduce.CtrSemiJoinKeys, keys, len(opt))
+	}
 	baseBytes := baseReport.Result.Counters.Get(mapreduce.CtrInputBytesRead)
 	if optBytes := optReport.Result.Counters.Get(mapreduce.CtrInputBytesRead); optBytes >= baseBytes {
 		t.Errorf("optimized join read %d input bytes, full scans %d; want fewer", optBytes, baseBytes)
