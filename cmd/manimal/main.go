@@ -225,11 +225,7 @@ func printSemiJoin(j *manimal.JoinDescriptor) {
 			1-p.Build, j.Side(1-p.Build).Canon, p.Build, p.Build)
 		return
 	}
-	for _, n := range j.Notes {
-		if strings.HasPrefix(n, "semi-join:") {
-			fmt.Printf("no semi-join: %s\n", strings.TrimPrefix(n, "semi-join: refused: "))
-		}
-	}
+	fmt.Printf("no semi-join: %s\n", j.SemiJoinRefused)
 }
 
 // analysisJSON is the machine-readable shape of `manimal analyze -json`.

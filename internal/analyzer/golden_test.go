@@ -217,7 +217,7 @@ func TestGoldenJoinVerdict(t *testing.T) {
 	if p := j.SemiJoin; p != nil {
 		fmt.Fprintf(&b, "semi-join: build input %d, tag %q, counter %s\n", p.Build, p.Tag, p.Counter)
 	} else {
-		fmt.Fprintf(&b, "semi-join: none\n")
+		fmt.Fprintf(&b, "semi-join: refused: %s\n", j.SemiJoinRefused)
 	}
 	for _, n := range j.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)

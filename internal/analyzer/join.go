@@ -32,12 +32,15 @@ type JoinSide struct {
 // side's map tasks run first, the distinct keys they emit form an exact
 // set, and the other input drops rows whose join field is not in the set
 // before Map (optimizer.ChooseSemiJoin adds the plan-level conditions).
-// When it is nil, Notes says which check refused it.
+// When it is nil, SemiJoinRefused says which check refused it.
 type JoinDescriptor struct {
 	Left  JoinSide `json:"left"`
 	Right JoinSide `json:"right"`
 	// SemiJoin is the reduce-side proof, or nil.
 	SemiJoin *SemiJoinProof `json:"semiJoin,omitempty"`
+	// SemiJoinRefused is the check that refused the proof when SemiJoin
+	// is nil.
+	SemiJoinRefused string `json:"semiJoinRefused,omitempty"`
 	// Notes explains detection details for tooling.
 	Notes []string `json:"notes,omitempty"`
 }
@@ -76,8 +79,8 @@ func (j *JoinDescriptor) Side(i int) *JoinSide {
 // plain field of their own input record. Safety-first like every detector:
 // any doubt — multiple inconsistent key fields, a computed key, a key that
 // fails isFunc — yields nil. A detected join then gets the semi-join proof
-// (see SemiJoinProof) or a note saying why not; left's Reduce is the job's
-// Reduce.
+// (see SemiJoinProof) or SemiJoinRefused saying why not; left's Reduce is
+// the job's Reduce.
 func DetectJoin(left *lang.Program, leftSchema *serde.Schema, right *lang.Program, rightSchema *serde.Schema) *JoinDescriptor {
 	lk, la, ok := emitKeyField(left, leftSchema)
 	if !ok {
@@ -94,12 +97,10 @@ func DetectJoin(left *lang.Program, leftSchema *serde.Schema, right *lang.Progra
 	j.Notes = append(j.Notes, fmt.Sprintf("join: both inputs re-key on a plain field (%s)", j))
 	proof, err := proveSemiJoin([2]predicate.Field{lk, rk}, [2]*analysis{la, ra}, left.Reduce())
 	if err != nil {
-		j.Notes = append(j.Notes, "semi-join: refused: "+err.Error())
+		j.SemiJoinRefused = err.Error()
 		return j
 	}
 	j.SemiJoin = proof
-	j.Notes = append(j.Notes, fmt.Sprintf("semi-join: Reduce is inner on input %d (%s counts its values, HasField(%q) tells the sides apart)",
-		proof.Build, proof.Counter, proof.Tag))
 	return j
 }
 

@@ -208,6 +208,22 @@ func Reduce(key Datum, values *Iter, ctx *Ctx) {
 	}
 }
 
+// withGuard is b3Reduce with guard in place of `visits > 0`.
+func withGuard(guard string) string {
+	return strings.Replace(b3Reduce, "if visits > 0 {", "if "+guard+" {", 1)
+}
+
+// TestSemiJoinMirroredGuards: a guard with the literal on the left is read
+// with its operator mirrored, so each of these is false when visits is 0.
+func TestSemiJoinMirroredGuards(t *testing.T) {
+	for _, guard := range []string{"0 < visits", "1 <= visits", "0 != visits"} {
+		j := b3Pair(t, b3UVMap, withGuard(guard), rkJoinSrc)
+		if j == nil || j.SemiJoin == nil {
+			t.Errorf("guard %q got no semi-join: %+v", guard, j)
+		}
+	}
+}
+
 // TestSemiJoinNearMisses: each case is one step away from the Benchmark 3
 // pair, and each step makes dropping one side's unmatched rows observable
 // (or unprovable), so none may get a semi-join.
@@ -407,11 +423,8 @@ func Map(k, v *Record, ctx *Ctx) {
 	ctx.Emit(v.Str("pageURL"), v.Int("pageRank"))
 }
 `, "whole record"},
-		{"build side without a selection", `
-func Map(k, v *Record, ctx *Ctx) {
-	ctx.Emit(v.Str("destURL"), v)
-}
-`, b3Reduce, rkJoinSrc, "no selection"},
+		{"mirrored guard true at 0", b3UVMap, withGuard("1 >= visits"), rkJoinSrc, "not guarded"},
+		{"mirrored guard never true", b3UVMap, withGuard("0 > visits"), rkJoinSrc, "not guarded"},
 	}
 	sharedUV := serde.MustSchema(append(uvSchema.Fields(), serde.Field{Name: "shared", Kind: serde.KindInt64})...)
 	sharedRK := serde.MustSchema(append(rkSchema.Fields(), serde.Field{Name: "shared", Kind: serde.KindInt64})...)
@@ -428,8 +441,8 @@ func Map(k, v *Record, ctx *Ctx) {
 			if j.SemiJoin != nil {
 				t.Fatalf("got a semi-join %+v", *j.SemiJoin)
 			}
-			if !strings.Contains(strings.Join(j.Notes, "\n"), tc.refusal) {
-				t.Errorf("notes %q do not say %q", j.Notes, tc.refusal)
+			if !strings.Contains(j.SemiJoinRefused, tc.refusal) {
+				t.Errorf("refusal %q does not say %q", j.SemiJoinRefused, tc.refusal)
 			}
 		})
 	}

@@ -17,7 +17,7 @@ import (
 // as a semi-join: red (the job's Reduce) is inner on one input, and
 // dropping the other input's rows before Map changes nothing but work.
 // maps holds each input's Map analysis. Every check must pass; the first
-// that fails is the error, worded for a plan note.
+// that fails is the error, kept as JoinDescriptor.SemiJoinRefused.
 //
 // The accepted Reduce is Benchmark 3's shape:
 //
@@ -33,7 +33,9 @@ import (
 // that side's fields read with the accessor of their kind. A group with no
 // build-side value then leaves visits at 0 and never errs, so it emits
 // nothing; with no ctx.Counter or ctx.Log in Reduce and no side effect in
-// the other side's Map, skipping its rows is invisible.
+// the other side's Map, skipping its rows is invisible. Whether the build
+// side's keys are few enough to be worth a set is a plan decision
+// (optimizer.ChooseSemiJoin), not part of the proof.
 func proveSemiJoin(keys [2]predicate.Field, maps [2]*analysis, red *lang.Function) (*SemiJoinProof, error) {
 	var schemas [2]*serde.Schema
 	for i, a := range maps {
@@ -63,9 +65,6 @@ func proveSemiJoin(keys [2]predicate.Field, maps [2]*analysis, red *lang.Functio
 	proof, err := innerReduce(red, schemas)
 	if err != nil {
 		return nil, fmt.Errorf("Reduce: %w", err)
-	}
-	if maps[proof.Build].findSelect(&Descriptor{}) == nil {
-		return nil, fmt.Errorf("input %d's Map has no selection a plan could push down, so its key set would not be selective", proof.Build)
 	}
 	probe := maps[1-proof.Build]
 	if fx := probe.findSideEffects(); len(fx) > 0 {
@@ -316,8 +315,12 @@ func counterTest(e ast.Expr) (string, bool) {
 		switch op {
 		case token.LSS:
 			op = token.GTR
+		case token.GTR:
+			op = token.LSS
 		case token.LEQ:
 			op = token.GEQ
+		case token.GEQ:
+			op = token.LEQ
 		}
 	}
 	id, ok := x.(*ast.Ident)

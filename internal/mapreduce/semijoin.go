@@ -25,9 +25,8 @@ const keyEntryBytes = 32
 // keySet is the exact set of keys a semi-join's build side emitted. Each
 // build-side attempt fills its own, and its commit merges it into the
 // job's, so keys of an attempt that fails or loses never reach the job's
-// set. A set that grows past limit bytes, or sees a key that is neither a
-// string nor an int64, drops its keys and stays unusable: the probe side
-// then runs unfiltered.
+// set. A set that grows past limit bytes drops its keys and stays
+// unusable: the probe side then runs unfiltered.
 type keySet struct {
 	strs  map[string]struct{}
 	ints  map[int64]struct{}
@@ -41,63 +40,55 @@ func newKeySet(limit int) *keySet {
 }
 
 // add records one emitted key. A string key may alias a reused buffer, so
-// a new one is copied.
+// a new one is copied. The analyzer proves both join fields string or
+// int64; a key of another kind leaves the set unusable.
 func (s *keySet) add(k serde.Datum) {
 	if s.over {
 		return
 	}
 	switch k.Kind {
 	case serde.KindString:
-		str := k.Str()
-		if _, ok := s.strs[str]; ok {
-			return
+		if _, ok := s.strs[k.Str()]; !ok {
+			insert(s, s.strs, strings.Clone(k.Str()), len(k.Str()))
 		}
-		s.strs[strings.Clone(str)] = struct{}{}
-		s.bytes += keyEntryBytes + len(str)
 	case serde.KindInt64:
-		n := k.Int()
-		if _, ok := s.ints[n]; ok {
-			return
-		}
-		s.ints[n] = struct{}{}
-		s.bytes += keyEntryBytes
+		insert(s, s.ints, k.Int(), 0)
 	default:
 		s.drop()
+	}
+}
+
+// merge adds o's keys to s.
+func (s *keySet) merge(o *keySet) {
+	if o.over {
+		s.drop()
+	}
+	for k := range o.strs {
+		insert(s, s.strs, k, len(k))
+	}
+	for n := range o.ints {
+		insert(s, s.ints, n, 0)
+	}
+}
+
+// insert puts k, which costs size bytes besides its entry, into m (one of
+// s's maps) unless s is over its limit or already holds k, and drops s's
+// keys once they outgrow the limit.
+func insert[K comparable](s *keySet, m map[K]struct{}, k K, size int) {
+	if s.over {
 		return
 	}
-	if s.bytes > s.limit {
+	if _, ok := m[k]; ok {
+		return
+	}
+	m[k] = struct{}{}
+	if s.bytes += keyEntryBytes + size; s.bytes > s.limit {
 		s.drop()
 	}
 }
 
 func (s *keySet) drop() {
 	s.over, s.strs, s.ints, s.bytes = true, nil, nil, 0
-}
-
-// merge adds o's keys to s.
-func (s *keySet) merge(o *keySet) {
-	if s.over {
-		return
-	}
-	if o.over {
-		s.drop()
-		return
-	}
-	for k := range o.strs {
-		if _, ok := s.strs[k]; !ok {
-			s.strs[k] = struct{}{}
-			s.bytes += keyEntryBytes + len(k)
-		}
-	}
-	for n := range o.ints {
-		if _, ok := s.ints[n]; !ok {
-			s.ints[n] = struct{}{}
-			s.bytes += keyEntryBytes
-		}
-	}
-	if s.bytes > s.limit {
-		s.drop()
-	}
 }
 
 func (s *keySet) len() int { return len(s.strs) + len(s.ints) }

@@ -252,3 +252,30 @@ func TestSemiJoinIntKeys(t *testing.T) {
 		t.Errorf("set holds %d keys, want 2", s.len())
 	}
 }
+
+// TestKeySetMerge: a merge counts each distinct key once, and a set that
+// is over its limit, or goes over it by merging, drops every key.
+func TestKeySetMerge(t *testing.T) {
+	a, b := newKeySet(1<<10), newKeySet(1<<10)
+	for _, k := range []serde.Datum{serde.String("x"), serde.String("y"), serde.Int(1)} {
+		a.add(k)
+	}
+	for _, k := range []serde.Datum{serde.String("y"), serde.String("zz"), serde.Int(1), serde.Int(2)} {
+		b.add(k)
+	}
+	a.merge(b)
+	if a.over || a.len() != 5 || a.bytes != 5*keyEntryBytes+4 {
+		t.Fatalf("merged set: over %v, %d keys, %d bytes; want 5 keys, %d bytes", a.over, a.len(), a.bytes, 5*keyEntryBytes+4)
+	}
+	small := newKeySet(3 * keyEntryBytes)
+	small.add(serde.Int(7))
+	if small.merge(a); !small.over || small.len() != 0 {
+		t.Errorf("a merge past the limit kept %d keys (over %v)", small.len(), small.over)
+	}
+	full := newKeySet(1 << 10)
+	full.add(serde.Int(7))
+	full.merge(small)
+	if !full.over || full.len() != 0 {
+		t.Errorf("merging a dropped set kept %d keys (over %v)", full.len(), full.over)
+	}
+}

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"manimal/internal/analyzer"
 	"manimal/internal/catalog"
@@ -425,11 +424,7 @@ func ChooseSemiJoin(j *analyzer.JoinDescriptor, plans []*Plan) {
 	}
 	proof := j.SemiJoin
 	if proof == nil {
-		for _, n := range j.Notes {
-			if strings.HasPrefix(n, "semi-join:") {
-				note("%s", n)
-			}
-		}
+		note("semi-join: refused: %s", j.SemiJoinRefused)
 		return
 	}
 	build, probe := proof.Build, 1-proof.Build

@@ -494,7 +494,7 @@ func TestChooseSemiJoin(t *testing.T) {
 		{"B+Tree range", proved(), []*Plan{{Kind: PlanBTree}, {Kind: PlanOriginal}}, true, "input 1 drops rows"},
 		{"build side without a pushed-down selection", proved(), []*Plan{{Kind: PlanOriginal}, pushed()}, false, "pushes no selection"},
 		{"dictionary codes", proved(), []*Plan{pushed(), {Kind: PlanRecordFile, Codes: storage.CodeStrings}}, false, "dictionary codes"},
-		{"no proof", &analyzer.JoinDescriptor{Notes: []string{"semi-join: refused: Reduce: calls ctx.Log"}},
+		{"no proof", &analyzer.JoinDescriptor{SemiJoinRefused: "Reduce: calls ctx.Log"},
 			[]*Plan{pushed(), {Kind: PlanOriginal}}, false, "ctx.Log"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

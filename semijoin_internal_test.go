@@ -322,3 +322,36 @@ func TestSemiJoinUnderInjectedFaults(t *testing.T) {
 		t.Error("empty key set")
 	}
 }
+
+// TestSemiJoinNeedsBuildSelection: a Reduce proved inner on the visits
+// side is not enough. A visits Map with no selection to push down would
+// put every key in the set, so the plans refuse the semi-join and say why.
+func TestSemiJoinNeedsBuildSelection(t *testing.T) {
+	dir := t.TempDir()
+	c := sjCase{name: "no selection", vlo: 0, vhi: 100, plo: 0, phi: 100, dup: 1}
+	visits, pages := c.write(t, dir)
+	sys, err := NewSystemWith(filepath.Join(dir, "sys"), Options{DisableResultCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	spec := c.spec(t, visits, pages, filepath.Join(dir, "out.kv"))
+	if spec.Inputs[0].Program, err = ParseProgram("visits", sjPagesMap(`v.Str("url")`)+sjReduce); err != nil {
+		t.Fatal(err)
+	}
+	report, err := sys.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Join == nil || report.Join.SemiJoin == nil {
+		t.Fatalf("Reduce not proved inner: %+v", report.Join)
+	}
+	for i, ir := range report.Inputs {
+		if ir.Plan.SemiJoin != nil {
+			t.Errorf("input %d planned a semi-join", i)
+		}
+		if !strings.Contains(strings.Join(ir.Plan.Notes, "\n"), "pushes no selection") {
+			t.Errorf("input %d notes %q do not say why", i, ir.Plan.Notes)
+		}
+	}
+}
